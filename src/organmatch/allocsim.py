@@ -261,7 +261,8 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     recipients_by_step: dict[int, list[int]] = {}
     for step, rec_id in stream.recipient_arrivals:
         recipients_by_step.setdefault(step, []).append(rec_id)
-    last_step = max(step for step, _ in stream.donor_arrivals)
+    # no donor arrives: no allocation step runs and every recipient stays waiting
+    last_step = max((step for step, _ in stream.donor_arrivals), default=-1)
 
     waiting: list[int] = []
     for step in range(last_step + 1):

@@ -91,9 +91,7 @@ class DonorClusterer:
                 + np.log(self.weights)[None, :]
             )
             return np.argmax(log_prob, axis=1)
-        embeds, _ = mlp_forward(self.donor_map.encoder, donors)
-        t = matchrep.soft_assign(embeds, self.donor_map.centers, self.dec_exponent)
-        return np.argmax(t, axis=1)
+        return matchrep._hard_labels(self.donor_map, donors, self.dec_exponent)
 
 
 def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorClusterer:
@@ -162,12 +160,7 @@ class ClusterPredictorBaseline:
                     w, b = head
                     cols.append(recipients @ w + b)
             return np.column_stack(cols)
-        xprime, _ = mlp_forward(self.phi, recipients)
-        cols = []
-        for head in self.predictor.heads:
-            out, _ = mlp_forward(head, xprime)
-            cols.append(self.predictor.outcome_mean + self.predictor.outcome_scale * out[:, 0])
-        return np.column_stack(cols)
+        return matchrep.predict_heads(self.phi, self.predictor, recipients)
 
     def donor_labels(self, donors: np.ndarray) -> np.ndarray:
         return self.clusterer.assign(donors)
@@ -187,40 +180,14 @@ def _fit_linear_heads(recipients, outcomes, labels, k):
 
 def _fit_nn_heads(recipients, outcomes, labels, spec: BaselineSpec):
     cfg = spec.train
-    phi = init_dense_net([recipients.shape[1], cfg.hidden, cfg.hidden, cfg.rep_dim],
-                         ["relu", "relu", "identity"],
-                         rng_stream(cfg.seed, "baselines", "phi-init"))
-    head_rng = rng_stream(cfg.seed, "baselines", "heads-init")
-    heads = [init_dense_net([cfg.rep_dim, cfg.hidden, cfg.hidden, 1],
-                            ["relu", "relu", "identity"], head_rng)
-             for _ in range(cfg.k)]
-    predictor = MultiHeadPredictor(
-        heads=heads,
-        outcome_mean=float(outcomes.mean()),
-        outcome_scale=float(max(outcomes.std(), 1.0)),
-    )
-    params = phi.parameters() + [p for h in heads for p in h.parameters()]
+    phi, predictor = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg, "baselines")
     state = AdamState()
     rng = rng_stream(cfg.seed, "baselines", "nn-batches")
-    n = len(outcomes)
     beta = cfg.beta if spec.with_rep else 0.0
     for _ in range(cfg.joint_epochs):
-        for idx in matchrep._batches(n, cfg.batch_size, rng):
-            xprime, cache = mlp_forward(phi, recipients[idx])
-            l_f, head_grads, d_xp = matchrep.factual_loss_and_grads(
-                predictor, xprime, outcomes[idx], labels[idx])
-            if beta > 0.0:
-                l_rep, d_xp_rep, _ = matchrep.rep_loss_and_grads(
-                    xprime, labels[idx], cfg.k, cfg.min_cluster_count, cfg.kl_direction)
-                d_xp = d_xp + beta * d_xp_rep
-                l_f = l_f + beta * l_rep
-            if not np.isfinite(l_f):
-                raise numkit.TrainingDivergedError("baseline NN loss diverged")
-            phi_grads, _ = mlp_backward(phi, cache, d_xp)
-            grads = list(phi_grads)
-            for hg in head_grads:
-                grads.extend(hg)
-            adam_step(params, grads, state, cfg.learning_rate)
+        for idx in matchrep._batches(len(outcomes), cfg.batch_size, rng):
+            matchrep.phi_heads_step(phi, predictor, state, recipients[idx], outcomes[idx],
+                                    labels[idx], beta, cfg)
     return phi, predictor
 
 
@@ -416,11 +383,6 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
         tree = _grow_tree(pairs, outcomes, 0, TREE_MAX_DEPTH, TREE_MIN_LEAF)
         return PairRegressor(kind=kind, tree=tree)
     return _fit_reg_nn(pairs, outcomes, config or TrainConfig())
-
-
-def predict_pair(regressor: PairRegressor, x_r: np.ndarray, x_o: np.ndarray) -> float:
-    pair = np.concatenate([np.asarray(x_r, dtype=float), np.asarray(x_o, dtype=float)])
-    return float(regressor.predict(pair[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

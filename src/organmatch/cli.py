@@ -248,11 +248,9 @@ def _eval_cluster_model(name: str, preds: np.ndarray, labels: np.ndarray,
     if subset.true_potentials is not None and subset.true_donor_type is not None:
         y_tilde, nonempty = metrics.remap_potentials_to_learned(
             subset.true_potentials, subset.true_donor_type, labels, preds.shape[1])
-        masked = np.where(nonempty, preds, -np.inf)
         row["eps_wmse"] = metrics.eps_wmse(preds[:, nonempty], y_tilde[:, nonempty])
-        row["aodt"] = float(np.mean(
-            np.argmax(masked, axis=1)
-            == np.argmax(np.where(nonempty, y_tilde, -np.inf), axis=1)))
+        row["aodt"] = metrics.aodt_learned_space(
+            preds, subset.true_potentials, subset.true_donor_type, labels)
     return row
 
 
@@ -470,7 +468,7 @@ def main(argv=None) -> int:
             return EXIT_DATA
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, matchrep.DeadClusterError) as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileNotFoundError, OSError) as exc:

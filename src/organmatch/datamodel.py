@@ -25,17 +25,6 @@ class IngestionError(ValueError):
 
 
 @dataclass
-class MatchRecord:
-    recipient: np.ndarray
-    donor: np.ndarray
-    outcome: float
-    true_potentials: np.ndarray | None = None
-    untreated_survival: float | None = None
-    true_recipient_type: int | None = None
-    true_donor_type: int | None = None
-
-
-@dataclass
 class Normalization:
     recipient_mean: np.ndarray
     recipient_scale: np.ndarray
@@ -77,20 +66,6 @@ class Dataset:
     @property
     def has_ground_truth(self) -> bool:
         return self.true_potentials is not None and self.untreated_survival is not None
-
-    def record(self, i: int) -> MatchRecord:
-        return MatchRecord(
-            recipient=self.recipients[i],
-            donor=self.donors[i],
-            outcome=float(self.outcomes[i]),
-            true_potentials=None if self.true_potentials is None else self.true_potentials[i],
-            untreated_survival=(None if self.untreated_survival is None
-                                else float(self.untreated_survival[i])),
-            true_recipient_type=(None if self.true_recipient_type is None
-                                 else int(self.true_recipient_type[i])),
-            true_donor_type=(None if self.true_donor_type is None
-                             else int(self.true_donor_type[i])),
-        )
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
@@ -157,25 +132,6 @@ def normalize_fit_transform(dataset: Dataset, indices: SplitIndices) -> Dataset:
         true_recipient_type=dataset.true_recipient_type,
         true_donor_type=dataset.true_donor_type,
         normalization=norm,
-    )
-    return out
-
-
-def denormalize(dataset: Dataset) -> Dataset:
-    if dataset.normalization is None:
-        raise ValueError("dataset is not normalized")
-    norm = dataset.normalization
-    out = Dataset(
-        recipients=dataset.recipients * norm.recipient_scale + norm.recipient_mean,
-        donors=dataset.donors * norm.donor_scale + norm.donor_mean,
-        outcomes=dataset.outcomes.copy(),
-        recipient_names=dataset.recipient_names,
-        donor_names=dataset.donor_names,
-        true_potentials=dataset.true_potentials,
-        untreated_survival=dataset.untreated_survival,
-        true_recipient_type=dataset.true_recipient_type,
-        true_donor_type=dataset.true_donor_type,
-        normalization=None,
     )
     return out
 

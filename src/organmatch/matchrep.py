@@ -127,6 +127,9 @@ class MultiHeadPredictor:
     outcome_mean: float
     outcome_scale: float
 
+    def parameters(self) -> list[np.ndarray]:
+        return [p for head in self.heads for p in head.parameters()]
+
 
 @dataclass
 class MatchRepModel:
@@ -145,8 +148,7 @@ class MatchRepModel:
         params = list(self.donor_map.encoder.parameters())
         params.append(self.donor_map.centers)
         params.extend(self.encoder.net.parameters())
-        for head in self.predictor.heads:
-            params.extend(head.parameters())
+        params.extend(self.predictor.parameters())
         return params
 
 
@@ -296,8 +298,31 @@ def factual_loss_and_grads(predictor: MultiHeadPredictor, xprime: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Combined loss (used by training and by gradient checks)
+# Combined losses (used by training and by gradient checks)
 # ---------------------------------------------------------------------------
+
+
+def phi_heads_loss_and_grads(phi: DenseNet, predictor: MultiHeadPredictor,
+                             recipients: np.ndarray, outcomes: np.ndarray,
+                             labels: np.ndarray, beta: float, k: int,
+                             min_cluster_count: int = 8,
+                             direction: str = "conditional-to-marginal"):
+    """L_f + beta*L_Phi for fixed 0-based donor-type labels.
+
+    The L_Phi term is skipped, and reported as 0.0, when ``beta == 0``.
+    Returns (L_f, L_Phi, grads) with grads ordered like ``phi.parameters()``
+    followed by ``predictor.parameters()``.
+    """
+    xprime, cache = mlp_forward(phi, recipients)
+    l_f, head_grads, d_xprime = factual_loss_and_grads(predictor, xprime, outcomes, labels)
+    l_rep = 0.0
+    if beta != 0.0:
+        l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, k, min_cluster_count, direction)
+        d_xprime = d_xprime + beta * d_xp_rep
+    grads, _ = mlp_backward(phi, cache, d_xprime)
+    for hg in head_grads:
+        grads.extend(hg)
+    return l_f, l_rep, grads
 
 
 def joint_loss_and_grads(model: MatchRepModel, recipients: np.ndarray,
@@ -317,23 +342,16 @@ def joint_loss_and_grads(model: MatchRepModel, recipients: np.ndarray,
     enc = model.donor_map.encoder
     centers = model.donor_map.centers
     embeds, enc_cache = mlp_forward(enc, donors)
-    t = soft_assign(embeds, centers, cfg.dec_exponent)
-    labels = np.argmax(t, axis=1)
+    labels = np.argmax(soft_assign(embeds, centers, cfg.dec_exponent), axis=1)
 
     l_dec, d_embeds, d_centers = dec_loss_and_grads(embeds, centers, p_rows, cfg.dec_exponent)
-    enc_grads, _ = mlp_backward(enc, enc_cache, alpha * d_embeds)
-
-    xprime, phi_cache = mlp_forward(model.encoder.net, recipients)
-    l_f, head_grads, d_xp_f = factual_loss_and_grads(model.predictor, xprime, outcomes, labels)
-    l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, cfg.k, min_cluster_count,
-                                            cfg.kl_direction)
-    phi_grads, _ = mlp_backward(model.encoder.net, phi_cache, d_xp_f + beta * d_xp_rep)
-
-    grads = list(enc_grads)
+    grads, _ = mlp_backward(enc, enc_cache, alpha * d_embeds)
     grads.append(alpha * d_centers)
-    grads.extend(phi_grads)
-    for hg in head_grads:
-        grads.extend(hg)
+
+    l_f, l_rep, phi_heads_grads = phi_heads_loss_and_grads(
+        model.encoder.net, model.predictor, recipients, outcomes, labels, beta, cfg.k,
+        min_cluster_count, cfg.kl_direction)
+    grads.extend(phi_heads_grads)
     total = l_f + alpha * l_dec + beta * l_rep
     return total, grads, {"L_f": l_f, "L_DEC": l_dec, "L_Phi": l_rep}
 
@@ -398,60 +416,87 @@ def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfi
     return centers
 
 
-def _recon_anchor_step(donor_map: DonorTypeMap, x: np.ndarray,
-                       ae_params: list[np.ndarray], ae_state: AdamState, lr: float) -> float:
-    """One Adam reconstruction-MSE step on the donor autoencoder."""
-    z, enc_cache = mlp_forward(donor_map.encoder, x)
-    recon, dec_cache = mlp_forward(donor_map.decoder, z)
-    err = recon - x
-    dec_grads, d_z = mlp_backward(donor_map.decoder, dec_cache, 2.0 * err / err.size)
-    enc_grads, _ = mlp_backward(donor_map.encoder, enc_cache, d_z)
-    adam_step(ae_params, enc_grads + dec_grads, ae_state, lr)
-    return float(np.mean(err * err))
-
-
-def _dec_sgd_step(donor_map: DonorTypeMap, x: np.ndarray, p_rows: np.ndarray,
-                  n_total: int, step: float, config: TrainConfig) -> float:
-    """One SGD step on L_DEC plus embedding norm-decay; returns the batch loss."""
-    embeds, cache = mlp_forward(donor_map.encoder, x)
-    loss, d_embeds, d_centers = dec_loss_and_grads(
-        embeds, donor_map.centers, p_rows, config.dec_exponent)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError("DEC loss diverged; try a lower dec_lr")
-    d_embeds = d_embeds + config.embed_decay * 2.0 * embeds / embeds.shape[0]
-    d_centers = d_centers + config.embed_decay * 2.0 * donor_map.centers * (x.shape[0] / n_total)
-    enc_grads, _ = mlp_backward(donor_map.encoder, cache, d_embeds)
-    for pm, g in zip(donor_map.encoder.parameters() + [donor_map.centers],
-                     enc_grads + [d_centers]):
-        pm -= step * g
-    return loss
-
-
 def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray, exponent: float) -> np.ndarray:
     embeds, _ = mlp_forward(donor_map.encoder, donors)
     return np.argmax(soft_assign(embeds, donor_map.centers, exponent), axis=1)
 
 
-def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
-                config: TrainConfig):
-    """Full training: autoencoder pretrain, center init, joint minibatch phase.
+class _DecRefinement:
+    """The donor-map refinement schedule of joint and standalone DEC training.
 
-    The joint phase uses two optimizers per minibatch. The donor map is
-    refined with plain SGD on ``alpha * L_DEC`` (plus an embedding norm-decay
-    and a concurrent Adam reconstruction anchor); refinement stops once the
-    per-epoch fraction of changed hard labels drops below ``dec_stop_tol``.
-    The recipient encoder and heads take Adam steps on ``L_f + beta * L_Phi``
-    throughout. Returns (model, log) where log has one dict per joint epoch
-    with the epoch-mean loss components.
+    ``start_epoch`` refreshes the target distribution when it is due;
+    ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
+    once fewer than ``dec_stop_tol`` of the hard labels changed over the
+    epoch. ``labels`` always holds the hard labels of the current map.
     """
-    config.validate()
-    donor_map, _ = pretrain_autoencoder(donors, config)
-    init_centers(donor_map, donors, config)
 
-    phi = init_dense_net([recipients.shape[1], config.hidden, config.hidden, config.rep_dim],
+    def __init__(self, donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig):
+        self.donor_map = donor_map
+        self.donors = donors
+        self.config = config
+        self.ae_params = donor_map.encoder.parameters() + donor_map.decoder.parameters()
+        self.ae_state = AdamState()
+        self.dec_step = config.dec_lr * config.alpha
+        self.active = self.dec_step > 0.0
+        self.labels = _hard_labels(donor_map, donors, config.dec_exponent)
+        self.p_full = None
+
+    def start_epoch(self, epoch: int) -> None:
+        if self.p_full is None or epoch % max(self.config.target_update_interval, 1) == 0:
+            embeds, _ = mlp_forward(self.donor_map.encoder, self.donors)
+            self.p_full = target_distribution(
+                soft_assign(embeds, self.donor_map.centers, self.config.dec_exponent))
+
+    def step(self, idx: np.ndarray) -> float:
+        """While refining, one Adam reconstruction-anchor step and one SGD step
+        on L_DEC plus embedding norm-decay; returns the batch L_DEC (of the
+        frozen map once refinement has stopped)."""
+        dm, cfg = self.donor_map, self.config
+        x, p_rows = self.donors[idx], self.p_full[idx]
+        if not self.active:
+            embeds, _ = mlp_forward(dm.encoder, x)
+            loss, _, _ = dec_loss_and_grads(embeds, dm.centers, p_rows, cfg.dec_exponent)
+            return loss
+        z, enc_cache = mlp_forward(dm.encoder, x)
+        recon, dec_cache = mlp_forward(dm.decoder, z)
+        err = recon - x
+        dec_grads, d_z = mlp_backward(dm.decoder, dec_cache, 2.0 * err / err.size)
+        enc_grads, _ = mlp_backward(dm.encoder, enc_cache, d_z)
+        adam_step(self.ae_params, enc_grads + dec_grads, self.ae_state, cfg.learning_rate)
+
+        embeds, cache = mlp_forward(dm.encoder, x)
+        loss, d_embeds, d_centers = dec_loss_and_grads(embeds, dm.centers, p_rows,
+                                                       cfg.dec_exponent)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError("DEC loss diverged; try a lower dec_lr")
+        d_embeds = d_embeds + cfg.embed_decay * 2.0 * embeds / embeds.shape[0]
+        d_centers = d_centers + cfg.embed_decay * 2.0 * dm.centers * (x.shape[0] / len(self.donors))
+        enc_grads, _ = mlp_backward(dm.encoder, cache, d_embeds)
+        for pm, g in zip(dm.encoder.parameters() + [dm.centers], enc_grads + [d_centers]):
+            pm -= self.dec_step * g
+        return loss
+
+    def end_epoch(self, epoch: int) -> None:
+        if not self.active:
+            return
+        labels = _hard_labels(self.donor_map, self.donors, self.config.dec_exponent)
+        changed = float(np.mean(labels != self.labels))
+        self.labels = labels
+        if epoch + 1 >= self.config.dec_min_epochs and changed < self.config.dec_stop_tol:
+            self.active = False
+
+
+def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
+                   namespace: str) -> tuple[DenseNet, MultiHeadPredictor]:
+    """Glorot-initialised recipient encoder Phi and K heads.
+
+    ``namespace`` names the RNG streams (``phi-init``/``heads-init``), so each
+    caller keeps draws of its own.
+    """
+    phi = init_dense_net([d_r, config.hidden, config.hidden, config.rep_dim],
                          ["relu", "relu", "identity"],
-                         rng_stream(config.seed, "matchrep", "phi-init"))
-    head_rng = rng_stream(config.seed, "matchrep", "heads-init")
+                         rng_stream(config.seed, namespace, "phi-init"))
+    head_rng = rng_stream(config.seed, namespace, "heads-init")
     heads = [init_dense_net([config.rep_dim, config.hidden, config.hidden, 1],
                             ["relu", "relu", "identity"], head_rng)
              for _ in range(config.k)]
@@ -460,67 +505,62 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
         outcome_mean=float(outcomes.mean()),
         outcome_scale=float(max(outcomes.std(), 1.0)),
     )
+    return phi, predictor
+
+
+def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, state: AdamState,
+                   recipients: np.ndarray, outcomes: np.ndarray, labels: np.ndarray,
+                   beta: float, config: TrainConfig) -> tuple[float, float]:
+    """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi)."""
+    l_f, l_rep, grads = phi_heads_loss_and_grads(
+        phi, predictor, recipients, outcomes, labels, beta, config.k,
+        config.min_cluster_count, config.kl_direction)
+    if not np.isfinite(l_f + beta * l_rep):
+        raise TrainingDivergedError("Phi/heads loss diverged; try a lower learning rate")
+    adam_step(phi.parameters() + predictor.parameters(), grads, state, config.learning_rate)
+    return l_f, l_rep
+
+
+def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
+                config: TrainConfig):
+    """Full training: autoencoder pretrain, center init, joint minibatch phase.
+
+    The joint phase uses two optimizers per minibatch. The donor map follows
+    the DEC refinement schedule (plain SGD on ``alpha * L_DEC`` with a
+    reconstruction anchor, until the hard labels stabilize). The recipient
+    encoder and heads take Adam steps on ``L_f + beta * L_Phi`` throughout.
+    Returns (model, log) where log has one dict per joint epoch with the
+    epoch-mean loss components.
+    """
+    config.validate()
+    donor_map, _ = pretrain_autoencoder(donors, config)
+    init_centers(donor_map, donors, config)
+    phi, predictor = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
     model = MatchRepModel(donor_map=donor_map, encoder=MatchEncoder(phi),
                           predictor=predictor, config=config)
 
-    phi_params = phi.parameters() + [p for h in heads for p in h.parameters()]
+    refine = _DecRefinement(donor_map, donors, config)
     phi_state = AdamState()
-    ae_params = donor_map.encoder.parameters() + donor_map.decoder.parameters()
-    ae_state = AdamState()
-    dec_step = config.dec_lr * config.alpha
-    dec_active = dec_step > 0.0
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     n = len(outcomes)
     log = []
-    prev_labels = _hard_labels(donor_map, donors, config.dec_exponent)
-    p_full = None
     for epoch in range(config.joint_epochs):
-        if p_full is None or epoch % max(config.target_update_interval, 1) == 0:
-            embeds, _ = mlp_forward(donor_map.encoder, donors)
-            p_full = target_distribution(
-                soft_assign(embeds, donor_map.centers, config.dec_exponent))
+        refine.start_epoch(epoch)
         sums = {"L_f": 0.0, "L_DEC": 0.0, "L_Phi": 0.0}
-        n_seen = 0
         for idx in _batches(n, config.batch_size, rng):
-            x_o = donors[idx]
-            if dec_active:
-                _recon_anchor_step(donor_map, x_o, ae_params, ae_state, config.learning_rate)
-                l_dec = _dec_sgd_step(donor_map, x_o, p_full[idx], n, dec_step, config)
-            else:
-                embeds, _ = mlp_forward(donor_map.encoder, x_o)
-                l_dec, _, _ = dec_loss_and_grads(
-                    embeds, donor_map.centers, p_full[idx], config.dec_exponent)
-            labels = _hard_labels(donor_map, x_o, config.dec_exponent)
-            xprime, phi_cache = mlp_forward(phi, recipients[idx])
-            l_f, head_grads, d_xp_f = factual_loss_and_grads(
-                predictor, xprime, outcomes[idx], labels)
-            l_rep, d_xp_rep, _ = rep_loss_and_grads(
-                xprime, labels, config.k, config.min_cluster_count, config.kl_direction)
-            if not np.isfinite(l_f + l_rep):
-                err = TrainingDivergedError("joint loss diverged; try a lower learning rate")
-                err.last_model = model
-                raise err
-            phi_grads, _ = mlp_backward(phi, phi_cache, d_xp_f + config.beta * d_xp_rep)
-            grads = list(phi_grads)
-            for hg in head_grads:
-                grads.extend(hg)
-            adam_step(phi_params, grads, phi_state, config.learning_rate)
+            l_dec = refine.step(idx)
+            labels = _hard_labels(donor_map, donors[idx], config.dec_exponent)
+            l_f, l_rep = phi_heads_step(phi, predictor, phi_state, recipients[idx],
+                                        outcomes[idx], labels, config.beta, config)
             for key, val in (("L_f", l_f), ("L_DEC", l_dec), ("L_Phi", l_rep)):
                 sums[key] += val * len(idx)
-            n_seen += len(idx)
-        row = {"epoch": epoch, **{k: v / n_seen for k, v in sums.items()}}
+        row = {"epoch": epoch, **{k: v / n for k, v in sums.items()}}
         row["total"] = (row["L_f"] + config.alpha * row["L_DEC"]
                         + config.beta * row["L_Phi"])
-        row["dec_active"] = dec_active
+        row["dec_active"] = refine.active
         log.append(row)
-        if dec_active:
-            full_labels = _hard_labels(donor_map, donors, config.dec_exponent)
-            changed = float(np.mean(full_labels != prev_labels))
-            prev_labels = full_labels
-            if epoch + 1 >= config.dec_min_epochs and changed < config.dec_stop_tol:
-                dec_active = False
-    final_labels = _hard_labels(donor_map, donors, config.dec_exponent)
-    counts = np.bincount(final_labels, minlength=config.k)
+        refine.end_epoch(epoch)
+    counts = np.bincount(refine.labels, minlength=config.k)
     threshold = max(config.min_cluster_count, config.min_cluster_frac * len(donors))
     active = counts >= threshold
     model.active = active if active.any() else None
@@ -531,35 +571,21 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
 def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
     """DEC clustering of donors only (autoencoder pretrain + L_DEC refinement).
 
-    Used by the decoupled baselines; follows the same SGD refinement schedule
-    as the joint phase. Returns the trained DonorTypeMap.
+    Used by the decoupled baselines; follows the same refinement schedule as
+    the joint phase. Returns the trained DonorTypeMap.
     """
     config.validate()
     donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
-    ae_params = donor_map.encoder.parameters() + donor_map.decoder.parameters()
-    ae_state = AdamState()
-    dec_step = config.dec_lr * config.alpha
+    refine = _DecRefinement(donor_map, donors, config)
     rng = rng_stream(config.seed, "matchrep", "dec-standalone-batches")
-    n = donors.shape[0]
-    prev_labels = _hard_labels(donor_map, donors, config.dec_exponent)
-    p_full = None
     for epoch in range(config.joint_epochs):
-        if dec_step <= 0.0:
+        if not refine.active:
             break
-        if p_full is None or epoch % max(config.target_update_interval, 1) == 0:
-            embeds, _ = mlp_forward(donor_map.encoder, donors)
-            p_full = target_distribution(
-                soft_assign(embeds, donor_map.centers, config.dec_exponent))
-        for idx in _batches(n, config.batch_size, rng):
-            _recon_anchor_step(donor_map, donors[idx], ae_params, ae_state,
-                               config.learning_rate)
-            _dec_sgd_step(donor_map, donors[idx], p_full[idx], n, dec_step, config)
-        full_labels = _hard_labels(donor_map, donors, config.dec_exponent)
-        changed = float(np.mean(full_labels != prev_labels))
-        prev_labels = full_labels
-        if epoch + 1 >= config.dec_min_epochs and changed < config.dec_stop_tol:
-            break
+        refine.start_epoch(epoch)
+        for idx in _batches(len(donors), config.batch_size, rng):
+            refine.step(idx)
+        refine.end_epoch(epoch)
     return donor_map
 
 
@@ -573,19 +599,21 @@ def _require_trained(model: MatchRepModel) -> None:
         raise UntrainedModelError("model has not been trained")
 
 
-def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of predicted survival days, one column per donor type."""
-    _require_trained(model)
-    xprime, _ = mlp_forward(model.encoder.net, np.atleast_2d(recipients))
+def predict_heads(phi: DenseNet, predictor: MultiHeadPredictor,
+                  recipients: np.ndarray) -> np.ndarray:
+    """(n, K) predicted survival days from Phi and the K heads, one column per head."""
+    xprime, _ = mlp_forward(phi, recipients)
     cols = []
-    for head in model.predictor.heads:
+    for head in predictor.heads:
         out, _ = mlp_forward(head, xprime)
-        cols.append(model.predictor.outcome_mean + model.predictor.outcome_scale * out[:, 0])
+        cols.append(predictor.outcome_mean + predictor.outcome_scale * out[:, 0])
     return np.column_stack(cols)
 
 
-def predict_potential(model: MatchRepModel, x_r: np.ndarray) -> np.ndarray:
-    return predict_potential_batch(model, np.asarray(x_r)[None, :])[0]
+def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
+    """(n, K) matrix of predicted survival days, one column per donor type."""
+    _require_trained(model)
+    return predict_heads(model.encoder.net, model.predictor, np.atleast_2d(recipients))
 
 
 def best_donor_type_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
@@ -604,16 +632,6 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
     t = soft_assign(embeds, model.donor_map.centers, model.config.dec_exponent)
     scores = t if model.active is None else np.where(model.active, t, -np.inf)
     return np.argmax(scores, axis=1), t
-
-
-def donor_type(model: MatchRepModel, x_o: np.ndarray):
-    labels, t = donor_type_batch(model, np.asarray(x_o)[None, :])
-    return int(labels[0]), t[0]
-
-
-def compatibility(model: MatchRepModel, x_r: np.ndarray, x_o: np.ndarray) -> float:
-    k, _ = donor_type(model, x_o)
-    return float(predict_potential(model, x_r)[k])
 
 
 # ---------------------------------------------------------------------------

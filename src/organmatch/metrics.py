@@ -8,29 +8,11 @@ with ties broken toward the lowest index on both sides.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 
 class MissingGroundTruthError(ValueError):
     pass
-
-
-@dataclass
-class EvalReport:
-    eps_f: float
-    eps_wmse: float | None
-    aodt: float | None
-    mean_best_prediction: float
-    n: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    def csv_row(self) -> dict:
-        return asdict(self)
 
 
 def _check_2d(predictions: np.ndarray) -> np.ndarray:
@@ -82,19 +64,6 @@ def mean_best_prediction(predictions: np.ndarray) -> float:
     """(1/n) sum_i max_k yhat_i[k] — the average predicted best outcome."""
     predictions = _check_2d(predictions)
     return float(np.mean(np.max(predictions, axis=1)))
-
-
-def evaluate(predictions: np.ndarray, factual_labels: np.ndarray,
-             outcomes: np.ndarray, true_potentials: np.ndarray | None = None) -> EvalReport:
-    predictions = _check_2d(predictions)
-    has_truth = true_potentials is not None
-    return EvalReport(
-        eps_f=eps_factual(predictions, factual_labels, outcomes),
-        eps_wmse=eps_wmse(predictions, true_potentials) if has_truth else None,
-        aodt=aodt(predictions, true_potentials) if has_truth else None,
-        mean_best_prediction=mean_best_prediction(predictions),
-        n=predictions.shape[0],
-    )
 
 
 def remap_potentials_to_learned(true_potentials: np.ndarray,

@@ -18,6 +18,7 @@ from organmatch.allocsim import (
     write_ledger_csv,
 )
 from organmatch.datamodel import Dataset
+from organmatch.synthgen import paper_preset, sample_dataset
 from organmatch.numkit import rng_stream
 
 
@@ -246,6 +247,21 @@ def test_write_ledger_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 11
     assert lines[0].startswith("recipient_id,arrival,fate")
+
+
+def test_no_donor_arrival_leaves_every_recipient_waiting():
+    preset = paper_preset(n=12, seed=0)
+    ds = sample_dataset(preset)
+    config = SimConfig(donor_fraction=0.01)
+    stream = build_stream(ds, config, seed=3)
+    assert stream.donor_arrivals == []
+    guide = GuidedPolicy(donor_types=np.zeros(12, dtype=int),
+                         best_types=np.zeros(12, dtype=int))
+    scorer = oracle_mean_scorer(ds, preset.outcome_means)
+    for policy in POLICIES:
+        report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
+        assert report.n_waiting == 12 and report.n_transplanted == 0
+        assert [row.fate for row in report.ledger] == ["waiting"] * 12
 
 
 def test_all_policies_run_with_model_guidance():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from organmatch import matchrep
 from organmatch.baselines import (
     CLUSTERERS,
     PAIR_KINDS,
@@ -12,7 +13,6 @@ from organmatch.baselines import (
     fit_pair_regressor,
     load_cluster_predictor,
     load_pair_regressor,
-    predict_pair,
     save_cluster_predictor,
     save_pair_regressor,
 )
@@ -99,6 +99,26 @@ def test_with_rep_changes_nn_predictions():
     b = fit_cluster_predictor(recipients, donors, outcomes, rep)
     assert not np.allclose(a.predict_potentials(recipients),
                            b.predict_potentials(recipients))
+
+
+def test_nn_heads_evaluate_rep_loss_only_with_rep(monkeypatch):
+    recipients, donors, outcomes, _ = _two_mode_data()
+    calls = []
+    rep_loss = matchrep.rep_loss_and_grads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rep_loss(*args, **kwargs)
+
+    monkeypatch.setattr(matchrep, "rep_loss_and_grads", counting)
+    counts = []
+    for with_rep in (False, True):
+        calls.clear()
+        spec = BaselineSpec(clusterer="kmeans", predictor="multihead-nn",
+                            with_rep=with_rep, train=SMALL)
+        fit_cluster_predictor(recipients, donors, outcomes, spec)
+        counts.append(len(calls))
+    assert counts[0] == 0 and counts[1] > 0
 
 
 def test_cluster_predictor_deterministic():
@@ -210,15 +230,6 @@ def test_unknown_pair_kind_rejected():
     recipients, donors, outcomes, _ = _linear_pairs(n=50)
     with pytest.raises(ValueError):
         fit_pair_regressor(recipients, donors, outcomes, "svm")
-
-
-def test_predict_pair_matches_batch():
-    recipients, donors, outcomes, _ = _linear_pairs(n=100)
-    model = fit_pair_regressor(recipients, donors, outcomes, "ridge")
-    batch = model.predict(np.hstack([recipients[:3], donors[:3]]))
-    for i in range(3):
-        assert predict_pair(model, recipients[i], donors[i]) == \
-            pytest.approx(batch[i], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)

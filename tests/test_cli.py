@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from organmatch import matchrep
+from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TRAIN_CONFIG = {
     "k": 3, "hidden": 8, "rep_dim": 4, "embed_dim": 4,
@@ -118,6 +119,15 @@ def test_train_byte_identical_across_runs(workdir, data_dir, models_dir):
 def test_train_missing_data_is_data_error(workdir):
     assert main(["train", "--data", str(workdir / "nowhere"),
                  "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+def test_train_dead_cluster_is_numeric_error(workdir, data_dir, monkeypatch):
+    def dead_cluster(*args, **kwargs):
+        raise matchrep.DeadClusterError(1)
+
+    monkeypatch.setattr(matchrep, "train_joint", dead_cluster)
+    assert main(["train", "--data", str(data_dir), "--baselines", "",
+                 "--out", str(workdir / "dead")]) == EXIT_NUMERIC
 
 
 def test_train_bad_baseline_name_is_config_error(workdir, data_dir):

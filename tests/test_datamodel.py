@@ -11,7 +11,6 @@ from organmatch.datamodel import (
     SchemaConfig,
     apply_normalization,
     attach_ground_truth_csv,
-    denormalize,
     load_csv,
     normalization_from_dict,
     normalization_to_dict,
@@ -101,14 +100,6 @@ def test_normalize_outcomes_untouched():
     ds = make_dataset(n=30)
     normed = normalize_fit_transform(ds, split(ds, seed=0))
     np.testing.assert_array_equal(normed.outcomes, ds.outcomes)
-
-
-def test_denormalize_inverts():
-    ds = make_dataset(n=30)
-    normed = normalize_fit_transform(ds, split(ds, seed=0))
-    back = denormalize(normed)
-    np.testing.assert_allclose(back.recipients, ds.recipients, atol=1e-9)
-    np.testing.assert_allclose(back.donors, ds.donors, atol=1e-9)
 
 
 def test_apply_normalization_round_trips_through_dict():

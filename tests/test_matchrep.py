@@ -12,7 +12,6 @@ from organmatch.matchrep import (
     TrainConfig,
     UntrainedModelError,
     best_donor_type_batch,
-    compatibility,
     dec_loss_and_grads,
     donor_type_batch,
     factual_loss_and_grads,
@@ -351,6 +350,12 @@ def test_train_joint_runs_and_logs():
     assert log[-1]["L_f"] < 0.8 * log[0]["L_f"]
 
 
+def test_train_joint_skips_rep_loss_at_zero_beta():
+    recipients, donors, outcomes = _training_data()
+    _, log = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL, beta=0.0))
+    assert [row["L_Phi"] for row in log] == [0.0] * len(log)
+
+
 def test_train_joint_deterministic():
     recipients, donors, outcomes = _training_data()
     a, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
@@ -397,16 +402,6 @@ def test_train_joint_prunes_tiny_cluster():
     if model.active is not None:
         labels, _ = donor_type_batch(model, donors)
         assert set(labels.tolist()) <= set(np.nonzero(model.active)[0].tolist())
-
-
-def test_compatibility_consistent_with_batch_api():
-    recipients, donors, outcomes = _training_data()
-    model, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
-    preds = predict_potential_batch(model, recipients[:5])
-    labels, _ = donor_type_batch(model, donors[:5])
-    for i in range(5):
-        assert compatibility(model, recipients[i], donors[i]) == \
-            pytest.approx(preds[i, labels[i]], rel=1e-12)
 
 
 def test_pretrain_autoencoder_reduces_reconstruction_error():

@@ -11,7 +11,6 @@ from organmatch.metrics import (
     aodt_learned_space,
     eps_factual,
     eps_wmse,
-    evaluate,
     flipped_ratio,
     mean_best_prediction,
     remap_potentials_to_learned,
@@ -58,18 +57,6 @@ def test_aodt_perfect():
 
 def test_mean_best_prediction():
     assert mean_best_prediction(PRED) == pytest.approx((1100.0 + 900.0) / 2.0)
-
-
-def test_evaluate_bundles_everything():
-    labels = np.array([0, 2])
-    outcomes = np.array([510.0, 860.0])
-    report = evaluate(PRED, labels, outcomes, TRUE)
-    assert report.n == 2
-    assert report.eps_f == pytest.approx(eps_factual(PRED, labels, outcomes))
-    assert report.eps_wmse == pytest.approx(eps_wmse(PRED, TRUE))
-    assert report.aodt == pytest.approx(0.5)
-    no_truth = evaluate(PRED, labels, outcomes)
-    assert no_truth.eps_wmse is None and no_truth.aodt is None
 
 
 def test_predictions_must_be_2d():
