@@ -10,10 +10,8 @@ concatenated (recipient, donor) feature vector.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -386,118 +384,24 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
 
 
 # ---------------------------------------------------------------------------
-# Serialization (same envelope style as the matchrep model files)
+# Serialization: matchrep's one model-file codec
 # ---------------------------------------------------------------------------
 
-
-def _tree_to_doc(node: TreeNode) -> dict:
-    doc = {"value": node.value}
-    if not node.is_leaf:
-        doc.update(feature=node.feature, threshold=node.threshold,
-                   left=_tree_to_doc(node.left), right=_tree_to_doc(node.right))
-    return doc
-
-
-def _tree_from_doc(doc: dict) -> TreeNode:
-    node = TreeNode(value=doc["value"])
-    if "feature" in doc:
-        node.feature = doc["feature"]
-        node.threshold = doc["threshold"]
-        node.left = _tree_from_doc(doc["left"])
-        node.right = _tree_from_doc(doc["right"])
-    return node
-
-
-def save_pair_regressor(model: PairRegressor, path) -> None:
-    doc = {"format": "baseline-v1", "kind": model.kind}
-    if model.kind in ("lasso", "ridge", "elasticnet"):
-        doc["weights"] = model.weights.tolist()
-        doc["intercept"] = model.intercept
-    elif model.kind == "reg-tree":
-        doc["tree"] = _tree_to_doc(model.tree)
-    else:
-        doc["net"] = matchrep._net_to_doc(model.net)
-        doc["outcome_mean"] = model.outcome_mean
-        doc["outcome_scale"] = model.outcome_scale
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+_MODEL_TYPES = matchrep._MODEL_TYPES + (DiagGaussian, BaselineSpec, DonorClusterer,
+                                        ClusterPredictorBaseline, TreeNode, PairRegressor)
 
 
 def save_cluster_predictor(model: ClusterPredictorBaseline, path) -> None:
-    spec = model.spec
-    doc = {
-        "format": "baseline-cluster-v1",
-        "spec": {"clusterer": spec.clusterer, "predictor": spec.predictor,
-                 "with_rep": spec.with_rep, "train": asdict(spec.train)},
-        "global_mean": model.global_mean,
-    }
-    cl = model.clusterer
-    doc["clusterer"] = {"kind": cl.kind, "k": cl.k, "dec_exponent": cl.dec_exponent}
-    if cl.kind == "kmeans":
-        doc["clusterer"]["centers"] = cl.centers.tolist()
-    elif cl.kind == "em":
-        doc["clusterer"]["weights"] = cl.weights.tolist()
-        doc["clusterer"]["components"] = [
-            {"mean": c.mean.tolist(), "var": c.var.tolist()} for c in cl.components]
-    else:
-        doc["clusterer"]["donor_encoder"] = matchrep._net_to_doc(cl.donor_map.encoder)
-        doc["clusterer"]["donor_decoder"] = matchrep._net_to_doc(cl.donor_map.decoder)
-        doc["clusterer"]["centers"] = cl.donor_map.centers.tolist()
-    if spec.predictor == "linear-per-head":
-        doc["linear_heads"] = [None if h is None else {"w": h[0].tolist(), "b": h[1]}
-                               for h in model.linear_heads]
-    else:
-        doc["phi"] = matchrep._net_to_doc(model.phi)
-        doc["heads"] = [matchrep._net_to_doc(h) for h in model.predictor.heads]
-        doc["outcome_mean"] = model.predictor.outcome_mean
-        doc["outcome_scale"] = model.predictor.outcome_scale
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    matchrep._save(model, path)
 
 
 def load_cluster_predictor(path) -> ClusterPredictorBaseline:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "baseline-cluster-v1":
-        raise ValueError("not a baseline-cluster-v1 model file")
-    sd = doc["spec"]
-    spec = BaselineSpec(clusterer=sd["clusterer"], predictor=sd["predictor"],
-                        with_rep=sd["with_rep"], train=TrainConfig(**sd["train"]))
-    cd = doc["clusterer"]
-    clusterer = DonorClusterer(kind=cd["kind"], k=cd["k"], dec_exponent=cd["dec_exponent"])
-    if cd["kind"] == "kmeans":
-        clusterer.centers = np.asarray(cd["centers"], dtype=float)
-    elif cd["kind"] == "em":
-        clusterer.weights = np.asarray(cd["weights"], dtype=float)
-        clusterer.components = [DiagGaussian(np.asarray(c["mean"]), np.asarray(c["var"]))
-                                for c in cd["components"]]
-    else:
-        clusterer.donor_map = matchrep.DonorTypeMap(
-            encoder=matchrep._net_from_doc(cd["donor_encoder"]),
-            decoder=matchrep._net_from_doc(cd["donor_decoder"]),
-            centers=np.asarray(cd["centers"], dtype=float),
-        )
-    model = ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
-                                     global_mean=doc["global_mean"])
-    if spec.predictor == "linear-per-head":
-        model.linear_heads = [None if h is None else (np.asarray(h["w"], dtype=float), h["b"])
-                              for h in doc["linear_heads"]]
-    else:
-        model.phi = matchrep._net_from_doc(doc["phi"])
-        model.predictor = MultiHeadPredictor(
-            heads=[matchrep._net_from_doc(h) for h in doc["heads"]],
-            outcome_mean=doc["outcome_mean"],
-            outcome_scale=doc["outcome_scale"],
-        )
-    return model
+    return matchrep._load(path, ClusterPredictorBaseline, _MODEL_TYPES)[0]
+
+
+def save_pair_regressor(model: PairRegressor, path) -> None:
+    matchrep._save(model, path)
 
 
 def load_pair_regressor(path) -> PairRegressor:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "baseline-v1":
-        raise ValueError("not a baseline-v1 model file")
-    kind = doc["kind"]
-    if kind in ("lasso", "ridge", "elasticnet"):
-        return PairRegressor(kind=kind, weights=np.asarray(doc["weights"], dtype=float),
-                             intercept=doc["intercept"])
-    if kind == "reg-tree":
-        return PairRegressor(kind=kind, tree=_tree_from_doc(doc["tree"]))
-    return PairRegressor(kind=kind, net=matchrep._net_from_doc(doc["net"]),
-                         outcome_mean=doc["outcome_mean"], outcome_scale=doc["outcome_scale"])
+    return matchrep._load(path, PairRegressor, _MODEL_TYPES)[0]

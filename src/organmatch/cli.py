@@ -62,13 +62,14 @@ def _ensure_out(path_str: str) -> Path:
     return out
 
 
-def _load_json(path_str: str) -> dict:
+def _load_config(path_str: str, cls):
+    """A ``cls`` config dataclass from a JSON object of its fields."""
     try:
-        return json.loads(Path(path_str).read_text())
-    except FileNotFoundError:
-        raise
+        return cls(**json.loads(Path(path_str).read_text()))
     except json.JSONDecodeError as exc:
         raise CliConfigError(f"malformed JSON in {path_str}: {exc}") from exc
+    except TypeError as exc:
+        raise CliConfigError(f"{path_str} is not a {cls.__name__}: {exc}") from exc
 
 
 def _schema_from_header(path: Path) -> datamodel.SchemaConfig:
@@ -108,7 +109,7 @@ def _data_manifest(data_dir: str) -> dict | None:
 
 def cmd_gen(args) -> int:
     if args.config:
-        config = synthgen.SyntheticConfig(**_load_json(args.config))
+        config = _load_config(args.config, synthgen.SyntheticConfig)
     elif args.preset == "paper-5.1":
         config = synthgen.paper_preset()
     else:
@@ -181,7 +182,7 @@ def _write_training_log(log: list[dict], path: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    config = matchrep.TrainConfig(**_load_json(args.config)) if args.config \
+    config = _load_config(args.config, matchrep.TrainConfig) if args.config \
         else matchrep.TrainConfig()
     if args.seed is not None:
         config.seed = args.seed
@@ -259,11 +260,7 @@ def cmd_eval(args) -> int:
     model_path = models_dir / "model.json"
     if not model_path.exists():
         raise datamodel.IngestionError(f"no model.json in {args.models}")
-    model = matchrep.load_model(model_path)
-    doc = json.loads(model_path.read_text())
-    if doc.get("normalization") is None:
-        raise datamodel.IngestionError("model file lacks normalization statistics")
-    norm = datamodel.normalization_from_dict(doc["normalization"])
+    model, norm = matchrep.load_model_and_normalization(model_path)
 
     dataset = _load_data_dir(args.data)
     seed = args.seed if args.seed is not None else model.config.seed
@@ -319,12 +316,8 @@ def _resolve_scorers(args, dataset: datamodel.Dataset):
     """Returns (plain_scorer, model_scorer, guide) for the requested policies."""
     model_sc = guide = None
     if args.model:
-        model = matchrep.load_model(args.model)
-        doc = json.loads(Path(args.model).read_text())
-        if doc.get("normalization") is None:
-            raise datamodel.IngestionError("model file lacks normalization statistics")
-        normed = datamodel.apply_normalization(
-            dataset, datamodel.normalization_from_dict(doc["normalization"]))
+        model, norm = matchrep.load_model_and_normalization(args.model)
+        normed = datamodel.apply_normalization(dataset, norm)
         model_sc = allocsim.model_scorer(model, normed)
         guide = allocsim.model_guide(model, normed)
     plain_sc = None
@@ -339,7 +332,7 @@ def _resolve_scorers(args, dataset: datamodel.Dataset):
 
 
 def cmd_simulate(args) -> int:
-    sim_config = allocsim.SimConfig(**_load_json(args.sim_config)) if args.sim_config \
+    sim_config = _load_config(args.sim_config, allocsim.SimConfig) if args.sim_config \
         else allocsim.SimConfig()
     sim_config.validate()
     policies = ([p.strip() for p in args.policies.split(",")]

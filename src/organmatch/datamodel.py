@@ -182,7 +182,8 @@ class SchemaConfig:
     ``categorical`` maps a column name to its explicit category list; such
     columns are one-hot encoded (no data-driven category discovery). Missing
     numeric values are imputed with the column mean of the remaining rows and
-    flagged with a companion ``<col>__missing`` indicator column.
+    flagged with a companion ``<col>__missing`` indicator column; a non-finite
+    numeric cell (``nan``, ``inf``) is an error.
     """
 
     recipient_columns: list[str]
@@ -228,6 +229,10 @@ def _encode_block(rows: list[dict], columns: list[str], schema: SchemaConfig):
                     except ValueError:
                         raise IngestionError(
                             f"row {i}, column {col!r}: unparseable cell {v!r}") from None
+            bad = np.nonzero(~np.isfinite(vals) & (missing == 0))[0]
+            if bad.size:
+                raise IngestionError(
+                    f"row {bad[0]}, column {col!r}: non-finite cell {raw[bad[0]]!r}")
             if np.any(missing > 0):
                 observed = vals[missing == 0]
                 if observed.size == 0:

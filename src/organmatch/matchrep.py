@@ -17,12 +17,13 @@ Learned donor-type labels are 0-based throughout this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numkit
+from .datamodel import IngestionError, Normalization, normalization_from_dict
 from .numkit import (
     AdamState,
     DenseNet,
@@ -367,6 +368,22 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def _recon_step(donor_map: DonorTypeMap, state: AdamState, x: np.ndarray,
+                learning_rate: float) -> float:
+    """One Adam step on the autoencoder's reconstruction MSE; returns the batch loss."""
+    z, enc_cache = mlp_forward(donor_map.encoder, x)
+    recon, dec_cache = mlp_forward(donor_map.decoder, z)
+    err = recon - x
+    loss = float(np.mean(err * err))
+    if not np.isfinite(loss):
+        raise TrainingDivergedError("autoencoder loss diverged; try a lower learning rate")
+    dec_grads, d_z = mlp_backward(donor_map.decoder, dec_cache, 2.0 * err / err.size)
+    enc_grads, _ = mlp_backward(donor_map.encoder, enc_cache, d_z)
+    adam_step(donor_map.encoder.parameters() + donor_map.decoder.parameters(),
+              enc_grads + dec_grads, state, learning_rate)
+    return loss
+
+
 def pretrain_autoencoder(donors: np.ndarray, config: TrainConfig) -> tuple[DonorTypeMap, list[float]]:
     """Reconstruction-MSE pretraining of the donor autoencoder with Adam."""
     config.validate()
@@ -374,11 +391,11 @@ def pretrain_autoencoder(donors: np.ndarray, config: TrainConfig) -> tuple[Donor
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
     h, e = config.hidden, config.embed_dim
-    enc = init_dense_net([d_o, h, h, e], ["relu", "relu", "identity"],
-                         rng_stream(config.seed, "matchrep", "enc-init"))
-    dec = init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
-                         rng_stream(config.seed, "matchrep", "dec-init"))
-    params = enc.parameters() + dec.parameters()
+    donor_map = DonorTypeMap(
+        encoder=init_dense_net([d_o, h, h, e], ["relu", "relu", "identity"],
+                               rng_stream(config.seed, "matchrep", "enc-init")),
+        decoder=init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
+                               rng_stream(config.seed, "matchrep", "dec-init")))
     state = AdamState()
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
     n = donors.shape[0]
@@ -386,21 +403,10 @@ def pretrain_autoencoder(donors: np.ndarray, config: TrainConfig) -> tuple[Donor
     for _ in range(config.pretrain_epochs):
         epoch_loss = 0.0
         for idx in _batches(n, config.batch_size, rng):
-            x = donors[idx]
-            z, enc_cache = mlp_forward(enc, x)
-            recon, dec_cache = mlp_forward(dec, z)
-            err = recon - x
-            loss = float(np.mean(err * err))
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    "autoencoder loss diverged; try a lower learning rate")
+            loss = _recon_step(donor_map, state, donors[idx], config.learning_rate)
             epoch_loss += loss * len(idx)
-            upstream = 2.0 * err / err.size
-            dec_grads, d_z = mlp_backward(dec, dec_cache, upstream)
-            enc_grads, _ = mlp_backward(enc, enc_cache, d_z)
-            adam_step(params, enc_grads + dec_grads, state, config.learning_rate)
         losses.append(epoch_loss / n)
-    return DonorTypeMap(encoder=enc, decoder=dec, centers=None), losses
+    return donor_map, losses
 
 
 def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig) -> np.ndarray:
@@ -434,7 +440,6 @@ class _DecRefinement:
         self.donor_map = donor_map
         self.donors = donors
         self.config = config
-        self.ae_params = donor_map.encoder.parameters() + donor_map.decoder.parameters()
         self.ae_state = AdamState()
         self.dec_step = config.dec_lr * config.alpha
         self.active = self.dec_step > 0.0
@@ -457,13 +462,7 @@ class _DecRefinement:
             embeds, _ = mlp_forward(dm.encoder, x)
             loss, _, _ = dec_loss_and_grads(embeds, dm.centers, p_rows, cfg.dec_exponent)
             return loss
-        z, enc_cache = mlp_forward(dm.encoder, x)
-        recon, dec_cache = mlp_forward(dm.decoder, z)
-        err = recon - x
-        dec_grads, d_z = mlp_backward(dm.decoder, dec_cache, 2.0 * err / err.size)
-        enc_grads, _ = mlp_backward(dm.encoder, enc_cache, d_z)
-        adam_step(self.ae_params, enc_grads + dec_grads, self.ae_state, cfg.learning_rate)
-
+        _recon_step(dm, self.ae_state, x, cfg.learning_rate)
         embeds, cache = mlp_forward(dm.encoder, x)
         loss, d_embeds, d_centers = dec_loss_and_grads(embeds, dm.centers, p_rows,
                                                        cfg.dec_exponent)
@@ -639,51 +638,82 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _net_to_doc(net: DenseNet) -> list[dict]:
-    return [{"weight": l.weight.tolist(), "bias": l.bias.tolist(), "activation": l.activation}
-            for l in net.layers]
+MODEL_FORMAT = "organmatch-model-v2"
+_ARRAY_DTYPES = ("float64", "bool")
+# The dataclasses a joint-model file may hold; baselines extends the list.
+_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MatchEncoder,
+                MultiHeadPredictor, MatchRepModel)
 
 
-def _net_from_doc(doc: list[dict]) -> DenseNet:
-    return DenseNet([Layer(np.asarray(l["weight"], dtype=float),
-                           np.asarray(l["bias"], dtype=float), l["activation"])
-                     for l in doc])
+def _to_doc(obj):
+    """JSON tree of a model: a dataclass becomes ``{"type": class name, <fields>}``,
+    a float64 or bool array ``{"dtype", "array"}``; lists, tuples and scalars
+    pass through."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.name not in _ARRAY_DTYPES:
+            raise TypeError(f"cannot save a {obj.dtype} array")
+        return {"dtype": obj.dtype.name, "array": obj.tolist()}
+    if is_dataclass(obj):
+        return {"type": type(obj).__name__,
+                **{f.name: _to_doc(getattr(obj, f.name)) for f in fields(obj)}}
+    if isinstance(obj, (list, tuple)):
+        return [_to_doc(v) for v in obj]
+    return obj
 
 
-def save_model(model: MatchRepModel, path, normalization: dict | None = None) -> None:
-    doc = {
-        "format": "matchrep-v1",
-        "config": asdict(model.config),
-        "donor_encoder": _net_to_doc(model.donor_map.encoder),
-        "donor_decoder": _net_to_doc(model.donor_map.decoder),
-        "centers": model.donor_map.centers.tolist(),
-        "phi": _net_to_doc(model.encoder.net),
-        "heads": [_net_to_doc(h) for h in model.predictor.heads],
-        "outcome_mean": model.predictor.outcome_mean,
-        "outcome_scale": model.predictor.outcome_scale,
-        "active": None if model.active is None else model.active.tolist(),
-        "normalization": normalization,
-    }
+def _from_doc(doc, types: dict[str, type]):
+    """Inverse of ``_to_doc``. Builds only the dataclasses named in ``types``,
+    through their constructors, so their own checks run."""
+    if isinstance(doc, list):
+        return [_from_doc(v, types) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    if "type" not in doc:
+        if set(doc) != {"dtype", "array"} or doc["dtype"] not in _ARRAY_DTYPES:
+            raise ValueError(f"not an array of {_ARRAY_DTYPES}: keys {sorted(doc)}")
+        return np.asarray(doc["array"], dtype=doc["dtype"])
+    cls = types.get(doc["type"])
+    if cls is None:
+        raise ValueError(f"unknown type {doc['type']!r}")
+    names = {f.name for f in fields(cls)}
+    if set(doc) - {"type"} != names:
+        raise ValueError(f"{cls.__name__} needs fields {sorted(names)}, "
+                         f"got {sorted(set(doc) - {'type'})}")
+    return cls(**{name: _from_doc(doc[name], types) for name in names})
+
+
+def _save(model, path, **extra) -> None:
+    """Write ``model`` in the one model-file format, with ``extra`` top-level keys."""
+    doc = {"format": MODEL_FORMAT, "model": _to_doc(model), **extra}
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
+def _load(path, kind: type, types) -> tuple:
+    """Read a ``kind`` model built from the dataclasses ``types``; returns
+    (model, whole document). A malformed file raises IngestionError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"not an {MODEL_FORMAT} file")
+        if not isinstance(doc["model"], dict) or doc["model"].get("type") != kind.__name__:
+            raise ValueError(f"does not hold a {kind.__name__}")
+        return _from_doc(doc["model"], {t.__name__: t for t in types}), doc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"{path}: {exc!r}") from exc
+
+
+def save_model(model: MatchRepModel, path, normalization: dict | None = None) -> None:
+    _save(model, path, normalization=normalization)
+
+
 def load_model(path) -> MatchRepModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "matchrep-v1":
-        raise ValueError("not a matchrep-v1 model file")
-    config = TrainConfig(**doc["config"])
-    donor_map = DonorTypeMap(
-        encoder=_net_from_doc(doc["donor_encoder"]),
-        decoder=_net_from_doc(doc["donor_decoder"]),
-        centers=np.asarray(doc["centers"], dtype=float),
-    )
-    predictor = MultiHeadPredictor(
-        heads=[_net_from_doc(h) for h in doc["heads"]],
-        outcome_mean=doc["outcome_mean"],
-        outcome_scale=doc["outcome_scale"],
-    )
-    active = doc.get("active")
-    model = MatchRepModel(donor_map=donor_map, encoder=MatchEncoder(_net_from_doc(doc["phi"])),
-                          predictor=predictor, config=config, trained=True,
-                          active=None if active is None else np.asarray(active, dtype=bool))
-    return model
+    return _load(path, MatchRepModel, _MODEL_TYPES)[0]
+
+
+def load_model_and_normalization(path) -> tuple[MatchRepModel, Normalization]:
+    """The joint model and the feature normalization saved with it."""
+    model, doc = _load(path, MatchRepModel, _MODEL_TYPES)
+    try:
+        return model, normalization_from_dict(doc["normalization"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"{path} lacks valid normalization statistics: {exc!r}") from exc

@@ -139,23 +139,26 @@ def test_cluster_predictor_round_trip(tmp_path, kind):
         path = tmp_path / f"{kind}_{predictor}.json"
         save_cluster_predictor(model, path)
         again = load_cluster_predictor(path)
-        np.testing.assert_allclose(again.predict_potentials(recipients),
-                                   model.predict_potentials(recipients), rtol=1e-12)
+        np.testing.assert_array_equal(again.predict_potentials(recipients),
+                                      model.predict_potentials(recipients))
         np.testing.assert_array_equal(again.donor_labels(donors),
                                       model.donor_labels(donors))
 
 
 def test_dec_cluster_predictor_round_trip(tmp_path):
     recipients, donors, outcomes, _ = _two_mode_data(n=120)
-    spec = BaselineSpec(clusterer="dec", predictor="linear-per-head", train=SMALL)
-    model = fit_cluster_predictor(recipients, donors, outcomes, spec)
-    path = tmp_path / "dec.json"
-    save_cluster_predictor(model, path)
-    again = load_cluster_predictor(path)
-    np.testing.assert_array_equal(again.donor_labels(donors),
-                                  model.donor_labels(donors))
-    np.testing.assert_allclose(again.predict_potentials(recipients),
-                               model.predict_potentials(recipients), rtol=1e-12)
+    for predictor, with_rep in (("linear-per-head", False), ("multihead-nn", True)):
+        spec = BaselineSpec(clusterer="dec", predictor=predictor, with_rep=with_rep,
+                            train=SMALL)
+        model = fit_cluster_predictor(recipients, donors, outcomes, spec)
+        path = tmp_path / f"dec_{predictor}.json"
+        save_cluster_predictor(model, path)
+        again = load_cluster_predictor(path)
+        assert again.spec == spec
+        np.testing.assert_array_equal(again.donor_labels(donors),
+                                      model.donor_labels(donors))
+        np.testing.assert_array_equal(again.predict_potentials(recipients),
+                                      model.predict_potentials(recipients))
 
 
 # ---------------------------------------------------------------------------
@@ -241,4 +244,4 @@ def test_pair_regressor_round_trip(tmp_path, kind):
     save_pair_regressor(model, path)
     again = load_pair_regressor(path)
     pairs = np.hstack([recipients[:10], donors[:10]])
-    np.testing.assert_allclose(again.predict(pairs), model.predict(pairs), rtol=1e-12)
+    np.testing.assert_array_equal(again.predict(pairs), model.predict(pairs))

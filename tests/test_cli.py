@@ -97,10 +97,10 @@ def test_train_artifacts(models_dir):
 def test_training_log_totals_compose(models_dir):
     rows = _read_csv(models_dir / "training_log.csv")
     assert len(rows) == TRAIN_CONFIG["joint_epochs"]
-    config = json.loads((models_dir / "model.json").read_text())["config"]
+    config = matchrep.load_model(models_dir / "model.json").config
     for row in rows:
-        expected = (float(row["L_f"]) + config["alpha"] * float(row["L_DEC"])
-                    + config["beta"] * float(row["L_Phi"]))
+        expected = (float(row["L_f"]) + config.alpha * float(row["L_DEC"])
+                    + config.beta * float(row["L_Phi"]))
         assert abs(float(row["total"]) - expected) < 1e-9 * max(1.0, abs(expected))
 
 
@@ -140,6 +140,33 @@ def test_train_bad_pair_kind_is_config_error(workdir, data_dir):
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, flag, body", [
+    ("gen", "--config", {"bogus": 1}),
+    ("train", "--config", {"bogus": 1}),
+    ("train", "--config", [1, 2]),
+    ("simulate", "--sim-config", {"bogus": 1}),
+])
+def test_config_with_unknown_field_is_config_error(workdir, data_dir, command, flag, body):
+    path = workdir / "odd_config.json"
+    path.write_text(json.dumps(body))
+    args = [command, flag, str(path), "--out", str(workdir / "x")]
+    if command != "gen":
+        args += ["--data", str(data_dir)]
+    assert main(args) == EXIT_CONFIG
+
+
+def test_train_non_finite_feature_is_data_error(workdir, data_dir):
+    nan_data = workdir / "nan_data"
+    nan_data.mkdir()
+    lines = (data_dir / "dataset.csv").read_text().splitlines()
+    lines[5] = "nan" + lines[5][lines[5].index(","):]
+    (nan_data / "dataset.csv").write_text("\n".join(lines) + "\n")
+    config = nan_data / "train.json"
+    config.write_text(json.dumps(TRAIN_CONFIG))
+    assert main(["train", "--data", str(nan_data), "--config", str(config),
+                 "--baselines", "", "--out", str(workdir / "x")]) == EXIT_DATA
+
+
 def test_train_malformed_csv_is_data_error(workdir):
     broken = workdir / "broken"
     broken.mkdir()
@@ -174,9 +201,42 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 
+BAD_MODEL_FILES = ("wrong-format", "truncated", "no-phi", "no-normalization",
+                   "pair-regressor")
+
+
+def _bad_model_file(models_dir: Path, case: str) -> str:
+    text = (models_dir / "model.json").read_text()
+    no_phi, no_norm = json.loads(text), json.loads(text)
+    del no_phi["model"]["encoder"]
+    no_norm["normalization"] = None
+    return {"wrong-format": '{"format": "other"}',
+            "truncated": text[:len(text) // 2],
+            "no-phi": json.dumps(no_phi),
+            "no-normalization": json.dumps(no_norm),
+            "pair-regressor": (models_dir / "pair_ridge.json").read_text()}[case]
+
+
+@pytest.mark.parametrize("case", BAD_MODEL_FILES)
+def test_eval_malformed_model_is_data_error(workdir, data_dir, models_dir, case):
+    bad = workdir / f"bad_models_{case}"
+    bad.mkdir()
+    (bad / "model.json").write_text(_bad_model_file(models_dir, case))
+    assert main(["eval", "--data", str(data_dir), "--models", str(bad),
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", BAD_MODEL_FILES)
+def test_simulate_malformed_model_is_data_error(workdir, data_dir, models_dir, case):
+    bad = workdir / f"bad_model_{case}.json"
+    bad.write_text(_bad_model_file(models_dir, case))
+    assert main(["simulate", "--data", str(data_dir), "--model", str(bad),
+                 "--out", str(workdir / "x")]) == EXIT_DATA
 
 
 def test_simulate_policy_table(workdir, data_dir, models_dir):

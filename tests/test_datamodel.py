@@ -158,6 +158,13 @@ def test_load_csv_unparseable_cell_names_row_and_column(tmp_path):
         load_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
+    path = _write(tmp_path, f"age,sex,dage,days\n50,f,40,365\n60,m,{cell},200\n")
+    with pytest.raises(IngestionError, match=r"row 1, column 'dage': non-finite"):
+        load_csv(path, SCHEMA)
+
+
 def test_load_csv_undeclared_category_rejected(tmp_path):
     path = _write(tmp_path, "age,sex,dage,days\n50,x,40,365\n")
     with pytest.raises(IngestionError, match="sex"):

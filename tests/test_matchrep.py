@@ -1,11 +1,14 @@
 """Model tests: soft assignment, losses and their gradients, training, I/O."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from organmatch import matchrep, numkit
+from organmatch.datamodel import IngestionError
 from organmatch.matchrep import (
     DeadClusterError,
     MatchRepModel,
@@ -452,5 +455,58 @@ def test_save_load_round_trip(tmp_path):
 def test_load_model_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(IngestionError):
         load_model(path)
+
+
+def _unknown_type(doc):
+    doc["model"]["encoder"]["type"] = "Popen"
+
+
+def _missing_field(doc):
+    del doc["model"]["predictor"]["heads"]
+
+
+def _extra_field(doc):
+    doc["model"]["config"]["bogus"] = 1
+
+
+def _object_dtype(doc):
+    doc["model"]["active"]["dtype"] = "object"
+
+
+def _bad_activation(doc):
+    doc["model"]["encoder"]["net"]["layers"][0]["activation"] = "softmax"
+
+
+def _wrong_kind(doc):
+    doc["model"] = doc["model"]["encoder"]
+
+
+@pytest.mark.parametrize("corrupt", [_unknown_type, _missing_field, _extra_field,
+                                     _object_dtype, _bad_activation, _wrong_kind])
+def test_load_model_rejects_malformed_files(tmp_path, corrupt):
+    model = _tiny_model()
+    model.active = np.array([True, False])
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(IngestionError):
+        load_model(path)
+
+
+def test_load_model_rejects_truncated_json(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_tiny_model(), path)
+    path.write_text(path.read_text()[:100])
+    with pytest.raises(IngestionError):
+        load_model(path)
+
+
+def test_save_model_refuses_other_array_dtypes(tmp_path):
+    model = _tiny_model()
+    model.active = np.array([1, 0])
+    with pytest.raises(TypeError):
+        save_model(model, tmp_path / "model.json")
