@@ -1,0 +1,146 @@
+"""Check that two source trees train bit-identical models.
+
+Trains ``matchrep.train_joint`` and the ``kmeans/multihead-nn``,
+``dec/linear-per-head`` and ``reg-nn`` baselines on the 5,000-row
+synthetic preset with each tree's ``organmatch`` and compares, byte for
+byte, every parameter, every training-log value, the held-out predictions
+and donor labels, the ``active`` mask and any training error:
+
+    python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
+
+Each tree runs in its own child process with BLAS pinned to one thread.
+Prints one line per seed, model and part, and exits 1 if any part differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve()
+THIS_SRC = HERE.parent.parent / "src"
+MODELS = ("joint", "kmeans/multihead-nn", "dec/linear-per-head", "reg-nn")
+
+
+def _leaves(obj, prefix):
+    """(path, array) for every array and number in a tree of model dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield prefix, obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{prefix}.{f.name}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{prefix}[{i}]")
+    elif isinstance(obj, (bool, int, float)):
+        yield prefix, np.asarray(obj)
+
+
+def _fit(name, matchrep, baselines, train, val, seed):
+    """Train one model; returns {part: {key: array}}."""
+    config = matchrep.TrainConfig(seed=seed)
+    if name == "joint":
+        model, log = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
+        return {"params": dict(_leaves(model, "model")),
+                "log": {key: np.array([row[key] for row in log]) for key in log[0]},
+                "preds": {"": matchrep.predict_potential_batch(model, val.recipients)},
+                "labels": {"": matchrep.donor_type_batch(model, val.donors)[0]},
+                "active": {"": np.asarray(model.active)}}
+    if name == "reg-nn":
+        model = baselines.fit_pair_regressor(train.recipients, train.donors, train.outcomes,
+                                             "reg-nn", config=config)
+        return {"params": dict(_leaves(model, "model")),
+                "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
+    clusterer, predictor = name.split("/")
+    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
+    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
+    return {"params": dict(_leaves(model, "model")),
+            "preds": {"": model.predict_potentials(val.recipients)},
+            "labels": {"": model.donor_labels(val.donors)}}
+
+
+def emit(src: Path, seed: int, out: Path) -> None:
+    """Child process: train every model with the ``organmatch`` of ``src``
+    and save every part as ``<model>|<part>|<key>`` arrays in ``out``."""
+    sys.path.insert(0, str(src))
+    import organmatch
+    from organmatch import baselines, datamodel, matchrep, numkit, synthgen
+
+    if Path(organmatch.__file__).resolve().parent != src.resolve() / "organmatch":
+        raise ImportError(f"organmatch imported from {organmatch.__file__}, not {src}")
+    dataset = synthgen.sample_dataset(synthgen.paper_preset(seed=seed))
+    indices = datamodel.split(dataset, seed=seed)
+    normed = datamodel.normalize_fit_transform(dataset, indices)
+    train, val = normed.subset(indices.train), normed.subset(indices.validation)
+    arrays = {}
+    for name in MODELS:
+        try:
+            parts = _fit(name, matchrep, baselines, train, val, seed)
+        except (numkit.TrainingDivergedError, matchrep.DeadClusterError) as exc:
+            parts = {"error": {"": np.array(repr(exc))}}
+        for part, values in parts.items():
+            for key, value in values.items():
+                arrays[f"{name}|{part}|{key}"] = value
+    np.savez(out, **arrays)
+
+
+def _run_child(src: Path, seed: int, out: Path) -> dict:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    env.pop("PYTHONPATH", None)
+    subprocess.run([sys.executable, str(HERE), "--emit", str(src), "--seeds", str(seed),
+                    "--out", str(out)], check=True, env=env)
+    with np.load(out) as data:
+        return {key: data[key] for key in data.files}
+
+
+def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return (a is not None and b is not None and a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def compare(ref: Path, seeds: list[int]) -> bool:
+    all_equal = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            this = _run_child(THIS_SRC, seed, Path(tmp) / f"this-{seed}.npz")
+            other = _run_child(ref, seed, Path(tmp) / f"ref-{seed}.npz")
+            groups = sorted({key.rsplit("|", 1)[0] for key in this.keys() | other.keys()})
+            for group in groups:
+                keys = sorted(k for k in this.keys() | other.keys() if k.startswith(group + "|"))
+                differ = [k for k in keys if not _same(this.get(k), other.get(k))]
+                all_equal &= not differ
+                verdict = "equal bytes" if not differ else f"DIFFER in {len(differ)}: {differ[:3]}"
+                model, part = group.split("|")
+                note = f" ({this[group + '|'].item()})" if part == "error" and not differ else ""
+                print(f"seed {seed}  {model:22s} {part:7s} {len(keys):3d} arrays  {verdict}{note}",
+                      flush=True)
+    return all_equal
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--ref", type=Path, help="the other tree's src directory")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit, args.seeds[0], args.out)
+        return 0
+    if args.ref is None:
+        parser.error("--ref is required")
+    equal = compare(args.ref, args.seeds)
+    print("ALL EQUAL" if equal else "SOME PARTS DIFFER")
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

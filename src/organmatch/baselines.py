@@ -22,6 +22,7 @@ from .numkit import (
     DenseNet,
     DiagGaussian,
     adam_step,
+    bind_flat_buffer,
     gmm_em_fit,
     init_dense_net,
     kmeans_fit,
@@ -178,14 +179,15 @@ def _fit_linear_heads(recipients, outcomes, labels, k):
 
 def _fit_nn_heads(recipients, outcomes, labels, spec: BaselineSpec):
     cfg = spec.train
-    phi, predictor = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg, "baselines")
+    phi, predictor, params = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg,
+                                                     "baselines")
     state = AdamState()
     rng = rng_stream(cfg.seed, "baselines", "nn-batches")
     beta = cfg.beta if spec.with_rep else 0.0
     for _ in range(cfg.joint_epochs):
         for idx in matchrep._batches(len(outcomes), cfg.batch_size, rng):
-            matchrep.phi_heads_step(phi, predictor, state, recipients[idx], outcomes[idx],
-                                    labels[idx], beta, cfg)
+            matchrep.phi_heads_step(phi, predictor, params, state, recipients[idx],
+                                    outcomes[idx], labels[idx], beta, cfg)
     return phi, predictor
 
 
@@ -344,7 +346,7 @@ def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) ->
     mean = float(outcomes.mean())
     scale = float(max(outcomes.std(), 1.0))
     target = (outcomes - mean) / scale
-    params = net.parameters()
+    params = bind_flat_buffer([net])
     state = AdamState()
     rng = rng_stream(config.seed, "baselines", "regnn-batches")
     n = len(outcomes)
@@ -356,7 +358,8 @@ def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) ->
             if not np.isfinite(loss):
                 raise numkit.TrainingDivergedError("reg-nn loss diverged")
             grads, _ = mlp_backward(net, cache, (2.0 / len(idx)) * err[:, None])
-            adam_step(params, grads, state, config.learning_rate)
+            adam_step([params], [np.concatenate(grads, axis=None)], state,
+                      config.learning_rate)
     return PairRegressor(kind="reg-nn", net=net, outcome_mean=mean, outcome_scale=scale)
 
 

@@ -63,9 +63,13 @@ def _ensure_out(path_str: str) -> Path:
 
 
 def _load_config(path_str: str, cls):
-    """A ``cls`` config dataclass from a JSON object of its fields."""
+    """A ``cls`` config dataclass from a JSON object of its fields, each of
+    its declared type."""
     try:
-        return cls(**json.loads(Path(path_str).read_text()))
+        values = json.loads(Path(path_str).read_text())
+        config = cls(**values)
+        datamodel.check_field_kinds(cls, values)
+        return config
     except json.JSONDecodeError as exc:
         raise CliConfigError(f"malformed JSON in {path_str}: {exc}") from exc
     except TypeError as exc:

@@ -10,7 +10,10 @@ normalization statistics are fit on the training split only.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import types
+import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +25,41 @@ from .numkit import InsufficientDataError, rng_stream
 
 class IngestionError(ValueError):
     pass
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _is_kind(value, hint) -> bool:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_is_kind(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_is_kind(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_is_kind(v, arg) for v, arg in zip(value, args)))
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, origin or hint)
+
+
+def check_field_kinds(cls, values: dict) -> None:
+    """Raise TypeError if a value read from JSON is not of the declared type
+    of the field of dataclass ``cls`` that it is named after.
+
+    An int passes for a float, a list for a tuple, and a bool for no number.
+    Names that are not fields of ``cls`` are left to its constructor.
+    """
+    declared = _field_types(cls)
+    for name, value in values.items():
+        if name in declared and not _is_kind(value, declared[name]):
+            raise TypeError(f"{cls.__name__}.{name} must be {declared[name]}, "
+                            f"not a {type(value).__name__}")
 
 
 @dataclass

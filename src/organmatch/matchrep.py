@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit
-from .datamodel import IngestionError, Normalization, normalization_from_dict
+from .datamodel import (IngestionError, Normalization, check_field_kinds,
+                        normalization_from_dict)
 from .numkit import (
     AdamState,
     DenseNet,
@@ -31,6 +32,7 @@ from .numkit import (
     Layer,
     TrainingDivergedError,
     adam_step,
+    bind_flat_buffer,
     init_dense_net,
     kmeans_fit,
     mlp_backward,
@@ -179,6 +181,11 @@ def target_distribution(t: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _dec_terms(p: np.ndarray, t_safe: np.ndarray) -> np.ndarray:
+    """Elementwise p*log(p/t) of L_DEC = KL(P || T), with p clamped like t."""
+    return p * np.log(np.maximum(p, T_CLAMP) / t_safe)
+
+
 def dec_loss_and_grads(embeds: np.ndarray, centers: np.ndarray, p: np.ndarray,
                        exponent: float = -0.5):
     """KL(P || T) with gradients w.r.t. embeddings and centers.
@@ -191,7 +198,7 @@ def dec_loss_and_grads(embeds: np.ndarray, centers: np.ndarray, p: np.ndarray,
     big_s = s.sum(axis=1, keepdims=True)
     t = s / big_s
     t_safe = np.maximum(t, T_CLAMP)
-    loss = float(np.sum(p * np.log(np.maximum(p, T_CLAMP) / t_safe)))
+    loss = float(np.sum(_dec_terms(p, t_safe)))
     # dL/ds_ik = (1 - p_ik / t_ik) / S_i ; ds/dd = 2*exp*(1+d2)^(exp-1)*(d - mu)
     c = (1.0 - p / t_safe) / big_s
     g = c * (2.0 * exponent) * (1.0 + d2) ** (exponent - 1.0)  # (n, K)
@@ -206,11 +213,13 @@ def dec_loss_and_grads(embeds: np.ndarray, centers: np.ndarray, p: np.ndarray,
 
 
 def _moments(x: np.ndarray):
-    """Sample mean / (n-1) variance with floor; returns (mean, var, clamped mask)."""
+    """Sample mean / (n-1) variance with floor; returns (mean, var, clamped
+    mask, centered rows ``x - mean``)."""
     mean = x.mean(axis=0)
-    var = x.var(axis=0, ddof=1)
+    centered = x - mean
+    var = (centered * centered).sum(axis=0) / (x.shape[0] - 1)
     clamped = var < numkit.VAR_FLOOR
-    return mean, np.where(clamped, numkit.VAR_FLOOR, var), clamped
+    return mean, np.where(clamped, numkit.VAR_FLOOR, var), clamped, centered
 
 
 def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
@@ -226,7 +235,7 @@ def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
     grad = np.zeros_like(xprime)
     if n < max(min_cluster_count, 2):
         return 0.0, grad, 0
-    mu_a, var_a, cl_a = _moments(xprime)
+    mu_a, var_a, cl_a, centered_all = _moments(xprime)
     d_mu_a = np.zeros(d)
     d_var_a = np.zeros(d)
     loss = 0.0
@@ -237,7 +246,7 @@ def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
         if nc < max(min_cluster_count, 2):
             continue
         used += 1
-        mu_c, var_c, cl_c = _moments(xprime[members])
+        mu_c, var_c, cl_c, centered = _moments(xprime[members])
         if direction == "conditional-to-marginal":
             mu_p, var_p, mu_q, var_q = mu_c, var_c, mu_a, var_a
         else:
@@ -257,10 +266,8 @@ def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
             d_mu_c, d_var_c = d_mu_q, np.where(cl_c, 0.0, d_var_q)
             d_mu_a += d_mu_p
             d_var_a += np.where(cl_a, 0.0, d_var_p)
-        centered = xprime[members] - mu_c
         grad[members] += d_mu_c / nc + d_var_c * 2.0 * centered / (nc - 1)
     if used:
-        centered_all = xprime - mu_a
         grad += d_mu_a / n + d_var_a * 2.0 * centered_all / (n - 1)
     return loss, grad, used
 
@@ -368,9 +375,12 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def _recon_step(donor_map: DonorTypeMap, state: AdamState, x: np.ndarray,
-                learning_rate: float) -> float:
-    """One Adam step on the autoencoder's reconstruction MSE; returns the batch loss."""
+def _recon_step(donor_map: DonorTypeMap, params: np.ndarray, state: AdamState,
+                x: np.ndarray, learning_rate: float) -> float:
+    """One Adam step on the autoencoder's reconstruction MSE; returns the batch loss.
+
+    ``params`` is the buffer ``pretrain_autoencoder`` bound the map's encoder
+    and decoder to."""
     z, enc_cache = mlp_forward(donor_map.encoder, x)
     recon, dec_cache = mlp_forward(donor_map.decoder, z)
     err = recon - x
@@ -379,13 +389,17 @@ def _recon_step(donor_map: DonorTypeMap, state: AdamState, x: np.ndarray,
         raise TrainingDivergedError("autoencoder loss diverged; try a lower learning rate")
     dec_grads, d_z = mlp_backward(donor_map.decoder, dec_cache, 2.0 * err / err.size)
     enc_grads, _ = mlp_backward(donor_map.encoder, enc_cache, d_z)
-    adam_step(donor_map.encoder.parameters() + donor_map.decoder.parameters(),
-              enc_grads + dec_grads, state, learning_rate)
+    adam_step([params], [np.concatenate(enc_grads + dec_grads, axis=None)], state,
+              learning_rate)
     return loss
 
 
-def pretrain_autoencoder(donors: np.ndarray, config: TrainConfig) -> tuple[DonorTypeMap, list[float]]:
-    """Reconstruction-MSE pretraining of the donor autoencoder with Adam."""
+def pretrain_autoencoder(donors: np.ndarray,
+                         config: TrainConfig) -> tuple[DonorTypeMap, list[float], np.ndarray]:
+    """Reconstruction-MSE pretraining of the donor autoencoder with Adam.
+
+    Returns the map, the epoch losses and the one flat buffer the encoder and
+    decoder are bound to (the ``params`` of ``_recon_step``)."""
     config.validate()
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
@@ -396,6 +410,7 @@ def pretrain_autoencoder(donors: np.ndarray, config: TrainConfig) -> tuple[Donor
                                rng_stream(config.seed, "matchrep", "enc-init")),
         decoder=init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
                                rng_stream(config.seed, "matchrep", "dec-init")))
+    params = bind_flat_buffer([donor_map.encoder, donor_map.decoder])
     state = AdamState()
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
     n = donors.shape[0]
@@ -403,10 +418,10 @@ def pretrain_autoencoder(donors: np.ndarray, config: TrainConfig) -> tuple[Donor
     for _ in range(config.pretrain_epochs):
         epoch_loss = 0.0
         for idx in _batches(n, config.batch_size, rng):
-            loss = _recon_step(donor_map, state, donors[idx], config.learning_rate)
+            loss = _recon_step(donor_map, params, state, donors[idx], config.learning_rate)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
-    return donor_map, losses
+    return donor_map, losses, params
 
 
 def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig) -> np.ndarray:
@@ -434,10 +449,18 @@ class _DecRefinement:
     ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
     once fewer than ``dec_stop_tol`` of the hard labels changed over the
     epoch. ``labels`` always holds the hard labels of the current map.
+    ``ae_params`` is the buffer ``pretrain_autoencoder`` bound the map's
+    encoder and decoder to.
+
+    Once refinement has stopped the map is frozen, so the target
+    distribution changes at most once more (at its next refresh) and the
+    per-donor L_DEC terms are computed once per target, not per batch.
     """
 
-    def __init__(self, donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig):
+    def __init__(self, donor_map: DonorTypeMap, ae_params: np.ndarray, donors: np.ndarray,
+                 config: TrainConfig):
         self.donor_map = donor_map
+        self.ae_params = ae_params
         self.donors = donors
         self.config = config
         self.ae_state = AdamState()
@@ -445,24 +468,34 @@ class _DecRefinement:
         self.active = self.dec_step > 0.0
         self.labels = _hard_labels(donor_map, donors, config.dec_exponent)
         self.p_full = None
+        self.frozen_terms = None  # (n, K) L_DEC terms of the frozen map
+        self.final_target = False  # p_full is the frozen map's own target
 
     def start_epoch(self, epoch: int) -> None:
-        if self.p_full is None or epoch % max(self.config.target_update_interval, 1) == 0:
-            embeds, _ = mlp_forward(self.donor_map.encoder, self.donors)
-            self.p_full = target_distribution(
-                soft_assign(embeds, self.donor_map.centers, self.config.dec_exponent))
+        due = self.p_full is None or epoch % max(self.config.target_update_interval, 1) == 0
+        if self.active:
+            if due:
+                self.p_full = target_distribution(self._soft_assign_all())
+        elif self.frozen_terms is None or (due and not self.final_target):
+            t = self._soft_assign_all()
+            if due:
+                self.p_full = target_distribution(t)
+                self.final_target = True
+            self.frozen_terms = _dec_terms(self.p_full, np.maximum(t, T_CLAMP))
+
+    def _soft_assign_all(self) -> np.ndarray:
+        embeds, _ = mlp_forward(self.donor_map.encoder, self.donors)
+        return soft_assign(embeds, self.donor_map.centers, self.config.dec_exponent)
 
     def step(self, idx: np.ndarray) -> float:
         """While refining, one Adam reconstruction-anchor step and one SGD step
         on L_DEC plus embedding norm-decay; returns the batch L_DEC (of the
         frozen map once refinement has stopped)."""
+        if not self.active:
+            return float(np.sum(self.frozen_terms[idx]))
         dm, cfg = self.donor_map, self.config
         x, p_rows = self.donors[idx], self.p_full[idx]
-        if not self.active:
-            embeds, _ = mlp_forward(dm.encoder, x)
-            loss, _, _ = dec_loss_and_grads(embeds, dm.centers, p_rows, cfg.dec_exponent)
-            return loss
-        _recon_step(dm, self.ae_state, x, cfg.learning_rate)
+        _recon_step(dm, self.ae_params, self.ae_state, x, cfg.learning_rate)
         embeds, cache = mlp_forward(dm.encoder, x)
         loss, d_embeds, d_centers = dec_loss_and_grads(embeds, dm.centers, p_rows,
                                                        cfg.dec_exponent)
@@ -475,6 +508,12 @@ class _DecRefinement:
             pm -= self.dec_step * g
         return loss
 
+    def batch_labels(self, idx: np.ndarray) -> np.ndarray:
+        """Hard labels of the donors ``idx`` under the current map."""
+        if not self.active:
+            return self.labels[idx]
+        return _hard_labels(self.donor_map, self.donors[idx], self.config.dec_exponent)
+
     def end_epoch(self, epoch: int) -> None:
         if not self.active:
             return
@@ -486,8 +525,9 @@ class _DecRefinement:
 
 
 def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
-                   namespace: str) -> tuple[DenseNet, MultiHeadPredictor]:
-    """Glorot-initialised recipient encoder Phi and K heads.
+                   namespace: str) -> tuple[DenseNet, MultiHeadPredictor, np.ndarray]:
+    """Glorot-initialised recipient encoder Phi and K heads, and the one flat
+    buffer their parameters live in (the ``params`` of ``phi_heads_step``).
 
     ``namespace`` names the RNG streams (``phi-init``/``heads-init``), so each
     caller keeps draws of its own.
@@ -504,19 +544,22 @@ def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
         outcome_mean=float(outcomes.mean()),
         outcome_scale=float(max(outcomes.std(), 1.0)),
     )
-    return phi, predictor
+    return phi, predictor, bind_flat_buffer([phi, *heads])
 
 
-def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, state: AdamState,
-                   recipients: np.ndarray, outcomes: np.ndarray, labels: np.ndarray,
-                   beta: float, config: TrainConfig) -> tuple[float, float]:
-    """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi)."""
+def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, params: np.ndarray,
+                   state: AdamState, recipients: np.ndarray, outcomes: np.ndarray,
+                   labels: np.ndarray, beta: float, config: TrainConfig) -> tuple[float, float]:
+    """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi).
+
+    ``params`` is the flat buffer that ``init_phi_heads`` bound Phi and the
+    heads to."""
     l_f, l_rep, grads = phi_heads_loss_and_grads(
         phi, predictor, recipients, outcomes, labels, beta, config.k,
         config.min_cluster_count, config.kl_direction)
     if not np.isfinite(l_f + beta * l_rep):
         raise TrainingDivergedError("Phi/heads loss diverged; try a lower learning rate")
-    adam_step(phi.parameters() + predictor.parameters(), grads, state, config.learning_rate)
+    adam_step([params], [np.concatenate(grads, axis=None)], state, config.learning_rate)
     return l_f, l_rep
 
 
@@ -532,13 +575,14 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     epoch-mean loss components.
     """
     config.validate()
-    donor_map, _ = pretrain_autoencoder(donors, config)
+    donor_map, _, ae_params = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
-    phi, predictor = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
+    phi, predictor, phi_params = init_phi_heads(recipients.shape[1], outcomes, config,
+                                                "matchrep")
     model = MatchRepModel(donor_map=donor_map, encoder=MatchEncoder(phi),
                           predictor=predictor, config=config)
 
-    refine = _DecRefinement(donor_map, donors, config)
+    refine = _DecRefinement(donor_map, ae_params, donors, config)
     phi_state = AdamState()
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     n = len(outcomes)
@@ -548,9 +592,9 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
         sums = {"L_f": 0.0, "L_DEC": 0.0, "L_Phi": 0.0}
         for idx in _batches(n, config.batch_size, rng):
             l_dec = refine.step(idx)
-            labels = _hard_labels(donor_map, donors[idx], config.dec_exponent)
-            l_f, l_rep = phi_heads_step(phi, predictor, phi_state, recipients[idx],
-                                        outcomes[idx], labels, config.beta, config)
+            l_f, l_rep = phi_heads_step(phi, predictor, phi_params, phi_state, recipients[idx],
+                                        outcomes[idx], refine.batch_labels(idx), config.beta,
+                                        config)
             for key, val in (("L_f", l_f), ("L_DEC", l_dec), ("L_Phi", l_rep)):
                 sums[key] += val * len(idx)
         row = {"epoch": epoch, **{k: v / n for k, v in sums.items()}}
@@ -574,9 +618,9 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
     the joint phase. Returns the trained DonorTypeMap.
     """
     config.validate()
-    donor_map, _ = pretrain_autoencoder(donors, config)
+    donor_map, _, ae_params = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
-    refine = _DecRefinement(donor_map, donors, config)
+    refine = _DecRefinement(donor_map, ae_params, donors, config)
     rng = rng_stream(config.seed, "matchrep", "dec-standalone-batches")
     for epoch in range(config.joint_epochs):
         if not refine.active:
@@ -663,7 +707,8 @@ def _to_doc(obj):
 
 def _from_doc(doc, types: dict[str, type]):
     """Inverse of ``_to_doc``. Builds only the dataclasses named in ``types``,
-    through their constructors, so their own checks run."""
+    from values of their fields' declared types, through their constructors,
+    so their own checks run."""
     if isinstance(doc, list):
         return [_from_doc(v, types) for v in doc]
     if not isinstance(doc, dict):
@@ -679,7 +724,9 @@ def _from_doc(doc, types: dict[str, type]):
     if set(doc) - {"type"} != names:
         raise ValueError(f"{cls.__name__} needs fields {sorted(names)}, "
                          f"got {sorted(set(doc) - {'type'})}")
-    return cls(**{name: _from_doc(doc[name], types) for name in names})
+    values = {name: _from_doc(doc[name], types) for name in names}
+    check_field_kinds(cls, values)
+    return cls(**values)
 
 
 def _save(model, path, **extra) -> None:

@@ -64,14 +64,6 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
-
-
 @dataclass
 class Layer:
     weight: np.ndarray  # (fan_in, fan_out)
@@ -148,12 +140,35 @@ def mlp_backward(net: DenseNet, cache, upstream_grad: np.ndarray):
     grads: list[np.ndarray] = []
     delta = upstream_grad
     for layer, (a_in, z, a_out) in zip(reversed(net.layers), reversed(cache)):
-        delta = delta * _act_grad(layer.activation, z, a_out)
-        grads.append(np.sum(delta, axis=0))  # bias
+        if layer.activation == "relu":
+            delta = delta * (z > 0.0)
+        elif layer.activation == "tanh":
+            delta = delta * (1.0 - a_out * a_out)
+        grads.append(delta.sum(axis=0))  # bias
         grads.append(a_in.T @ delta)  # weight
         delta = delta @ layer.weight.T
     grads.reverse()
     return grads, delta
+
+
+def bind_flat_buffer(nets: list[DenseNet]) -> np.ndarray:
+    """Move every weight and bias of ``nets`` into one C-contiguous float64 buffer.
+
+    Each ``Layer.weight``/``bias`` is rebound to a view into the buffer, laid
+    out in ``net.parameters()`` order net after net, so one in-place update of
+    the buffer, such as ``adam_step([buffer], [np.concatenate(grads,
+    axis=None)], ...)``, updates every layer. Returns the buffer.
+    """
+    layers = [layer for net in nets for layer in net.layers]
+    buffer = np.concatenate([p for layer in layers for p in (layer.weight, layer.bias)],
+                            axis=None, dtype=float)
+    offset = 0
+    for layer in layers:
+        for name in ("weight", "bias"):
+            old = getattr(layer, name)
+            setattr(layer, name, buffer[offset:offset + old.size].reshape(old.shape))
+            offset += old.size
+    return buffer
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,22 @@ def test_config_with_unknown_field_is_config_error(workdir, data_dir, command, f
     assert main(args) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, flag, body", [
+    ("gen", "--config", {"n": "150"}),
+    ("train", "--config", {"k": "3"}),
+    ("train", "--config", {"k": 3.0}),
+    ("train", "--config", {"beta": True}),
+    ("simulate", "--sim-config", {"donor_fraction": [0.5]}),
+])
+def test_config_field_of_wrong_type_is_config_error(workdir, data_dir, command, flag, body):
+    path = workdir / "mistyped_config.json"
+    path.write_text(json.dumps(body))
+    args = [command, flag, str(path), "--out", str(workdir / "x")]
+    if command != "gen":
+        args += ["--data", str(data_dir)]
+    assert main(args) == EXIT_CONFIG
+
+
 def test_train_non_finite_feature_is_data_error(workdir, data_dir):
     nan_data = workdir / "nan_data"
     nan_data.mkdir()
@@ -202,19 +218,21 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 
 
 BAD_MODEL_FILES = ("wrong-format", "truncated", "no-phi", "no-normalization",
-                   "pair-regressor")
+                   "pair-regressor", "int-encoder")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
     text = (models_dir / "model.json").read_text()
-    no_phi, no_norm = json.loads(text), json.loads(text)
+    no_phi, no_norm, int_encoder = json.loads(text), json.loads(text), json.loads(text)
     del no_phi["model"]["encoder"]
     no_norm["normalization"] = None
+    int_encoder["model"]["encoder"] = 5
     return {"wrong-format": '{"format": "other"}',
             "truncated": text[:len(text) // 2],
             "no-phi": json.dumps(no_phi),
             "no-normalization": json.dumps(no_norm),
-            "pair-regressor": (models_dir / "pair_ridge.json").read_text()}[case]
+            "pair-regressor": (models_dir / "pair_ridge.json").read_text(),
+            "int-encoder": json.dumps(int_encoder)}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)

@@ -30,9 +30,11 @@ from organmatch.matchrep import (
     train_joint,
 )
 from organmatch.numkit import (
+    VAR_FLOOR,
     DimensionMismatchError,
     finite_diff_check,
     init_dense_net,
+    mlp_forward,
     rng_stream,
 )
 
@@ -166,6 +168,16 @@ def test_rep_loss_hand_value_two_clusters():
     loss, _, used = rep_loss_and_grads(x, labels, k=2, min_cluster_count=2)
     assert used == 2
     assert loss == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (9, 3), (128, 8), (1000, 5)])
+def test_moments_match_numpy_mean_and_var(shape):
+    x = 1.0 + 3.0 * rng_stream(11, "moments", *shape).normal(size=shape)
+    mean, var, clamped, centered = matchrep._moments(x)
+    np.testing.assert_array_equal(mean, x.mean(axis=0))
+    np.testing.assert_array_equal(var, np.maximum(x.var(axis=0, ddof=1), VAR_FLOOR))
+    np.testing.assert_array_equal(clamped, x.var(axis=0, ddof=1) < VAR_FLOOR)
+    np.testing.assert_array_equal(centered, x - x.mean(axis=0))
 
 
 def test_rep_loss_skips_small_clusters():
@@ -359,6 +371,65 @@ def test_train_joint_skips_rep_loss_at_zero_beta():
     assert [row["L_Phi"] for row in log] == [0.0] * len(log)
 
 
+def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch):
+    recipients, donors, outcomes = _training_data()
+    config = TrainConfig(**SMALL, dec_min_epochs=3, dec_stop_tol=1.0)  # stops after epoch 2
+    calls = {"L_DEC": 0, "encoder": 0}
+    maps, buffers, epochs = [], [], []
+    real_pretrain, real_dec = matchrep.pretrain_autoencoder, matchrep.dec_loss_and_grads
+    real_forward, real_end = matchrep.mlp_forward, matchrep._DecRefinement.end_epoch
+
+    def pretrain(*args, **kwargs):
+        donor_map, losses, params = real_pretrain(*args, **kwargs)
+        maps.append(donor_map)
+        buffers.append(params)
+        return donor_map, losses, params
+
+    def dec(*args, **kwargs):
+        calls["L_DEC"] += 1
+        return real_dec(*args, **kwargs)
+
+    def forward(net, batch):
+        calls["encoder"] += bool(maps) and net is maps[0].encoder
+        return real_forward(net, batch)
+
+    def end_epoch(self, epoch):
+        active = self.active
+        real_end(self, epoch)
+        epochs.append((active, dict(calls)))
+
+    monkeypatch.setattr(matchrep, "pretrain_autoencoder", pretrain)
+    monkeypatch.setattr(matchrep, "dec_loss_and_grads", dec)
+    monkeypatch.setattr(matchrep, "mlp_forward", forward)
+    monkeypatch.setattr(matchrep._DecRefinement, "end_epoch", end_epoch)
+    model, log = train_joint(recipients, donors, outcomes, config)
+    monkeypatch.undo()
+
+    n, n_batches = len(outcomes), -(-len(outcomes) // config.batch_size)
+    assert [row["dec_active"] for row in log] == [active for active, _ in epochs]
+    assert [active for active, _ in epochs] == [True] * 3 + [False] * 12
+    frozen_start = epochs[2][1]
+    assert frozen_start["L_DEC"] == 3 * n_batches
+    assert epochs[-1][1]["L_DEC"] == frozen_start["L_DEC"]
+    # one full-donor encoding at the first frozen epoch, none per batch
+    assert epochs[-1][1]["encoder"] - frozen_start["encoder"] == 1
+    assert epochs[3][1]["encoder"] - frozen_start["encoder"] == 1
+    # refinement trains the autoencoder in the buffer pretraining bound it to
+    for net in (model.donor_map.encoder, model.donor_map.decoder):
+        assert all(np.shares_memory(p, buffers[0]) for p in net.parameters())
+
+    # the logged L_DEC of a frozen epoch is the per-batch evaluation it replaces
+    rng = rng_stream(config.seed, "matchrep", "joint-batches")
+    batches = [list(matchrep._batches(n, config.batch_size, rng)) for _ in log]
+    enc, centers = model.donor_map.encoder, model.donor_map.centers
+    p_full = target_distribution(soft_assign(mlp_forward(enc, donors)[0], centers))
+    for row, epoch_batches in zip(log[3:], batches[3:]):
+        expected = sum(dec_loss_and_grads(mlp_forward(enc, donors[idx])[0], centers,
+                                          p_full[idx])[0] * len(idx)
+                       for idx in epoch_batches) / n
+        assert row["L_DEC"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_train_joint_deterministic():
     recipients, donors, outcomes = _training_data()
     a, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
@@ -409,14 +480,14 @@ def test_train_joint_prunes_tiny_cluster():
 
 def test_pretrain_autoencoder_reduces_reconstruction_error():
     _, donors, _ = _training_data()
-    _, losses = pretrain_autoencoder(donors, TrainConfig(**SMALL))
+    _, losses, _ = pretrain_autoencoder(donors, TrainConfig(**SMALL))
     assert losses[-1] < losses[0]
 
 
 def test_init_centers_shape():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    donor_map, _ = pretrain_autoencoder(donors, config)
+    donor_map, _, _ = pretrain_autoencoder(donors, config)
     centers = init_centers(donor_map, donors, config)
     assert centers.shape == (2, 4)
     assert donor_map.centers is centers
@@ -439,6 +510,9 @@ def test_config_validation():
 def test_save_load_round_trip(tmp_path):
     recipients, donors, outcomes = _training_data()
     model, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
+    trained = [model.encoder.net.parameters(), model.predictor.parameters()]
+    buffer = model.encoder.net.layers[0].weight.base
+    assert all(np.shares_memory(p, buffer) for params in trained for p in params)
     path = tmp_path / "model.json"
     save_model(model, path)
     again = load_model(path)
@@ -483,8 +557,21 @@ def _wrong_kind(doc):
     doc["model"] = doc["model"]["encoder"]
 
 
+def _int_encoder(doc):
+    doc["model"]["encoder"] = 5
+
+
+def _number_weight(doc):
+    doc["model"]["encoder"]["net"]["layers"][0]["weight"] = 0.5
+
+
+def _string_config_field(doc):
+    doc["model"]["config"]["k"] = "2"
+
+
 @pytest.mark.parametrize("corrupt", [_unknown_type, _missing_field, _extra_field,
-                                     _object_dtype, _bad_activation, _wrong_kind])
+                                     _object_dtype, _bad_activation, _wrong_kind,
+                                     _int_encoder, _number_weight, _string_config_field])
 def test_load_model_rejects_malformed_files(tmp_path, corrupt):
     model = _tiny_model()
     model.active = np.array([True, False])

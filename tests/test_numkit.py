@@ -12,6 +12,7 @@ from organmatch.numkit import (
     InsufficientDataError,
     Layer,
     adam_step,
+    bind_flat_buffer,
     finite_diff_check,
     fit_diag_gaussian,
     gmm_em_fit,
@@ -115,6 +116,26 @@ def test_backward_matches_finite_differences(acts):
     assert report.passed, f"max rel error {report.max_rel_error}"
 
 
+def test_backward_matches_activation_mask_reference():
+    """mlp_backward against the chain rule with an explicit float mask per layer."""
+    rng = rng_stream(4, "backward-ref")
+    net = init_dense_net([5, 7, 7, 3], ["relu", "tanh", "identity"], rng)
+    out, cache = mlp_forward(net, rng.normal(size=(9, 5)))
+    upstream = rng.normal(size=out.shape)
+    expected = []
+    delta = upstream
+    for layer, (a_in, z, a_out) in zip(reversed(net.layers), reversed(cache)):
+        mask = {"relu": (z > 0.0).astype(float), "tanh": 1.0 - a_out * a_out,
+                "identity": np.ones_like(z)}[layer.activation]
+        delta = delta * mask
+        expected += [np.sum(delta, axis=0), a_in.T @ delta]
+        delta = delta @ layer.weight.T
+    grads, d_in = mlp_backward(net, cache, upstream)
+    for got, want in zip(grads, expected[::-1]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(d_in, delta)
+
+
 def test_finite_diff_check_negative_control():
     # deliberately doubled gradient must fail
     x = np.array([1.5])
@@ -153,6 +174,41 @@ def test_adam_converges_on_quadratic():
     assert abs(p[0][0]) < 1e-3
     # overall downward trend
     assert values[-1] < values[0]
+
+
+def _two_nets(seed):
+    rng = rng_stream(seed, "flat")
+    return [init_dense_net([3, 4, 2], ["relu", "identity"], rng),
+            init_dense_net([2, 5, 1], ["tanh", "identity"], rng)]
+
+
+def test_adam_on_flat_buffer_matches_per_array_updates():
+    bound, reference = _two_nets(5), _two_nets(5)
+    buffer = bind_flat_buffer(bound)
+    ref_params = [p for net in reference for p in net.parameters()]
+    flat_state, ref_state = AdamState(), AdamState()
+    rng = rng_stream(6, "flat-grads")
+    for _ in range(5):
+        grads = [rng.normal(size=p.shape) for p in ref_params]
+        adam_step([buffer], [np.concatenate(grads, axis=None)], flat_state, lr=0.01)
+        adam_step(ref_params, grads, ref_state, lr=0.01)
+    for got, want in zip([p for net in bound for p in net.parameters()], ref_params):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_flat_buffer_step_shows_in_layers():
+    nets = _two_nets(7)
+    before = [p.copy() for net in nets for p in net.parameters()]
+    buffer = bind_flat_buffer(nets)
+    params = [p for net in nets for p in net.parameters()]
+    for p, old in zip(params, before):
+        np.testing.assert_array_equal(p, old)
+        assert p.flags.c_contiguous and np.shares_memory(p, buffer)
+    assert buffer.size == sum(p.size for p in params)
+    adam_step([buffer], [np.ones(buffer.size)], AdamState(), lr=0.1)
+    layer = nets[1].layers[0]
+    np.testing.assert_allclose(layer.weight, before[4] - 0.1, atol=1e-6)
+    np.testing.assert_allclose(layer.bias, before[5] - 0.1, atol=1e-6)
 
 
 def test_adam_non_finite_gradient_raises():
