@@ -9,7 +9,10 @@ and donor labels, the ``active`` mask and any training error:
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
 Each tree runs in its own child process with BLAS pinned to one thread.
-Prints one line per seed, model and part, and exits 1 if any part differs.
+Prints one line per seed, model and part for the arrays both trees have,
+then the arrays present in only one tree (say, a config field one of them
+lacks) on lines of their own, and exits 1 if any array differs or is
+one-sided.
 """
 
 from __future__ import annotations
@@ -101,28 +104,38 @@ def _run_child(src: Path, seed: int, out: Path) -> dict:
         return {key: data[key] for key in data.files}
 
 
-def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    return (a is not None and b is not None and a.dtype == b.dtype and a.shape == b.shape
-            and a.tobytes() == b.tobytes())
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def compare(ref: Path, seeds: list[int]) -> bool:
-    all_equal = True
+def compare(ref: Path, seeds: list[int]) -> tuple[int, int]:
+    """Returns the number of shared arrays that differ and of one-sided arrays."""
+    n_differ = n_one_sided = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             this = _run_child(THIS_SRC, seed, Path(tmp) / f"this-{seed}.npz")
             other = _run_child(ref, seed, Path(tmp) / f"ref-{seed}.npz")
             groups = sorted({key.rsplit("|", 1)[0] for key in this.keys() | other.keys()})
             for group in groups:
-                keys = sorted(k for k in this.keys() | other.keys() if k.startswith(group + "|"))
-                differ = [k for k in keys if not _same(this.get(k), other.get(k))]
-                all_equal &= not differ
+                mine = {k.rsplit("|", 1)[1] for k in this if k.startswith(group + "|")}
+                theirs = {k.rsplit("|", 1)[1] for k in other if k.startswith(group + "|")}
+                shared = sorted(mine & theirs)
+                differ = [k for k in shared
+                          if not _same(this[f"{group}|{k}"], other[f"{group}|{k}"])]
+                n_differ += len(differ)
                 verdict = "equal bytes" if not differ else f"DIFFER in {len(differ)}: {differ[:3]}"
                 model, part = group.split("|")
-                note = f" ({this[group + '|'].item()})" if part == "error" and not differ else ""
-                print(f"seed {seed}  {model:22s} {part:7s} {len(keys):3d} arrays  {verdict}{note}",
-                      flush=True)
-    return all_equal
+                note = (f" ({this[group + '|'].item()})"
+                        if part == "error" and "" in shared and not differ else "")
+                print(f"seed {seed}  {model:22s} {part:7s} {len(shared):3d} shared arrays  "
+                      f"{verdict}{note}", flush=True)
+                for side, keys in (("only in ref", theirs - mine),
+                                   ("only in this", mine - theirs)):
+                    n_one_sided += len(keys)
+                    if keys:
+                        print(f"seed {seed}  {model:22s} {part:7s} {side}: {sorted(keys)}",
+                              flush=True)
+    return n_differ, n_one_sided
 
 
 def main(argv=None) -> int:
@@ -137,9 +150,14 @@ def main(argv=None) -> int:
         return 0
     if args.ref is None:
         parser.error("--ref is required")
-    equal = compare(args.ref, args.seeds)
-    print("ALL EQUAL" if equal else "SOME PARTS DIFFER")
-    return 0 if equal else 1
+    n_differ, n_one_sided = compare(args.ref, args.seeds)
+    if n_differ:
+        print(f"{n_differ} SHARED ARRAYS DIFFER; {n_one_sided} arrays in one tree only")
+    elif n_one_sided:
+        print(f"NO SHARED ARRAY DIFFERS; {n_one_sided} arrays in one tree only")
+    else:
+        print("ALL EQUAL")
+    return 1 if n_differ or n_one_sided else 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,7 @@ record index.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,9 +128,6 @@ class SimReport:
             "avg_benefit": self.avg_benefit,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
-
 
 def write_ledger_csv(report: SimReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -179,15 +175,6 @@ def model_guide(model: "matchrep.MatchRepModel", dataset: Dataset) -> GuidedPoli
     donor_types, _ = matchrep.donor_type_batch(model, dataset.donors)
     best_types = matchrep.best_donor_type_batch(model, dataset.recipients)
     return GuidedPolicy(donor_types=donor_types, best_types=best_types)
-
-
-def pair_regressor_scorer(regressor, dataset: Dataset) -> "callable":
-    def score(recipient_ids: np.ndarray, donor_id: int) -> np.ndarray:
-        pairs = np.hstack([dataset.recipients[recipient_ids],
-                           np.tile(dataset.donors[donor_id], (len(recipient_ids), 1))])
-        return regressor.predict(pairs)
-
-    return score
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ class DonorClusterer:
     weights: np.ndarray | None = None  # em
     components: list[DiagGaussian] | None = None  # em
     donor_map: "matchrep.DonorTypeMap | None" = None  # dec
-    dec_exponent: float = -0.5
 
     def assign(self, donors: np.ndarray) -> np.ndarray:
         donors = np.atleast_2d(np.asarray(donors, dtype=float))
@@ -90,7 +89,7 @@ class DonorClusterer:
                 + np.log(self.weights)[None, :]
             )
             return np.argmax(log_prob, axis=1)
-        return matchrep._hard_labels(self.donor_map, donors, self.dec_exponent)
+        return matchrep._hard_labels(self.donor_map, donors)
 
 
 def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorClusterer:
@@ -105,8 +104,7 @@ def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorCl
         return DonorClusterer(kind=kind, k=k, weights=weights, components=components)
     if kind == "dec":
         donor_map = matchrep.train_dec_standalone(donors, config)
-        return DonorClusterer(kind=kind, k=k, donor_map=donor_map,
-                              dec_exponent=config.dec_exponent)
+        return DonorClusterer(kind=kind, k=k, donor_map=donor_map)
     raise ValueError(f"unknown clusterer {kind!r}")
 
 

@@ -101,9 +101,23 @@ def _load_data_dir(data_dir: str) -> datamodel.Dataset:
     return dataset
 
 
-def _data_manifest(data_dir: str) -> dict | None:
+def _oracle_outcome_means(data_dir: str) -> np.ndarray | None:
+    """The (M, K) true outcome means that the manifest of a ``gen`` data
+    directory records, or None for data of another origin. An unreadable
+    manifest raises IngestionError."""
     path = Path(data_dir) / "manifest.json"
-    return json.loads(path.read_text()) if path.exists() else None
+    if not path.exists():
+        return None
+    try:
+        manifest = json.loads(path.read_text())
+        if manifest.get("command") != "gen":
+            return None
+        means = np.asarray(manifest["config"]["outcome_means"], dtype=float)
+        if means.ndim != 2:
+            raise ValueError(f"outcome_means has shape {means.shape}")
+        return means
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise datamodel.IngestionError(f"unreadable data manifest {path}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +206,10 @@ def cmd_train(args) -> int:
         config.seed = args.seed
     if args.beta is not None:
         config.beta = args.beta
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CliConfigError(str(exc)) from exc
     specs = _parse_baseline_names(args.baselines)
     pair_kinds = _parse_pair_kinds(args.pair_regressors)
 
@@ -325,11 +342,9 @@ def _resolve_scorers(args, dataset: datamodel.Dataset):
         model_sc = allocsim.model_scorer(model, normed)
         guide = allocsim.model_guide(model, normed)
     plain_sc = None
-    manifest = _data_manifest(args.data)
-    if manifest and manifest.get("command") == "gen":
-        outcome_means = manifest["config"]["outcome_means"]
-        if dataset.true_recipient_type is not None:
-            plain_sc = allocsim.oracle_mean_scorer(dataset, outcome_means)
+    outcome_means = _oracle_outcome_means(args.data)
+    if outcome_means is not None and dataset.true_recipient_type is not None:
+        plain_sc = allocsim.oracle_mean_scorer(dataset, outcome_means)
     if plain_sc is None:
         plain_sc = model_sc
     return plain_sc, model_sc, guide
@@ -459,16 +474,13 @@ def main(argv=None) -> int:
     except (CliConfigError, synthgen.ConfigError, allocsim.PolicyConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        if isinstance(exc, (datamodel.IngestionError, InsufficientDataError)):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (datamodel.IngestionError, InsufficientDataError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (TrainingDivergedError, matchrep.DeadClusterError) as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import types
 import typing
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -194,6 +192,11 @@ def normalization_from_dict(doc: dict) -> Normalization:
 
 def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
     """Standardize a raw dataset with previously fitted statistics."""
+    if norm.recipient_mean.shape != (dataset.d_r,) or norm.donor_mean.shape != (dataset.d_o,):
+        raise IngestionError(
+            f"the data has {dataset.d_r} recipient and {dataset.d_o} donor features, the "
+            f"normalization statistics have shapes {norm.recipient_mean.shape} and "
+            f"{norm.donor_mean.shape}")
     return Dataset(
         recipients=(dataset.recipients - norm.recipient_mean) / norm.recipient_scale,
         donors=(dataset.donors - norm.donor_mean) / norm.donor_scale,
@@ -228,16 +231,6 @@ class SchemaConfig:
     donor_columns: list[str]
     outcome_column: str
     categorical: dict[str, list[str]] = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, path) -> "SchemaConfig":
-        doc = json.loads(Path(path).read_text())
-        return cls(
-            recipient_columns=doc["recipient_columns"],
-            donor_columns=doc["donor_columns"],
-            outcome_column=doc["outcome_column"],
-            categorical=doc.get("categorical", {}),
-        )
 
 
 def _encode_block(rows: list[dict], columns: list[str], schema: SchemaConfig):
@@ -322,26 +315,55 @@ def write_csv(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
+def _parse_column(rows: list[dict], col: str, kind: type) -> np.ndarray:
+    """Column ``col`` of ``rows`` as ``kind`` values; an unparseable or
+    non-finite cell raises IngestionError naming its row and column."""
+    out = np.empty(len(rows), dtype=kind)
+    for i, r in enumerate(rows):
+        try:
+            out[i] = kind(r[col])
+        except (TypeError, ValueError, OverflowError):
+            raise IngestionError(f"row {i}, column {col!r}: unparseable cell {r[col]!r}") from None
+    bad = np.nonzero(~np.isfinite(out))[0]
+    if bad.size:
+        raise IngestionError(
+            f"row {bad[0]}, column {col!r}: non-finite cell {rows[bad[0]][col]!r}")
+    return out
+
+
 def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
     """Attach the ground-truth columns written by write_ground_truth_csv."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        rows = list(reader)
     if len(rows) != len(dataset):
         raise IngestionError("ground-truth file and dataset disagree in length")
-    pot_cols = sorted((c for c in rows[0] if c.startswith("potential_")),
-                      key=lambda c: int(c.split("_")[1]))
+    pot_cols = sorted((c for c in header
+                       if c.startswith("potential_") and c[len("potential_"):].isdigit()),
+                      key=lambda c: int(c[len("potential_"):]))
     if not pot_cols:
         raise IngestionError("ground-truth file has no potential_* columns")
+    missing_cols = {"true_recipient_type", "true_donor_type", "untreated_survival"} - set(header)
+    if missing_cols:
+        raise IngestionError(f"ground-truth file lacks column(s): {sorted(missing_cols)}")
+    types = {col: _parse_column(rows, col, int)
+             for col in ("true_recipient_type", "true_donor_type")}
+    for col, vals in types.items():
+        bad = np.nonzero(vals < 1)[0]
+        if bad.size:
+            raise IngestionError(
+                f"row {bad[0]}, column {col!r}: type {vals[bad[0]]} is not 1-based")
     return Dataset(
         recipients=dataset.recipients,
         donors=dataset.donors,
         outcomes=dataset.outcomes,
         recipient_names=dataset.recipient_names,
         donor_names=dataset.donor_names,
-        true_potentials=np.array([[float(r[c]) for c in pot_cols] for r in rows]),
-        untreated_survival=np.array([float(r["untreated_survival"]) for r in rows]),
-        true_recipient_type=np.array([int(r["true_recipient_type"]) for r in rows]),
-        true_donor_type=np.array([int(r["true_donor_type"]) for r in rows]),
+        true_potentials=np.column_stack([_parse_column(rows, c, float) for c in pot_cols]),
+        untreated_survival=_parse_column(rows, "untreated_survival", float),
+        true_recipient_type=types["true_recipient_type"],
+        true_donor_type=types["true_donor_type"],
         normalization=dataset.normalization,
     )
 

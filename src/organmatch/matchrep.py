@@ -41,6 +41,9 @@ from .numkit import (
 )
 
 T_CLAMP = 1e-12
+# Exponent of the Student's t kernel of the DEC soft assignment (one degree
+# of freedom, Xie et al. 2016).
+DEC_EXPONENT = -0.5
 
 
 class DeadClusterError(RuntimeError):
@@ -68,15 +71,11 @@ class TrainConfig:
     rep_dim: int = 8  # d', output dimension of Phi
     embed_dim: int = 8  # donor embedding dimension
     hidden: int = 32
-    dec_exponent: float = -0.5  # exponent in the soft-assignment kernel
-    center_init: str = "kmeans"  # "kmeans" | "random"
-    target_update_interval: int = 1  # epochs between target-distribution refreshes
     min_cluster_count: int = 8
     # A cluster must end training with at least this fraction of the donors
     # to stay active; DEC merging routinely leaves residual clusters holding
     # a few stragglers whose prediction head never saw meaningful data.
     min_cluster_frac: float = 0.01
-    kl_direction: str = "conditional-to-marginal"
     # Donor-map refinement schedule. The DEC term is minimized with plain SGD
     # (step dec_lr * alpha) because Adam's per-parameter normalization erases
     # the loss scale and with it the self-training dynamics that let ambiguous
@@ -92,12 +91,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if min(self.batch_size, self.hidden, self.rep_dim, self.embed_dim) < 1:
+            raise ValueError("batch_size, hidden, rep_dim and embed_dim must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
-        if self.center_init not in ("kmeans", "random"):
-            raise ValueError("center_init must be 'kmeans' or 'random'")
-        if self.kl_direction not in ("conditional-to-marginal", "marginal-to-conditional"):
-            raise ValueError("bad kl_direction")
         if self.dec_lr < 0 or self.embed_decay < 0:
             raise ValueError("dec_lr and embed_decay must be nonnegative")
         if not 0.0 <= self.dec_stop_tol <= 1.0:
@@ -160,14 +157,14 @@ class MatchRepModel:
 # ---------------------------------------------------------------------------
 
 
-def soft_assign(embeds: np.ndarray, centers: np.ndarray, exponent: float = -0.5) -> np.ndarray:
-    """t_ij = (1 + ||d_i - mu_j||^2)^exponent, row-normalized."""
+def soft_assign(embeds: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """t_ij = (1 + ||d_i - mu_j||^2)^DEC_EXPONENT, row-normalized."""
     embeds = np.asarray(embeds, dtype=float)
     centers = np.asarray(centers, dtype=float)
     if embeds.shape[1] != centers.shape[1]:
         raise DimensionMismatchError("embedding/center dimensions disagree")
     d2 = np.sum((embeds[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    s = (1.0 + d2) ** exponent
+    s = (1.0 + d2) ** DEC_EXPONENT
     return s / s.sum(axis=1, keepdims=True)
 
 
@@ -186,22 +183,21 @@ def _dec_terms(p: np.ndarray, t_safe: np.ndarray) -> np.ndarray:
     return p * np.log(np.maximum(p, T_CLAMP) / t_safe)
 
 
-def dec_loss_and_grads(embeds: np.ndarray, centers: np.ndarray, p: np.ndarray,
-                       exponent: float = -0.5):
+def dec_loss_and_grads(embeds: np.ndarray, centers: np.ndarray, p: np.ndarray):
     """KL(P || T) with gradients w.r.t. embeddings and centers.
 
     P is treated as a constant target. Returns (loss, d_embeds, d_centers).
     """
     diff = embeds[:, None, :] - centers[None, :, :]  # (n, K, e)
     d2 = np.sum(diff * diff, axis=2)
-    s = (1.0 + d2) ** exponent
+    s = (1.0 + d2) ** DEC_EXPONENT
     big_s = s.sum(axis=1, keepdims=True)
     t = s / big_s
     t_safe = np.maximum(t, T_CLAMP)
     loss = float(np.sum(_dec_terms(p, t_safe)))
     # dL/ds_ik = (1 - p_ik / t_ik) / S_i ; ds/dd = 2*exp*(1+d2)^(exp-1)*(d - mu)
     c = (1.0 - p / t_safe) / big_s
-    g = c * (2.0 * exponent) * (1.0 + d2) ** (exponent - 1.0)  # (n, K)
+    g = c * (2.0 * DEC_EXPONENT) * (1.0 + d2) ** (DEC_EXPONENT - 1.0)  # (n, K)
     d_embeds = np.sum(g[:, :, None] * diff, axis=1)
     d_centers = -np.sum(g[:, :, None] * diff, axis=0)
     return loss, d_embeds, d_centers
@@ -223,10 +219,9 @@ def _moments(x: np.ndarray):
 
 
 def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
-                       min_cluster_count: int = 8,
-                       direction: str = "conditional-to-marginal"):
-    """Sum over clusters of diagonal-Gaussian KL between the per-cluster and
-    batch-marginal distributions of the encoded recipients.
+                       min_cluster_count: int = 8):
+    """Sum over clusters of the diagonal-Gaussian KL(cluster || marginal) of
+    the encoded recipients, the marginal being the whole batch.
 
     Clusters with fewer than ``min_cluster_count`` samples are skipped.
     Returns (loss, d_xprime, n_clusters_used).
@@ -247,25 +242,14 @@ def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
             continue
         used += 1
         mu_c, var_c, cl_c, centered = _moments(xprime[members])
-        if direction == "conditional-to-marginal":
-            mu_p, var_p, mu_q, var_q = mu_c, var_c, mu_a, var_a
-        else:
-            mu_p, var_p, mu_q, var_q = mu_a, var_a, mu_c, var_c
-        delta = mu_p - mu_q
-        loss += float(np.sum(0.5 * (np.log(var_q / var_p) + var_p / var_q
-                                    + delta * delta / var_q - 1.0)))
-        d_mu_p = delta / var_q
-        d_var_p = 0.5 * (1.0 / var_q - 1.0 / var_p)
-        d_mu_q = -delta / var_q
-        d_var_q = 0.5 * (1.0 / var_q - var_p / var_q ** 2 - delta * delta / var_q ** 2)
-        if direction == "conditional-to-marginal":
-            d_mu_c, d_var_c = d_mu_p, np.where(cl_c, 0.0, d_var_p)
-            d_mu_a += d_mu_q
-            d_var_a += np.where(cl_a, 0.0, d_var_q)
-        else:
-            d_mu_c, d_var_c = d_mu_q, np.where(cl_c, 0.0, d_var_q)
-            d_mu_a += d_mu_p
-            d_var_a += np.where(cl_a, 0.0, d_var_p)
+        delta = mu_c - mu_a
+        loss += float(np.sum(0.5 * (np.log(var_a / var_c) + var_c / var_a
+                                    + delta * delta / var_a - 1.0)))
+        d_mu_c = delta / var_a
+        d_var_c = np.where(cl_c, 0.0, 0.5 * (1.0 / var_a - 1.0 / var_c))
+        d_mu_a -= d_mu_c
+        d_var_a += np.where(cl_a, 0.0, 0.5 * (1.0 / var_a - var_c / var_a ** 2
+                                              - delta * delta / var_a ** 2))
         grad[members] += d_mu_c / nc + d_var_c * 2.0 * centered / (nc - 1)
     if used:
         grad += d_mu_a / n + d_var_a * 2.0 * centered_all / (n - 1)
@@ -313,8 +297,7 @@ def factual_loss_and_grads(predictor: MultiHeadPredictor, xprime: np.ndarray,
 def phi_heads_loss_and_grads(phi: DenseNet, predictor: MultiHeadPredictor,
                              recipients: np.ndarray, outcomes: np.ndarray,
                              labels: np.ndarray, beta: float, k: int,
-                             min_cluster_count: int = 8,
-                             direction: str = "conditional-to-marginal"):
+                             min_cluster_count: int = 8):
     """L_f + beta*L_Phi for fixed 0-based donor-type labels.
 
     The L_Phi term is skipped, and reported as 0.0, when ``beta == 0``.
@@ -325,7 +308,7 @@ def phi_heads_loss_and_grads(phi: DenseNet, predictor: MultiHeadPredictor,
     l_f, head_grads, d_xprime = factual_loss_and_grads(predictor, xprime, outcomes, labels)
     l_rep = 0.0
     if beta != 0.0:
-        l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, k, min_cluster_count, direction)
+        l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, k, min_cluster_count)
         d_xprime = d_xprime + beta * d_xp_rep
     grads, _ = mlp_backward(phi, cache, d_xprime)
     for hg in head_grads:
@@ -350,15 +333,15 @@ def joint_loss_and_grads(model: MatchRepModel, recipients: np.ndarray,
     enc = model.donor_map.encoder
     centers = model.donor_map.centers
     embeds, enc_cache = mlp_forward(enc, donors)
-    labels = np.argmax(soft_assign(embeds, centers, cfg.dec_exponent), axis=1)
+    labels = np.argmax(soft_assign(embeds, centers), axis=1)
 
-    l_dec, d_embeds, d_centers = dec_loss_and_grads(embeds, centers, p_rows, cfg.dec_exponent)
+    l_dec, d_embeds, d_centers = dec_loss_and_grads(embeds, centers, p_rows)
     grads, _ = mlp_backward(enc, enc_cache, alpha * d_embeds)
     grads.append(alpha * d_centers)
 
     l_f, l_rep, phi_heads_grads = phi_heads_loss_and_grads(
         model.encoder.net, model.predictor, recipients, outcomes, labels, beta, cfg.k,
-        min_cluster_count, cfg.kl_direction)
+        min_cluster_count)
     grads.extend(phi_heads_grads)
     total = l_f + alpha * l_dec + beta * l_rep
     return total, grads, {"L_f": l_f, "L_DEC": l_dec, "L_Phi": l_rep}
@@ -425,36 +408,31 @@ def pretrain_autoencoder(donors: np.ndarray,
 
 
 def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """K-means centers of the encoded donors (default) or random embedded points."""
+    """K-means centers of the encoded donors."""
     embeds, _ = mlp_forward(donor_map.encoder, donors)
-    rng = rng_stream(config.seed, "matchrep", "centers")
-    if config.center_init == "random":
-        idx = rng.choice(embeds.shape[0], size=config.k, replace=False)
-        centers = embeds[idx].copy()
-    else:
-        centers, _, _ = kmeans_fit(embeds, config.k, rng)
+    centers, _, _ = kmeans_fit(embeds, config.k, rng_stream(config.seed, "matchrep", "centers"))
     donor_map.centers = centers
     return centers
 
 
-def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray, exponent: float) -> np.ndarray:
+def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
     embeds, _ = mlp_forward(donor_map.encoder, donors)
-    return np.argmax(soft_assign(embeds, donor_map.centers, exponent), axis=1)
+    return np.argmax(soft_assign(embeds, donor_map.centers), axis=1)
 
 
 class _DecRefinement:
     """The donor-map refinement schedule of joint and standalone DEC training.
 
-    ``start_epoch`` refreshes the target distribution when it is due;
+    ``start_epoch`` refreshes the target distribution while refining;
     ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
     once fewer than ``dec_stop_tol`` of the hard labels changed over the
     epoch. ``labels`` always holds the hard labels of the current map.
     ``ae_params`` is the buffer ``pretrain_autoencoder`` bound the map's
     encoder and decoder to.
 
-    Once refinement has stopped the map is frozen, so the target
-    distribution changes at most once more (at its next refresh) and the
-    per-donor L_DEC terms are computed once per target, not per batch.
+    Once refinement has stopped the map is frozen, so the per-donor L_DEC
+    terms, against the frozen map's own target, are computed once, not per
+    batch.
     """
 
     def __init__(self, donor_map: DonorTypeMap, ae_params: np.ndarray, donors: np.ndarray,
@@ -466,26 +444,20 @@ class _DecRefinement:
         self.ae_state = AdamState()
         self.dec_step = config.dec_lr * config.alpha
         self.active = self.dec_step > 0.0
-        self.labels = _hard_labels(donor_map, donors, config.dec_exponent)
+        self.labels = _hard_labels(donor_map, donors)
         self.p_full = None
         self.frozen_terms = None  # (n, K) L_DEC terms of the frozen map
-        self.final_target = False  # p_full is the frozen map's own target
 
-    def start_epoch(self, epoch: int) -> None:
-        due = self.p_full is None or epoch % max(self.config.target_update_interval, 1) == 0
+    def start_epoch(self) -> None:
         if self.active:
-            if due:
-                self.p_full = target_distribution(self._soft_assign_all())
-        elif self.frozen_terms is None or (due and not self.final_target):
+            self.p_full = target_distribution(self._soft_assign_all())
+        elif self.frozen_terms is None:
             t = self._soft_assign_all()
-            if due:
-                self.p_full = target_distribution(t)
-                self.final_target = True
-            self.frozen_terms = _dec_terms(self.p_full, np.maximum(t, T_CLAMP))
+            self.frozen_terms = _dec_terms(target_distribution(t), np.maximum(t, T_CLAMP))
 
     def _soft_assign_all(self) -> np.ndarray:
         embeds, _ = mlp_forward(self.donor_map.encoder, self.donors)
-        return soft_assign(embeds, self.donor_map.centers, self.config.dec_exponent)
+        return soft_assign(embeds, self.donor_map.centers)
 
     def step(self, idx: np.ndarray) -> float:
         """While refining, one Adam reconstruction-anchor step and one SGD step
@@ -497,8 +469,7 @@ class _DecRefinement:
         x, p_rows = self.donors[idx], self.p_full[idx]
         _recon_step(dm, self.ae_params, self.ae_state, x, cfg.learning_rate)
         embeds, cache = mlp_forward(dm.encoder, x)
-        loss, d_embeds, d_centers = dec_loss_and_grads(embeds, dm.centers, p_rows,
-                                                       cfg.dec_exponent)
+        loss, d_embeds, d_centers = dec_loss_and_grads(embeds, dm.centers, p_rows)
         if not np.isfinite(loss):
             raise TrainingDivergedError("DEC loss diverged; try a lower dec_lr")
         d_embeds = d_embeds + cfg.embed_decay * 2.0 * embeds / embeds.shape[0]
@@ -512,12 +483,12 @@ class _DecRefinement:
         """Hard labels of the donors ``idx`` under the current map."""
         if not self.active:
             return self.labels[idx]
-        return _hard_labels(self.donor_map, self.donors[idx], self.config.dec_exponent)
+        return _hard_labels(self.donor_map, self.donors[idx])
 
     def end_epoch(self, epoch: int) -> None:
         if not self.active:
             return
-        labels = _hard_labels(self.donor_map, self.donors, self.config.dec_exponent)
+        labels = _hard_labels(self.donor_map, self.donors)
         changed = float(np.mean(labels != self.labels))
         self.labels = labels
         if epoch + 1 >= self.config.dec_min_epochs and changed < self.config.dec_stop_tol:
@@ -556,7 +527,7 @@ def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, params: np.ndar
     heads to."""
     l_f, l_rep, grads = phi_heads_loss_and_grads(
         phi, predictor, recipients, outcomes, labels, beta, config.k,
-        config.min_cluster_count, config.kl_direction)
+        config.min_cluster_count)
     if not np.isfinite(l_f + beta * l_rep):
         raise TrainingDivergedError("Phi/heads loss diverged; try a lower learning rate")
     adam_step([params], [np.concatenate(grads, axis=None)], state, config.learning_rate)
@@ -588,15 +559,16 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     n = len(outcomes)
     log = []
     for epoch in range(config.joint_epochs):
-        refine.start_epoch(epoch)
+        refine.start_epoch()
         sums = {"L_f": 0.0, "L_DEC": 0.0, "L_Phi": 0.0}
         for idx in _batches(n, config.batch_size, rng):
-            l_dec = refine.step(idx)
+            # L_DEC comes as the batch's sum over donors, L_f and L_Phi as batch means.
+            sums["L_DEC"] += refine.step(idx)
             l_f, l_rep = phi_heads_step(phi, predictor, phi_params, phi_state, recipients[idx],
                                         outcomes[idx], refine.batch_labels(idx), config.beta,
                                         config)
-            for key, val in (("L_f", l_f), ("L_DEC", l_dec), ("L_Phi", l_rep)):
-                sums[key] += val * len(idx)
+            sums["L_f"] += l_f * len(idx)
+            sums["L_Phi"] += l_rep * len(idx)
         row = {"epoch": epoch, **{k: v / n for k, v in sums.items()}}
         row["total"] = (row["L_f"] + config.alpha * row["L_DEC"]
                         + config.beta * row["L_Phi"])
@@ -625,7 +597,7 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
     for epoch in range(config.joint_epochs):
         if not refine.active:
             break
-        refine.start_epoch(epoch)
+        refine.start_epoch()
         for idx in _batches(len(donors), config.batch_size, rng):
             refine.step(idx)
         refine.end_epoch(epoch)
@@ -672,7 +644,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
     """0-based hard donor-type labels and the soft-assignment matrix."""
     _require_trained(model)
     embeds, _ = mlp_forward(model.donor_map.encoder, np.atleast_2d(donors))
-    t = soft_assign(embeds, model.donor_map.centers, model.config.dec_exponent)
+    t = soft_assign(embeds, model.donor_map.centers)
     scores = t if model.active is None else np.where(model.active, t, -np.inf)
     return np.argmax(scores, axis=1), t
 
@@ -682,7 +654,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v2"
+MODEL_FORMAT = "organmatch-model-v3"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a joint-model file may hold; baselines extends the list.
 _MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MatchEncoder,

@@ -106,28 +106,19 @@ def aodt_learned_space(predictions: np.ndarray, true_potentials: np.ndarray,
     return float(np.mean(np.argmax(masked_pred, axis=1) == np.argmax(masked_true, axis=1)))
 
 
-def flipped_ratio(original_types: np.ndarray, new_types: np.ndarray,
-                  recipient_types: np.ndarray | None = None,
-                  recipient_type_filter: int | None = None,
-                  original_type_filter: int | None = None) -> float | None:
-    """Among recipients passing the filters, the fraction whose newly
-    assigned donor type differs from the original one.
+def flipped_ratio(original_types: np.ndarray, new_types: np.ndarray) -> float | None:
+    """The fraction of recipients whose newly assigned donor type differs
+    from the original one.
 
     Entries with a negative type in either log (recipient never transplanted
-    under that policy) are excluded. Returns None when the filtered set is
-    empty (not applicable).
+    under that policy) are excluded. Returns None when no entry is left (not
+    applicable).
     """
     original_types = np.asarray(original_types, dtype=int)
     new_types = np.asarray(new_types, dtype=int)
     if original_types.shape != new_types.shape:
         raise ValueError("assignment logs disagree in length")
     mask = (original_types >= 0) & (new_types >= 0)
-    if recipient_type_filter is not None:
-        if recipient_types is None:
-            raise ValueError("recipient_type_filter needs recipient_types")
-        mask &= np.asarray(recipient_types, dtype=int) == recipient_type_filter
-    if original_type_filter is not None:
-        mask &= original_types == original_type_filter
     if not np.any(mask):
         return None
     return float(np.mean(original_types[mask] != new_types[mask]))

@@ -15,8 +15,7 @@ response is a frozen random linear-softplus function of recipient features.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +68,8 @@ class SyntheticConfig:
 
     def validate(self) -> None:
         m, k = self.n_recipient_types, self.n_donor_types
+        if self.n < 0:
+            raise ConfigError("n must be >= 0")
         if abs(sum(self.recipient_type_weights) - 1.0) > 1e-9:
             raise ConfigError("recipient_type_weights must sum to 1")
         if len(self.match_table) != m:
@@ -86,13 +87,6 @@ class SyntheticConfig:
             raise ConfigError("feature variances must be positive")
         if self.untreated_dist not in ("exponential", "normal"):
             raise ConfigError("untreated_dist must be 'exponential' or 'normal'")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SyntheticConfig":
-        return cls(**json.loads(text))
 
 
 def paper_preset(n: int = 5000, seed: int = 0) -> SyntheticConfig:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from organmatch.allocsim import (
     POLICIES,
@@ -284,3 +285,67 @@ def test_all_policies_run_with_model_guidance():
         report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
         assert report.n == n
         assert 0 <= report.n_transplanted <= len(stream.donor_arrivals)
+
+
+# ---------------------------------------------------------------------------
+# properties of every policy on random waitlists
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _simulations(draw):
+    """A random oracle dataset, stream and guidance; tiny donor fractions
+    make streams in which no donor arrives."""
+    n = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    config = SimConfig(lag_window=draw(st.integers(0, 8)),
+                       donor_fraction=draw(st.one_of(st.floats(1e-3, 1e-2),
+                                                     st.floats(0.05, 1.0))))
+    rng = rng_stream(seed, "sim-property")
+    donor_types = rng.integers(1, k + 1, size=n)
+    potentials = rng.uniform(1, 1000, size=(n, k))
+    ds = Dataset(
+        recipients=np.zeros((n, 1)), donors=np.zeros((n, 1)),
+        outcomes=potentials[np.arange(n), donor_types - 1],
+        recipient_names=["x"], donor_names=["x"],
+        true_potentials=potentials,
+        untreated_survival=rng.uniform(1, 60, size=n),  # deaths within a few steps
+        true_recipient_type=rng.integers(1, 3, size=n),
+        true_donor_type=donor_types,
+    )
+    scorer = oracle_mean_scorer(ds, rng.uniform(100, 1000, size=(2, k)))
+    guide = GuidedPolicy(donor_types=rng.integers(0, k, size=n),
+                         best_types=rng.integers(0, k, size=n))
+    stream = build_stream(ds, config, seed=draw(st.integers(0, 2 ** 16)))
+    return ds, stream, config, scorer, guide
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simulations())
+def test_every_policy_keeps_the_waitlist_invariants(sim):
+    ds, stream, config, scorer, guide = sim
+    n = len(ds)
+    donor_step = {donor_id: step for step, donor_id in stream.donor_arrivals}
+    for policy in POLICIES:
+        report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
+        ledger = report.ledger
+        assert [row.recipient_id for row in ledger] == list(range(n))  # one fate each
+        fates = [row.fate for row in ledger]
+        assert set(fates) <= {"transplanted", "dead", "waiting"}
+        assert (fates.count("transplanted"), fates.count("dead"), fates.count("waiting")) \
+            == (report.n_transplanted, report.n_dead, report.n_waiting)
+        assert report.n_transplanted + report.n_dead + report.n_waiting == n
+        used = [row.donor_id for row in ledger if row.fate == "transplanted"]
+        assert len(set(used)) == len(used)  # each donor at most once
+        for row in ledger:
+            assert (row.donor_id >= 0) == (row.fate == "transplanted")
+            if row.fate == "waiting":
+                assert row.step_of_fate == -1
+                continue
+            assert row.step_of_fate >= row.arrival
+            if row.fate == "transplanted":
+                assert row.step_of_fate == donor_step[row.donor_id]  # never before it arrives
+                if policy == "real":
+                    assert stream.factual_map[row.donor_id] == row.recipient_id
+        np.testing.assert_array_equal(report.assigned_donor, [row.donor_id for row in ledger])

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from organmatch import matchrep
+from organmatch import allocsim, matchrep
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TRAIN_CONFIG = {
@@ -79,6 +80,10 @@ def test_gen_malformed_config_is_config_error(workdir):
     assert main(["gen", "--config", str(bad), "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+def test_gen_negative_size_is_config_error(workdir):
+    assert main(["gen", "--n", "-3", "--out", str(workdir / "x")]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -145,6 +150,11 @@ def test_train_bad_pair_kind_is_config_error(workdir, data_dir):
     ("train", "--config", {"bogus": 1}),
     ("train", "--config", [1, 2]),
     ("simulate", "--sim-config", {"bogus": 1}),
+    # fields of variants the model no longer offers
+    ("train", "--config", {"center_init": "kmeans"}),
+    ("train", "--config", {"kl_direction": "conditional-to-marginal"}),
+    ("train", "--config", {"target_update_interval": 1}),
+    ("train", "--config", {"dec_exponent": -0.5}),
 ])
 def test_config_with_unknown_field_is_config_error(workdir, data_dir, command, flag, body):
     path = workdir / "odd_config.json"
@@ -169,6 +179,14 @@ def test_config_field_of_wrong_type_is_config_error(workdir, data_dir, command, 
     if command != "gen":
         args += ["--data", str(data_dir)]
     assert main(args) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("body", [{"k": 1}, {"batch_size": 0}])
+def test_train_invalid_config_value_is_config_error(workdir, data_dir, body):
+    path = workdir / "invalid_config.json"
+    path.write_text(json.dumps(body))
+    assert main(["train", "--data", str(data_dir), "--config", str(path),
+                 "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
 def test_train_non_finite_feature_is_data_error(workdir, data_dir):
@@ -217,8 +235,8 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 
-BAD_MODEL_FILES = ("wrong-format", "truncated", "no-phi", "no-normalization",
-                   "pair-regressor", "int-encoder")
+BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
+                   "no-normalization", "pair-regressor", "int-encoder")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -228,6 +246,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     no_norm["normalization"] = None
     int_encoder["model"]["encoder"] = 5
     return {"wrong-format": '{"format": "other"}',
+            "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v2"),
             "truncated": text[:len(text) // 2],
             "no-phi": json.dumps(no_phi),
             "no-normalization": json.dumps(no_norm),
@@ -305,3 +324,65 @@ def test_simulate_without_ground_truth_is_data_error(workdir):
     (bare / "dataset.csv").write_text("r_a,d_b,outcome\n1.0,2.0,3.0\n" * 1)
     assert main(["simulate", "--data", str(bare),
                  "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+def _edit_ground_truth(path: Path, case: str) -> str:
+    """Break ``ground_truth.csv`` in one way; returns the column named in the error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    header = list(rows[0])
+    if case == "missing-column":
+        header.remove("untreated_survival")
+    elif case == "unparseable-cell":
+        rows[7]["potential_2"] = "soon"
+    elif case == "type-zero":
+        rows[7]["true_donor_type"] = "0"
+    else:
+        rows[7]["untreated_survival"] = "nan"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    return {"unparseable-cell": "potential_2",
+            "type-zero": "true_donor_type"}.get(case, "untreated_survival")
+
+
+@pytest.mark.parametrize("case", ["missing-column", "unparseable-cell", "nan-survival",
+                                  "type-zero"])
+def test_simulate_malformed_ground_truth_is_data_error(workdir, data_dir, case, capsys):
+    bad = shutil.copytree(data_dir, workdir / f"bad_truth_{case}")
+    column = _edit_ground_truth(bad / "ground_truth.csv", case)
+    assert main(["simulate", "--data", str(bad), "--policies", "fcfs",
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert column in err
+    if case != "missing-column":
+        assert "row 7" in err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"command": "gen"}'])
+def test_simulate_malformed_data_manifest_is_data_error(workdir, data_dir, text):
+    bad = shutil.copytree(data_dir, workdir / f"bad_manifest_{len(text)}")
+    (bad / "manifest.json").write_text(text)
+    assert main(["simulate", "--data", str(bad), "--policies", "uf",
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+def test_eval_on_data_of_another_width_is_data_error(workdir, models_dir):
+    config = workdir / "wide.json"
+    config.write_text(json.dumps({"recipient_means": [[-2.0, 0.0, 1.0], [2.0, 0.0, 1.0]],
+                                  "recipient_vars": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]}))
+    wide = workdir / "wide_data"
+    assert main(["gen", "--config", str(config), "--n", "60", "--out", str(wide)]) == EXIT_OK
+    assert main(["eval", "--data", str(wide), "--models", str(models_dir),
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+def test_internal_value_error_is_not_reported_as_a_user_error(workdir, data_dir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(allocsim, "run_policy", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["simulate", "--data", str(data_dir), "--policies", "fcfs",
+              "--out", str(workdir / "x")])

@@ -118,21 +118,7 @@ def test_flipped_ratio_excludes_untransplanted():
     original = np.array([0, -1, 2])
     new = np.array([1, 0, -1])
     assert flipped_ratio(original, new) == pytest.approx(1.0)
-
-
-def test_flipped_ratio_filters():
-    original = np.array([0, 0, 1, 1])
-    new = np.array([1, 0, 1, 0])
-    rtypes = np.array([1, 2, 1, 2])
-    assert flipped_ratio(original, new, rtypes, recipient_type_filter=1) == \
-        pytest.approx(0.5)
-    assert flipped_ratio(original, new, original_type_filter=1) == pytest.approx(0.5)
-    assert flipped_ratio(original, new, rtypes, recipient_type_filter=3) is None
-
-
-def test_flipped_ratio_needs_recipient_types_for_filter():
-    with pytest.raises(ValueError):
-        flipped_ratio(np.array([0]), np.array([0]), recipient_type_filter=1)
+    assert flipped_ratio(np.array([-1, 0]), np.array([0, -1])) is None
 
 
 def test_flipped_ratio_length_mismatch():

@@ -8,7 +8,6 @@ from organmatch.datamodel import Dataset
 from organmatch.numkit import rng_stream
 from organmatch.synthgen import (
     ConfigError,
-    SyntheticConfig,
     paper_preset,
     sample_dataset,
     semi_synthetic_outcomes,
@@ -109,12 +108,6 @@ def test_exponential_untreated_mean():
     ds = sample_dataset(paper_preset(n=20_000, seed=6))
     m1 = ds.true_recipient_type == 1
     assert abs(ds.untreated_survival[m1].mean() - 400.0) < 15.0
-
-
-def test_config_json_round_trip():
-    config = paper_preset(n=123, seed=42)
-    again = SyntheticConfig.from_json(config.to_json())
-    assert again == config
 
 
 # ---------------------------------------------------------------------------
