@@ -1,10 +1,14 @@
-"""Check that two source trees train bit-identical models.
+"""Check that two source trees train bit-identical models and simulate
+byte-identical ledgers.
 
 Trains ``matchrep.train_joint`` and the ``kmeans/multihead-nn``,
 ``dec/linear-per-head`` and ``reg-nn`` baselines on the 5,000-row
 synthetic preset with each tree's ``organmatch`` and compares, byte for
 byte, every parameter, every training-log value, the held-out predictions
-and donor labels, the ``active`` mask and any training error:
+and donor labels, the ``active`` mask and any training error. Each tree
+then runs all seven allocation policies on the preset's donor stream (the
+seed is the stream seed) with the joint model it trained, and the ledger
+CSV and ``summary()`` of every policy are compared byte for byte:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -47,50 +51,76 @@ def _leaves(obj, prefix):
 
 
 def _fit(name, matchrep, baselines, train, val, seed):
-    """Train one model; returns {part: {key: array}}."""
+    """Train one model; returns (model, {part: {key: array}})."""
     config = matchrep.TrainConfig(seed=seed)
     if name == "joint":
         model, log = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
-        return {"params": dict(_leaves(model, "model")),
-                "log": {key: np.array([row[key] for row in log]) for key in log[0]},
-                "preds": {"": matchrep.predict_potential_batch(model, val.recipients)},
-                "labels": {"": matchrep.donor_type_batch(model, val.donors)[0]},
-                "active": {"": np.asarray(model.active)}}
+        return model, {"params": dict(_leaves(model, "model")),
+                       "log": {key: np.array([row[key] for row in log]) for key in log[0]},
+                       "preds": {"": matchrep.predict_potential_batch(model, val.recipients)},
+                       "labels": {"": matchrep.donor_type_batch(model, val.donors)[0]},
+                       "active": {"": np.asarray(model.active)}}
     if name == "reg-nn":
         model = baselines.fit_pair_regressor(train.recipients, train.donors, train.outcomes,
                                              "reg-nn", config=config)
-        return {"params": dict(_leaves(model, "model")),
-                "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
+        return model, {"params": dict(_leaves(model, "model")),
+                       "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
     clusterer, predictor = name.split("/")
     spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
     model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
-    return {"params": dict(_leaves(model, "model")),
-            "preds": {"": model.predict_potentials(val.recipients)},
-            "labels": {"": model.donor_labels(val.donors)}}
+    return model, {"params": dict(_leaves(model, "model")),
+                   "preds": {"": model.predict_potentials(val.recipients)},
+                   "labels": {"": model.donor_labels(val.donors)}}
+
+
+def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
+    """Run every policy on the preset's stream with the oracle scorer for
+    ``uf``/``bf`` and the model for the ``matching-*`` policies; returns
+    each policy's ledger CSV and ``repr(summary())`` as arrays."""
+    config = allocsim.SimConfig()
+    stream = allocsim.build_stream(dataset, config, seed=seed)
+    oracle = allocsim.oracle_mean_scorer(dataset, preset.outcome_means)
+    guided = {"scorer": allocsim.model_scorer(model, normed),
+              "guide": allocsim.model_guide(model, normed)}
+    parts = {"ledger": {}, "summary": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in allocsim.POLICIES:
+            kwargs = ({"scorer": oracle} if policy in ("uf", "bf")
+                      else guided if policy.startswith("matching-") else {})
+            report = allocsim.run_policy(dataset, stream, policy, config, **kwargs)
+            path = Path(tmp) / "ledger.csv"
+            allocsim.write_ledger_csv(report, path)
+            parts["ledger"][policy] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+            parts["summary"][policy] = np.array(repr(report.summary()))
+    return parts
 
 
 def emit(src: Path, seed: int, out: Path) -> None:
-    """Child process: train every model with the ``organmatch`` of ``src``
-    and save every part as ``<model>|<part>|<key>`` arrays in ``out``."""
+    """Child process: train every model and simulate every policy with the
+    ``organmatch`` of ``src`` and save every part as ``<model>|<part>|<key>``
+    arrays in ``out``."""
     sys.path.insert(0, str(src))
     import organmatch
-    from organmatch import baselines, datamodel, matchrep, numkit, synthgen
+    from organmatch import allocsim, baselines, datamodel, matchrep, numkit, synthgen
 
     if Path(organmatch.__file__).resolve().parent != src.resolve() / "organmatch":
         raise ImportError(f"organmatch imported from {organmatch.__file__}, not {src}")
-    dataset = synthgen.sample_dataset(synthgen.paper_preset(seed=seed))
+    preset = synthgen.paper_preset(seed=seed)
+    dataset = synthgen.sample_dataset(preset)
     indices = datamodel.split(dataset, seed=seed)
     normed = datamodel.normalize_fit_transform(dataset, indices)
     train, val = normed.subset(indices.train), normed.subset(indices.validation)
-    arrays = {}
+    results = []
     for name in MODELS:
         try:
-            parts = _fit(name, matchrep, baselines, train, val, seed)
+            model, parts = _fit(name, matchrep, baselines, train, val, seed)
         except (numkit.TrainingDivergedError, matchrep.DeadClusterError) as exc:
-            parts = {"error": {"": np.array(repr(exc))}}
-        for part, values in parts.items():
-            for key, value in values.items():
-                arrays[f"{name}|{part}|{key}"] = value
+            model, parts = None, {"error": {"": np.array(repr(exc))}}
+        results.append((name, parts))
+        if name == "joint" and model is not None:
+            results.append(("simulate", _simulate(allocsim, preset, dataset, normed, model, seed)))
+    arrays = {f"{name}|{part}|{key}": value for name, parts in results
+              for part, values in parts.items() for key, value in values.items()}
     np.savez(out, **arrays)
 
 

@@ -10,28 +10,12 @@ to stdout.
 import argparse
 import csv
 import sys
-
-import numpy as np
+from pathlib import Path
 
 from organmatch import baselines, datamodel, matchrep, metrics, synthgen
 
-
-def adjusted_rand(a, b) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ua, ai = np.unique(a, return_inverse=True)
-    ub, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((len(ua), len(ub)))
-    np.add.at(table, (ai, bi), 1.0)
-    comb = lambda x: x * (x - 1) / 2.0
-    sum_ij = comb(table).sum()
-    sum_a = comb(table.sum(axis=1)).sum()
-    sum_b = comb(table.sum(axis=0)).sum()
-    expected = sum_a * sum_b / comb(a.size)
-    max_index = 0.5 * (sum_a + sum_b)
-    if max_index == expected:
-        return 1.0
-    return float((sum_ij - expected) / (max_index - expected))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import adjusted_rand  # noqa: E402
 
 
 def run_seed(seed: int, n: int) -> list[dict]:

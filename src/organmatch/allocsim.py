@@ -1,14 +1,24 @@
 """Sequential donor-arrival allocation simulator.
 
-Recipient i joins the waitlist at step i; its factually matched donor
-arrives at step ``i + lag`` with an integer lag drawn uniformly from
-``[0, lag_window]``. At every donor arrival the active policy selects one
-waiting recipient (an empty waitlist discards the donor). Between steps each
-waiting recipient's remaining untreated survival shrinks by
-``days_per_step`` days; reaching zero is a waitlist death. Realized
-post-transplant survival comes from the dataset's ground-truth potential of
-the (recipient, donor true type) pair, so all policies are compared under
-one outcome oracle.
+Recipient i joins the waitlist at step i; its factually matched donor,
+donor i, arrives at step ``i + lag`` with an integer lag drawn uniformly
+from ``[0, lag_window]``. At every donor arrival the active policy selects
+one waiting recipient (an empty waitlist discards the donor).
+
+Death clock: ``t`` steps after arrival a waiting recipient with untreated
+survival ``r`` has ``r − t·d`` days left, ``d = days_per_step``. For the
+first ``t ≥ 1`` with ``r − t·d ≤ 0`` the recipient dies at the end of step
+``arrival + t − 1`` (a donor arriving in that step can still save it).
+Only donor arrivals are events: each recipient's death step is computed
+once, before the first of them. For an integer-valued ``d`` (the default
+5.0 included) ``r − t·d`` equals ``t`` repeated subtractions of ``d`` bit
+for bit, because ``x − d`` is exact for ``d ≤ x < 2^53``; the same holds
+for a dyadic ``d = m/2^e`` below ``2^(53−e)``. For other step sizes, such
+as 0.3, the closed form rounds once where repeated subtraction drifts.
+
+Realized post-transplant survival comes from the dataset's ground-truth
+potential of the (recipient, donor true type) pair, so all policies are
+compared under one outcome oracle.
 
 Policies: ``real`` (replay the factual pairing), ``fcfs``, ``uf``
 (utility-first: max predicted survival), ``bf`` (benefit-first: max
@@ -23,12 +33,13 @@ record index.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from . import matchrep
-from .datamodel import Dataset
+from .datamodel import Dataset, IngestionError
 from .numkit import rng_stream
 
 POLICIES = ("real", "fcfs", "uf", "bf", "matching-fcfs", "matching-uf", "matching-bf")
@@ -60,9 +71,9 @@ class SimConfig:
 
 @dataclass
 class EventStream:
+    """Recipient i arrives at step i; donor i is its factual partner."""
+
     donor_arrivals: list[tuple[int, int]]  # (step, donor row id), step-ordered
-    recipient_arrivals: list[tuple[int, int]]  # (step, recipient row id)
-    factual_map: dict[int, int]  # donor row id -> recipient row id
     n: int
 
 
@@ -75,11 +86,7 @@ def build_stream(dataset: Dataset, config: SimConfig, seed: int) -> EventStream:
     rng = rng_stream(seed, "allocsim", "stream")
     lags = rng.integers(0, config.lag_window + 1, size=n)
     kept = rng.random(n) < config.donor_fraction
-    donor_arrivals = sorted((int(i + lags[i]), i) for i in range(n) if kept[i])
-    recipient_arrivals = [(i, i) for i in range(n)]
-    return EventStream(donor_arrivals=donor_arrivals,
-                       recipient_arrivals=recipient_arrivals,
-                       factual_map={i: i for i in range(n) if kept[i]},
+    return EventStream(donor_arrivals=sorted((int(i + lags[i]), i) for i in range(n) if kept[i]),
                        n=n)
 
 
@@ -103,6 +110,9 @@ class LedgerRow:
     benefit: float | None
 
 
+LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRow))  # the ledger CSV's columns
+
+
 @dataclass
 class SimReport:
     policy: str
@@ -117,28 +127,17 @@ class SimReport:
     ledger: list[LedgerRow] = field(repr=False, default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "policy": self.policy,
-            "n": self.n,
-            "n_transplanted": self.n_transplanted,
-            "n_dead": self.n_dead,
-            "n_waiting": self.n_waiting,
-            "death_rate": self.death_rate,
-            "avg_survival": self.avg_survival,
-            "avg_benefit": self.avg_benefit,
-        }
+        """The scalar fields, in declaration order."""
+        return {k: v for k, v in vars(self).items() if k not in ("assigned_donor", "ledger")}
 
 
 def write_ledger_csv(report: SimReport, path) -> None:
+    """One row per recipient; csv writes a missing survival or benefit as
+    an empty cell and a float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["recipient_id", "arrival", "fate", "step_of_fate",
-                         "donor_id", "realized_survival", "benefit"])
-        for row in report.ledger:
-            writer.writerow([row.recipient_id, row.arrival, row.fate, row.step_of_fate,
-                             row.donor_id,
-                             "" if row.realized_survival is None else repr(row.realized_survival),
-                             "" if row.benefit is None else repr(row.benefit)])
+        writer.writerow(LEDGER_FIELDS)
+        writer.writerows(map(attrgetter(*LEDGER_FIELDS), report.ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +146,21 @@ def write_ledger_csv(report: SimReport, path) -> None:
 
 
 def oracle_mean_scorer(dataset: Dataset, outcome_means) -> "callable":
-    """True-potential-mean scorer: score(i, donor) = E[y | m_i, k_donor]."""
+    """True-potential-mean scorer: score(i, donor) = E[y | m_i, k_donor].
+
+    A true type outside ``outcome_means``' (M, K) shape raises
+    IngestionError naming its row."""
     if dataset.true_recipient_type is None or dataset.true_donor_type is None:
         raise PolicyConfigError("oracle scorer needs true type labels")
     means = np.asarray(outcome_means, dtype=float)
     m0 = dataset.true_recipient_type - 1
     k0 = dataset.true_donor_type - 1
+    for col, types0, count in (("true_recipient_type", m0, means.shape[0]),
+                               ("true_donor_type", k0, means.shape[1])):
+        bad = np.nonzero((types0 < 0) | (types0 >= count))[0]
+        if bad.size:
+            raise IngestionError(f"row {bad[0]}, column {col!r}: type {types0[bad[0]] + 1} "
+                                 f"is outside the {count} types of outcome_means")
 
     def score(recipient_ids: np.ndarray, donor_id: int) -> np.ndarray:
         return means[m0[recipient_ids], k0[donor_id]]
@@ -184,7 +192,6 @@ def model_guide(model: "matchrep.MatchRepModel", dataset: Dataset) -> GuidedPoli
 
 def policy_select(policy: str, waiting_ids: np.ndarray, arrivals: np.ndarray,
                   remaining: np.ndarray, donor_id: int, scorer,
-                  factual_map: dict[int, int] | None,
                   guide: GuidedPolicy | None):
     """Pick one waiting recipient row id, or None.
 
@@ -196,32 +203,38 @@ def policy_select(policy: str, waiting_ids: np.ndarray, arrivals: np.ndarray,
     if waiting_ids.size == 0:
         return None
     if policy == "real":
-        if factual_map is None:
-            raise PolicyConfigError("real policy needs a factual assignment map")
-        partner = factual_map.get(donor_id)
-        return partner if partner is not None and partner in set(waiting_ids.tolist()) else None
+        # donor i's factual partner is recipient i
+        return donor_id if (waiting_ids == donor_id).any() else None
 
-    inner = policy
-    candidates = np.arange(waiting_ids.size)
-    if policy.startswith("matching-"):
+    inner = policy.removeprefix("matching-")
+    if inner != policy:
         if guide is None:
             raise PolicyConfigError("matching policies need model guidance")
-        inner = policy.split("-", 1)[1]
         match = guide.best_types[waiting_ids] == guide.donor_types[donor_id]
-        if np.any(match):
-            candidates = np.nonzero(match)[0]
+        if match.any():
+            waiting_ids, arrivals, remaining = waiting_ids[match], arrivals[match], remaining[match]
 
     if inner == "fcfs":
-        key = np.lexsort((waiting_ids[candidates], arrivals[candidates]))
-        return int(waiting_ids[candidates[key[0]]])
+        return int(waiting_ids[np.lexsort((waiting_ids, arrivals))[0]])
     if scorer is None:
         raise PolicyConfigError(f"policy {policy!r} needs a scorer")
-    scores = np.asarray(scorer(waiting_ids[candidates], donor_id), dtype=float)
+    scores = np.asarray(scorer(waiting_ids, donor_id), dtype=float)
     if inner == "bf":
-        scores = scores - remaining[candidates]
+        scores = scores - remaining
     # argmax with ties broken by earliest arrival then record index
-    order = np.lexsort((waiting_ids[candidates], arrivals[candidates], -scores))
-    return int(waiting_ids[candidates[order[0]]])
+    return int(waiting_ids[np.lexsort((waiting_ids, arrivals, -scores))[0]])
+
+
+def death_steps(untreated: np.ndarray, days_per_step: float, last_step: int) -> np.ndarray:
+    """Per recipient, the step at whose end it dies untransplanted: arrival
+    + t − 1 for the first t ≥ 1 with ``untreated − t·days_per_step ≤ 0``.
+    Any step after ``last_step`` stands for "outlives the stream"."""
+    d = days_per_step
+    # ceil(r / d) is off by at most one from that t; one step each way fixes it
+    t = np.clip(np.ceil(untreated / d), 1, last_step + 2)
+    t += untreated - t * d > 0
+    t -= (t > 1) & (untreated - (t - 1) * d <= 0)
+    return np.arange(untreated.size) + t.astype(np.int64) - 1
 
 
 def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimConfig,
@@ -230,75 +243,53 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     config.validate()
     if not dataset.has_ground_truth:
         raise PolicyConfigError("simulation needs a ground-truth oracle dataset")
-    n = stream.n
-    true_k0 = dataset.true_donor_type - 1
-
-    remaining = dataset.untreated_survival.copy()
-    arrival_step = np.array([step for step, _ in sorted(stream.recipient_arrivals,
-                                                        key=lambda sr: sr[1])])
-    status = np.full(n, "waiting", dtype=object)
+    n, d = stream.n, config.days_per_step
+    untreated = dataset.untreated_survival
+    # no donor arrives: no allocation step runs and every recipient stays waiting
+    last_step = stream.donor_arrivals[-1][0] if stream.donor_arrivals else -1
+    dies = death_steps(untreated, d, last_step)
     fate_step = np.full(n, -1)
     assigned_donor = np.full(n, -1)
+
+    ids = np.arange(n)  # recipient i arrives at step i
+    waiting = ids[:0]  # in arrival order
+    joined = 0
+    for step, donor_id in stream.donor_arrivals:
+        if step >= joined:
+            waiting = np.concatenate([waiting, ids[joined:step + 1]])
+            joined = step + 1
+        waiting = waiting[dies[waiting] >= step]
+        if not waiting.size:
+            continue
+        chosen = policy_select(policy, waiting, waiting, untreated[waiting] - (step - waiting) * d,
+                               donor_id, scorer, guide)
+        if chosen is None:
+            continue
+        waiting = waiting[waiting != chosen]
+        fate_step[chosen] = step
+        assigned_donor[chosen] = donor_id
+
+    transplanted = assigned_donor >= 0
+    dead = ~transplanted & (dies <= last_step)
+    fate_step[dead] = dies[dead]
+    got = np.nonzero(transplanted)[0]
     realized = np.full(n, np.nan)
     benefit = np.full(n, np.nan)
-
-    donors_by_step: dict[int, list[int]] = {}
-    for step, donor_id in stream.donor_arrivals:
-        donors_by_step.setdefault(step, []).append(donor_id)
-    recipients_by_step: dict[int, list[int]] = {}
-    for step, rec_id in stream.recipient_arrivals:
-        recipients_by_step.setdefault(step, []).append(rec_id)
-    # no donor arrives: no allocation step runs and every recipient stays waiting
-    last_step = max((step for step, _ in stream.donor_arrivals), default=-1)
-
-    waiting: list[int] = []
-    for step in range(last_step + 1):
-        for rec_id in recipients_by_step.get(step, ()):
-            waiting.append(rec_id)
-        for donor_id in sorted(donors_by_step.get(step, ())):
-            if not waiting:
-                continue
-            ids = np.array(waiting)
-            chosen = policy_select(policy, ids, arrival_step[ids], remaining[ids],
-                                   donor_id, scorer, stream.factual_map, guide)
-            if chosen is None:
-                continue
-            waiting.remove(chosen)
-            status[chosen] = "transplanted"
-            fate_step[chosen] = step
-            assigned_donor[chosen] = donor_id
-            realized[chosen] = dataset.true_potentials[chosen, true_k0[donor_id]]
-            benefit[chosen] = realized[chosen] - remaining[chosen]
-        # advance the death clock
-        still = []
-        for rec_id in waiting:
-            remaining[rec_id] -= config.days_per_step
-            if remaining[rec_id] <= 0.0:
-                status[rec_id] = "dead"
-                fate_step[rec_id] = step
-            else:
-                still.append(rec_id)
-        waiting = still
-
-    transplanted = status == "transplanted"
-    dead = status == "dead"
-    ledger = [LedgerRow(
-        recipient_id=i,
-        arrival=int(arrival_step[i]),
-        fate=str(status[i]),
-        step_of_fate=int(fate_step[i]),
-        donor_id=int(assigned_donor[i]),
-        realized_survival=float(realized[i]) if transplanted[i] else None,
-        benefit=float(benefit[i]) if transplanted[i] else None,
-    ) for i in range(n)]
-    n_t = int(transplanted.sum())
+    realized[got] = dataset.true_potentials[got, dataset.true_donor_type[assigned_donor[got]] - 1]
+    benefit[got] = realized[got] - (untreated[got] - (fate_step[got] - got) * d)
+    fates = np.array(["waiting", "dead", "transplanted"], dtype=object)[dead + 2 * transplanted]
+    ledger = [LedgerRow(*row) for row in zip(
+        range(n), range(n), fates.tolist(), fate_step.tolist(), assigned_donor.tolist(),
+        np.where(transplanted, realized, None).tolist(),
+        np.where(transplanted, benefit, None).tolist())]
+    n_t, n_dead = len(got), int(dead.sum())
     return SimReport(
         policy=policy,
         n=n,
         n_transplanted=n_t,
-        n_dead=int(dead.sum()),
-        n_waiting=int(n - transplanted.sum() - dead.sum()),
-        death_rate=float(dead.sum()) / n,
+        n_dead=n_dead,
+        n_waiting=n - n_t - n_dead,
+        death_rate=float(n_dead) / n,
         avg_survival=float(realized[transplanted].mean()) if n_t else None,
         avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
         assigned_donor=assigned_donor,

@@ -354,6 +354,11 @@ def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
         if bad.size:
             raise IngestionError(
                 f"row {bad[0]}, column {col!r}: type {vals[bad[0]]} is not 1-based")
+    above = np.nonzero(types["true_donor_type"] > len(pot_cols))[0]
+    if above.size:
+        raise IngestionError(
+            f"row {above[0]}, column 'true_donor_type': type "
+            f"{types['true_donor_type'][above[0]]} exceeds the {len(pot_cols)} potential_* columns")
     return Dataset(
         recipients=dataset.recipients,
         donors=dataset.donors,

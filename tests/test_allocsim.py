@@ -1,5 +1,8 @@
 """Allocation-simulator tests with hand-built waitlist fixtures."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +11,13 @@ from organmatch.allocsim import (
     POLICIES,
     EventStream,
     GuidedPolicy,
+    LedgerRow,
     PolicyConfigError,
     SimConfig,
+    SimReport,
     assigned_true_types,
     build_stream,
+    death_steps,
     model_guide,
     oracle_mean_scorer,
     policy_select,
@@ -59,8 +65,9 @@ def test_sim_config_validation():
 def test_stream_full_supply_has_2n_events():
     ds = _oracle_dataset(n=40)
     stream = build_stream(ds, SimConfig(donor_fraction=1.0), seed=0)
-    assert len(stream.donor_arrivals) + len(stream.recipient_arrivals) == 80
-    assert len(stream.factual_map) == 40
+    # 40 recipient arrivals (recipient i at step i) and every factual donor
+    assert stream.n == 40
+    assert sorted(donor_id for _, donor_id in stream.donor_arrivals) == list(range(40))
 
 
 def test_stream_deterministic_and_fraction_applied():
@@ -105,14 +112,14 @@ def _scorer(values):
 
 def test_fcfs_picks_earliest_arrival():
     chosen = policy_select("fcfs", WAITING, ARRIVALS, np.array([500.0, 500.0]),
-                           donor_id=0, scorer=None, factual_map=None, guide=None)
+                           donor_id=0, scorer=None, guide=None)
     assert chosen == 0
 
 
 def test_uf_picks_highest_predicted_survival():
     chosen = policy_select("uf", WAITING, ARRIVALS, np.array([950.0, 100.0]),
                            donor_id=0, scorer=_scorer([1000.0, 900.0]),
-                           factual_map=None, guide=None)
+                           guide=None)
     assert chosen == 0
 
 
@@ -120,16 +127,17 @@ def test_bf_picks_highest_benefit():
     # benefits: 1000-950=50 vs 900-100=800
     chosen = policy_select("bf", WAITING, ARRIVALS, np.array([950.0, 100.0]),
                            donor_id=0, scorer=_scorer([1000.0, 900.0]),
-                           factual_map=None, guide=None)
+                           guide=None)
     assert chosen == 1
 
 
 def test_real_policy_waits_for_factual_partner():
+    # donor i's factual partner is recipient i
     chosen = policy_select("real", WAITING, ARRIVALS, np.array([500.0, 500.0]),
-                           donor_id=5, scorer=None, factual_map={5: 1}, guide=None)
+                           donor_id=1, scorer=None, guide=None)
     assert chosen == 1
     none = policy_select("real", WAITING, ARRIVALS, np.array([500.0, 500.0]),
-                         donor_id=5, scorer=None, factual_map={5: 9}, guide=None)
+                         donor_id=5, scorer=None, guide=None)
     assert none is None
 
 
@@ -140,7 +148,7 @@ def test_matching_policy_restricts_to_type_match():
     chosen = policy_select("matching-uf", WAITING, ARRIVALS,
                            np.array([500.0, 500.0]), donor_id=0,
                            scorer=_scorer([1000.0, 900.0]),
-                           factual_map=None, guide=guide)
+                           guide=guide)
     assert chosen == 1
 
 
@@ -150,22 +158,20 @@ def test_matching_policy_falls_back_when_no_match():
     chosen = policy_select("matching-uf", WAITING, ARRIVALS,
                            np.array([500.0, 500.0]), donor_id=0,
                            scorer=_scorer([1000.0, 900.0]),
-                           factual_map=None, guide=guide)
+                           guide=guide)
     assert chosen == 0  # unrestricted utility-first
 
 
 def test_policy_select_error_paths():
     with pytest.raises(PolicyConfigError):
-        policy_select("greedy", WAITING, ARRIVALS, np.zeros(2), 0, None, None, None)
+        policy_select("greedy", WAITING, ARRIVALS, np.zeros(2), 0, None, None)
     with pytest.raises(PolicyConfigError):
-        policy_select("uf", WAITING, ARRIVALS, np.zeros(2), 0, None, None, None)
+        policy_select("uf", WAITING, ARRIVALS, np.zeros(2), 0, None, None)
     with pytest.raises(PolicyConfigError):
         policy_select("matching-uf", WAITING, ARRIVALS, np.zeros(2), 0,
-                      _scorer([1.0, 2.0]), None, None)
-    with pytest.raises(PolicyConfigError):
-        policy_select("real", WAITING, ARRIVALS, np.zeros(2), 0, None, None, None)
+                      _scorer([1.0, 2.0]), None)
     assert policy_select("fcfs", np.array([], dtype=int), np.array([]),
-                         np.array([]), 0, None, None, None) is None
+                         np.array([]), 0, None, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +190,38 @@ def test_real_policy_replays_factual_outcomes():
 
 
 def test_death_clock_kills_short_survivors():
-    # one donor for three recipients; the two losers run out their clocks
+    # recipients 0, 1, 2 arrive at steps 0, 1, 2 with 12 days each
     ds = _oracle_dataset(n=3, untreated=[12.0, 12.0, 12.0])
-    stream = EventStream(donor_arrivals=[(0, 0)],
-                         recipient_arrivals=[(0, 0), (0, 1), (0, 2)],
-                         factual_map={0: 0}, n=3)
     config = SimConfig(lag_window=0, days_per_step=5.0, donor_fraction=1.0)
-    report = run_policy(ds, stream, "fcfs", config)
-    assert report.n_transplanted == 1
-    # the stream ends at step 0; survivors keep waiting with 7 days left
-    assert report.n_waiting == 2 and report.n_dead == 0
-    # second donor at step 1 saves one more; the last recipient's 12-day
-    # clock expires at step 2 (5 days per step)
-    long_stream = EventStream(donor_arrivals=[(0, 0), (1, 0), (9, 0)],
-                              recipient_arrivals=[(0, 0), (0, 1), (0, 2)],
-                              factual_map={0: 0}, n=3)
+    # the stream ends at step 1, before recipient 1's clock runs out and
+    # before recipient 2 arrives
+    report = run_policy(ds, EventStream(donor_arrivals=[(1, 0)], n=3), "fcfs", config)
+    assert [(row.fate, row.step_of_fate) for row in report.ledger] == [
+        ("transplanted", 1), ("waiting", -1), ("waiting", -1)]
+    # donors at steps 0 and 1 save recipients 0 and 1; recipient 2's clock
+    # reads 12 - 3·5 <= 0 three steps after it arrives, so it dies at the
+    # end of step 4, before the last donor arrives at step 9
+    long_stream = EventStream(donor_arrivals=[(0, 0), (1, 1), (9, 2)], n=3)
     report2 = run_policy(ds, stream=long_stream, policy="fcfs", config=config)
-    assert report2.n_transplanted == 2 and report2.n_dead == 1
+    assert [(row.fate, row.step_of_fate) for row in report2.ledger] == [
+        ("transplanted", 0), ("transplanted", 1), ("dead", 4)]
+
+
+def test_death_clock_is_closed_form_at_a_non_dyadic_step():
+    # 3.0 - 10·0.3 is 0.0, so the recipient dies at the end of its tenth
+    # step (step 9); ten repeated subtractions of 0.3 would leave 3.3e-16
+    # days and keep it alive one step longer
+    ds = _oracle_dataset(n=1, untreated=[3.0])
+    config = SimConfig(days_per_step=0.3)
+    # 0.9 - 3·0.3 is 1.1e-16 > 0 although 0.9 / 0.3 rounds to 3.0, so a
+    # recipient arriving at step 1 with 0.9 days dies at the end of step 4
+    assert death_steps(np.array([3.0, 0.9]), 0.3, last_step=20).tolist() == [9, 4]
+    late = run_policy(ds, EventStream(donor_arrivals=[(10, 0)], n=1), "fcfs", config)
+    assert [(row.fate, row.step_of_fate) for row in late.ledger] == [("dead", 9)]
+    in_time = run_policy(ds, EventStream(donor_arrivals=[(9, 0)], n=1), "fcfs", config)
+    row = in_time.ledger[0]
+    assert (row.fate, row.step_of_fate) == ("transplanted", 9)
+    assert row.benefit == row.realized_survival - (3.0 - 9 * 0.3)
 
 
 def test_uf_beats_fcfs_on_average_survival():
@@ -347,5 +368,111 @@ def test_every_policy_keeps_the_waitlist_invariants(sim):
             if row.fate == "transplanted":
                 assert row.step_of_fate == donor_step[row.donor_id]  # never before it arrives
                 if policy == "real":
-                    assert stream.factual_map[row.donor_id] == row.recipient_id
+                    assert row.donor_id == row.recipient_id  # the factual pairing
         np.testing.assert_array_equal(report.assigned_donor, [row.donor_id for row in ledger])
+
+
+def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
+    """The per-step simulator that ``run_policy`` replaced: every step from
+    0 to the last donor arrival admits recipient ``step``, offers that
+    step's donors, then subtracts ``days_per_step`` from every waiting
+    recipient's remaining survival and removes those at or below zero."""
+    n = stream.n
+    true_k0 = ds.true_donor_type - 1
+    remaining = ds.untreated_survival.copy()
+    status = np.full(n, "waiting", dtype=object)
+    fate_step = np.full(n, -1)
+    assigned_donor = np.full(n, -1)
+    realized = np.full(n, np.nan)
+    benefit = np.full(n, np.nan)
+    donors_by_step: dict[int, list[int]] = {}
+    for step, donor_id in stream.donor_arrivals:
+        donors_by_step.setdefault(step, []).append(donor_id)
+    last_step = max((step for step, _ in stream.donor_arrivals), default=-1)
+    waiting: list[int] = []
+    for step in range(last_step + 1):
+        if step < n:
+            waiting.append(step)
+        for donor_id in sorted(donors_by_step.get(step, ())):
+            if not waiting:
+                continue
+            ids = np.array(waiting)
+            chosen = policy_select(policy, ids, ids, remaining[ids], donor_id, scorer, guide)
+            if chosen is None:
+                continue
+            waiting.remove(chosen)
+            status[chosen] = "transplanted"
+            fate_step[chosen] = step
+            assigned_donor[chosen] = donor_id
+            realized[chosen] = ds.true_potentials[chosen, true_k0[donor_id]]
+            benefit[chosen] = realized[chosen] - remaining[chosen]
+        still = []
+        for rec_id in waiting:
+            remaining[rec_id] -= config.days_per_step
+            if remaining[rec_id] <= 0.0:
+                status[rec_id] = "dead"
+                fate_step[rec_id] = step
+            else:
+                still.append(rec_id)
+        waiting = still
+
+    transplanted, dead = status == "transplanted", status == "dead"
+    n_t, n_dead = int(transplanted.sum()), int(dead.sum())
+    ledger = [LedgerRow(i, i, str(status[i]), int(fate_step[i]), int(assigned_donor[i]),
+                        float(realized[i]) if transplanted[i] else None,
+                        float(benefit[i]) if transplanted[i] else None) for i in range(n)]
+    return SimReport(policy=policy, n=n, n_transplanted=n_t, n_dead=n_dead,
+                     n_waiting=n - n_t - n_dead, death_rate=float(n_dead) / n,
+                     avg_survival=float(realized[transplanted].mean()) if n_t else None,
+                     avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
+                     assigned_donor=assigned_donor, ledger=ledger)
+
+
+@st.composite
+def _clock_simulations(draw):
+    """Streams (empty ones included) against untreated survivals that hit
+    the death clock's edges: zero, negative and exact multiples of the
+    step size, for integer-valued and dyadic step sizes."""
+    n = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([1.0, 2.5, 5.0, 7.0, 30.0]))
+    untreated = draw(st.lists(st.one_of(st.floats(-50.0, 200.0),
+                                        st.integers(-3, 40).map(lambda m: m * d)),
+                              min_size=n, max_size=n))
+    config = SimConfig(lag_window=draw(st.integers(0, 8)), days_per_step=d,
+                       donor_fraction=draw(st.floats(0.05, 1.0)))
+    rng = rng_stream(draw(st.integers(0, 2 ** 16)), "sim-clock-property")
+    donor_types = rng.integers(1, k + 1, size=n)
+    potentials = rng.uniform(1, 1000, size=(n, k))
+    ds = Dataset(
+        recipients=np.zeros((n, 1)), donors=np.zeros((n, 1)),
+        outcomes=potentials[np.arange(n), donor_types - 1],
+        recipient_names=["x"], donor_names=["x"],
+        true_potentials=potentials,
+        untreated_survival=np.array(untreated, dtype=float),
+        true_recipient_type=rng.integers(1, 3, size=n),
+        true_donor_type=donor_types,
+    )
+    scorer = oracle_mean_scorer(ds, rng.uniform(100, 1000, size=(2, k)))
+    guide = GuidedPolicy(donor_types=rng.integers(0, k, size=n),
+                         best_types=rng.integers(0, k, size=n))
+    stream = build_stream(ds, config, seed=draw(st.integers(0, 2 ** 16)))
+    if draw(st.integers(0, 9)) == 0:
+        stream = EventStream(donor_arrivals=[], n=n)
+    return ds, stream, config, scorer, guide
+
+
+@settings(max_examples=80, deadline=None)
+@given(_clock_simulations())
+def test_event_loop_matches_the_stepwise_reference(sim):
+    ds, stream, config, scorer, guide = sim
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in POLICIES:
+            report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
+            reference = _stepwise_reference(ds, stream, policy, config, scorer, guide)
+            paths = Path(tmp, "event.csv"), Path(tmp, "stepwise.csv")
+            write_ledger_csv(report, paths[0])
+            write_ledger_csv(reference, paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes(), policy
+            assert repr(report.summary()) == repr(reference.summary())
+            np.testing.assert_array_equal(report.assigned_donor, reference.assigned_donor)

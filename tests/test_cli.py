@@ -337,6 +337,10 @@ def _edit_ground_truth(path: Path, case: str) -> str:
         rows[7]["potential_2"] = "soon"
     elif case == "type-zero":
         rows[7]["true_donor_type"] = "0"
+    elif case == "type-above-k":
+        rows[7]["true_donor_type"] = str(sum(c.startswith("potential_") for c in header) + 1)
+    elif case == "recipient-type-above-m":
+        rows[7]["true_recipient_type"] = "3"  # the preset has 2 recipient types
     else:
         rows[7]["untreated_survival"] = "nan"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -344,11 +348,13 @@ def _edit_ground_truth(path: Path, case: str) -> str:
         writer.writeheader()
         writer.writerows(rows)
     return {"unparseable-cell": "potential_2",
-            "type-zero": "true_donor_type"}.get(case, "untreated_survival")
+            "type-zero": "true_donor_type",
+            "type-above-k": "true_donor_type",
+            "recipient-type-above-m": "true_recipient_type"}.get(case, "untreated_survival")
 
 
 @pytest.mark.parametrize("case", ["missing-column", "unparseable-cell", "nan-survival",
-                                  "type-zero"])
+                                  "type-zero", "type-above-k"])
 def test_simulate_malformed_ground_truth_is_data_error(workdir, data_dir, case, capsys):
     bad = shutil.copytree(data_dir, workdir / f"bad_truth_{case}")
     column = _edit_ground_truth(bad / "ground_truth.csv", case)
@@ -358,6 +364,17 @@ def test_simulate_malformed_ground_truth_is_data_error(workdir, data_dir, case, 
     assert column in err
     if case != "missing-column":
         assert "row 7" in err
+
+
+def test_simulate_recipient_type_outside_outcome_means_is_data_error(workdir, data_dir, capsys):
+    # the manifest's outcome_means cover 2 recipient types; the oracle
+    # scorer checks every row when it is built, not when a row is scored
+    bad = shutil.copytree(data_dir, workdir / "bad_truth_recipient_type")
+    _edit_ground_truth(bad / "ground_truth.csv", "recipient-type-above-m")
+    assert main(["simulate", "--data", str(bad), "--policies", "uf",
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "row 7" in err and "true_recipient_type" in err
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"command": "gen"}'])
