@@ -1,14 +1,18 @@
-"""Check that two source trees train bit-identical models and simulate
-byte-identical ledgers.
+"""Check that two source trees write and read bit-identical tables, train
+bit-identical models and simulate byte-identical ledgers.
 
-Trains ``matchrep.train_joint`` and the ``kmeans/multihead-nn``,
-``dec/linear-per-head`` and ``reg-nn`` baselines on the 5,000-row
-synthetic preset with each tree's ``organmatch`` and compares, byte for
-byte, every parameter, every training-log value, the held-out predictions
-and donor labels, the ``active`` mask and any training error. Each tree
-then runs all seven allocation policies on the preset's donor stream (the
-seed is the stream seed) with the joint model it trained, and the ledger
-CSV and ``summary()`` of every policy are compared byte for byte:
+Each tree writes the 5,000-row synthetic preset with ``write_csv`` and
+``write_ground_truth_csv``; the bytes are compared, and so is every array
+that ``load_csv``, ``attach_ground_truth_csv`` and
+``normalize_fit_transform`` read back from them. Each tree then trains
+``matchrep.train_joint`` and the ``kmeans/multihead-nn``,
+``dec/linear-per-head`` and ``reg-nn`` baselines on the preset and
+compares, byte for byte, every parameter, every training-log value, the
+held-out predictions and donor labels, the ``active`` mask and any
+training error. Last, each tree runs all seven allocation policies on the
+preset's donor stream (the seed is the stream seed) with the joint model
+it trained, and the ledger CSV and ``summary()`` of every policy are
+compared byte for byte:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -95,10 +99,29 @@ def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
     return parts
 
 
+def _tabular(datamodel, dataset, indices) -> dict:
+    """The bytes of ``dataset`` as written by ``write_csv`` and
+    ``write_ground_truth_csv``, and every array read back from those files
+    and normalized on the training split."""
+    schema = datamodel.SchemaConfig(
+        recipient_columns=[f"r_{c}" for c in dataset.recipient_names],
+        donor_columns=[f"d_{c}" for c in dataset.donor_names], outcome_column="outcome")
+    with tempfile.TemporaryDirectory() as tmp:
+        data, truth = Path(tmp) / "dataset.csv", Path(tmp) / "ground_truth.csv"
+        datamodel.write_csv(dataset, data)
+        datamodel.write_ground_truth_csv(dataset, truth)
+        written = {path.name: np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                   for path in (data, truth)}
+        back = datamodel.attach_ground_truth_csv(datamodel.load_csv(data, schema), truth)
+    normed = datamodel.normalize_fit_transform(back, indices)
+    return {"csv": written, "read": {**dict(_leaves(back, "read")),
+                                     **dict(_leaves(normed, "normed"))}}
+
+
 def emit(src: Path, seed: int, out: Path) -> None:
-    """Child process: train every model and simulate every policy with the
-    ``organmatch`` of ``src`` and save every part as ``<model>|<part>|<key>``
-    arrays in ``out``."""
+    """Child process: write and read the preset's tables, train every model
+    and simulate every policy with the ``organmatch`` of ``src`` and save
+    every part as ``<model>|<part>|<key>`` arrays in ``out``."""
     sys.path.insert(0, str(src))
     import organmatch
     from organmatch import allocsim, baselines, datamodel, matchrep, numkit, synthgen
@@ -110,7 +133,7 @@ def emit(src: Path, seed: int, out: Path) -> None:
     indices = datamodel.split(dataset, seed=seed)
     normed = datamodel.normalize_fit_transform(dataset, indices)
     train, val = normed.subset(indices.train), normed.subset(indices.validation)
-    results = []
+    results = [("data", _tabular(datamodel, dataset, indices))]
     for name in MODELS:
         try:
             model, parts = _fit(name, matchrep, baselines, train, val, seed)

@@ -32,14 +32,13 @@ record index.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 
 from . import matchrep
-from .datamodel import Dataset, IngestionError
+from .datamodel import Dataset, IngestionError, write_rows
 from .numkit import rng_stream
 
 POLICIES = ("real", "fcfs", "uf", "bf", "matching-fcfs", "matching-uf", "matching-bf")
@@ -63,8 +62,8 @@ class SimConfig:
     def validate(self) -> None:
         if self.lag_window < 0:
             raise PolicyConfigError("lag_window must be >= 0")
-        if self.days_per_step <= 0:
-            raise PolicyConfigError("days_per_step must be positive")
+        if not 0.0 < self.days_per_step < np.inf:
+            raise PolicyConfigError("days_per_step must be positive and finite")
         if not 0.0 < self.donor_fraction <= 1.0:
             raise PolicyConfigError("donor_fraction must be in (0, 1]")
 
@@ -132,12 +131,8 @@ class SimReport:
 
 
 def write_ledger_csv(report: SimReport, path) -> None:
-    """One row per recipient; csv writes a missing survival or benefit as
-    an empty cell and a float as its repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEDGER_FIELDS)
-        writer.writerows(map(attrgetter(*LEDGER_FIELDS), report.ledger))
+    """One row per recipient; a missing survival or benefit is an empty cell."""
+    write_rows(path, LEDGER_FIELDS, map(attrgetter(*LEDGER_FIELDS), report.ledger))
 
 
 # ---------------------------------------------------------------------------

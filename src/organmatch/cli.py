@@ -9,11 +9,11 @@ run is reproducible from the manifest alone. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -70,23 +70,10 @@ def _load_config(path_str: str, cls):
         config = cls(**values)
         datamodel.check_field_kinds(cls, values)
         return config
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliConfigError(f"malformed JSON in {path_str}: {exc}") from exc
     except TypeError as exc:
         raise CliConfigError(f"{path_str} is not a {cls.__name__}: {exc}") from exc
-
-
-def _schema_from_header(path: Path) -> datamodel.SchemaConfig:
-    """Rebuild the schema for a dataset.csv written by the gen command."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    rec = [c for c in header if c.startswith("r_")]
-    don = [c for c in header if c.startswith("d_")]
-    if not rec or not don or "outcome" not in header:
-        raise datamodel.IngestionError(
-            f"{path} does not look like a generated dataset (r_*/d_*/outcome columns)")
-    return datamodel.SchemaConfig(recipient_columns=rec, donor_columns=don,
-                                  outcome_column="outcome")
 
 
 def _load_data_dir(data_dir: str) -> datamodel.Dataset:
@@ -94,7 +81,7 @@ def _load_data_dir(data_dir: str) -> datamodel.Dataset:
     csv_path = root / "dataset.csv"
     if not csv_path.exists():
         raise datamodel.IngestionError(f"no dataset.csv in {data_dir}")
-    dataset = datamodel.load_csv(csv_path, _schema_from_header(csv_path))
+    dataset = datamodel.load_csv(csv_path)
     truth = root / "ground_truth.csv"
     if truth.exists():
         dataset = datamodel.attach_ground_truth_csv(dataset, truth)
@@ -190,15 +177,6 @@ def _parse_pair_kinds(raw: str | None) -> list[str]:
     return kinds
 
 
-def _write_training_log(log: list[dict], path: Path) -> None:
-    fields = ["epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in log:
-            writer.writerow({k: row[k] for k in fields})
-
-
 def cmd_train(args) -> int:
     config = _load_config(args.config, matchrep.TrainConfig) if args.config \
         else matchrep.TrainConfig()
@@ -226,7 +204,8 @@ def cmd_train(args) -> int:
                         normalization=datamodel.normalization_to_dict(normed.normalization))
     artifacts.append(model_path)
     log_path = out / "training_log.csv"
-    _write_training_log(log, log_path)
+    fields = ["epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"]
+    datamodel.write_rows(log_path, fields, map(itemgetter(*fields), log))
     artifacts.append(log_path)
 
     for spec in specs:
@@ -314,10 +293,7 @@ def cmd_eval(args) -> int:
     out = _ensure_out(args.out)
     table_path = out / "comparison.csv"
     fields = ["model", "eps_f", "eps_wmse", "aodt", "mean_best_prediction", "n"]
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    datamodel.write_rows(table_path, fields, map(itemgetter(*fields), rows))
     report_path = out / "eval_reports.json"
     report_path.write_text(json.dumps(rows, indent=2, sort_keys=True))
     _write_manifest(out, "eval", {
@@ -404,10 +380,7 @@ def cmd_simulate(args) -> int:
     table_path = out / "policy_table.csv"
     fields = ["policy", "n", "n_transplanted", "n_dead", "n_waiting",
               "death_rate", "avg_survival", "avg_benefit", "flipped_vs_real"]
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    datamodel.write_rows(table_path, fields, map(itemgetter(*fields), rows))
     artifacts.append(table_path)
     _write_manifest(out, "simulate", {
         "sim": asdict(sim_config), "policies": policies,

@@ -14,7 +14,7 @@ import functools
 import types
 import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -104,22 +104,10 @@ class Dataset:
         return self.true_potentials is not None and self.untreated_survival is not None
 
     def subset(self, indices) -> "Dataset":
+        """The records at ``indices``; every array field is per record."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            recipients=self.recipients[idx],
-            donors=self.donors[idx],
-            outcomes=self.outcomes[idx],
-            recipient_names=self.recipient_names,
-            donor_names=self.donor_names,
-            true_potentials=None if self.true_potentials is None else self.true_potentials[idx],
-            untreated_survival=(None if self.untreated_survival is None
-                                else self.untreated_survival[idx]),
-            true_recipient_type=(None if self.true_recipient_type is None
-                                 else self.true_recipient_type[idx]),
-            true_donor_type=(None if self.true_donor_type is None
-                             else self.true_donor_type[idx]),
-            normalization=self.normalization,
-        )
+        return replace(self, **{name: value[idx] for name, value in vars(self).items()
+                                if isinstance(value, np.ndarray)})
 
 
 @dataclass
@@ -156,59 +144,30 @@ def normalize_fit_transform(dataset: Dataset, indices: SplitIndices) -> Dataset:
     """
     r_mean, r_scale = _standardize(dataset.recipients, indices.train)
     d_mean, d_scale = _standardize(dataset.donors, indices.train)
-    norm = Normalization(r_mean, r_scale, d_mean, d_scale)
-    out = Dataset(
-        recipients=(dataset.recipients - r_mean) / r_scale,
-        donors=(dataset.donors - d_mean) / d_scale,
-        outcomes=dataset.outcomes.copy(),
-        recipient_names=dataset.recipient_names,
-        donor_names=dataset.donor_names,
-        true_potentials=dataset.true_potentials,
-        untreated_survival=dataset.untreated_survival,
-        true_recipient_type=dataset.true_recipient_type,
-        true_donor_type=dataset.true_donor_type,
-        normalization=norm,
-    )
-    return out
+    return apply_normalization(dataset, Normalization(r_mean, r_scale, d_mean, d_scale))
 
 
 def normalization_to_dict(norm: Normalization) -> dict:
-    return {
-        "recipient_mean": norm.recipient_mean.tolist(),
-        "recipient_scale": norm.recipient_scale.tolist(),
-        "donor_mean": norm.donor_mean.tolist(),
-        "donor_scale": norm.donor_scale.tolist(),
-    }
+    return {name: value.tolist() for name, value in vars(norm).items()}
 
 
 def normalization_from_dict(doc: dict) -> Normalization:
-    return Normalization(
-        recipient_mean=np.asarray(doc["recipient_mean"], dtype=float),
-        recipient_scale=np.asarray(doc["recipient_scale"], dtype=float),
-        donor_mean=np.asarray(doc["donor_mean"], dtype=float),
-        donor_scale=np.asarray(doc["donor_scale"], dtype=float),
-    )
+    return Normalization(**{f.name: np.asarray(doc[f.name], dtype=float)
+                            for f in fields(Normalization)})
 
 
 def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
     """Standardize a raw dataset with previously fitted statistics."""
-    if norm.recipient_mean.shape != (dataset.d_r,) or norm.donor_mean.shape != (dataset.d_o,):
+    shapes = [stat.shape for stat in vars(norm).values()]
+    if shapes != [(dataset.d_r,)] * 2 + [(dataset.d_o,)] * 2:
         raise IngestionError(
             f"the data has {dataset.d_r} recipient and {dataset.d_o} donor features, the "
-            f"normalization statistics have shapes {norm.recipient_mean.shape} and "
-            f"{norm.donor_mean.shape}")
-    return Dataset(
-        recipients=(dataset.recipients - norm.recipient_mean) / norm.recipient_scale,
-        donors=(dataset.donors - norm.donor_mean) / norm.donor_scale,
-        outcomes=dataset.outcomes.copy(),
-        recipient_names=dataset.recipient_names,
-        donor_names=dataset.donor_names,
-        true_potentials=dataset.true_potentials,
-        untreated_survival=dataset.untreated_survival,
-        true_recipient_type=dataset.true_recipient_type,
-        true_donor_type=dataset.true_donor_type,
-        normalization=norm,
-    )
+            f"normalization statistics (recipient mean and scale, donor mean and scale) "
+            f"have shapes {shapes}")
+    return replace(dataset,
+                   recipients=(dataset.recipients - norm.recipient_mean) / norm.recipient_scale,
+                   donors=(dataset.donors - norm.donor_mean) / norm.donor_scale,
+                   outcomes=dataset.outcomes.copy(), normalization=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +192,25 @@ class SchemaConfig:
     categorical: dict[str, list[str]] = field(default_factory=dict)
 
 
+def _parse_column(rows: list[dict], col: str, kind: type, skip=None) -> np.ndarray:
+    """Column ``col`` of ``rows`` as ``kind`` values, 0 in the rows that
+    ``skip`` flags; an unparseable or non-finite cell raises IngestionError
+    naming its row and column."""
+    out = np.zeros(len(rows), dtype=kind)
+    for i, r in enumerate(rows):
+        if skip is not None and skip[i]:
+            continue
+        try:
+            out[i] = kind(r[col])
+        except (TypeError, ValueError, OverflowError):
+            raise IngestionError(f"row {i}, column {col!r}: unparseable cell {r[col]!r}") from None
+    bad = np.nonzero(~np.isfinite(out))[0]
+    if bad.size:
+        raise IngestionError(
+            f"row {bad[0]}, column {col!r}: non-finite cell {rows[bad[0]][col]!r}")
+    return out
+
+
 def _encode_block(rows: list[dict], columns: list[str], schema: SchemaConfig):
     names: list[str] = []
     feats: list[np.ndarray] = []
@@ -248,56 +226,65 @@ def _encode_block(rows: list[dict], columns: list[str], schema: SchemaConfig):
             feats.append(onehot)
             names.extend(f"{col}={c}" for c in cats)
         else:
-            vals = np.empty(len(rows))
-            missing = np.zeros(len(rows))
-            for i, v in enumerate(raw):
-                if v is None or v == "":
-                    vals[i] = np.nan
-                    missing[i] = 1.0
-                else:
-                    try:
-                        vals[i] = float(v)
-                    except ValueError:
-                        raise IngestionError(
-                            f"row {i}, column {col!r}: unparseable cell {v!r}") from None
-            bad = np.nonzero(~np.isfinite(vals) & (missing == 0))[0]
-            if bad.size:
-                raise IngestionError(
-                    f"row {bad[0]}, column {col!r}: non-finite cell {raw[bad[0]]!r}")
-            if np.any(missing > 0):
-                observed = vals[missing == 0]
-                if observed.size == 0:
+            missing = [v is None or v == "" for v in raw]
+            vals = _parse_column(rows, col, float, skip=missing)
+            if any(missing):
+                if all(missing):
                     raise IngestionError(f"column {col!r} has no observed values")
-                vals = np.where(missing > 0, observed.mean(), vals)
-                feats.append(vals[:, None])
-                feats.append(missing[:, None])
-                names.extend([col, f"{col}__missing"])
+                flags = np.array(missing, dtype=float)
+                vals = np.where(flags > 0, vals[flags == 0].mean(), vals)
+                feats += [vals[:, None], flags[:, None]]
+                names += [col, f"{col}__missing"]
             else:
                 feats.append(vals[:, None])
                 names.append(col)
     return np.hstack(feats) if feats else np.zeros((len(rows), 0)), names
 
 
-def load_csv(path, schema: SchemaConfig) -> Dataset:
-    """Parse a UTF-8 comma-separated file with a header row into a Dataset."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = set(schema.recipient_columns) | set(schema.donor_columns) | {schema.outcome_column}
-        missing_cols = needed - set(reader.fieldnames or [])
-        if missing_cols:
-            raise IngestionError(f"unknown column(s): {sorted(missing_cols)}")
-        rows = list(reader)
-    if not rows:
-        raise IngestionError("empty file")
+def read_rows(path) -> tuple[list[str], list[dict]]:
+    """The header and the rows of a UTF-8 comma-separated file; a file that
+    is empty, not UTF-8 or not CSV raises IngestionError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"unreadable CSV file {path}: {exc}") from None
+    if not header or not rows:
+        raise IngestionError(f"empty file {path}")
+    return header, rows
+
+
+def write_rows(path, header: list[str], rows) -> None:
+    """Write a header and rows as UTF-8 CSV; csv writes None as an empty
+    cell and a float as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
+    """Parse a UTF-8 comma-separated file with a header row into a Dataset.
+
+    Without a schema the file must have the ``r_*``, ``d_*`` and ``outcome``
+    columns that write_csv writes.
+    """
+    header, rows = read_rows(path)
+    if schema is None:
+        schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
+                              donor_columns=[c for c in header if c.startswith("d_")],
+                              outcome_column="outcome")
+        if not schema.recipient_columns or not schema.donor_columns:
+            raise IngestionError(
+                f"{path} does not look like a generated dataset (r_*/d_*/outcome columns)")
+    needed = set(schema.recipient_columns) | set(schema.donor_columns) | {schema.outcome_column}
+    missing_cols = needed - set(header)
+    if missing_cols:
+        raise IngestionError(f"unknown column(s): {sorted(missing_cols)}")
     recipients, r_names = _encode_block(rows, schema.recipient_columns, schema)
     donors, d_names = _encode_block(rows, schema.donor_columns, schema)
-    outcomes = np.empty(len(rows))
-    for i, r in enumerate(rows):
-        try:
-            outcomes[i] = float(r[schema.outcome_column])
-        except (TypeError, ValueError):
-            raise IngestionError(
-                f"row {i}, column {schema.outcome_column!r}: unparseable outcome") from None
+    outcomes = _parse_column(rows, schema.outcome_column, float)
     return Dataset(recipients, donors, outcomes, r_names, d_names)
 
 
@@ -305,38 +292,13 @@ def write_csv(dataset: Dataset, path) -> None:
     """Write features and outcome; inverse of load_csv for all-numeric schemas."""
     header = ([f"r_{n}" for n in dataset.recipient_names]
               + [f"d_{n}" for n in dataset.donor_names] + ["outcome"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.recipients[i]]
-            row += [repr(float(v)) for v in dataset.donors[i]]
-            row.append(repr(float(dataset.outcomes[i])))
-            writer.writerow(row)
-
-
-def _parse_column(rows: list[dict], col: str, kind: type) -> np.ndarray:
-    """Column ``col`` of ``rows`` as ``kind`` values; an unparseable or
-    non-finite cell raises IngestionError naming its row and column."""
-    out = np.empty(len(rows), dtype=kind)
-    for i, r in enumerate(rows):
-        try:
-            out[i] = kind(r[col])
-        except (TypeError, ValueError, OverflowError):
-            raise IngestionError(f"row {i}, column {col!r}: unparseable cell {r[col]!r}") from None
-    bad = np.nonzero(~np.isfinite(out))[0]
-    if bad.size:
-        raise IngestionError(
-            f"row {bad[0]}, column {col!r}: non-finite cell {rows[bad[0]][col]!r}")
-    return out
+    write_rows(path, header, zip(*dataset.recipients.T.tolist(), *dataset.donors.T.tolist(),
+                                 dataset.outcomes.tolist()))
 
 
 def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
     """Attach the ground-truth columns written by write_ground_truth_csv."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        rows = list(reader)
+    header, rows = read_rows(path)
     if len(rows) != len(dataset):
         raise IngestionError("ground-truth file and dataset disagree in length")
     pot_cols = sorted((c for c in header
@@ -359,18 +321,12 @@ def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
         raise IngestionError(
             f"row {above[0]}, column 'true_donor_type': type "
             f"{types['true_donor_type'][above[0]]} exceeds the {len(pot_cols)} potential_* columns")
-    return Dataset(
-        recipients=dataset.recipients,
-        donors=dataset.donors,
-        outcomes=dataset.outcomes,
-        recipient_names=dataset.recipient_names,
-        donor_names=dataset.donor_names,
-        true_potentials=np.column_stack([_parse_column(rows, c, float) for c in pot_cols]),
-        untreated_survival=_parse_column(rows, "untreated_survival", float),
-        true_recipient_type=types["true_recipient_type"],
-        true_donor_type=types["true_donor_type"],
-        normalization=dataset.normalization,
-    )
+    return replace(dataset,
+                   true_potentials=np.column_stack([_parse_column(rows, c, float)
+                                                    for c in pot_cols]),
+                   untreated_survival=_parse_column(rows, "untreated_survival", float),
+                   true_recipient_type=types["true_recipient_type"],
+                   true_donor_type=types["true_donor_type"])
 
 
 def write_ground_truth_csv(dataset: Dataset, path) -> None:
@@ -379,11 +335,7 @@ def write_ground_truth_csv(dataset: Dataset, path) -> None:
     k = dataset.true_potentials.shape[1]
     header = (["true_recipient_type", "true_donor_type"]
               + [f"potential_{j + 1}" for j in range(k)] + ["untreated_survival"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [int(dataset.true_recipient_type[i]), int(dataset.true_donor_type[i])]
-            row += [repr(float(v)) for v in dataset.true_potentials[i]]
-            row.append(repr(float(dataset.untreated_survival[i])))
-            writer.writerow(row)
+    write_rows(path, header, zip(dataset.true_recipient_type.tolist(),
+                                 dataset.true_donor_type.tolist(),
+                                 *dataset.true_potentials.T.tolist(),
+                                 dataset.untreated_survival.tolist()))

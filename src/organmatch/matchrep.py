@@ -144,6 +144,17 @@ class MatchRepModel:
     # restricted to active clusters. None means all clusters are active.
     active: np.ndarray | None = None
 
+    def __post_init__(self):
+        k, heads, centers = self.config.k, self.predictor.heads, self.donor_map.centers
+        if (len(heads) != k
+                or any((h.input_dim, h.output_dim) != (self.encoder.net.output_dim, 1)
+                       for h in heads)
+                or (centers is not None
+                    and centers.shape != (k, self.donor_map.encoder.output_dim))
+                or (self.active is not None and self.active.shape != (k,))):
+            raise DimensionMismatchError(
+                f"the heads, centers or active mask do not fit {k} donor types")
+
     def parameters(self) -> list[np.ndarray]:
         params = list(self.donor_map.encoder.parameters())
         params.append(self.donor_map.centers)
@@ -415,9 +426,14 @@ def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfi
     return centers
 
 
-def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
+def _donor_soft_assign(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
+    """The soft assignment of the encoded donors to the map's centers."""
     embeds, _ = mlp_forward(donor_map.encoder, donors)
-    return np.argmax(soft_assign(embeds, donor_map.centers), axis=1)
+    return soft_assign(embeds, donor_map.centers)
+
+
+def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
+    return np.argmax(_donor_soft_assign(donor_map, donors), axis=1)
 
 
 class _DecRefinement:
@@ -450,14 +466,10 @@ class _DecRefinement:
 
     def start_epoch(self) -> None:
         if self.active:
-            self.p_full = target_distribution(self._soft_assign_all())
+            self.p_full = target_distribution(_donor_soft_assign(self.donor_map, self.donors))
         elif self.frozen_terms is None:
-            t = self._soft_assign_all()
+            t = _donor_soft_assign(self.donor_map, self.donors)
             self.frozen_terms = _dec_terms(target_distribution(t), np.maximum(t, T_CLAMP))
-
-    def _soft_assign_all(self) -> np.ndarray:
-        embeds, _ = mlp_forward(self.donor_map.encoder, self.donors)
-        return soft_assign(embeds, self.donor_map.centers)
 
     def step(self, idx: np.ndarray) -> float:
         """While refining, one Adam reconstruction-anchor step and one SGD step
@@ -643,8 +655,7 @@ def best_donor_type_batch(model: MatchRepModel, recipients: np.ndarray) -> np.nd
 def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
     """0-based hard donor-type labels and the soft-assignment matrix."""
     _require_trained(model)
-    embeds, _ = mlp_forward(model.donor_map.encoder, np.atleast_2d(donors))
-    t = soft_assign(embeds, model.donor_map.centers)
+    t = _donor_soft_assign(model.donor_map, np.atleast_2d(donors))
     scores = t if model.active is None else np.where(model.active, t, -np.inf)
     return np.argmax(scores, axis=1), t
 
@@ -733,6 +744,10 @@ def load_model_and_normalization(path) -> tuple[MatchRepModel, Normalization]:
     """The joint model and the feature normalization saved with it."""
     model, doc = _load(path, MatchRepModel, _MODEL_TYPES)
     try:
-        return model, normalization_from_dict(doc["normalization"])
+        norm = normalization_from_dict(doc["normalization"])
+        if (norm.recipient_mean.shape != (model.encoder.net.input_dim,)
+                or norm.donor_mean.shape != (model.donor_map.encoder.input_dim,)):
+            raise ValueError("the statistics do not fit the model's input widths")
+        return model, norm
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{path} lacks valid normalization statistics: {exc!r}") from exc

@@ -73,11 +73,19 @@ class Layer:
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.weight.ndim != 2 or self.bias.shape != self.weight.shape[1:]:
+            raise DimensionMismatchError(
+                f"weight {self.weight.shape} and bias {self.bias.shape} disagree")
 
 
 @dataclass
 class DenseNet:
     layers: list[Layer]
+
+    def __post_init__(self):
+        if not self.layers or any(a.weight.shape[1] != b.weight.shape[0]
+                                  for a, b in zip(self.layers, self.layers[1:])):
+            raise DimensionMismatchError("layers are missing or do not chain")
 
     @property
     def input_dim(self) -> int:

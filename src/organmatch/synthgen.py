@@ -15,7 +15,7 @@ response is a frozen random linear-softplus function of recipient features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,25 +66,39 @@ class SyntheticConfig:
     def n_donor_types(self) -> int:
         return len(self.match_table[0])
 
+    def _table(self, name: str, shape: tuple) -> np.ndarray:
+        """Field ``name`` as an array of finite numbers of ``shape``; None
+        stands for any extent of at least one."""
+        try:
+            table = np.asarray(getattr(self, name), dtype=float)
+        except ValueError:
+            raise ConfigError(f"{name} is not a table of numbers") from None
+        if (table.ndim != len(shape) or 0 in table.shape or not np.all(np.isfinite(table))
+                or any(want not in (None, got) for want, got in zip(shape, table.shape))):
+            raise ConfigError(f"{name} must hold finite numbers in shape {shape}, "
+                              f"not {table.shape}")
+        return table
+
     def validate(self) -> None:
-        m, k = self.n_recipient_types, self.n_donor_types
         if self.n < 0:
             raise ConfigError("n must be >= 0")
-        if abs(sum(self.recipient_type_weights) - 1.0) > 1e-9:
-            raise ConfigError("recipient_type_weights must sum to 1")
-        if len(self.match_table) != m:
-            raise ConfigError("match_table must have one row per recipient type")
-        for row in self.match_table:
-            if len(row) != k or abs(sum(row) - 1.0) > 1e-9 or min(row) < 0:
-                raise ConfigError("each match_table row must be a probability vector")
-        for table, rows in (("outcome_means", m), ("outcome_vars", m)):
-            vals = getattr(self, table)
-            if len(vals) != rows or any(len(r) != k for r in vals):
-                raise ConfigError(f"{table} must be {rows}x{k}")
-        if any(v <= 0 for row in self.outcome_vars for v in row):
-            raise ConfigError("outcome variances must be positive")
-        if any(v <= 0 for row in self.recipient_vars + self.donor_vars for v in row):
-            raise ConfigError("feature variances must be positive")
+        weights = self._table("recipient_type_weights", (None,))
+        m = len(weights)
+        match = self._table("match_table", (m, None))
+        k = match.shape[1]
+        if abs(weights.sum() - 1.0) > 1e-9 or weights.min() < 0:
+            raise ConfigError("recipient_type_weights must be a probability vector")
+        if np.any(np.abs(match.sum(axis=1) - 1.0) > 1e-9) or match.min() < 0:
+            raise ConfigError("each match_table row must be a probability vector")
+        r_shape = self._table("recipient_means", (m, None)).shape
+        d_shape = self._table("donor_means", (k, None)).shape
+        self._table("outcome_means", (m, k))
+        for name, shape in (("recipient_vars", r_shape), ("donor_vars", d_shape),
+                            ("outcome_vars", (m, k)), ("untreated_means", (m,))):
+            if self._table(name, shape).min() <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self._table("untreated_sds", (m,)).min() < 0:
+            raise ConfigError("untreated_sds must be >= 0")
         if self.untreated_dist not in ("exponential", "normal"):
             raise ConfigError("untreated_dist must be 'exponential' or 'normal'")
 
@@ -174,15 +188,6 @@ def semi_synthetic_outcomes(dataset: Dataset, k: int, seed: int,
     potentials = np.maximum(potentials, 1.0)
     outcomes = potentials[np.arange(len(dataset)), labels]
     untreated = np.maximum(rng.normal(untreated_mean, untreated_sd, size=len(dataset)), 1.0)
-    return Dataset(
-        recipients=dataset.recipients,
-        donors=dataset.donors,
-        outcomes=outcomes,
-        recipient_names=dataset.recipient_names,
-        donor_names=dataset.donor_names,
-        true_potentials=potentials,
-        untreated_survival=untreated,
-        true_recipient_type=None,
-        true_donor_type=labels + 1,
-        normalization=dataset.normalization,
-    )
+    return replace(dataset, outcomes=outcomes, true_potentials=potentials,
+                   untreated_survival=untreated, true_recipient_type=None,
+                   true_donor_type=labels + 1)

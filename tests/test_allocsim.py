@@ -59,6 +59,9 @@ def test_sim_config_validation():
         SimConfig(days_per_step=0.0).validate()
     with pytest.raises(PolicyConfigError):
         SimConfig(donor_fraction=0.0).validate()
+    for days in (float("nan"), float("inf")):
+        with pytest.raises(PolicyConfigError):
+            SimConfig(days_per_step=days).validate()
     SimConfig().validate()
 
 

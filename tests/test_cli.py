@@ -209,6 +209,27 @@ def test_train_malformed_csv_is_data_error(workdir):
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("case", ["empty", "non-utf8"])
+def test_train_unreadable_csv_is_data_error(workdir, data_dir, case, capsys):
+    bad = shutil.copytree(data_dir, workdir / f"unreadable_{case}")
+    raw = (bad / "dataset.csv").read_bytes()
+    (bad / "dataset.csv").write_bytes(b"" if case == "empty" else raw[:200] + b"\xff" + raw[200:])
+    assert main(["train", "--data", str(bad), "--baselines", "",
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+    assert "dataset.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("gen", "--config"), ("train", "--config"),
+                                           ("simulate", "--sim-config")])
+def test_non_utf8_config_is_config_error(workdir, data_dir, command, flag):
+    path = workdir / "non_utf8_config.json"
+    path.write_bytes(b'{"seed": 1\xff}')
+    args = [command, flag, str(path), "--out", str(workdir / "x")]
+    if command != "gen":
+        args += ["--data", str(data_dir)]
+    assert main(args) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -236,22 +257,30 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 
 
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
-                   "no-normalization", "pair-regressor", "int-encoder")
+                   "no-normalization", "pair-regressor", "int-encoder", "short-bias",
+                   "missing-head", "short-scale")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
     text = (models_dir / "model.json").read_text()
     no_phi, no_norm, int_encoder = json.loads(text), json.loads(text), json.loads(text)
+    short_bias, missing_head, short_scale = json.loads(text), json.loads(text), json.loads(text)
     del no_phi["model"]["encoder"]
     no_norm["normalization"] = None
     int_encoder["model"]["encoder"] = 5
+    short_bias["model"]["encoder"]["net"]["layers"][0]["bias"]["array"].pop()
+    missing_head["model"]["predictor"]["heads"].pop()
+    short_scale["normalization"]["recipient_scale"].pop()
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v2"),
             "truncated": text[:len(text) // 2],
             "no-phi": json.dumps(no_phi),
             "no-normalization": json.dumps(no_norm),
             "pair-regressor": (models_dir / "pair_ridge.json").read_text(),
-            "int-encoder": json.dumps(int_encoder)}[case]
+            "int-encoder": json.dumps(int_encoder),
+            "short-bias": json.dumps(short_bias),
+            "missing-head": json.dumps(missing_head),
+            "short-scale": json.dumps(short_scale)}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)
@@ -328,6 +357,11 @@ def test_simulate_without_ground_truth_is_data_error(workdir):
 
 def _edit_ground_truth(path: Path, case: str) -> str:
     """Break ``ground_truth.csv`` in one way; returns the column named in the error."""
+    if case == "non-utf8":
+        lines = path.read_bytes().split(b"\n")
+        lines[8] = b"\xff" + lines[8]
+        path.write_bytes(b"\n".join(lines))
+        return "ground_truth.csv"
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     header = list(rows[0])
@@ -354,7 +388,7 @@ def _edit_ground_truth(path: Path, case: str) -> str:
 
 
 @pytest.mark.parametrize("case", ["missing-column", "unparseable-cell", "nan-survival",
-                                  "type-zero", "type-above-k"])
+                                  "type-zero", "type-above-k", "non-utf8"])
 def test_simulate_malformed_ground_truth_is_data_error(workdir, data_dir, case, capsys):
     bad = shutil.copytree(data_dir, workdir / f"bad_truth_{case}")
     column = _edit_ground_truth(bad / "ground_truth.csv", case)
@@ -362,7 +396,7 @@ def test_simulate_malformed_ground_truth_is_data_error(workdir, data_dir, case, 
                  "--out", str(workdir / "x")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert column in err
-    if case != "missing-column":
+    if case not in ("missing-column", "non-utf8"):
         assert "row 7" in err
 
 

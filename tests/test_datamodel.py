@@ -1,5 +1,7 @@
 """Ingestion, splitting, and normalization tests."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,9 +183,9 @@ def test_csv_round_trip(tmp_path):
         outcome_column="outcome",
     )
     back = load_csv(path, schema)
-    np.testing.assert_allclose(back.recipients, ds.recipients, rtol=1e-15)
-    np.testing.assert_allclose(back.donors, ds.donors, rtol=1e-15)
-    np.testing.assert_allclose(back.outcomes, ds.outcomes, rtol=1e-15)
+    np.testing.assert_array_equal(back.recipients, ds.recipients)
+    np.testing.assert_array_equal(back.donors, ds.donors)
+    np.testing.assert_array_equal(back.outcomes, ds.outcomes)
 
 
 def test_ground_truth_csv_round_trip(tmp_path):
@@ -197,9 +199,140 @@ def test_ground_truth_csv_round_trip(tmp_path):
     write_ground_truth_csv(ds, path)
     stripped = make_dataset(n=8)
     back = attach_ground_truth_csv(stripped, path)
-    np.testing.assert_allclose(back.true_potentials, ds.true_potentials, rtol=1e-15)
-    np.testing.assert_allclose(back.untreated_survival, ds.untreated_survival, rtol=1e-15)
+    np.testing.assert_array_equal(back.true_potentials, ds.true_potentials)
+    np.testing.assert_array_equal(back.untreated_survival, ds.untreated_survival)
+    np.testing.assert_array_equal(back.true_recipient_type, ds.true_recipient_type)
     np.testing.assert_array_equal(back.true_donor_type, ds.true_donor_type)
+
+
+def test_load_csv_without_schema_reads_the_written_layout(tmp_path):
+    ds = make_dataset(n=5)
+    path = tmp_path / "round.csv"
+    write_csv(ds, path)
+    back = load_csv(path)
+    assert back.recipient_names == [f"r_x{i}" for i in range(ds.d_r)]
+    np.testing.assert_array_equal(back.donors, ds.donors)
+    with pytest.raises(IngestionError, match="does not look like a generated dataset"):
+        load_csv(_write(tmp_path, "age,sex,dage,days\n50,f,40,365\n"))
+
+
+def test_load_csv_unparseable_outcome_names_row_and_column(tmp_path):
+    path = _write(tmp_path, "age,sex,dage,days\n50,f,40,365\n60,m,30,soon\n")
+    with pytest.raises(IngestionError, match=r"row 1, column 'days': unparseable cell 'soon'"):
+        load_csv(path, SCHEMA)
+
+
+@pytest.mark.parametrize("raw", [b"", b"age,sex,dage,days\n",
+                                 b"age,sex,dage,days\n50,f,\xff,365\n"],
+                         ids=["empty", "header-only", "non-utf8"])
+def test_unreadable_csv_is_ingestion_error(tmp_path, raw):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with pytest.raises(IngestionError, match="empty file|unreadable CSV"):
+        load_csv(path, SCHEMA)
+    with pytest.raises(IngestionError, match="empty file|unreadable CSV"):
+        attach_ground_truth_csv(make_dataset(n=1), path)
+
+
+# ---------------------------------------------------------------------------
+# Writers: byte-exact against the per-row repr(float(v)) writers they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_write_csv(dataset, path):
+    header = ([f"r_{n}" for n in dataset.recipient_names]
+              + [f"d_{n}" for n in dataset.donor_names] + ["outcome"])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            row = [repr(float(v)) for v in dataset.recipients[i]]
+            row += [repr(float(v)) for v in dataset.donors[i]]
+            row.append(repr(float(dataset.outcomes[i])))
+            writer.writerow(row)
+
+
+def _reference_write_ground_truth_csv(dataset, path):
+    k = dataset.true_potentials.shape[1]
+    header = (["true_recipient_type", "true_donor_type"]
+              + [f"potential_{j + 1}" for j in range(k)] + ["untreated_survival"])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            row = [int(dataset.true_recipient_type[i]), int(dataset.true_donor_type[i])]
+            row += [repr(float(v)) for v in dataset.true_potentials[i]]
+            row.append(repr(float(dataset.untreated_survival[i])))
+            writer.writerow(row)
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e308, -1e308, 1.7976931348623157e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets_with_truth(draw):
+    n = draw(st.integers(0, 6))
+    d_r, d_o, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(EDGE_FLOATS, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    types = st.lists(st.integers(1, k), min_size=n, max_size=n)
+    return Dataset(
+        recipients=block(n, d_r), donors=block(n, d_o), outcomes=block(n),
+        recipient_names=[f"x{i}" for i in range(d_r)],
+        donor_names=[f"x{i}" for i in range(d_o)],
+        true_potentials=block(n, k), untreated_survival=block(n),
+        true_recipient_type=np.array(draw(types), dtype=int),
+        true_donor_type=np.array(draw(types), dtype=int))
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets_with_truth())
+def test_writers_match_the_per_row_repr_reference(tmp_path_factory, ds):
+    tmp = tmp_path_factory.mktemp("writers")
+    for name, write, reference in (
+            ("dataset", write_csv, _reference_write_csv),
+            ("truth", write_ground_truth_csv, _reference_write_ground_truth_csv)):
+        write(ds, tmp / f"{name}.csv")
+        reference(ds, tmp / "reference.csv")
+        assert (tmp / f"{name}.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+    if len(ds):
+        back = attach_ground_truth_csv(load_csv(tmp / "dataset.csv"), tmp / "truth.csv")
+        for name in ("recipients", "donors", "outcomes", "true_potentials",
+                     "untreated_survival", "true_recipient_type", "true_donor_type"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subset_indexes_every_per_record_field(data):
+    n = data.draw(st.integers(1, 12))
+    ds = make_dataset(n=n, seed=n)
+    optional = {"true_potentials": rng_stream(n, "pot").normal(size=(n, 3)),
+                "untreated_survival": np.arange(n, dtype=float),
+                "true_recipient_type": np.arange(n) % 2 + 1,
+                "true_donor_type": np.arange(n) % 3 + 1}
+    for name, value in optional.items():
+        if data.draw(st.booleans()):
+            setattr(ds, name, value)
+    ds.normalization = datamodel.Normalization(np.zeros(3), np.ones(3), np.zeros(2), np.ones(2))
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    sub = ds.subset(idx)
+    assert len(sub) == len(idx)
+    for name in ("recipients", "donors", "outcomes", *optional):
+        value = getattr(ds, name)
+        if value is None:
+            assert getattr(sub, name) is None
+        else:
+            np.testing.assert_array_equal(getattr(sub, name), value[np.asarray(idx, dtype=int)])
+    assert sub.recipient_names is ds.recipient_names and sub.donor_names is ds.donor_names
+    assert sub.normalization is ds.normalization
 
 
 @settings(max_examples=25, deadline=None)

@@ -51,6 +51,23 @@ def test_config_validation_rejects_bad_rows():
         config.validate()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("recipient_means", [[-2.0, 0.0], [2.0]]),
+    ("donor_vars", [[1.0, 1.0], [1.0, 1.0]]),
+    ("untreated_means", [400.0]),
+    ("match_table", []),
+    ("match_table", [[float("nan"), 0.5, 0.5], [0.1, 0.7, 0.2]]),
+    ("recipient_type_weights", [1.5, -0.5]),
+    ("outcome_means", [[500.0, 1000.0, float("inf")], [100.0, 800.0, 900.0]]),
+    ("untreated_means", [400.0, -1.0]),
+])
+def test_config_validation_rejects_ragged_negative_and_non_finite_tables(name, value):
+    config = paper_preset()
+    setattr(config, name, value)
+    with pytest.raises(ConfigError, match=name.split("_")[0]):
+        config.validate()
+
+
 def test_sample_shapes_and_factual_consistency():
     ds = sample_dataset(paper_preset(n=500, seed=1))
     assert len(ds) == 500
