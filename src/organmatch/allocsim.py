@@ -26,8 +26,8 @@ predicted survival gain over remaining untreated survival), and
 model-guided ``matching-fcfs`` / ``matching-uf`` / ``matching-bf`` variants
 that first restrict candidates to recipients whose predicted best donor
 type equals the donor's type (falling back to the unrestricted rule when no
-candidate matches). Ties are always broken by earliest arrival, then by
-record index.
+candidate matches). Ties are broken by the lowest record index, which is
+the earliest arrival.
 """
 
 from __future__ import annotations
@@ -185,13 +185,12 @@ def model_guide(model: "matchrep.MatchRepModel", dataset: Dataset) -> GuidedPoli
 # ---------------------------------------------------------------------------
 
 
-def policy_select(policy: str, waiting_ids: np.ndarray, arrivals: np.ndarray,
-                  remaining: np.ndarray, donor_id: int, scorer,
-                  guide: GuidedPolicy | None):
+def policy_select(policy: str, waiting_ids: np.ndarray, remaining: np.ndarray,
+                  donor_id: int, scorer, guide: GuidedPolicy | None):
     """Pick one waiting recipient row id, or None.
 
-    ``waiting_ids``, ``arrivals``, ``remaining`` are aligned snapshots of the
-    current waitlist.
+    ``waiting_ids`` and ``remaining`` are aligned snapshots of the current
+    waitlist; recipient i arrived at step i.
     """
     if policy not in POLICIES:
         raise PolicyConfigError(f"unknown policy {policy!r}")
@@ -207,17 +206,17 @@ def policy_select(policy: str, waiting_ids: np.ndarray, arrivals: np.ndarray,
             raise PolicyConfigError("matching policies need model guidance")
         match = guide.best_types[waiting_ids] == guide.donor_types[donor_id]
         if match.any():
-            waiting_ids, arrivals, remaining = waiting_ids[match], arrivals[match], remaining[match]
+            waiting_ids, remaining = waiting_ids[match], remaining[match]
 
     if inner == "fcfs":
-        return int(waiting_ids[np.lexsort((waiting_ids, arrivals))[0]])
+        return int(waiting_ids.min())
     if scorer is None:
         raise PolicyConfigError(f"policy {policy!r} needs a scorer")
     scores = np.asarray(scorer(waiting_ids, donor_id), dtype=float)
     if inner == "bf":
         scores = scores - remaining
-    # argmax with ties broken by earliest arrival then record index
-    return int(waiting_ids[np.lexsort((waiting_ids, arrivals, -scores))[0]])
+    # argmax with ties broken by record index, that is by arrival
+    return int(waiting_ids[np.lexsort((waiting_ids, -scores))[0]])
 
 
 def death_steps(untreated: np.ndarray, days_per_step: float, last_step: int) -> np.ndarray:
@@ -256,7 +255,7 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
         waiting = waiting[dies[waiting] >= step]
         if not waiting.size:
             continue
-        chosen = policy_select(policy, waiting, waiting, untreated[waiting] - (step - waiting) * d,
+        chosen = policy_select(policy, waiting, untreated[waiting] - (step - waiting) * d,
                                donor_id, scorer, guide)
         if chosen is None:
             continue

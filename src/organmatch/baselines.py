@@ -16,16 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matchrep, numkit
+from .datamodel import IngestionError
 from .matchrep import MultiHeadPredictor, TrainConfig
 from .numkit import (
-    AdamState,
+    Adam,
     DenseNet,
     DiagGaussian,
-    adam_step,
-    bind_flat_buffer,
     gmm_em_fit,
     init_dense_net,
     kmeans_fit,
+    minibatches,
     mlp_backward,
     mlp_forward,
     rng_stream,
@@ -37,6 +37,7 @@ PAIR_KINDS = ("reg-nn", "reg-tree", "lasso", "ridge", "elasticnet")
 
 RIDGE_PENALTY = 1e-3
 CD_DUALITY_GAP = 1e-6
+CD_MAX_SWEEPS = 10000
 TREE_MAX_DEPTH = 8
 TREE_MIN_LEAF = 16
 
@@ -177,15 +178,14 @@ def _fit_linear_heads(recipients, outcomes, labels, k):
 
 def _fit_nn_heads(recipients, outcomes, labels, spec: BaselineSpec):
     cfg = spec.train
-    phi, predictor, params = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg,
-                                                     "baselines")
-    state = AdamState()
+    phi, predictor, opt = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg,
+                                                  "baselines")
     rng = rng_stream(cfg.seed, "baselines", "nn-batches")
     beta = cfg.beta if spec.with_rep else 0.0
     for _ in range(cfg.joint_epochs):
-        for idx in matchrep._batches(len(outcomes), cfg.batch_size, rng):
-            matchrep.phi_heads_step(phi, predictor, params, state, recipients[idx],
-                                    outcomes[idx], labels[idx], beta, cfg)
+        for idx in minibatches(len(outcomes), cfg.batch_size, rng):
+            matchrep.phi_heads_step(phi, predictor, opt, recipients[idx], outcomes[idx],
+                                    labels[idx], beta, cfg)
     return phi, predictor
 
 
@@ -209,8 +209,7 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _enet_cd(x: np.ndarray, y: np.ndarray, l1: float, l2: float,
-             gap_tol: float = CD_DUALITY_GAP, max_sweeps: int = 10000):
+def _enet_cd(x: np.ndarray, y: np.ndarray, l1: float, l2: float):
     """Coordinate descent for (1/2n)||y - Xw - b||^2 + l1*||w||_1 + (l2/2)*||w||^2.
 
     The intercept is handled by centering. The l2 part is folded into an
@@ -229,7 +228,7 @@ def _enet_cd(x: np.ndarray, y: np.ndarray, l1: float, l2: float,
     w = np.zeros(d)
     resid = yc.copy()
     y_sq = float(yc @ yc)
-    for _ in range(max_sweeps):
+    for _ in range(CD_MAX_SWEEPS):
         for j in range(d):
             if col_sq[j] == 0.0:
                 continue
@@ -244,7 +243,7 @@ def _enet_cd(x: np.ndarray, y: np.ndarray, l1: float, l2: float,
         scale = min(1.0, l1 / corr) if corr > l1 else 1.0
         theta = scale * resid / n
         dual = float(theta @ yc) - n / 2 * float(theta @ theta)
-        if primal - dual <= gap_tol:
+        if primal - dual <= CD_DUALITY_GAP:
             break
     b = y_mean - float(x_mean @ w)
     return w, b
@@ -344,20 +343,14 @@ def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) ->
     mean = float(outcomes.mean())
     scale = float(max(outcomes.std(), 1.0))
     target = (outcomes - mean) / scale
-    params = bind_flat_buffer([net])
-    state = AdamState()
+    opt = Adam([net], config.learning_rate, "reg-nn")
     rng = rng_stream(config.seed, "baselines", "regnn-batches")
-    n = len(outcomes)
     for _ in range(config.joint_epochs):
-        for idx in matchrep._batches(n, config.batch_size, rng):
+        for idx in minibatches(len(outcomes), config.batch_size, rng):
             out, cache = mlp_forward(net, pairs[idx])
             err = out[:, 0] - target[idx]
-            loss = float(np.mean(err * err))
-            if not np.isfinite(loss):
-                raise numkit.TrainingDivergedError("reg-nn loss diverged")
             grads, _ = mlp_backward(net, cache, (2.0 / len(idx)) * err[:, None])
-            adam_step([params], [np.concatenate(grads, axis=None)], state,
-                      config.learning_rate)
+            opt.step(float(np.mean(err * err)), grads)
     return PairRegressor(kind="reg-nn", net=net, outcome_mean=mean, outcome_scale=scale)
 
 
@@ -406,3 +399,21 @@ def save_pair_regressor(model: PairRegressor, path) -> None:
 
 def load_pair_regressor(path) -> PairRegressor:
     return matchrep._load(path, PairRegressor, _MODEL_TYPES)[0]
+
+
+def check_input_widths(model, path, d_r: int, d_o: int) -> None:
+    """Raise IngestionError naming ``path``, the file the baseline or pair
+    regressor ``model`` was read from, unless it takes ``d_r`` recipient and
+    ``d_o`` donor features. A tree's width is not known and is not checked."""
+    if isinstance(model, PairRegressor):
+        nets, arrays = [(model.net, d_r + d_o)], [(model.weights, (d_r + d_o,))]
+    else:
+        c = model.clusterer
+        nets = [(model.phi, d_r), (c.donor_map.encoder if c.donor_map else None, d_o)]
+        arrays = ([(c.centers, (c.k, d_o))] + [(g.mean, (d_o,)) for g in c.components or []]
+                  + [(head[0], (d_r,)) for head in model.linear_heads or [] if head is not None])
+    shapes = [(array.shape, want) for array, want in arrays if array is not None]
+    shapes += [((net.input_dim,), (want,)) for net, want in nets if net is not None]
+    for got, want in shapes:
+        if got != want:
+            raise IngestionError(f"{path}: an input of shape {got}, the data needs {want}")

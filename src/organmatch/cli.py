@@ -277,12 +277,14 @@ def cmd_eval(args) -> int:
 
     for path in sorted(models_dir.glob("baseline_*.json")):
         bmodel = baselines.load_cluster_predictor(path)
+        baselines.check_input_widths(bmodel, path, subset.d_r, subset.d_o)
         blabels = bmodel.donor_labels(subset.donors)
         bpreds = bmodel.predict_potentials(subset.recipients)
         rows.append(_eval_cluster_model(bmodel.spec.name, bpreds, blabels, subset))
 
     for path in sorted(models_dir.glob("pair_*.json")):
         regressor = baselines.load_pair_regressor(path)
+        baselines.check_input_widths(regressor, path, subset.d_r, subset.d_o)
         pairs = np.hstack([subset.recipients, subset.donors])
         pred = regressor.predict(pairs)
         err = pred - subset.outcomes

@@ -110,20 +110,23 @@ class Dataset:
                                 if isinstance(value, np.ndarray)})
 
 
+TRAIN_FRACTION = 0.9
+
+
 @dataclass
 class SplitIndices:
     train: np.ndarray
     validation: np.ndarray
 
 
-def split(dataset: Dataset, fraction: float = 0.9, seed: int = 0) -> SplitIndices:
+def split(dataset: Dataset, seed: int = 0) -> SplitIndices:
     """Deterministic uniform 90/10 train/validation split."""
     n = len(dataset)
     if n < 10:
         raise InsufficientDataError(f"need at least 10 records, got {n}")
     rng = rng_stream(seed, "datamodel", "split")
     perm = rng.permutation(n)
-    n_train = int(round(fraction * n))
+    n_train = int(round(TRAIN_FRACTION * n))
     return SplitIndices(train=np.sort(perm[:n_train]), validation=np.sort(perm[n_train:]))
 
 

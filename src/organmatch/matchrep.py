@@ -26,15 +26,14 @@ from . import numkit
 from .datamodel import (IngestionError, Normalization, check_field_kinds,
                         normalization_from_dict)
 from .numkit import (
-    AdamState,
+    Adam,
     DenseNet,
     DimensionMismatchError,
     Layer,
     TrainingDivergedError,
-    adam_step,
-    bind_flat_buffer,
     init_dense_net,
     kmeans_fit,
+    minibatches,
     mlp_backward,
     mlp_forward,
     rng_stream,
@@ -127,9 +126,6 @@ class MultiHeadPredictor:
     outcome_mean: float
     outcome_scale: float
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for head in self.heads for p in head.parameters()]
-
 
 @dataclass
 class MatchRepModel:
@@ -154,13 +150,6 @@ class MatchRepModel:
                 or (self.active is not None and self.active.shape != (k,))):
             raise DimensionMismatchError(
                 f"the heads, centers or active mask do not fit {k} donor types")
-
-    def parameters(self) -> list[np.ndarray]:
-        params = list(self.donor_map.encoder.parameters())
-        params.append(self.donor_map.centers)
-        params.extend(self.encoder.net.parameters())
-        params.extend(self.predictor.parameters())
-        return params
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +290,7 @@ def factual_loss_and_grads(predictor: MultiHeadPredictor, xprime: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Combined losses (used by training and by gradient checks)
+# The losses that train, each gradient-checked
 # ---------------------------------------------------------------------------
 
 
@@ -313,7 +302,7 @@ def phi_heads_loss_and_grads(phi: DenseNet, predictor: MultiHeadPredictor,
 
     The L_Phi term is skipped, and reported as 0.0, when ``beta == 0``.
     Returns (L_f, L_Phi, grads) with grads ordered like ``phi.parameters()``
-    followed by ``predictor.parameters()``.
+    followed by each head's ``parameters()``.
     """
     xprime, cache = mlp_forward(phi, recipients)
     l_f, head_grads, d_xprime = factual_loss_and_grads(predictor, xprime, outcomes, labels)
@@ -327,35 +316,29 @@ def phi_heads_loss_and_grads(phi: DenseNet, predictor: MultiHeadPredictor,
     return l_f, l_rep, grads
 
 
-def joint_loss_and_grads(model: MatchRepModel, recipients: np.ndarray,
-                         donors: np.ndarray, outcomes: np.ndarray,
-                         p_rows: np.ndarray, alpha: float, beta: float,
-                         min_cluster_count: int | None = None):
-    """L = L_f + alpha*L_DEC + beta*L_Phi on one batch.
+def recon_loss_and_grads(donor_map: DonorTypeMap, x: np.ndarray):
+    """The autoencoder's reconstruction MSE on ``x``; returns (loss, grads)
+    with grads ordered like the encoder's then the decoder's parameters."""
+    z, enc_cache = mlp_forward(donor_map.encoder, x)
+    recon, dec_cache = mlp_forward(donor_map.decoder, z)
+    err = recon - x
+    dec_grads, d_z = mlp_backward(donor_map.decoder, dec_cache, 2.0 * err / err.size)
+    enc_grads, _ = mlp_backward(donor_map.encoder, enc_cache, d_z)
+    return float(np.mean(err * err)), enc_grads + dec_grads
 
-    Hard cluster labels (argmax of the soft assignment) select the factual
-    head and the rep-loss groups; no gradient flows through the assignment
-    into the donor map. Gradients are returned aligned with
-    ``model.parameters()``. Also returns the per-term loss values.
-    """
-    cfg = model.config
-    if min_cluster_count is None:
-        min_cluster_count = cfg.min_cluster_count
-    enc = model.donor_map.encoder
-    centers = model.donor_map.centers
-    embeds, enc_cache = mlp_forward(enc, donors)
-    labels = np.argmax(soft_assign(embeds, centers), axis=1)
 
-    l_dec, d_embeds, d_centers = dec_loss_and_grads(embeds, centers, p_rows)
-    grads, _ = mlp_backward(enc, enc_cache, alpha * d_embeds)
-    grads.append(alpha * d_centers)
-
-    l_f, l_rep, phi_heads_grads = phi_heads_loss_and_grads(
-        model.encoder.net, model.predictor, recipients, outcomes, labels, beta, cfg.k,
-        min_cluster_count)
-    grads.extend(phi_heads_grads)
-    total = l_f + alpha * l_dec + beta * l_rep
-    return total, grads, {"L_f": l_f, "L_DEC": l_dec, "L_Phi": l_rep}
+def dec_refine_loss_and_grads(donor_map: DonorTypeMap, x: np.ndarray, p_rows: np.ndarray,
+                              embed_decay: float, batch_share: float):
+    """The batch L_DEC against the targets ``p_rows``, and the gradients of
+    ``L_DEC + embed_decay * (mean ||e||^2 + batch_share * ||C||^2)`` over the
+    batch embeddings ``e`` and the centers ``C``, ordered like the encoder's
+    parameters followed by the centers."""
+    embeds, cache = mlp_forward(donor_map.encoder, x)
+    loss, d_embeds, d_centers = dec_loss_and_grads(embeds, donor_map.centers, p_rows)
+    d_embeds = d_embeds + embed_decay * 2.0 * embeds / embeds.shape[0]
+    d_centers = d_centers + embed_decay * 2.0 * donor_map.centers * batch_share
+    enc_grads, _ = mlp_backward(donor_map.encoder, cache, d_embeds)
+    return loss, enc_grads + [d_centers]
 
 
 # ---------------------------------------------------------------------------
@@ -363,37 +346,11 @@ def joint_loss_and_grads(model: MatchRepModel, recipients: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
-def _recon_step(donor_map: DonorTypeMap, params: np.ndarray, state: AdamState,
-                x: np.ndarray, learning_rate: float) -> float:
-    """One Adam step on the autoencoder's reconstruction MSE; returns the batch loss.
-
-    ``params`` is the buffer ``pretrain_autoencoder`` bound the map's encoder
-    and decoder to."""
-    z, enc_cache = mlp_forward(donor_map.encoder, x)
-    recon, dec_cache = mlp_forward(donor_map.decoder, z)
-    err = recon - x
-    loss = float(np.mean(err * err))
-    if not np.isfinite(loss):
-        raise TrainingDivergedError("autoencoder loss diverged; try a lower learning rate")
-    dec_grads, d_z = mlp_backward(donor_map.decoder, dec_cache, 2.0 * err / err.size)
-    enc_grads, _ = mlp_backward(donor_map.encoder, enc_cache, d_z)
-    adam_step([params], [np.concatenate(enc_grads + dec_grads, axis=None)], state,
-              learning_rate)
-    return loss
-
-
 def pretrain_autoencoder(donors: np.ndarray,
-                         config: TrainConfig) -> tuple[DonorTypeMap, list[float], np.ndarray]:
+                         config: TrainConfig) -> tuple[DonorTypeMap, list[float]]:
     """Reconstruction-MSE pretraining of the donor autoencoder with Adam.
 
-    Returns the map, the epoch losses and the one flat buffer the encoder and
-    decoder are bound to (the ``params`` of ``_recon_step``)."""
+    Returns the map and the epoch losses."""
     config.validate()
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
@@ -404,18 +361,18 @@ def pretrain_autoencoder(donors: np.ndarray,
                                rng_stream(config.seed, "matchrep", "enc-init")),
         decoder=init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
                                rng_stream(config.seed, "matchrep", "dec-init")))
-    params = bind_flat_buffer([donor_map.encoder, donor_map.decoder])
-    state = AdamState()
+    opt = Adam([donor_map.encoder, donor_map.decoder], config.learning_rate, "autoencoder")
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
     n = donors.shape[0]
     losses = []
     for _ in range(config.pretrain_epochs):
         epoch_loss = 0.0
-        for idx in _batches(n, config.batch_size, rng):
-            loss = _recon_step(donor_map, params, state, donors[idx], config.learning_rate)
+        for idx in minibatches(n, config.batch_size, rng):
+            loss, grads = recon_loss_and_grads(donor_map, donors[idx])
+            opt.step(loss, grads)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
-    return donor_map, losses, params
+    return donor_map, losses
 
 
 def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig) -> np.ndarray:
@@ -443,21 +400,20 @@ class _DecRefinement:
     ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
     once fewer than ``dec_stop_tol`` of the hard labels changed over the
     epoch. ``labels`` always holds the hard labels of the current map.
-    ``ae_params`` is the buffer ``pretrain_autoencoder`` bound the map's
-    encoder and decoder to.
+    ``anchor`` is the reconstruction anchor's Adam over the map's encoder
+    and decoder.
 
     Once refinement has stopped the map is frozen, so the per-donor L_DEC
     terms, against the frozen map's own target, are computed once, not per
     batch.
     """
 
-    def __init__(self, donor_map: DonorTypeMap, ae_params: np.ndarray, donors: np.ndarray,
-                 config: TrainConfig):
+    def __init__(self, donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig):
         self.donor_map = donor_map
-        self.ae_params = ae_params
         self.donors = donors
         self.config = config
-        self.ae_state = AdamState()
+        self.anchor = Adam([donor_map.encoder, donor_map.decoder], config.learning_rate,
+                           "DEC refinement's reconstruction anchor")
         self.dec_step = config.dec_lr * config.alpha
         self.active = self.dec_step > 0.0
         self.labels = _hard_labels(donor_map, donors)
@@ -477,17 +433,13 @@ class _DecRefinement:
         frozen map once refinement has stopped)."""
         if not self.active:
             return float(np.sum(self.frozen_terms[idx]))
-        dm, cfg = self.donor_map, self.config
-        x, p_rows = self.donors[idx], self.p_full[idx]
-        _recon_step(dm, self.ae_params, self.ae_state, x, cfg.learning_rate)
-        embeds, cache = mlp_forward(dm.encoder, x)
-        loss, d_embeds, d_centers = dec_loss_and_grads(embeds, dm.centers, p_rows)
+        dm, x = self.donor_map, self.donors[idx]
+        self.anchor.step(*recon_loss_and_grads(dm, x))
+        loss, grads = dec_refine_loss_and_grads(dm, x, self.p_full[idx], self.config.embed_decay,
+                                                x.shape[0] / len(self.donors))
         if not np.isfinite(loss):
             raise TrainingDivergedError("DEC loss diverged; try a lower dec_lr")
-        d_embeds = d_embeds + cfg.embed_decay * 2.0 * embeds / embeds.shape[0]
-        d_centers = d_centers + cfg.embed_decay * 2.0 * dm.centers * (x.shape[0] / len(self.donors))
-        enc_grads, _ = mlp_backward(dm.encoder, cache, d_embeds)
-        for pm, g in zip(dm.encoder.parameters() + [dm.centers], enc_grads + [d_centers]):
+        for pm, g in zip(dm.encoder.parameters() + [dm.centers], grads):
             pm -= self.dec_step * g
         return loss
 
@@ -508,9 +460,9 @@ class _DecRefinement:
 
 
 def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
-                   namespace: str) -> tuple[DenseNet, MultiHeadPredictor, np.ndarray]:
-    """Glorot-initialised recipient encoder Phi and K heads, and the one flat
-    buffer their parameters live in (the ``params`` of ``phi_heads_step``).
+                   namespace: str) -> tuple[DenseNet, MultiHeadPredictor, Adam]:
+    """Glorot-initialised recipient encoder Phi and K heads, and the Adam
+    that trains them (the ``opt`` of ``phi_heads_step``).
 
     ``namespace`` names the RNG streams (``phi-init``/``heads-init``), so each
     caller keeps draws of its own.
@@ -527,22 +479,16 @@ def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
         outcome_mean=float(outcomes.mean()),
         outcome_scale=float(max(outcomes.std(), 1.0)),
     )
-    return phi, predictor, bind_flat_buffer([phi, *heads])
+    return phi, predictor, Adam([phi, *heads], config.learning_rate, "Phi/heads")
 
 
-def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, params: np.ndarray,
-                   state: AdamState, recipients: np.ndarray, outcomes: np.ndarray,
-                   labels: np.ndarray, beta: float, config: TrainConfig) -> tuple[float, float]:
-    """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi).
-
-    ``params`` is the flat buffer that ``init_phi_heads`` bound Phi and the
-    heads to."""
-    l_f, l_rep, grads = phi_heads_loss_and_grads(
-        phi, predictor, recipients, outcomes, labels, beta, config.k,
-        config.min_cluster_count)
-    if not np.isfinite(l_f + beta * l_rep):
-        raise TrainingDivergedError("Phi/heads loss diverged; try a lower learning rate")
-    adam_step([params], [np.concatenate(grads, axis=None)], state, config.learning_rate)
+def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, opt: Adam,
+                   recipients: np.ndarray, outcomes: np.ndarray, labels: np.ndarray,
+                   beta: float, config: TrainConfig) -> tuple[float, float]:
+    """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi)."""
+    l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, recipients, outcomes, labels,
+                                                 beta, config.k, config.min_cluster_count)
+    opt.step(l_f + beta * l_rep, grads)
     return l_f, l_rep
 
 
@@ -558,27 +504,24 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     epoch-mean loss components.
     """
     config.validate()
-    donor_map, _, ae_params = pretrain_autoencoder(donors, config)
+    donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
-    phi, predictor, phi_params = init_phi_heads(recipients.shape[1], outcomes, config,
-                                                "matchrep")
+    phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
     model = MatchRepModel(donor_map=donor_map, encoder=MatchEncoder(phi),
                           predictor=predictor, config=config)
 
-    refine = _DecRefinement(donor_map, ae_params, donors, config)
-    phi_state = AdamState()
+    refine = _DecRefinement(donor_map, donors, config)
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     n = len(outcomes)
     log = []
     for epoch in range(config.joint_epochs):
         refine.start_epoch()
         sums = {"L_f": 0.0, "L_DEC": 0.0, "L_Phi": 0.0}
-        for idx in _batches(n, config.batch_size, rng):
+        for idx in minibatches(n, config.batch_size, rng):
             # L_DEC comes as the batch's sum over donors, L_f and L_Phi as batch means.
             sums["L_DEC"] += refine.step(idx)
-            l_f, l_rep = phi_heads_step(phi, predictor, phi_params, phi_state, recipients[idx],
-                                        outcomes[idx], refine.batch_labels(idx), config.beta,
-                                        config)
+            l_f, l_rep = phi_heads_step(phi, predictor, phi_opt, recipients[idx], outcomes[idx],
+                                        refine.batch_labels(idx), config.beta, config)
             sums["L_f"] += l_f * len(idx)
             sums["L_Phi"] += l_rep * len(idx)
         row = {"epoch": epoch, **{k: v / n for k, v in sums.items()}}
@@ -602,15 +545,15 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
     the joint phase. Returns the trained DonorTypeMap.
     """
     config.validate()
-    donor_map, _, ae_params = pretrain_autoencoder(donors, config)
+    donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
-    refine = _DecRefinement(donor_map, ae_params, donors, config)
+    refine = _DecRefinement(donor_map, donors, config)
     rng = rng_stream(config.seed, "matchrep", "dec-standalone-batches")
     for epoch in range(config.joint_epochs):
         if not refine.active:
             break
         refine.start_epoch()
-        for idx in _batches(len(donors), config.batch_size, rng):
+        for idx in minibatches(len(donors), config.batch_size, rng):
             refine.step(idx)
         refine.end_epoch(epoch)
     return donor_map
@@ -691,15 +634,20 @@ def _to_doc(obj):
 def _from_doc(doc, types: dict[str, type]):
     """Inverse of ``_to_doc``. Builds only the dataclasses named in ``types``,
     from values of their fields' declared types, through their constructors,
-    so their own checks run."""
+    so their own checks run. Refuses a non-finite float, alone or in arrays."""
     if isinstance(doc, list):
         return [_from_doc(v, types) for v in doc]
     if not isinstance(doc, dict):
+        if isinstance(doc, float) and not np.isfinite(doc):
+            raise ValueError(f"non-finite number {doc}")
         return doc
     if "type" not in doc:
         if set(doc) != {"dtype", "array"} or doc["dtype"] not in _ARRAY_DTYPES:
             raise ValueError(f"not an array of {_ARRAY_DTYPES}: keys {sorted(doc)}")
-        return np.asarray(doc["array"], dtype=doc["dtype"])
+        array = np.asarray(doc["array"], dtype=doc["dtype"])
+        if not np.isfinite(array).all():
+            raise ValueError("non-finite entry in a float array")
+        return array
     cls = types.get(doc["type"])
     if cls is None:
         raise ValueError(f"unknown type {doc['type']!r}")

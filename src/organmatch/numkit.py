@@ -24,6 +24,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+KMEANS_MAX_ITER, KMEANS_TOL = 100, 1e-10
+GMM_MAX_ITER, GMM_TOL = 100, 1e-8  # the tolerance is relative to the log-likelihood
+
 
 class DimensionMismatchError(ValueError):
     pass
@@ -96,11 +99,7 @@ class DenseNet:
         return self.layers[-1].weight.shape[1]
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.layers:
-            params.append(layer.weight)
-            params.append(layer.bias)
-        return params
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
 
 def init_dense_net(dims: list[int], activations: list[str], rng: np.random.Generator) -> DenseNet:
@@ -159,26 +158,6 @@ def mlp_backward(net: DenseNet, cache, upstream_grad: np.ndarray):
     return grads, delta
 
 
-def bind_flat_buffer(nets: list[DenseNet]) -> np.ndarray:
-    """Move every weight and bias of ``nets`` into one C-contiguous float64 buffer.
-
-    Each ``Layer.weight``/``bias`` is rebound to a view into the buffer, laid
-    out in ``net.parameters()`` order net after net, so one in-place update of
-    the buffer, such as ``adam_step([buffer], [np.concatenate(grads,
-    axis=None)], ...)``, updates every layer. Returns the buffer.
-    """
-    layers = [layer for net in nets for layer in net.layers]
-    buffer = np.concatenate([p for layer in layers for p in (layer.weight, layer.bias)],
-                            axis=None, dtype=float)
-    offset = 0
-    for layer in layers:
-        for name in ("weight", "bias"):
-            old = getattr(layer, name)
-            setattr(layer, name, buffer[offset:offset + old.size].reshape(old.shape))
-            offset += old.size
-    return buffer
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -213,6 +192,40 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     return params, state
 
 
+class Adam:
+    """Adam over every weight and bias of ``nets``, stepped as one flat buffer.
+
+    Each ``Layer.weight``/``bias`` is rebound to a view into the C-contiguous
+    float64 ``buffer``, laid out in ``net.parameters()`` order net after net,
+    so one in-place ``adam_step`` on the buffer updates every layer. ``what``
+    names the loss in the error a non-finite loss raises.
+    """
+
+    def __init__(self, nets: list[DenseNet], lr: float, what: str):
+        self.buffer = np.concatenate([p for net in nets for p in net.parameters()], axis=None,
+                                     dtype=float)
+        offset = 0
+        for layer in [layer for net in nets for layer in net.layers]:
+            for name in ("weight", "bias"):
+                old = getattr(layer, name)
+                setattr(layer, name, self.buffer[offset:offset + old.size].reshape(old.shape))
+                offset += old.size
+        self.lr, self.what, self.state = lr, what, AdamState()
+
+    def step(self, loss: float, grads: list[np.ndarray]) -> None:
+        """One Adam step on ``grads``, ordered like the bound parameters."""
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"{self.what} loss diverged; try a lower learning rate")
+        adam_step([self.buffer], [np.concatenate(grads, axis=None)], self.state, self.lr)
+
+
+def minibatches(n: int, batch_size: int, rng: np.random.Generator):
+    """Index arrays of one shuffled pass over ``n`` rows, ``batch_size`` at a time."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
+
+
 # ---------------------------------------------------------------------------
 # Clustering
 # ---------------------------------------------------------------------------
@@ -235,8 +248,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator,
-               max_iter: int = 100, tol: float = 1e-10, n_init: int = 1):
+def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator, n_init: int = 1):
     """Lloyd's algorithm with k-means++ seeding.
 
     Empty-cluster repair: the point farthest from its assigned center becomes
@@ -249,7 +261,7 @@ def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator,
     if n_init > 1:
         best = None
         for _ in range(n_init):
-            out = kmeans_fit(points, k, rng, max_iter=max_iter, tol=tol)
+            out = kmeans_fit(points, k, rng)
             if best is None or out[2][-1] < best[2][-1]:
                 best = out
         return best
@@ -260,7 +272,7 @@ def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator,
     centers = _kmeans_pp_init(points, k, rng)
     history = []
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         assigned_d2 = d2[np.arange(n), labels]
@@ -274,7 +286,7 @@ def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator,
         new_centers = np.vstack([points[labels == j].mean(axis=0) for j in range(k)])
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     labels = np.argmin(d2, axis=1)
@@ -315,8 +327,7 @@ def kl_gaussian_diag(p: DiagGaussian, q: DiagGaussian) -> float:
                                + (p.mean - q.mean) ** 2 / q.var - 1.0)))
 
 
-def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator,
-               max_iter: int = 100, tol: float = 1e-8):
+def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator):
     """EM for a diagonal-covariance Gaussian mixture.
 
     Initialised from k-means. Degenerate variances are floored (with a
@@ -341,7 +352,7 @@ def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator,
 
     history = []
     resp = np.full((n, k), 1.0 / k)
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         # E-step: log responsibilities
         log_prob = (
             -0.5 * np.sum((points[:, None, :] - means[None]) ** 2 / variances[None], axis=2)
@@ -359,7 +370,7 @@ def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator,
         if np.any(variances < VAR_FLOOR):
             warnings.warn("variance floored in GMM M-step")
         variances = np.maximum(variances, VAR_FLOOR)
-        if len(history) > 1 and abs(history[-1] - history[-2]) < tol * (1 + abs(history[-2])):
+        if len(history) > 1 and abs(history[-1] - history[-2]) < GMM_TOL * (1 + abs(history[-2])):
             break
     components = [DiagGaussian(means[j], variances[j]) for j in range(k)]
     return weights, components, resp, history

@@ -101,7 +101,6 @@ def test_donor_lag_within_window():
 # ---------------------------------------------------------------------------
 
 WAITING = np.array([0, 1])
-ARRIVALS = np.array([0, 1])
 
 
 def _scorer(values):
@@ -114,13 +113,13 @@ def _scorer(values):
 
 
 def test_fcfs_picks_earliest_arrival():
-    chosen = policy_select("fcfs", WAITING, ARRIVALS, np.array([500.0, 500.0]),
+    chosen = policy_select("fcfs", WAITING, np.array([500.0, 500.0]),
                            donor_id=0, scorer=None, guide=None)
     assert chosen == 0
 
 
 def test_uf_picks_highest_predicted_survival():
-    chosen = policy_select("uf", WAITING, ARRIVALS, np.array([950.0, 100.0]),
+    chosen = policy_select("uf", WAITING, np.array([950.0, 100.0]),
                            donor_id=0, scorer=_scorer([1000.0, 900.0]),
                            guide=None)
     assert chosen == 0
@@ -128,18 +127,25 @@ def test_uf_picks_highest_predicted_survival():
 
 def test_bf_picks_highest_benefit():
     # benefits: 1000-950=50 vs 900-100=800
-    chosen = policy_select("bf", WAITING, ARRIVALS, np.array([950.0, 100.0]),
+    chosen = policy_select("bf", WAITING, np.array([950.0, 100.0]),
                            donor_id=0, scorer=_scorer([1000.0, 900.0]),
                            guide=None)
     assert chosen == 1
 
 
+def test_ties_go_to_the_lowest_record_index():
+    # recipient i arrives at step i, so the lowest index is the earliest arrival
+    waiting = np.array([5, 2, 7])
+    for policy in ("fcfs", "uf", "bf"):
+        assert policy_select(policy, waiting, np.zeros(3), 0, _scorer(np.ones(8)), None) == 2
+
+
 def test_real_policy_waits_for_factual_partner():
     # donor i's factual partner is recipient i
-    chosen = policy_select("real", WAITING, ARRIVALS, np.array([500.0, 500.0]),
+    chosen = policy_select("real", WAITING, np.array([500.0, 500.0]),
                            donor_id=1, scorer=None, guide=None)
     assert chosen == 1
-    none = policy_select("real", WAITING, ARRIVALS, np.array([500.0, 500.0]),
+    none = policy_select("real", WAITING, np.array([500.0, 500.0]),
                          donor_id=5, scorer=None, guide=None)
     assert none is None
 
@@ -148,7 +154,7 @@ def test_matching_policy_restricts_to_type_match():
     guide = GuidedPolicy(donor_types=np.array([1, 0, 0, 0, 0, 0]),
                          best_types=np.array([0, 1]))
     # donor 0 has learned type 1; only recipient 1 wants type 1
-    chosen = policy_select("matching-uf", WAITING, ARRIVALS,
+    chosen = policy_select("matching-uf", WAITING,
                            np.array([500.0, 500.0]), donor_id=0,
                            scorer=_scorer([1000.0, 900.0]),
                            guide=guide)
@@ -158,7 +164,7 @@ def test_matching_policy_restricts_to_type_match():
 def test_matching_policy_falls_back_when_no_match():
     guide = GuidedPolicy(donor_types=np.array([1, 0]),
                          best_types=np.array([0, 0]))
-    chosen = policy_select("matching-uf", WAITING, ARRIVALS,
+    chosen = policy_select("matching-uf", WAITING,
                            np.array([500.0, 500.0]), donor_id=0,
                            scorer=_scorer([1000.0, 900.0]),
                            guide=guide)
@@ -167,14 +173,14 @@ def test_matching_policy_falls_back_when_no_match():
 
 def test_policy_select_error_paths():
     with pytest.raises(PolicyConfigError):
-        policy_select("greedy", WAITING, ARRIVALS, np.zeros(2), 0, None, None)
+        policy_select("greedy", WAITING, np.zeros(2), 0, None, None)
     with pytest.raises(PolicyConfigError):
-        policy_select("uf", WAITING, ARRIVALS, np.zeros(2), 0, None, None)
+        policy_select("uf", WAITING, np.zeros(2), 0, None, None)
     with pytest.raises(PolicyConfigError):
-        policy_select("matching-uf", WAITING, ARRIVALS, np.zeros(2), 0,
+        policy_select("matching-uf", WAITING, np.zeros(2), 0,
                       _scorer([1.0, 2.0]), None)
-    assert policy_select("fcfs", np.array([], dtype=int), np.array([]),
-                         np.array([]), 0, None, None) is None
+    assert policy_select("fcfs", np.array([], dtype=int), np.array([]), 0, None,
+                         None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +406,7 @@ def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
             if not waiting:
                 continue
             ids = np.array(waiting)
-            chosen = policy_select(policy, ids, ids, remaining[ids], donor_id, scorer, guide)
+            chosen = policy_select(policy, ids, remaining[ids], donor_id, scorer, guide)
             if chosen is None:
                 continue
             waiting.remove(chosen)

@@ -9,6 +9,7 @@ from organmatch.baselines import (
     PAIR_KINDS,
     PREDICTORS,
     BaselineSpec,
+    check_input_widths,
     fit_cluster_predictor,
     fit_pair_regressor,
     load_cluster_predictor,
@@ -16,6 +17,7 @@ from organmatch.baselines import (
     save_cluster_predictor,
     save_pair_regressor,
 )
+from organmatch.datamodel import IngestionError
 from organmatch.matchrep import TrainConfig
 from organmatch.numkit import rng_stream
 
@@ -34,6 +36,15 @@ def _two_mode_data(n=160, seed=0):
 
 SMALL = TrainConfig(k=2, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
                     joint_epochs=15, batch_size=32, min_cluster_count=4)
+
+
+def _assert_widths_checked(model, path, d_r, d_o, wrong):
+    """``model`` takes (d_r, d_o) features and is refused, naming ``path``,
+    for each (recipient, donor) width pair in ``wrong``."""
+    check_input_widths(model, path, d_r, d_o)
+    for bad_r, bad_o in wrong:
+        with pytest.raises(IngestionError, match=path.name):
+            check_input_widths(model, path, bad_r, bad_o)
 
 
 def test_spec_name_and_validation():
@@ -143,6 +154,7 @@ def test_cluster_predictor_round_trip(tmp_path, kind):
                                       model.predict_potentials(recipients))
         np.testing.assert_array_equal(again.donor_labels(donors),
                                       model.donor_labels(donors))
+        _assert_widths_checked(again, path, 3, 2, wrong=[(4, 2), (3, 1)])
 
 
 def test_dec_cluster_predictor_round_trip(tmp_path):
@@ -159,6 +171,7 @@ def test_dec_cluster_predictor_round_trip(tmp_path):
                                       model.donor_labels(donors))
         np.testing.assert_array_equal(again.predict_potentials(recipients),
                                       model.predict_potentials(recipients))
+        _assert_widths_checked(again, path, 3, 2, wrong=[(4, 2), (3, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +258,7 @@ def test_pair_regressor_round_trip(tmp_path, kind):
     again = load_pair_regressor(path)
     pairs = np.hstack([recipients[:10], donors[:10]])
     np.testing.assert_array_equal(again.predict(pairs), model.predict(pairs))
+    d_r, d_o = recipients.shape[1], donors.shape[1]
+    # a tree's width is not known from its file
+    _assert_widths_checked(again, path, d_r, d_o,
+                           wrong=[] if kind == "reg-tree" else [(d_r + 1, d_o), (d_r, d_o - 1)])

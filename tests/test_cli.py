@@ -258,19 +258,22 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
-                   "missing-head", "short-scale")
+                   "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
     text = (models_dir / "model.json").read_text()
     no_phi, no_norm, int_encoder = json.loads(text), json.loads(text), json.loads(text)
     short_bias, missing_head, short_scale = json.loads(text), json.loads(text), json.loads(text)
+    nan_weight, inf_scale = json.loads(text), json.loads(text)
     del no_phi["model"]["encoder"]
     no_norm["normalization"] = None
     int_encoder["model"]["encoder"] = 5
     short_bias["model"]["encoder"]["net"]["layers"][0]["bias"]["array"].pop()
     missing_head["model"]["predictor"]["heads"].pop()
     short_scale["normalization"]["recipient_scale"].pop()
+    nan_weight["model"]["donor_map"]["encoder"]["layers"][0]["weight"]["array"][0][0] = float("nan")
+    inf_scale["model"]["predictor"]["outcome_scale"] = float("inf")
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v2"),
             "truncated": text[:len(text) // 2],
@@ -280,7 +283,9 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "int-encoder": json.dumps(int_encoder),
             "short-bias": json.dumps(short_bias),
             "missing-head": json.dumps(missing_head),
-            "short-scale": json.dumps(short_scale)}[case]
+            "short-scale": json.dumps(short_scale),
+            "nan-weight": json.dumps(nan_weight),
+            "infinite-outcome-scale": json.dumps(inf_scale)}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)
@@ -290,6 +295,24 @@ def test_eval_malformed_model_is_data_error(workdir, data_dir, models_dir, case)
     (bad / "model.json").write_text(_bad_model_file(models_dir, case))
     assert main(["eval", "--data", str(data_dir), "--models", str(bad),
                  "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("case", ["pair-weight", "linear-head-weight"])
+def test_eval_short_baseline_weights_is_data_error(workdir, data_dir, models_dir, case, capsys):
+    name = {"pair-weight": "pair_ridge.json",
+            "linear-head-weight": "baseline_kmeans_linear-per-head.json"}[case]
+    doc = json.loads((models_dir / name).read_text())
+    if case == "pair-weight":
+        doc["model"]["weights"]["array"].pop()
+    else:
+        doc["model"]["linear_heads"][0][0]["array"].pop()
+    bad = workdir / f"short_{case}"
+    bad.mkdir()
+    (bad / "model.json").write_bytes((models_dir / "model.json").read_bytes())
+    (bad / name).write_text(json.dumps(doc))
+    assert main(["eval", "--data", str(data_dir), "--models", str(bad),
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+    assert name in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ from organmatch.matchrep import (
     UntrainedModelError,
     best_donor_type_batch,
     dec_loss_and_grads,
+    dec_refine_loss_and_grads,
     donor_type_batch,
     factual_loss_and_grads,
     init_centers,
-    joint_loss_and_grads,
     load_model,
+    phi_heads_loss_and_grads,
     predict_potential_batch,
     pretrain_autoencoder,
+    recon_loss_and_grads,
     rep_loss_and_grads,
     save_model,
     soft_assign,
@@ -269,52 +271,82 @@ def test_factual_loss_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# joint loss
+# the losses that train: reconstruction, DEC refinement, Phi+heads
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-def test_joint_loss_gradients_match_finite_differences(alpha, beta):
+def _set_params(params, values):
+    for dst, src in zip(params, values):
+        dst[:] = src
+
+
+def test_recon_loss_gradients_match_finite_differences():
     model = _tiny_model()
-    rng = rng_stream(10, "joint-fd")
-    recipients = rng.normal(size=(16, 3))
-    # well-separated donor modes keep the hard assignments stable under the
-    # finite-difference perturbations (no gradient flows through the argmax)
-    donors = np.concatenate([rng.normal(-4, 0.2, size=(8, 2)),
-                             rng.normal(4, 0.2, size=(8, 2))])
-    outcomes = rng.uniform(100, 900, size=16)
-    embeds, _ = numkit.mlp_forward(model.donor_map.encoder, donors)
-    p_rows = target_distribution(soft_assign(embeds, model.donor_map.centers))
+    dm = model.donor_map
+    x = rng_stream(14, "recon-fd").normal(size=(12, 2))
+    live = dm.encoder.parameters() + dm.decoder.parameters()
 
     def fn(params):
-        for dst, src in zip(model.parameters(), params):
-            dst[:] = src
-        loss, grads, _ = joint_loss_and_grads(model, recipients, donors, outcomes,
-                                              p_rows, alpha, beta, min_cluster_count=2)
-        return loss, grads
+        _set_params(live, params)
+        return recon_loss_and_grads(dm, x)
 
-    params = [p.copy() for p in model.parameters()]
-    # h=1e-3: the DEC gradients through a confident assignment are tiny, so a
-    # smaller step hits floating-point cancellation before truncation error
-    report = finite_diff_check(fn, params, h=1e-3, tol=1e-4,
-                               max_entries_per_block=12,
-                               rng=rng_stream(11, "joint-sub"))
+    report = finite_diff_check(fn, [p.copy() for p in live], tol=1e-4,
+                               max_entries_per_block=12, rng=rng_stream(15, "recon-sub"))
     assert report.passed, report.max_rel_error
 
 
-def test_joint_loss_components_compose():
+def test_dec_refine_loss_gradients_match_finite_differences():
     model = _tiny_model()
-    rng = rng_stream(12, "joint-c")
-    recipients = rng.normal(size=(20, 3))
-    donors = rng.normal(size=(20, 2))
-    outcomes = rng.uniform(100, 900, size=20)
-    embeds, _ = numkit.mlp_forward(model.donor_map.encoder, donors)
-    p_rows = target_distribution(soft_assign(embeds, model.donor_map.centers))
-    total, _, parts = joint_loss_and_grads(model, recipients, donors, outcomes,
-                                           p_rows, alpha=0.3, beta=2.0,
-                                           min_cluster_count=2)
-    assert total == pytest.approx(parts["L_f"] + 0.3 * parts["L_DEC"]
-                                  + 2.0 * parts["L_Phi"], rel=1e-12)
+    dm = model.donor_map
+    rng = rng_stream(16, "dec-refine-fd")
+    x = rng.normal(size=(12, 2))
+    p_rows = target_distribution(soft_assign(mlp_forward(dm.encoder, x)[0], dm.centers))
+    decay, share = 0.3, 12 / 40
+    live = dm.encoder.parameters() + [dm.centers]
+
+    def fn(params):
+        _set_params(live, params)
+        l_dec, grads = dec_refine_loss_and_grads(dm, x, p_rows, decay, share)
+        embeds = mlp_forward(dm.encoder, x)[0]
+        objective = l_dec + decay * (np.mean(np.sum(embeds * embeds, axis=1))
+                                     + share * np.sum(dm.centers * dm.centers))
+        return objective, grads
+
+    report = finite_diff_check(fn, [p.copy() for p in live], tol=1e-4,
+                               max_entries_per_block=12, rng=rng_stream(17, "dec-refine-sub"))
+    assert report.passed, report.max_rel_error
+
+
+def test_dec_refine_loss_is_the_batch_dec_loss():
+    model = _tiny_model()
+    dm = model.donor_map
+    x = rng_stream(18, "dec-refine-l").normal(size=(12, 2))
+    embeds = mlp_forward(dm.encoder, x)[0]
+    p_rows = target_distribution(soft_assign(embeds, dm.centers))
+    l_dec, _ = dec_refine_loss_and_grads(dm, x, p_rows, 0.3, 0.5)
+    assert l_dec == dec_loss_and_grads(embeds, dm.centers, p_rows)[0]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_phi_heads_loss_gradients_match_finite_differences(beta):
+    model = _tiny_model()
+    phi, predictor = model.encoder.net, model.predictor
+    rng = rng_stream(10, "phi-heads-fd")
+    recipients = rng.normal(size=(16, 3))
+    outcomes = rng.uniform(100, 900, size=16)
+    labels = np.repeat([0, 1], 8)
+    live = [p for net in (phi, *predictor.heads) for p in net.parameters()]
+
+    def fn(params):
+        _set_params(live, params)
+        l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, recipients, outcomes,
+                                                     labels, beta, k=2, min_cluster_count=2)
+        assert (l_rep == 0.0) == (beta == 0.0)
+        return l_f + beta * l_rep, grads
+
+    report = finite_diff_check(fn, [p.copy() for p in live], tol=1e-4,
+                               max_entries_per_block=12, rng=rng_stream(11, "phi-heads-sub"))
+    assert report.passed, report.max_rel_error
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +394,14 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     config = TrainConfig(**{**SMALL, "batch_size": batch_size},
                          dec_min_epochs=3, dec_stop_tol=1.0)  # stops after epoch 2
     calls = {"L_DEC": 0, "encoder": 0}
-    maps, buffers, epochs = [], [], []
+    maps, anchors, epochs = [], [], []
     real_pretrain, real_dec = matchrep.pretrain_autoencoder, matchrep.dec_loss_and_grads
     real_forward, real_end = matchrep.mlp_forward, matchrep._DecRefinement.end_epoch
 
     def pretrain(*args, **kwargs):
-        donor_map, losses, params = real_pretrain(*args, **kwargs)
+        donor_map, losses = real_pretrain(*args, **kwargs)
         maps.append(donor_map)
-        buffers.append(params)
-        return donor_map, losses, params
+        return donor_map, losses
 
     def dec(*args, **kwargs):
         calls["L_DEC"] += 1
@@ -381,6 +412,7 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
         return real_forward(net, batch)
 
     def end_epoch(self, epoch):
+        anchors.append(self.anchor)
         active = self.active
         real_end(self, epoch)
         epochs.append((active, dict(calls)))
@@ -401,14 +433,15 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     # one full-donor encoding at the first frozen epoch, none per batch
     assert epochs[-1][1]["encoder"] - frozen_start["encoder"] == 1
     assert epochs[3][1]["encoder"] - frozen_start["encoder"] == 1
-    # refinement trains the autoencoder in the buffer pretraining bound it to
+    # refinement's reconstruction anchor trains the autoencoder in its own buffer
+    assert all(anchor is anchors[0] for anchor in anchors)
     for net in (model.donor_map.encoder, model.donor_map.decoder):
-        assert all(np.shares_memory(p, buffers[0]) for p in net.parameters())
+        assert all(np.shares_memory(p, anchors[0].buffer) for p in net.parameters())
 
     # the logged L_DEC of a frozen epoch is the per-batch evaluation it
     # replaces, and the per-donor mean KL whatever the batch size
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
-    batches = [list(matchrep._batches(n, config.batch_size, rng)) for _ in log]
+    batches = [list(numkit.minibatches(n, config.batch_size, rng)) for _ in log]
     enc, centers = model.donor_map.encoder, model.donor_map.centers
     t = soft_assign(mlp_forward(enc, donors)[0], centers)
     p_full = target_distribution(t)
@@ -419,6 +452,19 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
                        for idx in epoch_batches) / n
         assert row["L_DEC"] == pytest.approx(expected, rel=1e-12)
         assert row["L_DEC"] == pytest.approx(donor_mean, rel=1e-12)
+
+
+def test_dec_refinement_anchor_divergence_names_dec_refinement():
+    _, donors, _ = _training_data()
+    config = TrainConfig(**SMALL)
+    donor_map, _ = pretrain_autoencoder(donors, config)
+    init_centers(donor_map, donors, config)
+    refine = matchrep._DecRefinement(donor_map, donors, config)
+    refine.start_epoch()
+    donor_map.decoder.layers[-1].bias[:] = 1e200  # written into the anchor's buffer
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            numkit.TrainingDivergedError, match="^DEC refinement's reconstruction anchor loss"):
+        refine.step(np.arange(8))
 
 
 def test_train_joint_deterministic():
@@ -471,14 +517,14 @@ def test_train_joint_prunes_tiny_cluster():
 
 def test_pretrain_autoencoder_reduces_reconstruction_error():
     _, donors, _ = _training_data()
-    _, losses, _ = pretrain_autoencoder(donors, TrainConfig(**SMALL))
+    _, losses = pretrain_autoencoder(donors, TrainConfig(**SMALL))
     assert losses[-1] < losses[0]
 
 
 def test_init_centers_shape():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    donor_map, _, _ = pretrain_autoencoder(donors, config)
+    donor_map, _ = pretrain_autoencoder(donors, config)
     centers = init_centers(donor_map, donors, config)
     assert centers.shape == (2, 4)
     assert donor_map.centers is centers
@@ -497,7 +543,7 @@ def test_config_validation():
 def test_save_load_round_trip(tmp_path):
     recipients, donors, outcomes = _training_data()
     model, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
-    trained = [model.encoder.net.parameters(), model.predictor.parameters()]
+    trained = [net.parameters() for net in (model.encoder.net, *model.predictor.heads)]
     buffer = model.encoder.net.layers[0].weight.base
     assert all(np.shares_memory(p, buffer) for params in trained for p in params)
     path = tmp_path / "model.json"

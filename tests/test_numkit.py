@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from organmatch.numkit import (
+    Adam,
     AdamState,
     DenseNet,
     DiagGaussian,
     DimensionMismatchError,
     InsufficientDataError,
     Layer,
+    TrainingDivergedError,
     adam_step,
-    bind_flat_buffer,
     finite_diff_check,
     fit_diag_gaussian,
     gmm_em_fit,
     init_dense_net,
     kl_gaussian_diag,
     kmeans_fit,
+    minibatches,
     mlp_backward,
     mlp_forward,
     rng_stream,
@@ -184,35 +186,52 @@ def _two_nets(seed):
 
 def test_adam_on_flat_buffer_matches_per_array_updates():
     bound, reference = _two_nets(5), _two_nets(5)
-    buffer = bind_flat_buffer(bound)
+    opt = Adam(bound, lr=0.01, what="test")
     ref_params = [p for net in reference for p in net.parameters()]
-    flat_state, ref_state = AdamState(), AdamState()
+    ref_state = AdamState()
     rng = rng_stream(6, "flat-grads")
     for _ in range(5):
         grads = [rng.normal(size=p.shape) for p in ref_params]
-        adam_step([buffer], [np.concatenate(grads, axis=None)], flat_state, lr=0.01)
+        opt.step(1.0, grads)
         adam_step(ref_params, grads, ref_state, lr=0.01)
     for got, want in zip([p for net in bound for p in net.parameters()], ref_params):
         np.testing.assert_array_equal(got, want)
+    assert opt.state.t == ref_state.t == 5
 
 
 def test_flat_buffer_step_shows_in_layers():
     nets = _two_nets(7)
     before = [p.copy() for net in nets for p in net.parameters()]
-    buffer = bind_flat_buffer(nets)
+    opt = Adam(nets, lr=0.1, what="test")
     params = [p for net in nets for p in net.parameters()]
     for p, old in zip(params, before):
         np.testing.assert_array_equal(p, old)
-        assert p.flags.c_contiguous and np.shares_memory(p, buffer)
-    assert buffer.size == sum(p.size for p in params)
-    adam_step([buffer], [np.ones(buffer.size)], AdamState(), lr=0.1)
+        assert p.flags.c_contiguous and np.shares_memory(p, opt.buffer)
+    assert opt.buffer.size == sum(p.size for p in params)
+    opt.step(0.0, [np.ones_like(p) for p in params])
     layer = nets[1].layers[0]
     np.testing.assert_allclose(layer.weight, before[4] - 0.1, atol=1e-6)
     np.testing.assert_allclose(layer.bias, before[5] - 0.1, atol=1e-6)
 
 
+@pytest.mark.parametrize("loss", [np.nan, np.inf])
+def test_adam_non_finite_loss_raises_naming_the_loss(loss):
+    nets = _two_nets(8)
+    opt = Adam(nets, lr=0.1, what="the test's")
+    before = opt.buffer.copy()
+    with pytest.raises(TrainingDivergedError, match="the test's loss diverged"):
+        opt.step(loss, [np.zeros_like(p) for net in nets for p in net.parameters()])
+    np.testing.assert_array_equal(opt.buffer, before)
+    assert opt.state.t == 0
+
+
+def test_minibatches_cover_every_row_once():
+    batches = list(minibatches(10, 4, rng_stream(9, "mb")))
+    assert [len(b) for b in batches] == [4, 4, 2]
+    np.testing.assert_array_equal(np.sort(np.concatenate(batches)), np.arange(10))
+
+
 def test_adam_non_finite_gradient_raises():
-    from organmatch.numkit import TrainingDivergedError
     with pytest.raises(TrainingDivergedError):
         adam_step([np.array([1.0])], [np.array([np.nan])], AdamState(), lr=0.1)
 
