@@ -189,29 +189,22 @@ def policy_select(policy: str, waiting_ids: np.ndarray, remaining: np.ndarray,
                   donor_id: int, scorer, guide: GuidedPolicy | None):
     """Pick one waiting recipient row id, or None.
 
-    ``waiting_ids`` and ``remaining`` are aligned snapshots of the current
-    waitlist; recipient i arrived at step i.
+    ``waiting_ids`` and ``remaining`` are aligned snapshots of the current,
+    nonempty waitlist; recipient i arrived at step i. ``run_policy`` has
+    checked the policy name and that its scorer and guide are given.
     """
-    if policy not in POLICIES:
-        raise PolicyConfigError(f"unknown policy {policy!r}")
-    if waiting_ids.size == 0:
-        return None
     if policy == "real":
         # donor i's factual partner is recipient i
         return donor_id if (waiting_ids == donor_id).any() else None
 
     inner = policy.removeprefix("matching-")
     if inner != policy:
-        if guide is None:
-            raise PolicyConfigError("matching policies need model guidance")
         match = guide.best_types[waiting_ids] == guide.donor_types[donor_id]
         if match.any():
             waiting_ids, remaining = waiting_ids[match], remaining[match]
 
     if inner == "fcfs":
         return int(waiting_ids.min())
-    if scorer is None:
-        raise PolicyConfigError(f"policy {policy!r} needs a scorer")
     scores = np.asarray(scorer(waiting_ids, donor_id), dtype=float)
     if inner == "bf":
         scores = scores - remaining
@@ -233,10 +226,17 @@ def death_steps(untreated: np.ndarray, days_per_step: float, last_step: int) -> 
 
 def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimConfig,
                scorer=None, guide: GuidedPolicy | None = None) -> SimReport:
-    """Process the stream under one policy and aggregate the report."""
+    """Process the stream under one policy and aggregate the report. An unknown
+    policy, or one without its scorer or guide, raises PolicyConfigError at once."""
     config.validate()
     if not dataset.has_ground_truth:
         raise PolicyConfigError("simulation needs a ground-truth oracle dataset")
+    if policy not in POLICIES:
+        raise PolicyConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    if scorer is None and policy.endswith(("uf", "bf")):
+        raise PolicyConfigError(f"policy {policy!r} needs a scorer (an oracle or a model)")
+    if guide is None and policy.startswith("matching-"):
+        raise PolicyConfigError(f"policy {policy!r} needs model guidance")
     n, d = stream.n, config.days_per_step
     untreated = dataset.untreated_survival
     # no donor arrives: no allocation step runs and every recipient stays waiting

@@ -35,7 +35,8 @@ CLUSTERERS = ("kmeans", "em", "dec")
 PREDICTORS = ("linear-per-head", "multihead-nn")
 PAIR_KINDS = ("reg-nn", "reg-tree", "lasso", "ridge", "elasticnet")
 
-RIDGE_PENALTY = 1e-3
+RIDGE_PENALTY = 1e-3  # the linear heads'
+PAIR_PENALTY, PAIR_L1_RATIO = 1.0, 0.5  # the linear pair regressors'
 CD_DUALITY_GAP = 1e-6
 CD_MAX_SWEEPS = 10000
 TREE_MAX_DEPTH = 8
@@ -76,20 +77,23 @@ class DonorClusterer:
     components: list[DiagGaussian] | None = None  # em
     donor_map: "matchrep.DonorTypeMap | None" = None  # dec
 
+    def __post_init__(self):
+        k, dm = self.k, self.donor_map
+        fits = {"kmeans": np.ndim(self.centers) == 2 and len(self.centers) == k,
+                "em": np.shape(self.weights) == (k,) and len(self.components or []) == k,
+                "dec": dm is not None and np.shape(dm.centers) == (k, dm.encoder.output_dim)}
+        if k < 1 or not fits.get(self.kind):
+            raise ValueError(f"a {self.kind!r} clusterer's fitted fields do not fit k={k}")
+
     def assign(self, donors: np.ndarray) -> np.ndarray:
         donors = np.atleast_2d(np.asarray(donors, dtype=float))
         if self.kind == "kmeans":
             d2 = np.sum((donors[:, None, :] - self.centers[None]) ** 2, axis=2)
             return np.argmin(d2, axis=1)
         if self.kind == "em":
-            means = np.stack([c.mean for c in self.components])
-            variances = np.stack([c.var for c in self.components])
-            log_prob = (
-                -0.5 * np.sum((donors[:, None, :] - means[None]) ** 2 / variances[None], axis=2)
-                - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
-                + np.log(self.weights)[None, :]
-            )
-            return np.argmax(log_prob, axis=1)
+            return np.argmax(numkit._gmm_log_prob(
+                donors, self.weights, np.stack([c.mean for c in self.components]),
+                np.stack([c.var for c in self.components])), axis=1)
         return matchrep._hard_labels(self.donor_map, donors)
 
 
@@ -147,6 +151,15 @@ class ClusterPredictorBaseline:
     phi: DenseNet | None = None
     predictor: MultiHeadPredictor | None = None
 
+    def __post_init__(self):
+        k, phi, nn = self.clusterer.k, self.phi, self.predictor
+        if self.spec.predictor == "linear-per-head":
+            fits = len(self.linear_heads or []) == k
+        else:
+            fits = phi is not None and nn is not None and matchrep._heads_fit(phi, nn, k)
+        if not fits or self.spec.train.k != k:
+            raise ValueError(f"the heads or spec.train.k do not fit the clusterer's k={k}")
+
     def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
         recipients = np.atleast_2d(np.asarray(recipients, dtype=float))
         if self.spec.predictor == "linear-per-head":
@@ -195,13 +208,12 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
     spec.validate()
     clusterer = fit_clusterer(donors, spec.clusterer, spec.train)
     labels = clusterer.assign(donors)
-    model = ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
-                                     global_mean=float(outcomes.mean()))
     if spec.predictor == "linear-per-head":
-        model.linear_heads = _fit_linear_heads(recipients, outcomes, labels, spec.train.k)
+        heads = {"linear_heads": _fit_linear_heads(recipients, outcomes, labels, spec.train.k)}
     else:
-        model.phi, model.predictor = _fit_nn_heads(recipients, outcomes, labels, spec)
-    return model
+        heads = dict(zip(("phi", "predictor"), _fit_nn_heads(recipients, outcomes, labels, spec)))
+    return ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
+                                    global_mean=float(outcomes.mean()), **heads)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +295,18 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
 
+    def __post_init__(self):
+        if (self.left is None) != (self.right is None):
+            raise ValueError("a tree node needs both children or neither")
+
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+    def split_features(self) -> list[int]:
+        """The feature of every split node, this one first."""
+        return [] if self.is_leaf else [self.feature, *self.left.split_features(),
+                                        *self.right.split_features()]
 
 
 def _grow_tree(x, y, depth, max_depth, min_leaf):
@@ -327,6 +348,11 @@ class PairRegressor:
     outcome_mean: float = 0.0
     outcome_scale: float = 1.0
 
+    def __post_init__(self):
+        field_of_kind = {"reg-tree": self.tree, "reg-nn": self.net}.get(self.kind, self.weights)
+        if self.kind not in PAIR_KINDS or field_of_kind is None:
+            raise ValueError(f"a {self.kind!r} pair regressor lacks its fitted field")
+
     def predict(self, pairs: np.ndarray) -> np.ndarray:
         pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
         if self.kind in ("lasso", "ridge", "elasticnet"):
@@ -355,21 +381,21 @@ def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) ->
 
 
 def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
-                       kind: str, penalty: float = 1.0, l1_ratio: float = 0.5,
-                       config: TrainConfig | None = None) -> PairRegressor:
+                       kind: str, config: TrainConfig | None = None) -> PairRegressor:
     """Fit a direct (recipient, donor) -> outcome regressor."""
     if kind not in PAIR_KINDS:
         raise ValueError(f"kind must be one of {PAIR_KINDS}")
     pairs = np.hstack([recipients, donors])
     outcomes = np.asarray(outcomes, dtype=float)
     if kind == "ridge":
-        w, b = _ridge_solve(pairs, outcomes, penalty if penalty > 0 else RIDGE_PENALTY)
+        w, b = _ridge_solve(pairs, outcomes, PAIR_PENALTY)
         return PairRegressor(kind=kind, weights=w, intercept=b)
     if kind == "lasso":
-        w, b = _enet_cd(pairs, outcomes, l1=penalty, l2=0.0)
+        w, b = _enet_cd(pairs, outcomes, l1=PAIR_PENALTY, l2=0.0)
         return PairRegressor(kind=kind, weights=w, intercept=b)
     if kind == "elasticnet":
-        w, b = _enet_cd(pairs, outcomes, l1=penalty * l1_ratio, l2=penalty * (1.0 - l1_ratio))
+        w, b = _enet_cd(pairs, outcomes, l1=PAIR_PENALTY * PAIR_L1_RATIO,
+                        l2=PAIR_PENALTY * (1.0 - PAIR_L1_RATIO))
         return PairRegressor(kind=kind, weights=w, intercept=b)
     if kind == "reg-tree":
         tree = _grow_tree(pairs, outcomes, 0, TREE_MAX_DEPTH, TREE_MIN_LEAF)
@@ -404,9 +430,12 @@ def load_pair_regressor(path) -> PairRegressor:
 def check_input_widths(model, path, d_r: int, d_o: int) -> None:
     """Raise IngestionError naming ``path``, the file the baseline or pair
     regressor ``model`` was read from, unless it takes ``d_r`` recipient and
-    ``d_o`` donor features. A tree's width is not known and is not checked."""
+    ``d_o`` donor features; a tree, unless it splits on those features only."""
     if isinstance(model, PairRegressor):
         nets, arrays = [(model.net, d_r + d_o)], [(model.weights, (d_r + d_o,))]
+        features = model.tree.split_features() if model.tree else []
+        if any(not 0 <= f < d_r + d_o for f in features):
+            raise IngestionError(f"{path}: split features {features}, the data has {d_r + d_o}")
     else:
         c = model.clusterer
         nets = [(model.phi, d_r), (c.donor_map.encoder if c.donor_map else None, d_o)]

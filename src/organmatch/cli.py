@@ -113,12 +113,8 @@ def _oracle_outcome_means(data_dir: str) -> np.ndarray | None:
 
 
 def cmd_gen(args) -> int:
-    if args.config:
-        config = _load_config(args.config, synthgen.SyntheticConfig)
-    elif args.preset == "paper-5.1":
-        config = synthgen.paper_preset()
-    else:
-        raise CliConfigError(f"unknown preset {args.preset!r}")
+    config = (_load_config(args.config, synthgen.SyntheticConfig) if args.config
+              else synthgen.paper_preset())
     if args.n is not None:
         config.n = args.n
     if args.seed is not None:
@@ -334,10 +330,6 @@ def cmd_simulate(args) -> int:
     sim_config.validate()
     policies = ([p.strip() for p in args.policies.split(",")]
                 if args.policies else list(allocsim.POLICIES))
-    for policy in policies:
-        if policy not in allocsim.POLICIES:
-            raise allocsim.PolicyConfigError(
-                f"unknown policy {policy!r}; choose from {allocsim.POLICIES}")
 
     dataset = _load_data_dir(args.data)
     if not dataset.has_ground_truth:
@@ -351,18 +343,8 @@ def cmd_simulate(args) -> int:
     artifacts = []
     reports = {}
     for policy in policies:
-        kwargs = {}
-        if policy in ("uf", "bf"):
-            if plain_sc is None:
-                raise allocsim.PolicyConfigError(
-                    f"policy {policy!r} needs an oracle dataset or --model")
-            kwargs["scorer"] = plain_sc
-        elif policy.startswith("matching-"):
-            if model_sc is None or guide is None:
-                raise allocsim.PolicyConfigError(f"policy {policy!r} needs --model")
-            kwargs["scorer"] = model_sc
-            kwargs["guide"] = guide
-        reports[policy] = allocsim.run_policy(dataset, stream, policy, sim_config, **kwargs)
+        scorer = model_sc if policy.startswith("matching-") else plain_sc
+        reports[policy] = allocsim.run_policy(dataset, stream, policy, sim_config, scorer, guide)
         ledger_path = out / f"ledger_{policy}.csv"
         allocsim.write_ledger_csv(reports[policy], ledger_path)
         artifacts.append(ledger_path)
@@ -403,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--preset", default="paper-5.1")
-    gen.add_argument("--config", help="SyntheticConfig JSON file")
+    gen.add_argument("--config", help="SyntheticConfig JSON file; default the paper-5.1 preset")
     gen.add_argument("--n", type=int)
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)

@@ -51,10 +51,6 @@ class DeadClusterError(RuntimeError):
         self.cluster = cluster
 
 
-class UntrainedModelError(RuntimeError):
-    pass
-
-
 @dataclass
 class TrainConfig:
     k: int = 3
@@ -110,11 +106,6 @@ class DonorTypeMap:
 
 
 @dataclass
-class MatchEncoder:
-    net: DenseNet
-
-
-@dataclass
 class MultiHeadPredictor:
     """K heads over the shared Phi output (identity trunk).
 
@@ -130,10 +121,9 @@ class MultiHeadPredictor:
 @dataclass
 class MatchRepModel:
     donor_map: DonorTypeMap
-    encoder: MatchEncoder
+    phi: DenseNet
     predictor: MultiHeadPredictor
     config: TrainConfig
-    trained: bool = False
     # Clusters that ended training with at least min_cluster_count donors.
     # DEC merging can leave a residual cluster holding a handful of points;
     # its head never saw enough data to be meaningful, so assignment is
@@ -141,15 +131,18 @@ class MatchRepModel:
     active: np.ndarray | None = None
 
     def __post_init__(self):
-        k, heads, centers = self.config.k, self.predictor.heads, self.donor_map.centers
-        if (len(heads) != k
-                or any((h.input_dim, h.output_dim) != (self.encoder.net.output_dim, 1)
-                       for h in heads)
-                or (centers is not None
-                    and centers.shape != (k, self.donor_map.encoder.output_dim))
+        k, dm = self.config.k, self.donor_map
+        if (not _heads_fit(self.phi, self.predictor, k)
+                or np.shape(dm.centers) != (k, dm.encoder.output_dim)
                 or (self.active is not None and self.active.shape != (k,))):
             raise DimensionMismatchError(
                 f"the heads, centers or active mask do not fit {k} donor types")
+
+
+def _heads_fit(phi: DenseNet, predictor: MultiHeadPredictor, k: int) -> bool:
+    """Whether ``predictor`` has ``k`` heads, each mapping Phi's output to one number."""
+    return len(predictor.heads) == k and all(
+        (h.input_dim, h.output_dim) == (phi.output_dim, 1) for h in predictor.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +500,6 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
-    model = MatchRepModel(donor_map=donor_map, encoder=MatchEncoder(phi),
-                          predictor=predictor, config=config)
-
     refine = _DecRefinement(donor_map, donors, config)
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     n = len(outcomes)
@@ -533,9 +523,8 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     counts = np.bincount(refine.labels, minlength=config.k)
     threshold = max(config.min_cluster_count, config.min_cluster_frac * len(donors))
     active = counts >= threshold
-    model.active = active if active.any() else None
-    model.trained = True
-    return model, log
+    return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config,
+                         active=active if active.any() else None), log
 
 
 def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
@@ -564,11 +553,6 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
 # ---------------------------------------------------------------------------
 
 
-def _require_trained(model: MatchRepModel) -> None:
-    if not model.trained:
-        raise UntrainedModelError("model has not been trained")
-
-
 def predict_heads(phi: DenseNet, predictor: MultiHeadPredictor,
                   recipients: np.ndarray) -> np.ndarray:
     """(n, K) predicted survival days from Phi and the K heads, one column per head."""
@@ -582,8 +566,7 @@ def predict_heads(phi: DenseNet, predictor: MultiHeadPredictor,
 
 def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
     """(n, K) matrix of predicted survival days, one column per donor type."""
-    _require_trained(model)
-    return predict_heads(model.encoder.net, model.predictor, np.atleast_2d(recipients))
+    return predict_heads(model.phi, model.predictor, np.atleast_2d(recipients))
 
 
 def best_donor_type_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
@@ -597,7 +580,6 @@ def best_donor_type_batch(model: MatchRepModel, recipients: np.ndarray) -> np.nd
 
 def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
     """0-based hard donor-type labels and the soft-assignment matrix."""
-    _require_trained(model)
     t = _donor_soft_assign(model.donor_map, np.atleast_2d(donors))
     scores = t if model.active is None else np.where(model.active, t, -np.inf)
     return np.argmax(scores, axis=1), t
@@ -608,11 +590,11 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v3"
+MODEL_FORMAT = "organmatch-model-v4"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a joint-model file may hold; baselines extends the list.
-_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MatchEncoder,
-                MultiHeadPredictor, MatchRepModel)
+_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MultiHeadPredictor,
+                MatchRepModel)
 
 
 def _to_doc(obj):
@@ -693,7 +675,7 @@ def load_model_and_normalization(path) -> tuple[MatchRepModel, Normalization]:
     model, doc = _load(path, MatchRepModel, _MODEL_TYPES)
     try:
         norm = normalization_from_dict(doc["normalization"])
-        if (norm.recipient_mean.shape != (model.encoder.net.input_dim,)
+        if (norm.recipient_mean.shape != (model.phi.input_dim,)
                 or norm.donor_mean.shape != (model.donor_map.encoder.input_dim,)):
             raise ValueError("the statistics do not fit the model's input widths")
         return model, norm

@@ -2,17 +2,14 @@
 
 All metric functions are pure and permutation-invariant over records.
 ``eps_factual`` and ``eps_wmse`` are mean squared errors in squared days;
-``aodt`` (accuracy of the best donor type) is an argmax-agreement fraction
-with ties broken toward the lowest index on both sides.
+``aodt_learned_space`` (accuracy of the best donor type) is an
+argmax-agreement fraction with ties broken toward the lowest index on both
+sides.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class MissingGroundTruthError(ValueError):
-    pass
 
 
 def _check_2d(predictions: np.ndarray) -> np.ndarray:
@@ -37,27 +34,14 @@ def eps_factual(predictions: np.ndarray, factual_labels: np.ndarray,
     return float(np.mean(err * err))
 
 
-def eps_wmse(predictions: np.ndarray, true_potentials: np.ndarray | None) -> float:
+def eps_wmse(predictions: np.ndarray, true_potentials: np.ndarray) -> float:
     """(1/n) sum_i sum_k (yhat_i[k] - y_i[k])^2 over all K potential outcomes."""
     predictions = _check_2d(predictions)
-    if true_potentials is None:
-        raise MissingGroundTruthError("eps_wmse needs ground-truth potentials")
     true_potentials = np.asarray(true_potentials, dtype=float)
     if true_potentials.shape != predictions.shape:
         raise ValueError("predictions and potentials disagree in shape")
     err = predictions - true_potentials
     return float(np.mean(np.sum(err * err, axis=1)))
-
-
-def aodt(predictions: np.ndarray, true_potentials: np.ndarray | None) -> float:
-    """Fraction of records whose predicted-best and true-best types agree."""
-    predictions = _check_2d(predictions)
-    if true_potentials is None:
-        raise MissingGroundTruthError("aodt needs ground-truth potentials")
-    true_potentials = np.asarray(true_potentials, dtype=float)
-    if true_potentials.shape != predictions.shape:
-        raise ValueError("predictions and potentials disagree in shape")
-    return float(np.mean(np.argmax(predictions, axis=1) == np.argmax(true_potentials, axis=1)))
 
 
 def mean_best_prediction(predictions: np.ndarray) -> float:

@@ -1,9 +1,8 @@
 """Deterministic numerical kernels.
 
 Small dense feed-forward networks with hand-derived backpropagation, Adam,
-Lloyd k-means, diagonal-covariance Gaussian mixture EM, diagonal-Gaussian
-moment fitting with a closed-form KL divergence, and a finite-difference
-gradient checker.
+Lloyd k-means, diagonal-covariance Gaussian mixture EM, the closed-form KL
+divergence of diagonal Gaussians, and a finite-difference gradient checker.
 
 All randomness flows through Philox counter-based generators keyed by
 (seed, component name), so identical seeds reproduce bit-identical results
@@ -258,13 +257,8 @@ def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator, n_init: int
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    if n_init > 1:
-        best = None
-        for _ in range(n_init):
-            out = kmeans_fit(points, k, rng)
-            if best is None or out[2][-1] < best[2][-1]:
-                best = out
-        return best
+    if n_init > 1:  # min keeps the first of equally good runs
+        return min((kmeans_fit(points, k, rng) for _ in range(n_init)), key=lambda out: out[2][-1])
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if k > n:
@@ -308,16 +302,6 @@ class DiagGaussian:
             raise ValueError("variance below floor")
 
 
-def fit_diag_gaussian(points: np.ndarray) -> DiagGaussian:
-    """Per-dimension sample mean and (n-1) variance, variance floored at 1e-6."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 points")
-    mean = points.mean(axis=0)
-    var = points.var(axis=0, ddof=1)
-    return DiagGaussian(mean, np.maximum(var, VAR_FLOOR))
-
-
 def kl_gaussian_diag(p: DiagGaussian, q: DiagGaussian) -> float:
     """KL(p || q) for diagonal Gaussians, summed over dimensions."""
     if p.mean.shape != q.mean.shape:
@@ -325,6 +309,14 @@ def kl_gaussian_diag(p: DiagGaussian, q: DiagGaussian) -> float:
     ratio = p.var / q.var
     return float(np.sum(0.5 * (np.log(q.var / p.var) + ratio
                                + (p.mean - q.mean) ** 2 / q.var - 1.0)))
+
+
+def _gmm_log_prob(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
+                  variances: np.ndarray) -> np.ndarray:
+    """(n, K) log of each weighted diagonal-Gaussian component's density at each point."""
+    return (-0.5 * np.sum((points[:, None, :] - means[None]) ** 2 / variances[None], axis=2)
+            - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
+            + np.log(weights)[None, :])
 
 
 def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator):
@@ -354,11 +346,7 @@ def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator):
     resp = np.full((n, k), 1.0 / k)
     for _ in range(GMM_MAX_ITER):
         # E-step: log responsibilities
-        log_prob = (
-            -0.5 * np.sum((points[:, None, :] - means[None]) ** 2 / variances[None], axis=2)
-            - 0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
-            + np.log(weights)[None, :]
-        )
+        log_prob = _gmm_log_prob(points, weights, means, variances)
         norm = np.logaddexp.reduce(log_prob, axis=1)
         history.append(float(norm.sum()))
         resp = np.exp(log_prob - norm[:, None])

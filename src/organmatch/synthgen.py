@@ -22,6 +22,9 @@ import numpy as np
 from .datamodel import Dataset
 from .numkit import kmeans_fit, rng_stream
 
+# The semi-synthetic outcome scale and normal untreated survival (mean, sd), in days.
+SEMI_SCALE, SEMI_UNTREATED_MEAN, SEMI_UNTREATED_SD = 400.0, 400.0, 50.0
+
 
 class ConfigError(ValueError):
     pass
@@ -48,15 +51,12 @@ class SyntheticConfig:
         default_factory=lambda: [[500.0, 1000.0, 1100.0], [100.0, 800.0, 900.0]])
     outcome_vars: list[list[float]] = field(
         default_factory=lambda: [[50.0, 100.0, 100.0], [10.0, 100.0, 100.0]])
-    # Untreated survival per recipient type, truncated at 1 day.
-    # "exponential" (memoryless, the default) uses untreated_means only;
-    # "normal" uses Normal(mean, sd^2). The memoryless default keeps a
-    # waitlisted recipient's expected remaining survival independent of how
-    # long they have already waited, which is what makes first-come-first-
-    # serve and benefit-first allocation genuinely different policies.
-    untreated_dist: str = "exponential"
+    # Mean untreated survival per recipient type: exponential, truncated at 1
+    # day. The memoryless law keeps a waitlisted recipient's expected
+    # remaining survival independent of how long they have already waited,
+    # which is what makes first-come-first-serve and benefit-first
+    # allocation genuinely different policies.
     untreated_means: list[float] = field(default_factory=lambda: [400.0, 350.0])
-    untreated_sds: list[float] = field(default_factory=lambda: [50.0, 50.0])
 
     @property
     def n_recipient_types(self) -> int:
@@ -97,22 +97,11 @@ class SyntheticConfig:
                             ("outcome_vars", (m, k)), ("untreated_means", (m,))):
             if self._table(name, shape).min() <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self._table("untreated_sds", (m,)).min() < 0:
-            raise ConfigError("untreated_sds must be >= 0")
-        if self.untreated_dist not in ("exponential", "normal"):
-            raise ConfigError("untreated_dist must be 'exponential' or 'normal'")
 
 
 def paper_preset(n: int = 5000, seed: int = 0) -> SyntheticConfig:
     """The default replication configuration (preset name ``paper-5.1``)."""
     return SyntheticConfig(n=n, seed=seed)
-
-
-def true_potential_means(config: SyntheticConfig, m: int) -> np.ndarray:
-    """Mean survival days per donor type for recipient type m (1-based)."""
-    if not 1 <= m <= config.n_recipient_types:
-        raise ConfigError(f"invalid recipient type {m}")
-    return np.asarray(config.outcome_means[m - 1], dtype=float)
 
 
 def sample_dataset(config: SyntheticConfig) -> Dataset:
@@ -143,22 +132,14 @@ def sample_dataset(config: SyntheticConfig) -> Dataset:
     potentials = rng.normal(out_means, out_sds)
     outcomes = potentials[np.arange(n), k_idx]
 
-    u_mean = np.asarray(config.untreated_means)[m_idx]
-    if config.untreated_dist == "exponential":
-        untreated = rng.exponential(u_mean)
-    else:
-        u_sd = np.asarray(config.untreated_sds)[m_idx]
-        untreated = rng.normal(u_mean, u_sd)
-    untreated = np.maximum(untreated, 1.0)
+    untreated = np.maximum(rng.exponential(np.asarray(config.untreated_means)[m_idx]), 1.0)
 
-    d_r = recipients.shape[1]
-    d_o = donors.shape[1]
     return Dataset(
         recipients=recipients,
         donors=donors,
         outcomes=outcomes,
-        recipient_names=[f"x{i}" for i in range(d_r)],
-        donor_names=[f"x{i}" for i in range(d_o)],
+        recipient_names=[f"x{i}" for i in range(recipients.shape[1])],
+        donor_names=[f"x{i}" for i in range(donors.shape[1])],
         true_potentials=potentials,
         untreated_survival=untreated,
         true_recipient_type=m_idx + 1,
@@ -167,15 +148,13 @@ def sample_dataset(config: SyntheticConfig) -> Dataset:
 
 
 def semi_synthetic_outcomes(dataset: Dataset, k: int, seed: int,
-                            scale: float = 400.0, noise_sd: float = 10.0,
-                            untreated_mean: float = 400.0,
-                            untreated_sd: float = 50.0) -> Dataset:
+                            noise_sd: float = 10.0) -> Dataset:
     """Surrogate outcome model for real-feature tables.
 
     Donors are clustered into ``k`` pseudo-types by k-means; pseudo-type j's
-    potential outcome is softplus(w_j . x_r + b_j) * scale plus Gaussian
-    noise, with (w_j, b_j) drawn once from the seed and frozen. The factual
-    outcome is overwritten with the potential at the factual donor's
+    potential outcome is softplus(w_j . x_r + b_j) * SEMI_SCALE days plus
+    Gaussian noise, with (w_j, b_j) drawn once from the seed and frozen. The
+    factual outcome is overwritten with the potential at the factual donor's
     pseudo-type, so the counterfactual oracle is exact by construction.
     """
     rng = rng_stream(seed, "synthgen", "semi")
@@ -184,10 +163,10 @@ def semi_synthetic_outcomes(dataset: Dataset, k: int, seed: int,
     w = rng.normal(0.0, 1.0 / np.sqrt(max(d_r, 1)), size=(k, d_r))
     b = rng.normal(0.0, 0.5, size=k)
     z = dataset.recipients @ w.T + b  # (n, k)
-    potentials = np.logaddexp(0.0, z) * scale + rng.normal(0.0, noise_sd, size=z.shape)
+    potentials = np.logaddexp(0.0, z) * SEMI_SCALE + rng.normal(0.0, noise_sd, size=z.shape)
     potentials = np.maximum(potentials, 1.0)
     outcomes = potentials[np.arange(len(dataset)), labels]
-    untreated = np.maximum(rng.normal(untreated_mean, untreated_sd, size=len(dataset)), 1.0)
+    untreated = np.maximum(rng.normal(SEMI_UNTREATED_MEAN, SEMI_UNTREATED_SD, size=len(z)), 1.0)
     return replace(dataset, outcomes=outcomes, true_potentials=potentials,
                    untreated_survival=untreated, true_recipient_type=None,
                    true_donor_type=labels + 1)

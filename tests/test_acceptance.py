@@ -224,7 +224,7 @@ def test_criterion_3_donor_type_recovery(seeded_runs, capfd):
 
 
 def _heldout_rep_kl(model, val) -> float:
-    xprime, _ = numkit.mlp_forward(model.encoder.net, val.recipients)
+    xprime, _ = numkit.mlp_forward(model.phi, val.recipients)
     labels, _ = matchrep.donor_type_batch(model, val.donors)
     loss, _, used = matchrep.rep_loss_and_grads(xprime, labels, model.config.k,
                                                 min_cluster_count=2)

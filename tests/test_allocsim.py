@@ -171,16 +171,21 @@ def test_matching_policy_falls_back_when_no_match():
     assert chosen == 0  # unrestricted utility-first
 
 
-def test_policy_select_error_paths():
-    with pytest.raises(PolicyConfigError):
-        policy_select("greedy", WAITING, np.zeros(2), 0, None, None)
-    with pytest.raises(PolicyConfigError):
-        policy_select("uf", WAITING, np.zeros(2), 0, None, None)
-    with pytest.raises(PolicyConfigError):
-        policy_select("matching-uf", WAITING, np.zeros(2), 0,
-                      _scorer([1.0, 2.0]), None)
-    assert policy_select("fcfs", np.array([], dtype=int), np.array([]), 0, None,
-                         None) is None
+def test_run_policy_error_paths():
+    ds = _oracle_dataset(n=4)
+    guide = GuidedPolicy(donor_types=np.zeros(4, dtype=int), best_types=np.zeros(4, dtype=int))
+    scorer = _scorer(np.zeros(4))
+    # the checks run before the loop: they fire on an empty donor stream too
+    for stream in (build_stream(ds, SimConfig(), seed=0), EventStream(donor_arrivals=[], n=4)):
+        for policy, kwargs in [("greedy", {"scorer": scorer, "guide": guide}),
+                               ("uf", {}), ("bf", {"guide": guide}),
+                               ("matching-uf", {"guide": guide}), ("matching-bf", {"guide": guide}),
+                               ("matching-fcfs", {"scorer": scorer}),
+                               ("matching-uf", {"scorer": scorer})]:
+            with pytest.raises(PolicyConfigError):
+                run_policy(ds, stream, policy, SimConfig(), **kwargs)
+        for policy in ("real", "fcfs"):
+            run_policy(ds, stream, policy, SimConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from organmatch.baselines import (
     PAIR_KINDS,
     PREDICTORS,
     BaselineSpec,
+    _enet_cd,
+    _ridge_solve,
     check_input_widths,
     fit_cluster_predictor,
     fit_pair_regressor,
@@ -191,9 +193,9 @@ def _linear_pairs(n=300, seed=2, noise=0.0):
 
 def test_ridge_recovers_linear_model():
     recipients, donors, outcomes, w = _linear_pairs()
-    model = fit_pair_regressor(recipients, donors, outcomes, "ridge", penalty=1e-6)
-    np.testing.assert_allclose(model.weights, w, atol=1e-3)
-    assert model.intercept == pytest.approx(7.0, abs=1e-3)
+    weights, intercept = _ridge_solve(np.hstack([recipients, donors]), outcomes, 1e-6)
+    np.testing.assert_allclose(weights, w, atol=1e-3)
+    assert intercept == pytest.approx(7.0, abs=1e-3)
 
 
 def test_lasso_zeroes_irrelevant_features():
@@ -201,27 +203,27 @@ def test_lasso_zeroes_irrelevant_features():
     recipients = rng.normal(size=(400, 4))
     donors = rng.normal(size=(400, 2))
     outcomes = 5.0 * recipients[:, 0] + rng.normal(0, 0.1, size=400)
-    model = fit_pair_regressor(recipients, donors, outcomes, "lasso", penalty=0.5)
-    assert abs(model.weights[0]) > 3.0
-    np.testing.assert_allclose(model.weights[1:], 0.0, atol=1e-8)
+    weights, _ = _enet_cd(np.hstack([recipients, donors]), outcomes, l1=0.5, l2=0.0)
+    assert abs(weights[0]) > 3.0
+    np.testing.assert_allclose(weights[1:], 0.0, atol=1e-8)
 
 
 def test_elasticnet_reduces_to_lasso_at_unit_l1_ratio():
     recipients, donors, outcomes, _ = _linear_pairs(noise=1.0)
-    enet = fit_pair_regressor(recipients, donors, outcomes, "elasticnet",
-                              penalty=1.0, l1_ratio=1.0)
-    lasso = fit_pair_regressor(recipients, donors, outcomes, "lasso", penalty=1.0)
-    np.testing.assert_allclose(enet.weights, lasso.weights, atol=1e-6)
-    assert enet.intercept == pytest.approx(lasso.intercept, abs=1e-6)
+    pairs = np.hstack([recipients, donors])
+    # a vanishing l2 part still runs the augmented design that l2 > 0 takes
+    enet_w, enet_b = _enet_cd(pairs, outcomes, l1=1.0, l2=1e-12)
+    lasso_w, lasso_b = _enet_cd(pairs, outcomes, l1=1.0, l2=0.0)
+    np.testing.assert_allclose(enet_w, lasso_w, atol=1e-6)
+    assert enet_b == pytest.approx(lasso_b, abs=1e-6)
 
 
 def test_elasticnet_l2_shrinks_weights():
     recipients, donors, outcomes, _ = _linear_pairs(noise=1.0)
-    light = fit_pair_regressor(recipients, donors, outcomes, "elasticnet",
-                               penalty=0.1, l1_ratio=0.5)
-    heavy = fit_pair_regressor(recipients, donors, outcomes, "elasticnet",
-                               penalty=10.0, l1_ratio=0.5)
-    assert np.abs(heavy.weights).sum() < np.abs(light.weights).sum()
+    pairs = np.hstack([recipients, donors])
+    light, _ = _enet_cd(pairs, outcomes, l1=0.05, l2=0.05)
+    heavy, _ = _enet_cd(pairs, outcomes, l1=5.0, l2=5.0)
+    assert np.abs(heavy).sum() < np.abs(light).sum()
 
 
 def test_tree_fits_step_function():

@@ -36,7 +36,7 @@ def models_dir(workdir, data_dir) -> Path:
     config.write_text(json.dumps(TRAIN_CONFIG))
     code = main(["train", "--data", str(data_dir), "--config", str(config),
                  "--baselines", "kmeans/linear-per-head",
-                 "--pair-regressors", "ridge", "--out", str(out)])
+                 "--pair-regressors", "ridge,reg-tree", "--out", str(out)])
     assert code == EXIT_OK
     return out
 
@@ -68,10 +68,6 @@ def test_gen_byte_identical_across_runs(workdir, data_dir):
     assert main(["gen", "--n", "150", "--seed", "0", "--out", str(again)]) == EXIT_OK
     for name in ("dataset.csv", "ground_truth.csv"):
         assert (again / name).read_bytes() == (data_dir / name).read_bytes()
-
-
-def test_gen_unknown_preset_is_config_error(workdir):
-    assert main(["gen", "--preset", "nope", "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
 def test_gen_malformed_config_is_config_error(workdir):
@@ -114,10 +110,10 @@ def test_train_byte_identical_across_runs(workdir, data_dir, models_dir):
     config = workdir / "train.json"
     code = main(["train", "--data", str(data_dir), "--config", str(config),
                  "--baselines", "kmeans/linear-per-head",
-                 "--pair-regressors", "ridge", "--out", str(again)])
+                 "--pair-regressors", "ridge,reg-tree", "--out", str(again)])
     assert code == EXIT_OK
-    for name in ("model.json", "training_log.csv",
-                 "baseline_kmeans_linear-per-head.json", "pair_ridge.json"):
+    for name in ("model.json", "training_log.csv", "baseline_kmeans_linear-per-head.json",
+                 "pair_ridge.json", "pair_reg-tree.json"):
         assert (again / name).read_bytes() == (models_dir / name).read_bytes()
 
 
@@ -266,16 +262,16 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     no_phi, no_norm, int_encoder = json.loads(text), json.loads(text), json.loads(text)
     short_bias, missing_head, short_scale = json.loads(text), json.loads(text), json.loads(text)
     nan_weight, inf_scale = json.loads(text), json.loads(text)
-    del no_phi["model"]["encoder"]
+    del no_phi["model"]["phi"]
     no_norm["normalization"] = None
-    int_encoder["model"]["encoder"] = 5
-    short_bias["model"]["encoder"]["net"]["layers"][0]["bias"]["array"].pop()
+    int_encoder["model"]["phi"] = 5
+    short_bias["model"]["phi"]["layers"][0]["bias"]["array"].pop()
     missing_head["model"]["predictor"]["heads"].pop()
     short_scale["normalization"]["recipient_scale"].pop()
     nan_weight["model"]["donor_map"]["encoder"]["layers"][0]["weight"]["array"][0][0] = float("nan")
     inf_scale["model"]["predictor"]["outcome_scale"] = float("inf")
     return {"wrong-format": '{"format": "other"}',
-            "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v2"),
+            "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
             "no-phi": json.dumps(no_phi),
             "no-normalization": json.dumps(no_norm),
@@ -297,15 +293,26 @@ def test_eval_malformed_model_is_data_error(workdir, data_dir, models_dir, case)
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("case", ["pair-weight", "linear-head-weight"])
+LINEAR_BASELINE = "baseline_kmeans_linear-per-head.json"
+BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
+    "pair-weight": ("pair_ridge.json", lambda model: model["weights"]["array"].pop()),
+    "linear-head-weight": (LINEAR_BASELINE,
+                           lambda model: model["linear_heads"][0][0]["array"].pop()),
+    "dropped-linear-head": (LINEAR_BASELINE, lambda model: model["linear_heads"].pop()),
+    "null-centers": (LINEAR_BASELINE, lambda model: model["clusterer"].update(centers=None)),
+    "null-linear-heads": (LINEAR_BASELINE, lambda model: model.update(linear_heads=None)),
+    "tree-feature-999": ("pair_reg-tree.json", lambda model: model["tree"].update(feature=999)),
+    "tree-right-null": ("pair_reg-tree.json", lambda model: model["tree"].update(right=None)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BASELINE_EDITS)
 def test_eval_short_baseline_weights_is_data_error(workdir, data_dir, models_dir, case, capsys):
-    name = {"pair-weight": "pair_ridge.json",
-            "linear-head-weight": "baseline_kmeans_linear-per-head.json"}[case]
+    name, edit = BAD_BASELINE_EDITS[case]
     doc = json.loads((models_dir / name).read_text())
-    if case == "pair-weight":
-        doc["model"]["weights"]["array"].pop()
-    else:
-        doc["model"]["linear_heads"][0][0]["array"].pop()
+    if name == "pair_reg-tree.json":
+        assert doc["model"]["tree"]["left"] is not None  # the root splits
+    edit(doc["model"])
     bad = workdir / f"short_{case}"
     bad.mkdir()
     (bad / "model.json").write_bytes((models_dir / "model.json").read_bytes())

@@ -1,12 +1,15 @@
 """Ingestion fuzz: random edits to every file the CLI reads end with exit
 0, 2 or 3, never with a traceback.
 
-One tiny ``gen`` directory and one tiny model are made once per module.
-Each example copies the file it targets, applies one random edit and runs
-the commands that read it: ``dataset.csv`` and ``ground_truth.csv`` through
-``eval`` and ``simulate --policies fcfs,uf``, ``model.json`` through the
-same two, a ``SimConfig`` JSON through ``simulate --sim-config`` and a
-``SyntheticConfig`` JSON through ``gen --config``.
+One tiny ``gen`` directory and one tiny training run (the joint model, a
+``kmeans/linear-per-head`` baseline and the ``ridge`` and ``reg-tree`` pair
+regressors) are made once per module. Each example copies the file it
+targets, applies one random edit and runs the commands that read it:
+``dataset.csv`` and ``ground_truth.csv`` through ``eval`` and ``simulate
+--policies fcfs,uf``, ``model.json`` through the same two, a baseline or
+pair-regressor file through ``eval``, a ``SimConfig`` JSON through
+``simulate --sim-config`` and a ``SyntheticConfig`` JSON through ``gen
+--config``.
 """
 
 import csv
@@ -29,7 +32,11 @@ TRAIN_CONFIG = {
 }
 CELL_VALUES = ("text", "", "nan", "inf")
 JSON_VALUES = ("text", "", math.nan, math.inf)
-TARGETS = ("dataset.csv", "ground_truth.csv", "model.json", "sim.json", "synth.json")
+OUT_OF_RANGE_INTS = (999, -1)
+BASELINE_FILES = ("baseline_kmeans_linear-per-head.json", "pair_ridge.json",
+                  "pair_reg-tree.json")
+MODEL_FILES = ("model.json", *BASELINE_FILES)
+TARGETS = ("dataset.csv", "ground_truth.csv", "sim.json", "synth.json", *MODEL_FILES)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +46,8 @@ def base(tmp_path_factory):
     assert main(["gen", "--n", "60", "--seed", "0", "--out", str(data)]) == EXIT_OK
     config = root / "train.json"
     config.write_text(json.dumps(TRAIN_CONFIG))
-    assert main(["train", "--data", str(data), "--config", str(config), "--baselines", "",
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--baselines", "kmeans/linear-per-head", "--pair-regressors", "ridge,reg-tree",
                  "--out", str(root / "models")]) == EXIT_OK
     (root / "sim.json").write_text(json.dumps(asdict(allocsim.SimConfig())))
     (root / "synth.json").write_text(json.dumps(asdict(synthgen.paper_preset())))
@@ -91,34 +99,41 @@ def _nodes(value, path=()):
         yield from _nodes(child, path + (key,))
 
 
+def _set(doc, path, value) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 def _edit_json(draw, raw: bytes) -> bytes:
-    kind = draw(st.sampled_from(("cell", "drop-column", "duplicate-column",
-                                 "truncate", "splice")))
+    kind = draw(st.sampled_from(("cell", "int", "drop-column", "drop-element",
+                                 "duplicate-column", "truncate", "splice")))
     if kind == "truncate":
         return _truncate(draw, raw)
     if kind == "splice":
         return _splice(draw, raw)
     doc = json.loads(raw)
     nodes = list(_nodes(doc))
+    ints = [path for path, value in nodes if path and type(value) is int]
+    lists = [value for _, value in nodes if isinstance(value, list) and value]
     if kind == "cell":
         leaves = [path for path, value in nodes
                   if path and not isinstance(value, (dict, list))]
-        path = draw(st.sampled_from(leaves))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = draw(st.sampled_from(JSON_VALUES))
+        _set(doc, draw(st.sampled_from(leaves)), draw(st.sampled_from(JSON_VALUES)))
+    elif kind == "int" and ints:
+        _set(doc, draw(st.sampled_from(ints)), draw(st.sampled_from(OUT_OF_RANGE_INTS)))
+    elif kind == "drop-element" and lists:
+        items = draw(st.sampled_from(lists))
+        del items[draw(st.integers(0, len(items) - 1))]
+    elif kind == "duplicate-column" and lists:
+        items = draw(st.sampled_from(lists))
+        at = draw(st.integers(0, len(items) - 1))
+        items.insert(at, items[at])
     else:
         containers = [value for _, value in nodes if isinstance(value, (dict, list)) and value]
-        lists = [value for value in containers if isinstance(value, list)]
-        if kind == "duplicate-column" and lists:
-            items = draw(st.sampled_from(lists))
-            at = draw(st.integers(0, len(items) - 1))
-            items.insert(at, items[at])
-        else:
-            container = draw(st.sampled_from(containers))
-            del container[draw(st.sampled_from(list(container) if isinstance(container, dict)
-                                               else range(len(container))))]
+        container = draw(st.sampled_from(containers))
+        del container[draw(st.sampled_from(list(container) if isinstance(container, dict)
+                                           else range(len(container))))]
     return json.dumps(doc).encode("utf-8")
 
 
@@ -136,6 +151,9 @@ def _run(base, target: str, case) -> list[int]:
         model = case / "model.json"
     elif target == "synth.json":
         return [main(["gen", "--config", str(case / target), "--n", "60", "--out", out])]
+    elif target in BASELINE_FILES:
+        shutil.copy(model, case / "model.json")
+        return [main(["eval", "--data", str(data), "--models", str(case), "--out", out])]
     models = model.parent
     simulate = ["simulate", "--data", str(data), "--model", str(model),
                 "--policies", "fcfs,uf", "--out", out]
@@ -151,7 +169,7 @@ def test_random_edits_exit_with_a_documented_code(base, target, data):
     case = base / "case"
     shutil.rmtree(case, ignore_errors=True)
     shutil.copytree(base / "data", case)
-    source = (base / "models" / target if target == "model.json"
+    source = (base / "models" / target if target in MODEL_FILES
               else base / target if target.endswith(".json") else base / "data" / target)
     edit = _edit_json if target.endswith(".json") else _edit_csv
     (case / target).write_bytes(edit(data.draw, source.read_bytes()))

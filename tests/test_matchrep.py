@@ -13,7 +13,6 @@ from organmatch.matchrep import (
     DeadClusterError,
     MatchRepModel,
     TrainConfig,
-    UntrainedModelError,
     best_donor_type_batch,
     dec_loss_and_grads,
     dec_refine_loss_and_grads,
@@ -226,8 +225,7 @@ def _tiny_model(d_r=3, d_o=2, k=2, seed=7):
                                       centers=rng_stream(seed, "t-centers").normal(size=(k, 3)))
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=500.0,
                                             outcome_scale=200.0)
-    return MatchRepModel(donor_map=donor_map, encoder=matchrep.MatchEncoder(phi),
-                         predictor=predictor, config=config)
+    return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config)
 
 
 def test_factual_loss_hand_value_linear_head():
@@ -330,7 +328,7 @@ def test_dec_refine_loss_is_the_batch_dec_loss():
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_phi_heads_loss_gradients_match_finite_differences(beta):
     model = _tiny_model()
-    phi, predictor = model.encoder.net, model.predictor
+    phi, predictor = model.phi, model.predictor
     rng = rng_stream(10, "phi-heads-fd")
     recipients = rng.normal(size=(16, 3))
     outcomes = rng.uniform(100, 900, size=16)
@@ -371,7 +369,6 @@ SMALL = dict(k=2, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=10,
 def test_train_joint_runs_and_logs():
     recipients, donors, outcomes = _training_data()
     model, log = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
-    assert model.trained
     assert len(log) == 15
     for key in ("epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"):
         assert key in log[0]
@@ -487,17 +484,8 @@ def test_donor_type_separates_two_modes():
     assert left[0] != right[0]
 
 
-def test_untrained_model_raises():
-    model = _tiny_model()
-    with pytest.raises(UntrainedModelError):
-        predict_potential_batch(model, np.zeros((1, 3)))
-    with pytest.raises(UntrainedModelError):
-        donor_type_batch(model, np.zeros((1, 2)))
-
-
 def test_inactive_cluster_excluded_from_assignment():
     model = _tiny_model()
-    model.trained = True
     model.active = np.array([True, False])
     rng = rng_stream(13, "inact")
     labels, _ = donor_type_batch(model, rng.normal(size=(25, 2)))
@@ -543,8 +531,8 @@ def test_config_validation():
 def test_save_load_round_trip(tmp_path):
     recipients, donors, outcomes = _training_data()
     model, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
-    trained = [net.parameters() for net in (model.encoder.net, *model.predictor.heads)]
-    buffer = model.encoder.net.layers[0].weight.base
+    trained = [net.parameters() for net in (model.phi, *model.predictor.heads)]
+    buffer = model.phi.layers[0].weight.base
     assert all(np.shares_memory(p, buffer) for params in trained for p in params)
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -567,7 +555,7 @@ def test_load_model_rejects_wrong_format(tmp_path):
 
 
 def _unknown_type(doc):
-    doc["model"]["encoder"]["type"] = "Popen"
+    doc["model"]["phi"]["type"] = "Popen"
 
 
 def _missing_field(doc):
@@ -583,19 +571,19 @@ def _object_dtype(doc):
 
 
 def _bad_activation(doc):
-    doc["model"]["encoder"]["net"]["layers"][0]["activation"] = "softmax"
+    doc["model"]["phi"]["layers"][0]["activation"] = "softmax"
 
 
 def _wrong_kind(doc):
-    doc["model"] = doc["model"]["encoder"]
+    doc["model"] = doc["model"]["phi"]
 
 
 def _int_encoder(doc):
-    doc["model"]["encoder"] = 5
+    doc["model"]["phi"] = 5
 
 
 def _number_weight(doc):
-    doc["model"]["encoder"]["net"]["layers"][0]["weight"] = 0.5
+    doc["model"]["phi"]["layers"][0]["weight"] = 0.5
 
 
 def _string_config_field(doc):

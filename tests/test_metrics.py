@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from organmatch.metrics import (
-    MissingGroundTruthError,
-    aodt,
     aodt_learned_space,
     eps_factual,
     eps_wmse,
@@ -39,20 +37,6 @@ def test_eps_factual_zero_for_exact():
 def test_eps_wmse_hand_value():
     # per-element squared errors: row0 100+100+2500, row1 100+22500+1600
     assert eps_wmse(PRED, TRUE) == pytest.approx((2700.0 + 24200.0) / 2.0)
-
-
-def test_eps_wmse_requires_ground_truth():
-    with pytest.raises(MissingGroundTruthError):
-        eps_wmse(PRED, None)
-
-
-def test_aodt_hand_value():
-    # argmax agrees on row 0 (type 2); disagrees on row 1 (pred 2, true 1)
-    assert aodt(PRED, TRUE) == pytest.approx(0.5)
-
-
-def test_aodt_perfect():
-    assert aodt(PRED, PRED + 1.0) == 1.0
 
 
 def test_mean_best_prediction():
@@ -130,12 +114,16 @@ def test_flipped_ratio_length_mismatch():
 # properties
 # ---------------------------------------------------------------------------
 
+# Learned cluster j holds exactly the donors of true type j + 1, so the
+# learned space is the true one.
+ALIGNED_TYPES, ALIGNED_LABELS = np.arange(8) % 3 + 1, np.arange(8) % 3
+
 
 @settings(max_examples=50, deadline=None)
 @given(hnp.arrays(np.float64, (8, 3), elements=st.floats(-1e3, 1e3)))
 def test_eps_wmse_zero_iff_equal(pred):
     assert eps_wmse(pred, pred.copy()) == 0.0
-    assert aodt(pred, pred.copy()) == 1.0
+    assert aodt_learned_space(pred, pred.copy(), ALIGNED_TYPES, ALIGNED_LABELS) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -143,4 +131,4 @@ def test_eps_wmse_zero_iff_equal(pred):
        hnp.arrays(np.float64, (8, 3), elements=st.floats(-1e3, 1e3)))
 def test_metric_ranges(pred, true):
     assert eps_wmse(pred, true) >= 0.0
-    assert 0.0 <= aodt(pred, true) <= 1.0
+    assert 0.0 <= aodt_learned_space(pred, true, ALIGNED_TYPES, ALIGNED_LABELS) <= 1.0

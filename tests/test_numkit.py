@@ -15,7 +15,6 @@ from organmatch.numkit import (
     TrainingDivergedError,
     adam_step,
     finite_diff_check,
-    fit_diag_gaussian,
     gmm_em_fit,
     init_dense_net,
     kl_gaussian_diag,
@@ -323,29 +322,6 @@ def test_gmm_loglik_monotone():
 # ---------------------------------------------------------------------------
 # Gaussian fitting and KL
 # ---------------------------------------------------------------------------
-
-
-def test_fit_diag_gaussian_constant_data_floored():
-    g = fit_diag_gaussian(np.full((10, 2), 3.0))
-    np.testing.assert_allclose(g.mean, [3.0, 3.0])
-    np.testing.assert_allclose(g.var, [1e-6, 1e-6])
-
-
-def test_fit_diag_gaussian_two_point_sample_convention():
-    g = fit_diag_gaussian(np.array([[0.0], [2.0]]))
-    np.testing.assert_allclose(g.mean, [1.0])
-    np.testing.assert_allclose(g.var, [2.0])  # (n-1) convention
-
-
-def test_fit_diag_gaussian_large_sample():
-    pts = rng_stream(16, "fit").normal(size=(100_000, 1))
-    g = fit_diag_gaussian(pts)
-    assert abs(g.mean[0]) < 0.02 and abs(g.var[0] - 1.0) < 0.02
-
-
-def test_fit_diag_gaussian_needs_two_points():
-    with pytest.raises(InsufficientDataError):
-        fit_diag_gaussian(np.zeros((1, 2)))
 
 
 def test_kl_identity_zero():

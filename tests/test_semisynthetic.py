@@ -79,7 +79,6 @@ def trained(dataset):
 
 def test_training_improves_factual_fit(trained):
     model, log, normed, indices = trained
-    assert model.trained
     assert log[-1]["L_f"] < log[0]["L_f"]
     for subset, bound in ((normed.subset(indices.train), 0.7),
                           (normed.subset(indices.validation), 0.9)):

@@ -11,7 +11,6 @@ from organmatch.synthgen import (
     paper_preset,
     sample_dataset,
     semi_synthetic_outcomes,
-    true_potential_means,
 )
 
 
@@ -24,18 +23,6 @@ def test_preset_shape():
     np.testing.assert_allclose(config.match_table[1], [0.1, 0.7, 0.2])
 
 
-def test_true_potential_means():
-    config = paper_preset()
-    np.testing.assert_allclose(true_potential_means(config, 1), [500, 1000, 1100])
-    np.testing.assert_allclose(true_potential_means(config, 2), [100, 800, 900])
-    assert np.argmax(true_potential_means(config, 1)) == 2
-
-
-def test_true_potential_means_invalid_type():
-    with pytest.raises(ConfigError):
-        true_potential_means(paper_preset(), 3)
-
-
 def test_config_validation_rejects_bad_rows():
     config = paper_preset()
     config.match_table = [[0.5, 0.5, 0.5], [0.1, 0.7, 0.2]]
@@ -43,10 +30,6 @@ def test_config_validation_rejects_bad_rows():
         config.validate()
     config = paper_preset()
     config.outcome_vars = [[0.0, 1, 1], [1, 1, 1]]
-    with pytest.raises(ConfigError):
-        config.validate()
-    config = paper_preset()
-    config.untreated_dist = "uniform"
     with pytest.raises(ConfigError):
         config.validate()
 
@@ -108,17 +91,7 @@ def test_outcome_means_match_generative_table():
     for m in (1, 2):
         mask = ds.true_recipient_type == m
         observed = ds.true_potentials[mask].mean(axis=0)
-        np.testing.assert_allclose(observed, true_potential_means(paper_preset(), m),
-                                   atol=2.0)
-
-
-def test_normal_untreated_mode():
-    config = paper_preset(n=2000, seed=5)
-    config.untreated_dist = "normal"
-    ds = sample_dataset(config)
-    m1 = ds.true_recipient_type == 1
-    assert abs(ds.untreated_survival[m1].mean() - 400.0) < 10.0
-    assert np.all(ds.untreated_survival >= 1.0)
+        np.testing.assert_allclose(observed, paper_preset().outcome_means[m - 1], atol=2.0)
 
 
 def test_exponential_untreated_mean():
