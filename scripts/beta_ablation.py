@@ -16,7 +16,7 @@ from organmatch import datamodel, matchrep, metrics, numkit, synthgen
 
 
 def heldout_rep_kl(model, val) -> float:
-    xprime, _ = numkit.mlp_forward(model.phi, val.recipients)
+    xprime = numkit.mlp_predict(model.phi, val.recipients)
     labels, _ = matchrep.donor_type_batch(model, val.donors)
     loss, _, used = matchrep.rep_loss_and_grads(xprime, labels, model.config.k,
                                                 min_cluster_count=2)

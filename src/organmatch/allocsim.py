@@ -33,7 +33,6 @@ the earliest arrival.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -100,6 +99,8 @@ class GuidedPolicy:
 
 @dataclass
 class LedgerRow:
+    """One ledger line, as ``SimReport.ledger`` builds it from the columns."""
+
     recipient_id: int
     arrival: int
     fate: str  # "transplanted" | "dead" | "waiting"
@@ -110,10 +111,14 @@ class LedgerRow:
 
 
 LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRow))  # the ledger CSV's columns
+FATES = ("waiting", "dead", "transplanted")  # the codes of ``SimReport.fate``
 
 
 @dataclass
 class SimReport:
+    """The scalar summary of one policy run and its per-recipient columns;
+    recipient i arrived at step i."""
+
     policy: str
     n: int
     n_transplanted: int
@@ -122,17 +127,34 @@ class SimReport:
     death_rate: float
     avg_survival: float | None
     avg_benefit: float | None
+    fate: np.ndarray = field(repr=False)  # (n,) index into FATES
+    fate_step: np.ndarray = field(repr=False)  # (n,) step of the fate, -1 while waiting
     assigned_donor: np.ndarray = field(repr=False)  # (n,) donor row id or -1
-    ledger: list[LedgerRow] = field(repr=False, default_factory=list)
+    realized_survival: np.ndarray = field(repr=False)  # (n,) NaN unless transplanted
+    benefit: np.ndarray = field(repr=False)  # (n,) NaN unless transplanted
 
     def summary(self) -> dict:
-        """The scalar fields, in declaration order."""
-        return {k: v for k, v in vars(self).items() if k not in ("assigned_donor", "ledger")}
+        """The scalar fields, the ones in the repr, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+
+    def _rows(self):
+        """The ledger's cells row by row: ints, a fate string, and a float or
+        None for survival and benefit."""
+        got = self.fate == FATES.index("transplanted")
+        return zip(range(self.n), range(self.n), np.array(FATES, dtype=object)[self.fate].tolist(),
+                   self.fate_step.tolist(), self.assigned_donor.tolist(),
+                   np.where(got, self.realized_survival, None).tolist(),
+                   np.where(got, self.benefit, None).tolist())
+
+    @property
+    def ledger(self) -> list[LedgerRow]:
+        """One row per recipient, built from the columns on each access."""
+        return [LedgerRow(*row) for row in self._rows()]
 
 
 def write_ledger_csv(report: SimReport, path) -> None:
     """One row per recipient; a missing survival or benefit is an empty cell."""
-    write_rows(path, LEDGER_FIELDS, map(attrgetter(*LEDGER_FIELDS), report.ledger))
+    write_rows(path, LEDGER_FIELDS, report._rows())
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +185,28 @@ def oracle_mean_scorer(dataset: Dataset, outcome_means) -> "callable":
     return score
 
 
-def model_scorer(model: "matchrep.MatchRepModel", dataset: Dataset) -> "callable":
-    """Scorer from a trained matching-representation model (precomputed)."""
+def model_scorer_and_guide(model: "matchrep.MatchRepModel",
+                           dataset: Dataset) -> tuple["callable", GuidedPolicy]:
+    """The scorer and the guidance of a trained matching-representation
+    model, from one inference: the potentials of every recipient row and the
+    learned type of every donor row."""
     pred = matchrep.predict_potential_batch(model, dataset.recipients)
     donor_types, _ = matchrep.donor_type_batch(model, dataset.donors)
 
     def score(recipient_ids: np.ndarray, donor_id: int) -> np.ndarray:
         return pred[recipient_ids, donor_types[donor_id]]
 
-    return score
+    return score, GuidedPolicy(donor_types=donor_types,
+                               best_types=matchrep.best_donor_types(model, pred))
+
+
+def model_scorer(model: "matchrep.MatchRepModel", dataset: Dataset) -> "callable":
+    """Scorer from a trained matching-representation model (precomputed)."""
+    return model_scorer_and_guide(model, dataset)[0]
 
 
 def model_guide(model: "matchrep.MatchRepModel", dataset: Dataset) -> GuidedPolicy:
-    donor_types, _ = matchrep.donor_type_batch(model, dataset.donors)
-    best_types = matchrep.best_donor_type_batch(model, dataset.recipients)
-    return GuidedPolicy(donor_types=donor_types, best_types=best_types)
+    return model_scorer_and_guide(model, dataset)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +300,6 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     benefit = np.full(n, np.nan)
     realized[got] = dataset.true_potentials[got, dataset.true_donor_type[assigned_donor[got]] - 1]
     benefit[got] = realized[got] - (untreated[got] - (fate_step[got] - got) * d)
-    fates = np.array(["waiting", "dead", "transplanted"], dtype=object)[dead + 2 * transplanted]
-    ledger = [LedgerRow(*row) for row in zip(
-        range(n), range(n), fates.tolist(), fate_step.tolist(), assigned_donor.tolist(),
-        np.where(transplanted, realized, None).tolist(),
-        np.where(transplanted, benefit, None).tolist())]
     n_t, n_dead = len(got), int(dead.sum())
     return SimReport(
         policy=policy,
@@ -286,8 +310,11 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
         death_rate=float(n_dead) / n,
         avg_survival=float(realized[transplanted].mean()) if n_t else None,
         avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
+        fate=(dead + 2 * transplanted).astype(np.int8),
+        fate_step=fate_step,
         assigned_donor=assigned_donor,
-        ledger=ledger,
+        realized_survival=realized,
+        benefit=benefit,
     )
 
 

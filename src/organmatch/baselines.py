@@ -28,6 +28,7 @@ from .numkit import (
     minibatches,
     mlp_backward,
     mlp_forward,
+    mlp_predict,
     rng_stream,
 )
 
@@ -359,8 +360,7 @@ class PairRegressor:
             return pairs @ self.weights + self.intercept
         if self.kind == "reg-tree":
             return _tree_predict(self.tree, pairs)
-        out, _ = mlp_forward(self.net, pairs)
-        return self.outcome_mean + self.outcome_scale * out[:, 0]
+        return self.outcome_mean + self.outcome_scale * mlp_predict(self.net, pairs)[:, 0]
 
 
 def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) -> PairRegressor:

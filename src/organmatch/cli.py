@@ -70,7 +70,7 @@ def _load_config(path_str: str, cls):
         config = cls(**values)
         datamodel.check_field_kinds(cls, values)
         return config
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliConfigError(f"malformed JSON in {path_str}: {exc}") from exc
     except TypeError as exc:
         raise CliConfigError(f"{path_str} is not a {cls.__name__}: {exc}") from exc
@@ -103,7 +103,7 @@ def _oracle_outcome_means(data_dir: str) -> np.ndarray | None:
         if means.ndim != 2:
             raise ValueError(f"outcome_means has shape {means.shape}")
         return means
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise datamodel.IngestionError(f"unreadable data manifest {path}: {exc!r}") from exc
 
 
@@ -313,8 +313,7 @@ def _resolve_scorers(args, dataset: datamodel.Dataset):
     if args.model:
         model, norm = matchrep.load_model_and_normalization(args.model)
         normed = datamodel.apply_normalization(dataset, norm)
-        model_sc = allocsim.model_scorer(model, normed)
-        guide = allocsim.model_guide(model, normed)
+        model_sc, guide = allocsim.model_scorer_and_guide(model, normed)
     plain_sc = None
     outcome_means = _oracle_outcome_means(args.data)
     if outcome_means is not None and dataset.true_recipient_type is not None:

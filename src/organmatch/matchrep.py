@@ -36,6 +36,7 @@ from .numkit import (
     minibatches,
     mlp_backward,
     mlp_forward,
+    mlp_predict,
     rng_stream,
 )
 
@@ -370,7 +371,7 @@ def pretrain_autoencoder(donors: np.ndarray,
 
 def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig) -> np.ndarray:
     """K-means centers of the encoded donors."""
-    embeds, _ = mlp_forward(donor_map.encoder, donors)
+    embeds = mlp_predict(donor_map.encoder, donors)
     centers, _, _ = kmeans_fit(embeds, config.k, rng_stream(config.seed, "matchrep", "centers"))
     donor_map.centers = centers
     return centers
@@ -378,8 +379,7 @@ def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfi
 
 def _donor_soft_assign(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
     """The soft assignment of the encoded donors to the map's centers."""
-    embeds, _ = mlp_forward(donor_map.encoder, donors)
-    return soft_assign(embeds, donor_map.centers)
+    return soft_assign(mlp_predict(donor_map.encoder, donors), donor_map.centers)
 
 
 def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
@@ -556,12 +556,12 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
 def predict_heads(phi: DenseNet, predictor: MultiHeadPredictor,
                   recipients: np.ndarray) -> np.ndarray:
     """(n, K) predicted survival days from Phi and the K heads, one column per head."""
-    xprime, _ = mlp_forward(phi, recipients)
-    cols = []
-    for head in predictor.heads:
-        out, _ = mlp_forward(head, xprime)
-        cols.append(predictor.outcome_mean + predictor.outcome_scale * out[:, 0])
-    return np.column_stack(cols)
+    xprime = mlp_predict(phi, recipients)
+    preds = np.empty((xprime.shape[0], len(predictor.heads)))
+    mean, scale = predictor.outcome_mean, predictor.outcome_scale
+    for c, head in enumerate(predictor.heads):
+        preds[:, c] = mean + scale * mlp_predict(head, xprime)[:, 0]
+    return preds
 
 
 def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
@@ -569,10 +569,9 @@ def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.
     return predict_heads(model.phi, model.predictor, np.atleast_2d(recipients))
 
 
-def best_donor_type_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
-    """0-based donor type with the highest predicted outcome per recipient,
-    restricted to active clusters."""
-    preds = predict_potential_batch(model, recipients)
+def best_donor_types(model: MatchRepModel, preds: np.ndarray) -> np.ndarray:
+    """0-based donor type with the highest prediction in each row of the
+    model's (n, K) ``preds``, restricted to active clusters."""
     if model.active is not None:
         preds = np.where(model.active, preds, -np.inf)
     return np.argmax(preds, axis=1)
@@ -658,7 +657,7 @@ def _load(path, kind: type, types) -> tuple:
         if not isinstance(doc["model"], dict) or doc["model"].get("type") != kind.__name__:
             raise ValueError(f"does not hold a {kind.__name__}")
         return _from_doc(doc["model"], {t.__name__: t for t in types}), doc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IngestionError(f"{path}: {exc!r}") from exc
 
 

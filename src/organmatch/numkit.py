@@ -58,11 +58,11 @@ def rng_stream(seed: int, *names) -> np.random.Generator:
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -113,21 +113,37 @@ def init_dense_net(dims: list[int], activations: list[str], rng: np.random.Gener
     return DenseNet(layers)
 
 
-def mlp_forward(net: DenseNet, batch: np.ndarray):
-    """Forward pass; returns (outputs, cache) with cache sufficient for backprop."""
+def _forward(net: DenseNet, batch: np.ndarray, cache: list | None) -> np.ndarray:
+    """The one forward loop. With a ``cache`` list it appends each layer's
+    ``(a, z, a_next)``; without, the activation overwrites ``z``, so only the
+    current activation is kept. ``z = a @ W; z += b`` has the bits of
+    ``a @ W + b``."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"batch has shape {batch.shape}, net expects (*, {net.input_dim})"
         )
     a = batch
-    cache = []
     for layer in net.layers:
-        z = a @ layer.weight + layer.bias
-        a_next = _act(layer.activation, z)
-        cache.append((a, z, a_next))
+        z = a @ layer.weight
+        z += layer.bias
+        a_next = _act(layer.activation, z, out=None if cache is not None else z)
+        if cache is not None:
+            cache.append((a, z, a_next))
         a = a_next
-    return a, cache
+    return a
+
+
+def mlp_forward(net: DenseNet, batch: np.ndarray):
+    """Forward pass; returns (outputs, cache) with cache sufficient for backprop."""
+    cache = []
+    return _forward(net, batch, cache), cache
+
+
+def mlp_predict(net: DenseNet, batch: np.ndarray) -> np.ndarray:
+    """Forward pass without a backprop cache, bit-identical to ``mlp_forward``'s
+    outputs; for inference, where only a few (rows, width) arrays are alive."""
+    return _forward(net, batch, None)
 
 
 def mlp_backward(net: DenseNet, cache, upstream_grad: np.ndarray):

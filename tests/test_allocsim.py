@@ -1,6 +1,8 @@
 """Allocation-simulator tests with hand-built waitlist fixtures."""
 
 import tempfile
+import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from organmatch.allocsim import (
+    FATES,
     POLICIES,
     EventStream,
     GuidedPolicy,
-    LedgerRow,
     PolicyConfigError,
     SimConfig,
     SimReport,
@@ -285,6 +287,47 @@ def test_write_ledger_csv(tmp_path):
     assert lines[0].startswith("recipient_id,arrival,fate")
 
 
+def test_ledger_rows_are_built_from_the_columns():
+    rng = rng_stream(8, "ledger-rows")
+    ds = _oracle_dataset(n=40, seed=8, untreated=rng.uniform(1, 300, size=40))
+    config = SimConfig(lag_window=5, donor_fraction=0.5)
+    report = run_policy(ds, build_stream(ds, config, seed=2), "fcfs", config)
+    assert list(report.summary()) == ["policy", "n", "n_transplanted", "n_dead", "n_waiting",
+                                      "death_rate", "avg_survival", "avg_benefit"]
+    ledger = report.ledger
+    assert sorted({row.fate for row in ledger}) == sorted(FATES)
+    for i, row in enumerate(ledger):
+        got = row.fate == "transplanted"
+        # the Python types that write_ledger_csv formats: None is an empty cell
+        assert [type(v) for v in astuple(row)] == [int, int, str, int, int] + [
+            float if got else type(None)] * 2
+        assert astuple(row)[:5] == (i, i, FATES[report.fate[i]], report.fate_step[i],
+                                    report.assigned_donor[i])
+        if got:
+            assert (row.realized_survival, row.benefit) == (report.realized_survival[i],
+                                                           report.benefit[i])
+        else:
+            assert np.isnan(report.realized_survival[i]) and np.isnan(report.benefit[i])
+    assert report.ledger == ledger  # built alike on every access
+
+
+def test_a_report_retains_its_columns_and_no_row_objects():
+    ds = sample_dataset(paper_preset(n=20_000, seed=1))
+    config = SimConfig()
+    stream = build_stream(ds, config, seed=1)
+    run_policy(ds, stream, "fcfs", config)  # first-call allocations are not the report's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_policy(ds, stream, "fcfs", config)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    columns = sum(v.nbytes for v in vars(report).values() if isinstance(v, np.ndarray))
+    # a LedgerRow per recipient would retain some 290 bytes a row more
+    assert columns <= retained < columns + 16 * 1024
+
+
 def test_no_donor_arrival_leaves_every_recipient_waiting():
     preset = paper_preset(n=12, seed=0)
     ds = sample_dataset(preset)
@@ -432,14 +475,13 @@ def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
 
     transplanted, dead = status == "transplanted", status == "dead"
     n_t, n_dead = int(transplanted.sum()), int(dead.sum())
-    ledger = [LedgerRow(i, i, str(status[i]), int(fate_step[i]), int(assigned_donor[i]),
-                        float(realized[i]) if transplanted[i] else None,
-                        float(benefit[i]) if transplanted[i] else None) for i in range(n)]
     return SimReport(policy=policy, n=n, n_transplanted=n_t, n_dead=n_dead,
                      n_waiting=n - n_t - n_dead, death_rate=float(n_dead) / n,
                      avg_survival=float(realized[transplanted].mean()) if n_t else None,
                      avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
-                     assigned_donor=assigned_donor, ledger=ledger)
+                     fate=np.array([FATES.index(s) for s in status], dtype=np.int8),
+                     fate_step=fate_step, assigned_donor=assigned_donor,
+                     realized_survival=realized, benefit=benefit)
 
 
 @st.composite

@@ -1,7 +1,11 @@
 """Baseline tests: donor clusterers, per-cluster predictors, pair regressors."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from organmatch import matchrep
 from organmatch.baselines import (
@@ -264,3 +268,54 @@ def test_pair_regressor_round_trip(tmp_path, kind):
     # a tree's width is not known from its file
     _assert_widths_checked(again, path, d_r, d_o,
                            wrong=[] if kind == "reg-tree" else [(d_r + 1, d_o), (d_r, d_o - 1)])
+
+
+# ---------------------------------------------------------------------------
+# save -> load of every model kind
+# ---------------------------------------------------------------------------
+
+CLUSTER_SPECS = ("kmeans/multihead-nn", "em/multihead-nn", "kmeans/linear-per-head",
+                 "em/linear-per-head", "dec/linear-per-head")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("joint",) + CLUSTER_SPECS + PAIR_KINDS),
+       seed=st.integers(0, 2 ** 16), n=st.integers(40, 120), k=st.integers(2, 3),
+       with_rep=st.booleans())
+def test_every_model_kind_predicts_alike_after_save_and_load(kind, seed, n, k, with_rep):
+    recipients, donors, outcomes, _ = _two_mode_data(n=n, seed=seed)
+    new_r, new_o, _, _ = _two_mode_data(n=50, seed=seed + 1)
+    config = TrainConfig(k=k, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=2,
+                         joint_epochs=2, batch_size=32, min_cluster_count=4, seed=seed)
+    if kind == "joint":
+        save, load = matchrep.save_model, matchrep.load_model
+        model, _ = matchrep.train_joint(recipients, donors, outcomes, config)
+
+        def outputs(m):
+            preds = matchrep.predict_potential_batch(m, new_r)
+            return (preds, matchrep.best_donor_types(m, preds),
+                    *matchrep.donor_type_batch(m, new_o))
+    elif kind in PAIR_KINDS:
+        save, load = save_pair_regressor, load_pair_regressor
+        model = fit_pair_regressor(recipients, donors, outcomes, kind, config=config)
+
+        def outputs(m):
+            return (m.predict(np.hstack([new_r, new_o])),)
+    else:
+        save, load = save_cluster_predictor, load_cluster_predictor
+        clusterer, predictor = kind.split("/")
+        spec = BaselineSpec(clusterer=clusterer, predictor=predictor,
+                            with_rep=with_rep and predictor == "multihead-nn", train=config)
+        model = fit_cluster_predictor(recipients, donors, outcomes, spec)
+
+        def outputs(m):
+            return m.predict_potentials(new_r), m.donor_labels(new_o)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "model.json"), Path(tmp, "again.json")
+        save(model, first)
+        again = load(first)
+        save(again, second)
+        assert second.read_bytes() == first.read_bytes()
+    for got, want in zip(outputs(again), outputs(model), strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

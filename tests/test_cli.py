@@ -76,6 +76,16 @@ def test_gen_malformed_config_is_config_error(workdir):
     assert main(["gen", "--config", str(bad), "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+# 100,000 nested arrays, beyond the recursion limit of the json module
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_gen_deeply_nested_config_is_config_error(workdir):
+    deep = workdir / "deep_config.json"
+    deep.write_text(DEEP_JSON)
+    assert main(["gen", "--config", str(deep), "--out", str(workdir / "x")]) == EXIT_CONFIG
+
+
 def test_gen_negative_size_is_config_error(workdir):
     assert main(["gen", "--n", "-3", "--out", str(workdir / "x")]) == EXIT_CONFIG
 
@@ -332,6 +342,22 @@ def test_simulate_malformed_model_is_data_error(workdir, data_dir, models_dir, c
     bad = workdir / f"bad_model_{case}.json"
     bad.write_text(_bad_model_file(models_dir, case))
     assert main(["simulate", "--data", str(data_dir), "--model", str(bad),
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "in-model-file"])
+def test_simulate_deeply_nested_model_is_data_error(workdir, data_dir, wrapped):
+    deep = workdir / f"deep_model_{wrapped}.json"
+    deep.write_text(f'{{"format": "{matchrep.MODEL_FORMAT}", "model": {DEEP_JSON}}}'
+                    if wrapped else DEEP_JSON)
+    assert main(["simulate", "--data", str(data_dir), "--model", str(deep),
+                 "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+def test_simulate_deeply_nested_data_manifest_is_data_error(workdir, data_dir):
+    bad = shutil.copytree(data_dir, workdir / "deep_manifest")
+    (bad / "manifest.json").write_text(DEEP_JSON)
+    assert main(["simulate", "--data", str(bad), "--policies", "uf",
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 

@@ -1,6 +1,7 @@
 """Model tests: soft assignment, losses and their gradients, training, I/O."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from organmatch.matchrep import (
     DeadClusterError,
     MatchRepModel,
     TrainConfig,
-    best_donor_type_batch,
+    best_donor_types,
     dec_loss_and_grads,
     dec_refine_loss_and_grads,
     donor_type_batch,
@@ -208,18 +209,19 @@ def test_rep_loss_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 
-def _tiny_model(d_r=3, d_o=2, k=2, seed=7):
+def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
     # tanh activations keep the loss smooth so finite differences are exact
-    config = TrainConfig(k=k, rep_dim=3, embed_dim=3, hidden=6, seed=seed,
+    h = hidden
+    config = TrainConfig(k=k, rep_dim=3, embed_dim=3, hidden=h, seed=seed,
                          pretrain_epochs=2, joint_epochs=2)
-    enc = init_dense_net([d_o, 6, 6, 3], ["tanh", "tanh", "identity"],
+    enc = init_dense_net([d_o, h, h, 3], ["tanh", "tanh", "identity"],
                          rng_stream(seed, "t-enc"))
-    dec = init_dense_net([3, 6, 6, d_o], ["tanh", "tanh", "identity"],
+    dec = init_dense_net([3, h, h, d_o], ["tanh", "tanh", "identity"],
                          rng_stream(seed, "t-dec"))
-    phi = init_dense_net([d_r, 6, 6, 3], ["tanh", "tanh", "identity"],
+    phi = init_dense_net([d_r, h, h, 3], ["tanh", "tanh", "identity"],
                          rng_stream(seed, "t-phi"))
     rng = rng_stream(seed, "t-heads")
-    heads = [init_dense_net([3, 6, 6, 1], ["tanh", "tanh", "identity"], rng)
+    heads = [init_dense_net([3, h, h, 1], ["tanh", "tanh", "identity"], rng)
              for _ in range(k)]
     donor_map = matchrep.DonorTypeMap(encoder=enc, decoder=dec,
                                       centers=rng_stream(seed, "t-centers").normal(size=(k, 3)))
@@ -393,7 +395,8 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     calls = {"L_DEC": 0, "encoder": 0}
     maps, anchors, epochs = [], [], []
     real_pretrain, real_dec = matchrep.pretrain_autoencoder, matchrep.dec_loss_and_grads
-    real_forward, real_end = matchrep.mlp_forward, matchrep._DecRefinement.end_epoch
+    real_end = matchrep._DecRefinement.end_epoch
+    real_forwards = {name: getattr(matchrep, name) for name in ("mlp_forward", "mlp_predict")}
 
     def pretrain(*args, **kwargs):
         donor_map, losses = real_pretrain(*args, **kwargs)
@@ -404,9 +407,11 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
         calls["L_DEC"] += 1
         return real_dec(*args, **kwargs)
 
-    def forward(net, batch):
-        calls["encoder"] += bool(maps) and net is maps[0].encoder
-        return real_forward(net, batch)
+    def counting(name):
+        def forward(net, batch):
+            calls["encoder"] += bool(maps) and net is maps[0].encoder
+            return real_forwards[name](net, batch)
+        return forward
 
     def end_epoch(self, epoch):
         anchors.append(self.anchor)
@@ -416,7 +421,8 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
 
     monkeypatch.setattr(matchrep, "pretrain_autoencoder", pretrain)
     monkeypatch.setattr(matchrep, "dec_loss_and_grads", dec)
-    monkeypatch.setattr(matchrep, "mlp_forward", forward)
+    for name in real_forwards:
+        monkeypatch.setattr(matchrep, name, counting(name))
     monkeypatch.setattr(matchrep._DecRefinement, "end_epoch", end_epoch)
     model, log = train_joint(recipients, donors, outcomes, config)
     monkeypatch.undo()
@@ -490,8 +496,30 @@ def test_inactive_cluster_excluded_from_assignment():
     rng = rng_stream(13, "inact")
     labels, _ = donor_type_batch(model, rng.normal(size=(25, 2)))
     assert np.all(labels == 0)
-    best = best_donor_type_batch(model, rng.normal(size=(25, 3)))
+    recipients = rng.normal(size=(25, 3))
+    best = best_donor_types(model, predict_potential_batch(model, recipients))
     assert np.all(best == 0)
+
+
+@pytest.mark.parametrize("infer", [predict_potential_batch, donor_type_batch],
+                         ids=["predict_potential_batch", "donor_type_batch"])
+def test_inference_peak_memory_is_a_few_activations(infer):
+    rows, hidden = 20_000, 32
+    model = _tiny_model(hidden=hidden)
+    net = model.phi if infer is predict_potential_batch else model.donor_map.encoder
+    x = rng_stream(3, "peak").normal(size=(rows, net.input_dim))
+    infer(model, x)  # first-call allocations are not the pass's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        infer(model, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one layer's input and output are alive at a time; a backprop cache
+    # would keep two (rows, hidden) arrays per hidden layer
+    activation = rows * hidden * 8
+    assert activation <= peak < 3 * activation
 
 
 def test_train_joint_prunes_tiny_cluster():

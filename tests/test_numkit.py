@@ -22,6 +22,7 @@ from organmatch.numkit import (
     minibatches,
     mlp_backward,
     mlp_forward,
+    mlp_predict,
     rng_stream,
 )
 
@@ -80,6 +81,27 @@ def test_mlp_dimension_mismatch_rejected():
     net = DenseNet([Layer(np.eye(3), np.zeros(3), "identity")])
     with pytest.raises(DimensionMismatchError):
         mlp_forward(net, np.zeros((2, 4)))
+
+
+def test_mlp_predict_is_the_forward_pass_without_a_cache():
+    rng = rng_stream(5, "predict")
+    net = init_dense_net([5, 7, 7, 7, 2], ["relu", "tanh", "relu", "identity"], rng)
+    x = rng.normal(size=(40, 5))
+    x_before = x.copy()
+    reference = x  # out of place: z = a @ W + b, then the activation
+    for layer in net.layers:
+        z = reference @ layer.weight + layer.bias
+        reference = {"relu": np.maximum(z, 0.0), "tanh": np.tanh(z), "identity": z}[
+            layer.activation]
+    out, cache = mlp_forward(net, x)
+    np.testing.assert_array_equal(out, reference)
+    np.testing.assert_array_equal(mlp_predict(net, x), reference)
+    np.testing.assert_array_equal(x, x_before)
+    # the training cache keeps each layer's pre-activation apart from its output
+    assert all(z is not a_out for (_, z, a_out), layer in zip(cache, net.layers)
+               if layer.activation != "identity")
+    with pytest.raises(DimensionMismatchError):
+        mlp_predict(net, np.zeros((2, 4)))
 
 
 def test_backward_zero_upstream_gives_zero_grads():
