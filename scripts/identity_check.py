@@ -9,10 +9,13 @@ that ``load_csv``, ``attach_ground_truth_csv`` and
 ``dec/linear-per-head`` and ``reg-nn`` baselines on the preset and
 compares, byte for byte, every parameter, every training-log value, the
 held-out predictions and donor labels, the ``active`` mask and any
-training error. Last, each tree runs all seven allocation policies on the
+training error. Then each tree runs all seven allocation policies on the
 preset's donor stream (the seed is the stream seed) with the joint model
 it trained, and the ledger CSV and ``summary()`` of every policy are
-compared byte for byte:
+compared byte for byte. The same is done at scale: each tree writes a
+50,000-row preset, reads it back (every array read is compared),
+normalizes it with the joint model's statistics and simulates all seven
+policies on it:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -38,6 +41,7 @@ import numpy as np
 HERE = Path(__file__).resolve()
 THIS_SRC = HERE.parent.parent / "src"
 MODELS = ("joint", "kmeans/multihead-nn", "dec/linear-per-head", "reg-nn")
+SCALE_N = 50_000  # rows of the preset that the at-scale stage writes, reads and simulates
 
 
 def _leaves(obj, prefix):
@@ -99,10 +103,10 @@ def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
     return parts
 
 
-def _tabular(datamodel, dataset, indices) -> dict:
-    """The bytes of ``dataset`` as written by ``write_csv`` and
-    ``write_ground_truth_csv``, and every array read back from those files
-    and normalized on the training split."""
+def _round_trip(datamodel, dataset):
+    """``dataset`` written by ``write_csv`` and ``write_ground_truth_csv``:
+    the bytes of both files and the dataset ``load_csv`` and
+    ``attach_ground_truth_csv`` read back from them."""
     schema = datamodel.SchemaConfig(
         recipient_columns=[f"r_{c}" for c in dataset.recipient_names],
         donor_columns=[f"d_{c}" for c in dataset.donor_names], outcome_column="outcome")
@@ -113,9 +117,28 @@ def _tabular(datamodel, dataset, indices) -> dict:
         written = {path.name: np.frombuffer(path.read_bytes(), dtype=np.uint8)
                    for path in (data, truth)}
         back = datamodel.attach_ground_truth_csv(datamodel.load_csv(data, schema), truth)
+    return written, back
+
+
+def _tabular(datamodel, dataset, indices) -> dict:
+    """The bytes of ``dataset`` as written by ``write_csv`` and
+    ``write_ground_truth_csv``, and every array read back from those files
+    and normalized on the training split."""
+    written, back = _round_trip(datamodel, dataset)
     normed = datamodel.normalize_fit_transform(back, indices)
     return {"csv": written, "read": {**dict(_leaves(back, "read")),
                                      **dict(_leaves(normed, "normed"))}}
+
+
+def _at_scale(allocsim, datamodel, synthgen, model, normalization, seed) -> dict:
+    """The 50,000-row preset written and read back, normalized with the
+    joint model's statistics and simulated under every policy: every array
+    read back, and each policy's ledger and summary."""
+    preset = synthgen.paper_preset(n=SCALE_N, seed=seed)
+    _, back = _round_trip(datamodel, synthgen.sample_dataset(preset))
+    normed = datamodel.apply_normalization(back, normalization)
+    return {"read": dict(_leaves(back, "read")),
+            **_simulate(allocsim, preset, back, normed, model, seed)}
 
 
 def emit(src: Path, seed: int, out: Path) -> None:
@@ -142,6 +165,8 @@ def emit(src: Path, seed: int, out: Path) -> None:
         results.append((name, parts))
         if name == "joint" and model is not None:
             results.append(("simulate", _simulate(allocsim, preset, dataset, normed, model, seed)))
+            results.append(("simulate-50k", _at_scale(allocsim, datamodel, synthgen, model,
+                                                      normed.normalization, seed)))
     arrays = {f"{name}|{part}|{key}": value for name, parts in results
               for part, values in parts.items() for key, value in values.items()}
     np.savez(out, **arrays)

@@ -26,12 +26,16 @@ predicted survival gain over remaining untreated survival), and
 model-guided ``matching-fcfs`` / ``matching-uf`` / ``matching-bf`` variants
 that first restrict candidates to recipients whose predicted best donor
 type equals the donor's type (falling back to the unrestricted rule when no
-candidate matches). Ties are broken by the lowest record index, which is
-the earliest arrival.
+candidate matches). Ties go to the earliest arrival, the lowest record
+index. ``real`` needs no waitlist: donor i can only go to recipient i, which
+waits from step i to its death step, so the replay is computed from the
+event arrays at once; the other six policies share one loop over the donor
+arrivals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -214,31 +218,33 @@ def model_guide(model: "matchrep.MatchRepModel", dataset: Dataset) -> GuidedPoli
 # ---------------------------------------------------------------------------
 
 
-def policy_select(policy: str, waiting_ids: np.ndarray, remaining: np.ndarray,
-                  donor_id: int, scorer, guide: GuidedPolicy | None):
-    """Pick one waiting recipient row id, or None.
+def policy_select(rule: str, waiting_ids: np.ndarray, donor_id: int, scorer=None,
+                  guide: GuidedPolicy | None = None, days_left=None):
+    """The waiting recipient row id that donor ``donor_id`` goes to under
+    ``rule``, one of "fcfs", "uf" and "bf".
 
-    ``waiting_ids`` and ``remaining`` are aligned snapshots of the current,
-    nonempty waitlist; recipient i arrived at step i. ``run_policy`` has
-    checked the policy name and that its scorer and guide are given.
+    ``waiting_ids`` is the current, nonempty waitlist in arrival order
+    (recipient i arrived at step i), so a tie goes to the earliest arrival.
+    With a ``guide`` the candidates are first restricted to the recipients
+    whose predicted best donor type is the donor's type, unless none is.
+    ``scorer(ids, donor_id)`` predicts survival with the donor, and ``bf``
+    subtracts ``days_left(ids)``, the untreated survival the candidates have
+    left. A NaN score never wins over a number.
     """
-    if policy == "real":
-        # donor i's factual partner is recipient i
-        return donor_id if (waiting_ids == donor_id).any() else None
-
-    inner = policy.removeprefix("matching-")
-    if inner != policy:
+    if guide is not None:
         match = guide.best_types[waiting_ids] == guide.donor_types[donor_id]
         if match.any():
-            waiting_ids, remaining = waiting_ids[match], remaining[match]
-
-    if inner == "fcfs":
-        return int(waiting_ids.min())
+            waiting_ids = waiting_ids[match]
+    if rule == "fcfs":
+        return waiting_ids[0]
     scores = np.asarray(scorer(waiting_ids, donor_id), dtype=float)
-    if inner == "bf":
-        scores = scores - remaining
-    # argmax with ties broken by record index, that is by arrival
-    return int(waiting_ids[np.lexsort((waiting_ids, -scores))[0]])
+    if rule == "bf":
+        scores = scores - days_left(waiting_ids)
+    best = scores.argmax()  # the first maximum, unless a NaN comes first
+    if math.isnan(scores[best]):
+        numbers = np.flatnonzero(~np.isnan(scores))
+        best = numbers[scores[numbers].argmax()] if numbers.size else 0
+    return waiting_ids[best]
 
 
 def death_steps(untreated: np.ndarray, days_per_step: float, last_step: int) -> np.ndarray:
@@ -253,6 +259,17 @@ def death_steps(untreated: np.ndarray, days_per_step: float, last_step: int) -> 
     return np.arange(untreated.size) + t.astype(np.int64) - 1
 
 
+def check_policy(policy: str, scorer=None, guide: GuidedPolicy | None = None) -> None:
+    """Raise PolicyConfigError for an unknown policy or one without its
+    scorer or guide."""
+    if policy not in POLICIES:
+        raise PolicyConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    if scorer is None and policy.endswith(("uf", "bf")):
+        raise PolicyConfigError(f"policy {policy!r} needs a scorer (an oracle or a model)")
+    if guide is None and policy.startswith("matching-"):
+        raise PolicyConfigError(f"policy {policy!r} needs model guidance")
+
+
 def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimConfig,
                scorer=None, guide: GuidedPolicy | None = None) -> SimReport:
     """Process the stream under one policy and aggregate the report. An unknown
@@ -260,12 +277,7 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     config.validate()
     if not dataset.has_ground_truth:
         raise PolicyConfigError("simulation needs a ground-truth oracle dataset")
-    if policy not in POLICIES:
-        raise PolicyConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    if scorer is None and policy.endswith(("uf", "bf")):
-        raise PolicyConfigError(f"policy {policy!r} needs a scorer (an oracle or a model)")
-    if guide is None and policy.startswith("matching-"):
-        raise PolicyConfigError(f"policy {policy!r} needs model guidance")
+    check_policy(policy, scorer, guide)
     n, d = stream.n, config.days_per_step
     untreated = dataset.untreated_survival
     # no donor arrives: no allocation step runs and every recipient stays waiting
@@ -274,23 +286,34 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     fate_step = np.full(n, -1)
     assigned_donor = np.full(n, -1)
 
-    ids = np.arange(n)  # recipient i arrives at step i
-    waiting = ids[:0]  # in arrival order
-    joined = 0
-    for step, donor_id in stream.donor_arrivals:
-        if step >= joined:
-            waiting = np.concatenate([waiting, ids[joined:step + 1]])
-            joined = step + 1
-        waiting = waiting[dies[waiting] >= step]
-        if not waiting.size:
-            continue
-        chosen = policy_select(policy, waiting, untreated[waiting] - (step - waiting) * d,
-                               donor_id, scorer, guide)
-        if chosen is None:
-            continue
-        waiting = waiting[waiting != chosen]
-        fate_step[chosen] = step
-        assigned_donor[chosen] = donor_id
+    if policy == "real":
+        # recipient i waits from step i to step dies[i] for its one donor, i,
+        # and takes the first listing of donor i inside that window
+        steps, donors = np.array(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2).T
+        in_window = (steps >= donors) & (dies[donors] >= steps)
+        got, first = np.unique(donors[in_window], return_index=True)
+        fate_step[got] = steps[in_window][first]
+        assigned_donor[got] = got
+    else:
+        rule = policy.removeprefix("matching-")
+        guide = guide if rule != policy else None
+        until = dies.copy()  # -1 once transplanted: the next death check drops it
+        ids = np.arange(n)  # recipient i arrives at step i
+        waiting = ids[:0]  # in arrival order
+        joined = 0
+        for step, donor_id in stream.donor_arrivals:
+            if step >= joined:
+                waiting = np.concatenate((waiting, ids[joined:step + 1]))
+                joined = step + 1
+            waiting = waiting[until[waiting] >= step]
+            if not waiting.size:
+                continue
+            chosen = policy_select(
+                rule, waiting, donor_id, scorer, guide,
+                (lambda c: untreated[c] - (step - c) * d) if rule == "bf" else None)
+            until[chosen] = -1
+            fate_step[chosen] = step
+            assigned_donor[chosen] = donor_id
 
     transplanted = assigned_donor >= 0
     dead = ~transplanted & (dies <= last_step)

@@ -334,6 +334,12 @@ def cmd_simulate(args) -> int:
     if not dataset.has_ground_truth:
         raise datamodel.IngestionError("simulate needs ground_truth.csv next to dataset.csv")
     plain_sc, model_sc, guide = _resolve_scorers(args, dataset)
+    scorers = {policy: model_sc if policy.startswith("matching-") else plain_sc
+               for policy in policies}
+    if len(scorers) < len(policies):
+        raise CliConfigError(f"a policy is listed twice in {args.policies!r}")
+    for policy, scorer in scorers.items():
+        allocsim.check_policy(policy, scorer, guide)
 
     seed = args.stream_seed if args.stream_seed is not None else 0
     stream = allocsim.build_stream(dataset, sim_config, seed=seed)
@@ -341,8 +347,7 @@ def cmd_simulate(args) -> int:
     out = _ensure_out(args.out)
     artifacts = []
     reports = {}
-    for policy in policies:
-        scorer = model_sc if policy.startswith("matching-") else plain_sc
+    for policy, scorer in scorers.items():
         reports[policy] = allocsim.run_policy(dataset, stream, policy, sim_config, scorer, guide)
         ledger_path = out / f"ledger_{policy}.csv"
         allocsim.write_ledger_csv(reports[policy], ledger_path)

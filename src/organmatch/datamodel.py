@@ -195,33 +195,34 @@ class SchemaConfig:
     categorical: dict[str, list[str]] = field(default_factory=dict)
 
 
-def _parse_column(rows: list[dict], col: str, kind: type, skip=None) -> np.ndarray:
-    """Column ``col`` of ``rows`` as ``kind`` values, 0 in the rows that
-    ``skip`` flags; an unparseable or non-finite cell raises IngestionError
-    naming its row and column."""
-    out = np.zeros(len(rows), dtype=kind)
-    for i, r in enumerate(rows):
-        if skip is not None and skip[i]:
-            continue
-        try:
-            out[i] = kind(r[col])
-        except (TypeError, ValueError, OverflowError):
-            raise IngestionError(f"row {i}, column {col!r}: unparseable cell {r[col]!r}") from None
+def _parse_column(cells, col: str, kind: type) -> np.ndarray:
+    """The cells of column ``col`` as ``kind`` values; an unparseable or
+    non-finite cell raises IngestionError naming its row and column."""
+    try:
+        out = np.fromiter(map(kind, cells), dtype=kind, count=len(cells))
+    except (TypeError, ValueError, OverflowError):
+        out = np.zeros(len(cells), dtype=kind)
+        for i, cell in enumerate(cells):  # find the first bad cell
+            try:
+                out[i] = kind(cell)
+            except (TypeError, ValueError, OverflowError):
+                raise IngestionError(f"row {i}, column {col!r}: unparseable cell {cell!r}") from None
     bad = np.nonzero(~np.isfinite(out))[0]
     if bad.size:
-        raise IngestionError(
-            f"row {bad[0]}, column {col!r}: non-finite cell {rows[bad[0]][col]!r}")
+        raise IngestionError(f"row {bad[0]}, column {col!r}: non-finite cell {cells[bad[0]]!r}")
     return out
 
 
-def _encode_block(rows: list[dict], columns: list[str], schema: SchemaConfig):
+def _encode_block(columns: dict, n: int, block: list[str], schema: SchemaConfig):
+    """The features of the ``block`` columns of ``columns``, ``n`` cells each,
+    and their names."""
     names: list[str] = []
     feats: list[np.ndarray] = []
-    for col in columns:
-        raw = [r[col] for r in rows]
+    for col in block:
+        raw = columns[col]
         if col in schema.categorical:
             cats = schema.categorical[col]
-            onehot = np.zeros((len(rows), len(cats)))
+            onehot = np.zeros((n, len(cats)))
             for i, v in enumerate(raw):
                 if v not in cats:
                     raise IngestionError(f"row {i}, column {col!r}: undeclared category {v!r}")
@@ -230,32 +231,42 @@ def _encode_block(rows: list[dict], columns: list[str], schema: SchemaConfig):
             names.extend(f"{col}={c}" for c in cats)
         else:
             missing = [v is None or v == "" for v in raw]
-            vals = _parse_column(rows, col, float, skip=missing)
             if any(missing):
                 if all(missing):
                     raise IngestionError(f"column {col!r} has no observed values")
+                # a missing cell parses as 0 and is then imputed with the mean
+                vals = _parse_column([("0" if m else v) for v, m in zip(raw, missing)],
+                                     col, float)
                 flags = np.array(missing, dtype=float)
                 vals = np.where(flags > 0, vals[flags == 0].mean(), vals)
                 feats += [vals[:, None], flags[:, None]]
                 names += [col, f"{col}__missing"]
             else:
-                feats.append(vals[:, None])
+                feats.append(_parse_column(raw, col, float)[:, None])
                 names.append(col)
-    return np.hstack(feats) if feats else np.zeros((len(rows), 0)), names
+    return np.hstack(feats) if feats else np.zeros((n, 0)), names
 
 
-def read_rows(path) -> tuple[list[str], list[dict]]:
-    """The header and the rows of a UTF-8 comma-separated file; a file that
-    is empty, not UTF-8 or not CSV raises IngestionError."""
+def read_columns(path) -> tuple[list[str], int, dict[str, tuple]]:
+    """The header, the row count and the cells of each column of a UTF-8
+    comma-separated file, read as ``csv.DictReader`` reads rows: blank lines
+    are skipped, a short row's absent cells are None, extra cells are
+    ignored and a repeated column name keeps its last column. A file that
+    is empty, has no data row, or is not UTF-8 or not CSV raises
+    IngestionError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header, rows = reader.fieldnames, list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"unreadable CSV file {path}: {exc}") from None
     if not header or not rows:
         raise IngestionError(f"empty file {path}")
-    return header, rows
+    width = len(header)
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    return header, len(rows), dict(zip(header, zip(*rows)))
 
 
 def write_rows(path, header: list[str], rows) -> None:
@@ -273,7 +284,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
     Without a schema the file must have the ``r_*``, ``d_*`` and ``outcome``
     columns that write_csv writes.
     """
-    header, rows = read_rows(path)
+    header, n, columns = read_columns(path)
     if schema is None:
         schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
                               donor_columns=[c for c in header if c.startswith("d_")],
@@ -285,9 +296,9 @@ def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
     missing_cols = needed - set(header)
     if missing_cols:
         raise IngestionError(f"unknown column(s): {sorted(missing_cols)}")
-    recipients, r_names = _encode_block(rows, schema.recipient_columns, schema)
-    donors, d_names = _encode_block(rows, schema.donor_columns, schema)
-    outcomes = _parse_column(rows, schema.outcome_column, float)
+    recipients, r_names = _encode_block(columns, n, schema.recipient_columns, schema)
+    donors, d_names = _encode_block(columns, n, schema.donor_columns, schema)
+    outcomes = _parse_column(columns[schema.outcome_column], schema.outcome_column, float)
     return Dataset(recipients, donors, outcomes, r_names, d_names)
 
 
@@ -301,8 +312,8 @@ def write_csv(dataset: Dataset, path) -> None:
 
 def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
     """Attach the ground-truth columns written by write_ground_truth_csv."""
-    header, rows = read_rows(path)
-    if len(rows) != len(dataset):
+    header, n, columns = read_columns(path)
+    if n != len(dataset):
         raise IngestionError("ground-truth file and dataset disagree in length")
     pot_cols = sorted((c for c in header
                        if c.startswith("potential_") and c[len("potential_"):].isdigit()),
@@ -312,7 +323,7 @@ def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
     missing_cols = {"true_recipient_type", "true_donor_type", "untreated_survival"} - set(header)
     if missing_cols:
         raise IngestionError(f"ground-truth file lacks column(s): {sorted(missing_cols)}")
-    types = {col: _parse_column(rows, col, int)
+    types = {col: _parse_column(columns[col], col, int)
              for col in ("true_recipient_type", "true_donor_type")}
     for col, vals in types.items():
         bad = np.nonzero(vals < 1)[0]
@@ -325,9 +336,10 @@ def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
             f"row {above[0]}, column 'true_donor_type': type "
             f"{types['true_donor_type'][above[0]]} exceeds the {len(pot_cols)} potential_* columns")
     return replace(dataset,
-                   true_potentials=np.column_stack([_parse_column(rows, c, float)
+                   true_potentials=np.column_stack([_parse_column(columns[c], c, float)
                                                     for c in pot_cols]),
-                   untreated_survival=_parse_column(rows, "untreated_survival", float),
+                   untreated_survival=_parse_column(columns["untreated_survival"],
+                                                    "untreated_survival", float),
                    true_recipient_type=types["true_recipient_type"],
                    true_donor_type=types["true_donor_type"])
 

@@ -115,50 +115,53 @@ def _scorer(values):
 
 
 def test_fcfs_picks_earliest_arrival():
-    chosen = policy_select("fcfs", WAITING, np.array([500.0, 500.0]),
-                           donor_id=0, scorer=None, guide=None)
-    assert chosen == 0
+    assert policy_select("fcfs", WAITING, donor_id=0) == 0
 
 
 def test_uf_picks_highest_predicted_survival():
-    chosen = policy_select("uf", WAITING, np.array([950.0, 100.0]),
-                           donor_id=0, scorer=_scorer([1000.0, 900.0]),
-                           guide=None)
+    chosen = policy_select("uf", WAITING, donor_id=0, scorer=_scorer([1000.0, 900.0]))
     assert chosen == 0
 
 
 def test_bf_picks_highest_benefit():
     # benefits: 1000-950=50 vs 900-100=800
-    chosen = policy_select("bf", WAITING, np.array([950.0, 100.0]),
-                           donor_id=0, scorer=_scorer([1000.0, 900.0]),
-                           guide=None)
+    chosen = policy_select("bf", WAITING, donor_id=0, scorer=_scorer([1000.0, 900.0]),
+                           days_left=lambda ids: np.array([950.0, 100.0])[ids])
     assert chosen == 1
 
 
 def test_ties_go_to_the_lowest_record_index():
     # recipient i arrives at step i, so the lowest index is the earliest arrival
-    waiting = np.array([5, 2, 7])
+    waiting = np.array([2, 5, 7])
     for policy in ("fcfs", "uf", "bf"):
-        assert policy_select(policy, waiting, np.zeros(3), 0, _scorer(np.ones(8)), None) == 2
+        assert policy_select(policy, waiting, 0, _scorer(np.ones(8)),
+                             days_left=lambda ids: np.zeros(len(ids))) == 2
+    assert policy_select("uf", waiting, 0, _scorer([0, 0, 1, 0, 0, 3, 0, 3])) == 5
+
+
+def test_a_nan_score_never_wins_over_a_number():
+    nan = float("nan")
+    waiting = np.array([0, 1, 2, 3])
+    assert policy_select("uf", waiting, 0, _scorer([nan, 1.0, nan, 1.0])) == 1
+    assert policy_select("uf", waiting, 0, _scorer([nan] * 4)) == 0
 
 
 def test_real_policy_waits_for_factual_partner():
-    # donor i's factual partner is recipient i
-    chosen = policy_select("real", WAITING, np.array([500.0, 500.0]),
-                           donor_id=1, scorer=None, guide=None)
-    assert chosen == 1
-    none = policy_select("real", WAITING, np.array([500.0, 500.0]),
-                         donor_id=5, scorer=None, guide=None)
-    assert none is None
+    # donor i's factual partner is recipient i: at step 1 donor 1 goes to
+    # recipient 1, not to recipient 0, and donor 2 finds its partner not
+    # yet arrived and is discarded
+    ds = _oracle_dataset(n=3)
+    stream = EventStream(donor_arrivals=[(1, 1), (1, 2)], n=3)
+    report = run_policy(ds, stream, "real", SimConfig())
+    assert report.assigned_donor.tolist() == [-1, 1, -1]
+    assert report.fate_step.tolist() == [-1, 1, -1]
 
 
 def test_matching_policy_restricts_to_type_match():
     guide = GuidedPolicy(donor_types=np.array([1, 0, 0, 0, 0, 0]),
                          best_types=np.array([0, 1]))
     # donor 0 has learned type 1; only recipient 1 wants type 1
-    chosen = policy_select("matching-uf", WAITING,
-                           np.array([500.0, 500.0]), donor_id=0,
-                           scorer=_scorer([1000.0, 900.0]),
+    chosen = policy_select("uf", WAITING, donor_id=0, scorer=_scorer([1000.0, 900.0]),
                            guide=guide)
     assert chosen == 1
 
@@ -166,9 +169,7 @@ def test_matching_policy_restricts_to_type_match():
 def test_matching_policy_falls_back_when_no_match():
     guide = GuidedPolicy(donor_types=np.array([1, 0]),
                          best_types=np.array([0, 0]))
-    chosen = policy_select("matching-uf", WAITING,
-                           np.array([500.0, 500.0]), donor_id=0,
-                           scorer=_scorer([1000.0, 900.0]),
+    chosen = policy_select("uf", WAITING, donor_id=0, scorer=_scorer([1000.0, 900.0]),
                            guide=guide)
     assert chosen == 0  # unrestricted utility-first
 
@@ -429,6 +430,28 @@ def test_every_policy_keeps_the_waitlist_invariants(sim):
         np.testing.assert_array_equal(report.assigned_donor, [row.donor_id for row in ledger])
 
 
+def _reference_choice(policy, waiting, donor_id, remaining, scorer, guide):
+    """The recipient that ``policy`` gives donor ``donor_id``, or None, from
+    the waiting recipient ids by the plain rules: the factual partner for
+    ``real``; for the ``matching-*`` policies only the recipients whose best
+    type is the donor's type, unless none is; then the lowest id for
+    ``fcfs`` and the highest score, then the lowest id, for ``uf``/``bf``."""
+    if policy == "real":
+        return donor_id if donor_id in waiting else None
+    rule = policy.removeprefix("matching-")
+    candidates = list(waiting)
+    if rule != policy:
+        wanted = guide.donor_types[donor_id]
+        candidates = [i for i in candidates if guide.best_types[i] == wanted] or candidates
+    if rule == "fcfs":
+        return min(candidates)
+    scores = {i: float(scorer(np.array([i]), donor_id)[0]) for i in candidates}
+    if rule == "bf":
+        scores = {i: score - remaining[i] for i, score in scores.items()}
+    best = max(scores.values())
+    return min(i for i, score in scores.items() if score == best)
+
+
 def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
     """The per-step simulator that ``run_policy`` replaced: every step from
     0 to the last donor arrival admits recipient ``step``, offers that
@@ -453,8 +476,7 @@ def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
         for donor_id in sorted(donors_by_step.get(step, ())):
             if not waiting:
                 continue
-            ids = np.array(waiting)
-            chosen = policy_select(policy, ids, remaining[ids], donor_id, scorer, guide)
+            chosen = _reference_choice(policy, waiting, donor_id, remaining, scorer, guide)
             if chosen is None:
                 continue
             waiting.remove(chosen)
@@ -486,8 +508,9 @@ def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
 
 @st.composite
 def _clock_simulations(draw):
-    """Streams (empty ones included) against untreated survivals that hit
-    the death clock's edges: zero, negative and exact multiples of the
+    """Streams (empty ones and hand-made ones that list a donor twice or
+    before its partner joins included) against untreated survivals that
+    hit the death clock's edges: zero, negative and exact multiples of the
     step size, for integer-valued and dyadic step sizes."""
     n = draw(st.integers(1, 25))
     k = draw(st.integers(1, 3))
@@ -513,8 +536,15 @@ def _clock_simulations(draw):
     guide = GuidedPolicy(donor_types=rng.integers(0, k, size=n),
                          best_types=rng.integers(0, k, size=n))
     stream = build_stream(ds, config, seed=draw(st.integers(0, 2 ** 16)))
-    if draw(st.integers(0, 9)) == 0:
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
         stream = EventStream(donor_arrivals=[], n=n)
+    elif kind <= 3:
+        # by hand: a donor listed twice, or arriving before its partner joins
+        events = draw(st.lists(st.tuples(st.integers(0, n + 8), st.integers(0, n - 1)),
+                               min_size=1, max_size=2 * n))
+        stream = EventStream(donor_arrivals=sorted(events + events[:draw(st.integers(0, 2))]),
+                             n=n)
     return ds, stream, config, scorer, guide
 
 
@@ -526,7 +556,8 @@ def test_event_loop_matches_the_stepwise_reference(sim):
         for policy in POLICIES:
             report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
             reference = _stepwise_reference(ds, stream, policy, config, scorer, guide)
-            paths = Path(tmp, "event.csv"), Path(tmp, "stepwise.csv")
+            # fresh files: rewriting a nonempty file can stall on a flush
+            paths = Path(tmp, f"event-{policy}.csv"), Path(tmp, f"stepwise-{policy}.csv")
             write_ledger_csv(report, paths[0])
             write_ledger_csv(reference, paths[1])
             assert paths[0].read_bytes() == paths[1].read_bytes(), policy

@@ -403,6 +403,22 @@ def test_simulate_matching_without_model_is_config_error(workdir, data_dir):
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("policies", ["fcfs,greedy", None, "fcfs,fcfs", "fcfs,bf"],
+                         ids=["unknown", "default-without-model", "duplicate", "bf-without-scorer"])
+def test_simulate_rejects_a_policy_list_before_writing_anything(workdir, data_dir, policies,
+                                                                 capsys):
+    data = data_dir
+    if policies == "fcfs,bf":
+        # data without a gen manifest has no oracle, and there is no model
+        data = shutil.copytree(data_dir, workdir / "no_oracle", dirs_exist_ok=True)
+        (data / "manifest.json").unlink()
+    out = workdir / f"rejected_{policies}"
+    argv = ["simulate", "--data", str(data), "--out", str(out)]
+    assert main(argv + (["--policies", policies] if policies else [])) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_without_ground_truth_is_data_error(workdir):
     bare = workdir / "bare"
     bare.mkdir()

@@ -235,6 +235,122 @@ def test_unreadable_csv_is_ingestion_error(tmp_path, raw):
 
 
 # ---------------------------------------------------------------------------
+# Reader: the column-wise reader and parser against the per-row ones they replaced
+# ---------------------------------------------------------------------------
+
+
+def _dictreader_columns(path):
+    """The reader that ``read_columns`` replaced: one csv.DictReader dict per row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"unreadable CSV file {path}: {exc}") from None
+    if not header or not rows:
+        raise IngestionError(f"empty file {path}")
+    return header, len(rows), {col: tuple(row[col] for row in rows) for col in header}
+
+
+def _per_cell_parse(cells, col, kind):
+    """The parser that ``_parse_column`` replaced: one cell at a time."""
+    out = np.zeros(len(cells), dtype=kind)
+    for i, cell in enumerate(cells):
+        try:
+            out[i] = kind(cell)
+        except (TypeError, ValueError, OverflowError):
+            raise IngestionError(f"row {i}, column {col!r}: unparseable cell {cell!r}") from None
+    bad = np.nonzero(~np.isfinite(out))[0]
+    if bad.size:
+        raise IngestionError(f"row {bad[0]}, column {col!r}: non-finite cell {cells[bad[0]]!r}")
+    return out
+
+
+def _loaded(load):
+    """Every array and name list ``load()`` returns, as bytes, or its
+    IngestionError text."""
+    try:
+        ds = load()
+    except IngestionError as exc:
+        return str(exc)
+    return {name: (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else value
+            for name, value in vars(ds).items()}
+
+
+def _assert_reader_parity(monkeypatch, load):
+    new = _loaded(load)
+    with monkeypatch.context() as patched:
+        patched.setattr(datamodel, "read_columns", _dictreader_columns)
+        patched.setattr(datamodel, "_parse_column", _per_cell_parse)
+        assert _loaded(load) == new
+    return new
+
+
+PARITY_SCHEMA = SchemaConfig(recipient_columns=["age", "sex"], donor_columns=["dage"],
+                             outcome_column="days", categorical={"sex": ["f", "m, x"]})
+TRUTH_HEADER = "true_recipient_type,true_donor_type,potential_1,potential_2,untreated_survival\n"
+
+
+@pytest.mark.parametrize("text, loads", [
+    ("age,sex,dage,days\n\n50,f,40,365\n\n60,f,30,200\n\n", True),
+    ("days,age,sex,dage\n365,50,f,40\n200,,f\n", True),
+    ("age,sex,dage,days\n50,f,40,365\n60,f,30\n", False),
+    ("age,sex,dage,days\n50,f,40,365,extra,more\n60,f,30,200\n", True),
+    ("age,sex,dage,days,age\n50,f,40,365,70\n60,f,30,200\n55,f,20,100,90\n", True),
+    ('age,sex,dage,days\r\n50,"m, x",40,365\r\n60,f,"30",200\r\n', True),
+    ("age,sex,dage,days\n50,m,40,365\n", False),
+    ("age,sex,dage,days\n50,f,40,365\n60,f,nan,200\n", False),
+    ("age,sex,dage,days\n50,f,forty,365\n", False),
+    ("age,sex,dage,days\n", False),
+    ("age,sex,dage,days\n\n\n", False),
+], ids=["blank-lines", "short-row-missing-cell", "short-row-outcome", "extra-cells",
+        "repeated-header", "crlf-quoted-comma", "undeclared-category", "non-finite",
+        "unparseable", "header-only", "header-and-blank-lines"])
+def test_load_csv_matches_the_dictreader_reference(tmp_path, monkeypatch, text, loads):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _assert_reader_parity(monkeypatch, lambda: load_csv(path, PARITY_SCHEMA))
+    assert isinstance(got, dict) == loads, got
+
+
+@pytest.mark.parametrize("rows, loads", [
+    ("1,2,500.5,600.25,30.0\n\n2,1,400.0,300.0,12.5\n", True),
+    ("1,2,500.5,600.25,30.0\r\n2,1,400.0,300.0,12.5,9\r\n", True),
+    ("1,99999999999999999999,500.5,600.25,30.0\n2,1,400.0,300.0,12.5\n", False),
+    ("1,2,500.5,600.25,30.0\n-99999999999999999999,1,400.0,300.0,12.5\n", False),
+    ("1,2,500.5,600.25,30.0\n2,1.0,400.0,300.0,12.5\n", False),
+    ("1,2,500.5,600.25,30.0\n2,1,400.0\n", False),
+], ids=["blank-line", "crlf-extra-cell", "int-above-int64", "int-below-int64",
+        "float-type", "short-row"])
+def test_attach_ground_truth_csv_matches_the_dictreader_reference(tmp_path, monkeypatch,
+                                                                   rows, loads):
+    path = tmp_path / "truth.csv"
+    path.write_bytes((TRUTH_HEADER + rows).encode("utf-8"))
+    got = _assert_reader_parity(monkeypatch,
+                                lambda: attach_ground_truth_csv(make_dataset(n=2), path))
+    assert isinstance(got, dict) == loads, got
+
+
+PARITY_CELLS = st.sampled_from(["1", "2.5", "-3", "", "nan", "1e999", "x", "f", "m, x",
+                                "99999999999999999999"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=st.lists(st.sampled_from(["age", "sex", "dage", "days", "other"]),
+                       min_size=1, max_size=6),
+       rows=st.lists(st.lists(PARITY_CELLS, max_size=7), max_size=6),
+       line_end=st.sampled_from(["\n", "\r\n"]))
+def test_random_tables_read_as_the_dictreader_reference_reads_them(tmp_path_factory,
+                                                                   header, rows, line_end):
+    path = tmp_path_factory.mktemp("parity") / "data.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=line_end).writerows([header, *rows])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_reader_parity(monkeypatch, lambda: load_csv(path, PARITY_SCHEMA))
+
+
+# ---------------------------------------------------------------------------
 # Writers: byte-exact against the per-row repr(float(v)) writers they replaced
 # ---------------------------------------------------------------------------
 
