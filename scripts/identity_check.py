@@ -15,7 +15,9 @@ it trained, and the ledger CSV and ``summary()`` of every policy are
 compared byte for byte. The same is done at scale: each tree writes a
 50,000-row preset, reads it back (every array read is compared),
 normalizes it with the joint model's statistics and simulates all seven
-policies on it:
+policies on it. Last, ``organmatch eval`` scores the saved models on the
+preset written as CSV; its exit code and the bytes and cells of its tables
+are compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -29,6 +31,9 @@ one-sided.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -141,13 +146,42 @@ def _at_scale(allocsim, datamodel, synthgen, model, normalization, seed) -> dict
             **_simulate(allocsim, preset, back, normed, model, seed)}
 
 
+def _eval(baselines, cli, datamodel, matchrep, dataset, models, normalization) -> dict:
+    """``organmatch eval`` of the trained ``models`` on ``dataset``, both
+    written into one directory: the exit code, the bytes of both tables and
+    each cell of ``comparison.csv`` keyed ``<model> <column>``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root, out = Path(tmp), Path(tmp) / "eval"
+        datamodel.write_csv(dataset, root / "dataset.csv")
+        datamodel.write_ground_truth_csv(dataset, root / "ground_truth.csv")
+        for name, model in models.items():
+            if name == "joint":
+                matchrep.save_model(model, root / "model.json",
+                                    normalization=datamodel.normalization_to_dict(normalization))
+            elif name == "reg-nn":
+                baselines.save_pair_regressor(model, root / "pair_reg-nn.json")
+            else:
+                baselines.save_cluster_predictor(
+                    model, root / f"baseline_{name.replace('/', '_')}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval", "--data", tmp, "--models", tmp, "--out", str(out)])
+        tables = [path for path in (out / "comparison.csv", out / "eval_reports.json")
+                  if path.exists()]
+        rows = csv.DictReader(tables[0].read_text().splitlines()) if tables else []
+        return {"exit": {"": np.array(code)},
+                "tables": {path.name: np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                           for path in tables},
+                "cells": {f"{row['model']} {column}": np.array(cell)
+                          for row in rows for column, cell in row.items()}}
+
+
 def emit(src: Path, seed: int, out: Path) -> None:
     """Child process: write and read the preset's tables, train every model
     and simulate every policy with the ``organmatch`` of ``src`` and save
     every part as ``<model>|<part>|<key>`` arrays in ``out``."""
     sys.path.insert(0, str(src))
     import organmatch
-    from organmatch import allocsim, baselines, datamodel, matchrep, numkit, synthgen
+    from organmatch import allocsim, baselines, cli, datamodel, matchrep, numkit, synthgen
 
     if Path(organmatch.__file__).resolve().parent != src.resolve() / "organmatch":
         raise ImportError(f"organmatch imported from {organmatch.__file__}, not {src}")
@@ -157,9 +191,11 @@ def emit(src: Path, seed: int, out: Path) -> None:
     normed = datamodel.normalize_fit_transform(dataset, indices)
     train, val = normed.subset(indices.train), normed.subset(indices.validation)
     results = [("data", _tabular(datamodel, dataset, indices))]
+    fitted = {}
     for name in MODELS:
         try:
             model, parts = _fit(name, matchrep, baselines, train, val, seed)
+            fitted[name] = model
         except (numkit.TrainingDivergedError, matchrep.DeadClusterError) as exc:
             model, parts = None, {"error": {"": np.array(repr(exc))}}
         results.append((name, parts))
@@ -167,6 +203,8 @@ def emit(src: Path, seed: int, out: Path) -> None:
             results.append(("simulate", _simulate(allocsim, preset, dataset, normed, model, seed)))
             results.append(("simulate-50k", _at_scale(allocsim, datamodel, synthgen, model,
                                                       normed.normalization, seed)))
+    results.append(("eval", _eval(baselines, cli, datamodel, matchrep, dataset, fitted,
+                                  normed.normalization)))
     arrays = {f"{name}|{part}|{key}": value for name, parts in results
               for part, values in parts.items() for key, value in values.items()}
     np.savez(out, **arrays)

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Multi-seed robustness sweep on the synthetic preset.
+"""Seed x beta robustness sweep on the synthetic preset.
 
-For each seed: train the joint model and the decoupled baselines, then
-report held-out factual error, donor-type recovery (ARI against the
-coarsened generative types), and best-type accuracy. Prints one CSV table
-to stdout.
+Per seed, trains the joint model at each invariance weight beta and the
+``kmeans``/``em`` multi-head baselines once (beta does not enter them),
+and scores each on the held-out split with ``metrics.comparison_row``,
+``organmatch eval``'s scorer, plus ARI against the coarsened generative
+types and, for the joint model, the held-out representation divergence.
+A fit that diverges or kills a cluster gives a row with its ``error`` and
+empty metric cells. Prints one CSV table to stdout:
+
+    python3 scripts/seed_sweep.py --seeds 1,2,3,4,5
+    python3 scripts/seed_sweep.py --seeds 0 --betas 0,10,100,300   # beta ablation
 """
 
 import argparse
@@ -12,67 +18,77 @@ import csv
 import sys
 from pathlib import Path
 
-from organmatch import baselines, datamodel, matchrep, metrics, synthgen
+from organmatch import baselines, datamodel, matchrep, metrics, numkit, synthgen
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import adjusted_rand  # noqa: E402
 
+FIELDS = ["seed", "beta", "model", "eps_f", "eps_wmse", "aodt", "mean_best_prediction",
+          "n", "ari_coarse", "rep_kl_heldout", "error"]
+BASELINES = ("kmeans/multihead-nn", "em/multihead-nn")
 
-def run_seed(seed: int, n: int) -> list[dict]:
+
+def fit_and_score(name, config, train, val, normed, coarse) -> dict:
+    """Train ``name`` (``matchrep`` or a baseline) with ``config`` on
+    ``train`` and return its row on ``val``; ARI is taken over every donor
+    of ``normed`` against the ``coarse`` truth."""
+    if name == "matchrep":
+        model, _ = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
+        preds = matchrep.predict_potential_batch(model, val.recipients)
+        labels, _ = matchrep.donor_type_batch(model, val.donors)
+        all_labels, _ = matchrep.donor_type_batch(model, normed.donors)
+        xprime = numkit.mlp_predict(model.phi, val.recipients)
+        rep_kl, _, used = matchrep.rep_loss_and_grads(xprime, labels, config.k,
+                                                      min_cluster_count=2)
+        return {**metrics.comparison_row(name, preds, labels, val.outcomes, val.true_potentials,
+                                         val.true_donor_type,
+                                         matchrep.best_donor_types(model, preds)),
+                "ari_coarse": adjusted_rand(all_labels, coarse),
+                "rep_kl_heldout": rep_kl / max(used, 1)}
+    clusterer, predictor = name.split("/")
+    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
+    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
+    return {**metrics.comparison_row(name, model.predict_potentials(val.recipients),
+                                     model.donor_labels(val.donors), val.outcomes,
+                                     val.true_potentials, val.true_donor_type),
+            "ari_coarse": adjusted_rand(model.donor_labels(normed.donors), coarse)}
+
+
+def run_seed(seed: int, betas: list[float], n: int) -> list[dict]:
+    """The joint model's row at each beta, then each baseline's (beta None)."""
     dataset = synthgen.sample_dataset(synthgen.paper_preset(n=n, seed=seed))
     indices = datamodel.split(dataset, seed=seed)
     normed = datamodel.normalize_fit_transform(dataset, indices)
-    train = normed.subset(indices.train)
-    val = normed.subset(indices.validation)
+    train, val = normed.subset(indices.train), normed.subset(indices.validation)
+    coarse = (normed.true_donor_type > 1).astype(int)
 
     rows = []
-    model, _ = matchrep.train_joint(train.recipients, train.donors,
-                                    train.outcomes, matchrep.TrainConfig(seed=seed))
-    preds = matchrep.predict_potential_batch(model, val.recipients)
-    labels, _ = matchrep.donor_type_batch(model, val.donors)
-    all_labels, _ = matchrep.donor_type_batch(model, normed.donors)
-    coarse = (normed.true_donor_type > 1).astype(int)
-    rows.append({
-        "seed": seed, "model": "matchrep",
-        "eps_f": metrics.eps_factual(preds, labels, val.outcomes),
-        "ari_coarse": adjusted_rand(all_labels, coarse),
-        "aodt": metrics.aodt_learned_space(preds, val.true_potentials,
-                                           val.true_donor_type, labels),
-    })
-    for clusterer in ("kmeans", "em"):
-        spec = baselines.BaselineSpec(clusterer=clusterer,
-                                      predictor="multihead-nn",
-                                      train=matchrep.TrainConfig(seed=seed))
-        bmodel = baselines.fit_cluster_predictor(train.recipients, train.donors,
-                                                 train.outcomes, spec)
-        bpreds = bmodel.predict_potentials(val.recipients)
-        blabels = bmodel.donor_labels(val.donors)
-        rows.append({
-            "seed": seed, "model": spec.name,
-            "eps_f": metrics.eps_factual(bpreds, blabels, val.outcomes),
-            "ari_coarse": adjusted_rand(bmodel.donor_labels(normed.donors), coarse),
-            "aodt": metrics.aodt_learned_space(bpreds, val.true_potentials,
-                                               val.true_donor_type, blabels),
-        })
+    fits = ([("matchrep", b, matchrep.TrainConfig(seed=seed, beta=b)) for b in betas]
+            + [(base, None, matchrep.TrainConfig(seed=seed)) for base in BASELINES])
+    for name, beta, config in fits:
+        try:
+            row = fit_and_score(name, config, train, val, normed, coarse)
+        except (numkit.TrainingDivergedError, matchrep.DeadClusterError) as exc:
+            row = {"model": name, "error": repr(exc)}
+        rows.append({"seed": seed, "beta": beta, **row})
     return rows
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", default="1,2,3,4,5",
                         help="comma-separated training seeds")
+    parser.add_argument("--betas", default=f"{matchrep.TrainConfig.beta:g}",
+                        help="comma-separated invariance weights of the joint model")
     parser.add_argument("--n", type=int, default=5000)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    betas = [float(b) for b in args.betas.split(",")]
 
-    rows = []
-    for seed in (int(s) for s in args.seeds.split(",")):
-        rows.extend(run_seed(seed, args.n))
-        print(f"# seed {seed} done", file=sys.stderr)
-
-    writer = csv.DictWriter(sys.stdout,
-                            fieldnames=["seed", "model", "eps_f", "ari_coarse", "aodt"])
+    writer = csv.DictWriter(sys.stdout, fieldnames=FIELDS)
     writer.writeheader()
-    writer.writerows(rows)
+    for seed in (int(s) for s in args.seeds.split(",")):
+        writer.writerows(run_seed(seed, betas, args.n))
+        print(f"# seed {seed} done", file=sys.stderr)
     return 0
 
 

@@ -235,22 +235,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_cluster_model(name: str, preds: np.ndarray, labels: np.ndarray,
-                        subset: datamodel.Dataset) -> dict:
-    row = {"model": name,
-           "eps_f": metrics.eps_factual(preds, labels, subset.outcomes),
-           "eps_wmse": None, "aodt": None,
-           "mean_best_prediction": metrics.mean_best_prediction(preds),
-           "n": preds.shape[0]}
-    if subset.true_potentials is not None and subset.true_donor_type is not None:
-        y_tilde, nonempty = metrics.remap_potentials_to_learned(
-            subset.true_potentials, subset.true_donor_type, labels, preds.shape[1])
-        row["eps_wmse"] = metrics.eps_wmse(preds[:, nonempty], y_tilde[:, nonempty])
-        row["aodt"] = metrics.aodt_learned_space(
-            preds, subset.true_potentials, subset.true_donor_type, labels)
-    return row
-
-
 def cmd_eval(args) -> int:
     models_dir = Path(args.models)
     model_path = models_dir / "model.json"
@@ -259,45 +243,42 @@ def cmd_eval(args) -> int:
     model, norm = matchrep.load_model_and_normalization(model_path)
 
     dataset = _load_data_dir(args.data)
-    seed = args.seed if args.seed is not None else model.config.seed
-    indices = datamodel.split(dataset, seed=seed)
+    indices = datamodel.split(dataset, seed=model.config.seed)
     normed = datamodel.apply_normalization(dataset, norm)
     subset = normed.subset(indices.validation if args.split == "validation"
                            else indices.train if args.split == "train"
                            else np.arange(len(normed)))
+    truth = (subset.true_potentials, subset.true_donor_type)
 
-    rows = []
-    labels, _ = matchrep.donor_type_batch(model, subset.donors)
     preds = matchrep.predict_potential_batch(model, subset.recipients)
-    rows.append(_eval_cluster_model("matchrep", preds, labels, subset))
+    rows = [metrics.comparison_row(
+        "matchrep", preds, matchrep.donor_type_batch(model, subset.donors)[0],
+        subset.outcomes, *truth, best_types=matchrep.best_donor_types(model, preds))]
 
     for path in sorted(models_dir.glob("baseline_*.json")):
         bmodel = baselines.load_cluster_predictor(path)
         baselines.check_input_widths(bmodel, path, subset.d_r, subset.d_o)
-        blabels = bmodel.donor_labels(subset.donors)
-        bpreds = bmodel.predict_potentials(subset.recipients)
-        rows.append(_eval_cluster_model(bmodel.spec.name, bpreds, blabels, subset))
+        rows.append(metrics.comparison_row(
+            bmodel.spec.name, bmodel.predict_potentials(subset.recipients),
+            bmodel.donor_labels(subset.donors), subset.outcomes, *truth))
 
     for path in sorted(models_dir.glob("pair_*.json")):
         regressor = baselines.load_pair_regressor(path)
         baselines.check_input_widths(regressor, path, subset.d_r, subset.d_o)
-        pairs = np.hstack([subset.recipients, subset.donors])
-        pred = regressor.predict(pairs)
-        err = pred - subset.outcomes
-        rows.append({"model": regressor.kind, "eps_f": float(np.mean(err * err)),
-                     "eps_wmse": None, "aodt": None,
-                     "mean_best_prediction": float(np.mean(pred)), "n": len(pred)})
+        pred = regressor.predict(np.hstack([subset.recipients, subset.donors]))
+        rows.append(metrics.comparison_row(regressor.kind, pred[:, None],
+                                           np.zeros(len(pred), dtype=int), subset.outcomes))
 
     out = _ensure_out(args.out)
     table_path = out / "comparison.csv"
-    fields = ["model", "eps_f", "eps_wmse", "aodt", "mean_best_prediction", "n"]
+    fields = list(rows[0])  # the columns of metrics.comparison_row
     datamodel.write_rows(table_path, fields, map(itemgetter(*fields), rows))
     report_path = out / "eval_reports.json"
     report_path.write_text(json.dumps(rows, indent=2, sort_keys=True))
     _write_manifest(out, "eval", {
         "data": str(Path(args.data)), "models": str(models_dir),
         "split": args.split,
-    }, seed, [table_path, report_path])
+    }, model.config.seed, [table_path, report_path])
     print(f"evaluated {len(rows)} models on {len(subset)} records -> {table_path}")
     return EXIT_OK
 
@@ -412,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--models", required=True, help="directory produced by train")
     ev.add_argument("--split", choices=("validation", "train", "all"), default="validation")
-    ev.add_argument("--seed", type=int, help="split seed; defaults to the model's")
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 

@@ -4,7 +4,7 @@ All metric functions are pure and permutation-invariant over records.
 ``eps_factual`` and ``eps_wmse`` are mean squared errors in squared days;
 ``aodt_learned_space`` (accuracy of the best donor type) is an
 argmax-agreement fraction with ties broken toward the lowest index on both
-sides.
+sides. ``comparison_row`` bundles them into one model's evaluation row.
 """
 
 from __future__ import annotations
@@ -44,10 +44,14 @@ def eps_wmse(predictions: np.ndarray, true_potentials: np.ndarray) -> float:
     return float(np.mean(np.sum(err * err, axis=1)))
 
 
-def mean_best_prediction(predictions: np.ndarray) -> float:
-    """(1/n) sum_i max_k yhat_i[k] — the average predicted best outcome."""
+def mean_best_prediction(predictions: np.ndarray,
+                         best_types: np.ndarray | None = None) -> float:
+    """(1/n) sum_i yhat_i[b_i] — the average predicted best outcome at each
+    row's 0-based best type ``b_i``, by default the row's argmax."""
     predictions = _check_2d(predictions)
-    return float(np.mean(np.max(predictions, axis=1)))
+    if best_types is None:
+        return float(np.mean(np.max(predictions, axis=1)))
+    return float(np.mean(predictions[np.arange(len(predictions)), best_types]))
 
 
 def remap_potentials_to_learned(true_potentials: np.ndarray,
@@ -88,6 +92,29 @@ def aodt_learned_space(predictions: np.ndarray, true_potentials: np.ndarray,
     masked_pred = np.where(nonempty, predictions, -np.inf)
     masked_true = np.where(nonempty, y_tilde, -np.inf)
     return float(np.mean(np.argmax(masked_pred, axis=1) == np.argmax(masked_true, axis=1)))
+
+
+def comparison_row(model: str, predictions: np.ndarray, factual_labels: np.ndarray,
+                   outcomes: np.ndarray, true_potentials: np.ndarray | None = None,
+                   true_donor_type: np.ndarray | None = None,
+                   best_types: np.ndarray | None = None) -> dict:
+    """One model's ``comparison.csv`` row from its (n, K) predictions and
+    0-based donor labels. ``eps_wmse`` (over non-empty learned clusters) and
+    ``aodt`` are None without the ground truth. A pair regressor is one
+    column with every label 0 and no ground truth."""
+    predictions = _check_2d(predictions)
+    row = {"model": model,
+           "eps_f": eps_factual(predictions, factual_labels, outcomes),
+           "eps_wmse": None, "aodt": None,
+           "mean_best_prediction": mean_best_prediction(predictions, best_types),
+           "n": predictions.shape[0]}
+    if true_potentials is not None and true_donor_type is not None:
+        y_tilde, nonempty = remap_potentials_to_learned(
+            true_potentials, true_donor_type, factual_labels, predictions.shape[1])
+        row["eps_wmse"] = eps_wmse(predictions[:, nonempty], y_tilde[:, nonempty])
+        row["aodt"] = aodt_learned_space(predictions, true_potentials,
+                                         true_donor_type, factual_labels)
+    return row
 
 
 def flipped_ratio(original_types: np.ndarray, new_types: np.ndarray) -> float | None:

@@ -5,9 +5,10 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from organmatch import allocsim, matchrep
+from organmatch import allocsim, datamodel, matchrep
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TRAIN_CONFIG = {
@@ -255,6 +256,36 @@ def test_eval_comparison_table(workdir, data_dir, models_dir):
         assert float(row["eps_f"]) >= 0.0
     match = next(r for r in rows if r["model"] == "matchrep")
     assert 0.0 <= float(match["aodt"]) <= 1.0
+
+
+def test_eval_best_prediction_skips_inactive_heads(workdir, data_dir, models_dir):
+    # deactivate the head that holds most rows' maximum: the model never
+    # assigns that donor type, so it is no row's best type
+    model, norm = matchrep.load_model_and_normalization(models_dir / "model.json")
+    normed = datamodel.apply_normalization(datamodel.load_csv(data_dir / "dataset.csv"), norm)
+    preds = matchrep.predict_potential_batch(model, normed.recipients)
+    model.active = np.ones(model.config.k, dtype=bool)
+    model.active[np.bincount(np.argmax(preds, axis=1)).argmax()] = False
+    edited = workdir / "models_inactive"
+    edited.mkdir()
+    doc = json.loads((models_dir / "model.json").read_text())
+    doc["model"]["active"] = {"dtype": "bool", "array": model.active.tolist()}
+    (edited / "model.json").write_text(json.dumps(doc))
+    out = workdir / "eval_inactive"
+    assert main(["eval", "--data", str(data_dir), "--models", str(edited),
+                 "--split", "all", "--out", str(out)]) == EXIT_OK
+    row = json.loads((out / "eval_reports.json").read_text())[0]
+    masked = np.where(model.active, preds, -np.inf).max(axis=1)
+    assert row["mean_best_prediction"] == float(np.mean(masked))
+    assert row["mean_best_prediction"] < float(np.mean(preds.max(axis=1)))
+
+
+def test_eval_has_no_seed_option(workdir, data_dir, models_dir):
+    # eval splits with the seed saved in the model, the one train split with
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--data", str(data_dir), "--models", str(models_dir),
+              "--seed", "3", "--out", str(workdir / "x")])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_eval_missing_model_is_data_error(workdir, data_dir):

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from organmatch.metrics import (
     aodt_learned_space,
+    comparison_row,
     eps_factual,
     eps_wmse,
     flipped_ratio,
@@ -41,6 +42,48 @@ def test_eps_wmse_hand_value():
 
 def test_mean_best_prediction():
     assert mean_best_prediction(PRED) == pytest.approx((1100.0 + 900.0) / 2.0)
+
+
+def test_mean_best_prediction_at_given_types():
+    # row 0's best type is restricted away from its maximum
+    assert mean_best_prediction(PRED, np.array([1, 2])) == (1000.0 + 900.0) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# the evaluation row
+# ---------------------------------------------------------------------------
+
+
+def test_comparison_row_without_ground_truth():
+    labels, outcomes = np.array([0, 2]), np.array([510.0, 860.0])
+    row = comparison_row("m", PRED, labels, outcomes)
+    assert row == {"model": "m", "eps_f": eps_factual(PRED, labels, outcomes),
+                   "eps_wmse": None, "aodt": None,
+                   "mean_best_prediction": mean_best_prediction(PRED), "n": 2}
+
+
+def test_comparison_row_with_ground_truth():
+    true_types, labels = np.array([1, 2]), np.array([0, 2])
+    row = comparison_row("m", PRED, labels, PRED[np.arange(2), labels], TRUE, true_types,
+                         best_types=np.array([1, 2]))
+    assert row["eps_f"] == 0.0
+    assert row["aodt"] == aodt_learned_space(PRED, TRUE, true_types, labels)
+    # learned cluster 1 holds no donor, so eps_wmse is taken over clusters 0 and 2
+    y_tilde, nonempty = remap_potentials_to_learned(TRUE, true_types, labels, 3)
+    assert nonempty.tolist() == [True, False, True]
+    assert row["eps_wmse"] == eps_wmse(PRED[:, nonempty], y_tilde[:, nonempty])
+    assert row["mean_best_prediction"] == (1000.0 + 900.0) / 2.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(np.float64, 7, elements=st.floats(-1e4, 1e4)),
+       hnp.arrays(np.float64, 7, elements=st.floats(-1e4, 1e4)))
+def test_comparison_row_of_a_pair_regressor(pred, y):
+    # a pair regressor is one column with every label 0
+    row = comparison_row("ridge", pred[:, None], np.zeros(7, dtype=int), y)
+    assert row["eps_f"] == float(np.mean((pred - y) ** 2))
+    assert row["mean_best_prediction"] == float(np.mean(pred))
+    assert row["eps_wmse"] is None and row["aodt"] is None and row["n"] == 7
 
 
 def test_predictions_must_be_2d():
