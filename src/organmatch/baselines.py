@@ -25,6 +25,7 @@ from .numkit import (
     gmm_em_fit,
     init_dense_net,
     kmeans_fit,
+    map_row_blocks,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -89,12 +90,13 @@ class DonorClusterer:
     def assign(self, donors: np.ndarray) -> np.ndarray:
         donors = np.atleast_2d(np.asarray(donors, dtype=float))
         if self.kind == "kmeans":
-            d2 = np.sum((donors[:, None, :] - self.centers[None]) ** 2, axis=2)
-            return np.argmin(d2, axis=1)
+            return map_row_blocks(lambda rows: np.argmin(
+                np.sum((rows[:, None, :] - self.centers[None]) ** 2, axis=2), axis=1), donors)
         if self.kind == "em":
-            return np.argmax(numkit._gmm_log_prob(
-                donors, self.weights, np.stack([c.mean for c in self.components]),
-                np.stack([c.var for c in self.components])), axis=1)
+            means = np.stack([c.mean for c in self.components])
+            variances = np.stack([c.var for c in self.components])
+            return map_row_blocks(lambda rows: np.argmax(numkit._gmm_log_prob(
+                rows, self.weights, means, variances), axis=1), donors)
         return matchrep._hard_labels(self.donor_map, donors)
 
 

@@ -33,6 +33,7 @@ from .numkit import (
     TrainingDivergedError,
     init_dense_net,
     kmeans_fit,
+    map_row_blocks,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -378,8 +379,11 @@ def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfi
 
 
 def _donor_soft_assign(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
-    """The soft assignment of the encoded donors to the map's centers."""
-    return soft_assign(mlp_predict(donor_map.encoder, donors), donor_map.centers)
+    """The soft assignment of the encoded donors to the map's centers, one
+    block of ``numkit.ROW_BLOCK`` donors encoded and assigned at a time."""
+    return map_row_blocks(
+        lambda rows: soft_assign(mlp_predict(donor_map.encoder, rows), donor_map.centers),
+        donors)
 
 
 def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:

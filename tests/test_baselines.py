@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from organmatch import matchrep
+from organmatch import matchrep, numkit
 from organmatch.baselines import (
     CLUSTERERS,
     PAIR_KINDS,
     PREDICTORS,
     BaselineSpec,
+    DonorClusterer,
     _enet_cd,
     _ridge_solve,
     check_input_widths,
@@ -25,7 +26,7 @@ from organmatch.baselines import (
 )
 from organmatch.datamodel import IngestionError
 from organmatch.matchrep import TrainConfig
-from organmatch.numkit import rng_stream
+from organmatch.numkit import ROW_BLOCK, DiagGaussian, rng_stream
 
 
 def _two_mode_data(n=160, seed=0):
@@ -73,6 +74,22 @@ def test_clusterers_separate_two_modes(kind):
     left = set(labels[mode == 0].tolist())
     right = set(labels[mode == 1].tolist())
     assert len(left) == 1 and len(right) == 1 and left != right
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_clusterer_assign_in_row_blocks_equals_one_pass(d):
+    rng = rng_stream(d, "assign-blocks")
+    donors = rng.normal(size=(2 * ROW_BLOCK + 7, d))
+    centers = rng.normal(size=(3, d))
+    variances = rng.uniform(0.5, 2.0, size=(3, d))
+    weights = np.array([0.2, 0.5, 0.3])
+    kmeans = DonorClusterer(kind="kmeans", k=3, centers=centers)
+    em = DonorClusterer(kind="em", k=3, weights=weights,
+                        components=[DiagGaussian(m, v) for m, v in zip(centers, variances)])
+    d2 = np.sum((donors[:, None, :] - centers[None]) ** 2, axis=2)
+    log_prob = numkit._gmm_log_prob(donors, weights, centers, variances)
+    np.testing.assert_array_equal(kmeans.assign(donors), np.argmin(d2, axis=1))
+    np.testing.assert_array_equal(em.assign(donors), np.argmax(log_prob, axis=1))
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)

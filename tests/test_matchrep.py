@@ -504,22 +504,57 @@ def test_inactive_cluster_excluded_from_assignment():
 @pytest.mark.parametrize("infer", [predict_potential_batch, donor_type_batch],
                          ids=["predict_potential_batch", "donor_type_batch"])
 def test_inference_peak_memory_is_a_few_activations(infer):
-    rows, hidden = 20_000, 32
+    hidden = 128
     model = _tiny_model(hidden=hidden)
     net = model.phi if infer is predict_potential_batch else model.donor_map.encoder
-    x = rng_stream(3, "peak").normal(size=(rows, net.input_dim))
-    infer(model, x)  # first-call allocations are not the pass's
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        infer(model, x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # one layer's input and output are alive at a time; a backprop cache
-    # would keep two (rows, hidden) arrays per hidden layer
-    activation = rows * hidden * 8
-    assert activation <= peak < 3 * activation
+    for rows in (20_000, 80_000):
+        x = rng_stream(3, "peak").normal(size=(rows, net.input_dim))
+        infer(model, x)  # first-call allocations are not the pass's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = infer(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the rows-long arrays the pass must build: what it returns and, for
+        # the heads, Phi's (rows, rep_dim) output; beside them only a few
+        # (ROW_BLOCK, hidden) activations, however many rows there are
+        built = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        if infer is predict_potential_batch:
+            built += rows * model.phi.output_dim * 8
+        assert peak < built + 3 * numkit.ROW_BLOCK * hidden * 8
+
+
+@pytest.mark.parametrize("rows", [numkit.ROW_BLOCK, numkit.ROW_BLOCK + 1,
+                                  2 * numkit.ROW_BLOCK + 7])
+def test_blocked_inference_equals_one_pass(rows):
+    # shaped like the default TrainConfig on the preset's two recipient and
+    # two donor features; cluster 1 inactive
+    seed, h = 9, 32
+    act = ["relu", "relu", "identity"]
+    rng = rng_stream(seed, "one-pass", rows)
+    donor_map = matchrep.DonorTypeMap(encoder=init_dense_net([2, h, h, 8], act, rng),
+                                      decoder=init_dense_net([8, h, h, 2], act, rng),
+                                      centers=rng.normal(size=(3, 8)))
+    phi = init_dense_net([2, h, h, 8], act, rng)
+    heads = [init_dense_net([8, h, h, 1], act, rng) for _ in range(3)]
+    predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=700.0, outcome_scale=250.0)
+    model = MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor,
+                          config=TrainConfig(k=3, seed=seed),
+                          active=np.array([True, False, True]))
+    recipients, donors = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 2))
+
+    xprime = mlp_forward(phi, recipients)[0]
+    preds = np.column_stack([700.0 + 250.0 * mlp_forward(head, xprime)[0][:, 0]
+                             for head in heads])
+    t = soft_assign(mlp_forward(donor_map.encoder, donors)[0], donor_map.centers)
+    labels = np.argmax(np.where(model.active, t, -np.inf), axis=1)
+
+    assert predict_potential_batch(model, recipients).tobytes() == preds.tobytes()
+    got_labels, got_t = donor_type_batch(model, donors)
+    assert got_t.tobytes() == t.tobytes()
+    np.testing.assert_array_equal(got_labels, labels)
 
 
 def test_train_joint_prunes_tiny_cluster():

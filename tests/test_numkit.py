@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from organmatch.numkit import (
+    ROW_BLOCK,
     Adam,
     AdamState,
     DenseNet,
@@ -19,6 +20,7 @@ from organmatch.numkit import (
     init_dense_net,
     kl_gaussian_diag,
     kmeans_fit,
+    map_row_blocks,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -102,6 +104,37 @@ def test_mlp_predict_is_the_forward_pass_without_a_cache():
                if layer.activation != "identity")
     with pytest.raises(DimensionMismatchError):
         mlp_predict(net, np.zeros((2, 4)))
+
+
+# Phi and the donor encoder (2 -> 32 -> 32 -> 8 on the preset), a head and the
+# pair regressor, as the default TrainConfig builds them
+INFERENCE_NETS = {"phi-encoder": [2, 32, 32, 8], "head": [8, 32, 32, 1], "reg-nn": [4, 32, 32, 1]}
+
+
+@pytest.mark.parametrize("rows", [ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+@pytest.mark.parametrize("dims", INFERENCE_NETS.values(), ids=INFERENCE_NETS.keys())
+def test_mlp_predict_in_row_blocks_keeps_the_whole_batch_bits(dims, rows):
+    rng = rng_stream(6, "blocks", rows)
+    net = init_dense_net(dims, ["relu", "relu", "identity"], rng)
+    x = rng.normal(size=(rows, dims[0]))
+    assert mlp_predict(net, x).tobytes() == mlp_forward(net, x)[0].tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2,
+                                  2 * ROW_BLOCK + 7])
+def test_map_row_blocks_cuts_full_blocks_and_no_one_row_tail(rows):
+    x = np.arange(2 * rows, dtype=float).reshape(rows, 2)
+    seen = []
+
+    def fn(block):
+        seen.append(len(block))
+        return block.sum(axis=1).astype(int)
+
+    out = map_row_blocks(fn, x)
+    np.testing.assert_array_equal(out, x.sum(axis=1).astype(int))
+    assert out.dtype == int and sum(seen) == rows
+    # full blocks, and no one-row block unless the batch is one row
+    assert all(size == ROW_BLOCK for size in seen[:-1]) and (seen[-1] != 1 or rows == 1)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
