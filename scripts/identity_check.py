@@ -24,6 +24,8 @@ are compared:
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
 Each tree runs in its own child process with BLAS pinned to one thread.
+Both children run this script's code, so the other tree must offer every
+library call it makes, ``baselines.BaselineSpec.from_name`` included.
 Prints one line per seed, model and part for the arrays both trees have,
 then the arrays present in only one tree (say, a config field one of them
 lacks) on lines of their own, and exits 1 if any array differs or is
@@ -80,9 +82,8 @@ def _fit(name, matchrep, baselines, train, val, seed):
                                              "reg-nn", config=config)
         return model, {"params": dict(_leaves(model, "model")),
                        "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
-    clusterer, predictor = name.split("/")
-    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
-    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
+    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes,
+                                            baselines.BaselineSpec.from_name(name, config))
     return model, {"params": dict(_leaves(model, "model")),
                    "preds": {"": model.predict_potentials(val.recipients)},
                    "labels": {"": model.donor_labels(val.donors)}}

@@ -45,12 +45,12 @@ def fit_and_score(name, config, train, val, normed, coarse) -> dict:
                                          matchrep.best_donor_types(model, preds)),
                 "ari_coarse": adjusted_rand(all_labels, coarse),
                 "rep_kl_heldout": rep_kl / max(used, 1)}
-    clusterer, predictor = name.split("/")
-    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
-    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
-    return {**metrics.comparison_row(name, model.predict_potentials(val.recipients),
-                                     model.donor_labels(val.donors), val.outcomes,
-                                     val.true_potentials, val.true_donor_type),
+    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes,
+                                            baselines.BaselineSpec.from_name(name, config))
+    preds = model.predict_potentials(val.recipients)
+    return {**metrics.comparison_row(name, preds, model.donor_labels(val.donors), val.outcomes,
+                                     val.true_potentials, val.true_donor_type,
+                                     matchrep.best_donor_types(model, preds)),
             "ari_coarse": adjusted_rand(model.donor_labels(normed.donors), coarse)}
 
 

@@ -41,17 +41,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import matchrep
-from .datamodel import Dataset, IngestionError, write_rows
+from .datamodel import ConfigError, Dataset, IngestionError, write_rows
 from .numkit import rng_stream
 
 POLICIES = ("real", "fcfs", "uf", "bf", "matching-fcfs", "matching-uf", "matching-bf")
 
 
-class PolicyConfigError(ValueError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     lag_window: int = 50
     days_per_step: float = 5.0
@@ -62,13 +58,13 @@ class SimConfig:
     # policies become statistically indistinguishable.
     donor_fraction: float = 0.6
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.lag_window < 0:
-            raise PolicyConfigError("lag_window must be >= 0")
+            raise ConfigError("lag_window must be >= 0")
         if not 0.0 < self.days_per_step < np.inf:
-            raise PolicyConfigError("days_per_step must be positive and finite")
+            raise ConfigError("days_per_step must be positive and finite")
         if not 0.0 < self.donor_fraction <= 1.0:
-            raise PolicyConfigError("donor_fraction must be in (0, 1]")
+            raise ConfigError("donor_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -81,9 +77,8 @@ class EventStream:
 
 def build_stream(dataset: Dataset, config: SimConfig, seed: int) -> EventStream:
     """Recipient i arrives at step i; its factual donor at step i + lag."""
-    config.validate()
     if not dataset.has_ground_truth:
-        raise PolicyConfigError("simulation needs a ground-truth oracle dataset")
+        raise ConfigError("simulation needs a ground-truth oracle dataset")
     n = len(dataset)
     rng = rng_stream(seed, "allocsim", "stream")
     lags = rng.integers(0, config.lag_window + 1, size=n)
@@ -172,7 +167,7 @@ def oracle_mean_scorer(dataset: Dataset, outcome_means) -> "callable":
     A true type outside ``outcome_means``' (M, K) shape raises
     IngestionError naming its row."""
     if dataset.true_recipient_type is None or dataset.true_donor_type is None:
-        raise PolicyConfigError("oracle scorer needs true type labels")
+        raise ConfigError("oracle scorer needs true type labels")
     means = np.asarray(outcome_means, dtype=float)
     m0 = dataset.true_recipient_type - 1
     k0 = dataset.true_donor_type - 1
@@ -260,23 +255,22 @@ def death_steps(untreated: np.ndarray, days_per_step: float, last_step: int) -> 
 
 
 def check_policy(policy: str, scorer=None, guide: GuidedPolicy | None = None) -> None:
-    """Raise PolicyConfigError for an unknown policy or one without its
+    """Raise ConfigError for an unknown policy or one without its
     scorer or guide."""
     if policy not in POLICIES:
-        raise PolicyConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if scorer is None and policy.endswith(("uf", "bf")):
-        raise PolicyConfigError(f"policy {policy!r} needs a scorer (an oracle or a model)")
+        raise ConfigError(f"policy {policy!r} needs a scorer (an oracle or a model)")
     if guide is None and policy.startswith("matching-"):
-        raise PolicyConfigError(f"policy {policy!r} needs model guidance")
+        raise ConfigError(f"policy {policy!r} needs model guidance")
 
 
 def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimConfig,
                scorer=None, guide: GuidedPolicy | None = None) -> SimReport:
     """Process the stream under one policy and aggregate the report. An unknown
-    policy, or one without its scorer or guide, raises PolicyConfigError at once."""
-    config.validate()
+    policy, or one without its scorer or guide, raises ConfigError at once."""
     if not dataset.has_ground_truth:
-        raise PolicyConfigError("simulation needs a ground-truth oracle dataset")
+        raise ConfigError("simulation needs a ground-truth oracle dataset")
     check_policy(policy, scorer, guide)
     n, d = stream.n, config.days_per_step
     untreated = dataset.untreated_survival

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matchrep, numkit
-from .datamodel import IngestionError
+from .datamodel import ConfigError, IngestionError
 from .matchrep import MultiHeadPredictor, TrainConfig
 from .numkit import (
     Adam,
@@ -45,24 +45,36 @@ TREE_MAX_DEPTH = 8
 TREE_MIN_LEAF = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineSpec:
     clusterer: str = "kmeans"
     predictor: str = "linear-per-head"
-    with_rep: bool = False
+    with_rep: bool = False  # beta * L_Phi trains the multi-head NN too
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.clusterer not in CLUSTERERS:
-            raise ValueError(f"clusterer must be one of {CLUSTERERS}")
+            raise ConfigError(f"clusterer must be one of {CLUSTERERS}")
         if self.predictor not in PREDICTORS:
-            raise ValueError(f"predictor must be one of {PREDICTORS}")
-        self.train.validate()
+            raise ConfigError(f"predictor must be one of {PREDICTORS}")
+        if self.with_rep and self.predictor != "multihead-nn":
+            raise ConfigError(f"+rep needs the multihead-nn predictor; beta never enters "
+                              f"a {self.predictor} head")
 
     @property
     def name(self) -> str:
         suffix = "+rep" if self.with_rep else ""
         return f"{self.clusterer}/{self.predictor}{suffix}"
+
+    @classmethod
+    def from_name(cls, name: str, train: TrainConfig) -> "BaselineSpec":
+        """The spec of ``name`` (``<clusterer>/<predictor>[+rep]``, the
+        inverse of ``.name``) training with ``train``."""
+        base, plus, rep = name.partition("+")
+        clusterer, slash, predictor = base.partition("/")
+        if not slash or "/" in predictor or (plus and rep != "rep"):
+            raise ConfigError(f"baseline {name!r} must look like 'kmeans/multihead-nn[+rep]'")
+        return cls(clusterer=clusterer, predictor=predictor, with_rep=bool(plus), train=train)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +159,7 @@ def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float):
 class ClusterPredictorBaseline:
     spec: BaselineSpec
     clusterer: DonorClusterer
+    active: np.ndarray  # matchrep.active_clusters of the training donors' labels
     # linear heads: one (w, b) per cluster, or None for global-mean fallback
     linear_heads: list[tuple[np.ndarray, float] | None] | None = None
     global_mean: float = 0.0
@@ -160,8 +173,9 @@ class ClusterPredictorBaseline:
             fits = len(self.linear_heads or []) == k
         else:
             fits = phi is not None and nn is not None and matchrep._heads_fit(phi, nn, k)
-        if not fits or self.spec.train.k != k:
-            raise ValueError(f"the heads or spec.train.k do not fit the clusterer's k={k}")
+        if not fits or self.spec.train.k != k or not matchrep._is_mask(self.active, k):
+            raise ValueError(f"the heads, active mask or spec.train.k do not fit "
+                             f"the clusterer's k={k}")
 
     def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
         recipients = np.atleast_2d(np.asarray(recipients, dtype=float))
@@ -208,7 +222,6 @@ def _fit_nn_heads(recipients, outcomes, labels, spec: BaselineSpec):
 def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
                           outcomes: np.ndarray, spec: BaselineSpec) -> ClusterPredictorBaseline:
     """Fit the donor clusterer, freeze its labels, then fit the predictor."""
-    spec.validate()
     clusterer = fit_clusterer(donors, spec.clusterer, spec.train)
     labels = clusterer.assign(donors)
     if spec.predictor == "linear-per-head":
@@ -216,6 +229,7 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
     else:
         heads = dict(zip(("phi", "predictor"), _fit_nn_heads(recipients, outcomes, labels, spec)))
     return ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
+                                    active=matchrep.active_clusters(labels, spec.train),
                                     global_mean=float(outcomes.mean()), **heads)
 
 
@@ -365,8 +379,18 @@ class PairRegressor:
         return self.outcome_mean + self.outcome_scale * mlp_predict(self.net, pairs)[:, 0]
 
 
+def reg_nn_loss_and_grads(net: DenseNet, pairs: np.ndarray, target: np.ndarray):
+    """The mean squared error of ``net`` on the standardized ``target``;
+    returns (loss, grads) with grads ordered like ``net.parameters()``."""
+    out, cache = mlp_forward(net, pairs)
+    err = out[:, 0] - target
+    grads, _ = mlp_backward(net, cache, (2.0 / len(target)) * err[:, None])
+    return float(np.mean(err * err)), grads
+
+
 def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) -> PairRegressor:
-    net = init_dense_net([pairs.shape[1], 32, 32, 1], ["relu", "relu", "identity"],
+    h = config.hidden
+    net = init_dense_net([pairs.shape[1], h, h, 1], ["relu", "relu", "identity"],
                          rng_stream(config.seed, "baselines", "regnn-init"))
     mean = float(outcomes.mean())
     scale = float(max(outcomes.std(), 1.0))
@@ -375,10 +399,7 @@ def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) ->
     rng = rng_stream(config.seed, "baselines", "regnn-batches")
     for _ in range(config.joint_epochs):
         for idx in minibatches(len(outcomes), config.batch_size, rng):
-            out, cache = mlp_forward(net, pairs[idx])
-            err = out[:, 0] - target[idx]
-            grads, _ = mlp_backward(net, cache, (2.0 / len(idx)) * err[:, None])
-            opt.step(float(np.mean(err * err)), grads)
+            opt.step(*reg_nn_loss_and_grads(net, pairs[idx], target[idx]))
     return PairRegressor(kind="reg-nn", net=net, outcome_mean=mean, outcome_scale=scale)
 
 

@@ -30,10 +30,6 @@ DEFAULT_BASELINES = ("kmeans/multihead-nn", "em/multihead-nn",
                      "kmeans/linear-per-head", "em/linear-per-head")
 
 
-class CliConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
@@ -62,18 +58,22 @@ def _ensure_out(path_str: str) -> Path:
     return out
 
 
-def _load_config(path_str: str, cls):
-    """A ``cls`` config dataclass from a JSON object of its fields, each of
-    its declared type."""
+def _load_config(path_str: str | None, cls, **overrides):
+    """A ``cls`` config built in one construction from the JSON object of
+    its fields in ``path_str``, each of its declared type, if a path is
+    given, and the ``overrides`` that are not None."""
+    values = {}
     try:
-        values = json.loads(Path(path_str).read_text())
-        config = cls(**values)
-        datamodel.check_field_kinds(cls, values)
-        return config
+        if path_str:
+            values = json.loads(Path(path_str).read_text())
+            if not isinstance(values, dict):
+                raise TypeError(f"a JSON {type(values).__name__}, not an object")
+            datamodel.check_field_kinds(cls, values)
+        return cls(**{**values, **{k: v for k, v in overrides.items() if v is not None}})
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise CliConfigError(f"malformed JSON in {path_str}: {exc}") from exc
+        raise datamodel.ConfigError(f"malformed JSON in {path_str}: {exc}") from exc
     except TypeError as exc:
-        raise CliConfigError(f"{path_str} is not a {cls.__name__}: {exc}") from exc
+        raise datamodel.ConfigError(f"{path_str} is not a {cls.__name__}: {exc}") from exc
 
 
 def _load_data_dir(data_dir: str) -> datamodel.Dataset:
@@ -113,13 +113,7 @@ def _oracle_outcome_means(data_dir: str) -> np.ndarray | None:
 
 
 def cmd_gen(args) -> int:
-    config = (_load_config(args.config, synthgen.SyntheticConfig) if args.config
-              else synthgen.paper_preset())
-    if args.n is not None:
-        config.n = args.n
-    if args.seed is not None:
-        config.seed = args.seed
-    config.validate()
+    config = _load_config(args.config, synthgen.SyntheticConfig, n=args.n, seed=args.seed)
 
     out = _ensure_out(args.out)
     dataset = synthgen.sample_dataset(config)
@@ -137,30 +131,10 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_baseline_names(raw: str | None) -> list[baselines.BaselineSpec]:
-    if raw is None:
-        names = DEFAULT_BASELINES
-    elif raw.strip() == "":
-        return []
-    else:
-        names = tuple(s.strip() for s in raw.split(","))
-    specs = []
-    for name in names:
-        with_rep = name.endswith("+rep")
-        base = name[:-4] if with_rep else name
-        try:
-            clusterer, predictor = base.split("/")
-        except ValueError:
-            raise CliConfigError(
-                f"baseline {name!r} must look like 'kmeans/multihead-nn[+rep]'") from None
-        spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor,
-                                      with_rep=with_rep)
-        try:
-            spec.validate()
-        except ValueError as exc:
-            raise CliConfigError(str(exc)) from exc
-        specs.append(spec)
-    return specs
+def _parse_baseline_names(raw: str | None,
+                          train: matchrep.TrainConfig) -> list[baselines.BaselineSpec]:
+    names = DEFAULT_BASELINES if raw is None else raw.split(",") if raw.strip() else []
+    return [baselines.BaselineSpec.from_name(name.strip(), train) for name in names]
 
 
 def _parse_pair_kinds(raw: str | None) -> list[str]:
@@ -169,22 +143,13 @@ def _parse_pair_kinds(raw: str | None) -> list[str]:
     kinds = [s.strip() for s in raw.split(",")]
     for kind in kinds:
         if kind not in baselines.PAIR_KINDS:
-            raise CliConfigError(f"pair regressor {kind!r} not in {baselines.PAIR_KINDS}")
+            raise datamodel.ConfigError(f"pair regressor {kind!r} not in {baselines.PAIR_KINDS}")
     return kinds
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config, matchrep.TrainConfig) if args.config \
-        else matchrep.TrainConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.beta is not None:
-        config.beta = args.beta
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise CliConfigError(str(exc)) from exc
-    specs = _parse_baseline_names(args.baselines)
+    config = _load_config(args.config, matchrep.TrainConfig, seed=args.seed, beta=args.beta)
+    specs = _parse_baseline_names(args.baselines, config)
     pair_kinds = _parse_pair_kinds(args.pair_regressors)
 
     dataset = _load_data_dir(args.data)
@@ -205,7 +170,6 @@ def cmd_train(args) -> int:
     artifacts.append(log_path)
 
     for spec in specs:
-        spec.train = matchrep.TrainConfig(**asdict(config))
         bmodel = baselines.fit_cluster_predictor(train.recipients, train.donors,
                                                  train.outcomes, spec)
         name = spec.name.replace("/", "_")
@@ -258,9 +222,10 @@ def cmd_eval(args) -> int:
     for path in sorted(models_dir.glob("baseline_*.json")):
         bmodel = baselines.load_cluster_predictor(path)
         baselines.check_input_widths(bmodel, path, subset.d_r, subset.d_o)
+        bpreds = bmodel.predict_potentials(subset.recipients)
         rows.append(metrics.comparison_row(
-            bmodel.spec.name, bmodel.predict_potentials(subset.recipients),
-            bmodel.donor_labels(subset.donors), subset.outcomes, *truth))
+            bmodel.spec.name, bpreds, bmodel.donor_labels(subset.donors), subset.outcomes,
+            *truth, best_types=matchrep.best_donor_types(bmodel, bpreds)))
 
     for path in sorted(models_dir.glob("pair_*.json")):
         regressor = baselines.load_pair_regressor(path)
@@ -305,9 +270,7 @@ def _resolve_scorers(args, dataset: datamodel.Dataset):
 
 
 def cmd_simulate(args) -> int:
-    sim_config = _load_config(args.sim_config, allocsim.SimConfig) if args.sim_config \
-        else allocsim.SimConfig()
-    sim_config.validate()
+    sim_config = _load_config(args.sim_config, allocsim.SimConfig)
     policies = ([p.strip() for p in args.policies.split(",")]
                 if args.policies else list(allocsim.POLICIES))
 
@@ -318,7 +281,7 @@ def cmd_simulate(args) -> int:
     scorers = {policy: model_sc if policy.startswith("matching-") else plain_sc
                for policy in policies}
     if len(scorers) < len(policies):
-        raise CliConfigError(f"a policy is listed twice in {args.policies!r}")
+        raise datamodel.ConfigError(f"a policy is listed twice in {args.policies!r}")
     for policy, scorer in scorers.items():
         allocsim.check_policy(policy, scorer, guide)
 
@@ -382,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int)
     train.add_argument("--beta", type=float, help="override beta (0 = ablation)")
     train.add_argument("--baselines",
-                       help="comma list like 'kmeans/multihead-nn,em/linear-per-head+rep'; "
+                       help="comma list like 'kmeans/multihead-nn,em/multihead-nn+rep'; "
                             "empty string disables")
     train.add_argument("--pair-regressors",
                        help=f"comma list from {baselines.PAIR_KINDS}")
@@ -411,7 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliConfigError, synthgen.ConfigError, allocsim.PolicyConfigError) as exc:
+    except datamodel.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (datamodel.IngestionError, InsufficientDataError) as exc:

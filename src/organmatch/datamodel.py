@@ -25,6 +25,11 @@ class IngestionError(ValueError):
     pass
 
 
+class ConfigError(ValueError):
+    """An invalid configuration value; every config dataclass raises it when
+    it is built with one, so none exists invalid."""
+
+
 @functools.cache
 def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit
-from .datamodel import (IngestionError, Normalization, check_field_kinds,
+from .datamodel import (ConfigError, IngestionError, Normalization, check_field_kinds,
                         normalization_from_dict)
 from .numkit import (
     Adam,
@@ -53,7 +53,7 @@ class DeadClusterError(RuntimeError):
         self.cluster = cluster
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     k: int = 3
     alpha: float = 0.1
@@ -74,30 +74,27 @@ class TrainConfig:
     # a few stragglers whose prediction head never saw meaningful data.
     min_cluster_frac: float = 0.01
     # Donor-map refinement schedule. The DEC term is minimized with plain SGD
-    # (step dec_lr * alpha) because Adam's per-parameter normalization erases
-    # the loss scale and with it the self-training dynamics that let ambiguous
+    # (step alpha) because Adam's per-parameter normalization erases the loss
+    # scale and with it the self-training dynamics that let ambiguous
     # clusters merge. A reconstruction anchor (Adam) and a small embedding
     # norm-decay keep the SGD refinement from collapsing or rescaling the
     # embedding; refinement halts once hard assignments stabilize.
-    dec_lr: float = 1.0
     embed_decay: float = 0.004
     dec_min_epochs: int = 5
     dec_stop_tol: float = 0.005  # stop when < this fraction of labels change per epoch
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be >= 2")
+            raise ConfigError("k must be >= 2")
         if min(self.batch_size, self.hidden, self.rep_dim, self.embed_dim) < 1:
-            raise ValueError("batch_size, hidden, rep_dim and embed_dim must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if self.dec_lr < 0 or self.embed_decay < 0:
-            raise ValueError("dec_lr and embed_decay must be nonnegative")
+            raise ConfigError("batch_size, hidden, rep_dim and embed_dim must be >= 1")
+        if self.alpha < 0 or self.beta < 0 or self.embed_decay < 0:
+            raise ConfigError("alpha, beta and embed_decay must be nonnegative")
         if not 0.0 <= self.dec_stop_tol <= 1.0:
-            raise ValueError("dec_stop_tol must be in [0, 1]")
+            raise ConfigError("dec_stop_tol must be in [0, 1]")
         if not 0.0 <= self.min_cluster_frac < 1.0:
-            raise ValueError("min_cluster_frac must be in [0, 1)")
+            raise ConfigError("min_cluster_frac must be in [0, 1)")
 
 
 @dataclass
@@ -126,19 +123,23 @@ class MatchRepModel:
     phi: DenseNet
     predictor: MultiHeadPredictor
     config: TrainConfig
-    # Clusters that ended training with at least min_cluster_count donors.
-    # DEC merging can leave a residual cluster holding a handful of points;
-    # its head never saw enough data to be meaningful, so assignment is
-    # restricted to active clusters. None means all clusters are active.
-    active: np.ndarray | None = None
+    # The (K,) bool mask of ``active_clusters``. DEC merging can leave a
+    # residual cluster holding a handful of points; its head never saw
+    # enough data to be meaningful, so assignment is restricted to active
+    # clusters.
+    active: np.ndarray
 
     def __post_init__(self):
         k, dm = self.config.k, self.donor_map
         if (not _heads_fit(self.phi, self.predictor, k)
                 or np.shape(dm.centers) != (k, dm.encoder.output_dim)
-                or (self.active is not None and self.active.shape != (k,))):
+                or not _is_mask(self.active, k)):
             raise DimensionMismatchError(
                 f"the heads, centers or active mask do not fit {k} donor types")
+
+
+def _is_mask(active, k: int) -> bool:
+    return isinstance(active, np.ndarray) and active.dtype == bool and active.shape == (k,)
 
 
 def _heads_fit(phi: DenseNet, predictor: MultiHeadPredictor, k: int) -> bool:
@@ -237,9 +238,8 @@ def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
             continue
         used += 1
         mu_c, var_c, cl_c, centered = _moments(xprime[members])
+        loss += numkit.kl_diag(mu_c, var_c, mu_a, var_a)
         delta = mu_c - mu_a
-        loss += float(np.sum(0.5 * (np.log(var_a / var_c) + var_c / var_a
-                                    + delta * delta / var_a - 1.0)))
         d_mu_c = delta / var_a
         d_var_c = np.where(cl_c, 0.0, 0.5 * (1.0 / var_a - 1.0 / var_c))
         d_mu_a -= d_mu_c
@@ -346,7 +346,6 @@ def pretrain_autoencoder(donors: np.ndarray,
     """Reconstruction-MSE pretraining of the donor autoencoder with Adam.
 
     Returns the map and the epoch losses."""
-    config.validate()
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
@@ -411,8 +410,7 @@ class _DecRefinement:
         self.config = config
         self.anchor = Adam([donor_map.encoder, donor_map.decoder], config.learning_rate,
                            "DEC refinement's reconstruction anchor")
-        self.dec_step = config.dec_lr * config.alpha
-        self.active = self.dec_step > 0.0
+        self.active = config.alpha > 0.0
         self.labels = _hard_labels(donor_map, donors)
         self.p_full = None
         self.frozen_terms = None  # (n, K) L_DEC terms of the frozen map
@@ -435,9 +433,9 @@ class _DecRefinement:
         loss, grads = dec_refine_loss_and_grads(dm, x, self.p_full[idx], self.config.embed_decay,
                                                 x.shape[0] / len(self.donors))
         if not np.isfinite(loss):
-            raise TrainingDivergedError("DEC loss diverged; try a lower dec_lr")
+            raise TrainingDivergedError("DEC loss diverged; try a lower alpha")
         for pm, g in zip(dm.encoder.parameters() + [dm.centers], grads):
-            pm -= self.dec_step * g
+            pm -= self.config.alpha * g
         return loss
 
     def batch_labels(self, idx: np.ndarray) -> np.ndarray:
@@ -489,6 +487,15 @@ def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, opt: Adam,
     return l_f, l_rep
 
 
+def active_clusters(labels: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """The (K,) mask of the clusters that hold at least
+    ``max(min_cluster_count, min_cluster_frac * n)`` of the ``n`` training
+    donors' 0-based ``labels``; every cluster when none does."""
+    counts = np.bincount(labels, minlength=config.k)
+    active = counts >= max(config.min_cluster_count, config.min_cluster_frac * len(labels))
+    return active if active.any() else np.ones(config.k, dtype=bool)
+
+
 def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
                 config: TrainConfig):
     """Full training: autoencoder pretrain, center init, joint minibatch phase.
@@ -500,7 +507,6 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     Returns (model, log) where log has one dict per joint epoch with the
     epoch-mean loss components.
     """
-    config.validate()
     donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
@@ -524,11 +530,8 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
         row["dec_active"] = refine.active
         log.append(row)
         refine.end_epoch(epoch)
-    counts = np.bincount(refine.labels, minlength=config.k)
-    threshold = max(config.min_cluster_count, config.min_cluster_frac * len(donors))
-    active = counts >= threshold
     return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config,
-                         active=active if active.any() else None), log
+                         active=active_clusters(refine.labels, config)), log
 
 
 def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
@@ -537,7 +540,6 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
     Used by the decoupled baselines; follows the same refinement schedule as
     the joint phase. Returns the trained DonorTypeMap.
     """
-    config.validate()
     donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
     refine = _DecRefinement(donor_map, donors, config)
@@ -573,19 +575,17 @@ def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.
     return predict_heads(model.phi, model.predictor, np.atleast_2d(recipients))
 
 
-def best_donor_types(model: MatchRepModel, preds: np.ndarray) -> np.ndarray:
-    """0-based donor type with the highest prediction in each row of the
-    model's (n, K) ``preds``, restricted to active clusters."""
-    if model.active is not None:
-        preds = np.where(model.active, preds, -np.inf)
-    return np.argmax(preds, axis=1)
+def best_donor_types(model, scores: np.ndarray) -> np.ndarray:
+    """0-based column of the highest score in each row of the (n, K)
+    ``scores``, restricted to the ``model``'s active clusters; the model is
+    a ``MatchRepModel`` or a cluster-predictor baseline."""
+    return np.argmax(np.where(model.active, scores, -np.inf), axis=1)
 
 
 def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
     """0-based hard donor-type labels and the soft-assignment matrix."""
     t = _donor_soft_assign(model.donor_map, np.atleast_2d(donors))
-    scores = t if model.active is None else np.where(model.active, t, -np.inf)
-    return np.argmax(scores, axis=1), t
+    return best_donor_types(model, t), t
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v4"
+MODEL_FORMAT = "organmatch-model-v5"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a joint-model file may hold; baselines extends the list.
 _MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MultiHeadPredictor,

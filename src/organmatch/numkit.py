@@ -346,13 +346,19 @@ class DiagGaussian:
             raise ValueError("variance below floor")
 
 
+def kl_diag(mean_p: np.ndarray, var_p: np.ndarray, mean_q: np.ndarray,
+            var_q: np.ndarray) -> float:
+    """KL(p || q) for diagonal Gaussians given by their mean and variance
+    arrays, summed over dimensions."""
+    return float(np.sum(0.5 * (np.log(var_q / var_p) + var_p / var_q
+                               + (mean_p - mean_q) ** 2 / var_q - 1.0)))
+
+
 def kl_gaussian_diag(p: DiagGaussian, q: DiagGaussian) -> float:
-    """KL(p || q) for diagonal Gaussians, summed over dimensions."""
+    """``kl_diag`` of two ``DiagGaussian``s of one dimension."""
     if p.mean.shape != q.mean.shape:
         raise DimensionMismatchError("dimension mismatch between p and q")
-    ratio = p.var / q.var
-    return float(np.sum(0.5 * (np.log(q.var / p.var) + ratio
-                               + (p.mean - q.mean) ** 2 / q.var - 1.0)))
+    return kl_diag(p.mean, p.var, q.mean, q.var)
 
 
 def _gmm_log_prob(points: np.ndarray, weights: np.ndarray, means: np.ndarray,

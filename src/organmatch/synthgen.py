@@ -19,18 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datamodel import Dataset
+from .datamodel import ConfigError, Dataset
 from .numkit import kmeans_fit, rng_stream
 
 # The semi-synthetic outcome scale and normal untreated survival (mean, sd), in days.
 SEMI_SCALE, SEMI_UNTREATED_MEAN, SEMI_UNTREATED_SD = 400.0, 400.0, 50.0
 
 
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     n: int = 5000
     seed: int = 0
@@ -79,7 +75,7 @@ class SyntheticConfig:
                               f"not {table.shape}")
         return table
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 0:
             raise ConfigError("n must be >= 0")
         weights = self._table("recipient_type_weights", (None,))
@@ -106,7 +102,6 @@ def paper_preset(n: int = 5000, seed: int = 0) -> SyntheticConfig:
 
 def sample_dataset(config: SyntheticConfig) -> Dataset:
     """Draw n recipient-donor pairs with full counterfactual ground truth."""
-    config.validate()
     rng = rng_stream(config.seed, "synthgen", "sample")
     n = config.n
     n_k = config.n_donor_types

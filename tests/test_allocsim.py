@@ -14,7 +14,6 @@ from organmatch.allocsim import (
     POLICIES,
     EventStream,
     GuidedPolicy,
-    PolicyConfigError,
     SimConfig,
     SimReport,
     assigned_true_types,
@@ -26,7 +25,7 @@ from organmatch.allocsim import (
     run_policy,
     write_ledger_csv,
 )
-from organmatch.datamodel import Dataset
+from organmatch.datamodel import ConfigError, Dataset
 from organmatch.synthgen import paper_preset, sample_dataset
 from organmatch.numkit import rng_stream
 
@@ -55,16 +54,16 @@ def _oracle_dataset(n=6, k=2, seed=0, untreated=None):
 
 
 def test_sim_config_validation():
-    with pytest.raises(PolicyConfigError):
-        SimConfig(lag_window=-1).validate()
-    with pytest.raises(PolicyConfigError):
-        SimConfig(days_per_step=0.0).validate()
-    with pytest.raises(PolicyConfigError):
-        SimConfig(donor_fraction=0.0).validate()
+    with pytest.raises(ConfigError):
+        SimConfig(lag_window=-1)
+    with pytest.raises(ConfigError):
+        SimConfig(days_per_step=0.0)
+    with pytest.raises(ConfigError):
+        SimConfig(donor_fraction=0.0)
     for days in (float("nan"), float("inf")):
-        with pytest.raises(PolicyConfigError):
-            SimConfig(days_per_step=days).validate()
-    SimConfig().validate()
+        with pytest.raises(ConfigError):
+            SimConfig(days_per_step=days)
+    SimConfig()
 
 
 def test_stream_full_supply_has_2n_events():
@@ -87,7 +86,7 @@ def test_stream_deterministic_and_fraction_applied():
 def test_stream_requires_ground_truth():
     ds = _oracle_dataset()
     ds.true_potentials = None
-    with pytest.raises(PolicyConfigError):
+    with pytest.raises(ConfigError):
         build_stream(ds, SimConfig(), seed=0)
 
 
@@ -185,7 +184,7 @@ def test_run_policy_error_paths():
                                ("matching-uf", {"guide": guide}), ("matching-bf", {"guide": guide}),
                                ("matching-fcfs", {"scorer": scorer}),
                                ("matching-uf", {"scorer": scorer})]:
-            with pytest.raises(PolicyConfigError):
+            with pytest.raises(ConfigError):
                 run_policy(ds, stream, policy, SimConfig(), **kwargs)
         for policy in ("real", "fcfs"):
             run_policy(ds, stream, policy, SimConfig())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from organmatch import matchrep, numkit
+from organmatch import matchrep, metrics, numkit
 from organmatch.baselines import (
     CLUSTERERS,
     PAIR_KINDS,
@@ -21,10 +21,11 @@ from organmatch.baselines import (
     fit_pair_regressor,
     load_cluster_predictor,
     load_pair_regressor,
+    reg_nn_loss_and_grads,
     save_cluster_predictor,
     save_pair_regressor,
 )
-from organmatch.datamodel import IngestionError
+from organmatch.datamodel import ConfigError, IngestionError
 from organmatch.matchrep import TrainConfig
 from organmatch.numkit import ROW_BLOCK, DiagGaussian, rng_stream
 
@@ -59,9 +60,30 @@ def test_spec_name_and_validation():
     assert spec.name == "kmeans/multihead-nn+rep"
     assert BaselineSpec().name == "kmeans/linear-per-head"
     with pytest.raises(ValueError):
-        BaselineSpec(clusterer="spectral").validate()
+        BaselineSpec(clusterer="spectral")
     with pytest.raises(ValueError):
-        BaselineSpec(predictor="gp").validate()
+        BaselineSpec(predictor="gp")
+
+
+VALID_SPECS = [(clusterer, predictor, with_rep) for clusterer in CLUSTERERS
+               for predictor, with_rep in (("linear-per-head", False),
+                                           ("multihead-nn", False), ("multihead-nn", True))]
+
+
+@pytest.mark.parametrize("clusterer, predictor, with_rep", VALID_SPECS)
+def test_spec_from_name_inverts_name(clusterer, predictor, with_rep):
+    spec = BaselineSpec(clusterer=clusterer, predictor=predictor, with_rep=with_rep, train=SMALL)
+    assert BaselineSpec.from_name(spec.name, SMALL) == spec
+
+
+@pytest.mark.parametrize("name", ["kmeans", "kmeans/", "/multihead-nn", "kmeans/multihead-nn/x",
+                                  "kmeans/multihead-nn+", "kmeans/multihead-nn+rpe",
+                                  "kmeans/multihead-nn+rep+rep", "spectral/multihead-nn",
+                                  "kmeans/gp", "kmeans/linear-per-head+rep",
+                                  "dec/linear-per-head+rep"])
+def test_spec_from_name_rejects_malformed_and_linear_rep_names(name):
+    with pytest.raises(ConfigError):
+        BaselineSpec.from_name(name, SMALL)
 
 
 @pytest.mark.parametrize("kind", CLUSTERERS)
@@ -153,6 +175,29 @@ def test_nn_heads_evaluate_rep_loss_only_with_rep(monkeypatch):
         fit_cluster_predictor(recipients, donors, outcomes, spec)
         counts.append(len(calls))
     assert counts[0] == 0 and counts[1] > 0
+
+
+def test_cluster_predictor_masks_a_cluster_below_the_size_threshold():
+    # two far outliers take the third k-means cluster; its head is fit on
+    # 2 donors, below min_cluster_count, so it is no row's best type
+    recipients, donors, outcomes, _ = _two_mode_data()
+    donors[:2] = [[40.0, 40.0], [41.0, 40.0]]
+    train = TrainConfig(k=3, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
+                        joint_epochs=15, batch_size=32, min_cluster_count=4)
+    spec = BaselineSpec(clusterer="kmeans", predictor="linear-per-head", train=train)
+    model = fit_cluster_predictor(recipients, donors, outcomes, spec)
+    labels = model.donor_labels(donors)
+    small = labels[0]
+    assert np.sum(labels == small) == 2
+    np.testing.assert_array_equal(model.active, np.arange(3) != small)
+    np.testing.assert_array_equal(model.active, matchrep.active_clusters(labels, train))
+    preds = model.predict_potentials(recipients)
+    preds[:, small] = 1e9  # the inactive head would hold every row's maximum
+    best = matchrep.best_donor_types(model, preds)
+    assert small not in best
+    row = metrics.comparison_row(spec.name, preds, labels, outcomes, best_types=best)
+    assert row["mean_best_prediction"] == float(np.mean(np.where(model.active, preds,
+                                                                 -np.inf).max(axis=1)))
 
 
 def test_cluster_predictor_deterministic():
@@ -263,6 +308,32 @@ def test_reg_nn_beats_mean_predictor():
                                config=TrainConfig(joint_epochs=60, batch_size=64))
     preds = model.predict(np.hstack([recipients, donors]))
     assert float(np.mean((preds - outcomes) ** 2)) < 0.2 * float(np.var(outcomes))
+
+
+def test_reg_nn_loss_gradients_match_finite_differences():
+    rng = rng_stream(4, "regnn-fd")
+    pairs = rng.normal(size=(16, 5))
+    target = rng.normal(size=16)
+    net = numkit.init_dense_net([5, 6, 6, 1], ["tanh", "tanh", "identity"],
+                                rng_stream(5, "regnn-fd-init"))
+    live = net.parameters()
+
+    def fn(params):
+        for dst, src in zip(live, params):
+            dst[:] = src
+        return reg_nn_loss_and_grads(net, pairs, target)
+
+    report = numkit.finite_diff_check(fn, [p.copy() for p in live], tol=1e-4)
+    assert report.passed, report.max_rel_error
+
+
+@pytest.mark.parametrize("hidden", [8, 32])
+def test_reg_nn_is_built_at_the_config_width(hidden):
+    recipients, donors, outcomes, _ = _linear_pairs(n=60)
+    config = TrainConfig(hidden=hidden, joint_epochs=1)
+    model = fit_pair_regressor(recipients, donors, outcomes, "reg-nn", config=config)
+    assert [layer.weight.shape for layer in model.net.layers] == [(5, hidden), (hidden, hidden),
+                                                                 (hidden, 1)]
 
 
 def test_unknown_pair_kind_rejected():

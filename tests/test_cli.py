@@ -1,6 +1,7 @@
 """End-to-end CLI tests: gen / train / eval / simulate, manifests, exit codes."""
 
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from organmatch import allocsim, datamodel, matchrep
+from organmatch import allocsim, baselines, datamodel, matchrep, synthgen
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TRAIN_CONFIG = {
@@ -147,6 +148,48 @@ def test_train_bad_baseline_name_is_config_error(workdir, data_dir):
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("names", ["kmeans", "kmeans/multihead-nn/x", "kmeans/multihead-nn+",
+                                   "em/linear-per-head+rep", "kmeans/multihead-nn,dec/gp"])
+def test_train_malformed_or_linear_rep_baseline_is_config_error(workdir, data_dir, names,
+                                                                 capsys):
+    out = workdir / "rejected_baselines"
+    assert main(["train", "--data", str(data_dir), "--baselines", names,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CONFIG_CLASSES = [(synthgen.SyntheticConfig, {"match_table": [[0.5, 0.5, 0.5], [0.1, 0.7, 0.2]]}),
+                  (matchrep.TrainConfig, {"alpha": -1.0}),
+                  (allocsim.SimConfig, {"donor_fraction": 1.5}),
+                  (baselines.BaselineSpec, {"clusterer": "spectral"})]
+
+
+@pytest.mark.parametrize("cls, bad", CONFIG_CLASSES, ids=[c.__name__ for c, _ in CONFIG_CLASSES])
+def test_every_config_is_valid_from_construction(cls, bad):
+    with pytest.raises(datamodel.ConfigError):
+        cls(**bad)
+    config = cls()
+    name = next(iter(bad))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, bad[name])
+
+
+# train's invalid values are test_train_invalid_config_value_is_config_error's
+@pytest.mark.parametrize("command, flag, body", [
+    ("gen", "--config", CONFIG_CLASSES[0][1]),
+    ("simulate", "--sim-config", CONFIG_CLASSES[2][1]),
+])
+def test_config_of_invalid_value_is_config_error(workdir, data_dir, command, flag, body, capsys):
+    path = workdir / "invalid_value_config.json"
+    path.write_text(json.dumps(body))
+    args = [command, flag, str(path), "--out", str(workdir / "x")]
+    if command != "gen":
+        args += ["--data", str(data_dir)]
+    assert main(args) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_train_bad_pair_kind_is_config_error(workdir, data_dir):
     assert main(["train", "--data", str(data_dir), "--pair-regressors", "svm",
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
@@ -162,6 +205,7 @@ def test_train_bad_pair_kind_is_config_error(workdir, data_dir):
     ("train", "--config", {"kl_direction": "conditional-to-marginal"}),
     ("train", "--config", {"target_update_interval": 1}),
     ("train", "--config", {"dec_exponent": -0.5}),
+    ("train", "--config", {"dec_lr": 0.5}),  # folded into alpha
 ])
 def test_config_with_unknown_field_is_config_error(workdir, data_dir, command, flag, body):
     path = workdir / "odd_config.json"
@@ -280,6 +324,33 @@ def test_eval_best_prediction_skips_inactive_heads(workdir, data_dir, models_dir
     assert row["mean_best_prediction"] < float(np.mean(preds.max(axis=1)))
 
 
+def test_eval_baseline_best_prediction_skips_inactive_heads(workdir, data_dir, models_dir):
+    # as for the joint model: deactivate the baseline head that holds most
+    # rows' maximum
+    name = "baseline_kmeans_linear-per-head.json"
+    bmodel = baselines.load_cluster_predictor(models_dir / name)
+    norm = matchrep.load_model_and_normalization(models_dir / "model.json")[1]
+    normed = datamodel.apply_normalization(datamodel.load_csv(data_dir / "dataset.csv"), norm)
+    preds = bmodel.predict_potentials(normed.recipients)
+    np.testing.assert_array_equal(bmodel.active, True)
+    active = np.ones(bmodel.spec.train.k, dtype=bool)
+    active[np.bincount(np.argmax(preds, axis=1)).argmax()] = False
+    edited = workdir / "baselines_inactive"
+    edited.mkdir()
+    shutil.copy(models_dir / "model.json", edited)
+    doc = json.loads((models_dir / name).read_text())
+    doc["model"]["active"] = {"dtype": "bool", "array": active.tolist()}
+    (edited / name).write_text(json.dumps(doc))
+    out = workdir / "eval_baselines_inactive"
+    assert main(["eval", "--data", str(data_dir), "--models", str(edited),
+                 "--split", "all", "--out", str(out)]) == EXIT_OK
+    row = json.loads((out / "eval_reports.json").read_text())[1]
+    assert row["model"] == "kmeans/linear-per-head"
+    masked = np.where(active, preds, -np.inf).max(axis=1)
+    assert row["mean_best_prediction"] == float(np.mean(masked))
+    assert row["mean_best_prediction"] < float(np.mean(preds.max(axis=1)))
+
+
 def test_eval_has_no_seed_option(workdir, data_dir, models_dir):
     # eval splits with the seed saved in the model, the one train split with
     with pytest.raises(SystemExit) as exc:
@@ -295,7 +366,8 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
-                   "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale")
+                   "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
+                   "v4-file", "invalid-config")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -303,6 +375,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     no_phi, no_norm, int_encoder = json.loads(text), json.loads(text), json.loads(text)
     short_bias, missing_head, short_scale = json.loads(text), json.loads(text), json.loads(text)
     nan_weight, inf_scale = json.loads(text), json.loads(text)
+    v4, invalid_config = json.loads(text), json.loads(text)
     del no_phi["model"]["phi"]
     no_norm["normalization"] = None
     int_encoder["model"]["phi"] = 5
@@ -311,6 +384,9 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     short_scale["normalization"]["recipient_scale"].pop()
     nan_weight["model"]["donor_map"]["encoder"]["layers"][0]["weight"]["array"][0][0] = float("nan")
     inf_scale["model"]["predictor"]["outcome_scale"] = float("inf")
+    v4["format"] = "organmatch-model-v4"  # whose TrainConfig still had dec_lr
+    v4["model"]["config"]["dec_lr"] = 1.0
+    invalid_config["model"]["config"]["k"] = 1
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
@@ -322,7 +398,9 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "missing-head": json.dumps(missing_head),
             "short-scale": json.dumps(short_scale),
             "nan-weight": json.dumps(nan_weight),
-            "infinite-outcome-scale": json.dumps(inf_scale)}[case]
+            "infinite-outcome-scale": json.dumps(inf_scale),
+            "v4-file": json.dumps(v4),
+            "invalid-config": json.dumps(invalid_config)}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)
@@ -344,6 +422,9 @@ BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
     "null-linear-heads": (LINEAR_BASELINE, lambda model: model.update(linear_heads=None)),
     "tree-feature-999": ("pair_reg-tree.json", lambda model: model["tree"].update(feature=999)),
     "tree-right-null": ("pair_reg-tree.json", lambda model: model["tree"].update(right=None)),
+    "linear-rep-spec": (LINEAR_BASELINE, lambda model: model["spec"].update(with_rep=True)),
+    "invalid-train-config": (LINEAR_BASELINE, lambda model: model["spec"]["train"].update(k=1)),
+    "float-active": (LINEAR_BASELINE, lambda model: model["active"].update(dtype="float64")),
 }
 
 

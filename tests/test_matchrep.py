@@ -191,6 +191,25 @@ def test_rep_loss_skips_small_clusters():
     assert used == 1
 
 
+def test_rep_loss_is_the_kl_of_each_used_cluster_bit_for_bit():
+    # the KL that trains is numkit's, the one criterion 1 checks against
+    # Monte Carlo
+    rng = rng_stream(5, "rep-kl")
+    x = 2.0 + rng.normal(size=(40, 4))
+    labels = rng.integers(0, 4, size=40)
+    labels[labels == 3] = 2  # cluster 3 is empty
+    labels[0] = 3  # a singleton, below min_cluster_count
+    loss, _, used = rep_loss_and_grads(x, labels, k=4, min_cluster_count=2)
+    mu_a, var_a, _, _ = matchrep._moments(x)
+    expected = 0.0
+    for c in range(3):
+        mu_c, var_c, _, _ = matchrep._moments(x[labels == c])
+        expected += numkit.kl_gaussian_diag(numkit.DiagGaussian(mu_c, var_c),
+                                            numkit.DiagGaussian(mu_a, var_a))
+    assert used == 3
+    assert loss == expected
+
+
 def test_rep_loss_gradients_match_finite_differences():
     rng = rng_stream(4, "rep-fd")
     x = rng.normal(size=(16, 3))
@@ -227,7 +246,8 @@ def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
                                       centers=rng_stream(seed, "t-centers").normal(size=(k, 3)))
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=500.0,
                                             outcome_scale=200.0)
-    return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config)
+    return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config,
+                         active=np.ones(k, bool))
 
 
 def test_factual_loss_hand_value_linear_head():
@@ -470,6 +490,37 @@ def test_dec_refinement_anchor_divergence_names_dec_refinement():
         refine.step(np.arange(8))
 
 
+@pytest.mark.parametrize("counts, frac, want", [
+    ([50, 3, 47], 0.01, [True, False, True]),  # below min_cluster_count (4)
+    ([90, 5, 5], 0.06, [True, False, False]),  # below min_cluster_frac * n (6)
+    ([0, 100, 0], 0.01, [False, True, False]),  # empty clusters
+    ([2, 1, 1], 0.01, [True, True, True]),  # none passes: every cluster is active
+])
+def test_active_clusters_threshold(counts, frac, want):
+    labels = np.repeat(np.arange(3), counts)
+    config = TrainConfig(k=3, min_cluster_count=4, min_cluster_frac=frac)
+    active = matchrep.active_clusters(labels, config)
+    assert active.dtype == bool
+    np.testing.assert_array_equal(active, want)
+
+
+def test_train_joint_active_mask_is_the_rule_of_its_labels():
+    recipients, donors, outcomes = _training_data()
+    config = TrainConfig(**SMALL)
+    model, _ = train_joint(recipients, donors, outcomes, config)
+    labels = matchrep._hard_labels(model.donor_map, donors)
+    np.testing.assert_array_equal(model.active, matchrep.active_clusters(labels, config))
+
+
+def test_model_needs_a_bool_mask():
+    model = _tiny_model()
+    parts = dict(donor_map=model.donor_map, phi=model.phi, predictor=model.predictor,
+                 config=model.config)
+    for active in (None, np.array([1, 0]), np.ones(3, bool)):
+        with pytest.raises(DimensionMismatchError):
+            MatchRepModel(**parts, active=active)
+
+
 def test_train_joint_deterministic():
     recipients, donors, outcomes = _training_data()
     a, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
@@ -583,12 +634,12 @@ def test_init_centers_shape():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(k=1).validate()
+        TrainConfig(k=1)
     with pytest.raises(ValueError):
-        TrainConfig(alpha=-0.1).validate()
+        TrainConfig(alpha=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(min_cluster_frac=1.0).validate()
-    TrainConfig().validate()  # defaults are valid
+        TrainConfig(min_cluster_frac=1.0)
+    TrainConfig()  # defaults are valid
 
 
 def test_save_load_round_trip(tmp_path):
@@ -605,9 +656,7 @@ def test_save_load_round_trip(tmp_path):
     a_labels, _ = donor_type_batch(model, donors)
     b_labels, _ = donor_type_batch(again, donors)
     np.testing.assert_array_equal(a_labels, b_labels)
-    assert (again.active is None) == (model.active is None)
-    if model.active is not None:
-        np.testing.assert_array_equal(again.active, model.active)
+    np.testing.assert_array_equal(again.active, model.active)
 
 
 def test_load_model_rejects_wrong_format(tmp_path):
@@ -649,13 +698,22 @@ def _number_weight(doc):
     doc["model"]["phi"]["layers"][0]["weight"] = 0.5
 
 
+def _null_active(doc):
+    doc["model"]["active"] = None
+
+
+def _invalid_config_value(doc):
+    doc["model"]["config"]["alpha"] = -1.0
+
+
 def _string_config_field(doc):
     doc["model"]["config"]["k"] = "2"
 
 
 @pytest.mark.parametrize("corrupt", [_unknown_type, _missing_field, _extra_field,
                                      _object_dtype, _bad_activation, _wrong_kind,
-                                     _int_encoder, _number_weight, _string_config_field])
+                                     _int_encoder, _number_weight, _string_config_field,
+                                     _null_active, _invalid_config_value])
 def test_load_model_rejects_malformed_files(tmp_path, corrupt):
     model = _tiny_model()
     model.active = np.array([True, False])

@@ -1,5 +1,7 @@
 """Generative-model tests: configuration, sampling laws, oracle consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,11 @@ def test_preset_shape():
 
 def test_config_validation_rejects_bad_rows():
     config = paper_preset()
-    config.match_table = [[0.5, 0.5, 0.5], [0.1, 0.7, 0.2]]
     with pytest.raises(ConfigError):
-        config.validate()
+        replace(config, match_table=[[0.5, 0.5, 0.5], [0.1, 0.7, 0.2]])
     config = paper_preset()
-    config.outcome_vars = [[0.0, 1, 1], [1, 1, 1]]
     with pytest.raises(ConfigError):
-        config.validate()
+        replace(config, outcome_vars=[[0.0, 1, 1], [1, 1, 1]])
 
 
 @pytest.mark.parametrize("name, value", [
@@ -46,9 +46,8 @@ def test_config_validation_rejects_bad_rows():
 ])
 def test_config_validation_rejects_ragged_negative_and_non_finite_tables(name, value):
     config = paper_preset()
-    setattr(config, name, value)
     with pytest.raises(ConfigError, match=name.split("_")[0]):
-        config.validate()
+        replace(config, **{name: value})
 
 
 def test_sample_shapes_and_factual_consistency():
