@@ -6,10 +6,10 @@ Each tree writes the 5,000-row synthetic preset with ``write_csv`` and
 that ``load_csv``, ``attach_ground_truth_csv`` and
 ``normalize_fit_transform`` read back from them. Each tree then trains
 ``matchrep.train_joint`` and the ``kmeans/multihead-nn``,
-``dec/linear-per-head`` and ``reg-nn`` baselines on the preset and
-compares, byte for byte, every parameter, every training-log value, the
-held-out predictions and donor labels, the ``active`` mask and any
-training error. Then each tree runs all seven allocation policies on the
+``em/linear-per-head``, ``dec/linear-per-head`` and ``reg-nn`` baselines
+on the preset and compares, byte for byte, every parameter, every
+training-log value, the held-out predictions and donor labels, the
+``active`` mask and any training error. Then each tree runs all seven allocation policies on the
 preset's donor stream (the seed is the stream seed) with the joint model
 it trained, and the ledger CSV and ``summary()`` of every policy are
 compared byte for byte. The same is done at scale: each tree writes a
@@ -25,7 +25,9 @@ are compared:
 
 Each tree runs in its own child process with BLAS pinned to one thread.
 Both children run this script's code, so the other tree must offer every
-library call it makes, ``baselines.BaselineSpec.from_name`` included.
+library call it makes; each baseline is built with the keyword form
+``BaselineSpec(clusterer=..., predictor=..., train=...)``, which every tree
+accepts.
 Prints one line per seed, model and part for the arrays both trees have,
 then the arrays present in only one tree (say, a config field one of them
 lacks) on lines of their own, and exits 1 if any array differs or is
@@ -49,7 +51,8 @@ import numpy as np
 
 HERE = Path(__file__).resolve()
 THIS_SRC = HERE.parent.parent / "src"
-MODELS = ("joint", "kmeans/multihead-nn", "dec/linear-per-head", "reg-nn")
+MODELS = ("joint", "kmeans/multihead-nn", "em/linear-per-head", "dec/linear-per-head",
+          "reg-nn")
 SCALE_N = 50_000  # rows of the preset that the at-scale stage writes, reads and simulates
 
 
@@ -82,8 +85,9 @@ def _fit(name, matchrep, baselines, train, val, seed):
                                              "reg-nn", config=config)
         return model, {"params": dict(_leaves(model, "model")),
                        "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
-    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes,
-                                            baselines.BaselineSpec.from_name(name, config))
+    clusterer, predictor = name.split("/")
+    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
+    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
     return model, {"params": dict(_leaves(model, "model")),
                    "preds": {"": model.predict_potentials(val.recipients)},
                    "labels": {"": model.donor_labels(val.donors)}}

@@ -21,7 +21,6 @@ from .matchrep import MultiHeadPredictor, TrainConfig
 from .numkit import (
     Adam,
     DenseNet,
-    DiagGaussian,
     gmm_em_fit,
     init_dense_net,
     kmeans_fit,
@@ -86,30 +85,34 @@ class BaselineSpec:
 class DonorClusterer:
     kind: str
     k: int
-    centers: np.ndarray | None = None  # kmeans
+    centers: np.ndarray | None = None  # kmeans centers, em means
     weights: np.ndarray | None = None  # em
-    components: list[DiagGaussian] | None = None  # em
+    variances: np.ndarray | None = None  # em
     donor_map: "matchrep.DonorTypeMap | None" = None  # dec
 
     def __post_init__(self):
-        k, dm = self.k, self.donor_map
-        fits = {"kmeans": np.ndim(self.centers) == 2 and len(self.centers) == k,
-                "em": np.shape(self.weights) == (k,) and len(self.components or []) == k,
+        k, dm, shape = self.k, self.donor_map, np.shape(self.centers)
+        fits = {"kmeans": len(shape) == 2 and shape[0] == k,
+                "em": (len(shape) == 2 and shape[0] == k and np.shape(self.weights) == (k,)
+                       and np.shape(self.variances) == shape),
                 "dec": dm is not None and np.shape(dm.centers) == (k, dm.encoder.output_dim)}
         if k < 1 or not fits.get(self.kind):
             raise ValueError(f"a {self.kind!r} clusterer's fitted fields do not fit k={k}")
+        if self.kind == "em" and np.any(self.variances < numkit.VAR_FLOOR * (1 - 1e-12)):
+            raise ValueError("an EM variance is below the floor")
 
-    def assign(self, donors: np.ndarray) -> np.ndarray:
+    def scores(self, donors: np.ndarray) -> np.ndarray:
+        """(n, K) donor scores, highest at a donor's cluster: the negative
+        squared distance to each k-means center, each EM component's weighted
+        log-density, or the DEC soft assignment."""
         donors = np.atleast_2d(np.asarray(donors, dtype=float))
+        if self.kind == "dec":
+            return matchrep._donor_soft_assign(self.donor_map, donors)
         if self.kind == "kmeans":
-            return map_row_blocks(lambda rows: np.argmin(
-                np.sum((rows[:, None, :] - self.centers[None]) ** 2, axis=2), axis=1), donors)
-        if self.kind == "em":
-            means = np.stack([c.mean for c in self.components])
-            variances = np.stack([c.var for c in self.components])
-            return map_row_blocks(lambda rows: np.argmax(numkit._gmm_log_prob(
-                rows, self.weights, means, variances), axis=1), donors)
-        return matchrep._hard_labels(self.donor_map, donors)
+            return map_row_blocks(lambda rows: -np.sum(
+                (rows[:, None, :] - self.centers[None]) ** 2, axis=2), donors)
+        return map_row_blocks(lambda rows: numkit._gmm_log_prob(
+            rows, self.weights, self.centers, self.variances), donors)
 
 
 def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorClusterer:
@@ -119,9 +122,10 @@ def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorCl
                                    n_init=10)
         return DonorClusterer(kind=kind, k=k, centers=centers)
     if kind == "em":
-        weights, components, _, _ = gmm_em_fit(
+        weights, means, variances, _, _ = gmm_em_fit(
             donors, k, rng_stream(config.seed, "baselines", "em"))
-        return DonorClusterer(kind=kind, k=k, weights=weights, components=components)
+        return DonorClusterer(kind=kind, k=k, centers=means, weights=weights,
+                              variances=variances)
     if kind == "dec":
         donor_map = matchrep.train_dec_standalone(donors, config)
         return DonorClusterer(kind=kind, k=k, donor_map=donor_map)
@@ -191,7 +195,8 @@ class ClusterPredictorBaseline:
         return matchrep.predict_heads(self.phi, self.predictor, recipients)
 
     def donor_labels(self, donors: np.ndarray) -> np.ndarray:
-        return self.clusterer.assign(donors)
+        """0-based donor types: the clusterer's best-scoring active cluster."""
+        return matchrep.best_donor_types(self, self.clusterer.scores(donors))
 
 
 def _fit_linear_heads(recipients, outcomes, labels, k):
@@ -223,7 +228,7 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
                           outcomes: np.ndarray, spec: BaselineSpec) -> ClusterPredictorBaseline:
     """Fit the donor clusterer, freeze its labels, then fit the predictor."""
     clusterer = fit_clusterer(donors, spec.clusterer, spec.train)
-    labels = clusterer.assign(donors)
+    labels = np.argmax(clusterer.scores(donors), axis=1)
     if spec.predictor == "linear-per-head":
         heads = {"linear_heads": _fit_linear_heads(recipients, outcomes, labels, spec.train.k)}
     else:
@@ -430,8 +435,8 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
 # Serialization: matchrep's one model-file codec
 # ---------------------------------------------------------------------------
 
-_MODEL_TYPES = matchrep._MODEL_TYPES + (DiagGaussian, BaselineSpec, DonorClusterer,
-                                        ClusterPredictorBaseline, TreeNode, PairRegressor)
+_MODEL_TYPES = matchrep._MODEL_TYPES + (BaselineSpec, DonorClusterer, ClusterPredictorBaseline,
+                                        TreeNode, PairRegressor)
 
 
 def save_cluster_predictor(model: ClusterPredictorBaseline, path) -> None:
@@ -462,8 +467,8 @@ def check_input_widths(model, path, d_r: int, d_o: int) -> None:
     else:
         c = model.clusterer
         nets = [(model.phi, d_r), (c.donor_map.encoder if c.donor_map else None, d_o)]
-        arrays = ([(c.centers, (c.k, d_o))] + [(g.mean, (d_o,)) for g in c.components or []]
-                  + [(head[0], (d_r,)) for head in model.linear_heads or [] if head is not None])
+        arrays = [(c.centers, (c.k, d_o))] + [(head[0], (d_r,)) for head in
+                                              model.linear_heads or [] if head is not None]
     shapes = [(array.shape, want) for array, want in arrays if array is not None]
     shapes += [((net.input_dim,), (want,)) for net, want in nets if net is not None]
     for got, want in shapes:

@@ -1,6 +1,6 @@
 """Matching-representation model.
 
-Three jointly trained components:
+Three jointly trained parts:
 
 * a donor-type map ``T``: autoencoder-pretrained encoder plus K cluster
   centers, refined with a deep-embedded-clustering (DEC) self-training loss;
@@ -395,9 +395,10 @@ class _DecRefinement:
     ``start_epoch`` refreshes the target distribution while refining;
     ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
     once fewer than ``dec_stop_tol`` of the hard labels changed over the
-    epoch. ``labels`` always holds the hard labels of the current map.
-    ``anchor`` is the reconstruction anchor's Adam over the map's encoder
-    and decoder.
+    epoch. ``labels`` always holds the hard labels of the current map, and
+    ``soft`` the full soft assignment they are taken from, which the next
+    ``start_epoch`` reuses, as the map has not moved since. ``anchor`` is the
+    reconstruction anchor's Adam over the map's encoder and decoder.
 
     Once refinement has stopped the map is frozen, so the per-donor L_DEC
     terms, against the frozen map's own target, are computed once, not per
@@ -411,16 +412,17 @@ class _DecRefinement:
         self.anchor = Adam([donor_map.encoder, donor_map.decoder], config.learning_rate,
                            "DEC refinement's reconstruction anchor")
         self.active = config.alpha > 0.0
-        self.labels = _hard_labels(donor_map, donors)
+        self.soft = _donor_soft_assign(donor_map, donors)
+        self.labels = np.argmax(self.soft, axis=1)
         self.p_full = None
         self.frozen_terms = None  # (n, K) L_DEC terms of the frozen map
 
     def start_epoch(self) -> None:
         if self.active:
-            self.p_full = target_distribution(_donor_soft_assign(self.donor_map, self.donors))
+            self.p_full = target_distribution(self.soft)
         elif self.frozen_terms is None:
-            t = _donor_soft_assign(self.donor_map, self.donors)
-            self.frozen_terms = _dec_terms(target_distribution(t), np.maximum(t, T_CLAMP))
+            self.frozen_terms = _dec_terms(target_distribution(self.soft),
+                                           np.maximum(self.soft, T_CLAMP))
 
     def step(self, idx: np.ndarray) -> float:
         """While refining, one Adam reconstruction-anchor step and one SGD step
@@ -447,7 +449,8 @@ class _DecRefinement:
     def end_epoch(self, epoch: int) -> None:
         if not self.active:
             return
-        labels = _hard_labels(self.donor_map, self.donors)
+        self.soft = _donor_soft_assign(self.donor_map, self.donors)
+        labels = np.argmax(self.soft, axis=1)
         changed = float(np.mean(labels != self.labels))
         self.labels = labels
         if epoch + 1 >= self.config.dec_min_epochs and changed < self.config.dec_stop_tol:
@@ -505,7 +508,7 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     reconstruction anchor, until the hard labels stabilize). The recipient
     encoder and heads take Adam steps on ``L_f + beta * L_Phi`` throughout.
     Returns (model, log) where log has one dict per joint epoch with the
-    epoch-mean loss components.
+    epoch-mean loss terms.
     """
     donor_map, _ = pretrain_autoencoder(donors, config)
     init_centers(donor_map, donors, config)
@@ -578,7 +581,8 @@ def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.
 def best_donor_types(model, scores: np.ndarray) -> np.ndarray:
     """0-based column of the highest score in each row of the (n, K)
     ``scores``, restricted to the ``model``'s active clusters; the model is
-    a ``MatchRepModel`` or a cluster-predictor baseline."""
+    a ``MatchRepModel`` or a cluster-predictor baseline. Every donor type
+    either one infers, and every best type of its predictions, is this."""
     return np.argmax(np.where(model.active, scores, -np.inf), axis=1)
 
 
@@ -593,7 +597,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v5"
+MODEL_FORMAT = "organmatch-model-v6"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a joint-model file may hold; baselines extends the list.
 _MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MultiHeadPredictor,

@@ -68,8 +68,8 @@ def map_row_blocks(fn, batch: np.ndarray) -> np.ndarray:
 def rng_stream(seed: int, *names) -> np.random.Generator:
     """Philox generator keyed by SHA-256 of (seed, names).
 
-    Independent components derive independent streams from one root seed;
-    adding a component never perturbs another component's draws.
+    Independent consumers derive independent streams from one root seed;
+    adding a consumer never perturbs another consumer's draws.
     """
     tag = "/".join(str(n) for n in names) + "#" + str(int(seed))
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
@@ -332,33 +332,14 @@ def kmeans_fit(points: np.ndarray, k: int, rng: np.random.Generator, n_init: int
     return centers, labels, history
 
 
-@dataclass
-class DiagGaussian:
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.var = np.asarray(self.var, dtype=float)
-        if self.mean.shape != self.var.shape:
-            raise DimensionMismatchError("mean and var must have the same shape")
-        if np.any(self.var < VAR_FLOOR * (1 - 1e-12)):
-            raise ValueError("variance below floor")
-
-
 def kl_diag(mean_p: np.ndarray, var_p: np.ndarray, mean_q: np.ndarray,
             var_q: np.ndarray) -> float:
     """KL(p || q) for diagonal Gaussians given by their mean and variance
     arrays, summed over dimensions."""
+    if not np.shape(mean_p) == np.shape(var_p) == np.shape(mean_q) == np.shape(var_q):
+        raise DimensionMismatchError("the means and variances of p and q differ in shape")
     return float(np.sum(0.5 * (np.log(var_q / var_p) + var_p / var_q
                                + (mean_p - mean_q) ** 2 / var_q - 1.0)))
-
-
-def kl_gaussian_diag(p: DiagGaussian, q: DiagGaussian) -> float:
-    """``kl_diag`` of two ``DiagGaussian``s of one dimension."""
-    if p.mean.shape != q.mean.shape:
-        raise DimensionMismatchError("dimension mismatch between p and q")
-    return kl_diag(p.mean, p.var, q.mean, q.var)
 
 
 def _gmm_log_prob(points: np.ndarray, weights: np.ndarray, means: np.ndarray,
@@ -373,7 +354,8 @@ def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator):
     """EM for a diagonal-covariance Gaussian mixture.
 
     Initialised from k-means. Degenerate variances are floored (with a
-    warning). Returns (weights, components, responsibilities, loglik_history).
+    warning). Returns (weights, means, variances, responsibilities,
+    loglik_history); row j of the (K, d) means and variances is component j.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
@@ -410,8 +392,7 @@ def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator):
         variances = np.maximum(variances, VAR_FLOOR)
         if len(history) > 1 and abs(history[-1] - history[-2]) < GMM_TOL * (1 + abs(history[-2])):
             break
-    components = [DiagGaussian(means[j], variances[j]) for j in range(k)]
-    return weights, components, resp, history
+    return weights, means, variances, resp, history
 
 
 # ---------------------------------------------------------------------------

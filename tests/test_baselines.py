@@ -13,6 +13,7 @@ from organmatch.baselines import (
     PAIR_KINDS,
     PREDICTORS,
     BaselineSpec,
+    ClusterPredictorBaseline,
     DonorClusterer,
     _enet_cd,
     _ridge_solve,
@@ -27,7 +28,7 @@ from organmatch.baselines import (
 )
 from organmatch.datamodel import ConfigError, IngestionError
 from organmatch.matchrep import TrainConfig
-from organmatch.numkit import ROW_BLOCK, DiagGaussian, rng_stream
+from organmatch.numkit import ROW_BLOCK, VAR_FLOOR, DenseNet, Layer, rng_stream
 
 
 def _two_mode_data(n=160, seed=0):
@@ -106,12 +107,53 @@ def test_clusterer_assign_in_row_blocks_equals_one_pass(d):
     variances = rng.uniform(0.5, 2.0, size=(3, d))
     weights = np.array([0.2, 0.5, 0.3])
     kmeans = DonorClusterer(kind="kmeans", k=3, centers=centers)
-    em = DonorClusterer(kind="em", k=3, weights=weights,
-                        components=[DiagGaussian(m, v) for m, v in zip(centers, variances)])
+    em = DonorClusterer(kind="em", k=3, centers=centers, weights=weights, variances=variances)
     d2 = np.sum((donors[:, None, :] - centers[None]) ** 2, axis=2)
     log_prob = numkit._gmm_log_prob(donors, weights, centers, variances)
-    np.testing.assert_array_equal(kmeans.assign(donors), np.argmin(d2, axis=1))
-    np.testing.assert_array_equal(em.assign(donors), np.argmax(log_prob, axis=1))
+    np.testing.assert_array_equal(kmeans.scores(donors), -d2)
+    np.testing.assert_array_equal(em.scores(donors), log_prob)
+    np.testing.assert_array_equal(np.argmax(kmeans.scores(donors), axis=1), np.argmin(d2, axis=1))
+
+
+def _clusterer_of(kind, centers):
+    """A ``kind`` clusterer whose scores rank clusters by distance to ``centers``."""
+    k, d = centers.shape
+    if kind == "kmeans":
+        return DonorClusterer(kind=kind, k=k, centers=centers)
+    if kind == "em":
+        return DonorClusterer(kind=kind, k=k, centers=centers, weights=np.full(k, 1.0 / k),
+                              variances=np.ones((k, d)))
+    identity = DenseNet([Layer(np.eye(d), np.zeros(d), "identity")])
+    return DonorClusterer(kind=kind, k=k, donor_map=matchrep.DonorTypeMap(
+        encoder=identity, decoder=identity, centers=centers))
+
+
+@pytest.mark.parametrize("kind", CLUSTERERS)
+def test_a_donor_nearest_an_inactive_cluster_gets_the_best_active_label(kind):
+    centers = np.array([[0.0, 0.0], [4.0, 0.0], [10.0, 0.0]])
+    clusterer = _clusterer_of(kind, centers)
+    model = ClusterPredictorBaseline(spec=BaselineSpec(clusterer=kind), clusterer=clusterer,
+                                     active=np.array([True, False, True]),
+                                     linear_heads=[None] * 3)
+    donors = np.array([[3.5, 0.0], [5.5, 0.0], [0.5, 1.0], [9.0, -1.0]])
+    scores = clusterer.scores(donors)
+    np.testing.assert_array_equal(np.argmax(scores, axis=1), [1, 1, 0, 2])
+    np.testing.assert_array_equal(model.donor_labels(donors), [0, 2, 0, 2])
+    np.testing.assert_array_equal(model.donor_labels(donors),
+                                  matchrep.best_donor_types(model, scores))
+
+
+def test_em_clusterer_checks_its_arrays_and_variance_floor():
+    centers, weights = np.zeros((2, 3)), np.array([0.5, 0.5])
+    DonorClusterer(kind="em", k=2, centers=centers, weights=weights,
+                   variances=np.full((2, 3), VAR_FLOOR))
+    bad = [dict(variances=np.full((2, 3), VAR_FLOOR / 2)),
+           dict(variances=np.ones((2, 2))), dict(variances=None),
+           dict(weights=np.ones(3) / 3), dict(centers=np.zeros((3, 3)))]
+    for edit in bad:
+        fields = {"centers": centers, "weights": weights, "variances": np.ones((2, 3)), **edit}
+        with pytest.raises(ValueError):
+            DonorClusterer(kind="em", k=2, **fields)
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)
@@ -179,18 +221,20 @@ def test_nn_heads_evaluate_rep_loss_only_with_rep(monkeypatch):
 
 def test_cluster_predictor_masks_a_cluster_below_the_size_threshold():
     # two far outliers take the third k-means cluster; its head is fit on
-    # 2 donors, below min_cluster_count, so it is no row's best type
+    # 2 donors, below min_cluster_count, so it is no donor's type and no
+    # row's best type
     recipients, donors, outcomes, _ = _two_mode_data()
     donors[:2] = [[40.0, 40.0], [41.0, 40.0]]
     train = TrainConfig(k=3, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
                         joint_epochs=15, batch_size=32, min_cluster_count=4)
     spec = BaselineSpec(clusterer="kmeans", predictor="linear-per-head", train=train)
     model = fit_cluster_predictor(recipients, donors, outcomes, spec)
-    labels = model.donor_labels(donors)
+    labels = np.argmax(model.clusterer.scores(donors), axis=1)  # the training labels
     small = labels[0]
     assert np.sum(labels == small) == 2
     np.testing.assert_array_equal(model.active, np.arange(3) != small)
     np.testing.assert_array_equal(model.active, matchrep.active_clusters(labels, train))
+    assert small not in model.donor_labels(donors)
     preds = model.predict_potentials(recipients)
     preds[:, small] = 1e9  # the inactive head would hold every row's maximum
     best = matchrep.best_donor_types(model, preds)
@@ -223,6 +267,17 @@ def test_cluster_predictor_round_trip(tmp_path, kind):
         np.testing.assert_array_equal(again.donor_labels(donors),
                                       model.donor_labels(donors))
         _assert_widths_checked(again, path, 3, 2, wrong=[(4, 2), (3, 1)])
+
+
+def test_em_baseline_round_trip_keeps_its_arrays_bit_for_bit(tmp_path):
+    recipients, donors, outcomes, _ = _two_mode_data()
+    spec = BaselineSpec(clusterer="em", predictor="linear-per-head", train=SMALL)
+    model = fit_cluster_predictor(recipients, donors, outcomes, spec)
+    save_cluster_predictor(model, tmp_path / "em.json")
+    again = load_cluster_predictor(tmp_path / "em.json")
+    for name in ("centers", "weights", "variances"):
+        saved, loaded = getattr(model.clusterer, name), getattr(again.clusterer, name)
+        assert saved.shape == loaded.shape and saved.tobytes() == loaded.tobytes()
 
 
 def test_dec_cluster_predictor_round_trip(tmp_path):

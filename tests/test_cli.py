@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from organmatch import allocsim, baselines, datamodel, matchrep, synthgen
+from organmatch import allocsim, baselines, datamodel, matchrep, numkit, synthgen
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TRAIN_CONFIG = {
@@ -367,7 +367,7 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
-                   "v4-file", "invalid-config")
+                   "v4-file", "invalid-config", "v5-file")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -400,7 +400,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "nan-weight": json.dumps(nan_weight),
             "infinite-outcome-scale": json.dumps(inf_scale),
             "v4-file": json.dumps(v4),
-            "invalid-config": json.dumps(invalid_config)}[case]
+            "invalid-config": json.dumps(invalid_config),
+            "v5-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v5")}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)
@@ -413,6 +414,17 @@ def test_eval_malformed_model_is_data_error(workdir, data_dir, models_dir, case)
 
 
 LINEAR_BASELINE = "baseline_kmeans_linear-per-head.json"
+
+
+def _em_below_variance_floor(model):
+    """Make the k-means baseline ``model`` an EM one whose variances are below the floor."""
+    k, d = np.shape(model["clusterer"]["centers"]["array"])
+    model["spec"].update(clusterer="em")
+    model["clusterer"].update(
+        kind="em", weights={"dtype": "float64", "array": [1.0 / k] * k},
+        variances={"dtype": "float64", "array": [[numkit.VAR_FLOOR / 2] * d] * k})
+
+
 BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
     "pair-weight": ("pair_ridge.json", lambda model: model["weights"]["array"].pop()),
     "linear-head-weight": (LINEAR_BASELINE,
@@ -425,6 +437,7 @@ BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
     "linear-rep-spec": (LINEAR_BASELINE, lambda model: model["spec"].update(with_rep=True)),
     "invalid-train-config": (LINEAR_BASELINE, lambda model: model["spec"]["train"].update(k=1)),
     "float-active": (LINEAR_BASELINE, lambda model: model["active"].update(dtype="float64")),
+    "em-variance-below-floor": (LINEAR_BASELINE, _em_below_variance_floor),
 }
 
 
