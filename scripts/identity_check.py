@@ -5,21 +5,23 @@ Each tree writes the 5,000-row synthetic preset with ``write_csv`` and
 ``write_ground_truth_csv``; the bytes are compared, and so is every array
 that ``load_csv``, ``attach_ground_truth_csv`` and
 ``normalize_fit_transform`` read back from them. Each tree then trains
-``matchrep.train_joint`` and the ``kmeans/multihead-nn``,
-``em/linear-per-head``, ``dec/linear-per-head`` and ``reg-nn`` baselines
-on the preset and compares, byte for byte, every parameter, every
-training-log value, the held-out predictions and donor labels, the
-``active`` mask and any training error. Then each tree runs all seven allocation policies on the
-preset's donor stream (the seed is the stream seed) with the joint model
-it trained, and the ledger CSV and ``summary()`` of every policy are
-compared byte for byte. The same is done at scale: each tree writes a
-50,000-row preset, reads it back (every array read is compared),
-normalizes it with the joint model's statistics, runs the joint model's
-``predict_potential_batch`` and ``donor_type_batch`` on all of it (the
-arrays are compared byte for byte, as ties in the ledgers they drive can
-hide a changed bit) and simulates all seven policies on it. Last, ``organmatch eval`` scores the saved models on the
-preset written as CSV; its exit code and the bytes and cells of its tables
-are compared:
+``matchrep.train_joint``, the ``kmeans/multihead-nn``,
+``kmeans/linear-per-head``, ``em/linear-per-head`` and
+``dec/linear-per-head`` baselines and a pair regressor of every kind in
+``baselines.PAIR_KINDS`` on the preset and compares, byte for byte, every
+parameter, every training-log value, the held-out predictions and donor
+labels, the ``active`` mask and any training error. Then each tree runs
+all seven allocation policies on the preset's donor stream (the seed is
+the stream seed) with the joint model it trained, and the ledger CSV and
+``summary()`` of every policy are compared byte for byte. The same is
+done at scale: each tree writes a 50,000-row preset, reads it back (every
+array read is compared), normalizes it with the joint model's statistics,
+runs the joint model's ``predict_potential_batch`` and
+``donor_type_batch`` on all of it (the arrays are compared byte for byte,
+as ties in the ledgers they drive can hide a changed bit) and simulates
+all seven policies on it. Last, ``organmatch eval`` scores the saved
+models on the preset written as CSV; its exit code and the bytes and
+cells of its tables are compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -51,8 +53,9 @@ import numpy as np
 
 HERE = Path(__file__).resolve()
 THIS_SRC = HERE.parent.parent / "src"
-MODELS = ("joint", "kmeans/multihead-nn", "em/linear-per-head", "dec/linear-per-head",
-          "reg-nn")
+# trained before a pair regressor of each kind in baselines.PAIR_KINDS
+MODELS = ("joint", "kmeans/multihead-nn", "kmeans/linear-per-head", "em/linear-per-head",
+          "dec/linear-per-head")
 SCALE_N = 50_000  # rows of the preset that the at-scale stage writes, reads and simulates
 
 
@@ -80,9 +83,9 @@ def _fit(name, matchrep, baselines, train, val, seed):
                        "preds": {"": matchrep.predict_potential_batch(model, val.recipients)},
                        "labels": {"": matchrep.donor_type_batch(model, val.donors)[0]},
                        "active": {"": np.asarray(model.active)}}
-    if name == "reg-nn":
+    if name in baselines.PAIR_KINDS:
         model = baselines.fit_pair_regressor(train.recipients, train.donors, train.outcomes,
-                                             "reg-nn", config=config)
+                                             name, config=config)
         return model, {"params": dict(_leaves(model, "model")),
                        "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
     clusterer, predictor = name.split("/")
@@ -169,8 +172,8 @@ def _eval(baselines, cli, datamodel, matchrep, dataset, models, normalization) -
             if name == "joint":
                 matchrep.save_model(model, root / "model.json",
                                     normalization=datamodel.normalization_to_dict(normalization))
-            elif name == "reg-nn":
-                baselines.save_pair_regressor(model, root / "pair_reg-nn.json")
+            elif name in baselines.PAIR_KINDS:
+                baselines.save_pair_regressor(model, root / f"pair_{name}.json")
             else:
                 baselines.save_cluster_predictor(
                     model, root / f"baseline_{name.replace('/', '_')}.json")
@@ -203,7 +206,7 @@ def emit(src: Path, seed: int, out: Path) -> None:
     train, val = normed.subset(indices.train), normed.subset(indices.validation)
     results = [("data", _tabular(datamodel, dataset, indices))]
     fitted = {}
-    for name in MODELS:
+    for name in (*MODELS, *baselines.PAIR_KINDS):
         try:
             model, parts = _fit(name, matchrep, baselines, train, val, seed)
             fitted[name] = model

@@ -5,7 +5,9 @@ DEC) and freeze the labels, then fit one outcome predictor per cluster —
 either a closed-form ridge-regularized linear head or a multi-head neural
 network (optionally with the distribution-matching representation term).
 Pair regressors skip clustering entirely and regress the outcome on the
-concatenated (recipient, donor) feature vector.
+concatenated (recipient, donor) feature vector. Every fitted head but the
+regression tree is a DenseNet in a ``matchrep.MultiHeadPredictor``, read by
+``matchrep.predict_heads``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .matchrep import MultiHeadPredictor, TrainConfig
 from .numkit import (
     Adam,
     DenseNet,
+    Layer,
     gmm_em_fit,
     init_dense_net,
     kmeans_fit,
@@ -28,7 +31,6 @@ from .numkit import (
     minibatches,
     mlp_backward,
     mlp_forward,
-    mlp_predict,
     rng_stream,
 )
 
@@ -138,7 +140,7 @@ def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorCl
 
 
 def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float):
-    """Closed-form ridge with unpenalized intercept; raises penalty if singular."""
+    """Closed-form ridge (w, b) with an unpenalized bias b; raises penalty if singular."""
     n, d = x.shape
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
@@ -159,56 +161,47 @@ def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float):
     return w, b
 
 
+def _linear_predictor(fits) -> MultiHeadPredictor:
+    """The heads ``x @ w + b`` of the (w, b) ``fits``, each one identity Layer."""
+    return MultiHeadPredictor(
+        heads=[DenseNet([Layer(w.reshape(-1, 1), np.array([b]), "identity")]) for w, b in fits],
+        outcome_mean=0.0, outcome_scale=1.0)
+
+
 @dataclass
 class ClusterPredictorBaseline:
     spec: BaselineSpec
     clusterer: DonorClusterer
     active: np.ndarray  # matchrep.active_clusters of the training donors' labels
-    # linear heads: one (w, b) per cluster, or None for global-mean fallback
-    linear_heads: list[tuple[np.ndarray, float] | None] | None = None
-    global_mean: float = 0.0
-    # nn predictor
-    phi: DenseNet | None = None
-    predictor: MultiHeadPredictor | None = None
+    predictor: MultiHeadPredictor  # one head per cluster, over Phi or the recipients
+    phi: DenseNet | None = None  # the multihead-nn predictor's recipient encoder
 
     def __post_init__(self):
-        k, phi, nn = self.clusterer.k, self.phi, self.predictor
-        if self.spec.predictor == "linear-per-head":
-            fits = len(self.linear_heads or []) == k
-        else:
-            fits = phi is not None and nn is not None and matchrep._heads_fit(phi, nn, k)
-        if not fits or self.spec.train.k != k or not matchrep._is_mask(self.active, k):
-            raise ValueError(f"the heads, active mask or spec.train.k do not fit "
+        k = self.clusterer.k
+        if ((self.phi is None) != (self.spec.predictor == "linear-per-head")
+                or not matchrep._heads_fit(self.phi, self.predictor, k)
+                or self.spec.train.k != k or not matchrep._is_mask(self.active, k)):
+            raise ValueError(f"Phi, the heads, active mask or spec.train.k do not fit "
                              f"the clusterer's k={k}")
 
     def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
-        recipients = np.atleast_2d(np.asarray(recipients, dtype=float))
-        if self.spec.predictor == "linear-per-head":
-            cols = []
-            for head in self.linear_heads:
-                if head is None:
-                    cols.append(np.full(recipients.shape[0], self.global_mean))
-                else:
-                    w, b = head
-                    cols.append(recipients @ w + b)
-            return np.column_stack(cols)
-        return matchrep.predict_heads(self.phi, self.predictor, recipients)
+        return matchrep.predict_heads(self.phi, self.predictor, np.atleast_2d(recipients))
 
     def donor_labels(self, donors: np.ndarray) -> np.ndarray:
         """0-based donor types: the clusterer's best-scoring active cluster."""
         return matchrep.best_donor_types(self, self.clusterer.scores(donors))
 
 
-def _fit_linear_heads(recipients, outcomes, labels, k):
-    heads = []
+def _fit_ridge_heads(recipients, outcomes, labels, k) -> MultiHeadPredictor:
+    fits = []
     for c in range(k):
         members = np.nonzero(labels == c)[0]
         if members.size < 2:
             warnings.warn(f"cluster {c} empty or singleton; falling back to global mean")
-            heads.append(None)
+            fits.append((np.zeros(recipients.shape[1]), float(outcomes.mean())))
             continue
-        heads.append(_ridge_solve(recipients[members], outcomes[members], RIDGE_PENALTY))
-    return heads
+        fits.append(_ridge_solve(recipients[members], outcomes[members], RIDGE_PENALTY))
+    return _linear_predictor(fits)
 
 
 def _fit_nn_heads(recipients, outcomes, labels, spec: BaselineSpec):
@@ -230,12 +223,12 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
     clusterer = fit_clusterer(donors, spec.clusterer, spec.train)
     labels = np.argmax(clusterer.scores(donors), axis=1)
     if spec.predictor == "linear-per-head":
-        heads = {"linear_heads": _fit_linear_heads(recipients, outcomes, labels, spec.train.k)}
+        phi, predictor = None, _fit_ridge_heads(recipients, outcomes, labels, spec.train.k)
     else:
-        heads = dict(zip(("phi", "predictor"), _fit_nn_heads(recipients, outcomes, labels, spec)))
+        phi, predictor = _fit_nn_heads(recipients, outcomes, labels, spec)
     return ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
                                     active=matchrep.active_clusters(labels, spec.train),
-                                    global_mean=float(outcomes.mean()), **heads)
+                                    predictor=predictor, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +239,7 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
 def _enet_cd(x: np.ndarray, y: np.ndarray, l1: float, l2: float):
     """Coordinate descent for (1/2n)||y - Xw - b||^2 + l1*||w||_1 + (l2/2)*||w||^2.
 
-    The intercept is handled by centering. The l2 part is folded into an
+    The bias b is handled by centering. The l2 part is folded into an
     augmented lasso design so one duality-gap criterion covers both lasso
     and elastic net. Returns (w, b).
     """
@@ -363,25 +356,20 @@ def _tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
 @dataclass
 class PairRegressor:
     kind: str
-    weights: np.ndarray | None = None  # linear kinds
-    intercept: float = 0.0
-    tree: TreeNode | None = None
-    net: DenseNet | None = None
-    outcome_mean: float = 0.0
-    outcome_scale: float = 1.0
+    tree: TreeNode | None = None  # reg-tree
+    predictor: MultiHeadPredictor | None = None  # one head over the pairs; the other kinds
 
     def __post_init__(self):
-        field_of_kind = {"reg-tree": self.tree, "reg-nn": self.net}.get(self.kind, self.weights)
-        if self.kind not in PAIR_KINDS or field_of_kind is None:
-            raise ValueError(f"a {self.kind!r} pair regressor lacks its fitted field")
+        fitted = self.tree if self.kind == "reg-tree" else self.predictor
+        one_head = self.predictor is None or matchrep._heads_fit(None, self.predictor, 1)
+        if self.kind not in PAIR_KINDS or fitted is None or not one_head:
+            raise ValueError(f"a {self.kind!r} pair regressor lacks its fitted field or head")
 
     def predict(self, pairs: np.ndarray) -> np.ndarray:
         pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
-        if self.kind in ("lasso", "ridge", "elasticnet"):
-            return pairs @ self.weights + self.intercept
         if self.kind == "reg-tree":
             return _tree_predict(self.tree, pairs)
-        return self.outcome_mean + self.outcome_scale * mlp_predict(self.net, pairs)[:, 0]
+        return matchrep.predict_heads(None, self.predictor, pairs)[:, 0]
 
 
 def reg_nn_loss_and_grads(net: DenseNet, pairs: np.ndarray, target: np.ndarray):
@@ -393,7 +381,8 @@ def reg_nn_loss_and_grads(net: DenseNet, pairs: np.ndarray, target: np.ndarray):
     return float(np.mean(err * err)), grads
 
 
-def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) -> PairRegressor:
+def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray,
+                config: TrainConfig) -> MultiHeadPredictor:
     h = config.hidden
     net = init_dense_net([pairs.shape[1], h, h, 1], ["relu", "relu", "identity"],
                          rng_stream(config.seed, "baselines", "regnn-init"))
@@ -405,7 +394,7 @@ def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray, config: TrainConfig) ->
     for _ in range(config.joint_epochs):
         for idx in minibatches(len(outcomes), config.batch_size, rng):
             opt.step(*reg_nn_loss_and_grads(net, pairs[idx], target[idx]))
-    return PairRegressor(kind="reg-nn", net=net, outcome_mean=mean, outcome_scale=scale)
+    return MultiHeadPredictor(heads=[net], outcome_mean=mean, outcome_scale=scale)
 
 
 def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
@@ -415,20 +404,19 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
         raise ValueError(f"kind must be one of {PAIR_KINDS}")
     pairs = np.hstack([recipients, donors])
     outcomes = np.asarray(outcomes, dtype=float)
-    if kind == "ridge":
-        w, b = _ridge_solve(pairs, outcomes, PAIR_PENALTY)
-        return PairRegressor(kind=kind, weights=w, intercept=b)
-    if kind == "lasso":
-        w, b = _enet_cd(pairs, outcomes, l1=PAIR_PENALTY, l2=0.0)
-        return PairRegressor(kind=kind, weights=w, intercept=b)
-    if kind == "elasticnet":
-        w, b = _enet_cd(pairs, outcomes, l1=PAIR_PENALTY * PAIR_L1_RATIO,
-                        l2=PAIR_PENALTY * (1.0 - PAIR_L1_RATIO))
-        return PairRegressor(kind=kind, weights=w, intercept=b)
     if kind == "reg-tree":
         tree = _grow_tree(pairs, outcomes, 0, TREE_MAX_DEPTH, TREE_MIN_LEAF)
         return PairRegressor(kind=kind, tree=tree)
-    return _fit_reg_nn(pairs, outcomes, config or TrainConfig())
+    if kind == "reg-nn":
+        return PairRegressor(kind=kind, predictor=_fit_reg_nn(pairs, outcomes,
+                                                              config or TrainConfig()))
+    if kind == "ridge":
+        fit = _ridge_solve(pairs, outcomes, PAIR_PENALTY)
+    else:  # the lasso is the elastic net at an l1 ratio of 1
+        l1_ratio = 1.0 if kind == "lasso" else PAIR_L1_RATIO
+        fit = _enet_cd(pairs, outcomes, l1=PAIR_PENALTY * l1_ratio,
+                       l2=PAIR_PENALTY * (1.0 - l1_ratio))
+    return PairRegressor(kind=kind, predictor=_linear_predictor([fit]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +448,14 @@ def check_input_widths(model, path, d_r: int, d_o: int) -> None:
     regressor ``model`` was read from, unless it takes ``d_r`` recipient and
     ``d_o`` donor features; a tree, unless it splits on those features only."""
     if isinstance(model, PairRegressor):
-        nets, arrays = [(model.net, d_r + d_o)], [(model.weights, (d_r + d_o,))]
         features = model.tree.split_features() if model.tree else []
         if any(not 0 <= f < d_r + d_o for f in features):
             raise IngestionError(f"{path}: split features {features}, the data has {d_r + d_o}")
-    else:
+        widths = [(model.predictor.heads[0].input_dim, d_r + d_o)] if model.predictor else []
+    else:  # every head reads Phi's output, or the recipients as the first head does
         c = model.clusterer
-        nets = [(model.phi, d_r), (c.donor_map.encoder if c.donor_map else None, d_o)]
-        arrays = [(c.centers, (c.k, d_o))] + [(head[0], (d_r,)) for head in
-                                              model.linear_heads or [] if head is not None]
-    shapes = [(array.shape, want) for array, want in arrays if array is not None]
-    shapes += [((net.input_dim,), (want,)) for net, want in nets if net is not None]
-    for got, want in shapes:
+        widths = [((model.phi or model.predictor.heads[0]).input_dim, d_r),
+                  (c.donor_map.encoder.input_dim if c.donor_map else c.centers.shape[1], d_o)]
+    for got, want in widths:
         if got != want:
-            raise IngestionError(f"{path}: an input of shape {got}, the data needs {want}")
+            raise IngestionError(f"{path}: an input of width {got}, the data has {want}")

@@ -151,6 +151,9 @@ def cmd_train(args) -> int:
     config = _load_config(args.config, matchrep.TrainConfig, seed=args.seed, beta=args.beta)
     specs = _parse_baseline_names(args.baselines, config)
     pair_kinds = _parse_pair_kinds(args.pair_regressors)
+    names = [spec.name for spec in specs] + pair_kinds
+    if len(set(names)) < len(names):
+        raise datamodel.ConfigError(f"a baseline or pair regressor is listed twice in {names}")
 
     dataset = _load_data_dir(args.data)
     indices = datamodel.split(dataset, seed=config.seed)

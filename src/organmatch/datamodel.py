@@ -41,9 +41,6 @@ def _is_kind(value, hint) -> bool:
         return any(_is_kind(value, arg) for arg in args)
     if origin is list:
         return isinstance(value, list) and all(_is_kind(v, args[0]) for v in value)
-    if origin is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(_is_kind(v, arg) for v, arg in zip(value, args)))
     if hint is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int:
@@ -55,7 +52,7 @@ def check_field_kinds(cls, values: dict) -> None:
     """Raise TypeError if a value read from JSON is not of the declared type
     of the field of dataclass ``cls`` that it is named after.
 
-    An int passes for a float, a list for a tuple, and a bool for no number.
+    An int passes for a float, and a bool for no number.
     Names that are not fields of ``cls`` are left to its constructor.
     """
     declared = _field_types(cls)

@@ -89,8 +89,12 @@ class TrainConfig:
             raise ConfigError("k must be >= 2")
         if min(self.batch_size, self.hidden, self.rep_dim, self.embed_dim) < 1:
             raise ConfigError("batch_size, hidden, rep_dim and embed_dim must be >= 1")
-        if self.alpha < 0 or self.beta < 0 or self.embed_decay < 0:
-            raise ConfigError("alpha, beta and embed_decay must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in (self.alpha, self.beta, self.embed_decay)):
+            raise ConfigError("alpha, beta and embed_decay must be nonnegative and finite")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if min(self.pretrain_epochs, self.joint_epochs, self.dec_min_epochs) < 0:
+            raise ConfigError("pretrain_epochs, joint_epochs and dec_min_epochs must be >= 0")
         if not 0.0 <= self.dec_stop_tol <= 1.0:
             raise ConfigError("dec_stop_tol must be in [0, 1]")
         if not 0.0 <= self.min_cluster_frac < 1.0:
@@ -106,10 +110,10 @@ class DonorTypeMap:
 
 @dataclass
 class MultiHeadPredictor:
-    """K heads over the shared Phi output (identity trunk).
+    """K heads over Phi's output, or over the features for a baseline without Phi.
 
     Heads operate in standardized outcome units internally; predictions are
-    mapped back to days via (outcome_mean, outcome_scale).
+    mapped back to days via (outcome_mean, outcome_scale), 0 and 1 for linear heads.
     """
 
     heads: list[DenseNet]
@@ -142,10 +146,11 @@ def _is_mask(active, k: int) -> bool:
     return isinstance(active, np.ndarray) and active.dtype == bool and active.shape == (k,)
 
 
-def _heads_fit(phi: DenseNet, predictor: MultiHeadPredictor, k: int) -> bool:
-    """Whether ``predictor`` has ``k`` heads, each mapping Phi's output to one number."""
-    return len(predictor.heads) == k and all(
-        (h.input_dim, h.output_dim) == (phi.output_dim, 1) for h in predictor.heads)
+def _heads_fit(phi: DenseNet | None, predictor: MultiHeadPredictor, k: int) -> bool:
+    """Whether ``predictor`` has ``k`` heads from Phi's output (or one width) to one number."""
+    heads = predictor.heads
+    width = phi.output_dim if phi is not None else heads[0].input_dim if heads else 0
+    return len(heads) == k and all((h.input_dim, h.output_dim) == (width, 1) for h in heads)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +567,11 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
 # ---------------------------------------------------------------------------
 
 
-def predict_heads(phi: DenseNet, predictor: MultiHeadPredictor,
-                  recipients: np.ndarray) -> np.ndarray:
-    """(n, K) predicted survival days from Phi and the K heads, one column per head."""
-    xprime = mlp_predict(phi, recipients)
+def predict_heads(phi: DenseNet | None, predictor: MultiHeadPredictor,
+                  x: np.ndarray) -> np.ndarray:
+    """(n, K) predicted survival days, one column per head; the heads read
+    Phi's output of the rows ``x``, or ``x`` itself when ``phi`` is None."""
+    xprime = x if phi is None else mlp_predict(phi, x)
     preds = np.empty((xprime.shape[0], len(predictor.heads)))
     mean, scale = predictor.outcome_mean, predictor.outcome_scale
     for c, head in enumerate(predictor.heads):
@@ -597,7 +603,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v6"
+MODEL_FORMAT = "organmatch-model-v7"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a joint-model file may hold; baselines extends the list.
 _MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MultiHeadPredictor,
@@ -606,8 +612,8 @@ _MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MultiHeadPredictor,
 
 def _to_doc(obj):
     """JSON tree of a model: a dataclass becomes ``{"type": class name, <fields>}``,
-    a float64 or bool array ``{"dtype", "array"}``; lists, tuples and scalars
-    pass through."""
+    a float64 or bool array ``{"dtype", "array"}``; lists and scalars pass
+    through."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.name not in _ARRAY_DTYPES:
             raise TypeError(f"cannot save a {obj.dtype} array")
@@ -615,7 +621,7 @@ def _to_doc(obj):
     if is_dataclass(obj):
         return {"type": type(obj).__name__,
                 **{f.name: _to_doc(getattr(obj, f.name)) for f in fields(obj)}}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_to_doc(v) for v in obj]
     return obj
 

@@ -12,10 +12,13 @@ from organmatch.baselines import (
     CLUSTERERS,
     PAIR_KINDS,
     PREDICTORS,
+    RIDGE_PENALTY,
     BaselineSpec,
     ClusterPredictorBaseline,
     DonorClusterer,
     _enet_cd,
+    _fit_ridge_heads,
+    _linear_predictor,
     _ridge_solve,
     check_input_widths,
     fit_cluster_predictor,
@@ -134,7 +137,7 @@ def test_a_donor_nearest_an_inactive_cluster_gets_the_best_active_label(kind):
     clusterer = _clusterer_of(kind, centers)
     model = ClusterPredictorBaseline(spec=BaselineSpec(clusterer=kind), clusterer=clusterer,
                                      active=np.array([True, False, True]),
-                                     linear_heads=[None] * 3)
+                                     predictor=_linear_predictor([(np.zeros(3), 0.0)] * 3))
     donors = np.array([[3.5, 0.0], [5.5, 0.0], [0.5, 1.0], [9.0, -1.0]])
     scores = clusterer.scores(donors)
     np.testing.assert_array_equal(np.argmax(scores, axis=1), [1, 1, 0, 2])
@@ -242,6 +245,24 @@ def test_cluster_predictor_masks_a_cluster_below_the_size_threshold():
     row = metrics.comparison_row(spec.name, preds, labels, outcomes, best_types=best)
     assert row["mean_best_prediction"] == float(np.mean(np.where(model.active, preds,
                                                                  -np.inf).max(axis=1)))
+
+
+@pytest.mark.parametrize("rows", [1, ROW_BLOCK + 1, 50_000])
+def test_a_linear_head_predicts_x_at_w_plus_b_bit_for_bit(rows):
+    # cluster 1 holds one training donor, so its head predicts the training mean
+    rng = rng_stream(rows, "linear-head")
+    recipients, outcomes = rng.normal(size=(40, 3)), rng.normal(500.0, 100.0, size=40)
+    labels = np.where(np.arange(40) < 20, 0, 2)
+    labels[0] = 1
+    with pytest.warns(UserWarning, match="cluster 1 empty or singleton"):
+        predictor = _fit_ridge_heads(recipients, outcomes, labels, 3)
+    x = rng.normal(size=(rows, 3))
+    preds = matchrep.predict_heads(None, predictor, x)
+    for c in (0, 2):
+        members = np.nonzero(labels == c)[0]
+        w, b = _ridge_solve(recipients[members], outcomes[members], RIDGE_PENALTY)
+        assert preds[:, c].tobytes() == (x @ w + b).tobytes()
+    assert preds[:, 1].tobytes() == np.full(rows, float(outcomes.mean())).tobytes()
 
 
 def test_cluster_predictor_deterministic():
@@ -387,8 +408,8 @@ def test_reg_nn_is_built_at_the_config_width(hidden):
     recipients, donors, outcomes, _ = _linear_pairs(n=60)
     config = TrainConfig(hidden=hidden, joint_epochs=1)
     model = fit_pair_regressor(recipients, donors, outcomes, "reg-nn", config=config)
-    assert [layer.weight.shape for layer in model.net.layers] == [(5, hidden), (hidden, hidden),
-                                                                 (hidden, 1)]
+    assert [layer.weight.shape for layer in model.predictor.heads[0].layers] == [
+        (5, hidden), (hidden, hidden), (hidden, 1)]
 
 
 def test_unknown_pair_kind_rejected():

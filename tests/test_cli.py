@@ -240,6 +240,40 @@ def test_train_invalid_config_value_is_config_error(workdir, data_dir, body):
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("body", [{"beta": float("nan")}, {"alpha": float("inf")},
+                                  {"learning_rate": -1.0}, {"learning_rate": 0.0},
+                                  {"joint_epochs": -3}, {"pretrain_epochs": -1},
+                                  {"dec_min_epochs": -1}],
+                         ids=lambda body: "{}={}".format(*next(iter(body.items()))))
+def test_train_non_finite_or_out_of_range_config_is_config_error(workdir, data_dir, body,
+                                                                 capsys):
+    # json writes NaN and Infinity, and reads them back
+    path = workdir / "out_of_range_config.json"
+    path.write_text(json.dumps({**TRAIN_CONFIG, "pretrain_epochs": 1, "joint_epochs": 1, **body}))
+    out = workdir / "out_of_range"
+    assert main(["train", "--data", str(data_dir), "--config", str(path), "--baselines", "",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("baselines, pair_regressors", [
+    ("kmeans/linear-per-head, kmeans/linear-per-head", ""),
+    ("", "ridge,ridge"),
+    ("kmeans/linear-per-head,kmeans/linear-per-head", "ridge,ridge"),
+])
+def test_train_name_listed_twice_is_config_error(workdir, data_dir, baselines, pair_regressors,
+                                                 capsys):
+    path = workdir / "repeated_names_config.json"
+    path.write_text(json.dumps(TRAIN_CONFIG))
+    out = workdir / "repeated_names"
+    assert main(["train", "--data", str(data_dir), "--config", str(path),
+                 "--baselines", baselines, "--pair-regressors", pair_regressors,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_non_finite_feature_is_data_error(workdir, data_dir):
     nan_data = workdir / "nan_data"
     nan_data.mkdir()
@@ -367,7 +401,7 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
-                   "v4-file", "invalid-config", "v5-file")
+                   "v4-file", "invalid-config", "v5-file", "v6-file")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -401,7 +435,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "infinite-outcome-scale": json.dumps(inf_scale),
             "v4-file": json.dumps(v4),
             "invalid-config": json.dumps(invalid_config),
-            "v5-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v5")}[case]
+            "v5-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v5"),
+            "v6-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v6")}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)
@@ -425,13 +460,17 @@ def _em_below_variance_floor(model):
         variances={"dtype": "float64", "array": [[numkit.VAR_FLOOR / 2] * d] * k})
 
 
+def _first_weight(model):
+    """The rows of the first head's weight of a baseline or pair regressor ``model``."""
+    return model["predictor"]["heads"][0]["layers"][0]["weight"]["array"]
+
+
 BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
-    "pair-weight": ("pair_ridge.json", lambda model: model["weights"]["array"].pop()),
-    "linear-head-weight": (LINEAR_BASELINE,
-                           lambda model: model["linear_heads"][0][0]["array"].pop()),
-    "dropped-linear-head": (LINEAR_BASELINE, lambda model: model["linear_heads"].pop()),
+    "pair-weight": ("pair_ridge.json", lambda model: _first_weight(model).pop()),
+    "linear-head-weight": (LINEAR_BASELINE, lambda model: _first_weight(model).pop()),
+    "dropped-linear-head": (LINEAR_BASELINE, lambda model: model["predictor"]["heads"].pop()),
     "null-centers": (LINEAR_BASELINE, lambda model: model["clusterer"].update(centers=None)),
-    "null-linear-heads": (LINEAR_BASELINE, lambda model: model.update(linear_heads=None)),
+    "null-linear-heads": (LINEAR_BASELINE, lambda model: model.update(predictor=None)),
     "tree-feature-999": ("pair_reg-tree.json", lambda model: model["tree"].update(feature=999)),
     "tree-right-null": ("pair_reg-tree.json", lambda model: model["tree"].update(right=None)),
     "linear-rep-spec": (LINEAR_BASELINE, lambda model: model["spec"].update(with_rep=True)),
