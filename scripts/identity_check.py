@@ -6,11 +6,12 @@ Each tree writes the 5,000-row synthetic preset with ``write_csv`` and
 that ``load_csv``, ``attach_ground_truth_csv`` and
 ``normalize_fit_transform`` read back from them. Each tree then trains
 ``matchrep.train_joint``, the ``kmeans/multihead-nn``,
-``kmeans/linear-per-head``, ``em/linear-per-head`` and
-``dec/linear-per-head`` baselines and a pair regressor of every kind in
-``baselines.PAIR_KINDS`` on the preset and compares, byte for byte, every
-parameter, every training-log value, the held-out predictions and donor
-labels, the ``active`` mask and any training error. Then each tree runs
+``kmeans/multihead-nn+rep``, ``kmeans/linear-per-head``,
+``em/linear-per-head`` and ``dec/linear-per-head`` baselines and a pair
+regressor of every kind in ``baselines.PAIR_KINDS`` on the preset and
+compares, byte for byte, every parameter, every training-log value, the
+held-out predictions and donor labels, the ``active`` mask and any
+training error. Then each tree runs
 all seven allocation policies on the preset's donor stream (the seed is
 the stream seed) with the joint model it trained, and the ledger CSV and
 ``summary()`` of every policy are compared byte for byte. The same is
@@ -28,8 +29,8 @@ cells of its tables are compared:
 Each tree runs in its own child process with BLAS pinned to one thread.
 Both children run this script's code, so the other tree must offer every
 library call it makes; each baseline is built with the keyword form
-``BaselineSpec(clusterer=..., predictor=..., train=...)``, which every tree
-accepts.
+``BaselineSpec(clusterer=..., predictor=..., with_rep=..., train=...)``,
+which every tree accepts.
 Prints one line per seed, model and part for the arrays both trees have,
 then the arrays present in only one tree (say, a config field one of them
 lacks) on lines of their own, and exits 1 if any array differs or is
@@ -54,8 +55,8 @@ import numpy as np
 HERE = Path(__file__).resolve()
 THIS_SRC = HERE.parent.parent / "src"
 # trained before a pair regressor of each kind in baselines.PAIR_KINDS
-MODELS = ("joint", "kmeans/multihead-nn", "kmeans/linear-per-head", "em/linear-per-head",
-          "dec/linear-per-head")
+MODELS = ("joint", "kmeans/multihead-nn", "kmeans/multihead-nn+rep", "kmeans/linear-per-head",
+          "em/linear-per-head", "dec/linear-per-head")
 SCALE_N = 50_000  # rows of the preset that the at-scale stage writes, reads and simulates
 
 
@@ -88,8 +89,10 @@ def _fit(name, matchrep, baselines, train, val, seed):
                                              name, config=config)
         return model, {"params": dict(_leaves(model, "model")),
                        "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
-    clusterer, predictor = name.split("/")
-    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor, train=config)
+    base, _, rep = name.partition("+")
+    clusterer, predictor = base.split("/")
+    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor,
+                                  with_rep=rep == "rep", train=config)
     model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
     return model, {"params": dict(_leaves(model, "model")),
                    "preds": {"": model.predict_potentials(val.recipients)},

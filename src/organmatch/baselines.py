@@ -25,12 +25,9 @@ from .numkit import (
     DenseNet,
     Layer,
     gmm_em_fit,
-    init_dense_net,
     kmeans_fit,
     map_row_blocks,
     minibatches,
-    mlp_backward,
-    mlp_forward,
     rng_stream,
 )
 
@@ -204,17 +201,16 @@ def _fit_ridge_heads(recipients, outcomes, labels, k) -> MultiHeadPredictor:
     return _linear_predictor(fits)
 
 
-def _fit_nn_heads(recipients, outcomes, labels, spec: BaselineSpec):
-    cfg = spec.train
-    phi, predictor, opt = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg,
-                                                  "baselines")
-    rng = rng_stream(cfg.seed, "baselines", "nn-batches")
-    beta = cfg.beta if spec.with_rep else 0.0
+def _fit_heads(phi, predictor, opt, x, outcomes, labels, beta, cfg: TrainConfig, batches: str):
+    """Train Phi (None: the heads read ``x`` itself) and the heads by
+    ``cfg.joint_epochs`` epochs of ``matchrep.phi_heads_step`` on L_f +
+    beta*L_Phi for the fixed ``labels``, the minibatches drawn from the
+    stream ``baselines/<batches>``."""
+    rng = rng_stream(cfg.seed, "baselines", batches)
     for _ in range(cfg.joint_epochs):
         for idx in minibatches(len(outcomes), cfg.batch_size, rng):
-            matchrep.phi_heads_step(phi, predictor, opt, recipients[idx], outcomes[idx],
-                                    labels[idx], beta, cfg)
-    return phi, predictor
+            matchrep.phi_heads_step(phi, predictor, opt, x[idx], outcomes[idx], labels[idx],
+                                    beta, cfg)
 
 
 def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
@@ -225,7 +221,11 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
     if spec.predictor == "linear-per-head":
         phi, predictor = None, _fit_ridge_heads(recipients, outcomes, labels, spec.train.k)
     else:
-        phi, predictor = _fit_nn_heads(recipients, outcomes, labels, spec)
+        cfg = spec.train
+        phi, predictor, opt = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg,
+                                                      "baselines")
+        _fit_heads(phi, predictor, opt, recipients, outcomes, labels,
+                   cfg.beta if spec.with_rep else 0.0, cfg, "nn-batches")
     return ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
                                     active=matchrep.active_clusters(labels, spec.train),
                                     predictor=predictor, phi=phi)
@@ -372,31 +372,6 @@ class PairRegressor:
         return matchrep.predict_heads(None, self.predictor, pairs)[:, 0]
 
 
-def reg_nn_loss_and_grads(net: DenseNet, pairs: np.ndarray, target: np.ndarray):
-    """The mean squared error of ``net`` on the standardized ``target``;
-    returns (loss, grads) with grads ordered like ``net.parameters()``."""
-    out, cache = mlp_forward(net, pairs)
-    err = out[:, 0] - target
-    grads, _ = mlp_backward(net, cache, (2.0 / len(target)) * err[:, None])
-    return float(np.mean(err * err)), grads
-
-
-def _fit_reg_nn(pairs: np.ndarray, outcomes: np.ndarray,
-                config: TrainConfig) -> MultiHeadPredictor:
-    h = config.hidden
-    net = init_dense_net([pairs.shape[1], h, h, 1], ["relu", "relu", "identity"],
-                         rng_stream(config.seed, "baselines", "regnn-init"))
-    mean = float(outcomes.mean())
-    scale = float(max(outcomes.std(), 1.0))
-    target = (outcomes - mean) / scale
-    opt = Adam([net], config.learning_rate, "reg-nn")
-    rng = rng_stream(config.seed, "baselines", "regnn-batches")
-    for _ in range(config.joint_epochs):
-        for idx in minibatches(len(outcomes), config.batch_size, rng):
-            opt.step(*reg_nn_loss_and_grads(net, pairs[idx], target[idx]))
-    return MultiHeadPredictor(heads=[net], outcome_mean=mean, outcome_scale=scale)
-
-
 def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
                        kind: str, config: TrainConfig | None = None) -> PairRegressor:
     """Fit a direct (recipient, donor) -> outcome regressor."""
@@ -407,9 +382,13 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
     if kind == "reg-tree":
         tree = _grow_tree(pairs, outcomes, 0, TREE_MAX_DEPTH, TREE_MIN_LEAF)
         return PairRegressor(kind=kind, tree=tree)
-    if kind == "reg-nn":
-        return PairRegressor(kind=kind, predictor=_fit_reg_nn(pairs, outcomes,
-                                                              config or TrainConfig()))
+    if kind == "reg-nn":  # one head over the pairs, the only donor type of a Phi-less model
+        config = config or TrainConfig()
+        predictor = matchrep.init_heads(pairs.shape[1], 1, outcomes, config.hidden,
+                                        rng_stream(config.seed, "baselines", "regnn-init"))
+        _fit_heads(None, predictor, Adam(predictor.heads, config.learning_rate, "reg-nn"), pairs,
+                   outcomes, np.zeros(len(outcomes), dtype=int), 0.0, config, "regnn-batches")
+        return PairRegressor(kind=kind, predictor=predictor)
     if kind == "ridge":
         fit = _ridge_solve(pairs, outcomes, PAIR_PENALTY)
     else:  # the lasso is the elastic net at an l1 ratio of 1

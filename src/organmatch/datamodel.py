@@ -69,6 +69,11 @@ class Normalization:
     donor_mean: np.ndarray
     donor_scale: np.ndarray
 
+    def __post_init__(self):
+        if not (all(np.isfinite(stat).all() for stat in vars(self).values())
+                and (self.recipient_scale > 0).all() and (self.donor_scale > 0).all()):
+            raise IngestionError("normalization statistics must be finite, their scales positive")
+
 
 @dataclass
 class Dataset:

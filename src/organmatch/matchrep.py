@@ -294,23 +294,25 @@ def factual_loss_and_grads(predictor: MultiHeadPredictor, xprime: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def phi_heads_loss_and_grads(phi: DenseNet, predictor: MultiHeadPredictor,
+def phi_heads_loss_and_grads(phi: DenseNet | None, predictor: MultiHeadPredictor,
                              recipients: np.ndarray, outcomes: np.ndarray,
                              labels: np.ndarray, beta: float, k: int,
                              min_cluster_count: int = 8):
     """L_f + beta*L_Phi for fixed 0-based donor-type labels.
 
-    The L_Phi term is skipped, and reported as 0.0, when ``beta == 0``.
-    Returns (L_f, L_Phi, grads) with grads ordered like ``phi.parameters()``
-    followed by each head's ``parameters()``.
+    The heads read Phi's output of the rows ``recipients``, or the rows
+    themselves when ``phi`` is None (as ``predict_heads`` does). The L_Phi
+    term is skipped, and reported as 0.0, when ``beta == 0``. Returns
+    (L_f, L_Phi, grads) with grads ordered like ``phi.parameters()`` (none
+    without Phi) followed by each head's ``parameters()``.
     """
-    xprime, cache = mlp_forward(phi, recipients)
+    xprime, cache = (recipients, None) if phi is None else mlp_forward(phi, recipients)
     l_f, head_grads, d_xprime = factual_loss_and_grads(predictor, xprime, outcomes, labels)
     l_rep = 0.0
     if beta != 0.0:
         l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, k, min_cluster_count)
         d_xprime = d_xprime + beta * d_xp_rep
-    grads, _ = mlp_backward(phi, cache, d_xprime)
+    grads = [] if phi is None else mlp_backward(phi, cache, d_xprime)[0]
     for hg in head_grads:
         grads.extend(hg)
     return l_f, l_rep, grads
@@ -462,6 +464,17 @@ class _DecRefinement:
             self.active = False
 
 
+def init_heads(width: int, n_heads: int, outcomes: np.ndarray, hidden: int,
+               rng: np.random.Generator) -> MultiHeadPredictor:
+    """``n_heads`` Glorot-initialised ``[width, hidden, hidden, 1]`` heads,
+    drawn from ``rng`` in turn, predicting in units of the ``outcomes``'
+    mean and standard deviation (at least one day)."""
+    heads = [init_dense_net([width, hidden, hidden, 1], ["relu", "relu", "identity"], rng)
+             for _ in range(n_heads)]
+    return MultiHeadPredictor(heads=heads, outcome_mean=float(outcomes.mean()),
+                              outcome_scale=float(max(outcomes.std(), 1.0)))
+
+
 def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
                    namespace: str) -> tuple[DenseNet, MultiHeadPredictor, Adam]:
     """Glorot-initialised recipient encoder Phi and K heads, and the Adam
@@ -473,19 +486,12 @@ def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
     phi = init_dense_net([d_r, config.hidden, config.hidden, config.rep_dim],
                          ["relu", "relu", "identity"],
                          rng_stream(config.seed, namespace, "phi-init"))
-    head_rng = rng_stream(config.seed, namespace, "heads-init")
-    heads = [init_dense_net([config.rep_dim, config.hidden, config.hidden, 1],
-                            ["relu", "relu", "identity"], head_rng)
-             for _ in range(config.k)]
-    predictor = MultiHeadPredictor(
-        heads=heads,
-        outcome_mean=float(outcomes.mean()),
-        outcome_scale=float(max(outcomes.std(), 1.0)),
-    )
-    return phi, predictor, Adam([phi, *heads], config.learning_rate, "Phi/heads")
+    predictor = init_heads(config.rep_dim, config.k, outcomes, config.hidden,
+                           rng_stream(config.seed, namespace, "heads-init"))
+    return phi, predictor, Adam([phi, *predictor.heads], config.learning_rate, "Phi/heads")
 
 
-def phi_heads_step(phi: DenseNet, predictor: MultiHeadPredictor, opt: Adam,
+def phi_heads_step(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam,
                    recipients: np.ndarray, outcomes: np.ndarray, labels: np.ndarray,
                    beta: float, config: TrainConfig) -> tuple[float, float]:
     """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi)."""

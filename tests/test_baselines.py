@@ -25,7 +25,6 @@ from organmatch.baselines import (
     fit_pair_regressor,
     load_cluster_predictor,
     load_pair_regressor,
-    reg_nn_loss_and_grads,
     save_cluster_predictor,
     save_pair_regressor,
 )
@@ -384,23 +383,6 @@ def test_reg_nn_beats_mean_predictor():
                                config=TrainConfig(joint_epochs=60, batch_size=64))
     preds = model.predict(np.hstack([recipients, donors]))
     assert float(np.mean((preds - outcomes) ** 2)) < 0.2 * float(np.var(outcomes))
-
-
-def test_reg_nn_loss_gradients_match_finite_differences():
-    rng = rng_stream(4, "regnn-fd")
-    pairs = rng.normal(size=(16, 5))
-    target = rng.normal(size=16)
-    net = numkit.init_dense_net([5, 6, 6, 1], ["tanh", "tanh", "identity"],
-                                rng_stream(5, "regnn-fd-init"))
-    live = net.parameters()
-
-    def fn(params):
-        for dst, src in zip(live, params):
-            dst[:] = src
-        return reg_nn_loss_and_grads(net, pairs, target)
-
-    report = numkit.finite_diff_check(fn, [p.copy() for p in live], tol=1e-4)
-    assert report.passed, report.max_rel_error
 
 
 @pytest.mark.parametrize("hidden", [8, 32])

@@ -401,7 +401,8 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
-                   "v4-file", "invalid-config", "v5-file", "v6-file")
+                   "v4-file", "invalid-config", "v5-file", "v6-file", "nan-normalization",
+                   "zero-scale")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -410,6 +411,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     short_bias, missing_head, short_scale = json.loads(text), json.loads(text), json.loads(text)
     nan_weight, inf_scale = json.loads(text), json.loads(text)
     v4, invalid_config = json.loads(text), json.loads(text)
+    nan_norm, zero_scale = json.loads(text), json.loads(text)
     del no_phi["model"]["phi"]
     no_norm["normalization"] = None
     int_encoder["model"]["phi"] = 5
@@ -421,6 +423,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     v4["format"] = "organmatch-model-v4"  # whose TrainConfig still had dec_lr
     v4["model"]["config"]["dec_lr"] = 1.0
     invalid_config["model"]["config"]["k"] = 1
+    nan_norm["normalization"]["recipient_mean"][0] = float("nan")
+    zero_scale["normalization"]["donor_scale"][0] = 0.0
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
@@ -436,7 +440,9 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "v4-file": json.dumps(v4),
             "invalid-config": json.dumps(invalid_config),
             "v5-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v5"),
-            "v6-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v6")}[case]
+            "v6-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v6"),
+            "nan-normalization": json.dumps(nan_norm),
+            "zero-scale": json.dumps(zero_scale)}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)

@@ -113,6 +113,16 @@ def test_apply_normalization_round_trips_through_dict():
     np.testing.assert_allclose(again.donors, normed.donors)
 
 
+@pytest.mark.parametrize("name, value", [("recipient_mean", np.nan), ("donor_mean", np.inf),
+                                         ("recipient_scale", -1.0), ("donor_scale", 0.0)])
+def test_normalization_from_dict_refuses_bad_statistics(name, value):
+    ds = make_dataset(n=30)
+    doc = normalization_to_dict(normalize_fit_transform(ds, split(ds, seed=0)).normalization)
+    doc[name][0] = value
+    with pytest.raises(IngestionError):
+        normalization_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------

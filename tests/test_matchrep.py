@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,20 +347,24 @@ def test_dec_refine_loss_is_the_batch_dec_loss():
     assert l_dec == dec_loss_and_grads(embeds, dm.centers, p_rows)[0]
 
 
-@pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_phi_heads_loss_gradients_match_finite_differences(beta):
+@pytest.mark.parametrize("beta, with_phi", [(0.0, True), (1.0, True), (0.0, False)],
+                         ids=["0.0", "1.0", "phi-less"])
+def test_phi_heads_loss_gradients_match_finite_differences(beta, with_phi):
     model = _tiny_model()
-    phi, predictor = model.phi, model.predictor
     rng = rng_stream(10, "phi-heads-fd")
     recipients = rng.normal(size=(16, 3))
     outcomes = rng.uniform(100, 900, size=16)
-    labels = np.repeat([0, 1], 8)
-    live = [p for net in (phi, *predictor.heads) for p in net.parameters()]
+    if with_phi:
+        phi, predictor, labels, k = model.phi, model.predictor, np.repeat([0, 1], 8), 2
+    else:  # reg-nn's loss: one head over the rows themselves, every row of type 0
+        predictor = replace(model.predictor, heads=model.predictor.heads[:1])
+        phi, labels, k = None, np.zeros(16, dtype=int), 1
+    live = [p for net in ([phi] if phi else []) + predictor.heads for p in net.parameters()]
 
     def fn(params):
         _set_params(live, params)
         l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, recipients, outcomes,
-                                                     labels, beta, k=2, min_cluster_count=2)
+                                                     labels, beta, k=k, min_cluster_count=2)
         assert (l_rep == 0.0) == (beta == 0.0)
         return l_f + beta * l_rep, grads
 
