@@ -4,8 +4,9 @@
 Per seed, trains the joint model at each invariance weight beta and the
 ``kmeans``/``em`` multi-head baselines once (beta does not enter them),
 and scores each on the held-out split with ``metrics.comparison_row``,
-``organmatch eval``'s scorer, plus ARI against the coarsened generative
-types and, for the joint model, the held-out representation divergence.
+``organmatch eval``'s scorer, plus its number of active clusters, ARI
+against the coarsened generative types and, for the joint model, the
+held-out representation divergence.
 A fit that diverges or kills a cluster gives a row with its ``error`` and
 empty metric cells. Prints one CSV table to stdout:
 
@@ -24,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import adjusted_rand  # noqa: E402
 
 FIELDS = ["seed", "beta", "model", "eps_f", "eps_wmse", "aodt", "mean_best_prediction",
-          "n", "ari_coarse", "rep_kl_heldout", "error"]
+          "n", "n_active", "ari_coarse", "rep_kl_heldout", "error"]
 BASELINES = ("kmeans/multihead-nn", "em/multihead-nn")
 
 
@@ -34,24 +35,21 @@ def fit_and_score(name, config, train, val, normed, coarse) -> dict:
     of ``normed`` against the ``coarse`` truth."""
     if name == "matchrep":
         model, _ = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
-        preds = matchrep.predict_potential_batch(model, val.recipients)
-        labels, _ = matchrep.donor_type_batch(model, val.donors)
-        all_labels, _ = matchrep.donor_type_batch(model, normed.donors)
+    else:
+        model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes,
+                                                baselines.BaselineSpec.from_name(name, config))
+    preds = model.predict_potentials(val.recipients)
+    labels = model.donor_labels(val.donors)
+    row = {**metrics.comparison_row(name, preds, labels, val.outcomes, val.true_potentials,
+                                    val.true_donor_type, matchrep.best_donor_types(model, preds)),
+           "n_active": int(model.active.sum()),
+           "ari_coarse": adjusted_rand(model.donor_labels(normed.donors), coarse)}
+    if name == "matchrep":
         xprime = numkit.mlp_predict(model.phi, val.recipients)
         rep_kl, _, used = matchrep.rep_loss_and_grads(xprime, labels, config.k,
                                                       min_cluster_count=2)
-        return {**metrics.comparison_row(name, preds, labels, val.outcomes, val.true_potentials,
-                                         val.true_donor_type,
-                                         matchrep.best_donor_types(model, preds)),
-                "ari_coarse": adjusted_rand(all_labels, coarse),
-                "rep_kl_heldout": rep_kl / max(used, 1)}
-    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes,
-                                            baselines.BaselineSpec.from_name(name, config))
-    preds = model.predict_potentials(val.recipients)
-    return {**metrics.comparison_row(name, preds, model.donor_labels(val.donors), val.outcomes,
-                                     val.true_potentials, val.true_donor_type,
-                                     matchrep.best_donor_types(model, preds)),
-            "ari_coarse": adjusted_rand(model.donor_labels(normed.donors), coarse)}
+        row["rep_kl_heldout"] = rep_kl / max(used, 1)
+    return row
 
 
 def run_seed(seed: int, betas: list[float], n: int) -> list[dict]:

@@ -4,6 +4,8 @@ Cluster-predictor baselines first cluster donors (k-means, EM, or standalone
 DEC) and freeze the labels, then fit one outcome predictor per cluster —
 either a closed-form ridge-regularized linear head or a multi-head neural
 network (optionally with the distribution-matching representation term).
+Each is a ``matchrep.MatchRepModel``, the joint model's type, fitted one
+part after another.
 Pair regressors skip clustering entirely and regress the outcome on the
 concatenated (recipient, donor) feature vector. Every fitted head but the
 regression tree is a DenseNet in a ``matchrep.MultiHeadPredictor``, read by
@@ -19,14 +21,13 @@ import numpy as np
 
 from . import matchrep, numkit
 from .datamodel import ConfigError, IngestionError
-from .matchrep import MultiHeadPredictor, TrainConfig
+from .matchrep import DonorClusterer, MatchRepModel, MultiHeadPredictor, TrainConfig
 from .numkit import (
     Adam,
     DenseNet,
     Layer,
     gmm_em_fit,
     kmeans_fit,
-    map_row_blocks,
     minibatches,
     rng_stream,
 )
@@ -80,40 +81,6 @@ class BaselineSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DonorClusterer:
-    kind: str
-    k: int
-    centers: np.ndarray | None = None  # kmeans centers, em means
-    weights: np.ndarray | None = None  # em
-    variances: np.ndarray | None = None  # em
-    donor_map: "matchrep.DonorTypeMap | None" = None  # dec
-
-    def __post_init__(self):
-        k, dm, shape = self.k, self.donor_map, np.shape(self.centers)
-        fits = {"kmeans": len(shape) == 2 and shape[0] == k,
-                "em": (len(shape) == 2 and shape[0] == k and np.shape(self.weights) == (k,)
-                       and np.shape(self.variances) == shape),
-                "dec": dm is not None and np.shape(dm.centers) == (k, dm.encoder.output_dim)}
-        if k < 1 or not fits.get(self.kind):
-            raise ValueError(f"a {self.kind!r} clusterer's fitted fields do not fit k={k}")
-        if self.kind == "em" and np.any(self.variances < numkit.VAR_FLOOR * (1 - 1e-12)):
-            raise ValueError("an EM variance is below the floor")
-
-    def scores(self, donors: np.ndarray) -> np.ndarray:
-        """(n, K) donor scores, highest at a donor's cluster: the negative
-        squared distance to each k-means center, each EM component's weighted
-        log-density, or the DEC soft assignment."""
-        donors = np.atleast_2d(np.asarray(donors, dtype=float))
-        if self.kind == "dec":
-            return matchrep._donor_soft_assign(self.donor_map, donors)
-        if self.kind == "kmeans":
-            return map_row_blocks(lambda rows: -np.sum(
-                (rows[:, None, :] - self.centers[None]) ** 2, axis=2), donors)
-        return map_row_blocks(lambda rows: numkit._gmm_log_prob(
-            rows, self.weights, self.centers, self.variances), donors)
-
-
 def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorClusterer:
     k = config.k
     if kind == "kmeans":
@@ -165,30 +132,6 @@ def _linear_predictor(fits) -> MultiHeadPredictor:
         outcome_mean=0.0, outcome_scale=1.0)
 
 
-@dataclass
-class ClusterPredictorBaseline:
-    spec: BaselineSpec
-    clusterer: DonorClusterer
-    active: np.ndarray  # matchrep.active_clusters of the training donors' labels
-    predictor: MultiHeadPredictor  # one head per cluster, over Phi or the recipients
-    phi: DenseNet | None = None  # the multihead-nn predictor's recipient encoder
-
-    def __post_init__(self):
-        k = self.clusterer.k
-        if ((self.phi is None) != (self.spec.predictor == "linear-per-head")
-                or not matchrep._heads_fit(self.phi, self.predictor, k)
-                or self.spec.train.k != k or not matchrep._is_mask(self.active, k)):
-            raise ValueError(f"Phi, the heads, active mask or spec.train.k do not fit "
-                             f"the clusterer's k={k}")
-
-    def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
-        return matchrep.predict_heads(self.phi, self.predictor, np.atleast_2d(recipients))
-
-    def donor_labels(self, donors: np.ndarray) -> np.ndarray:
-        """0-based donor types: the clusterer's best-scoring active cluster."""
-        return matchrep.best_donor_types(self, self.clusterer.scores(donors))
-
-
 def _fit_ridge_heads(recipients, outcomes, labels, k) -> MultiHeadPredictor:
     fits = []
     for c in range(k):
@@ -214,7 +157,7 @@ def _fit_heads(phi, predictor, opt, x, outcomes, labels, beta, cfg: TrainConfig,
 
 
 def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
-                          outcomes: np.ndarray, spec: BaselineSpec) -> ClusterPredictorBaseline:
+                          outcomes: np.ndarray, spec: BaselineSpec) -> MatchRepModel:
     """Fit the donor clusterer, freeze its labels, then fit the predictor."""
     clusterer = fit_clusterer(donors, spec.clusterer, spec.train)
     labels = np.argmax(clusterer.scores(donors), axis=1)
@@ -226,9 +169,8 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
                                                       "baselines")
         _fit_heads(phi, predictor, opt, recipients, outcomes, labels,
                    cfg.beta if spec.with_rep else 0.0, cfg, "nn-batches")
-    return ClusterPredictorBaseline(spec=spec, clusterer=clusterer,
-                                    active=matchrep.active_clusters(labels, spec.train),
-                                    predictor=predictor, phi=phi)
+    return MatchRepModel(name=spec.name, config=spec.train, clusterer=clusterer, phi=phi,
+                         predictor=predictor, active=matchrep.active_clusters(labels, spec.train))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +303,8 @@ class PairRegressor:
 
     def __post_init__(self):
         fitted = self.tree if self.kind == "reg-tree" else self.predictor
-        one_head = self.predictor is None or matchrep._heads_fit(None, self.predictor, 1)
+        one_head = self.predictor is None or (len(self.predictor.heads) == 1
+                                              and self.predictor.input_width() is not None)
         if self.kind not in PAIR_KINDS or fitted is None or not one_head:
             raise ValueError(f"a {self.kind!r} pair regressor lacks its fitted field or head")
 
@@ -402,16 +345,11 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
 # Serialization: matchrep's one model-file codec
 # ---------------------------------------------------------------------------
 
-_MODEL_TYPES = matchrep._MODEL_TYPES + (BaselineSpec, DonorClusterer, ClusterPredictorBaseline,
-                                        TreeNode, PairRegressor)
+_MODEL_TYPES = matchrep._MODEL_TYPES + (TreeNode, PairRegressor)
 
-
-def save_cluster_predictor(model: ClusterPredictorBaseline, path) -> None:
-    matchrep._save(model, path)
-
-
-def load_cluster_predictor(path) -> ClusterPredictorBaseline:
-    return matchrep._load(path, ClusterPredictorBaseline, _MODEL_TYPES)[0]
+# A cluster-predictor baseline is a MatchRepModel, saved with no normalization.
+save_cluster_predictor = matchrep.save_model
+load_cluster_predictor = matchrep.load_model
 
 
 def save_pair_regressor(model: PairRegressor, path) -> None:
@@ -423,18 +361,18 @@ def load_pair_regressor(path) -> PairRegressor:
 
 
 def check_input_widths(model, path, d_r: int, d_o: int) -> None:
-    """Raise IngestionError naming ``path``, the file the baseline or pair
-    regressor ``model`` was read from, unless it takes ``d_r`` recipient and
-    ``d_o`` donor features; a tree, unless it splits on those features only."""
-    if isinstance(model, PairRegressor):
-        features = model.tree.split_features() if model.tree else []
+    """Raise IngestionError naming ``path``, the file the cluster model or
+    pair regressor ``model`` was read from, unless it takes ``d_r`` recipient
+    and ``d_o`` donor features; a tree, unless it splits on those features
+    only."""
+    if isinstance(model, MatchRepModel):
+        got, want = model.input_widths(), (d_r, d_o)
+    elif model.kind == "reg-tree":
+        features = model.tree.split_features()
         if any(not 0 <= f < d_r + d_o for f in features):
             raise IngestionError(f"{path}: split features {features}, the data has {d_r + d_o}")
-        widths = [(model.predictor.heads[0].input_dim, d_r + d_o)] if model.predictor else []
-    else:  # every head reads Phi's output, or the recipients as the first head does
-        c = model.clusterer
-        widths = [((model.phi or model.predictor.heads[0]).input_dim, d_r),
-                  (c.donor_map.encoder.input_dim if c.donor_map else c.centers.shape[1], d_o)]
-    for got, want in widths:
-        if got != want:
-            raise IngestionError(f"{path}: an input of width {got}, the data has {want}")
+        return
+    else:
+        got, want = model.predictor.input_width(), d_r + d_o
+    if got != want:
+        raise IngestionError(f"{path}: input widths {got}, the data has {want}")

@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
                                                  train.outcomes, spec)
         name = spec.name.replace("/", "_")
         path = out / f"baseline_{name}.json"
-        baselines.save_cluster_predictor(bmodel, path)
+        matchrep.save_model(bmodel, path)
         artifacts.append(path)
 
     for kind in pair_kinds:
@@ -217,18 +217,14 @@ def cmd_eval(args) -> int:
                            else np.arange(len(normed)))
     truth = (subset.true_potentials, subset.true_donor_type)
 
-    preds = matchrep.predict_potential_batch(model, subset.recipients)
-    rows = [metrics.comparison_row(
-        "matchrep", preds, matchrep.donor_type_batch(model, subset.donors)[0],
-        subset.outcomes, *truth, best_types=matchrep.best_donor_types(model, preds))]
-
-    for path in sorted(models_dir.glob("baseline_*.json")):
-        bmodel = baselines.load_cluster_predictor(path)
-        baselines.check_input_widths(bmodel, path, subset.d_r, subset.d_o)
-        bpreds = bmodel.predict_potentials(subset.recipients)
+    rows = []
+    for path in (model_path, *sorted(models_dir.glob("baseline_*.json"))):
+        cmodel = model if path == model_path else matchrep.load_model(path)
+        baselines.check_input_widths(cmodel, path, subset.d_r, subset.d_o)
+        preds = cmodel.predict_potentials(subset.recipients)
         rows.append(metrics.comparison_row(
-            bmodel.spec.name, bpreds, bmodel.donor_labels(subset.donors), subset.outcomes,
-            *truth, best_types=matchrep.best_donor_types(bmodel, bpreds)))
+            cmodel.name, preds, cmodel.donor_labels(subset.donors), subset.outcomes, *truth,
+            best_types=matchrep.best_donor_types(cmodel, preds)))
 
     for path in sorted(models_dir.glob("pair_*.json")):
         regressor = baselines.load_pair_regressor(path)

@@ -109,8 +109,46 @@ class DonorTypeMap:
 
 
 @dataclass
+class DonorClusterer:
+    """The donor-type map ``T`` of a cluster model: k-means centers, an EM
+    mixture, or a DEC ``DonorTypeMap`` (the joint model's, or a standalone
+    DEC's)."""
+
+    kind: str
+    k: int
+    centers: np.ndarray | None = None  # kmeans centers, em means
+    weights: np.ndarray | None = None  # em
+    variances: np.ndarray | None = None  # em
+    donor_map: DonorTypeMap | None = None  # dec
+
+    def __post_init__(self):
+        k, dm, shape = self.k, self.donor_map, np.shape(self.centers)
+        fits = {"kmeans": len(shape) == 2 and shape[0] == k,
+                "em": (len(shape) == 2 and shape[0] == k and np.shape(self.weights) == (k,)
+                       and np.shape(self.variances) == shape),
+                "dec": dm is not None and np.shape(dm.centers) == (k, dm.encoder.output_dim)}
+        if k < 1 or not fits.get(self.kind):
+            raise ValueError(f"a {self.kind!r} clusterer's fitted fields do not fit k={k}")
+        if self.kind == "em" and np.any(self.variances < numkit.VAR_FLOOR * (1 - 1e-12)):
+            raise ValueError("an EM variance is below the floor")
+
+    def scores(self, donors: np.ndarray) -> np.ndarray:
+        """(n, K) donor scores, highest at a donor's cluster: the negative
+        squared distance to each k-means center, each EM component's weighted
+        log-density, or the DEC soft assignment."""
+        donors = np.atleast_2d(np.asarray(donors, dtype=float))
+        if self.kind == "dec":
+            return _donor_soft_assign(self.donor_map, donors)
+        if self.kind == "kmeans":
+            return map_row_blocks(lambda rows: -np.sum(
+                (rows[:, None, :] - self.centers[None]) ** 2, axis=2), donors)
+        return map_row_blocks(lambda rows: numkit._gmm_log_prob(
+            rows, self.weights, self.centers, self.variances), donors)
+
+
+@dataclass
 class MultiHeadPredictor:
-    """K heads over Phi's output, or over the features for a baseline without Phi.
+    """K heads over Phi's output, or over the features for a model without Phi.
 
     Heads operate in standardized outcome units internally; predictions are
     mapped back to days via (outcome_mean, outcome_scale), 0 and 1 for linear heads.
@@ -120,13 +158,30 @@ class MultiHeadPredictor:
     outcome_mean: float
     outcome_scale: float
 
+    def input_width(self) -> int | None:
+        """The one width that every head reads, each giving one number; None
+        when there is no head, the heads read different widths or one gives
+        other than one number."""
+        widths = {h.input_dim for h in self.heads}
+        if len(widths) != 1 or any(h.output_dim != 1 for h in self.heads):
+            return None
+        return widths.pop()
+
 
 @dataclass
 class MatchRepModel:
-    donor_map: DonorTypeMap
-    phi: DenseNet
-    predictor: MultiHeadPredictor
+    """A cluster model: a donor clusterer ``T``, a recipient encoder ``Phi``
+    (None: the heads read the recipients themselves) and one head per cluster.
+
+    The joint model (``name`` "matchrep") trains the three together; a
+    decoupled baseline (``name`` its spec's) fits them one after another.
+    """
+
+    name: str
     config: TrainConfig
+    clusterer: DonorClusterer
+    phi: DenseNet | None
+    predictor: MultiHeadPredictor
     # The (K,) bool mask of ``active_clusters``. DEC merging can leave a
     # residual cluster holding a handful of points; its head never saw
     # enough data to be meaningful, so assignment is restricted to active
@@ -134,23 +189,27 @@ class MatchRepModel:
     active: np.ndarray
 
     def __post_init__(self):
-        k, dm = self.config.k, self.donor_map
-        if (not _heads_fit(self.phi, self.predictor, k)
-                or np.shape(dm.centers) != (k, dm.encoder.output_dim)
-                or not _is_mask(self.active, k)):
+        k, width = self.config.k, self.predictor.input_width()
+        if (self.clusterer.k != k or len(self.predictor.heads) != k or width is None
+                or (self.phi is not None and width != self.phi.output_dim)
+                or not isinstance(self.active, np.ndarray) or self.active.dtype != bool
+                or self.active.shape != (k,)):
             raise DimensionMismatchError(
-                f"the heads, centers or active mask do not fit {k} donor types")
+                f"the clusterer, heads or active mask do not fit {k} donor types")
 
+    def input_widths(self) -> tuple[int, int]:
+        """The (recipient, donor) feature widths the model reads."""
+        c = self.clusterer
+        return ((self.predictor.input_width() if self.phi is None else self.phi.input_dim),
+                c.donor_map.encoder.input_dim if c.kind == "dec" else c.centers.shape[1])
 
-def _is_mask(active, k: int) -> bool:
-    return isinstance(active, np.ndarray) and active.dtype == bool and active.shape == (k,)
+    def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
+        """(n, K) matrix of predicted survival days, one column per donor type."""
+        return predict_heads(self.phi, self.predictor, np.atleast_2d(recipients))
 
-
-def _heads_fit(phi: DenseNet | None, predictor: MultiHeadPredictor, k: int) -> bool:
-    """Whether ``predictor`` has ``k`` heads from Phi's output (or one width) to one number."""
-    heads = predictor.heads
-    width = phi.output_dim if phi is not None else heads[0].input_dim if heads else 0
-    return len(heads) == k and all((h.input_dim, h.output_dim) == (width, 1) for h in heads)
+    def donor_labels(self, donors: np.ndarray) -> np.ndarray:
+        """0-based donor types: the clusterer's best-scoring active cluster."""
+        return donor_type_batch(self, donors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +603,9 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
         row["dec_active"] = refine.active
         log.append(row)
         refine.end_epoch(epoch)
-    return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config,
+    return MatchRepModel(name="matchrep", config=config,
+                         clusterer=DonorClusterer(kind="dec", k=config.k, donor_map=donor_map),
+                         phi=phi, predictor=predictor,
                          active=active_clusters(refine.labels, config)), log
 
 
@@ -587,21 +648,21 @@ def predict_heads(phi: DenseNet | None, predictor: MultiHeadPredictor,
 
 def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
     """(n, K) matrix of predicted survival days, one column per donor type."""
-    return predict_heads(model.phi, model.predictor, np.atleast_2d(recipients))
+    return model.predict_potentials(recipients)
 
 
-def best_donor_types(model, scores: np.ndarray) -> np.ndarray:
+def best_donor_types(model: MatchRepModel, scores: np.ndarray) -> np.ndarray:
     """0-based column of the highest score in each row of the (n, K)
-    ``scores``, restricted to the ``model``'s active clusters; the model is
-    a ``MatchRepModel`` or a cluster-predictor baseline. Every donor type
-    either one infers, and every best type of its predictions, is this."""
+    ``scores``, restricted to the ``model``'s active clusters. Every donor
+    type a model infers, and every best type of its predictions, is this."""
     return np.argmax(np.where(model.active, scores, -np.inf), axis=1)
 
 
 def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
-    """0-based hard donor-type labels and the soft-assignment matrix."""
-    t = _donor_soft_assign(model.donor_map, np.atleast_2d(donors))
-    return best_donor_types(model, t), t
+    """0-based hard donor-type labels and the clusterer's (n, K) scores (the
+    soft assignment for a DEC clusterer)."""
+    scores = model.clusterer.scores(donors)
+    return best_donor_types(model, scores), scores
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +670,10 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v7"
+MODEL_FORMAT = "organmatch-model-v8"
 _ARRAY_DTYPES = ("float64", "bool")
-# The dataclasses a joint-model file may hold; baselines extends the list.
-_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, MultiHeadPredictor,
+# The dataclasses a cluster-model file may hold; baselines extends the list.
+_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, DonorClusterer, MultiHeadPredictor,
                 MatchRepModel)
 
 
@@ -682,6 +743,8 @@ def _load(path, kind: type, types) -> tuple:
 
 
 def save_model(model: MatchRepModel, path, normalization: dict | None = None) -> None:
+    """Write a cluster model with the feature normalization it was trained
+    on; a baseline is written with none."""
     _save(model, path, normalization=normalization)
 
 
@@ -690,12 +753,12 @@ def load_model(path) -> MatchRepModel:
 
 
 def load_model_and_normalization(path) -> tuple[MatchRepModel, Normalization]:
-    """The joint model and the feature normalization saved with it."""
+    """A cluster model and the feature normalization saved with it."""
     model, doc = _load(path, MatchRepModel, _MODEL_TYPES)
     try:
         norm = normalization_from_dict(doc["normalization"])
-        if (norm.recipient_mean.shape != (model.phi.input_dim,)
-                or norm.donor_mean.shape != (model.donor_map.encoder.input_dim,)):
+        d_r, d_o = model.input_widths()
+        if norm.recipient_mean.shape != (d_r,) or norm.donor_mean.shape != (d_o,):
             raise ValueError("the statistics do not fit the model's input widths")
         return model, norm
     except (KeyError, TypeError, ValueError) as exc:

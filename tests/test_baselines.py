@@ -14,8 +14,6 @@ from organmatch.baselines import (
     PREDICTORS,
     RIDGE_PENALTY,
     BaselineSpec,
-    ClusterPredictorBaseline,
-    DonorClusterer,
     _enet_cd,
     _fit_ridge_heads,
     _linear_predictor,
@@ -29,7 +27,7 @@ from organmatch.baselines import (
     save_pair_regressor,
 )
 from organmatch.datamodel import ConfigError, IngestionError
-from organmatch.matchrep import TrainConfig
+from organmatch.matchrep import DonorClusterer, MatchRepModel, TrainConfig
 from organmatch.numkit import ROW_BLOCK, VAR_FLOOR, DenseNet, Layer, rng_stream
 
 
@@ -134,9 +132,10 @@ def _clusterer_of(kind, centers):
 def test_a_donor_nearest_an_inactive_cluster_gets_the_best_active_label(kind):
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [10.0, 0.0]])
     clusterer = _clusterer_of(kind, centers)
-    model = ClusterPredictorBaseline(spec=BaselineSpec(clusterer=kind), clusterer=clusterer,
-                                     active=np.array([True, False, True]),
-                                     predictor=_linear_predictor([(np.zeros(3), 0.0)] * 3))
+    model = MatchRepModel(name=f"{kind}/linear-per-head", config=TrainConfig(k=3),
+                          clusterer=clusterer, phi=None,
+                          predictor=_linear_predictor([(np.zeros(3), 0.0)] * 3),
+                          active=np.array([True, False, True]))
     donors = np.array([[3.5, 0.0], [5.5, 0.0], [0.5, 1.0], [9.0, -1.0]])
     scores = clusterer.scores(donors)
     np.testing.assert_array_equal(np.argmax(scores, axis=1), [1, 1, 0, 2])
@@ -309,7 +308,7 @@ def test_dec_cluster_predictor_round_trip(tmp_path):
         path = tmp_path / f"dec_{predictor}.json"
         save_cluster_predictor(model, path)
         again = load_cluster_predictor(path)
-        assert again.spec == spec
+        assert (again.name, again.config) == (spec.name, spec.train)
         np.testing.assert_array_equal(again.donor_labels(donors),
                                       model.donor_labels(donors))
         np.testing.assert_array_equal(again.predict_potentials(recipients),
@@ -433,29 +432,26 @@ def test_every_model_kind_predicts_alike_after_save_and_load(kind, seed, n, k, w
     new_r, new_o, _, _ = _two_mode_data(n=50, seed=seed + 1)
     config = TrainConfig(k=k, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=2,
                          joint_epochs=2, batch_size=32, min_cluster_count=4, seed=seed)
-    if kind == "joint":
-        save, load = matchrep.save_model, matchrep.load_model
-        model, _ = matchrep.train_joint(recipients, donors, outcomes, config)
-
-        def outputs(m):
-            preds = matchrep.predict_potential_batch(m, new_r)
-            return (preds, matchrep.best_donor_types(m, preds),
-                    *matchrep.donor_type_batch(m, new_o))
-    elif kind in PAIR_KINDS:
+    if kind in PAIR_KINDS:
         save, load = save_pair_regressor, load_pair_regressor
         model = fit_pair_regressor(recipients, donors, outcomes, kind, config=config)
 
         def outputs(m):
             return (m.predict(np.hstack([new_r, new_o])),)
     else:
-        save, load = save_cluster_predictor, load_cluster_predictor
-        clusterer, predictor = kind.split("/")
-        spec = BaselineSpec(clusterer=clusterer, predictor=predictor,
-                            with_rep=with_rep and predictor == "multihead-nn", train=config)
-        model = fit_cluster_predictor(recipients, donors, outcomes, spec)
+        save, load = matchrep.save_model, matchrep.load_model
+        if kind == "joint":
+            model, _ = matchrep.train_joint(recipients, donors, outcomes, config)
+        else:
+            clusterer, predictor = kind.split("/")
+            spec = BaselineSpec(clusterer=clusterer, predictor=predictor,
+                                with_rep=with_rep and predictor == "multihead-nn", train=config)
+            model = fit_cluster_predictor(recipients, donors, outcomes, spec)
 
         def outputs(m):
-            return m.predict_potentials(new_r), m.donor_labels(new_o)
+            preds = m.predict_potentials(new_r)
+            return (preds, matchrep.best_donor_types(m, preds),
+                    *matchrep.donor_type_batch(m, new_o))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "model.json"), Path(tmp, "again.json")
         save(model, first)

@@ -367,7 +367,7 @@ def test_eval_baseline_best_prediction_skips_inactive_heads(workdir, data_dir, m
     normed = datamodel.apply_normalization(datamodel.load_csv(data_dir / "dataset.csv"), norm)
     preds = bmodel.predict_potentials(normed.recipients)
     np.testing.assert_array_equal(bmodel.active, True)
-    active = np.ones(bmodel.spec.train.k, dtype=bool)
+    active = np.ones(bmodel.config.k, dtype=bool)
     active[np.bincount(np.argmax(preds, axis=1)).argmax()] = False
     edited = workdir / "baselines_inactive"
     edited.mkdir()
@@ -398,11 +398,12 @@ def test_eval_missing_model_is_data_error(workdir, data_dir):
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 
+LINEAR_BASELINE = "baseline_kmeans_linear-per-head.json"
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
-                   "v4-file", "invalid-config", "v5-file", "v6-file", "nan-normalization",
-                   "zero-scale")
+                   "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file",
+                   "nan-normalization", "zero-scale", "baseline-file")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -418,7 +419,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     short_bias["model"]["phi"]["layers"][0]["bias"]["array"].pop()
     missing_head["model"]["predictor"]["heads"].pop()
     short_scale["normalization"]["recipient_scale"].pop()
-    nan_weight["model"]["donor_map"]["encoder"]["layers"][0]["weight"]["array"][0][0] = float("nan")
+    encoder = nan_weight["model"]["clusterer"]["donor_map"]["encoder"]
+    encoder["layers"][0]["weight"]["array"][0][0] = float("nan")
     inf_scale["model"]["predictor"]["outcome_scale"] = float("inf")
     v4["format"] = "organmatch-model-v4"  # whose TrainConfig still had dec_lr
     v4["model"]["config"]["dec_lr"] = 1.0
@@ -441,8 +443,11 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "invalid-config": json.dumps(invalid_config),
             "v5-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v5"),
             "v6-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v6"),
+            "v7-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v7"),
             "nan-normalization": json.dumps(nan_norm),
-            "zero-scale": json.dumps(zero_scale)}[case]
+            "zero-scale": json.dumps(zero_scale),
+            # a cluster model like the joint one, saved with no normalization
+            "baseline-file": (models_dir / LINEAR_BASELINE).read_text()}[case]
 
 
 @pytest.mark.parametrize("case", BAD_MODEL_FILES)
@@ -454,13 +459,10 @@ def test_eval_malformed_model_is_data_error(workdir, data_dir, models_dir, case)
                  "--out", str(workdir / "x")]) == EXIT_DATA
 
 
-LINEAR_BASELINE = "baseline_kmeans_linear-per-head.json"
-
-
 def _em_below_variance_floor(model):
     """Make the k-means baseline ``model`` an EM one whose variances are below the floor."""
     k, d = np.shape(model["clusterer"]["centers"]["array"])
-    model["spec"].update(clusterer="em")
+    model["name"] = "em/linear-per-head"
     model["clusterer"].update(
         kind="em", weights={"dtype": "float64", "array": [1.0 / k] * k},
         variances={"dtype": "float64", "array": [[numkit.VAR_FLOOR / 2] * d] * k})
@@ -479,8 +481,7 @@ BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
     "null-linear-heads": (LINEAR_BASELINE, lambda model: model.update(predictor=None)),
     "tree-feature-999": ("pair_reg-tree.json", lambda model: model["tree"].update(feature=999)),
     "tree-right-null": ("pair_reg-tree.json", lambda model: model["tree"].update(right=None)),
-    "linear-rep-spec": (LINEAR_BASELINE, lambda model: model["spec"].update(with_rep=True)),
-    "invalid-train-config": (LINEAR_BASELINE, lambda model: model["spec"]["train"].update(k=1)),
+    "invalid-train-config": (LINEAR_BASELINE, lambda model: model["config"].update(k=1)),
     "float-active": (LINEAR_BASELINE, lambda model: model["active"].update(dtype="float64")),
     "em-variance-below-floor": (LINEAR_BASELINE, _em_below_variance_floor),
 }

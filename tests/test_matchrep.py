@@ -13,6 +13,7 @@ from organmatch import matchrep, numkit
 from organmatch.datamodel import IngestionError
 from organmatch.matchrep import (
     DeadClusterError,
+    DonorClusterer,
     MatchRepModel,
     TrainConfig,
     best_donor_types,
@@ -246,8 +247,9 @@ def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
                                       centers=rng_stream(seed, "t-centers").normal(size=(k, 3)))
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=500.0,
                                             outcome_scale=200.0)
-    return MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor, config=config,
-                         active=np.ones(k, bool))
+    return MatchRepModel(name="matchrep", config=config,
+                         clusterer=DonorClusterer(kind="dec", k=k, donor_map=donor_map),
+                         phi=phi, predictor=predictor, active=np.ones(k, bool))
 
 
 def test_factual_loss_hand_value_linear_head():
@@ -302,7 +304,7 @@ def _set_params(params, values):
 
 def test_recon_loss_gradients_match_finite_differences():
     model = _tiny_model()
-    dm = model.donor_map
+    dm = model.clusterer.donor_map
     x = rng_stream(14, "recon-fd").normal(size=(12, 2))
     live = dm.encoder.parameters() + dm.decoder.parameters()
 
@@ -317,7 +319,7 @@ def test_recon_loss_gradients_match_finite_differences():
 
 def test_dec_refine_loss_gradients_match_finite_differences():
     model = _tiny_model()
-    dm = model.donor_map
+    dm = model.clusterer.donor_map
     rng = rng_stream(16, "dec-refine-fd")
     x = rng.normal(size=(12, 2))
     p_rows = target_distribution(soft_assign(mlp_forward(dm.encoder, x)[0], dm.centers))
@@ -339,7 +341,7 @@ def test_dec_refine_loss_gradients_match_finite_differences():
 
 def test_dec_refine_loss_is_the_batch_dec_loss():
     model = _tiny_model()
-    dm = model.donor_map
+    dm = model.clusterer.donor_map
     x = rng_stream(18, "dec-refine-l").normal(size=(12, 2))
     embeds = mlp_forward(dm.encoder, x)[0]
     p_rows = target_distribution(soft_assign(embeds, dm.centers))
@@ -463,14 +465,14 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     assert epochs[3][1]["encoder"] - frozen_start["encoder"] == 0
     # refinement's reconstruction anchor trains the autoencoder in its own buffer
     assert all(anchor is anchors[0] for anchor in anchors)
-    for net in (model.donor_map.encoder, model.donor_map.decoder):
+    for net in (model.clusterer.donor_map.encoder, model.clusterer.donor_map.decoder):
         assert all(np.shares_memory(p, anchors[0].buffer) for p in net.parameters())
 
     # the logged L_DEC of a frozen epoch is the per-batch evaluation it
     # replaces, and the per-donor mean KL whatever the batch size
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     batches = [list(numkit.minibatches(n, config.batch_size, rng)) for _ in log]
-    enc, centers = model.donor_map.encoder, model.donor_map.centers
+    enc, centers = model.clusterer.donor_map.encoder, model.clusterer.donor_map.centers
     t = soft_assign(mlp_forward(enc, donors)[0], centers)
     p_full = target_distribution(t)
     donor_mean = float(np.sum(matchrep._dec_terms(p_full, np.maximum(t, matchrep.T_CLAMP)))) / n
@@ -513,17 +515,38 @@ def test_train_joint_active_mask_is_the_rule_of_its_labels():
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**SMALL)
     model, _ = train_joint(recipients, donors, outcomes, config)
-    labels = matchrep._hard_labels(model.donor_map, donors)
+    labels = matchrep._hard_labels(model.clusterer.donor_map, donors)
     np.testing.assert_array_equal(model.active, matchrep.active_clusters(labels, config))
 
 
 def test_model_needs_a_bool_mask():
     model = _tiny_model()
-    parts = dict(donor_map=model.donor_map, phi=model.phi, predictor=model.predictor,
-                 config=model.config)
+    parts = dict(name=model.name, config=model.config, clusterer=model.clusterer,
+                 phi=model.phi, predictor=model.predictor)
     for active in (None, np.array([1, 0]), np.ones(3, bool)):
         with pytest.raises(DimensionMismatchError):
             MatchRepModel(**parts, active=active)
+
+
+def _mixed_width_heads(model):
+    heads = [init_dense_net([width, 4, 1], ["tanh", "identity"], rng_stream(width, "mixed"))
+             for width in (3, 4)]
+    return {"phi": None, "predictor": replace(model.predictor, heads=heads)}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda model: {"clusterer": DonorClusterer(kind="kmeans", k=3, centers=np.zeros((3, 2)))},
+    lambda model: {"predictor": replace(model.predictor, heads=model.predictor.heads[:1])},
+    _mixed_width_heads,
+    lambda model: {"active": np.ones(2)},
+], ids=["clusterer-k", "head-count", "mixed-phi-less-widths", "float-mask"])
+def test_model_refuses_parts_that_do_not_fit_its_k(edit):
+    model = _tiny_model()
+    parts = {name: getattr(model, name)
+             for name in ("name", "config", "clusterer", "phi", "predictor", "active")}
+    MatchRepModel(**{**parts, "phi": None})  # Phi-less heads of one width are a model
+    with pytest.raises(DimensionMismatchError):
+        MatchRepModel(**{**parts, **edit(model)})
 
 
 def test_train_joint_deterministic():
@@ -532,7 +555,7 @@ def test_train_joint_deterministic():
     b, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     np.testing.assert_array_equal(predict_potential_batch(a, recipients),
                                   predict_potential_batch(b, recipients))
-    np.testing.assert_array_equal(a.donor_map.centers, b.donor_map.centers)
+    np.testing.assert_array_equal(a.clusterer.donor_map.centers, b.clusterer.donor_map.centers)
 
 
 def test_donor_type_separates_two_modes():
@@ -562,7 +585,7 @@ def test_inactive_cluster_excluded_from_assignment():
 def test_inference_peak_memory_is_a_few_activations(infer):
     hidden = 128
     model = _tiny_model(hidden=hidden)
-    net = model.phi if infer is predict_potential_batch else model.donor_map.encoder
+    net = model.phi if infer is predict_potential_batch else model.clusterer.donor_map.encoder
     for rows in (20_000, 80_000):
         x = rng_stream(3, "peak").normal(size=(rows, net.input_dim))
         infer(model, x)  # first-call allocations are not the pass's
@@ -596,9 +619,9 @@ def test_blocked_inference_equals_one_pass(rows):
     phi = init_dense_net([2, h, h, 8], act, rng)
     heads = [init_dense_net([8, h, h, 1], act, rng) for _ in range(3)]
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=700.0, outcome_scale=250.0)
-    model = MatchRepModel(donor_map=donor_map, phi=phi, predictor=predictor,
-                          config=TrainConfig(k=3, seed=seed),
-                          active=np.array([True, False, True]))
+    model = MatchRepModel(name="matchrep", config=TrainConfig(k=3, seed=seed),
+                          clusterer=DonorClusterer(kind="dec", k=3, donor_map=donor_map),
+                          phi=phi, predictor=predictor, active=np.array([True, False, True]))
     recipients, donors = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 2))
 
     xprime = mlp_forward(phi, recipients)[0]

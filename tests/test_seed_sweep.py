@@ -1,5 +1,6 @@
 """Smoke test of scripts/seed_sweep.py: its columns, its rows against
-``metrics.comparison_row`` and the error row of a failed fit."""
+``metrics.comparison_row`` and the model's active clusters, and the error
+row of a failed fit."""
 
 import csv
 import importlib.util
@@ -57,6 +58,7 @@ def test_rows_are_comparison_rows(sweep, capsys, monkeypatch):
         val.true_potentials, val.true_donor_type, matchrep.best_donor_types(model, preds))
     assert {key: rows[1][key] for key in expected} == {
         key: "" if value is None else str(value) for key, value in expected.items()}
+    assert rows[1]["n_active"] == str(int(model.active.sum()))
 
 
 def test_failed_fit_gives_an_error_row(sweep, capsys, monkeypatch):
