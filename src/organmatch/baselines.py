@@ -1,7 +1,8 @@
 """Comparison models: decoupled clusterer/predictor pairs and pair regressors.
 
 Cluster-predictor baselines first cluster donors (k-means, EM, or standalone
-DEC) and freeze the labels, then fit one outcome predictor per cluster —
+DEC, by ``matchrep.fit_clusterer``) and freeze the labels, then fit one
+outcome predictor per cluster —
 either a closed-form ridge-regularized linear head or a multi-head neural
 network (optionally with the distribution-matching representation term).
 Each is a ``matchrep.MatchRepModel``, the joint model's type, fitted one
@@ -21,18 +22,9 @@ import numpy as np
 
 from . import matchrep, numkit
 from .datamodel import ConfigError, IngestionError
-from .matchrep import DonorClusterer, MatchRepModel, MultiHeadPredictor, TrainConfig
-from .numkit import (
-    Adam,
-    DenseNet,
-    Layer,
-    gmm_em_fit,
-    kmeans_fit,
-    minibatches,
-    rng_stream,
-)
+from .matchrep import MatchRepModel, MultiHeadPredictor, TrainConfig
+from .numkit import Adam, DenseNet, Layer, minibatches, rng_stream
 
-CLUSTERERS = ("kmeans", "em", "dec")
 PREDICTORS = ("linear-per-head", "multihead-nn")
 PAIR_KINDS = ("reg-nn", "reg-tree", "lasso", "ridge", "elasticnet")
 
@@ -52,8 +44,8 @@ class BaselineSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.clusterer not in CLUSTERERS:
-            raise ConfigError(f"clusterer must be one of {CLUSTERERS}")
+        if self.clusterer not in matchrep.CLUSTERERS:
+            raise ConfigError(f"clusterer must be one of {matchrep.CLUSTERERS}")
         if self.predictor not in PREDICTORS:
             raise ConfigError(f"predictor must be one of {PREDICTORS}")
         if self.with_rep and self.predictor != "multihead-nn":
@@ -74,28 +66,6 @@ class BaselineSpec:
         if not slash or "/" in predictor or (plus and rep != "rep"):
             raise ConfigError(f"baseline {name!r} must look like 'kmeans/multihead-nn[+rep]'")
         return cls(clusterer=clusterer, predictor=predictor, with_rep=bool(plus), train=train)
-
-
-# ---------------------------------------------------------------------------
-# Donor clusterers (fit on donor features only, then frozen)
-# ---------------------------------------------------------------------------
-
-
-def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorClusterer:
-    k = config.k
-    if kind == "kmeans":
-        centers, _, _ = kmeans_fit(donors, k, rng_stream(config.seed, "baselines", "kmeans"),
-                                   n_init=10)
-        return DonorClusterer(kind=kind, k=k, centers=centers)
-    if kind == "em":
-        weights, means, variances, _, _ = gmm_em_fit(
-            donors, k, rng_stream(config.seed, "baselines", "em"))
-        return DonorClusterer(kind=kind, k=k, centers=means, weights=weights,
-                              variances=variances)
-    if kind == "dec":
-        donor_map = matchrep.train_dec_standalone(donors, config)
-        return DonorClusterer(kind=kind, k=k, donor_map=donor_map)
-    raise ValueError(f"unknown clusterer {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +129,7 @@ def _fit_heads(phi, predictor, opt, x, outcomes, labels, beta, cfg: TrainConfig,
 def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
                           outcomes: np.ndarray, spec: BaselineSpec) -> MatchRepModel:
     """Fit the donor clusterer, freeze its labels, then fit the predictor."""
-    clusterer = fit_clusterer(donors, spec.clusterer, spec.train)
+    clusterer = matchrep.fit_clusterer(donors, spec.clusterer, spec.train)
     labels = np.argmax(clusterer.scores(donors), axis=1)
     if spec.predictor == "linear-per-head":
         phi, predictor = None, _fit_ridge_heads(recipients, outcomes, labels, spec.train.k)

@@ -185,21 +185,40 @@ def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemaConfig:
     """Declares which CSV columns hold recipient/donor features and the outcome.
 
-    ``categorical`` maps a column name to its explicit category list; such
-    columns are one-hot encoded (no data-driven category discovery). Missing
-    numeric values are imputed with the column mean of the remaining rows and
-    flagged with a companion ``<col>__missing`` indicator column; a non-finite
-    numeric cell (``nan``, ``inf``) is an error.
+    Each feature list is nonempty and every column is named once, in one
+    role. ``categorical`` maps a feature column to its explicit list of
+    distinct categories; such columns are one-hot encoded (no data-driven
+    category discovery). Missing numeric values are imputed with the column
+    mean of the remaining rows and flagged with a companion
+    ``<col>__missing`` indicator column; a non-finite numeric cell (``nan``,
+    ``inf``) is an error.
     """
 
     recipient_columns: list[str]
     donor_columns: list[str]
     outcome_column: str
     categorical: dict[str, list[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        try:
+            check_field_kinds(SchemaConfig, vars(self))
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
+        features = self.recipient_columns + self.donor_columns
+        named = features + [self.outcome_column]
+        if not self.recipient_columns or not self.donor_columns or len(set(named)) < len(named):
+            raise ConfigError(f"recipient {self.recipient_columns}, donor {self.donor_columns} "
+                              f"and outcome {self.outcome_column!r} columns: each feature list "
+                              f"must be nonempty and each column named once")
+        for col, cats in self.categorical.items():
+            if not (col in features and _is_kind(cats, list[str]) and cats
+                    and len(set(cats)) == len(cats)):
+                raise ConfigError(f"categorical column {col!r} must be a feature column "
+                                  f"with a nonempty list of distinct categories, not {cats!r}")
 
 
 def _parse_column(cells, col: str, kind: type) -> np.ndarray:
@@ -293,12 +312,13 @@ def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
     """
     header, n, columns = read_columns(path)
     if schema is None:
-        schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
-                              donor_columns=[c for c in header if c.startswith("d_")],
-                              outcome_column="outcome")
-        if not schema.recipient_columns or not schema.donor_columns:
-            raise IngestionError(
-                f"{path} does not look like a generated dataset (r_*/d_*/outcome columns)")
+        try:
+            schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
+                                  donor_columns=[c for c in header if c.startswith("d_")],
+                                  outcome_column="outcome")
+        except ConfigError as exc:
+            raise IngestionError(f"{path} does not look like a generated dataset "
+                                 f"(r_*/d_*/outcome columns): {exc}") from None
     needed = set(schema.recipient_columns) | set(schema.donor_columns) | {schema.outcome_column}
     missing_cols = needed - set(header)
     if missing_cols:

@@ -12,6 +12,10 @@ Three jointly trained parts:
 The combined objective is ``L = L_f + alpha * L_DEC + beta * L_Phi``. All
 gradients are hand-derived and validated against finite differences.
 Learned donor-type labels are 0-based throughout this module.
+
+A ``DonorClusterer`` is the one type of a donor map: the joint model's DEC
+map, and the k-means, EM or standalone DEC map of a decoupled baseline,
+which ``fit_clusterer`` fits. Every cluster model is a ``MatchRepModel``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .numkit import (
     DimensionMismatchError,
     Layer,
     TrainingDivergedError,
+    gmm_em_fit,
     init_dense_net,
     kmeans_fit,
     map_row_blocks,
@@ -101,44 +106,54 @@ class TrainConfig:
             raise ConfigError("min_cluster_frac must be in [0, 1)")
 
 
-@dataclass
-class DonorTypeMap:
-    encoder: DenseNet
-    decoder: DenseNet
-    centers: np.ndarray | None = None  # (K, embed_dim)
+CLUSTERERS = ("kmeans", "em", "dec")
 
 
 @dataclass
 class DonorClusterer:
-    """The donor-type map ``T`` of a cluster model: k-means centers, an EM
-    mixture, or a DEC ``DonorTypeMap`` (the joint model's, or a standalone
+    """The donor-type map ``T`` of a cluster model: K ``centers`` and, by
+    ``kind``, nothing more (k-means), the ``weights`` and ``variances`` of an
+    EM mixture whose means the centers are, or the ``encoder`` of a DEC map
+    whose centers lie in its embedding, with the ``decoder`` of the
+    autoencoder it was pretrained in (the joint model's, or a standalone
     DEC's)."""
 
     kind: str
-    k: int
-    centers: np.ndarray | None = None  # kmeans centers, em means
+    centers: np.ndarray  # (K, width): the donors' width, or the embedding's for dec
     weights: np.ndarray | None = None  # em
     variances: np.ndarray | None = None  # em
-    donor_map: DonorTypeMap | None = None  # dec
+    encoder: DenseNet | None = None  # dec
+    decoder: DenseNet | None = None  # dec
 
     def __post_init__(self):
-        k, dm, shape = self.k, self.donor_map, np.shape(self.centers)
-        fits = {"kmeans": len(shape) == 2 and shape[0] == k,
-                "em": (len(shape) == 2 and shape[0] == k and np.shape(self.weights) == (k,)
-                       and np.shape(self.variances) == shape),
-                "dec": dm is not None and np.shape(dm.centers) == (k, dm.encoder.output_dim)}
-        if k < 1 or not fits.get(self.kind):
-            raise ValueError(f"a {self.kind!r} clusterer's fitted fields do not fit k={k}")
-        if self.kind == "em" and np.any(self.variances < numkit.VAR_FLOOR * (1 - 1e-12)):
+        shape, enc, dec = np.shape(self.centers), self.encoder, self.decoder
+        em = self.kind == "em"
+        fits = (self.kind in CLUSTERERS and len(shape) == 2 and shape[0] >= 1
+                and ((np.shape(self.weights), np.shape(self.variances)) == (shape[:1], shape)
+                     if em else self.weights is None and self.variances is None)
+                and ((enc is not None and dec is not None and shape[1] == enc.output_dim
+                      and (dec.input_dim, dec.output_dim) == (enc.output_dim, enc.input_dim))
+                     if self.kind == "dec" else enc is None and dec is None))
+        if not fits:
+            raise ValueError(f"a {self.kind!r} clusterer's fields do not fit its kind "
+                             f"and its centers of shape {shape}")
+        if em and np.any(self.variances < numkit.VAR_FLOOR * (1 - 1e-12)):
             raise ValueError("an EM variance is below the floor")
+
+    @property
+    def input_dim(self) -> int:
+        """The width of the donor features the clusterer reads."""
+        return self.encoder.input_dim if self.kind == "dec" else self.centers.shape[1]
 
     def scores(self, donors: np.ndarray) -> np.ndarray:
         """(n, K) donor scores, highest at a donor's cluster: the negative
         squared distance to each k-means center, each EM component's weighted
-        log-density, or the DEC soft assignment."""
+        log-density, or the DEC soft assignment of the encoded donors, one
+        block of ``numkit.ROW_BLOCK`` donors at a time."""
         donors = np.atleast_2d(np.asarray(donors, dtype=float))
         if self.kind == "dec":
-            return _donor_soft_assign(self.donor_map, donors)
+            return map_row_blocks(lambda rows: soft_assign(mlp_predict(self.encoder, rows),
+                                                           self.centers), donors)
         if self.kind == "kmeans":
             return map_row_blocks(lambda rows: -np.sum(
                 (rows[:, None, :] - self.centers[None]) ** 2, axis=2), donors)
@@ -190,7 +205,7 @@ class MatchRepModel:
 
     def __post_init__(self):
         k, width = self.config.k, self.predictor.input_width()
-        if (self.clusterer.k != k or len(self.predictor.heads) != k or width is None
+        if (len(self.clusterer.centers) != k or len(self.predictor.heads) != k or width is None
                 or (self.phi is not None and width != self.phi.output_dim)
                 or not isinstance(self.active, np.ndarray) or self.active.dtype != bool
                 or self.active.shape != (k,)):
@@ -199,9 +214,8 @@ class MatchRepModel:
 
     def input_widths(self) -> tuple[int, int]:
         """The (recipient, donor) feature widths the model reads."""
-        c = self.clusterer
         return ((self.predictor.input_width() if self.phi is None else self.phi.input_dim),
-                c.donor_map.encoder.input_dim if c.kind == "dec" else c.centers.shape[1])
+                self.clusterer.input_dim)
 
     def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
         """(n, K) matrix of predicted survival days, one column per donor type."""
@@ -377,28 +391,28 @@ def phi_heads_loss_and_grads(phi: DenseNet | None, predictor: MultiHeadPredictor
     return l_f, l_rep, grads
 
 
-def recon_loss_and_grads(donor_map: DonorTypeMap, x: np.ndarray):
+def recon_loss_and_grads(encoder: DenseNet, decoder: DenseNet, x: np.ndarray):
     """The autoencoder's reconstruction MSE on ``x``; returns (loss, grads)
     with grads ordered like the encoder's then the decoder's parameters."""
-    z, enc_cache = mlp_forward(donor_map.encoder, x)
-    recon, dec_cache = mlp_forward(donor_map.decoder, z)
+    z, enc_cache = mlp_forward(encoder, x)
+    recon, dec_cache = mlp_forward(decoder, z)
     err = recon - x
-    dec_grads, d_z = mlp_backward(donor_map.decoder, dec_cache, 2.0 * err / err.size)
-    enc_grads, _ = mlp_backward(donor_map.encoder, enc_cache, d_z)
+    dec_grads, d_z = mlp_backward(decoder, dec_cache, 2.0 * err / err.size)
+    enc_grads, _ = mlp_backward(encoder, enc_cache, d_z)
     return float(np.mean(err * err)), enc_grads + dec_grads
 
 
-def dec_refine_loss_and_grads(donor_map: DonorTypeMap, x: np.ndarray, p_rows: np.ndarray,
-                              embed_decay: float, batch_share: float):
+def dec_refine_loss_and_grads(encoder: DenseNet, centers: np.ndarray, x: np.ndarray,
+                              p_rows: np.ndarray, embed_decay: float, batch_share: float):
     """The batch L_DEC against the targets ``p_rows``, and the gradients of
     ``L_DEC + embed_decay * (mean ||e||^2 + batch_share * ||C||^2)`` over the
     batch embeddings ``e`` and the centers ``C``, ordered like the encoder's
     parameters followed by the centers."""
-    embeds, cache = mlp_forward(donor_map.encoder, x)
-    loss, d_embeds, d_centers = dec_loss_and_grads(embeds, donor_map.centers, p_rows)
+    embeds, cache = mlp_forward(encoder, x)
+    loss, d_embeds, d_centers = dec_loss_and_grads(embeds, centers, p_rows)
     d_embeds = d_embeds + embed_decay * 2.0 * embeds / embeds.shape[0]
-    d_centers = d_centers + embed_decay * 2.0 * donor_map.centers * batch_share
-    enc_grads, _ = mlp_backward(donor_map.encoder, cache, d_embeds)
+    d_centers = d_centers + embed_decay * 2.0 * centers * batch_share
+    enc_grads, _ = mlp_backward(encoder, cache, d_embeds)
     return loss, enc_grads + [d_centers]
 
 
@@ -408,55 +422,38 @@ def dec_refine_loss_and_grads(donor_map: DonorTypeMap, x: np.ndarray, p_rows: np
 
 
 def pretrain_autoencoder(donors: np.ndarray,
-                         config: TrainConfig) -> tuple[DonorTypeMap, list[float]]:
-    """Reconstruction-MSE pretraining of the donor autoencoder with Adam.
+                         config: TrainConfig) -> tuple[DonorClusterer, list[float]]:
+    """Reconstruction-MSE pretraining of the donor autoencoder with Adam,
+    then k-means of the encoded donors for the K centers.
 
-    Returns the map and the epoch losses."""
+    Returns the DEC clusterer and the epoch losses."""
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
     h, e = config.hidden, config.embed_dim
-    donor_map = DonorTypeMap(
-        encoder=init_dense_net([d_o, h, h, e], ["relu", "relu", "identity"],
-                               rng_stream(config.seed, "matchrep", "enc-init")),
-        decoder=init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
-                               rng_stream(config.seed, "matchrep", "dec-init")))
-    opt = Adam([donor_map.encoder, donor_map.decoder], config.learning_rate, "autoencoder")
+    encoder = init_dense_net([d_o, h, h, e], ["relu", "relu", "identity"],
+                             rng_stream(config.seed, "matchrep", "enc-init"))
+    decoder = init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
+                             rng_stream(config.seed, "matchrep", "dec-init"))
+    opt = Adam([encoder, decoder], config.learning_rate, "autoencoder")
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
     n = donors.shape[0]
     losses = []
     for _ in range(config.pretrain_epochs):
         epoch_loss = 0.0
         for idx in minibatches(n, config.batch_size, rng):
-            loss, grads = recon_loss_and_grads(donor_map, donors[idx])
+            loss, grads = recon_loss_and_grads(encoder, decoder, donors[idx])
             opt.step(loss, grads)
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / n)
-    return donor_map, losses
-
-
-def init_centers(donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """K-means centers of the encoded donors."""
-    embeds = mlp_predict(donor_map.encoder, donors)
-    centers, _, _ = kmeans_fit(embeds, config.k, rng_stream(config.seed, "matchrep", "centers"))
-    donor_map.centers = centers
-    return centers
-
-
-def _donor_soft_assign(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
-    """The soft assignment of the encoded donors to the map's centers, one
-    block of ``numkit.ROW_BLOCK`` donors encoded and assigned at a time."""
-    return map_row_blocks(
-        lambda rows: soft_assign(mlp_predict(donor_map.encoder, rows), donor_map.centers),
-        donors)
-
-
-def _hard_labels(donor_map: DonorTypeMap, donors: np.ndarray) -> np.ndarray:
-    return np.argmax(_donor_soft_assign(donor_map, donors), axis=1)
+    centers, _, _ = kmeans_fit(mlp_predict(encoder, donors), config.k,
+                               rng_stream(config.seed, "matchrep", "centers"))
+    return DonorClusterer("dec", centers, encoder=encoder, decoder=decoder), losses
 
 
 class _DecRefinement:
-    """The donor-map refinement schedule of joint and standalone DEC training.
+    """The refinement schedule of a DEC clusterer, in joint and standalone
+    DEC training.
 
     ``start_epoch`` refreshes the target distribution while refining;
     ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
@@ -471,14 +468,14 @@ class _DecRefinement:
     batch.
     """
 
-    def __init__(self, donor_map: DonorTypeMap, donors: np.ndarray, config: TrainConfig):
-        self.donor_map = donor_map
+    def __init__(self, clusterer: DonorClusterer, donors: np.ndarray, config: TrainConfig):
+        self.clusterer = clusterer
         self.donors = donors
         self.config = config
-        self.anchor = Adam([donor_map.encoder, donor_map.decoder], config.learning_rate,
+        self.anchor = Adam([clusterer.encoder, clusterer.decoder], config.learning_rate,
                            "DEC refinement's reconstruction anchor")
         self.active = config.alpha > 0.0
-        self.soft = _donor_soft_assign(donor_map, donors)
+        self.soft = clusterer.scores(donors)
         self.labels = np.argmax(self.soft, axis=1)
         self.p_full = None
         self.frozen_terms = None  # (n, K) L_DEC terms of the frozen map
@@ -496,13 +493,14 @@ class _DecRefinement:
         frozen map once refinement has stopped)."""
         if not self.active:
             return float(np.sum(self.frozen_terms[idx]))
-        dm, x = self.donor_map, self.donors[idx]
-        self.anchor.step(*recon_loss_and_grads(dm, x))
-        loss, grads = dec_refine_loss_and_grads(dm, x, self.p_full[idx], self.config.embed_decay,
+        c, x = self.clusterer, self.donors[idx]
+        self.anchor.step(*recon_loss_and_grads(c.encoder, c.decoder, x))
+        loss, grads = dec_refine_loss_and_grads(c.encoder, c.centers, x, self.p_full[idx],
+                                                self.config.embed_decay,
                                                 x.shape[0] / len(self.donors))
         if not np.isfinite(loss):
             raise TrainingDivergedError("DEC loss diverged; try a lower alpha")
-        for pm, g in zip(dm.encoder.parameters() + [dm.centers], grads):
+        for pm, g in zip(c.encoder.parameters() + [c.centers], grads):
             pm -= self.config.alpha * g
         return loss
 
@@ -510,12 +508,12 @@ class _DecRefinement:
         """Hard labels of the donors ``idx`` under the current map."""
         if not self.active:
             return self.labels[idx]
-        return _hard_labels(self.donor_map, self.donors[idx])
+        return np.argmax(self.clusterer.scores(self.donors[idx]), axis=1)
 
     def end_epoch(self, epoch: int) -> None:
         if not self.active:
             return
-        self.soft = _donor_soft_assign(self.donor_map, self.donors)
+        self.soft = self.clusterer.scores(self.donors)
         labels = np.argmax(self.soft, axis=1)
         changed = float(np.mean(labels != self.labels))
         self.labels = labels
@@ -580,10 +578,9 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     Returns (model, log) where log has one dict per joint epoch with the
     epoch-mean loss terms.
     """
-    donor_map, _ = pretrain_autoencoder(donors, config)
-    init_centers(donor_map, donors, config)
+    clusterer, _ = pretrain_autoencoder(donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
-    refine = _DecRefinement(donor_map, donors, config)
+    refine = _DecRefinement(clusterer, donors, config)
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     n = len(outcomes)
     log = []
@@ -603,21 +600,19 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
         row["dec_active"] = refine.active
         log.append(row)
         refine.end_epoch(epoch)
-    return MatchRepModel(name="matchrep", config=config,
-                         clusterer=DonorClusterer(kind="dec", k=config.k, donor_map=donor_map),
-                         phi=phi, predictor=predictor,
-                         active=active_clusters(refine.labels, config)), log
+    return MatchRepModel(name="matchrep", config=config, clusterer=clusterer, phi=phi,
+                         predictor=predictor, active=active_clusters(refine.labels, config)), log
 
 
-def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
-    """DEC clustering of donors only (autoencoder pretrain + L_DEC refinement).
+def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorClusterer:
+    """DEC clustering of donors only (autoencoder pretrain, k-means centers,
+    L_DEC refinement).
 
-    Used by the decoupled baselines; follows the same refinement schedule as
-    the joint phase. Returns the trained DonorTypeMap.
+    Used by the decoupled ``dec`` baselines; follows the same refinement
+    schedule as the joint phase. Returns the trained ``dec`` DonorClusterer.
     """
-    donor_map, _ = pretrain_autoencoder(donors, config)
-    init_centers(donor_map, donors, config)
-    refine = _DecRefinement(donor_map, donors, config)
+    clusterer, _ = pretrain_autoencoder(donors, config)
+    refine = _DecRefinement(clusterer, donors, config)
     rng = rng_stream(config.seed, "matchrep", "dec-standalone-batches")
     for epoch in range(config.joint_epochs):
         if not refine.active:
@@ -626,7 +621,23 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig):
         for idx in minibatches(len(donors), config.batch_size, rng):
             refine.step(idx)
         refine.end_epoch(epoch)
-    return donor_map
+    return clusterer
+
+
+def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorClusterer:
+    """The ``kind`` clusterer of ``donors`` with ``config.k`` clusters:
+    k-means (best of 10 starts), an EM mixture or a standalone DEC map."""
+    if kind == "kmeans":
+        centers, _, _ = kmeans_fit(donors, config.k,
+                                   rng_stream(config.seed, "baselines", "kmeans"), n_init=10)
+        return DonorClusterer(kind, centers)
+    if kind == "em":
+        weights, means, variances, _, _ = gmm_em_fit(
+            donors, config.k, rng_stream(config.seed, "baselines", "em"))
+        return DonorClusterer(kind, means, weights, variances)
+    if kind == "dec":
+        return train_dec_standalone(donors, config)
+    raise ValueError(f"unknown clusterer {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +681,10 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v8"
+MODEL_FORMAT = "organmatch-model-v9"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a cluster-model file may hold; baselines extends the list.
-_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorTypeMap, DonorClusterer, MultiHeadPredictor,
-                MatchRepModel)
+_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorClusterer, MultiHeadPredictor, MatchRepModel)
 
 
 def _to_doc(obj):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from organmatch import matchrep, metrics, numkit
 from organmatch.baselines import (
-    CLUSTERERS,
     PAIR_KINDS,
     PREDICTORS,
     RIDGE_PENALTY,
@@ -27,7 +26,7 @@ from organmatch.baselines import (
     save_pair_regressor,
 )
 from organmatch.datamodel import ConfigError, IngestionError
-from organmatch.matchrep import DonorClusterer, MatchRepModel, TrainConfig
+from organmatch.matchrep import CLUSTERERS, DonorClusterer, MatchRepModel, TrainConfig
 from organmatch.numkit import ROW_BLOCK, VAR_FLOOR, DenseNet, Layer, rng_stream
 
 
@@ -106,8 +105,8 @@ def test_clusterer_assign_in_row_blocks_equals_one_pass(d):
     centers = rng.normal(size=(3, d))
     variances = rng.uniform(0.5, 2.0, size=(3, d))
     weights = np.array([0.2, 0.5, 0.3])
-    kmeans = DonorClusterer(kind="kmeans", k=3, centers=centers)
-    em = DonorClusterer(kind="em", k=3, centers=centers, weights=weights, variances=variances)
+    kmeans = DonorClusterer(kind="kmeans", centers=centers)
+    em = DonorClusterer(kind="em", centers=centers, weights=weights, variances=variances)
     d2 = np.sum((donors[:, None, :] - centers[None]) ** 2, axis=2)
     log_prob = numkit._gmm_log_prob(donors, weights, centers, variances)
     np.testing.assert_array_equal(kmeans.scores(donors), -d2)
@@ -119,13 +118,12 @@ def _clusterer_of(kind, centers):
     """A ``kind`` clusterer whose scores rank clusters by distance to ``centers``."""
     k, d = centers.shape
     if kind == "kmeans":
-        return DonorClusterer(kind=kind, k=k, centers=centers)
+        return DonorClusterer(kind=kind, centers=centers)
     if kind == "em":
-        return DonorClusterer(kind=kind, k=k, centers=centers, weights=np.full(k, 1.0 / k),
+        return DonorClusterer(kind=kind, centers=centers, weights=np.full(k, 1.0 / k),
                               variances=np.ones((k, d)))
     identity = DenseNet([Layer(np.eye(d), np.zeros(d), "identity")])
-    return DonorClusterer(kind=kind, k=k, donor_map=matchrep.DonorTypeMap(
-        encoder=identity, decoder=identity, centers=centers))
+    return DonorClusterer(kind=kind, centers=centers, encoder=identity, decoder=identity)
 
 
 @pytest.mark.parametrize("kind", CLUSTERERS)
@@ -146,7 +144,7 @@ def test_a_donor_nearest_an_inactive_cluster_gets_the_best_active_label(kind):
 
 def test_em_clusterer_checks_its_arrays_and_variance_floor():
     centers, weights = np.zeros((2, 3)), np.array([0.5, 0.5])
-    DonorClusterer(kind="em", k=2, centers=centers, weights=weights,
+    DonorClusterer(kind="em", centers=centers, weights=weights,
                    variances=np.full((2, 3), VAR_FLOOR))
     bad = [dict(variances=np.full((2, 3), VAR_FLOOR / 2)),
            dict(variances=np.ones((2, 2))), dict(variances=None),
@@ -154,7 +152,39 @@ def test_em_clusterer_checks_its_arrays_and_variance_floor():
     for edit in bad:
         fields = {"centers": centers, "weights": weights, "variances": np.ones((2, 3)), **edit}
         with pytest.raises(ValueError):
-            DonorClusterer(kind="em", k=2, **fields)
+            DonorClusterer(kind="em", **fields)
+
+
+def _net(widths):
+    return DenseNet([Layer(np.zeros((a, b)), np.zeros(b), "identity")
+                     for a, b in zip(widths, widths[1:])])
+
+
+CLUSTERER_FIELDS = {  # case: (kind, fields); every one mixes kinds or misfits its centers
+    "kmeans-with-encoder": ("kmeans", dict(encoder=_net([2, 2]))),
+    "kmeans-with-weights": ("kmeans", dict(weights=np.full(3, 1 / 3))),
+    "em-weights-length": ("em", dict(weights=np.full(2, 1 / 2), variances=np.ones((3, 2)))),
+    "em-with-decoder": ("em", dict(weights=np.full(3, 1 / 3), variances=np.ones((3, 2)),
+                                   decoder=_net([2, 2]))),
+    "dec-without-decoder": ("dec", dict(encoder=_net([5, 2]))),
+    "dec-without-encoder": ("dec", dict(decoder=_net([2, 5]))),
+    "dec-centers-width": ("dec", dict(encoder=_net([5, 4]), decoder=_net([4, 5]))),
+    "dec-decoder-output": ("dec", dict(encoder=_net([5, 2]), decoder=_net([2, 4]))),
+    "dec-decoder-input": ("dec", dict(encoder=_net([5, 2]), decoder=_net([3, 5]))),
+    "unknown-kind": ("spectral", {}),
+}
+
+
+@pytest.mark.parametrize("case", CLUSTERER_FIELDS)
+def test_clusterer_refuses_fields_of_another_kind_or_width(case):
+    kind, fields = CLUSTERER_FIELDS[case]
+    centers = np.zeros((3, 2))
+    DonorClusterer(kind="kmeans", centers=centers)
+    DonorClusterer(kind="em", centers=centers, weights=np.full(3, 1 / 3),
+                   variances=np.ones((3, 2)))
+    DonorClusterer(kind="dec", centers=centers, encoder=_net([5, 2]), decoder=_net([2, 5]))
+    with pytest.raises(ValueError):
+        DonorClusterer(kind=kind, centers=centers, **fields)
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)

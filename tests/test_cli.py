@@ -402,15 +402,15 @@ LINEAR_BASELINE = "baseline_kmeans_linear-per-head.json"
 BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
-                   "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file",
-                   "nan-normalization", "zero-scale", "baseline-file")
+                   "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
+                   "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
     text = (models_dir / "model.json").read_text()
     no_phi, no_norm, int_encoder = json.loads(text), json.loads(text), json.loads(text)
     short_bias, missing_head, short_scale = json.loads(text), json.loads(text), json.loads(text)
-    nan_weight, inf_scale = json.loads(text), json.loads(text)
+    nan_weight, inf_scale, narrow_centers = json.loads(text), json.loads(text), json.loads(text)
     v4, invalid_config = json.loads(text), json.loads(text)
     nan_norm, zero_scale = json.loads(text), json.loads(text)
     del no_phi["model"]["phi"]
@@ -419,8 +419,10 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     short_bias["model"]["phi"]["layers"][0]["bias"]["array"].pop()
     missing_head["model"]["predictor"]["heads"].pop()
     short_scale["normalization"]["recipient_scale"].pop()
-    encoder = nan_weight["model"]["clusterer"]["donor_map"]["encoder"]
+    encoder = nan_weight["model"]["clusterer"]["encoder"]
     encoder["layers"][0]["weight"]["array"][0][0] = float("nan")
+    for row in narrow_centers["model"]["clusterer"]["centers"]["array"]:
+        row.pop()  # one column narrower than the encoder's embedding
     inf_scale["model"]["predictor"]["outcome_scale"] = float("inf")
     v4["format"] = "organmatch-model-v4"  # whose TrainConfig still had dec_lr
     v4["model"]["config"]["dec_lr"] = 1.0
@@ -444,6 +446,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "v5-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v5"),
             "v6-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v6"),
             "v7-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v7"),
+            "v8-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v8"),
+            "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),
             # a cluster model like the joint one, saved with no normalization

@@ -1,6 +1,7 @@
 """Ingestion, splitting, and normalization tests."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from organmatch import datamodel
 from organmatch.datamodel import (
+    ConfigError,
     Dataset,
     IngestionError,
     SchemaConfig,
@@ -224,6 +226,44 @@ def test_load_csv_without_schema_reads_the_written_layout(tmp_path):
     np.testing.assert_array_equal(back.donors, ds.donors)
     with pytest.raises(IngestionError, match="does not look like a generated dataset"):
         load_csv(_write(tmp_path, "age,sex,dage,days\n50,f,40,365\n"))
+
+
+SCHEMA_EDITS = {  # case: the SchemaConfig fields that replace SCHEMA's
+    "outcome-as-feature": dict(recipient_columns=["age", "days"]),
+    "no-recipient-columns": dict(recipient_columns=[]),
+    "no-donor-columns": dict(donor_columns=[]),
+    "string-not-list": dict(recipient_columns="age"),
+    "non-str-column": dict(donor_columns=[3]),
+    "non-str-outcome": dict(outcome_column=None),
+    "column-twice": dict(recipient_columns=["age", "age"]),
+    "column-in-two-roles": dict(donor_columns=["age"]),
+    "categorical-outcome": dict(categorical={"days": ["a", "b"]}),
+    "categorical-unknown-column": dict(categorical={"sex": ["f", "m"], "bmi": ["lo", "hi"]}),
+    "empty-categories": dict(categorical={"sex": []}),
+    "repeated-category": dict(categorical={"sex": ["f", "m", "f"]}),
+    "categories-not-a-list": dict(categorical={"sex": "fm"}),
+    "categorical-not-a-dict": dict(categorical=[("sex", ["f", "m"])]),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_EDITS)
+def test_schema_refuses_columns_that_would_corrupt_features(case):
+    declared = {name: getattr(SCHEMA, name) for name in
+               ("recipient_columns", "donor_columns", "outcome_column", "categorical")}
+    with pytest.raises(ConfigError):
+        SchemaConfig(**{**declared, **SCHEMA_EDITS[case]})
+
+
+def test_schema_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SCHEMA.recipient_columns = ["age", "days"]
+
+
+@pytest.mark.parametrize("header", ["r_x,r_x,d_y,outcome", "r_x,d_y,d_y,outcome"])
+def test_load_csv_without_schema_refuses_a_repeated_feature_column(tmp_path, header):
+    path = _write(tmp_path, f"{header}\n1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(IngestionError, match="does not look like a generated dataset"):
+        load_csv(path)
 
 
 def test_load_csv_unparseable_outcome_names_row_and_column(tmp_path):

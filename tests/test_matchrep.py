@@ -21,7 +21,6 @@ from organmatch.matchrep import (
     dec_refine_loss_and_grads,
     donor_type_batch,
     factual_loss_and_grads,
-    init_centers,
     load_model,
     phi_heads_loss_and_grads,
     predict_potential_batch,
@@ -243,13 +242,13 @@ def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
     rng = rng_stream(seed, "t-heads")
     heads = [init_dense_net([3, h, h, 1], ["tanh", "tanh", "identity"], rng)
              for _ in range(k)]
-    donor_map = matchrep.DonorTypeMap(encoder=enc, decoder=dec,
-                                      centers=rng_stream(seed, "t-centers").normal(size=(k, 3)))
+    clusterer = DonorClusterer("dec", rng_stream(seed, "t-centers").normal(size=(k, 3)),
+                               encoder=enc, decoder=dec)
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=500.0,
                                             outcome_scale=200.0)
     return MatchRepModel(name="matchrep", config=config,
-                         clusterer=DonorClusterer(kind="dec", k=k, donor_map=donor_map),
-                         phi=phi, predictor=predictor, active=np.ones(k, bool))
+                         clusterer=clusterer, phi=phi, predictor=predictor,
+                         active=np.ones(k, bool))
 
 
 def test_factual_loss_hand_value_linear_head():
@@ -304,13 +303,13 @@ def _set_params(params, values):
 
 def test_recon_loss_gradients_match_finite_differences():
     model = _tiny_model()
-    dm = model.clusterer.donor_map
+    c = model.clusterer
     x = rng_stream(14, "recon-fd").normal(size=(12, 2))
-    live = dm.encoder.parameters() + dm.decoder.parameters()
+    live = c.encoder.parameters() + c.decoder.parameters()
 
     def fn(params):
         _set_params(live, params)
-        return recon_loss_and_grads(dm, x)
+        return recon_loss_and_grads(c.encoder, c.decoder, x)
 
     report = finite_diff_check(fn, [p.copy() for p in live], tol=1e-4,
                                max_entries_per_block=12, rng=rng_stream(15, "recon-sub"))
@@ -319,19 +318,19 @@ def test_recon_loss_gradients_match_finite_differences():
 
 def test_dec_refine_loss_gradients_match_finite_differences():
     model = _tiny_model()
-    dm = model.clusterer.donor_map
+    c = model.clusterer
     rng = rng_stream(16, "dec-refine-fd")
     x = rng.normal(size=(12, 2))
-    p_rows = target_distribution(soft_assign(mlp_forward(dm.encoder, x)[0], dm.centers))
+    p_rows = target_distribution(soft_assign(mlp_forward(c.encoder, x)[0], c.centers))
     decay, share = 0.3, 12 / 40
-    live = dm.encoder.parameters() + [dm.centers]
+    live = c.encoder.parameters() + [c.centers]
 
     def fn(params):
         _set_params(live, params)
-        l_dec, grads = dec_refine_loss_and_grads(dm, x, p_rows, decay, share)
-        embeds = mlp_forward(dm.encoder, x)[0]
+        l_dec, grads = dec_refine_loss_and_grads(c.encoder, c.centers, x, p_rows, decay, share)
+        embeds = mlp_forward(c.encoder, x)[0]
         objective = l_dec + decay * (np.mean(np.sum(embeds * embeds, axis=1))
-                                     + share * np.sum(dm.centers * dm.centers))
+                                     + share * np.sum(c.centers * c.centers))
         return objective, grads
 
     report = finite_diff_check(fn, [p.copy() for p in live], tol=1e-4,
@@ -341,12 +340,12 @@ def test_dec_refine_loss_gradients_match_finite_differences():
 
 def test_dec_refine_loss_is_the_batch_dec_loss():
     model = _tiny_model()
-    dm = model.clusterer.donor_map
+    c = model.clusterer
     x = rng_stream(18, "dec-refine-l").normal(size=(12, 2))
-    embeds = mlp_forward(dm.encoder, x)[0]
-    p_rows = target_distribution(soft_assign(embeds, dm.centers))
-    l_dec, _ = dec_refine_loss_and_grads(dm, x, p_rows, 0.3, 0.5)
-    assert l_dec == dec_loss_and_grads(embeds, dm.centers, p_rows)[0]
+    embeds = mlp_forward(c.encoder, x)[0]
+    p_rows = target_distribution(soft_assign(embeds, c.centers))
+    l_dec, _ = dec_refine_loss_and_grads(c.encoder, c.centers, x, p_rows, 0.3, 0.5)
+    assert l_dec == dec_loss_and_grads(embeds, c.centers, p_rows)[0]
 
 
 @pytest.mark.parametrize("beta, with_phi", [(0.0, True), (1.0, True), (0.0, False)],
@@ -425,9 +424,9 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     real_forwards = {name: getattr(matchrep, name) for name in ("mlp_forward", "mlp_predict")}
 
     def pretrain(*args, **kwargs):
-        donor_map, losses = real_pretrain(*args, **kwargs)
-        maps.append(donor_map)
-        return donor_map, losses
+        clusterer, losses = real_pretrain(*args, **kwargs)
+        maps.append(clusterer)
+        return clusterer, losses
 
     def dec(*args, **kwargs):
         calls["L_DEC"] += 1
@@ -465,14 +464,14 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     assert epochs[3][1]["encoder"] - frozen_start["encoder"] == 0
     # refinement's reconstruction anchor trains the autoencoder in its own buffer
     assert all(anchor is anchors[0] for anchor in anchors)
-    for net in (model.clusterer.donor_map.encoder, model.clusterer.donor_map.decoder):
+    for net in (model.clusterer.encoder, model.clusterer.decoder):
         assert all(np.shares_memory(p, anchors[0].buffer) for p in net.parameters())
 
     # the logged L_DEC of a frozen epoch is the per-batch evaluation it
     # replaces, and the per-donor mean KL whatever the batch size
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     batches = [list(numkit.minibatches(n, config.batch_size, rng)) for _ in log]
-    enc, centers = model.clusterer.donor_map.encoder, model.clusterer.donor_map.centers
+    enc, centers = model.clusterer.encoder, model.clusterer.centers
     t = soft_assign(mlp_forward(enc, donors)[0], centers)
     p_full = target_distribution(t)
     donor_mean = float(np.sum(matchrep._dec_terms(p_full, np.maximum(t, matchrep.T_CLAMP)))) / n
@@ -487,11 +486,10 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
 def test_dec_refinement_anchor_divergence_names_dec_refinement():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    donor_map, _ = pretrain_autoencoder(donors, config)
-    init_centers(donor_map, donors, config)
-    refine = matchrep._DecRefinement(donor_map, donors, config)
+    clusterer, _ = pretrain_autoencoder(donors, config)
+    refine = matchrep._DecRefinement(clusterer, donors, config)
     refine.start_epoch()
-    donor_map.decoder.layers[-1].bias[:] = 1e200  # written into the anchor's buffer
+    clusterer.decoder.layers[-1].bias[:] = 1e200  # written into the anchor's buffer
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             numkit.TrainingDivergedError, match="^DEC refinement's reconstruction anchor loss"):
         refine.step(np.arange(8))
@@ -515,7 +513,7 @@ def test_train_joint_active_mask_is_the_rule_of_its_labels():
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**SMALL)
     model, _ = train_joint(recipients, donors, outcomes, config)
-    labels = matchrep._hard_labels(model.clusterer.donor_map, donors)
+    labels = np.argmax(model.clusterer.scores(donors), axis=1)
     np.testing.assert_array_equal(model.active, matchrep.active_clusters(labels, config))
 
 
@@ -535,7 +533,7 @@ def _mixed_width_heads(model):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda model: {"clusterer": DonorClusterer(kind="kmeans", k=3, centers=np.zeros((3, 2)))},
+    lambda model: {"clusterer": DonorClusterer(kind="kmeans", centers=np.zeros((3, 2)))},
     lambda model: {"predictor": replace(model.predictor, heads=model.predictor.heads[:1])},
     _mixed_width_heads,
     lambda model: {"active": np.ones(2)},
@@ -555,7 +553,7 @@ def test_train_joint_deterministic():
     b, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     np.testing.assert_array_equal(predict_potential_batch(a, recipients),
                                   predict_potential_batch(b, recipients))
-    np.testing.assert_array_equal(a.clusterer.donor_map.centers, b.clusterer.donor_map.centers)
+    np.testing.assert_array_equal(a.clusterer.centers, b.clusterer.centers)
 
 
 def test_donor_type_separates_two_modes():
@@ -585,7 +583,7 @@ def test_inactive_cluster_excluded_from_assignment():
 def test_inference_peak_memory_is_a_few_activations(infer):
     hidden = 128
     model = _tiny_model(hidden=hidden)
-    net = model.phi if infer is predict_potential_batch else model.clusterer.donor_map.encoder
+    net = model.phi if infer is predict_potential_batch else model.clusterer.encoder
     for rows in (20_000, 80_000):
         x = rng_stream(3, "peak").normal(size=(rows, net.input_dim))
         infer(model, x)  # first-call allocations are not the pass's
@@ -613,21 +611,21 @@ def test_blocked_inference_equals_one_pass(rows):
     seed, h = 9, 32
     act = ["relu", "relu", "identity"]
     rng = rng_stream(seed, "one-pass", rows)
-    donor_map = matchrep.DonorTypeMap(encoder=init_dense_net([2, h, h, 8], act, rng),
-                                      decoder=init_dense_net([8, h, h, 2], act, rng),
-                                      centers=rng.normal(size=(3, 8)))
+    encoder = init_dense_net([2, h, h, 8], act, rng)
+    decoder = init_dense_net([8, h, h, 2], act, rng)
+    clusterer = DonorClusterer("dec", rng.normal(size=(3, 8)), encoder=encoder, decoder=decoder)
     phi = init_dense_net([2, h, h, 8], act, rng)
     heads = [init_dense_net([8, h, h, 1], act, rng) for _ in range(3)]
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=700.0, outcome_scale=250.0)
     model = MatchRepModel(name="matchrep", config=TrainConfig(k=3, seed=seed),
-                          clusterer=DonorClusterer(kind="dec", k=3, donor_map=donor_map),
-                          phi=phi, predictor=predictor, active=np.array([True, False, True]))
+                          clusterer=clusterer, phi=phi, predictor=predictor,
+                          active=np.array([True, False, True]))
     recipients, donors = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 2))
 
     xprime = mlp_forward(phi, recipients)[0]
     preds = np.column_stack([700.0 + 250.0 * mlp_forward(head, xprime)[0][:, 0]
                              for head in heads])
-    t = soft_assign(mlp_forward(donor_map.encoder, donors)[0], donor_map.centers)
+    t = soft_assign(mlp_forward(encoder, donors)[0], clusterer.centers)
     labels = np.argmax(np.where(model.active, t, -np.inf), axis=1)
 
     assert predict_potential_batch(model, recipients).tobytes() == preds.tobytes()
@@ -654,10 +652,12 @@ def test_pretrain_autoencoder_reduces_reconstruction_error():
 def test_init_centers_shape():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    donor_map, _ = pretrain_autoencoder(donors, config)
-    centers = init_centers(donor_map, donors, config)
-    assert centers.shape == (2, 4)
-    assert donor_map.centers is centers
+    clusterer, _ = pretrain_autoencoder(donors, config)
+    assert clusterer.kind == "dec" and clusterer.centers.shape == (2, 4)
+    # the k-means centers of the encoded donors
+    centers, _, _ = numkit.kmeans_fit(numkit.mlp_predict(clusterer.encoder, donors), config.k,
+                                      rng_stream(config.seed, "matchrep", "centers"))
+    np.testing.assert_array_equal(clusterer.centers, centers)
 
 
 def test_config_validation():
