@@ -15,9 +15,10 @@ training error. Then each tree runs
 all seven allocation policies on the preset's donor stream (the seed is
 the stream seed) with the joint model it trained, and the ledger CSV and
 ``summary()`` of every policy are compared byte for byte. The same is
-done at scale: each tree writes a 50,000-row preset, reads it back (every
-array read is compared), normalizes it with the joint model's statistics,
-runs the joint model's ``predict_potential_batch`` and
+done at scale: each tree writes a 50,000-row preset (the bytes of both
+tables are compared), reads it back (every array read is compared),
+normalizes it with the joint model's statistics, runs the joint model's
+``predict_potential_batch`` and
 ``donor_type_batch`` on all of it (the arrays are compared byte for byte,
 as ties in the ledgers they drive can hide a changed bit) and simulates
 all seven policies on it. Last, ``organmatch eval`` scores the saved
@@ -150,14 +151,14 @@ def _tabular(datamodel, dataset, indices) -> dict:
 
 def _at_scale(allocsim, datamodel, matchrep, synthgen, model, normalization, seed) -> dict:
     """The 50,000-row preset written and read back, normalized with the
-    joint model's statistics and simulated under every policy: every array
-    read back, the joint model's inference on every row, and each policy's
-    ledger and summary."""
+    joint model's statistics and simulated under every policy: the bytes of
+    both tables, every array read back, the joint model's inference on
+    every row, and each policy's ledger and summary."""
     preset = synthgen.paper_preset(n=SCALE_N, seed=seed)
-    _, back = _round_trip(datamodel, synthgen.sample_dataset(preset))
+    written, back = _round_trip(datamodel, synthgen.sample_dataset(preset))
     normed = datamodel.apply_normalization(back, normalization)
     labels, soft = matchrep.donor_type_batch(model, normed.donors)
-    return {"read": dict(_leaves(back, "read")),
+    return {"csv": written, "read": dict(_leaves(back, "read")),
             "infer": {"preds": matchrep.predict_potential_batch(model, normed.recipients),
                       "labels": labels, "soft": soft},
             **_simulate(allocsim, preset, back, normed, model, seed)}

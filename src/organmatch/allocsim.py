@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import matchrep
-from .datamodel import ConfigError, Dataset, IngestionError, write_rows
+from .datamodel import ConfigError, Dataset, IngestionError, write_table
 from .numkit import rng_stream
 
 POLICIES = ("real", "fcfs", "uf", "bf", "matching-fcfs", "matching-uf", "matching-bf")
@@ -152,8 +152,19 @@ class SimReport:
 
 
 def write_ledger_csv(report: SimReport, path) -> None:
-    """One row per recipient; a missing survival or benefit is an empty cell."""
-    write_rows(path, LEDGER_FIELDS, report._rows())
+    """One row per recipient, written from the report's columns; survival
+    and benefit are empty cells unless the recipient was transplanted."""
+    names = np.array(FATES, dtype=object)
+
+    def block(lo, hi):
+        ids = np.arange(lo, hi)
+        missing = report.fate[lo:hi] != FATES.index("transplanted")
+        return [ids, ids, names[report.fate[lo:hi]], report.fate_step[lo:hi],
+                report.assigned_donor[lo:hi],
+                np.ma.masked_array(report.realized_survival[lo:hi], missing),
+                np.ma.masked_array(report.benefit[lo:hi], missing)]
+
+    write_table(path, LEDGER_FIELDS, report.n, block)
 
 
 # ---------------------------------------------------------------------------

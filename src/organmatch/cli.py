@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,12 @@ def _write_manifest(out: Path, command: str, config: dict, seed: int,
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path
+
+
+def _write_records(path: Path, fields: list[str], records: list[dict]) -> None:
+    """A CSV table of the ``fields`` of each record, one row per record."""
+    datamodel.write_table(path, fields, len(records), lambda lo, hi: [
+        [record[name] for record in records[lo:hi]] for name in fields])
 
 
 def _ensure_out(path_str: str) -> Path:
@@ -169,7 +174,7 @@ def cmd_train(args) -> int:
     artifacts.append(model_path)
     log_path = out / "training_log.csv"
     fields = ["epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"]
-    datamodel.write_rows(log_path, fields, map(itemgetter(*fields), log))
+    _write_records(log_path, fields, log)
     artifacts.append(log_path)
 
     for spec in specs:
@@ -236,7 +241,7 @@ def cmd_eval(args) -> int:
     out = _ensure_out(args.out)
     table_path = out / "comparison.csv"
     fields = list(rows[0])  # the columns of metrics.comparison_row
-    datamodel.write_rows(table_path, fields, map(itemgetter(*fields), rows))
+    _write_records(table_path, fields, rows)
     report_path = out / "eval_reports.json"
     report_path.write_text(json.dumps(rows, indent=2, sort_keys=True))
     _write_manifest(out, "eval", {
@@ -311,7 +316,7 @@ def cmd_simulate(args) -> int:
     table_path = out / "policy_table.csv"
     fields = ["policy", "n", "n_transplanted", "n_dead", "n_waiting",
               "death_rate", "avg_survival", "avg_benefit", "flipped_vs_real"]
-    datamodel.write_rows(table_path, fields, map(itemgetter(*fields), rows))
+    _write_records(table_path, fields, rows)
     artifacts.append(table_path)
     _write_manifest(out, "simulate", {
         "sim": asdict(sim_config), "policies": policies,

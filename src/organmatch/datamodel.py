@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .numkit import InsufficientDataError, rng_stream
+from .numkit import ROW_BLOCK, InsufficientDataError, rng_stream
 
 
 class IngestionError(ValueError):
@@ -295,13 +295,58 @@ def read_columns(path) -> tuple[list[str], int, dict[str, tuple]]:
     return header, len(rows), dict(zip(header, zip(*rows)))
 
 
-def write_rows(path, header: list[str], rows) -> None:
-    """Write a header and rows as UTF-8 CSV; csv writes None as an empty
-    cell and a float as its repr."""
+_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell that holds one of these
+
+
+def _cells(column) -> list[str]:
+    """The text csv.writer writes for each cell of one block of a column:
+    the repr of a float, the str of an int or a bool, "" for None or a
+    masked cell, and any other value's str, quoted if need be."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind in "biuf":
+        mask = np.ma.getmaskarray(column)
+        text = list(map(repr if kind == "f" else str, np.ma.getdata(column)[~mask].tolist()))
+        if not mask.any():
+            return text
+        cells = np.full(mask.shape, "", dtype=object)
+        cells[~mask] = np.array(text, dtype=object)
+        return cells.tolist()
+    text = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if not set(map(type, text)) <= {str}:
+        text = ["" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
+                for v in text]
+    quoted = {t: '"' + t.replace('"', '""') + '"'
+              for t in set(text) if not _QUOTED.isdisjoint(t)}
+    return [quoted.get(t, t) for t in text] if quoted else text
+
+
+def _rows_text(columns, width: int, n: int) -> str:
+    """``n`` rows of ``width`` cells as CSV text, from their columns."""
+    cells = list(map(_cells, columns))
+    if len(cells) != width or any(len(c) != n for c in cells):
+        raise ValueError(f"a block of {n} rows needs {width} columns of {n} cells")
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+
+def write_table(path, header: list[str], n: int, block) -> None:
+    """Write ``header`` and ``n`` rows as UTF-8 CSV, ``numkit.ROW_BLOCK``
+    rows at a time; ``block(lo, hi)`` gives the columns of rows ``lo`` to
+    ``hi - 1``, one sequence per header name.
+
+    For two or more columns the bytes are those that ``csv.writer`` writes
+    for the same cells: a float is its repr (NaN is ``nan``), an int its
+    str, a bool ``True`` or ``False``, None an empty cell and any other
+    value its str, quoted when it holds a comma, a quote or a line break;
+    rows end in "\\r\\n". A masked cell of a ``numpy.ma`` column is empty
+    too. NumPy columns of numbers are formatted by C-level maps, other
+    columns cell by cell unless all their cells are str; cells are joined
+    by C-level joins. csv.writer writes the header.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, n)
+            fh.write(_rows_text(block(lo, hi), len(header), hi - lo))
 
 
 def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
@@ -333,8 +378,8 @@ def write_csv(dataset: Dataset, path) -> None:
     """Write features and outcome; inverse of load_csv for all-numeric schemas."""
     header = ([f"r_{n}" for n in dataset.recipient_names]
               + [f"d_{n}" for n in dataset.donor_names] + ["outcome"])
-    write_rows(path, header, zip(*dataset.recipients.T.tolist(), *dataset.donors.T.tolist(),
-                                 dataset.outcomes.tolist()))
+    write_table(path, header, len(dataset), lambda lo, hi: [
+        *dataset.recipients[lo:hi].T, *dataset.donors[lo:hi].T, dataset.outcomes[lo:hi]])
 
 
 def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
@@ -377,7 +422,6 @@ def write_ground_truth_csv(dataset: Dataset, path) -> None:
     k = dataset.true_potentials.shape[1]
     header = (["true_recipient_type", "true_donor_type"]
               + [f"potential_{j + 1}" for j in range(k)] + ["untreated_survival"])
-    write_rows(path, header, zip(dataset.true_recipient_type.tolist(),
-                                 dataset.true_donor_type.tolist(),
-                                 *dataset.true_potentials.T.tolist(),
-                                 dataset.untreated_survival.tolist()))
+    write_table(path, header, len(dataset), lambda lo, hi: [
+        dataset.true_recipient_type[lo:hi], dataset.true_donor_type[lo:hi],
+        *dataset.true_potentials[lo:hi].T, dataset.untreated_survival[lo:hi]])

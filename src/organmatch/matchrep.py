@@ -116,7 +116,7 @@ class DonorClusterer:
     EM mixture whose means the centers are, or the ``encoder`` of a DEC map
     whose centers lie in its embedding, with the ``decoder`` of the
     autoencoder it was pretrained in (the joint model's, or a standalone
-    DEC's)."""
+    DEC's). Its arrays are float64."""
 
     kind: str
     centers: np.ndarray  # (K, width): the donors' width, or the embedding's for dec
@@ -126,6 +126,9 @@ class DonorClusterer:
     decoder: DenseNet | None = None  # dec
 
     def __post_init__(self):
+        if any(a is not None and getattr(a, "dtype", None) != np.float64
+               for a in (self.centers, self.weights, self.variances)):
+            raise TypeError("a clusterer's centers, weights and variances must be float64 arrays")
         shape, enc, dec = np.shape(self.centers), self.encoder, self.decoder
         em = self.kind == "em"
         fits = (self.kind in CLUSTERERS and len(shape) == 2 and shape[0] >= 1

@@ -101,6 +101,9 @@ class Layer:
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.weight.dtype != np.float64 or self.bias.dtype != np.float64:
+            raise TypeError("a layer's weight and bias must be float64, "
+                            f"not {self.weight.dtype} and {self.bias.dtype}")
         if self.weight.ndim != 2 or self.bias.shape != self.weight.shape[1:]:
             raise DimensionMismatchError(
                 f"weight {self.weight.shape} and bias {self.bias.shape} disagree")

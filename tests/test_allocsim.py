@@ -1,5 +1,7 @@
 """Allocation-simulator tests with hand-built waitlist fixtures."""
 
+import csv
+import os
 import tempfile
 import tracemalloc
 from dataclasses import astuple
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from organmatch.allocsim import (
     FATES,
+    LEDGER_FIELDS,
     POLICIES,
     EventStream,
     GuidedPolicy,
@@ -27,7 +30,7 @@ from organmatch.allocsim import (
 )
 from organmatch.datamodel import ConfigError, Dataset
 from organmatch.synthgen import paper_preset, sample_dataset
-from organmatch.numkit import rng_stream
+from organmatch.numkit import ROW_BLOCK, rng_stream
 
 
 def _oracle_dataset(n=6, k=2, seed=0, untreated=None):
@@ -287,6 +290,79 @@ def test_write_ledger_csv(tmp_path):
     assert lines[0].startswith("recipient_id,arrival,fate")
 
 
+def _ledger_report(n: int, seed: int) -> SimReport:
+    """A report of ``n`` recipients in every fate, whose transplanted ones
+    include a NaN survival, an infinite benefit and a -0.0 benefit."""
+    rng = rng_stream(seed, "ledger-report")
+    fate = rng.integers(0, len(FATES), size=n).astype(np.int8)
+    got = fate == FATES.index("transplanted")
+    realized = np.where(got, rng.uniform(0, 3000, size=n), np.nan)
+    benefit = np.where(got, rng.normal(0, 500, size=n), np.nan)
+    edge = np.flatnonzero(got)[:3]
+    realized[edge[:1]], benefit[edge[1:2]], benefit[edge[2:]] = np.nan, np.inf, -0.0
+    n_dead = int(np.sum(fate == FATES.index("dead")))
+    return SimReport(policy="fcfs", n=n, n_transplanted=int(got.sum()), n_dead=n_dead,
+                     n_waiting=n - int(got.sum()) - n_dead, death_rate=n_dead / max(n, 1),
+                     avg_survival=None, avg_benefit=None, fate=fate,
+                     fate_step=np.where(fate == FATES.index("waiting"), -1,
+                                        rng.integers(0, 2 * n + 1, size=n)),
+                     assigned_donor=np.where(got, rng.permutation(n), -1),
+                     realized_survival=realized, benefit=benefit)
+
+
+def _reference_ledger_bytes(report: SimReport, path) -> bytes:
+    """The ledger as csv.writer writes it from each recipient's cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LEDGER_FIELDS)
+        for i in range(report.n):
+            got = FATES[report.fate[i]] == "transplanted"
+            writer.writerow([i, i, FATES[report.fate[i]], int(report.fate_step[i]),
+                             int(report.assigned_donor[i]),
+                             float(report.realized_survival[i]) if got else None,
+                             float(report.benefit[i]) if got else None])
+    return Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+def test_ledger_csv_is_the_bytes_csv_writer_writes(tmp_path, n):
+    report = _ledger_report(n, seed=n)
+    write_ledger_csv(report, tmp_path / "ledger.csv")
+    assert (tmp_path / "ledger.csv").read_bytes() == _reference_ledger_bytes(
+        report, tmp_path / "reference.csv")
+    if n > ROW_BLOCK:  # every fate, and a transplanted NaN, inf and -0.0
+        text = (tmp_path / "ledger.csv").read_bytes().decode()
+        assert all(f",{fate}," in text for fate in FATES)
+        assert ",nan," in text and ",inf\r\n" in text and ",-0.0\r\n" in text
+
+
+def test_simulated_ledgers_are_the_bytes_csv_writer_writes(tmp_path):
+    ds = sample_dataset(paper_preset(n=ROW_BLOCK + 7, seed=3))
+    config = SimConfig()
+    stream = build_stream(ds, config, seed=3)
+    for policy in ("real", "fcfs"):
+        report = run_policy(ds, stream, policy, config)
+        write_ledger_csv(report, tmp_path / "ledger.csv")
+        assert (tmp_path / "ledger.csv").read_bytes() == _reference_ledger_bytes(
+            report, tmp_path / "reference.csv")
+
+
+def test_write_ledger_csv_memory_does_not_grow_with_the_rows():
+    peaks = {}
+    for n in (50_000, 200_000):
+        report = _ledger_report(n, seed=1)
+        write_ledger_csv(report, os.devnull)  # first-call allocations are not the writer's
+        tracemalloc.start()
+        try:
+            write_ledger_csv(report, os.devnull)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a writer that formats whole columns at once peaks at 4.8 MB here, 19 MB at 200,000 rows
+    assert peaks[50_000] <= 3_000_000 and peaks[200_000] <= 3_000_000, peaks
+    assert peaks[200_000] <= peaks[50_000] + 256 * 1024, peaks
+
+
 def test_ledger_rows_are_built_from_the_columns():
     rng = rng_stream(8, "ledger-rows")
     ds = _oracle_dataset(n=40, seed=8, untreated=rng.uniform(1, 300, size=40))
@@ -298,7 +374,7 @@ def test_ledger_rows_are_built_from_the_columns():
     assert sorted({row.fate for row in ledger}) == sorted(FATES)
     for i, row in enumerate(ledger):
         got = row.fate == "transplanted"
-        # the Python types that write_ledger_csv formats: None is an empty cell
+        # the cells' Python types as the ledger file writes them: None is an empty cell
         assert [type(v) for v in astuple(row)] == [int, int, str, int, int] + [
             float if got else type(None)] * 2
         assert astuple(row)[:5] == (i, i, FATES[report.fate[i]], report.fate_step[i],

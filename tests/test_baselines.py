@@ -175,6 +175,18 @@ CLUSTERER_FIELDS = {  # case: (kind, fields); every one mixes kinds or misfits i
 }
 
 
+def test_clusterer_arrays_are_float64():
+    centers = np.zeros((3, 2))
+    bad = [("kmeans", dict(centers=centers.astype(bool))),
+           ("em", dict(centers=centers, weights=np.full(3, 1, dtype=int),
+                       variances=np.ones((3, 2)))),
+           ("em", dict(centers=centers, weights=np.full(3, 1 / 3),
+                       variances=np.ones((3, 2), dtype=bool)))]
+    for kind, fields in bad:
+        with pytest.raises(TypeError):
+            DonorClusterer(kind=kind, **fields)
+
+
 @pytest.mark.parametrize("case", CLUSTERER_FIELDS)
 def test_clusterer_refuses_fields_of_another_kind_or_width(case):
     kind, fields = CLUSTERER_FIELDS[case]

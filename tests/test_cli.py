@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from organmatch import allocsim, baselines, datamodel, matchrep, numkit, synthgen
+from organmatch import allocsim, baselines, cli, datamodel, matchrep, numkit, synthgen
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 TRAIN_CONFIG = {
@@ -403,7 +403,8 @@ BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "no-normalization", "pair-regressor", "int-encoder", "short-bias",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
                    "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
-                   "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file")
+                   "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file",
+                   "bool-weight", "bool-centers")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -413,6 +414,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     nan_weight, inf_scale, narrow_centers = json.loads(text), json.loads(text), json.loads(text)
     v4, invalid_config = json.loads(text), json.loads(text)
     nan_norm, zero_scale = json.loads(text), json.loads(text)
+    bool_weight, bool_centers = json.loads(text), json.loads(text)
     del no_phi["model"]["phi"]
     no_norm["normalization"] = None
     int_encoder["model"]["phi"] = 5
@@ -429,6 +431,9 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     invalid_config["model"]["config"]["k"] = 1
     nan_norm["normalization"]["recipient_mean"][0] = float("nan")
     zero_scale["normalization"]["donor_scale"][0] = 0.0
+    # only the active mask may be a bool array; these would read as 0/1 floats
+    bool_weight["model"]["phi"]["layers"][0]["weight"]["dtype"] = "bool"
+    bool_centers["model"]["clusterer"]["centers"]["dtype"] = "bool"
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
@@ -450,6 +455,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),
+            "bool-weight": json.dumps(bool_weight),
+            "bool-centers": json.dumps(bool_centers),
             # a cluster model like the joint one, saved with no normalization
             "baseline-file": (models_dir / LINEAR_BASELINE).read_text()}[case]
 
@@ -488,6 +495,10 @@ BAD_BASELINE_EDITS = {  # case: (file, edit of its "model" object)
     "invalid-train-config": (LINEAR_BASELINE, lambda model: model["config"].update(k=1)),
     "float-active": (LINEAR_BASELINE, lambda model: model["active"].update(dtype="float64")),
     "em-variance-below-floor": (LINEAR_BASELINE, _em_below_variance_floor),
+    "bool-centers": (LINEAR_BASELINE, lambda model: model["clusterer"]["centers"].update(
+        dtype="bool")),
+    "bool-head-weight": (LINEAR_BASELINE, lambda model: model["predictor"]["heads"][0][
+        "layers"][0]["weight"].update(dtype="bool")),
 }
 
 
@@ -565,6 +576,47 @@ def test_simulate_byte_identical_across_runs(workdir, data_dir, models_dir):
         (first / "policy_table.csv").read_bytes()
     assert (again / "ledger_matching-uf.csv").read_bytes() == \
         (first / "ledger_matching-uf.csv").read_bytes()
+
+
+def test_every_cli_table_is_the_bytes_csv_writer_writes(workdir, data_dir, models_dir,
+                                                        monkeypatch):
+    """training_log.csv, comparison.csv and policy_table.csv hold the bytes
+    that csv.writer writes for the cells the commands hand to the writer."""
+    tables = {}
+    write_table = datamodel.write_table
+
+    def recording(path, header, n, block):
+        write_table(path, header, n, block)
+        tables[Path(path).name] = (Path(path), header, list(zip(*block(0, n))))
+
+    monkeypatch.setattr(datamodel, "write_table", recording)
+    out = workdir / "tables"
+    assert main(["train", "--data", str(data_dir), "--config", str(workdir / "train.json"),
+                 "--baselines", "", "--out", str(out / "models")]) == EXIT_OK
+    assert main(["eval", "--data", str(data_dir), "--models", str(models_dir),
+                 "--out", str(out / "eval")]) == EXIT_OK
+    assert main(["simulate", "--data", str(data_dir), "--model", str(models_dir / "model.json"),
+                 "--stream-seed", "0", "--out", str(out / "sim")]) == EXIT_OK
+    assert set(tables) == {"training_log.csv", "comparison.csv", "policy_table.csv"}
+    for path, header, rows in tables.values():
+        with open(out / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        assert path.read_bytes() == (out / "reference.csv").read_bytes(), path.name
+    cells = {type(cell) for _, _, rows in tables.values() for row in rows for cell in row}
+    assert {type(None), bool, str, int} <= cells, cells
+
+
+@pytest.mark.parametrize("n", [0, 1, numkit.ROW_BLOCK - 1, numkit.ROW_BLOCK,
+                               numkit.ROW_BLOCK + 1, 2 * numkit.ROW_BLOCK + 1])
+def test_record_tables_are_the_bytes_csv_writer_writes(tmp_path, n):
+    fields = ["policy", "n", 'rate, "share"', "flipped", "active"]
+    values = [None, True, 0.5, float("nan"), -0.0, np.float64(1 / 3), 'a "b", c', 7]
+    records = [{"policy": f"p{i}", "n": i, 'rate, "share"': i / 7,
+                "flipped": values[i % len(values)], "active": i % 3 == 0} for i in range(n)]
+    cli._write_records(tmp_path / "table.csv", fields, records)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([fields, *([r[f] for f in fields] for r in records)])
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_simulate_unknown_policy_is_config_error(workdir, data_dir):

@@ -22,8 +22,9 @@ from organmatch.datamodel import (
     split,
     write_csv,
     write_ground_truth_csv,
+    write_table,
 )
-from organmatch.numkit import InsufficientDataError, rng_stream
+from organmatch.numkit import ROW_BLOCK, InsufficientDataError, rng_stream
 
 
 def make_dataset(n=20, d_r=3, d_o=2, seed=0) -> Dataset:
@@ -473,6 +474,94 @@ def test_writers_match_the_per_row_repr_reference(tmp_path_factory, ds):
         for name in ("recipients", "donors", "outcomes", "true_potentials",
                      "untreated_survival", "true_recipient_type", "true_donor_type"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+
+
+# A table of each of these lengths fills no block, part of one, exactly one
+# and one or two plus a row.
+ROW_COUNTS = (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1)
+EDGE_CELLS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1)
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes csv.writer writes for ``header`` and ``rows``: the reference
+    of every table writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _edge_dataset(n: int) -> Dataset:
+    """``n`` records whose features cycle through NaN, infinities and -0.0,
+    with a feature named with a comma and a quote."""
+    rng = rng_stream(n, "edge-dataset")
+    recipients, donors = rng.normal(size=(n, 2)), rng.normal(size=(n, 1))
+    recipients[::3, 0] = np.resize(EDGE_CELLS, len(recipients[::3]))
+    donors[1::2, 0] = np.resize(EDGE_CELLS[::-1], len(donors[1::2]))
+    potentials = rng.uniform(100, 1000, size=(n, 3))
+    potentials[::5, 1] = np.nan
+    return Dataset(recipients=recipients, donors=donors, outcomes=rng.uniform(100, 1000, size=n),
+                   recipient_names=['age, "years"', "x1"], donor_names=["x0"],
+                   true_potentials=potentials, untreated_survival=rng.uniform(0, 500, size=n),
+                   true_recipient_type=rng.integers(1, 3, size=n),
+                   true_donor_type=rng.integers(1, 4, size=n))
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_dataset_writers_write_the_bytes_of_csv_writer(tmp_path, n):
+    ds = _edge_dataset(n)
+    for name, write, reference in (
+            ("dataset", write_csv, _reference_write_csv),
+            ("truth", write_ground_truth_csv, _reference_write_ground_truth_csv)):
+        write(ds, tmp_path / f"{name}.csv")
+        reference(ds, tmp_path / "reference.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "dataset.csv").read_text().startswith('"r_age, ""years""",r_x1,d_x0,')
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_write_table_writes_the_bytes_of_csv_writer(tmp_path, n):
+    rng = rng_stream(n, "table")
+    floats = np.resize(np.array(EDGE_CELLS), n) * rng.uniform(0.5, 2, size=n)
+    ints = rng.integers(-10**12, 10**12, size=n)
+    flags = rng.random(n) < 0.5
+    masked = np.ma.masked_array(np.resize(np.array(EDGE_CELLS), n), rng.random(n) < 0.5)
+    others = [[None, 'say "hi", then go', "line\nbreak", True, 3, np.float64(0.1), 2.5,
+               np.float32(0.25), "plain", ""][i % 10] for i in range(n)]
+    names = np.array(["a", "b,c", 'd"'])[rng.integers(0, 3, size=n)]
+    columns = [floats, ints, flags, masked, others, names]
+    header = ["float", "int", "bool", 'masked, "float"', "other", "name"]
+    write_table(tmp_path / "table.csv", header, n,
+                lambda lo, hi: [column[lo:hi] for column in columns])
+    rows = zip(floats.tolist(), ints.tolist(), flags.tolist(), masked.tolist(), others,
+               names.tolist())
+    assert (tmp_path / "table.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv",
+                                                                      header, rows)
+
+
+TABLE_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), EDGE_FLOATS,
+    st.text(alphabet=' ,"\r\nab\t', max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda width: st.lists(
+    st.lists(TABLE_CELLS, min_size=width, max_size=width), max_size=6)))
+def test_random_tables_write_the_bytes_of_csv_writer(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("tables")
+    width = len(rows[0]) if rows else 2
+    header = [f"c{j}" for j in range(width)]
+    columns = [list(column) for column in zip(*rows)] or [[]] * width
+    write_table(tmp / "table.csv", header, len(rows),
+                lambda lo, hi: [column[lo:hi] for column in columns])
+    assert (tmp / "table.csv").read_bytes() == _csv_writer_bytes(tmp / "ref.csv", header, rows)
+
+
+def test_write_table_refuses_a_block_of_another_shape(tmp_path):
+    for columns in ([[1, 2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ["a", "b"], 2, lambda lo, hi: columns)
 
 
 @settings(max_examples=40, deadline=None)

@@ -58,6 +58,13 @@ def test_mlp_identity_layer_passes_input_through():
     np.testing.assert_allclose(out, x)
 
 
+def test_a_layer_holds_float64_weight_and_bias():
+    for weight, bias in ((np.eye(2, dtype=bool), np.zeros(2)), (np.eye(2), np.zeros(2, dtype=int)),
+                         (np.eye(2, dtype=np.float32), np.zeros(2))):
+        with pytest.raises(TypeError):
+            Layer(weight, bias, "identity")
+
+
 def test_mlp_relu_layer():
     net = DenseNet([Layer(np.eye(2), np.zeros(2), "relu")])
     out, _ = mlp_forward(net, np.array([[-1.0, 2.0]]))
