@@ -33,18 +33,13 @@ def fit_and_score(name, config, train, val, normed, coarse) -> dict:
     """Train ``name`` (``matchrep`` or a baseline) with ``config`` on
     ``train`` and return its row on ``val``; ARI is taken over every donor
     of ``normed`` against the ``coarse`` truth."""
-    if name == "matchrep":
-        model, _ = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
-    else:
-        model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes,
-                                                baselines.BaselineSpec.from_name(name, config))
-    preds = model.predict_potentials(val.recipients)
-    labels = model.donor_labels(val.donors)
+    model, _ = baselines.fit_model(name, train, config)
+    preds, labels, best = model.predict_types(val.recipients, val.donors)
     row = {**metrics.comparison_row(name, preds, labels, val.outcomes, val.true_potentials,
-                                    val.true_donor_type, matchrep.best_donor_types(model, preds)),
+                                    val.true_donor_type, best),
            "n_active": int(model.active.sum()),
            "ari_coarse": adjusted_rand(model.donor_labels(normed.donors), coarse)}
-    if name == "matchrep":
+    if name == matchrep.JOINT:
         xprime = numkit.mlp_predict(model.phi, val.recipients)
         rep_kl, _, used = matchrep.rep_loss_and_grads(xprime, labels, config.k,
                                                       min_cluster_count=2)
@@ -61,7 +56,7 @@ def run_seed(seed: int, betas: list[float], n: int) -> list[dict]:
     coarse = (normed.true_donor_type > 1).astype(int)
 
     rows = []
-    fits = ([("matchrep", b, matchrep.TrainConfig(seed=seed, beta=b)) for b in betas]
+    fits = ([(matchrep.JOINT, b, matchrep.TrainConfig(seed=seed, beta=b)) for b in betas]
             + [(base, None, matchrep.TrainConfig(seed=seed)) for base in BASELINES])
     for name, beta, config in fits:
         try:

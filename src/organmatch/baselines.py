@@ -10,18 +10,19 @@ part after another.
 Pair regressors skip clustering entirely and regress the outcome on the
 concatenated (recipient, donor) feature vector. Every fitted head but the
 regression tree is a DenseNet in a ``matchrep.MultiHeadPredictor``, read by
-``matchrep.predict_heads``.
+``matchrep.predict_heads``. ``fit_model`` fits every model kind by its name.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matchrep, numkit
-from .datamodel import ConfigError, IngestionError
+from .datamodel import ConfigError, Dataset, IngestionError
 from .matchrep import MatchRepModel, MultiHeadPredictor, TrainConfig
 from .numkit import Adam, DenseNet, Layer, minibatches, rng_stream
 
@@ -278,11 +279,33 @@ class PairRegressor:
         if self.kind not in PAIR_KINDS or fitted is None or not one_head:
             raise ValueError(f"a {self.kind!r} pair regressor lacks its fitted field or head")
 
+    name = property(lambda self: self.kind)  # as a cluster model's name
+
     def predict(self, pairs: np.ndarray) -> np.ndarray:
         pairs = np.atleast_2d(np.asarray(pairs, dtype=float))
         if self.kind == "reg-tree":
             return _tree_predict(self.tree, pairs)
         return matchrep.predict_heads(None, self.predictor, pairs)[:, 0]
+
+    def predict_pairs(self, recipients: np.ndarray, donors: np.ndarray) -> np.ndarray:
+        """(n,) predicted days of each recipient with its row's donor."""
+        return self.predict(np.hstack([recipients, donors]))
+
+    def predict_types(self, recipients: np.ndarray, donors: np.ndarray):
+        """No donor types: one column of pair predictions, every label 0, no best types."""
+        return (self.predict_pairs(recipients, donors)[:, None],
+                np.zeros(len(recipients), dtype=int), None)
+
+    def check_input_widths(self, path, d_r: int, d_o: int) -> None:
+        """As ``MatchRepModel.check_input_widths``, for pairs of ``d_r + d_o``
+        features; a tree is refused only if it splits on a feature beyond them."""
+        width = d_r + d_o
+        if self.tree is not None:
+            features = self.tree.split_features()
+            if any(not 0 <= f < width for f in features):
+                raise IngestionError(f"{path}: split features {features}, the data has {width}")
+        elif (got := self.predictor.input_width()) != width:
+            raise IngestionError(f"{path}: input widths {got}, the data has {width}")
 
 
 def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
@@ -312,37 +335,25 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
 
 
 # ---------------------------------------------------------------------------
-# Serialization: matchrep's one model-file codec
+# Every model kind
 # ---------------------------------------------------------------------------
 
-_MODEL_TYPES = matchrep._MODEL_TYPES + (TreeNode, PairRegressor)
 
-# A cluster-predictor baseline is a MatchRepModel, saved with no normalization.
-save_cluster_predictor = matchrep.save_model
+def fit_model(name: str, train: Dataset, config: TrainConfig):
+    """Fit the joint model (``matchrep.JOINT``), a ``PAIR_KINDS`` pair regressor
+    or a ``BaselineSpec``-named baseline on ``train`` with ``config``; returns
+    (model, training log: the joint model's, None for any other). Each fit
+    function is looked up when called, so a patched or traced one runs."""
+    data = (train.recipients, train.donors, train.outcomes)
+    if name == matchrep.JOINT:
+        return matchrep.train_joint(*data, config)
+    if name in PAIR_KINDS:
+        return fit_pair_regressor(*data, name, config=config), None
+    return fit_cluster_predictor(*data, BaselineSpec.from_name(name, config)), None
+
+
+matchrep.MODEL_TYPES.update({t.__name__: t for t in (TreeNode, PairRegressor)})  # codec allow-list
+# The old writers and readers, which the benchmark's workloads still call.
+save_cluster_predictor = save_pair_regressor = matchrep.save_model
 load_cluster_predictor = matchrep.load_model
-
-
-def save_pair_regressor(model: PairRegressor, path) -> None:
-    matchrep._save(model, path)
-
-
-def load_pair_regressor(path) -> PairRegressor:
-    return matchrep._load(path, PairRegressor, _MODEL_TYPES)[0]
-
-
-def check_input_widths(model, path, d_r: int, d_o: int) -> None:
-    """Raise IngestionError naming ``path``, the file the cluster model or
-    pair regressor ``model`` was read from, unless it takes ``d_r`` recipient
-    and ``d_o`` donor features; a tree, unless it splits on those features
-    only."""
-    if isinstance(model, MatchRepModel):
-        got, want = model.input_widths(), (d_r, d_o)
-    elif model.kind == "reg-tree":
-        features = model.tree.split_features()
-        if any(not 0 <= f < d_r + d_o for f in features):
-            raise IngestionError(f"{path}: split features {features}, the data has {d_r + d_o}")
-        return
-    else:
-        got, want = model.predictor.input_width(), d_r + d_o
-    if got != want:
-        raise IngestionError(f"{path}: input widths {got}, the data has {want}")
+load_pair_regressor = functools.partial(matchrep.load_model, kind=PairRegressor)

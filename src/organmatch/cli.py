@@ -136,66 +136,51 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_baseline_names(raw: str | None,
-                          train: matchrep.TrainConfig) -> list[baselines.BaselineSpec]:
-    names = DEFAULT_BASELINES if raw is None else raw.split(",") if raw.strip() else []
-    return [baselines.BaselineSpec.from_name(name.strip(), train) for name in names]
-
-
-def _parse_pair_kinds(raw: str | None) -> list[str]:
-    if raw is None or raw.strip() == "":
-        return []
-    kinds = [s.strip() for s in raw.split(",")]
-    for kind in kinds:
-        if kind not in baselines.PAIR_KINDS:
-            raise datamodel.ConfigError(f"pair regressor {kind!r} not in {baselines.PAIR_KINDS}")
-    return kinds
+def _parse_names(raw: str | None, default=()) -> list[str]:
+    """The comma-separated names in ``raw``; ``default`` if it is None, none if blank."""
+    if raw is None:
+        return list(default)
+    return [name.strip() for name in raw.split(",")] if raw.strip() else []
 
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, matchrep.TrainConfig, seed=args.seed, beta=args.beta)
-    specs = _parse_baseline_names(args.baselines, config)
-    pair_kinds = _parse_pair_kinds(args.pair_regressors)
-    names = [spec.name for spec in specs] + pair_kinds
+    baseline_names = [baselines.BaselineSpec.from_name(name, config).name
+                      for name in _parse_names(args.baselines, DEFAULT_BASELINES)]
+    pair_kinds = _parse_names(args.pair_regressors)
+    for kind in pair_kinds:
+        if kind not in baselines.PAIR_KINDS:
+            raise datamodel.ConfigError(f"pair regressor {kind!r} not in {baselines.PAIR_KINDS}")
+    names = baseline_names + pair_kinds
     if len(set(names)) < len(names):
         raise datamodel.ConfigError(f"a baseline or pair regressor is listed twice in {names}")
+    files = {matchrep.JOINT: "model.json",
+             **{name: f"baseline_{name.replace('/', '_')}.json" for name in baseline_names},
+             **{kind: f"pair_{kind}.json" for kind in pair_kinds}}
 
     dataset = _load_data_dir(args.data)
     indices = datamodel.split(dataset, seed=config.seed)
     normed = datamodel.normalize_fit_transform(dataset, indices)
     train = normed.subset(indices.train)
+    # only the joint model's file carries the normalization, which simulate reads
+    normalization = {matchrep.JOINT: datamodel.normalization_to_dict(normed.normalization)}
 
     out = _ensure_out(args.out)
     artifacts = []
-    model, log = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
-    model_path = out / "model.json"
-    matchrep.save_model(model, model_path,
-                        normalization=datamodel.normalization_to_dict(normed.normalization))
-    artifacts.append(model_path)
-    log_path = out / "training_log.csv"
-    fields = ["epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"]
-    _write_records(log_path, fields, log)
-    artifacts.append(log_path)
-
-    for spec in specs:
-        bmodel = baselines.fit_cluster_predictor(train.recipients, train.donors,
-                                                 train.outcomes, spec)
-        name = spec.name.replace("/", "_")
-        path = out / f"baseline_{name}.json"
-        matchrep.save_model(bmodel, path)
-        artifacts.append(path)
-
-    for kind in pair_kinds:
-        regressor = baselines.fit_pair_regressor(train.recipients, train.donors,
-                                                 train.outcomes, kind, config=config)
-        path = out / f"pair_{kind}.json"
-        baselines.save_pair_regressor(regressor, path)
-        artifacts.append(path)
+    for name, file in files.items():
+        model, log = baselines.fit_model(name, train, config)
+        matchrep.save_model(model, out / file, normalization=normalization.get(name))
+        artifacts.append(out / file)
+        if log is not None:
+            log_path = out / "training_log.csv"
+            fields = ["epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"]
+            _write_records(log_path, fields, log)
+            artifacts.append(log_path)
 
     _write_manifest(out, "train", {
         "train": asdict(config),
         "data": str(Path(args.data)),
-        "baselines": [s.name for s in specs],
+        "baselines": baseline_names,
         "pair_regressors": pair_kinds,
     }, config.seed, artifacts)
     print(f"wrote {len(artifacts)} model artifacts to {out}")
@@ -206,37 +191,32 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+# The model type that each file ``train`` writes may hold, by its name.
+MODEL_FILES = (("model.json", matchrep.MatchRepModel), ("baseline_*.json", matchrep.MatchRepModel),
+               ("pair_*.json", baselines.PairRegressor))
+
 
 def cmd_eval(args) -> int:
     models_dir = Path(args.models)
     model_path = models_dir / "model.json"
-    if not model_path.exists():
-        raise datamodel.IngestionError(f"no model.json in {args.models}")
-    model, norm = matchrep.load_model_and_normalization(model_path)
+    joint, norm = matchrep.load_model_and_normalization(model_path)
 
     dataset = _load_data_dir(args.data)
-    indices = datamodel.split(dataset, seed=model.config.seed)
+    indices = datamodel.split(dataset, seed=joint.config.seed)
     normed = datamodel.apply_normalization(dataset, norm)
     subset = normed.subset(indices.validation if args.split == "validation"
                            else indices.train if args.split == "train"
                            else np.arange(len(normed)))
-    truth = (subset.true_potentials, subset.true_donor_type)
 
     rows = []
-    for path in (model_path, *sorted(models_dir.glob("baseline_*.json"))):
-        cmodel = model if path == model_path else matchrep.load_model(path)
-        baselines.check_input_widths(cmodel, path, subset.d_r, subset.d_o)
-        preds = cmodel.predict_potentials(subset.recipients)
-        rows.append(metrics.comparison_row(
-            cmodel.name, preds, cmodel.donor_labels(subset.donors), subset.outcomes, *truth,
-            best_types=matchrep.best_donor_types(cmodel, preds)))
-
-    for path in sorted(models_dir.glob("pair_*.json")):
-        regressor = baselines.load_pair_regressor(path)
-        baselines.check_input_widths(regressor, path, subset.d_r, subset.d_o)
-        pred = regressor.predict(np.hstack([subset.recipients, subset.donors]))
-        rows.append(metrics.comparison_row(regressor.kind, pred[:, None],
-                                           np.zeros(len(pred), dtype=int), subset.outcomes))
+    for pattern, kind in MODEL_FILES:
+        for path in sorted(models_dir.glob(pattern)):
+            model = joint if path == model_path else matchrep.load_model(path, kind)
+            model.check_input_widths(path, subset.d_r, subset.d_o)
+            preds, labels, best = model.predict_types(subset.recipients, subset.donors)
+            rows.append(metrics.comparison_row(
+                model.name, preds, labels, subset.outcomes, subset.true_potentials,
+                subset.true_donor_type, best))
 
     out = _ensure_out(args.out)
     table_path = out / "comparison.csv"
@@ -247,7 +227,7 @@ def cmd_eval(args) -> int:
     _write_manifest(out, "eval", {
         "data": str(Path(args.data)), "models": str(models_dir),
         "split": args.split,
-    }, model.config.seed, [table_path, report_path])
+    }, joint.config.seed, [table_path, report_path])
     print(f"evaluated {len(rows)} models on {len(subset)} records -> {table_path}")
     return EXIT_OK
 
@@ -262,6 +242,7 @@ def _resolve_scorers(args, dataset: datamodel.Dataset):
     model_sc = guide = None
     if args.model:
         model, norm = matchrep.load_model_and_normalization(args.model)
+        model.check_input_widths(args.model, dataset.d_r, dataset.d_o)
         normed = datamodel.apply_normalization(dataset, norm)
         model_sc, guide = allocsim.model_scorer_and_guide(model, normed)
     plain_sc = None

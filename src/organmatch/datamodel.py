@@ -375,7 +375,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write features and outcome; inverse of load_csv for all-numeric schemas."""
+    """Write features and outcome; the inverse of load_csv for finite, all-numeric data."""
     header = ([f"r_{n}" for n in dataset.recipient_names]
               + [f"d_{n}" for n in dataset.donor_names] + ["outcome"])
     write_table(path, header, len(dataset), lambda lo, hi: [

@@ -46,6 +46,7 @@ from .numkit import (
     rng_stream,
 )
 
+JOINT = "matchrep"  # the joint model's name
 T_CLAMP = 1e-12
 # Exponent of the Student's t kernel of the DEC soft assignment (one degree
 # of freedom, Xie et al. 2016).
@@ -215,11 +216,6 @@ class MatchRepModel:
             raise DimensionMismatchError(
                 f"the clusterer, heads or active mask do not fit {k} donor types")
 
-    def input_widths(self) -> tuple[int, int]:
-        """The (recipient, donor) feature widths the model reads."""
-        return ((self.predictor.input_width() if self.phi is None else self.phi.input_dim),
-                self.clusterer.input_dim)
-
     def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
         """(n, K) matrix of predicted survival days, one column per donor type."""
         return predict_heads(self.phi, self.predictor, np.atleast_2d(recipients))
@@ -227,6 +223,25 @@ class MatchRepModel:
     def donor_labels(self, donors: np.ndarray) -> np.ndarray:
         """0-based donor types: the clusterer's best-scoring active cluster."""
         return donor_type_batch(self, donors)[0]
+
+    def predict_pairs(self, recipients: np.ndarray, donors: np.ndarray) -> np.ndarray:
+        """(n,) predicted days of each recipient with its row's donor: that donor's head."""
+        return self.predict_potentials(recipients)[np.arange(len(recipients)),
+                                                   self.donor_labels(donors)]
+
+    def predict_types(self, recipients: np.ndarray, donors: np.ndarray):
+        """The (n, K) predictions per donor type, each donor's type and each
+        recipient's best type: the inputs of ``metrics.comparison_row``."""
+        preds = self.predict_potentials(recipients)
+        return preds, self.donor_labels(donors), best_donor_types(self, preds)
+
+    def check_input_widths(self, path, d_r: int, d_o: int) -> None:
+        """Raise IngestionError naming ``path``, the file the model was read
+        from, unless it reads ``d_r`` recipient and ``d_o`` donor features."""
+        got = (self.predictor.input_width() if self.phi is None else self.phi.input_dim,
+               self.clusterer.input_dim)
+        if got != (d_r, d_o):
+            raise IngestionError(f"{path}: input widths {got}, the data has {(d_r, d_o)}")
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +618,7 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
         row["dec_active"] = refine.active
         log.append(row)
         refine.end_epoch(epoch)
-    return MatchRepModel(name="matchrep", config=config, clusterer=clusterer, phi=phi,
+    return MatchRepModel(name=JOINT, config=config, clusterer=clusterer, phi=phi,
                          predictor=predictor, active=active_clusters(refine.labels, config)), log
 
 
@@ -660,9 +675,7 @@ def predict_heads(phi: DenseNet | None, predictor: MultiHeadPredictor,
     return preds
 
 
-def predict_potential_batch(model: MatchRepModel, recipients: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of predicted survival days, one column per donor type."""
-    return model.predict_potentials(recipients)
+predict_potential_batch = MatchRepModel.predict_potentials  # the name allocsim and perfbench call
 
 
 def best_donor_types(model: MatchRepModel, scores: np.ndarray) -> np.ndarray:
@@ -684,10 +697,11 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v9"
+MODEL_FORMAT = "organmatch-model-v10"
 _ARRAY_DTYPES = ("float64", "bool")
-# The dataclasses a cluster-model file may hold; baselines extends the list.
-_MODEL_TYPES = (Layer, DenseNet, TrainConfig, DonorClusterer, MultiHeadPredictor, MatchRepModel)
+# The dataclasses a model file may hold, by name; baselines adds the pair regressor's.
+MODEL_TYPES = {t.__name__: t for t in (Layer, DenseNet, TrainConfig, DonorClusterer,
+                                       MultiHeadPredictor, MatchRepModel)}
 
 
 def _to_doc(obj):
@@ -706,12 +720,12 @@ def _to_doc(obj):
     return obj
 
 
-def _from_doc(doc, types: dict[str, type]):
-    """Inverse of ``_to_doc``. Builds only the dataclasses named in ``types``,
+def _from_doc(doc):
+    """Inverse of ``_to_doc``. Builds only the dataclasses in ``MODEL_TYPES``,
     from values of their fields' declared types, through their constructors,
     so their own checks run. Refuses a non-finite float, alone or in arrays."""
     if isinstance(doc, list):
-        return [_from_doc(v, types) for v in doc]
+        return [_from_doc(v) for v in doc]
     if not isinstance(doc, dict):
         if isinstance(doc, float) and not np.isfinite(doc):
             raise ValueError(f"non-finite number {doc}")
@@ -723,56 +737,49 @@ def _from_doc(doc, types: dict[str, type]):
         if not np.isfinite(array).all():
             raise ValueError("non-finite entry in a float array")
         return array
-    cls = types.get(doc["type"])
+    cls = MODEL_TYPES.get(doc["type"])
     if cls is None:
         raise ValueError(f"unknown type {doc['type']!r}")
     names = {f.name for f in fields(cls)}
     if set(doc) - {"type"} != names:
         raise ValueError(f"{cls.__name__} needs fields {sorted(names)}, "
                          f"got {sorted(set(doc) - {'type'})}")
-    values = {name: _from_doc(doc[name], types) for name in names}
+    values = {name: _from_doc(doc[name]) for name in names}
     check_field_kinds(cls, values)
     return cls(**values)
 
 
-def _save(model, path, **extra) -> None:
-    """Write ``model`` in the one model-file format, with ``extra`` top-level keys."""
-    doc = {"format": MODEL_FORMAT, "model": _to_doc(model), **extra}
+def save_model(model, path, normalization: dict | None = None) -> None:
+    """Write a model of any kind with the feature normalization it was
+    trained on, which only the joint model's ``model.json`` carries."""
+    doc = {"format": MODEL_FORMAT, "model": _to_doc(model), "normalization": normalization}
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
-def _load(path, kind: type, types) -> tuple:
-    """Read a ``kind`` model built from the dataclasses ``types``; returns
-    (model, whole document). A malformed file raises IngestionError."""
+def _load(path, kind: type) -> tuple:
+    """(``kind`` model, whole document) of a file; a malformed one raises IngestionError."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError(f"not an {MODEL_FORMAT} file")
         if not isinstance(doc["model"], dict) or doc["model"].get("type") != kind.__name__:
             raise ValueError(f"does not hold a {kind.__name__}")
-        return _from_doc(doc["model"], {t.__name__: t for t in types}), doc
+        return _from_doc(doc["model"]), doc
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IngestionError(f"{path}: {exc!r}") from exc
 
 
-def save_model(model: MatchRepModel, path, normalization: dict | None = None) -> None:
-    """Write a cluster model with the feature normalization it was trained
-    on; a baseline is written with none."""
-    _save(model, path, normalization=normalization)
-
-
-def load_model(path) -> MatchRepModel:
-    return _load(path, MatchRepModel, _MODEL_TYPES)[0]
+def load_model(path, kind: type = MatchRepModel):
+    """The ``kind`` model a model file holds; a malformed file, or one that
+    holds another type, raises IngestionError."""
+    return _load(path, kind)[0]
 
 
 def load_model_and_normalization(path) -> tuple[MatchRepModel, Normalization]:
-    """A cluster model and the feature normalization saved with it."""
-    model, doc = _load(path, MatchRepModel, _MODEL_TYPES)
+    """A cluster model and the feature normalization saved with it. Each is
+    checked against the data it is used on, so each against the other."""
+    model, doc = _load(path, MatchRepModel)
     try:
-        norm = normalization_from_dict(doc["normalization"])
-        d_r, d_o = model.input_widths()
-        if norm.recipient_mean.shape != (d_r,) or norm.donor_mean.shape != (d_o,):
-            raise ValueError("the statistics do not fit the model's input widths")
-        return model, norm
+        return model, normalization_from_dict(doc["normalization"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{path} lacks valid normalization statistics: {exc!r}") from exc

@@ -98,17 +98,17 @@ def comparison_row(model: str, predictions: np.ndarray, factual_labels: np.ndarr
                    outcomes: np.ndarray, true_potentials: np.ndarray | None = None,
                    true_donor_type: np.ndarray | None = None,
                    best_types: np.ndarray | None = None) -> dict:
-    """One model's ``comparison.csv`` row from its (n, K) predictions and
-    0-based donor labels. ``eps_wmse`` (over non-empty learned clusters) and
-    ``aodt`` are None without the ground truth. A pair regressor is one
-    column with every label 0 and no ground truth."""
+    """One model's ``comparison.csv`` row from its ``predict_types``: (n, K)
+    predictions, 0-based donor labels and best types. ``eps_wmse`` (over
+    non-empty learned clusters) and ``aodt`` are None without the ground truth
+    or best types; a pair regressor has no best types (one column, labels 0)."""
     predictions = _check_2d(predictions)
     row = {"model": model,
            "eps_f": eps_factual(predictions, factual_labels, outcomes),
            "eps_wmse": None, "aodt": None,
            "mean_best_prediction": mean_best_prediction(predictions, best_types),
            "n": predictions.shape[0]}
-    if true_potentials is not None and true_donor_type is not None:
+    if true_potentials is not None and true_donor_type is not None and best_types is not None:
         y_tilde, nonempty = remap_potentials_to_learned(
             true_potentials, true_donor_type, factual_labels, predictions.shape[1])
         row["eps_wmse"] = eps_wmse(predictions[:, nonempty], y_tilde[:, nonempty])

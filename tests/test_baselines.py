@@ -13,19 +13,20 @@ from organmatch.baselines import (
     PREDICTORS,
     RIDGE_PENALTY,
     BaselineSpec,
+    PairRegressor,
     _enet_cd,
     _fit_ridge_heads,
     _linear_predictor,
     _ridge_solve,
-    check_input_widths,
     fit_cluster_predictor,
+    fit_model,
     fit_pair_regressor,
     load_cluster_predictor,
     load_pair_regressor,
     save_cluster_predictor,
     save_pair_regressor,
 )
-from organmatch.datamodel import ConfigError, IngestionError
+from organmatch.datamodel import ConfigError, Dataset, IngestionError
 from organmatch.matchrep import CLUSTERERS, DonorClusterer, MatchRepModel, TrainConfig
 from organmatch.numkit import ROW_BLOCK, VAR_FLOOR, DenseNet, Layer, rng_stream
 
@@ -49,10 +50,10 @@ SMALL = TrainConfig(k=2, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
 def _assert_widths_checked(model, path, d_r, d_o, wrong):
     """``model`` takes (d_r, d_o) features and is refused, naming ``path``,
     for each (recipient, donor) width pair in ``wrong``."""
-    check_input_widths(model, path, d_r, d_o)
+    model.check_input_widths(path, d_r, d_o)
     for bad_r, bad_o in wrong:
         with pytest.raises(IngestionError, match=path.name):
-            check_input_widths(model, path, bad_r, bad_o)
+            model.check_input_widths(path, bad_r, bad_o)
 
 
 def test_spec_name_and_validation():
@@ -435,10 +436,18 @@ def test_reg_nn_is_built_at_the_config_width(hidden):
         (5, hidden), (hidden, hidden), (hidden, 1)]
 
 
+def _dataset(recipients, donors, outcomes) -> Dataset:
+    return Dataset(recipients=recipients, donors=donors, outcomes=outcomes,
+                   recipient_names=[f"r{j}" for j in range(recipients.shape[1])],
+                   donor_names=[f"d{j}" for j in range(donors.shape[1])])
+
+
 def test_unknown_pair_kind_rejected():
     recipients, donors, outcomes, _ = _linear_pairs(n=50)
     with pytest.raises(ValueError):
         fit_pair_regressor(recipients, donors, outcomes, "svm")
+    with pytest.raises(ConfigError, match="svm"):
+        fit_model("svm", _dataset(recipients, donors, outcomes), TrainConfig())
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
@@ -466,7 +475,7 @@ CLUSTER_SPECS = ("kmeans/multihead-nn", "em/multihead-nn", "kmeans/linear-per-he
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(("joint",) + CLUSTER_SPECS + PAIR_KINDS),
+@given(kind=st.sampled_from((matchrep.JOINT,) + CLUSTER_SPECS + PAIR_KINDS),
        seed=st.integers(0, 2 ** 16), n=st.integers(40, 120), k=st.integers(2, 3),
        with_rep=st.booleans())
 def test_every_model_kind_predicts_alike_after_save_and_load(kind, seed, n, k, with_rep):
@@ -474,32 +483,27 @@ def test_every_model_kind_predicts_alike_after_save_and_load(kind, seed, n, k, w
     new_r, new_o, _, _ = _two_mode_data(n=50, seed=seed + 1)
     config = TrainConfig(k=k, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=2,
                          joint_epochs=2, batch_size=32, min_cluster_count=4, seed=seed)
-    if kind in PAIR_KINDS:
-        save, load = save_pair_regressor, load_pair_regressor
-        model = fit_pair_regressor(recipients, donors, outcomes, kind, config=config)
-
-        def outputs(m):
-            return (m.predict(np.hstack([new_r, new_o])),)
-    else:
-        save, load = matchrep.save_model, matchrep.load_model
-        if kind == "joint":
-            model, _ = matchrep.train_joint(recipients, donors, outcomes, config)
-        else:
-            clusterer, predictor = kind.split("/")
-            spec = BaselineSpec(clusterer=clusterer, predictor=predictor,
-                                with_rep=with_rep and predictor == "multihead-nn", train=config)
-            model = fit_cluster_predictor(recipients, donors, outcomes, spec)
-
-        def outputs(m):
-            preds = m.predict_potentials(new_r)
-            return (preds, matchrep.best_donor_types(m, preds),
-                    *matchrep.donor_type_batch(m, new_o))
+    name = f"{kind}+rep" if with_rep and kind.endswith("/multihead-nn") else kind
+    model, _ = fit_model(name, _dataset(recipients, donors, outcomes), config)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "model.json"), Path(tmp, "again.json")
-        save(model, first)
-        again = load(first)
-        save(again, second)
+        matchrep.save_model(model, first)
+        again = matchrep.load_model(first, type(model))
+        matchrep.save_model(again, second)
         assert second.read_bytes() == first.read_bytes()
-    for got, want in zip(outputs(again), outputs(model), strict=True):
+
+    def outputs(m):
+        """The model's outputs, and the reference of its ``predict_pairs``."""
+        if isinstance(m, PairRegressor):
+            preds = m.predict(np.hstack([new_r, new_o]))
+            return (preds,), preds
+        preds = m.predict_potentials(new_r)
+        return ((preds, matchrep.best_donor_types(m, preds), *matchrep.donor_type_batch(m, new_o)),
+                preds[np.arange(len(new_r)), m.donor_labels(new_o)])
+
+    for m in (model, again):
+        pairs, reference = m.predict_pairs(new_r, new_o), outputs(m)[1]
+        assert pairs.dtype == reference.dtype and pairs.tobytes() == reference.tobytes()
+    for got, want in zip(outputs(again)[0], outputs(model)[0], strict=True):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)

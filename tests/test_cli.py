@@ -404,7 +404,7 @@ BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
                    "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
                    "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file",
-                   "bool-weight", "bool-centers")
+                   "bool-weight", "bool-centers", "v9-file")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -452,6 +452,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "v6-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v6"),
             "v7-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v7"),
             "v8-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v8"),
+            "v9-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v9"),
             "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),

@@ -79,11 +79,14 @@ def test_comparison_row_with_ground_truth():
 @given(hnp.arrays(np.float64, 7, elements=st.floats(-1e4, 1e4)),
        hnp.arrays(np.float64, 7, elements=st.floats(-1e4, 1e4)))
 def test_comparison_row_of_a_pair_regressor(pred, y):
-    # a pair regressor is one column with every label 0
-    row = comparison_row("ridge", pred[:, None], np.zeros(7, dtype=int), y)
-    assert row["eps_f"] == float(np.mean((pred - y) ** 2))
-    assert row["mean_best_prediction"] == float(np.mean(pred))
-    assert row["eps_wmse"] is None and row["aodt"] is None and row["n"] == 7
+    # a pair regressor is one column with every label 0 and no best types,
+    # so it gets no eps_wmse or aodt even with the ground truth
+    truth = (np.tile(y[:, None], (1, 3)), np.arange(7) % 3 + 1)
+    for ground_truth in ((), truth):
+        row = comparison_row("ridge", pred[:, None], np.zeros(7, dtype=int), y, *ground_truth)
+        assert row["eps_f"] == float(np.mean((pred - y) ** 2))
+        assert row["mean_best_prediction"] == float(np.mean(pred))
+        assert row["eps_wmse"] is None and row["aodt"] is None and row["n"] == 7
 
 
 def test_predictions_must_be_2d():
