@@ -275,7 +275,7 @@ def compare(ref: Path, seeds: list[int]) -> tuple[int, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--ref", type=Path, help="the other tree's src directory")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 5, 11])
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

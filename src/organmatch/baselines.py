@@ -16,6 +16,7 @@ regression tree is a DenseNet in a ``matchrep.MultiHeadPredictor``, read by
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import matchrep, numkit
 from .datamodel import ConfigError, Dataset, IngestionError
 from .matchrep import MatchRepModel, MultiHeadPredictor, TrainConfig
-from .numkit import Adam, DenseNet, Layer, minibatches, rng_stream
+from .numkit import Adam, DenseNet, Layer, rng_stream
 
 PREDICTORS = ("linear-per-head", "multihead-nn")
 PAIR_KINDS = ("reg-nn", "reg-tree", "lasso", "ridge", "elasticnet")
@@ -115,18 +116,6 @@ def _fit_ridge_heads(recipients, outcomes, labels, k) -> MultiHeadPredictor:
     return _linear_predictor(fits)
 
 
-def _fit_heads(phi, predictor, opt, x, outcomes, labels, beta, cfg: TrainConfig, batches: str):
-    """Train Phi (None: the heads read ``x`` itself) and the heads by
-    ``cfg.joint_epochs`` epochs of ``matchrep.phi_heads_step`` on L_f +
-    beta*L_Phi for the fixed ``labels``, the minibatches drawn from the
-    stream ``baselines/<batches>``."""
-    rng = rng_stream(cfg.seed, "baselines", batches)
-    for _ in range(cfg.joint_epochs):
-        for idx in minibatches(len(outcomes), cfg.batch_size, rng):
-            matchrep.phi_heads_step(phi, predictor, opt, x[idx], outcomes[idx], labels[idx],
-                                    beta, cfg)
-
-
 def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
                           outcomes: np.ndarray, spec: BaselineSpec) -> MatchRepModel:
     """Fit the donor clusterer, freeze its labels, then fit the predictor."""
@@ -138,8 +127,9 @@ def fit_cluster_predictor(recipients: np.ndarray, donors: np.ndarray,
         cfg = spec.train
         phi, predictor, opt = matchrep.init_phi_heads(recipients.shape[1], outcomes, cfg,
                                                       "baselines")
-        _fit_heads(phi, predictor, opt, recipients, outcomes, labels,
-                   cfg.beta if spec.with_rep else 0.0, cfg, "nn-batches")
+        matchrep.fit_phi_heads(phi, predictor, opt, recipients, outcomes,
+                               itertools.repeat(labels, cfg.joint_epochs),
+                               cfg.beta if spec.with_rep else 0.0, cfg, "baselines/nn-batches")
     return MatchRepModel(name=spec.name, config=spec.train, clusterer=clusterer, phi=phi,
                          predictor=predictor, active=matchrep.active_clusters(labels, spec.train))
 
@@ -322,8 +312,11 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
         config = config or TrainConfig()
         predictor = matchrep.init_heads(pairs.shape[1], 1, outcomes, config.hidden,
                                         rng_stream(config.seed, "baselines", "regnn-init"))
-        _fit_heads(None, predictor, Adam(predictor.heads, config.learning_rate, "reg-nn"), pairs,
-                   outcomes, np.zeros(len(outcomes), dtype=int), 0.0, config, "regnn-batches")
+        labels = np.zeros(len(outcomes), dtype=int)
+        matchrep.fit_phi_heads(None, predictor, Adam(predictor.heads, config.learning_rate,
+                                                     "reg-nn"), pairs, outcomes,
+                               itertools.repeat(labels, config.joint_epochs), 0.0, config,
+                               "baselines/regnn-batches")
         return PairRegressor(kind=kind, predictor=predictor)
     if kind == "ridge":
         fit = _ridge_solve(pairs, outcomes, PAIR_PENALTY)
@@ -349,7 +342,12 @@ def fit_model(name: str, train: Dataset, config: TrainConfig):
         return matchrep.train_joint(*data, config)
     if name in PAIR_KINDS:
         return fit_pair_regressor(*data, name, config=config), None
-    return fit_cluster_predictor(*data, BaselineSpec.from_name(name, config)), None
+    try:
+        spec = BaselineSpec.from_name(name, config)
+    except ConfigError as exc:
+        raise ConfigError(f"model {name!r} is not {matchrep.JOINT!r}, a pair kind in "
+                          f"{PAIR_KINDS} or a valid baseline: {exc}") from exc
+    return fit_cluster_predictor(*data, spec), None
 
 
 matchrep.MODEL_TYPES.update({t.__name__: t for t in (TreeNode, PairRegressor)})  # codec allow-list

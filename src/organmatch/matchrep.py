@@ -9,8 +9,11 @@ Three jointly trained parts:
 * a K-headed predictor ``f`` producing one survival-time estimate per donor
   type.
 
-The combined objective is ``L = L_f + alpha * L_DEC + beta * L_Phi``. All
-gradients are hand-derived and validated against finite differences.
+The combined objective is ``L = L_f + alpha * L_DEC + beta * L_Phi``. The
+donor map reaches ``L_f`` and ``L_Phi`` only through its hard labels, so DEC
+alone trains it (``_dec_epochs``), and it hands the Phi+heads loop
+(``fit_phi_heads``) one label array per epoch. All gradients are
+hand-derived and validated against finite differences.
 Learned donor-type labels are 0-based throughout this module.
 
 A ``DonorClusterer`` is the one type of a donor map: the joint model's DEC
@@ -469,74 +472,52 @@ def pretrain_autoencoder(donors: np.ndarray,
     return DonorClusterer("dec", centers, encoder=encoder, decoder=decoder), losses
 
 
-class _DecRefinement:
-    """The refinement schedule of a DEC clusterer, in joint and standalone
-    DEC training.
+def _dec_epochs(clusterer: DonorClusterer, donors: np.ndarray, config: TrainConfig,
+                batches: str):
+    """The one refinement schedule of a DEC clusterer: ``joint_epochs`` epochs
+    over minibatches of the ``donors`` from the stream ``batches``. Yields per
+    epoch the (n,) label each donor had in its minibatch, the epoch's summed
+    L_DEC and whether the map was refined.
 
-    ``start_epoch`` refreshes the target distribution while refining;
-    ``step`` refines the map on one minibatch; ``end_epoch`` stops refinement
-    once fewer than ``dec_stop_tol`` of the hard labels changed over the
-    epoch. ``labels`` always holds the hard labels of the current map, and
-    ``soft`` the full soft assignment they are taken from, which the next
-    ``start_epoch`` reuses, as the map has not moved since. ``anchor`` is the
-    reconstruction anchor's Adam over the map's encoder and decoder.
-
-    Once refinement has stopped the map is frozen, so the per-donor L_DEC
-    terms, against the frozen map's own target, are computed once, not per
-    batch.
+    A refining epoch refreshes the target distribution, then per minibatch
+    takes one Adam step of the reconstruction anchor and one SGD step on
+    L_DEC plus embedding norm-decay. Once fewer than ``dec_stop_tol`` of the
+    labels change over an epoch the map is frozen, and the per-donor L_DEC
+    terms of its own target are computed once, not per batch.
     """
-
-    def __init__(self, clusterer: DonorClusterer, donors: np.ndarray, config: TrainConfig):
-        self.clusterer = clusterer
-        self.donors = donors
-        self.config = config
-        self.anchor = Adam([clusterer.encoder, clusterer.decoder], config.learning_rate,
-                           "DEC refinement's reconstruction anchor")
-        self.active = config.alpha > 0.0
-        self.soft = clusterer.scores(donors)
-        self.labels = np.argmax(self.soft, axis=1)
-        self.p_full = None
-        self.frozen_terms = None  # (n, K) L_DEC terms of the frozen map
-
-    def start_epoch(self) -> None:
-        if self.active:
-            self.p_full = target_distribution(self.soft)
-        elif self.frozen_terms is None:
-            self.frozen_terms = _dec_terms(target_distribution(self.soft),
-                                           np.maximum(self.soft, T_CLAMP))
-
-    def step(self, idx: np.ndarray) -> float:
-        """While refining, one Adam reconstruction-anchor step and one SGD step
-        on L_DEC plus embedding norm-decay; returns the batch L_DEC (of the
-        frozen map once refinement has stopped)."""
-        if not self.active:
-            return float(np.sum(self.frozen_terms[idx]))
-        c, x = self.clusterer, self.donors[idx]
-        self.anchor.step(*recon_loss_and_grads(c.encoder, c.decoder, x))
-        loss, grads = dec_refine_loss_and_grads(c.encoder, c.centers, x, self.p_full[idx],
-                                                self.config.embed_decay,
-                                                x.shape[0] / len(self.donors))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError("DEC loss diverged; try a lower alpha")
-        for pm, g in zip(c.encoder.parameters() + [c.centers], grads):
-            pm -= self.config.alpha * g
-        return loss
-
-    def batch_labels(self, idx: np.ndarray) -> np.ndarray:
-        """Hard labels of the donors ``idx`` under the current map."""
-        if not self.active:
-            return self.labels[idx]
-        return np.argmax(self.clusterer.scores(self.donors[idx]), axis=1)
-
-    def end_epoch(self, epoch: int) -> None:
-        if not self.active:
-            return
-        self.soft = self.clusterer.scores(self.donors)
-        labels = np.argmax(self.soft, axis=1)
-        changed = float(np.mean(labels != self.labels))
-        self.labels = labels
-        if epoch + 1 >= self.config.dec_min_epochs and changed < self.config.dec_stop_tol:
-            self.active = False
+    anchor = Adam([clusterer.encoder, clusterer.decoder], config.learning_rate,
+                  "DEC refinement's reconstruction anchor")
+    rng = rng_stream(config.seed, batches)
+    n = len(donors)
+    soft = clusterer.scores(donors)  # of the current map, so reused until it moves
+    labels = np.argmax(soft, axis=1)
+    refining, frozen_terms = config.alpha > 0.0, None
+    for epoch in range(config.joint_epochs):
+        l_dec, batch_labels = 0.0, labels
+        if refining:
+            p_full, batch_labels = target_distribution(soft), np.empty_like(labels)
+        elif frozen_terms is None:
+            frozen_terms = _dec_terms(target_distribution(soft), np.maximum(soft, T_CLAMP))
+        for idx in minibatches(n, config.batch_size, rng):
+            if not refining:
+                l_dec += float(np.sum(frozen_terms[idx]))
+                continue
+            x = donors[idx]
+            anchor.step(*recon_loss_and_grads(clusterer.encoder, clusterer.decoder, x))
+            loss, grads = dec_refine_loss_and_grads(clusterer.encoder, clusterer.centers, x,
+                                                    p_full[idx], config.embed_decay, len(idx) / n)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError("DEC loss diverged; try a lower alpha")
+            for pm, g in zip(clusterer.encoder.parameters() + [clusterer.centers], grads):
+                pm -= config.alpha * g
+            l_dec += loss
+            batch_labels[idx] = np.argmax(clusterer.scores(x), axis=1)
+        yield batch_labels, l_dec, refining
+        if refining:
+            soft = clusterer.scores(donors)
+            new_labels = np.argmax(soft, axis=1)
+            changed, labels = float(np.mean(new_labels != labels)), new_labels
+            refining = epoch + 1 < config.dec_min_epochs or changed >= config.dec_stop_tol
 
 
 def init_heads(width: int, n_heads: int, outcomes: np.ndarray, hidden: int,
@@ -553,7 +534,7 @@ def init_heads(width: int, n_heads: int, outcomes: np.ndarray, hidden: int,
 def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
                    namespace: str) -> tuple[DenseNet, MultiHeadPredictor, Adam]:
     """Glorot-initialised recipient encoder Phi and K heads, and the Adam
-    that trains them (the ``opt`` of ``phi_heads_step``).
+    that trains them (the ``opt`` of ``fit_phi_heads``).
 
     ``namespace`` names the RNG streams (``phi-init``/``heads-init``), so each
     caller keeps draws of its own.
@@ -566,14 +547,26 @@ def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
     return phi, predictor, Adam([phi, *predictor.heads], config.learning_rate, "Phi/heads")
 
 
-def phi_heads_step(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam,
-                   recipients: np.ndarray, outcomes: np.ndarray, labels: np.ndarray,
-                   beta: float, config: TrainConfig) -> tuple[float, float]:
-    """One Adam step on L_f + beta*L_Phi for fixed labels; returns (L_f, L_Phi)."""
-    l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, recipients, outcomes, labels,
-                                                 beta, config.k, config.min_cluster_count)
-    opt.step(l_f + beta * l_rep, grads)
-    return l_f, l_rep
+def fit_phi_heads(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam,
+                  x: np.ndarray, outcomes: np.ndarray, epoch_labels, beta: float,
+                  config: TrainConfig, batches: str) -> list[tuple[float, float]]:
+    """Train Phi (None: the heads read ``x`` itself) and the heads by Adam
+    steps on L_f + beta*L_Phi, one epoch for each (n,) array of 0-based donor
+    types in ``epoch_labels``, over minibatches drawn from the stream
+    ``batches``. Returns each epoch's L_f and L_Phi, summed over its rows."""
+    rng = rng_stream(config.seed, batches)
+    sums = []
+    for labels in epoch_labels:
+        l_f_sum = l_rep_sum = 0.0
+        for idx in minibatches(len(outcomes), config.batch_size, rng):
+            l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, x[idx], outcomes[idx],
+                                                         labels[idx], beta, config.k,
+                                                         config.min_cluster_count)
+            opt.step(l_f + beta * l_rep, grads)
+            l_f_sum += l_f * len(idx)
+            l_rep_sum += l_rep * len(idx)
+        sums.append((l_f_sum, l_rep_sum))
+    return sums
 
 
 def active_clusters(labels: np.ndarray, config: TrainConfig) -> np.ndarray:
@@ -587,58 +580,46 @@ def active_clusters(labels: np.ndarray, config: TrainConfig) -> np.ndarray:
 
 def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray,
                 config: TrainConfig):
-    """Full training: autoencoder pretrain, center init, joint minibatch phase.
-
-    The joint phase uses two optimizers per minibatch. The donor map follows
-    the DEC refinement schedule (plain SGD on ``alpha * L_DEC`` with a
-    reconstruction anchor, until the hard labels stabilize). The recipient
-    encoder and heads take Adam steps on ``L_f + beta * L_Phi`` throughout.
-    Returns (model, log) where log has one dict per joint epoch with the
-    epoch-mean loss terms.
+    """Autoencoder pretrain and center init, then the joint epochs: DEC alone
+    refines the donor map (``_dec_epochs``) and hands each epoch's labels to
+    ``fit_phi_heads``, which steps Phi and the heads over the same
+    minibatches. Returns (model, log), log holding one dict per joint epoch
+    with the epoch-mean loss terms.
     """
     clusterer, _ = pretrain_autoencoder(donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
-    refine = _DecRefinement(clusterer, donors, config)
-    rng = rng_stream(config.seed, "matchrep", "joint-batches")
+    dec_log = []  # (L_DEC, refined) of each epoch
+
+    def epoch_labels():
+        for labels, l_dec, refined in _dec_epochs(clusterer, donors, config,
+                                                  "matchrep/joint-batches"):
+            dec_log.append((l_dec, refined))
+            yield labels
+
+    phi_log = fit_phi_heads(phi, predictor, phi_opt, recipients, outcomes, epoch_labels(),
+                            config.beta, config, "matchrep/joint-batches")
     n = len(outcomes)
-    log = []
-    for epoch in range(config.joint_epochs):
-        refine.start_epoch()
-        sums = {"L_f": 0.0, "L_DEC": 0.0, "L_Phi": 0.0}
-        for idx in minibatches(n, config.batch_size, rng):
-            # L_DEC comes as the batch's sum over donors, L_f and L_Phi as batch means.
-            sums["L_DEC"] += refine.step(idx)
-            l_f, l_rep = phi_heads_step(phi, predictor, phi_opt, recipients[idx], outcomes[idx],
-                                        refine.batch_labels(idx), config.beta, config)
-            sums["L_f"] += l_f * len(idx)
-            sums["L_Phi"] += l_rep * len(idx)
-        row = {"epoch": epoch, **{k: v / n for k, v in sums.items()}}
-        row["total"] = (row["L_f"] + config.alpha * row["L_DEC"]
-                        + config.beta * row["L_Phi"])
-        row["dec_active"] = refine.active
-        log.append(row)
-        refine.end_epoch(epoch)
+    log = [{"epoch": epoch, "L_f": l_f / n, "L_DEC": l_dec / n, "L_Phi": l_rep / n,
+            "total": l_f / n + config.alpha * (l_dec / n) + config.beta * (l_rep / n),
+            "dec_active": refined}
+           for epoch, ((l_f, l_rep), (l_dec, refined)) in enumerate(zip(phi_log, dec_log))]
+    active = active_clusters(np.argmax(clusterer.scores(donors), axis=1), config)
     return MatchRepModel(name=JOINT, config=config, clusterer=clusterer, phi=phi,
-                         predictor=predictor, active=active_clusters(refine.labels, config)), log
+                         predictor=predictor, active=active), log
 
 
 def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorClusterer:
     """DEC clustering of donors only (autoencoder pretrain, k-means centers,
-    L_DEC refinement).
+    L_DEC refinement until it stops).
 
-    Used by the decoupled ``dec`` baselines; follows the same refinement
-    schedule as the joint phase. Returns the trained ``dec`` DonorClusterer.
+    Used by the decoupled ``dec`` baselines; follows the joint model's
+    refinement schedule. Returns the trained ``dec`` DonorClusterer.
     """
     clusterer, _ = pretrain_autoencoder(donors, config)
-    refine = _DecRefinement(clusterer, donors, config)
-    rng = rng_stream(config.seed, "matchrep", "dec-standalone-batches")
-    for epoch in range(config.joint_epochs):
-        if not refine.active:
+    for _, _, refined in _dec_epochs(clusterer, donors, config,
+                                     "matchrep/dec-standalone-batches"):
+        if not refined:
             break
-        refine.start_epoch()
-        for idx in minibatches(len(donors), config.batch_size, rng):
-            refine.step(idx)
-        refine.end_epoch(epoch)
     return clusterer
 
 

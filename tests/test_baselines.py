@@ -446,8 +446,11 @@ def test_unknown_pair_kind_rejected():
     recipients, donors, outcomes, _ = _linear_pairs(n=50)
     with pytest.raises(ValueError):
         fit_pair_regressor(recipients, donors, outcomes, "svm")
-    with pytest.raises(ConfigError, match="svm"):
+    with pytest.raises(ConfigError, match="svm") as err:
         fit_model("svm", _dataset(recipients, donors, outcomes), TrainConfig())
+    # the message names every kind of model name fit_model takes
+    for kind in (repr(matchrep.JOINT), str(PAIR_KINDS), "'kmeans/multihead-nn[+rep]'"):
+        assert kind in str(err.value)
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)

@@ -420,7 +420,7 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     calls = {"L_DEC": 0, "encoder": 0}
     maps, anchors, epochs = [], [], []
     real_pretrain, real_dec = matchrep.pretrain_autoencoder, matchrep.dec_loss_and_grads
-    real_end = matchrep._DecRefinement.end_epoch
+    real_epochs, real_adam = matchrep._dec_epochs, matchrep.Adam
     real_forwards = {name: getattr(matchrep, name) for name in ("mlp_forward", "mlp_predict")}
 
     def pretrain(*args, **kwargs):
@@ -438,32 +438,42 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
             return real_forwards[name](net, batch)
         return forward
 
-    def end_epoch(self, epoch):
-        anchors.append(self.anchor)
-        active = self.active
-        real_end(self, epoch)
-        epochs.append((active, dict(calls)))
+    def adam(nets, lr, what):
+        opt = real_adam(nets, lr, what)
+        if what == "DEC refinement's reconstruction anchor":
+            anchors.append(opt)
+        return opt
+
+    def dec_epochs(*args):
+        # the calls so far when each epoch's labels are handed over: the
+        # donor side of the epoch is done, its end-of-epoch check is not
+        for labels, l_dec, refined in real_epochs(*args):
+            epochs.append((refined, dict(calls)))
+            yield labels, l_dec, refined
 
     monkeypatch.setattr(matchrep, "pretrain_autoencoder", pretrain)
     monkeypatch.setattr(matchrep, "dec_loss_and_grads", dec)
     for name in real_forwards:
         monkeypatch.setattr(matchrep, name, counting(name))
-    monkeypatch.setattr(matchrep._DecRefinement, "end_epoch", end_epoch)
+    monkeypatch.setattr(matchrep, "Adam", adam)
+    monkeypatch.setattr(matchrep, "_dec_epochs", dec_epochs)
     model, log = train_joint(recipients, donors, outcomes, config)
     monkeypatch.undo()
 
     n, n_batches = len(outcomes), -(-len(outcomes) // config.batch_size)
-    assert [row["dec_active"] for row in log] == [active for active, _ in epochs]
-    assert [active for active, _ in epochs] == [True] * 3 + [False] * 12
-    frozen_start = epochs[2][1]
-    assert frozen_start["L_DEC"] == 3 * n_batches
-    assert epochs[-1][1]["L_DEC"] == frozen_start["L_DEC"]
-    # no full-donor encoding at the first frozen epoch (it reuses the soft
-    # assignment of the last refining epoch's labels), none per batch
-    assert epochs[-1][1]["encoder"] - frozen_start["encoder"] == 0
-    assert epochs[3][1]["encoder"] - frozen_start["encoder"] == 0
-    # refinement's reconstruction anchor trains the autoencoder in its own buffer
-    assert all(anchor is anchors[0] for anchor in anchors)
+    assert [row["dec_active"] for row in log] == [refined for refined, _ in epochs]
+    assert [refined for refined, _ in epochs] == [True] * 3 + [False] * 12
+    last_refined, frozen_start = epochs[2][1], epochs[3][1]
+    assert last_refined["L_DEC"] == 3 * n_batches
+    assert epochs[-1][1]["L_DEC"] == last_refined["L_DEC"]
+    # the first frozen epoch encodes the donors only in the last refining
+    # epoch's label check, one pass, whose soft assignment it reuses; no
+    # frozen epoch encodes any batch, and the active mask is one more pass
+    assert frozen_start["encoder"] - last_refined["encoder"] == 1
+    assert epochs[-1][1]["encoder"] == frozen_start["encoder"]
+    assert calls["encoder"] == frozen_start["encoder"] + 1
+    # refinement's reconstruction anchor trains the autoencoder in one buffer of its own
+    assert len(anchors) == 1
     for net in (model.clusterer.encoder, model.clusterer.decoder):
         assert all(np.shares_memory(p, anchors[0].buffer) for p in net.parameters())
 
@@ -487,12 +497,27 @@ def test_dec_refinement_anchor_divergence_names_dec_refinement():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
     clusterer, _ = pretrain_autoencoder(donors, config)
-    refine = matchrep._DecRefinement(clusterer, donors, config)
-    refine.start_epoch()
-    clusterer.decoder.layers[-1].bias[:] = 1e200  # written into the anchor's buffer
+    clusterer.decoder.layers[-1].bias[:] = 1e200  # copied into the anchor's buffer
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             numkit.TrainingDivergedError, match="^DEC refinement's reconstruction anchor loss"):
-        refine.step(np.arange(8))
+        next(matchrep._dec_epochs(clusterer, donors, config, "matchrep/joint-batches"))
+
+
+def test_recipients_never_reach_the_donor_map():
+    recipients, donors, outcomes = _training_data()
+    config = TrainConfig(**SMALL)
+    order = rng_stream(1, "shuffle-recipients").permutation(len(outcomes))
+    model, log = train_joint(recipients, donors, outcomes, config)
+    other, other_log = train_joint(recipients[order], donors, outcomes[order], config)
+    for a, b in zip([*model.clusterer.encoder.parameters(), *model.clusterer.decoder.parameters(),
+                     model.clusterer.centers],
+                    [*other.clusterer.encoder.parameters(), *other.clusterer.decoder.parameters(),
+                     other.clusterer.centers]):
+        assert a.tobytes() == b.tobytes()
+    np.testing.assert_array_equal(model.active, other.active)
+    for key in ("L_DEC", "dec_active"):
+        assert [row[key] for row in log] == [row[key] for row in other_log]
+    assert [row["L_f"] for row in log] != [row["L_f"] for row in other_log]
 
 
 @pytest.mark.parametrize("counts, frac, want", [
