@@ -11,19 +11,20 @@ that ``load_csv``, ``attach_ground_truth_csv`` and
 regressor of every kind in ``baselines.PAIR_KINDS`` on the preset and
 compares, byte for byte, every parameter, every training-log value, the
 held-out predictions and donor labels, the ``active`` mask and any
-training error. Then each tree runs
-all seven allocation policies on the preset's donor stream (the seed is
-the stream seed) with the joint model it trained, and the ledger CSV and
-``summary()`` of every policy are compared byte for byte. The same is
+training error. Then each tree builds the preset's donor stream (the seed
+is the stream seed) and runs all seven allocation policies on it with the
+joint model it trained; the stream's ``(step, donor)`` rows and the ledger
+CSV and ``summary()`` of every policy are compared byte for byte, so a
+reordered stream shows even where the ledgers do not change. The same is
 done at scale: each tree writes a 50,000-row preset (the bytes of both
 tables are compared), reads it back (every array read is compared),
 normalizes it with the joint model's statistics, runs the joint model's
 ``predict_potential_batch`` and
 ``donor_type_batch`` on all of it (the arrays are compared byte for byte,
 as ties in the ledgers they drive can hide a changed bit) and simulates
-all seven policies on it. Last, ``organmatch eval`` scores the saved
-models on the preset written as CSV; its exit code and the bytes and
-cells of its tables are compared:
+all seven policies on its stream, comparing the stream too. Last,
+``organmatch eval`` scores the saved models on the preset written as CSV;
+its exit code and the bytes and cells of its tables are compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -103,13 +104,16 @@ def _fit(name, matchrep, baselines, train, val, seed):
 def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
     """Run every policy on the preset's stream with the oracle scorer for
     ``uf``/``bf`` and the model for the ``matching-*`` policies; returns
-    each policy's ledger CSV and ``repr(summary())`` as arrays."""
+    the stream's donor arrivals and each policy's ledger CSV and
+    ``repr(summary())`` as arrays."""
     config = allocsim.SimConfig()
     stream = allocsim.build_stream(dataset, config, seed=seed)
     oracle = allocsim.oracle_mean_scorer(dataset, preset.outcome_means)
     guided = {"scorer": allocsim.model_scorer(model, normed),
               "guide": allocsim.model_guide(model, normed)}
-    parts = {"ledger": {}, "summary": {}}
+    # (step, donor) rows in the form every tree's stream converts to
+    parts = {"stream": {"": np.asarray(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2)},
+             "ledger": {}, "summary": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for policy in allocsim.POLICIES:
             kwargs = ({"scorer": oracle} if policy in ("uf", "bf")

@@ -71,20 +71,25 @@ class SimConfig:
 class EventStream:
     """Recipient i arrives at step i; donor i is its factual partner."""
 
-    donor_arrivals: list[tuple[int, int]]  # (step, donor row id), step-ordered
+    donor_arrivals: np.ndarray  # (m, 2) int64 rows of (step, donor row id), step-ordered
     n: int
+
+    def __post_init__(self):
+        self.donor_arrivals = np.asarray(self.donor_arrivals, dtype=np.int64).reshape(-1, 2)
 
 
 def build_stream(dataset: Dataset, config: SimConfig, seed: int) -> EventStream:
-    """Recipient i arrives at step i; its factual donor at step i + lag."""
+    """Recipient i arrives at step i; its factual donor at step i + lag.
+    Arrivals are ordered by step, then by donor."""
     if not dataset.has_ground_truth:
         raise ConfigError("simulation needs a ground-truth oracle dataset")
     n = len(dataset)
     rng = rng_stream(seed, "allocsim", "stream")
     lags = rng.integers(0, config.lag_window + 1, size=n)
-    kept = rng.random(n) < config.donor_fraction
-    return EventStream(donor_arrivals=sorted((int(i + lags[i]), i) for i in range(n) if kept[i]),
-                       n=n)
+    donors = np.flatnonzero(rng.random(n) < config.donor_fraction)
+    steps = donors + lags[donors]
+    order = np.lexsort((donors, steps))
+    return EventStream(donor_arrivals=np.column_stack((steps, donors))[order], n=n)
 
 
 @dataclass
@@ -285,8 +290,9 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     check_policy(policy, scorer, guide)
     n, d = stream.n, config.days_per_step
     untreated = dataset.untreated_survival
+    steps, donors = stream.donor_arrivals.T
     # no donor arrives: no allocation step runs and every recipient stays waiting
-    last_step = stream.donor_arrivals[-1][0] if stream.donor_arrivals else -1
+    last_step = int(steps[-1]) if steps.size else -1
     dies = death_steps(untreated, d, last_step)
     fate_step = np.full(n, -1)
     assigned_donor = np.full(n, -1)
@@ -294,7 +300,6 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     if policy == "real":
         # recipient i waits from step i to step dies[i] for its one donor, i,
         # and takes the first listing of donor i inside that window
-        steps, donors = np.array(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2).T
         in_window = (steps >= donors) & (dies[donors] >= steps)
         got, first = np.unique(donors[in_window], return_index=True)
         fate_step[got] = steps[in_window][first]
@@ -306,7 +311,7 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
         ids = np.arange(n)  # recipient i arrives at step i
         waiting = ids[:0]  # in arrival order
         joined = 0
-        for step, donor_id in stream.donor_arrivals:
+        for step, donor_id in zip(steps.tolist(), donors.tolist()):
             if step >= joined:
                 waiting = np.concatenate((waiting, ids[joined:step + 1]))
                 joined = step + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import types
 import typing
 import warnings
@@ -221,78 +222,145 @@ class SchemaConfig:
                                   f"with a nonempty list of distinct categories, not {cats!r}")
 
 
-def _parse_column(cells, col: str, kind: type) -> np.ndarray:
-    """The cells of column ``col`` as ``kind`` values; an unparseable or
-    non-finite cell raises IngestionError naming its row and column."""
-    try:
-        out = np.fromiter(map(kind, cells), dtype=kind, count=len(cells))
-    except (TypeError, ValueError, OverflowError):
-        out = np.zeros(len(cells), dtype=kind)
-        for i, cell in enumerate(cells):  # find the first bad cell
-            try:
-                out[i] = kind(cell)
-            except (TypeError, ValueError, OverflowError):
-                raise IngestionError(f"row {i}, column {col!r}: unparseable cell {cell!r}") from None
-    bad = np.nonzero(~np.isfinite(out))[0]
-    if bad.size:
-        raise IngestionError(f"row {bad[0]}, column {col!r}: non-finite cell {cells[bad[0]]!r}")
-    return out
+class _Column:
+    """One column of a table, parsed a block of rows at a time.
 
+    ``kind`` is float, int or a list of categories; a categorical cell
+    becomes its category's index. With ``impute`` an empty or absent cell
+    parses as 0 and is flagged, a block at a time, in ``flags``. The column
+    keeps the text of its first fault, to be raised by :meth:`values`: the
+    lowest undeclared category or unparseable cell, else the lowest
+    non-finite cell.
+    """
 
-def _encode_block(columns: dict, n: int, block: list[str], schema: SchemaConfig):
-    """The features of the ``block`` columns of ``columns``, ``n`` cells each,
-    and their names."""
-    names: list[str] = []
-    feats: list[np.ndarray] = []
-    for col in block:
-        raw = columns[col]
-        if col in schema.categorical:
-            cats = schema.categorical[col]
-            onehot = np.zeros((n, len(cats)))
-            for i, v in enumerate(raw):
-                if v not in cats:
-                    raise IngestionError(f"row {i}, column {col!r}: undeclared category {v!r}")
-                onehot[i, cats.index(v)] = 1.0
-            feats.append(onehot)
-            names.extend(f"{col}={c}" for c in cats)
-        else:
-            missing = [v is None or v == "" for v in raw]
+    def __init__(self, name: str, kind, impute: bool = False):
+        self.name, self.kind, self.impute = name, kind, impute
+        self.index = {c: j for j, c in enumerate(kind)} if isinstance(kind, list) else None
+        self.blocks: list[np.ndarray] = []
+        self.flags: list[np.ndarray] = []
+        self.unparseable = self.non_finite = None
+
+    def add(self, cells, lo: int) -> None:
+        """Parse ``cells``, the column's cells of rows ``lo`` onwards."""
+        if self.unparseable:  # no later cell changes the fault or is kept
+            return
+        if self.index is not None:
+            codes = np.fromiter(map(self.index.get, cells, itertools.repeat(-1)),
+                                dtype=np.intp, count=len(cells))
+            bad = np.flatnonzero(codes < 0)
+            if bad.size:
+                self.unparseable = (f"row {lo + bad[0]}, column {self.name!r}: "
+                                    f"undeclared category {cells[bad[0]]!r}")
+            self.blocks.append(codes)
+            return
+        if self.impute:
+            missing = [v is None or v == "" for v in cells]
             if any(missing):
-                if all(missing):
-                    raise IngestionError(f"column {col!r} has no observed values")
-                # a missing cell parses as 0 and is then imputed with the mean
-                vals = _parse_column([("0" if m else v) for v, m in zip(raw, missing)],
-                                     col, float)
-                flags = np.array(missing, dtype=float)
-                vals = np.where(flags > 0, vals[flags == 0].mean(), vals)
-                feats += [vals[:, None], flags[:, None]]
-                names += [col, f"{col}__missing"]
-            else:
-                feats.append(_parse_column(raw, col, float)[:, None])
-                names.append(col)
-    return np.hstack(feats) if feats else np.zeros((n, 0)), names
+                cells = [("0" if m else v) for v, m in zip(cells, missing)]
+            self.flags.append(np.array(missing, dtype=bool))
+        kind = self.kind
+        try:
+            values = np.fromiter(map(kind, cells), dtype=kind, count=len(cells))
+        except (TypeError, ValueError, OverflowError):
+            values = np.zeros(len(cells), dtype=kind)
+            for i, cell in enumerate(cells):  # find the first bad cell
+                try:
+                    values[i] = kind(cell)
+                except (TypeError, ValueError, OverflowError):
+                    self.unparseable = (f"row {lo + i}, column {self.name!r}: "
+                                        f"unparseable cell {cell!r}")
+                    return
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size and self.non_finite is None:
+            self.non_finite = (f"row {lo + bad[0]}, column {self.name!r}: "
+                               f"non-finite cell {cells[bad[0]]!r}")
+        self.blocks.append(values)
+
+    def values(self) -> np.ndarray:
+        """Every cell's value, as one array; the column's fault, or a column
+        to impute with no observed cell, raises IngestionError."""
+        if self.impute and self.flags and all(map(np.all, self.flags)):
+            raise IngestionError(f"column {self.name!r} has no observed values")
+        if self.unparseable or self.non_finite:
+            raise IngestionError(self.unparseable or self.non_finite)
+        self.blocks = [np.concatenate(self.blocks)]
+        return self.blocks[0]
 
 
-def read_columns(path) -> tuple[list[str], int, dict[str, tuple]]:
-    """The header, the row count and the cells of each column of a UTF-8
-    comma-separated file, read as ``csv.DictReader`` reads rows: blank lines
-    are skipped, a short row's absent cells are None, extra cells are
-    ignored and a repeated column name keeps its last column. A file that
-    is empty, has no data row, or is not UTF-8 or not CSV raises
-    IngestionError."""
+def _read_block(rows, width: int, where: dict[str, int], columns: dict[str, _Column],
+                lo: int) -> int:
+    """Read the next ``ROW_BLOCK`` of ``rows``, rows ``lo`` onwards of a
+    table ``width`` columns wide, into ``columns``; return how many rows
+    were read. A short row's absent cells are None. The block's cells are
+    freed on return, before the next block is read."""
+    block = list(itertools.islice(rows, ROW_BLOCK))
+    if block and columns:
+        if min(map(len, block)) < width:
+            block = [row + [None] * (width - len(row)) for row in block]
+        cells = list(zip(*block))
+        for name, column in columns.items():
+            column.add(cells[where[name]], lo)
+    return len(block)
+
+
+def _read_table(path, plan) -> tuple[list[str], int, dict[str, _Column]]:
+    """The header, the row count and the parsed columns of a UTF-8
+    comma-separated file, read ``ROW_BLOCK`` rows at a time.
+
+    ``plan(header)`` gives the columns to parse, ``{name: (kind, impute)}``
+    as :class:`_Column` takes them, each named in the header. Rows are read
+    as ``csv.DictReader`` reads them: blank lines are skipped, a short row's
+    absent cells are None, extra cells are ignored and a repeated column
+    name keeps its last column. A file that is not UTF-8 or not CSV, then
+    one that is empty or has no data row, then an IngestionError of
+    ``plan``, raise IngestionError, in that order, once the file is read.
+    """
+    plan_error = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(filter(None, reader))
+            header = next(reader, None) or []
+            try:
+                columns = {name: _Column(name, *spec) for name, spec in plan(header).items()}
+            except IngestionError as exc:
+                columns, plan_error = {}, exc
+            where = {name: j for j, name in enumerate(header)}  # a repeated name: its last
+            rows, n = filter(None, reader), 0
+            while size := _read_block(rows, len(header), where, columns, n):
+                n += size
     except (UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"unreadable CSV file {path}: {exc}") from None
-    if not header or not rows:
+    if not header or not n:
         raise IngestionError(f"empty file {path}")
-    width = len(header)
-    if min(map(len, rows)) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
-    return header, len(rows), dict(zip(header, zip(*rows)))
+    if plan_error is not None:
+        raise plan_error
+    return header, n, columns
+
+
+def _encode_block(columns: dict[str, _Column], n: int, block: list[str],
+                  schema: SchemaConfig):
+    """The features of the ``block`` columns, ``n`` rows each, and their
+    names; the columns are taken out of ``columns`` as they are encoded."""
+    names: list[str] = []
+    feats: list[np.ndarray] = []
+    for col in block:
+        column = columns.pop(col)
+        vals = column.values()
+        if col in schema.categorical:
+            cats = schema.categorical[col]
+            onehot = np.zeros((n, len(cats)))
+            onehot[np.arange(n), vals] = 1.0
+            feats.append(onehot)
+            names.extend(f"{col}={c}" for c in cats)
+        elif (flags := np.concatenate(column.flags).astype(float)).any():
+            # a missing cell parsed as 0 and is imputed with the mean
+            vals = np.where(flags > 0, vals[flags == 0].mean(), vals)
+            feats += [vals[:, None], flags[:, None]]
+            names += [col, f"{col}__missing"]
+        else:
+            feats.append(vals[:, None])
+            names.append(col)
+    return np.hstack(feats) if feats else np.zeros((n, 0)), names
 
 
 _QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell that holds one of these
@@ -353,24 +421,33 @@ def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
     """Parse a UTF-8 comma-separated file with a header row into a Dataset.
 
     Without a schema the file must have the ``r_*``, ``d_*`` and ``outcome``
-    columns that write_csv writes.
+    columns that write_csv writes. The file is read ``numkit.ROW_BLOCK`` rows
+    at a time and its first fault is raised once it is read: an unreadable
+    or empty file, then the header, then the columns in the schema's order,
+    the outcome last; within a column an unparseable cell before a
+    non-finite one, the lowest row first.
     """
-    header, n, columns = read_columns(path)
-    if schema is None:
-        try:
-            schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
-                                  donor_columns=[c for c in header if c.startswith("d_")],
-                                  outcome_column="outcome")
-        except ConfigError as exc:
-            raise IngestionError(f"{path} does not look like a generated dataset "
-                                 f"(r_*/d_*/outcome columns): {exc}") from None
-    needed = set(schema.recipient_columns) | set(schema.donor_columns) | {schema.outcome_column}
-    missing_cols = needed - set(header)
-    if missing_cols:
-        raise IngestionError(f"unknown column(s): {sorted(missing_cols)}")
+    def plan(header):
+        nonlocal schema
+        if schema is None:
+            try:
+                schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
+                                      donor_columns=[c for c in header if c.startswith("d_")],
+                                      outcome_column="outcome")
+            except ConfigError as exc:
+                raise IngestionError(f"{path} does not look like a generated dataset "
+                                     f"(r_*/d_*/outcome columns): {exc}") from None
+        features = schema.recipient_columns + schema.donor_columns
+        missing_cols = {*features, schema.outcome_column} - set(header)
+        if missing_cols:
+            raise IngestionError(f"unknown column(s): {sorted(missing_cols)}")
+        return {**{col: (schema.categorical[col],) if col in schema.categorical else (float, True)
+                   for col in features}, schema.outcome_column: (float,)}
+
+    _, n, columns = _read_table(path, plan)
     recipients, r_names = _encode_block(columns, n, schema.recipient_columns, schema)
     donors, d_names = _encode_block(columns, n, schema.donor_columns, schema)
-    outcomes = _parse_column(columns[schema.outcome_column], schema.outcome_column, float)
+    outcomes = columns[schema.outcome_column].values()
     return Dataset(recipients, donors, outcomes, r_names, d_names)
 
 
@@ -382,21 +459,35 @@ def write_csv(dataset: Dataset, path) -> None:
         *dataset.recipients[lo:hi].T, *dataset.donors[lo:hi].T, dataset.outcomes[lo:hi]])
 
 
+_TYPE_COLUMNS = ("true_recipient_type", "true_donor_type")
+
+
 def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
-    """Attach the ground-truth columns written by write_ground_truth_csv."""
-    header, n, columns = read_columns(path)
+    """Attach the ground-truth columns written by write_ground_truth_csv.
+
+    The file is read as load_csv reads one; its first fault is raised once
+    it is read: an unreadable or empty file, a row count other than the
+    dataset's, the header, the two type columns, their ranges, then the
+    potential columns in order and the untreated survival.
+    """
+    def plan(header):
+        nonlocal pot_cols
+        pot_cols = sorted((c for c in header
+                           if c.startswith("potential_") and c[len("potential_"):].isdigit()),
+                          key=lambda c: int(c[len("potential_"):]))
+        return {**{col: (int,) for col in _TYPE_COLUMNS if col in header},
+                **{col: (float,) for col in [*pot_cols, "untreated_survival"] if col in header}}
+
+    pot_cols: list[str] = []
+    header, n, columns = _read_table(path, plan)
     if n != len(dataset):
         raise IngestionError("ground-truth file and dataset disagree in length")
-    pot_cols = sorted((c for c in header
-                       if c.startswith("potential_") and c[len("potential_"):].isdigit()),
-                      key=lambda c: int(c[len("potential_"):]))
     if not pot_cols:
         raise IngestionError("ground-truth file has no potential_* columns")
-    missing_cols = {"true_recipient_type", "true_donor_type", "untreated_survival"} - set(header)
+    missing_cols = {*_TYPE_COLUMNS, "untreated_survival"} - set(header)
     if missing_cols:
         raise IngestionError(f"ground-truth file lacks column(s): {sorted(missing_cols)}")
-    types = {col: _parse_column(columns[col], col, int)
-             for col in ("true_recipient_type", "true_donor_type")}
+    types = {col: columns[col].values() for col in _TYPE_COLUMNS}
     for col, vals in types.items():
         bad = np.nonzero(vals < 1)[0]
         if bad.size:
@@ -408,10 +499,8 @@ def attach_ground_truth_csv(dataset: Dataset, path) -> Dataset:
             f"row {above[0]}, column 'true_donor_type': type "
             f"{types['true_donor_type'][above[0]]} exceeds the {len(pot_cols)} potential_* columns")
     return replace(dataset,
-                   true_potentials=np.column_stack([_parse_column(columns[c], c, float)
-                                                    for c in pot_cols]),
-                   untreated_survival=_parse_column(columns["untreated_survival"],
-                                                    "untreated_survival", float),
+                   true_potentials=np.column_stack([columns[c].values() for c in pot_cols]),
+                   untreated_survival=columns["untreated_survival"].values(),
                    true_recipient_type=types["true_recipient_type"],
                    true_donor_type=types["true_donor_type"])
 

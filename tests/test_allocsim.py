@@ -82,8 +82,23 @@ def test_stream_deterministic_and_fraction_applied():
     config = SimConfig(donor_fraction=0.6)
     a = build_stream(ds, config, seed=3)
     b = build_stream(ds, config, seed=3)
-    assert a.donor_arrivals == b.donor_arrivals
+    assert np.array_equal(a.donor_arrivals, b.donor_arrivals)
     assert 0.45 < len(a.donor_arrivals) / 200 < 0.75
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), lag_window=st.integers(0, 60),
+       fraction=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 16))
+def test_stream_rows_are_the_sorted_step_donor_pairs(n, lag_window, fraction, seed):
+    config = SimConfig(lag_window=lag_window, donor_fraction=fraction)
+    stream = build_stream(_oracle_dataset(n=n), config, seed=seed)
+    rng = rng_stream(seed, "allocsim", "stream")  # the draws build_stream makes
+    lags = rng.integers(0, config.lag_window + 1, size=n)
+    kept = rng.random(n) < config.donor_fraction
+    reference = sorted((int(i + lags[i]), i) for i in range(n) if kept[i])
+    assert stream.donor_arrivals.dtype == np.int64
+    assert stream.donor_arrivals.shape == (len(reference), 2)
+    assert list(map(tuple, stream.donor_arrivals.tolist())) == reference
 
 
 def test_stream_requires_ground_truth():
@@ -409,7 +424,7 @@ def test_no_donor_arrival_leaves_every_recipient_waiting():
     ds = sample_dataset(preset)
     config = SimConfig(donor_fraction=0.01)
     stream = build_stream(ds, config, seed=3)
-    assert stream.donor_arrivals == []
+    assert stream.donor_arrivals.shape == (0, 2)
     guide = GuidedPolicy(donor_types=np.zeros(12, dtype=int),
                          best_types=np.zeros(12, dtype=int))
     scorer = oracle_mean_scorer(ds, preset.outcome_means)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from organmatch.datamodel import (
     write_table,
 )
 from organmatch.numkit import ROW_BLOCK, InsufficientDataError, rng_stream
+from organmatch.synthgen import paper_preset, sample_dataset
 
 
 def make_dataset(n=20, d_r=3, d_o=2, seed=0) -> Dataset:
@@ -286,12 +288,12 @@ def test_unreadable_csv_is_ingestion_error(tmp_path, raw):
 
 
 # ---------------------------------------------------------------------------
-# Reader: the column-wise reader and parser against the per-row ones they replaced
+# Reader: the block-wise readers against the column-wise, per-row ones they replaced
 # ---------------------------------------------------------------------------
 
 
 def _dictreader_columns(path):
-    """The reader that ``read_columns`` replaced: one csv.DictReader dict per row."""
+    """The reader of the replaced readers: one csv.DictReader dict per row."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -304,7 +306,7 @@ def _dictreader_columns(path):
 
 
 def _per_cell_parse(cells, col, kind):
-    """The parser that ``_parse_column`` replaced: one cell at a time."""
+    """The parser of the replaced readers: one cell at a time."""
     out = np.zeros(len(cells), dtype=kind)
     for i, cell in enumerate(cells):
         try:
@@ -317,11 +319,98 @@ def _per_cell_parse(cells, col, kind):
     return out
 
 
-def _loaded(load):
-    """Every array and name list ``load()`` returns, as bytes, or its
+def _reference_encode_block(columns, n, block, schema):
+    """The column-wise _encode_block of the replaced load_csv."""
+    names, feats = [], []
+    for col in block:
+        raw = columns[col]
+        if col in schema.categorical:
+            cats = schema.categorical[col]
+            onehot = np.zeros((n, len(cats)))
+            for i, v in enumerate(raw):
+                if v not in cats:
+                    raise IngestionError(f"row {i}, column {col!r}: undeclared category {v!r}")
+                onehot[i, cats.index(v)] = 1.0
+            feats.append(onehot)
+            names.extend(f"{col}={c}" for c in cats)
+        else:
+            missing = [v is None or v == "" for v in raw]
+            if any(missing):
+                if all(missing):
+                    raise IngestionError(f"column {col!r} has no observed values")
+                vals = _per_cell_parse([("0" if m else v) for v, m in zip(raw, missing)],
+                                       col, float)
+                flags = np.array(missing, dtype=float)
+                vals = np.where(flags > 0, vals[flags == 0].mean(), vals)
+                feats += [vals[:, None], flags[:, None]]
+                names += [col, f"{col}__missing"]
+            else:
+                feats.append(_per_cell_parse(raw, col, float)[:, None])
+                names.append(col)
+    return np.hstack(feats) if feats else np.zeros((n, 0)), names
+
+
+def _reference_load_csv(path, schema=None):
+    """The column-wise load_csv that the block-wise one replaced."""
+    header, n, columns = _dictreader_columns(path)
+    if schema is None:
+        try:
+            schema = SchemaConfig(recipient_columns=[c for c in header if c.startswith("r_")],
+                                  donor_columns=[c for c in header if c.startswith("d_")],
+                                  outcome_column="outcome")
+        except ConfigError as exc:
+            raise IngestionError(f"{path} does not look like a generated dataset "
+                                 f"(r_*/d_*/outcome columns): {exc}") from None
+    needed = set(schema.recipient_columns) | set(schema.donor_columns) | {schema.outcome_column}
+    missing_cols = needed - set(header)
+    if missing_cols:
+        raise IngestionError(f"unknown column(s): {sorted(missing_cols)}")
+    recipients, r_names = _reference_encode_block(columns, n, schema.recipient_columns, schema)
+    donors, d_names = _reference_encode_block(columns, n, schema.donor_columns, schema)
+    outcomes = _per_cell_parse(columns[schema.outcome_column], schema.outcome_column, float)
+    return Dataset(recipients, donors, outcomes, r_names, d_names)
+
+
+def _reference_attach_ground_truth_csv(dataset, path):
+    """The column-wise attach_ground_truth_csv that the block-wise one replaced."""
+    header, n, columns = _dictreader_columns(path)
+    if n != len(dataset):
+        raise IngestionError("ground-truth file and dataset disagree in length")
+    pot_cols = sorted((c for c in header
+                       if c.startswith("potential_") and c[len("potential_"):].isdigit()),
+                      key=lambda c: int(c[len("potential_"):]))
+    if not pot_cols:
+        raise IngestionError("ground-truth file has no potential_* columns")
+    missing_cols = {"true_recipient_type", "true_donor_type", "untreated_survival"} - set(header)
+    if missing_cols:
+        raise IngestionError(f"ground-truth file lacks column(s): {sorted(missing_cols)}")
+    types = {col: _per_cell_parse(columns[col], col, int)
+             for col in ("true_recipient_type", "true_donor_type")}
+    for col, vals in types.items():
+        bad = np.nonzero(vals < 1)[0]
+        if bad.size:
+            raise IngestionError(
+                f"row {bad[0]}, column {col!r}: type {vals[bad[0]]} is not 1-based")
+    above = np.nonzero(types["true_donor_type"] > len(pot_cols))[0]
+    if above.size:
+        raise IngestionError(
+            f"row {above[0]}, column 'true_donor_type': type "
+            f"{types['true_donor_type'][above[0]]} exceeds the {len(pot_cols)} potential_* columns")
+    return dataclasses.replace(
+        dataset,
+        true_potentials=np.column_stack([_per_cell_parse(columns[c], c, float)
+                                         for c in pot_cols]),
+        untreated_survival=_per_cell_parse(columns["untreated_survival"],
+                                           "untreated_survival", float),
+        true_recipient_type=types["true_recipient_type"],
+        true_donor_type=types["true_donor_type"])
+
+
+def _loaded(load, *args):
+    """Every array and name list ``load(*args)`` returns, as bytes, or its
     IngestionError text."""
     try:
-        ds = load()
+        ds = load(*args)
     except IngestionError as exc:
         return str(exc)
     return {name: (value.dtype.str, value.shape, value.tobytes())
@@ -329,13 +418,15 @@ def _loaded(load):
             for name, value in vars(ds).items()}
 
 
-def _assert_reader_parity(monkeypatch, load):
-    new = _loaded(load)
+def _assert_reader_parity(monkeypatch, load, reference, *args):
+    """``load(*args)`` returns what ``reference(*args)`` returns, in blocks of
+    ``ROW_BLOCK`` rows and in blocks of 2 rows; returns that."""
+    want = _loaded(reference, *args)
+    assert _loaded(load, *args) == want
     with monkeypatch.context() as patched:
-        patched.setattr(datamodel, "read_columns", _dictreader_columns)
-        patched.setattr(datamodel, "_parse_column", _per_cell_parse)
-        assert _loaded(load) == new
-    return new
+        patched.setattr(datamodel, "ROW_BLOCK", 2)
+        assert _loaded(load, *args) == want
+    return want
 
 
 PARITY_SCHEMA = SchemaConfig(recipient_columns=["age", "sex"], donor_columns=["dage"],
@@ -355,13 +446,19 @@ TRUTH_HEADER = "true_recipient_type,true_donor_type,potential_1,potential_2,untr
     ("age,sex,dage,days\n50,f,forty,365\n", False),
     ("age,sex,dage,days\n", False),
     ("age,sex,dage,days\n\n\n", False),
+    ("age,sex,dage,days\n,f,40,365\n60,f,,200\n\n70,\"m, x\",30,100\n80,f,20,50\n", True),
+    ("age,sex,dage,days\n50,f,nan,365\n60,f,40,200\n70,f,x,100\n", False),
+    ("age,sex,dage,days\n50,f,forty,365\n60,f,40,200\n70,f,40,100\nold,f,40,1\n", False),
+    ("age,sex,dage,days\n50,f,40,inf\n60,f,40,200\n70,x,40,100\n", False),
 ], ids=["blank-lines", "short-row-missing-cell", "short-row-outcome", "extra-cells",
         "repeated-header", "crlf-quoted-comma", "undeclared-category", "non-finite",
-        "unparseable", "header-only", "header-and-blank-lines"])
+        "unparseable", "header-only", "header-and-blank-lines", "imputed-across-blocks",
+        "non-finite-before-unparseable", "bad-cells-in-two-columns-and-blocks",
+        "feature-before-outcome"])
 def test_load_csv_matches_the_dictreader_reference(tmp_path, monkeypatch, text, loads):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    got = _assert_reader_parity(monkeypatch, lambda: load_csv(path, PARITY_SCHEMA))
+    got = _assert_reader_parity(monkeypatch, load_csv, _reference_load_csv, path, PARITY_SCHEMA)
     assert isinstance(got, dict) == loads, got
 
 
@@ -372,15 +469,40 @@ def test_load_csv_matches_the_dictreader_reference(tmp_path, monkeypatch, text, 
     ("1,2,500.5,600.25,30.0\n-99999999999999999999,1,400.0,300.0,12.5\n", False),
     ("1,2,500.5,600.25,30.0\n2,1.0,400.0,300.0,12.5\n", False),
     ("1,2,500.5,600.25,30.0\n2,1,400.0\n", False),
+    ("1,2,500.5,600.25,30.0\n2,1,nan,300.0,12.5\n1,1,x,300.0,12.5\n", False),
+    ("1,2,500.5,600.25,30.0\n2,1,400.0,300.0,x\n0,1,1.0,1.0,1.0\n", False),
 ], ids=["blank-line", "crlf-extra-cell", "int-above-int64", "int-below-int64",
-        "float-type", "short-row"])
+        "float-type", "short-row", "non-finite-before-unparseable", "type-check-before-cells"])
 def test_attach_ground_truth_csv_matches_the_dictreader_reference(tmp_path, monkeypatch,
                                                                    rows, loads):
     path = tmp_path / "truth.csv"
     path.write_bytes((TRUTH_HEADER + rows).encode("utf-8"))
-    got = _assert_reader_parity(monkeypatch,
-                                lambda: attach_ground_truth_csv(make_dataset(n=2), path))
+    n = len(list(filter(None, rows.splitlines())))
+    got = _assert_reader_parity(monkeypatch, attach_ground_truth_csv,
+                                _reference_attach_ground_truth_csv, make_dataset(n=n), path)
     assert isinstance(got, dict) == loads, got
+
+
+def test_readers_peak_memory_follows_their_arrays_not_their_text(tmp_path):
+    ds = sample_dataset(paper_preset(n=30_000, seed=1))
+    data, truth = tmp_path / "dataset.csv", tmp_path / "ground_truth.csv"
+    write_csv(ds, data)
+    write_ground_truth_csv(ds, truth)
+    base = Dataset(ds.recipients, ds.donors, ds.outcomes, ds.recipient_names, ds.donor_names)
+    reads = {"load_csv": (lambda: load_csv(data), ("recipients", "donors", "outcomes")),
+             "attach_ground_truth_csv": (lambda: attach_ground_truth_csv(base, truth),
+                                         ("true_potentials", "untreated_survival",
+                                          "true_recipient_type", "true_donor_type"))}
+    for name, (read, returned) in reads.items():
+        tracemalloc.start()
+        try:
+            got = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(got, field).nbytes for field in returned)
+        # holding every cell's text at once peaked at some 11-14 times the arrays
+        assert peak <= 4 * arrays, (name, peak, arrays)
 
 
 PARITY_CELLS = st.sampled_from(["1", "2.5", "-3", "", "nan", "1e999", "x", "f", "m, x",
@@ -398,7 +520,7 @@ def test_random_tables_read_as_the_dictreader_reference_reads_them(tmp_path_fact
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator=line_end).writerows([header, *rows])
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_reader_parity(monkeypatch, lambda: load_csv(path, PARITY_SCHEMA))
+        _assert_reader_parity(monkeypatch, load_csv, _reference_load_csv, path, PARITY_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
