@@ -23,8 +23,11 @@ normalizes it with the joint model's statistics, runs the joint model's
 ``donor_type_batch`` on all of it (the arrays are compared byte for byte,
 as ties in the ledgers they drive can hide a changed bit) and simulates
 all seven policies on its stream, comparing the stream too. Last,
-``organmatch eval`` scores the saved models on the preset written as CSV;
-its exit code and the bytes and cells of its tables are compared:
+``organmatch eval`` scores the saved models on the preset written as CSV,
+and ``organmatch simulate`` runs every policy there with the saved joint
+model (the oracle scoring ``uf`` and ``bf``); the exit codes, the bytes of
+every table (each ledger and ``policy_table.csv`` included) and the cells
+of ``comparison.csv`` are compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -45,6 +48,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -168,14 +172,22 @@ def _at_scale(allocsim, datamodel, matchrep, synthgen, model, normalization, see
             **_simulate(allocsim, preset, back, normed, model, seed)}
 
 
-def _eval(baselines, cli, datamodel, matchrep, dataset, models, normalization) -> dict:
+def _cli(baselines, cli, datamodel, matchrep, preset, dataset, models, normalization,
+         seed) -> dict:
     """``organmatch eval`` of the trained ``models`` on ``dataset``, both
-    written into one directory: the exit code, the bytes of both tables and
-    each cell of ``comparison.csv`` keyed ``<model> <column>``."""
+    written into one directory with a ``gen`` manifest of the preset's
+    outcome means, then ``organmatch simulate`` of every policy there with
+    the joint model's ``model.json``. Per command: the exit code and the
+    bytes of every table; for ``eval`` also each cell of ``comparison.csv``
+    keyed ``<model> <column>``."""
     with tempfile.TemporaryDirectory() as tmp:
-        root, out = Path(tmp), Path(tmp) / "eval"
+        root, out, sim = Path(tmp), Path(tmp) / "eval", Path(tmp) / "simulate"
         datamodel.write_csv(dataset, root / "dataset.csv")
         datamodel.write_ground_truth_csv(dataset, root / "ground_truth.csv")
+        # so that uf and bf score with the oracle, as after `organmatch gen`
+        (root / "manifest.json").write_text(json.dumps(
+            {"command": "gen", "config": {"outcome_means": np.asarray(
+                preset.outcome_means, dtype=float).tolist()}}))
         for name, model in models.items():
             if name == "joint":
                 matchrep.save_model(model, root / "model.json",
@@ -187,14 +199,21 @@ def _eval(baselines, cli, datamodel, matchrep, dataset, models, normalization) -
                     model, root / f"baseline_{name.replace('/', '_')}.json")
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["eval", "--data", tmp, "--models", tmp, "--out", str(out)])
+            sim_code = cli.main(["simulate", "--data", tmp, "--model", str(root / "model.json"),
+                                 "--stream-seed", str(seed), "--out", str(sim)])
         tables = [path for path in (out / "comparison.csv", out / "eval_reports.json")
                   if path.exists()]
         rows = csv.DictReader(tables[0].read_text().splitlines()) if tables else []
-        return {"exit": {"": np.array(code)},
-                "tables": {path.name: np.frombuffer(path.read_bytes(), dtype=np.uint8)
-                           for path in tables},
-                "cells": {f"{row['model']} {column}": np.array(cell)
-                          for row in rows for column, cell in row.items()}}
+        # simulate's manifest names the temporary directory, so only its tables are compared
+        return {"eval": {"exit": {"": np.array(code)},
+                         "tables": {path.name: np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                                    for path in tables},
+                         "cells": {f"{row['model']} {column}": np.array(cell)
+                                   for row in rows for column, cell in row.items()}},
+                "cli-simulate": {"exit": {"": np.array(sim_code)},
+                                 "tables": {path.name: np.frombuffer(path.read_bytes(),
+                                                                     dtype=np.uint8)
+                                            for path in sorted(sim.glob("*.csv"))}}}
 
 
 def emit(src: Path, seed: int, out: Path) -> None:
@@ -225,8 +244,8 @@ def emit(src: Path, seed: int, out: Path) -> None:
             results.append(("simulate", _simulate(allocsim, preset, dataset, normed, model, seed)))
             results.append(("simulate-50k", _at_scale(allocsim, datamodel, matchrep, synthgen,
                                                       model, normed.normalization, seed)))
-    results.append(("eval", _eval(baselines, cli, datamodel, matchrep, dataset, fitted,
-                                  normed.normalization)))
+    results.extend(_cli(baselines, cli, datamodel, matchrep, preset, dataset, fitted,
+                        normed.normalization, seed).items())
     arrays = {f"{name}|{part}|{key}": value for name, parts in results
               for part, values in parts.items() for key, value in values.items()}
     np.savez(out, **arrays)

@@ -18,7 +18,8 @@ as 0.3, the closed form rounds once where repeated subtraction drifts.
 
 Realized post-transplant survival comes from the dataset's ground-truth
 potential of the (recipient, donor true type) pair, so all policies are
-compared under one outcome oracle.
+compared under one outcome oracle. A report stores only the policy's
+decisions and reads survival and benefit from that oracle when asked.
 
 Policies: ``real`` (replay the factual pairing), ``fcfs``, ``uf``
 (utility-first: max predicted survival), ``bf`` (benefit-first: max
@@ -44,6 +45,7 @@ from . import matchrep
 from .datamodel import ConfigError, Dataset, IngestionError, write_table
 from .numkit import rng_stream
 
+INT32_MAX = int(np.iinfo(np.int32).max)  # the last step and row id a report can hold
 POLICIES = ("real", "fcfs", "uf", "bf", "matching-fcfs", "matching-uf", "matching-bf")
 
 
@@ -120,8 +122,10 @@ FATES = ("waiting", "dead", "transplanted")  # the codes of ``SimReport.fate``
 
 @dataclass
 class SimReport:
-    """The scalar summary of one policy run and its per-recipient columns;
-    recipient i arrived at step i."""
+    """The scalar summary of one policy run and what the policy decided for
+    each recipient (recipient i arrived at step i). Survival and benefit
+    are not stored: ``outcomes`` reads them from the dataset's ground
+    truth, which the report references, not copies."""
 
     policy: str
     n: int
@@ -131,24 +135,52 @@ class SimReport:
     death_rate: float
     avg_survival: float | None
     avg_benefit: float | None
-    fate: np.ndarray = field(repr=False)  # (n,) index into FATES
-    fate_step: np.ndarray = field(repr=False)  # (n,) step of the fate, -1 while waiting
-    assigned_donor: np.ndarray = field(repr=False)  # (n,) donor row id or -1
-    realized_survival: np.ndarray = field(repr=False)  # (n,) NaN unless transplanted
-    benefit: np.ndarray = field(repr=False)  # (n,) NaN unless transplanted
+    fate: np.ndarray = field(repr=False)  # (n,) int8 index into FATES
+    fate_step: np.ndarray = field(repr=False)  # (n,) int32 step of the fate, -1 while waiting
+    assigned_donor: np.ndarray = field(repr=False)  # (n,) int32 donor row id or -1
+    true_potentials: np.ndarray = field(repr=False)  # the dataset's (n, K) days by donor type
+    true_donor_type: np.ndarray = field(repr=False)  # the dataset's 1-based type per donor row
+    untreated_survival: np.ndarray = field(repr=False)  # the dataset's days without a transplant
+    days_per_step: float = field(repr=False)
 
     def summary(self) -> dict:
         """The scalar fields, the ones in the repr, in declaration order."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
+    def outcomes(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Realized survival and benefit of recipients ``lo`` to ``hi - 1``,
+        NaN unless transplanted: recipient i with donor d_i lives
+        ``true_potentials[i, true_donor_type[d_i] - 1]`` days, and its
+        benefit is that minus the untreated days it had left when
+        transplanted, ``untreated_survival[i] - (fate_step[i] - i) * days_per_step``."""
+        donor = self.assigned_donor[lo:hi]
+        realized = np.full(donor.size, np.nan)
+        benefit = np.full(donor.size, np.nan)
+        got = np.flatnonzero(donor >= 0)
+        ids = lo + got
+        realized[got] = self.true_potentials[ids, self.true_donor_type[donor[got]] - 1]
+        benefit[got] = realized[got] - (self.untreated_survival[ids]
+                                        - (self.fate_step[lo:hi][got] - ids) * self.days_per_step)
+        return realized, benefit
+
+    @property
+    def realized_survival(self) -> np.ndarray:
+        """(n,) read-only, rebuilt on each access; NaN unless transplanted."""
+        return _read_only(self.outcomes()[0])
+
+    @property
+    def benefit(self) -> np.ndarray:
+        """(n,) read-only, rebuilt on each access; NaN unless transplanted."""
+        return _read_only(self.outcomes()[1])
+
     def _rows(self):
         """The ledger's cells row by row: ints, a fate string, and a float or
         None for survival and benefit."""
         got = self.fate == FATES.index("transplanted")
+        realized, benefit = self.outcomes()
         return zip(range(self.n), range(self.n), np.array(FATES, dtype=object)[self.fate].tolist(),
                    self.fate_step.tolist(), self.assigned_donor.tolist(),
-                   np.where(got, self.realized_survival, None).tolist(),
-                   np.where(got, self.benefit, None).tolist())
+                   np.where(got, realized, None).tolist(), np.where(got, benefit, None).tolist())
 
     @property
     def ledger(self) -> list[LedgerRow]:
@@ -156,18 +188,24 @@ class SimReport:
         return [LedgerRow(*row) for row in self._rows()]
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def write_ledger_csv(report: SimReport, path) -> None:
-    """One row per recipient, written from the report's columns; survival
-    and benefit are empty cells unless the recipient was transplanted."""
+    """One row per recipient, written from the report's columns, whose
+    survival and benefit are read one block at a time; they are empty cells
+    unless the recipient was transplanted."""
     names = np.array(FATES, dtype=object)
 
     def block(lo, hi):
         ids = np.arange(lo, hi)
         missing = report.fate[lo:hi] != FATES.index("transplanted")
+        realized, benefit = report.outcomes(lo, hi)
         return [ids, ids, names[report.fate[lo:hi]], report.fate_step[lo:hi],
-                report.assigned_donor[lo:hi],
-                np.ma.masked_array(report.realized_survival[lo:hi], missing),
-                np.ma.masked_array(report.benefit[lo:hi], missing)]
+                report.assigned_donor[lo:hi], np.ma.masked_array(realized, missing),
+                np.ma.masked_array(benefit, missing)]
 
     write_table(path, LEDGER_FIELDS, report.n, block)
 
@@ -293,9 +331,12 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     steps, donors = stream.donor_arrivals.T
     # no donor arrives: no allocation step runs and every recipient stays waiting
     last_step = int(steps[-1]) if steps.size else -1
+    if max(n, last_step) > INT32_MAX:
+        raise ConfigError(f"a stream of {n} recipients whose last donor arrives at step "
+                          f"{last_step} does not fit the report's int32 columns")
     dies = death_steps(untreated, d, last_step)
-    fate_step = np.full(n, -1)
-    assigned_donor = np.full(n, -1)
+    fate_step = np.full(n, -1, dtype=np.int32)
+    assigned_donor = np.full(n, -1, dtype=np.int32)
 
     if policy == "real":
         # recipient i waits from step i to step dies[i] for its one donor, i,
@@ -328,27 +369,29 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     transplanted = assigned_donor >= 0
     dead = ~transplanted & (dies <= last_step)
     fate_step[dead] = dies[dead]
-    got = np.nonzero(transplanted)[0]
-    realized = np.full(n, np.nan)
-    benefit = np.full(n, np.nan)
-    realized[got] = dataset.true_potentials[got, dataset.true_donor_type[assigned_donor[got]] - 1]
-    benefit[got] = realized[got] - (untreated[got] - (fate_step[got] - got) * d)
-    n_t, n_dead = len(got), int(dead.sum())
-    return SimReport(
+    n_t, n_dead = int(transplanted.sum()), int(dead.sum())
+    report = SimReport(
         policy=policy,
         n=n,
         n_transplanted=n_t,
         n_dead=n_dead,
         n_waiting=n - n_t - n_dead,
         death_rate=float(n_dead) / n,
-        avg_survival=float(realized[transplanted].mean()) if n_t else None,
-        avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
+        avg_survival=None,
+        avg_benefit=None,
         fate=(dead + 2 * transplanted).astype(np.int8),
         fate_step=fate_step,
         assigned_donor=assigned_donor,
-        realized_survival=realized,
-        benefit=benefit,
+        true_potentials=dataset.true_potentials,
+        true_donor_type=dataset.true_donor_type,
+        untreated_survival=untreated,
+        days_per_step=d,
     )
+    if n_t:
+        realized, benefit = report.outcomes()
+        report.avg_survival = float(realized[transplanted].mean())
+        report.avg_benefit = float(benefit[transplanted].mean())
+    return report
 
 
 def assigned_true_types(dataset: Dataset, report: SimReport) -> np.ndarray:

@@ -275,24 +275,20 @@ def cmd_simulate(args) -> int:
 
     out = _ensure_out(args.out)
     artifacts = []
-    reports = {}
+    rows, true_types = [], {}
     for policy, scorer in scorers.items():
-        reports[policy] = allocsim.run_policy(dataset, stream, policy, sim_config, scorer, guide)
+        report = allocsim.run_policy(dataset, stream, policy, sim_config, scorer, guide)
         ledger_path = out / f"ledger_{policy}.csv"
-        allocsim.write_ledger_csv(reports[policy], ledger_path)
+        allocsim.write_ledger_csv(report, ledger_path)
         artifacts.append(ledger_path)
+        rows.append(report.summary())
+        true_types[policy] = allocsim.assigned_true_types(dataset, report)
+        del report  # one report at a time: the next policy runs without it
 
-    rows = []
-    real_types = (allocsim.assigned_true_types(dataset, reports["real"])
-                  if "real" in reports else None)
-    for policy in policies:
-        row = reports[policy].summary()
-        flipped = None
-        if real_types is not None and policy != "real":
-            flipped = metrics.flipped_ratio(
-                real_types, allocsim.assigned_true_types(dataset, reports[policy]))
-        row["flipped_vs_real"] = flipped
-        rows.append(row)
+    for row in rows:
+        row["flipped_vs_real"] = (
+            metrics.flipped_ratio(true_types["real"], true_types[row["policy"]])
+            if "real" in true_types and row["policy"] != "real" else None)
 
     table_path = out / "policy_table.csv"
     fields = ["policy", "n", "n_transplanted", "n_dead", "n_waiting",

@@ -87,8 +87,12 @@ def aodt_learned_space(predictions: np.ndarray, true_potentials: np.ndarray,
                        true_donor_type: np.ndarray, learned_labels: np.ndarray) -> float:
     """AoDT computed in the learned cluster space (empty clusters excluded)."""
     predictions = _check_2d(predictions)
-    y_tilde, nonempty = remap_potentials_to_learned(
-        true_potentials, true_donor_type, learned_labels, predictions.shape[1])
+    return _aodt(predictions, *remap_potentials_to_learned(
+        true_potentials, true_donor_type, learned_labels, predictions.shape[1]))
+
+
+def _aodt(predictions: np.ndarray, y_tilde: np.ndarray, nonempty: np.ndarray) -> float:
+    """AoDT against remapped potentials ``y_tilde`` over the ``nonempty`` clusters."""
     masked_pred = np.where(nonempty, predictions, -np.inf)
     masked_true = np.where(nonempty, y_tilde, -np.inf)
     return float(np.mean(np.argmax(masked_pred, axis=1) == np.argmax(masked_true, axis=1)))
@@ -101,7 +105,8 @@ def comparison_row(model: str, predictions: np.ndarray, factual_labels: np.ndarr
     """One model's ``comparison.csv`` row from its ``predict_types``: (n, K)
     predictions, 0-based donor labels and best types. ``eps_wmse`` (over
     non-empty learned clusters) and ``aodt`` are None without the ground truth
-    or best types; a pair regressor has no best types (one column, labels 0)."""
+    or best types; a pair regressor has no best types (one column, labels 0).
+    Both read one remapping of the potentials."""
     predictions = _check_2d(predictions)
     row = {"model": model,
            "eps_f": eps_factual(predictions, factual_labels, outcomes),
@@ -112,8 +117,7 @@ def comparison_row(model: str, predictions: np.ndarray, factual_labels: np.ndarr
         y_tilde, nonempty = remap_potentials_to_learned(
             true_potentials, true_donor_type, factual_labels, predictions.shape[1])
         row["eps_wmse"] = eps_wmse(predictions[:, nonempty], y_tilde[:, nonempty])
-        row["aodt"] = aodt_learned_space(predictions, true_potentials,
-                                         true_donor_type, factual_labels)
+        row["aodt"] = _aodt(predictions, y_tilde, nonempty)
     return row
 
 

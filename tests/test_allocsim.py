@@ -306,27 +306,43 @@ def test_write_ledger_csv(tmp_path):
 
 
 def _ledger_report(n: int, seed: int) -> SimReport:
-    """A report of ``n`` recipients in every fate, whose transplanted ones
-    include a NaN survival, an infinite benefit and a -0.0 benefit."""
+    """A report of ``n`` recipients in every fate, read against a dataset
+    whose ground truth gives its transplanted ones a NaN survival, an
+    infinite benefit and a -0.0 benefit."""
     rng = rng_stream(seed, "ledger-report")
+    k = 3
     fate = rng.integers(0, len(FATES), size=n).astype(np.int8)
     got = fate == FATES.index("transplanted")
-    realized = np.where(got, rng.uniform(0, 3000, size=n), np.nan)
-    benefit = np.where(got, rng.normal(0, 500, size=n), np.nan)
+    fate_step = np.where(fate == FATES.index("waiting"), -1,
+                         rng.integers(0, 2 * n + 1, size=n)).astype(np.int32)
+    assigned_donor = np.where(got, rng.permutation(n), -1).astype(np.int32)
+    potentials = rng.uniform(0, 3000, size=(n, k))
+    donor_types = rng.integers(1, k + 1, size=n)
+    untreated = rng.uniform(0, 3000, size=n)
     edge = np.flatnonzero(got)[:3]
-    realized[edge[:1]], benefit[edge[1:2]], benefit[edge[2:]] = np.nan, np.inf, -0.0
+    cell = lambda i: (i, donor_types[assigned_donor[i]] - 1)  # recipient i's realized cell
+    if edge.size > 0:  # a NaN survival
+        potentials[cell(edge[0])] = np.nan
+    if edge.size > 1:  # no untreated time: an infinite benefit
+        untreated[edge[1]] = -np.inf
+    if edge.size > 2:  # -0.0 days with the donor, 0.0 left without it: a -0.0 benefit
+        i = edge[2]
+        potentials[cell(i)], untreated[i], fate_step[i] = -0.0, 0.0, i
+    ds = Dataset(recipients=np.zeros((n, 0)), donors=np.zeros((n, 0)), outcomes=np.zeros(n),
+                 recipient_names=[], donor_names=[], true_potentials=potentials,
+                 untreated_survival=untreated, true_donor_type=donor_types)
     n_dead = int(np.sum(fate == FATES.index("dead")))
     return SimReport(policy="fcfs", n=n, n_transplanted=int(got.sum()), n_dead=n_dead,
                      n_waiting=n - int(got.sum()) - n_dead, death_rate=n_dead / max(n, 1),
-                     avg_survival=None, avg_benefit=None, fate=fate,
-                     fate_step=np.where(fate == FATES.index("waiting"), -1,
-                                        rng.integers(0, 2 * n + 1, size=n)),
-                     assigned_donor=np.where(got, rng.permutation(n), -1),
-                     realized_survival=realized, benefit=benefit)
+                     avg_survival=None, avg_benefit=None, fate=fate, fate_step=fate_step,
+                     assigned_donor=assigned_donor, true_potentials=ds.true_potentials,
+                     true_donor_type=ds.true_donor_type,
+                     untreated_survival=ds.untreated_survival, days_per_step=5.0)
 
 
 def _reference_ledger_bytes(report: SimReport, path) -> bytes:
     """The ledger as csv.writer writes it from each recipient's cells."""
+    realized, benefit = report.realized_survival, report.benefit
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LEDGER_FIELDS)
@@ -334,8 +350,8 @@ def _reference_ledger_bytes(report: SimReport, path) -> bytes:
             got = FATES[report.fate[i]] == "transplanted"
             writer.writerow([i, i, FATES[report.fate[i]], int(report.fate_step[i]),
                              int(report.assigned_donor[i]),
-                             float(report.realized_survival[i]) if got else None,
-                             float(report.benefit[i]) if got else None])
+                             float(realized[i]) if got else None,
+                             float(benefit[i]) if got else None])
     return Path(path).read_bytes()
 
 
@@ -378,6 +394,45 @@ def test_write_ledger_csv_memory_does_not_grow_with_the_rows():
     assert peaks[200_000] <= peaks[50_000] + 256 * 1024, peaks
 
 
+@pytest.mark.parametrize("n", [0, 1, 2 * ROW_BLOCK + 3])
+def test_outcome_blocks_are_the_full_columns(n):
+    report = _ledger_report(n, seed=n)
+    full = report.realized_survival, report.benefit
+    assert all(v.shape == (n,) and v.dtype == np.float64 and not v.flags.writeable
+               for v in full)
+    with pytest.raises(AttributeError):
+        report.benefit = full[1]
+    for size in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1):
+        cuts = [0, *range(0, n, size), n, n]  # an empty block at each end
+        blocks = [report.outcomes(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        for column, whole in enumerate(full):
+            # bit for bit: NaN, inf and -0.0 included
+            assert np.concatenate([b[column] for b in blocks]).tobytes() == whole.tobytes()
+    got = report.fate == FATES.index("transplanted")
+    assert np.isnan(full[0][~got]).all() and np.isnan(full[1][~got]).all()
+    if n > ROW_BLOCK:
+        assert np.isnan(full[0][got]).any() and np.isinf(full[1][got]).any()
+        assert any(str(v) == "-0.0" for v in full[1][got])
+
+
+def test_a_step_or_row_beyond_int32_is_refused_before_any_column():
+    ds = _oracle_dataset(n=2, untreated=[1e12, 1e12])  # outlives every step below
+    for stream in (EventStream(donor_arrivals=[(0, 0), (2 ** 31, 1)], n=2),
+                   EventStream(donor_arrivals=[], n=2 ** 31)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="int32"):
+                run_policy(ds, stream, "fcfs", SimConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+    # the largest step that fits is run
+    fits = EventStream(donor_arrivals=[(0, 0), (2 ** 31 - 1, 1)], n=2)
+    report = run_policy(ds, fits, "fcfs", SimConfig())
+    assert report.fate_step.tolist() == [0, 2 ** 31 - 1]
+
+
 def test_ledger_rows_are_built_from_the_columns():
     rng = rng_stream(8, "ledger-rows")
     ds = _oracle_dataset(n=40, seed=8, untreated=rng.uniform(1, 300, size=40))
@@ -414,7 +469,13 @@ def test_a_report_retains_its_columns_and_no_row_objects():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    columns = sum(v.nbytes for v in vars(report).values() if isinstance(v, np.ndarray))
+    # the policy's decisions are its own columns; the ground truth is the dataset's
+    decisions = (report.fate, report.fate_step, report.assigned_donor)
+    assert [v.dtype for v in decisions] == [np.int8, np.int32, np.int32]
+    assert report.true_potentials is ds.true_potentials
+    assert report.true_donor_type is ds.true_donor_type
+    assert report.untreated_survival is ds.untreated_survival
+    columns = sum(v.nbytes for v in decisions)
     # a LedgerRow per recipient would retain some 290 bytes a row more
     assert columns <= retained < columns + 16 * 1024
 
@@ -542,11 +603,13 @@ def _reference_choice(policy, waiting, donor_id, remaining, scorer, guide):
     return min(i for i, score in scores.items() if score == best)
 
 
-def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
+def _stepwise_reference(ds, stream, policy, config, scorer, guide):
     """The per-step simulator that ``run_policy`` replaced: every step from
     0 to the last donor arrival admits recipient ``step``, offers that
     step's donors, then subtracts ``days_per_step`` from every waiting
-    recipient's remaining survival and removes those at or below zero."""
+    recipient's remaining survival and removes those at or below zero.
+    Returns its report and the realized survival and benefit it recorded
+    as it went."""
     n = stream.n
     true_k0 = ds.true_donor_type - 1
     remaining = ds.untreated_survival.copy()
@@ -587,13 +650,17 @@ def _stepwise_reference(ds, stream, policy, config, scorer, guide) -> SimReport:
 
     transplanted, dead = status == "transplanted", status == "dead"
     n_t, n_dead = int(transplanted.sum()), int(dead.sum())
-    return SimReport(policy=policy, n=n, n_transplanted=n_t, n_dead=n_dead,
-                     n_waiting=n - n_t - n_dead, death_rate=float(n_dead) / n,
-                     avg_survival=float(realized[transplanted].mean()) if n_t else None,
-                     avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
-                     fate=np.array([FATES.index(s) for s in status], dtype=np.int8),
-                     fate_step=fate_step, assigned_donor=assigned_donor,
-                     realized_survival=realized, benefit=benefit)
+    report = SimReport(policy=policy, n=n, n_transplanted=n_t, n_dead=n_dead,
+                       n_waiting=n - n_t - n_dead, death_rate=float(n_dead) / n,
+                       avg_survival=float(realized[transplanted].mean()) if n_t else None,
+                       avg_benefit=float(benefit[transplanted].mean()) if n_t else None,
+                       fate=np.array([FATES.index(s) for s in status], dtype=np.int8),
+                       fate_step=fate_step.astype(np.int32),
+                       assigned_donor=assigned_donor.astype(np.int32),
+                       true_potentials=ds.true_potentials, true_donor_type=ds.true_donor_type,
+                       untreated_survival=ds.untreated_survival,
+                       days_per_step=config.days_per_step)
+    return report, realized, benefit
 
 
 @st.composite
@@ -645,7 +712,10 @@ def test_event_loop_matches_the_stepwise_reference(sim):
     with tempfile.TemporaryDirectory() as tmp:
         for policy in POLICIES:
             report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
-            reference = _stepwise_reference(ds, stream, policy, config, scorer, guide)
+            reference, realized, benefit = _stepwise_reference(ds, stream, policy, config,
+                                                               scorer, guide)
+            assert report.realized_survival.tobytes() == realized.tobytes(), policy
+            assert report.benefit.tobytes() == benefit.tobytes(), policy
             # fresh files: rewriting a nonempty file can stall on a flush
             paths = Path(tmp, f"event-{policy}.csv"), Path(tmp, f"stepwise-{policy}.csv")
             write_ledger_csv(report, paths[0])

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -564,6 +565,36 @@ def test_simulate_policy_table(workdir, data_dir, models_dir):
         assert parts == int(row["n"])
     real = next(r for r in rows if r["policy"] == "real")
     assert real["flipped_vs_real"] == ""
+
+
+def test_simulate_holds_one_report_at_a_time(workdir, data_dir, models_dir, monkeypatch):
+    argv = ["simulate", "--data", str(data_dir), "--model", str(models_dir / "model.json"),
+            "--stream-seed", "0", "--out"]
+    assert main([*argv, str(workdir / "sim_untracked")]) == EXIT_OK
+    reports = []
+    run_policy = allocsim.run_policy
+
+    def tracked(*args, **kwargs):
+        # every earlier policy's report is gone before the next one runs
+        assert [ref() for ref in reports] == [None] * len(reports)
+        report = run_policy(*args, **kwargs)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(allocsim, "run_policy", tracked)
+    out = workdir / "sim_one_report"
+    assert main([*argv, str(out)]) == EXIT_OK
+    assert len(reports) == len(allocsim.POLICIES)
+    for name in ("policy_table.csv", *(f"ledger_{p}.csv" for p in allocsim.POLICIES)):
+        assert (out / name).read_bytes() == (workdir / "sim_untracked" / name).read_bytes(), name
+
+
+def test_simulate_stream_beyond_int32_is_config_error(workdir, data_dir, monkeypatch, capsys):
+    beyond = allocsim.EventStream(donor_arrivals=[(0, 0), (2 ** 31, 1)], n=150)
+    monkeypatch.setattr(allocsim, "build_stream", lambda *args, **kwargs: beyond)
+    assert main(["simulate", "--data", str(data_dir), "--policies", "fcfs",
+                 "--out", str(workdir / "x")]) == EXIT_CONFIG
+    assert "int32" in capsys.readouterr().err
 
 
 def test_simulate_byte_identical_across_runs(workdir, data_dir, models_dir):

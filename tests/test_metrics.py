@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from organmatch import metrics
 from organmatch.metrics import (
     aodt_learned_space,
     comparison_row,
@@ -73,6 +74,18 @@ def test_comparison_row_with_ground_truth():
     assert nonempty.tolist() == [True, False, True]
     assert row["eps_wmse"] == eps_wmse(PRED[:, nonempty], y_tilde[:, nonempty])
     assert row["mean_best_prediction"] == (1000.0 + 900.0) / 2.0
+
+
+def test_comparison_row_remaps_the_potentials_once(monkeypatch):
+    true_types, labels = np.array([1, 2]), np.array([0, 2])
+    args = ("m", PRED, labels, PRED[np.arange(2), labels], TRUE, true_types, np.array([1, 2]))
+    expected = comparison_row(*args)
+    calls = []
+    remap = metrics.remap_potentials_to_learned
+    monkeypatch.setattr(metrics, "remap_potentials_to_learned",
+                        lambda *a: calls.append(a) or remap(*a))
+    assert comparison_row(*args) == expected
+    assert len(calls) == 1
 
 
 @settings(max_examples=50, deadline=None)
