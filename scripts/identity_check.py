@@ -14,10 +14,11 @@ held-out predictions and donor labels, the ``active`` mask and any
 training error. Then each tree builds the preset's donor stream (the seed
 is the stream seed) and runs all seven allocation policies on it with the
 joint model it trained; the stream's ``(step, donor)`` rows and the ledger
-CSV and ``summary()`` of every policy are compared byte for byte, so a
-reordered stream shows even where the ledgers do not change. The same is
-done at scale: each tree writes a 50,000-row preset (the bytes of both
-tables are compared), reads it back (every array read is compared),
+CSV, the SHA-256 of ``repr(ledger)`` and ``summary()`` of every policy are
+compared byte for byte, so a reordered stream shows even where the ledgers
+do not change. The same is done at scale: each tree writes a 50,000-row
+preset (the bytes of both tables are compared), reads it back (every array
+read is compared),
 normalizes it with the joint model's statistics, runs the joint model's
 ``predict_potential_batch`` and
 ``donor_type_batch`` on all of it (the arrays are compared byte for byte,
@@ -47,6 +48,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -108,8 +110,9 @@ def _fit(name, matchrep, baselines, train, val, seed):
 def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
     """Run every policy on the preset's stream with the oracle scorer for
     ``uf``/``bf`` and the model for the ``matching-*`` policies; returns
-    the stream's donor arrivals and each policy's ledger CSV and
-    ``repr(summary())`` as arrays."""
+    the stream's donor arrivals and each policy's ledger CSV, the SHA-256 of
+    ``repr(ledger)`` (the rows a report builds) and ``repr(summary())`` as
+    arrays."""
     config = allocsim.SimConfig()
     stream = allocsim.build_stream(dataset, config, seed=seed)
     oracle = allocsim.oracle_mean_scorer(dataset, preset.outcome_means)
@@ -117,7 +120,7 @@ def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
               "guide": allocsim.model_guide(model, normed)}
     # (step, donor) rows in the form every tree's stream converts to
     parts = {"stream": {"": np.asarray(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2)},
-             "ledger": {}, "summary": {}}
+             "ledger": {}, "rows": {}, "summary": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for policy in allocsim.POLICIES:
             kwargs = ({"scorer": oracle} if policy in ("uf", "bf")
@@ -126,6 +129,8 @@ def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
             path = Path(tmp) / "ledger.csv"
             allocsim.write_ledger_csv(report, path)
             parts["ledger"][policy] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+            parts["rows"][policy] = np.array(
+                hashlib.sha256(repr(report.ledger).encode()).hexdigest())
             parts["summary"][policy] = np.array(repr(report.summary()))
     return parts
 

@@ -138,9 +138,7 @@ class SimReport:
     fate: np.ndarray = field(repr=False)  # (n,) int8 index into FATES
     fate_step: np.ndarray = field(repr=False)  # (n,) int32 step of the fate, -1 while waiting
     assigned_donor: np.ndarray = field(repr=False)  # (n,) int32 donor row id or -1
-    true_potentials: np.ndarray = field(repr=False)  # the dataset's (n, K) days by donor type
-    true_donor_type: np.ndarray = field(repr=False)  # the dataset's 1-based type per donor row
-    untreated_survival: np.ndarray = field(repr=False)  # the dataset's days without a transplant
+    dataset: Dataset = field(repr=False)  # the ground-truth oracle the policy ran against
     days_per_step: float = field(repr=False)
 
     def summary(self) -> dict:
@@ -153,61 +151,39 @@ class SimReport:
         ``true_potentials[i, true_donor_type[d_i] - 1]`` days, and its
         benefit is that minus the untreated days it had left when
         transplanted, ``untreated_survival[i] - (fate_step[i] - i) * days_per_step``."""
+        truth = self.dataset
         donor = self.assigned_donor[lo:hi]
         realized = np.full(donor.size, np.nan)
         benefit = np.full(donor.size, np.nan)
         got = np.flatnonzero(donor >= 0)
         ids = lo + got
-        realized[got] = self.true_potentials[ids, self.true_donor_type[donor[got]] - 1]
-        benefit[got] = realized[got] - (self.untreated_survival[ids]
+        realized[got] = truth.true_potentials[ids, truth.true_donor_type[donor[got]] - 1]
+        benefit[got] = realized[got] - (truth.untreated_survival[ids]
                                         - (self.fate_step[lo:hi][got] - ids) * self.days_per_step)
         return realized, benefit
 
-    @property
-    def realized_survival(self) -> np.ndarray:
-        """(n,) read-only, rebuilt on each access; NaN unless transplanted."""
-        return _read_only(self.outcomes()[0])
-
-    @property
-    def benefit(self) -> np.ndarray:
-        """(n,) read-only, rebuilt on each access; NaN unless transplanted."""
-        return _read_only(self.outcomes()[1])
-
-    def _rows(self):
-        """The ledger's cells row by row: ints, a fate string, and a float or
-        None for survival and benefit."""
-        got = self.fate == FATES.index("transplanted")
-        realized, benefit = self.outcomes()
-        return zip(range(self.n), range(self.n), np.array(FATES, dtype=object)[self.fate].tolist(),
-                   self.fate_step.tolist(), self.assigned_donor.tolist(),
-                   np.where(got, realized, None).tolist(), np.where(got, benefit, None).tolist())
+    def ledger_columns(self, lo: int, hi: int) -> list:
+        """The ``LEDGER_FIELDS`` columns of recipients ``lo`` to ``hi - 1``;
+        survival and benefit are masked unless the recipient was transplanted."""
+        ids = np.arange(lo, hi)
+        fate = self.fate[lo:hi]
+        missing = fate != FATES.index("transplanted")
+        realized, benefit = self.outcomes(lo, hi)
+        return [ids, ids, np.array(FATES, dtype=object)[fate], self.fate_step[lo:hi],
+                self.assigned_donor[lo:hi], np.ma.masked_array(realized, missing),
+                np.ma.masked_array(benefit, missing)]
 
     @property
     def ledger(self) -> list[LedgerRow]:
-        """One row per recipient, built from the columns on each access."""
-        return [LedgerRow(*row) for row in self._rows()]
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
+        """One row per recipient, built from ``ledger_columns`` on each access."""
+        columns = [column.tolist() for column in self.ledger_columns(0, self.n)]
+        return [LedgerRow(*row) for row in zip(*columns)]
 
 
 def write_ledger_csv(report: SimReport, path) -> None:
-    """One row per recipient, written from the report's columns, whose
-    survival and benefit are read one block at a time; they are empty cells
-    unless the recipient was transplanted."""
-    names = np.array(FATES, dtype=object)
-
-    def block(lo, hi):
-        ids = np.arange(lo, hi)
-        missing = report.fate[lo:hi] != FATES.index("transplanted")
-        realized, benefit = report.outcomes(lo, hi)
-        return [ids, ids, names[report.fate[lo:hi]], report.fate_step[lo:hi],
-                report.assigned_donor[lo:hi], np.ma.masked_array(realized, missing),
-                np.ma.masked_array(benefit, missing)]
-
-    write_table(path, LEDGER_FIELDS, report.n, block)
+    """One row per recipient, written from ``report.ledger_columns`` a block
+    at a time; survival and benefit are empty unless transplanted."""
+    write_table(path, LEDGER_FIELDS, report.n, report.ledger_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +358,7 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
         fate=(dead + 2 * transplanted).astype(np.int8),
         fate_step=fate_step,
         assigned_donor=assigned_donor,
-        true_potentials=dataset.true_potentials,
-        true_donor_type=dataset.true_donor_type,
-        untreated_survival=untreated,
+        dataset=dataset,
         days_per_step=d,
     )
     if n_t:

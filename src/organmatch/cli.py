@@ -274,26 +274,23 @@ def cmd_simulate(args) -> int:
     stream = allocsim.build_stream(dataset, sim_config, seed=seed)
 
     out = _ensure_out(args.out)
-    artifacts = []
-    rows, true_types = [], {}
-    for policy, scorer in scorers.items():
-        report = allocsim.run_policy(dataset, stream, policy, sim_config, scorer, guide)
-        ledger_path = out / f"ledger_{policy}.csv"
-        allocsim.write_ledger_csv(report, ledger_path)
-        artifacts.append(ledger_path)
-        rows.append(report.summary())
-        true_types[policy] = allocsim.assigned_true_types(dataset, report)
-        del report  # one report at a time: the next policy runs without it
-
-    for row in rows:
-        row["flipped_vs_real"] = (
-            metrics.flipped_ratio(true_types["real"], true_types[row["policy"]])
-            if "real" in true_types and row["policy"] != "real" else None)
+    artifacts = [out / f"ledger_{policy}.csv" for policy in policies]
+    rows, real_types = {}, None
+    # real first: its true types, which each other policy is compared with, alone outlive it
+    for policy in sorted(scorers, key=lambda p: p != "real"):
+        report = allocsim.run_policy(dataset, stream, policy, sim_config, scorers[policy], guide)
+        allocsim.write_ledger_csv(report, out / f"ledger_{policy}.csv")
+        types = allocsim.assigned_true_types(dataset, report)
+        rows[policy] = {**report.summary(), "flipped_vs_real": None if real_types is None
+                        else metrics.flipped_ratio(real_types, types)}
+        if policy == "real":
+            real_types = types
+        del report, types  # one report at a time: the next policy runs without it
 
     table_path = out / "policy_table.csv"
     fields = ["policy", "n", "n_transplanted", "n_dead", "n_waiting",
               "death_rate", "avg_survival", "avg_benefit", "flipped_vs_real"]
-    _write_records(table_path, fields, rows)
+    _write_records(table_path, fields, [rows[policy] for policy in policies])
     artifacts.append(table_path)
     _write_manifest(out, "simulate", {
         "sim": asdict(sim_config), "policies": policies,

@@ -647,13 +647,16 @@ def fit_clusterer(donors: np.ndarray, kind: str, config: TrainConfig) -> DonorCl
 def predict_heads(phi: DenseNet | None, predictor: MultiHeadPredictor,
                   x: np.ndarray) -> np.ndarray:
     """(n, K) predicted survival days, one column per head; the heads read
-    Phi's output of the rows ``x``, or ``x`` itself when ``phi`` is None."""
-    xprime = x if phi is None else mlp_predict(phi, x)
-    preds = np.empty((xprime.shape[0], len(predictor.heads)))
+    Phi's output of the rows ``x``, or ``x`` itself when ``phi`` is None,
+    one ``ROW_BLOCK`` of rows at a time."""
     mean, scale = predictor.outcome_mean, predictor.outcome_scale
-    for c, head in enumerate(predictor.heads):
-        preds[:, c] = mean + scale * mlp_predict(head, xprime)[:, 0]
-    return preds
+
+    def block(rows):
+        xprime = rows if phi is None else mlp_predict(phi, rows)
+        return np.column_stack([mean + scale * mlp_predict(head, xprime)[:, 0]
+                                for head in predictor.heads])
+
+    return map_row_blocks(block, np.asarray(x, dtype=float))
 
 
 predict_potential_batch = MatchRepModel.predict_potentials  # the name allocsim and perfbench call

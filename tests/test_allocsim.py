@@ -335,14 +335,12 @@ def _ledger_report(n: int, seed: int) -> SimReport:
     return SimReport(policy="fcfs", n=n, n_transplanted=int(got.sum()), n_dead=n_dead,
                      n_waiting=n - int(got.sum()) - n_dead, death_rate=n_dead / max(n, 1),
                      avg_survival=None, avg_benefit=None, fate=fate, fate_step=fate_step,
-                     assigned_donor=assigned_donor, true_potentials=ds.true_potentials,
-                     true_donor_type=ds.true_donor_type,
-                     untreated_survival=ds.untreated_survival, days_per_step=5.0)
+                     assigned_donor=assigned_donor, dataset=ds, days_per_step=5.0)
 
 
 def _reference_ledger_bytes(report: SimReport, path) -> bytes:
     """The ledger as csv.writer writes it from each recipient's cells."""
-    realized, benefit = report.realized_survival, report.benefit
+    realized, benefit = report.outcomes()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LEDGER_FIELDS)
@@ -397,11 +395,8 @@ def test_write_ledger_csv_memory_does_not_grow_with_the_rows():
 @pytest.mark.parametrize("n", [0, 1, 2 * ROW_BLOCK + 3])
 def test_outcome_blocks_are_the_full_columns(n):
     report = _ledger_report(n, seed=n)
-    full = report.realized_survival, report.benefit
-    assert all(v.shape == (n,) and v.dtype == np.float64 and not v.flags.writeable
-               for v in full)
-    with pytest.raises(AttributeError):
-        report.benefit = full[1]
+    full = report.outcomes()
+    assert all(v.shape == (n,) and v.dtype == np.float64 for v in full)
     for size in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1):
         cuts = [0, *range(0, n, size), n, n]  # an empty block at each end
         blocks = [report.outcomes(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -440,21 +435,26 @@ def test_ledger_rows_are_built_from_the_columns():
     report = run_policy(ds, build_stream(ds, config, seed=2), "fcfs", config)
     assert list(report.summary()) == ["policy", "n", "n_transplanted", "n_dead", "n_waiting",
                                       "death_rate", "avg_survival", "avg_benefit"]
-    ledger = report.ledger
-    assert sorted({row.fate for row in ledger}) == sorted(FATES)
-    for i, row in enumerate(ledger):
-        got = row.fate == "transplanted"
-        # the cells' Python types as the ledger file writes them: None is an empty cell
-        assert [type(v) for v in astuple(row)] == [int, int, str, int, int] + [
-            float if got else type(None)] * 2
-        assert astuple(row)[:5] == (i, i, FATES[report.fate[i]], report.fate_step[i],
-                                    report.assigned_donor[i])
-        if got:
-            assert (row.realized_survival, row.benefit) == (report.realized_survival[i],
-                                                           report.benefit[i])
-        else:
-            assert np.isnan(report.realized_survival[i]) and np.isnan(report.benefit[i])
-    assert report.ledger == ledger  # built alike on every access
+    assert sorted({row.fate for row in report.ledger}) == sorted(FATES)
+    # and reports whose transplanted cells hold a NaN survival, an infinite
+    # benefit and a -0.0 benefit, at the edges of the row count
+    for report in (report, *(_ledger_report(n, seed=n) for n in (0, 1, ROW_BLOCK + 1))):
+        ledger = report.ledger
+        realized, benefit = report.outcomes()
+        assert len(ledger) == report.n
+        for i, row in enumerate(ledger):
+            got = row.fate == "transplanted"
+            # the cells' Python types as the ledger file writes them: None is an empty cell
+            assert [type(v) for v in astuple(row)] == [int, int, str, int, int] + [
+                float if got else type(None)] * 2
+            assert astuple(row)[:5] == (i, i, FATES[report.fate[i]], report.fate_step[i],
+                                        report.assigned_donor[i])
+            if got:  # bit for bit: NaN, inf and -0.0 included
+                assert (np.array([row.realized_survival, row.benefit]).tobytes()
+                        == np.array([realized[i], benefit[i]]).tobytes())
+            else:
+                assert np.isnan(realized[i]) and np.isnan(benefit[i])
+        assert repr(report.ledger) == repr(ledger)  # built alike on every access
 
 
 def test_a_report_retains_its_columns_and_no_row_objects():
@@ -472,9 +472,7 @@ def test_a_report_retains_its_columns_and_no_row_objects():
     # the policy's decisions are its own columns; the ground truth is the dataset's
     decisions = (report.fate, report.fate_step, report.assigned_donor)
     assert [v.dtype for v in decisions] == [np.int8, np.int32, np.int32]
-    assert report.true_potentials is ds.true_potentials
-    assert report.true_donor_type is ds.true_donor_type
-    assert report.untreated_survival is ds.untreated_survival
+    assert report.dataset is ds
     columns = sum(v.nbytes for v in decisions)
     # a LedgerRow per recipient would retain some 290 bytes a row more
     assert columns <= retained < columns + 16 * 1024
@@ -657,9 +655,7 @@ def _stepwise_reference(ds, stream, policy, config, scorer, guide):
                        fate=np.array([FATES.index(s) for s in status], dtype=np.int8),
                        fate_step=fate_step.astype(np.int32),
                        assigned_donor=assigned_donor.astype(np.int32),
-                       true_potentials=ds.true_potentials, true_donor_type=ds.true_donor_type,
-                       untreated_survival=ds.untreated_survival,
-                       days_per_step=config.days_per_step)
+                       dataset=ds, days_per_step=config.days_per_step)
     return report, realized, benefit
 
 
@@ -714,8 +710,9 @@ def test_event_loop_matches_the_stepwise_reference(sim):
             report = run_policy(ds, stream, policy, config, scorer=scorer, guide=guide)
             reference, realized, benefit = _stepwise_reference(ds, stream, policy, config,
                                                                scorer, guide)
-            assert report.realized_survival.tobytes() == realized.tobytes(), policy
-            assert report.benefit.tobytes() == benefit.tobytes(), policy
+            outcomes = report.outcomes()
+            assert outcomes[0].tobytes() == realized.tobytes(), policy
+            assert outcomes[1].tobytes() == benefit.tobytes(), policy
             # fresh files: rewriting a nonempty file can stall on a flush
             paths = Path(tmp, f"event-{policy}.csv"), Path(tmp, f"stepwise-{policy}.csv")
             write_ledger_csv(report, paths[0])

@@ -589,6 +589,45 @@ def test_simulate_holds_one_report_at_a_time(workdir, data_dir, models_dir, monk
         assert (out / name).read_bytes() == (workdir / "sim_untracked" / name).read_bytes(), name
 
 
+def test_simulate_rows_follow_the_listed_order_with_real_last(workdir, data_dir):
+    runs = {}
+    for listed in ("real,fcfs", "fcfs,real"):
+        out = workdir / f"sim_{listed.replace(',', '_')}"
+        assert main(["simulate", "--data", str(data_dir), "--policies", listed,
+                     "--stream-seed", "0", "--out", str(out)]) == EXIT_OK
+        runs[listed] = _read_csv(out / "policy_table.csv")
+    assert [row["policy"] for row in runs["fcfs,real"]] == ["fcfs", "real"]
+    assert runs["fcfs,real"] == runs["real,fcfs"][::-1]
+    assert runs["fcfs,real"][0]["flipped_vs_real"] != ""
+
+
+def test_simulate_keeps_only_the_true_types_of_real(workdir, data_dir, models_dir, monkeypatch):
+    argv = ["simulate", "--data", str(data_dir), "--model", str(models_dir / "model.json"),
+            "--stream-seed", "0", "--out"]
+    assert main([*argv, str(workdir / "sim_untracked_types")]) == EXIT_OK
+    types = []  # (policy, weakref to the true types returned for it)
+    run_policy, assigned_true_types = allocsim.run_policy, allocsim.assigned_true_types
+
+    def tracked_run(*args, **kwargs):
+        # no policy's true types outlive its run, except real's
+        assert [policy for policy, ref in types if ref() is not None] in ([], ["real"])
+        return run_policy(*args, **kwargs)
+
+    def tracked_types(dataset, report):
+        out = assigned_true_types(dataset, report)
+        types.append((report.policy, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(allocsim, "run_policy", tracked_run)
+    monkeypatch.setattr(allocsim, "assigned_true_types", tracked_types)
+    out = workdir / "sim_real_types"
+    assert main([*argv, str(out)]) == EXIT_OK
+    assert sorted(policy for policy, _ in types) == sorted(allocsim.POLICIES)
+    for name in ("policy_table.csv", *(f"ledger_{p}.csv" for p in allocsim.POLICIES)):
+        assert (out / name).read_bytes() == (
+            workdir / "sim_untracked_types" / name).read_bytes(), name
+
+
 def test_simulate_stream_beyond_int32_is_config_error(workdir, data_dir, monkeypatch, capsys):
     beyond = allocsim.EventStream(donor_arrivals=[(0, 0), (2 ** 31, 1)], n=150)
     monkeypatch.setattr(allocsim, "build_stream", lambda *args, **kwargs: beyond)
