@@ -118,29 +118,25 @@ class DonorClusterer:
     """The donor-type map ``T`` of a cluster model: K ``centers`` and, by
     ``kind``, nothing more (k-means), the ``weights`` and ``variances`` of an
     EM mixture whose means the centers are, or the ``encoder`` of a DEC map
-    whose centers lie in its embedding, with the ``decoder`` of the
-    autoencoder it was pretrained in (the joint model's, or a standalone
-    DEC's). Its arrays are float64."""
+    whose centers lie in its embedding. Its arrays are float64."""
 
     kind: str
     centers: np.ndarray  # (K, width): the donors' width, or the embedding's for dec
     weights: np.ndarray | None = None  # em
     variances: np.ndarray | None = None  # em
     encoder: DenseNet | None = None  # dec
-    decoder: DenseNet | None = None  # dec
 
     def __post_init__(self):
         if any(a is not None and getattr(a, "dtype", None) != np.float64
                for a in (self.centers, self.weights, self.variances)):
             raise TypeError("a clusterer's centers, weights and variances must be float64 arrays")
-        shape, enc, dec = np.shape(self.centers), self.encoder, self.decoder
+        shape, enc = np.shape(self.centers), self.encoder
         em = self.kind == "em"
         fits = (self.kind in CLUSTERERS and len(shape) == 2 and shape[0] >= 1
                 and ((np.shape(self.weights), np.shape(self.variances)) == (shape[:1], shape)
                      if em else self.weights is None and self.variances is None)
-                and ((enc is not None and dec is not None and shape[1] == enc.output_dim
-                      and (dec.input_dim, dec.output_dim) == (enc.output_dim, enc.input_dim))
-                     if self.kind == "dec" else enc is None and dec is None))
+                and (enc is not None and shape[1] == enc.output_dim
+                     if self.kind == "dec" else enc is None))
         if not fits:
             raise ValueError(f"a {self.kind!r} clusterer's fields do not fit its kind "
                              f"and its centers of shape {shape}")
@@ -443,11 +439,11 @@ def dec_refine_loss_and_grads(encoder: DenseNet, centers: np.ndarray, x: np.ndar
 
 
 def pretrain_autoencoder(donors: np.ndarray,
-                         config: TrainConfig) -> tuple[DonorClusterer, list[float]]:
+                         config: TrainConfig) -> tuple[DonorClusterer, DenseNet, list[float]]:
     """Reconstruction-MSE pretraining of the donor autoencoder with Adam,
     then k-means of the encoded donors for the K centers.
 
-    Returns the DEC clusterer and the epoch losses."""
+    Returns the DEC clusterer, the decoder only ``_dec_epochs`` reads and the epoch losses."""
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
@@ -469,15 +465,15 @@ def pretrain_autoencoder(donors: np.ndarray,
         losses.append(epoch_loss / n)
     centers, _, _ = kmeans_fit(mlp_predict(encoder, donors), config.k,
                                rng_stream(config.seed, "matchrep", "centers"))
-    return DonorClusterer("dec", centers, encoder=encoder, decoder=decoder), losses
+    return DonorClusterer("dec", centers, encoder=encoder), decoder, losses
 
 
-def _dec_epochs(clusterer: DonorClusterer, donors: np.ndarray, config: TrainConfig,
-                batches: str):
-    """The one refinement schedule of a DEC clusterer: ``joint_epochs`` epochs
-    over minibatches of the ``donors`` from the stream ``batches``. Yields per
-    epoch the (n,) label each donor had in its minibatch, the epoch's summed
-    L_DEC and whether the map was refined.
+def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray,
+                config: TrainConfig, batches: str):
+    """The one refinement schedule of a DEC clusterer and its pretrained
+    ``decoder``: ``joint_epochs`` epochs over minibatches of the ``donors``
+    from the stream ``batches``. Yields per epoch the (n,) label each donor
+    had in its minibatch, the epoch's summed L_DEC and whether it refined.
 
     A refining epoch refreshes the target distribution, then per minibatch
     takes one Adam step of the reconstruction anchor and one SGD step on
@@ -485,7 +481,7 @@ def _dec_epochs(clusterer: DonorClusterer, donors: np.ndarray, config: TrainConf
     labels change over an epoch the map is frozen, and the per-donor L_DEC
     terms of its own target are computed once, not per batch.
     """
-    anchor = Adam([clusterer.encoder, clusterer.decoder], config.learning_rate,
+    anchor = Adam([clusterer.encoder, decoder], config.learning_rate,
                   "DEC refinement's reconstruction anchor")
     rng = rng_stream(config.seed, batches)
     n = len(donors)
@@ -503,7 +499,7 @@ def _dec_epochs(clusterer: DonorClusterer, donors: np.ndarray, config: TrainConf
                 l_dec += float(np.sum(frozen_terms[idx]))
                 continue
             x = donors[idx]
-            anchor.step(*recon_loss_and_grads(clusterer.encoder, clusterer.decoder, x))
+            anchor.step(*recon_loss_and_grads(clusterer.encoder, decoder, x))
             loss, grads = dec_refine_loss_and_grads(clusterer.encoder, clusterer.centers, x,
                                                     p_full[idx], config.embed_decay, len(idx) / n)
             if not np.isfinite(loss):
@@ -586,12 +582,12 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     minibatches. Returns (model, log), log holding one dict per joint epoch
     with the epoch-mean loss terms.
     """
-    clusterer, _ = pretrain_autoencoder(donors, config)
+    clusterer, decoder, _ = pretrain_autoencoder(donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
     dec_log = []  # (L_DEC, refined) of each epoch
 
     def epoch_labels():
-        for labels, l_dec, refined in _dec_epochs(clusterer, donors, config,
+        for labels, l_dec, refined in _dec_epochs(clusterer, decoder, donors, config,
                                                   "matchrep/joint-batches"):
             dec_log.append((l_dec, refined))
             yield labels
@@ -615,8 +611,8 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorCluste
     Used by the decoupled ``dec`` baselines; follows the joint model's
     refinement schedule. Returns the trained ``dec`` DonorClusterer.
     """
-    clusterer, _ = pretrain_autoencoder(donors, config)
-    for _, _, refined in _dec_epochs(clusterer, donors, config,
+    clusterer, decoder, _ = pretrain_autoencoder(donors, config)
+    for _, _, refined in _dec_epochs(clusterer, decoder, donors, config,
                                      "matchrep/dec-standalone-batches"):
         if not refined:
             break
@@ -681,7 +677,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v10"
+MODEL_FORMAT = "organmatch-model-v11"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a model file may hold, by name; baselines adds the pair regressor's.
 MODEL_TYPES = {t.__name__: t for t in (Layer, DenseNet, TrainConfig, DonorClusterer,

@@ -1,8 +1,8 @@
 """Deterministic numerical kernels.
 
 Small dense feed-forward networks with hand-derived backpropagation, Adam,
-Lloyd k-means, diagonal-covariance Gaussian mixture EM, the closed-form KL
-divergence of diagonal Gaussians, and a finite-difference gradient checker.
+Lloyd k-means, diagonal-covariance Gaussian mixture EM and the closed-form KL
+divergence of diagonal Gaussians.
 
 All randomness flows through Philox counter-based generators keyed by
 (seed, component name), so identical seeds reproduce bit-identical results
@@ -396,52 +396,3 @@ def gmm_em_fit(points: np.ndarray, k: int, rng: np.random.Generator):
         if len(history) > 1 and abs(history[-1] - history[-2]) < GMM_TOL * (1 + abs(history[-2])):
             break
     return weights, means, variances, resp, history
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    per_block: list[float]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tol
-
-
-def finite_diff_check(loss_and_grads, params: list[np.ndarray], h: float = 1e-4,
-                      tol: float = 1e-4, max_entries_per_block: int | None = None,
-                      rng: np.random.Generator | None = None) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_and_grads(params) -> (loss, grads)`` must be deterministic. If
-    ``max_entries_per_block`` is given, only a random subset of entries is
-    checked per parameter block (speeds up large nets).
-    """
-    _, grads = loss_and_grads(params)
-    per_block = []
-    for b, (p, g) in enumerate(zip(params, grads)):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        idx = np.arange(flat_p.size)
-        if max_entries_per_block is not None and flat_p.size > max_entries_per_block:
-            idx = (rng or np.random.default_rng(0)).choice(
-                flat_p.size, size=max_entries_per_block, replace=False)
-        worst = 0.0
-        for i in idx:
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            lo_hi, _ = loss_and_grads(params)
-            flat_p[i] = orig - h
-            lo_lo, _ = loss_and_grads(params)
-            flat_p[i] = orig
-            fd = (lo_hi - lo_lo) / (2.0 * h)
-            denom = max(abs(fd), abs(flat_g[i]), 1e-4)
-            worst = max(worst, abs(fd - flat_g[i]) / denom)
-        per_block.append(worst)
-    return GradCheckReport(max(per_block) if per_block else 0.0, per_block, tol)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gradcheck import finite_diff_check
 from organmatch import allocsim, baselines, cli, datamodel, matchrep, metrics, numkit, synthgen
 from organmatch.numkit import rng_stream
 
@@ -130,7 +131,7 @@ def test_criterion_1_kl_and_gradients(capfd):
             grads, _ = numkit.mlp_backward(net, cache, (2.0 / 16) * err[:, None])
             return float(np.mean(err * err)), grads
 
-        report = numkit.finite_diff_check(
+        report = finite_diff_check(
             loss_and_grads, [p.copy() for p in net.parameters()], tol=1e-4)
         max_rel = max(max_rel, report.max_rel_error)
 

@@ -405,7 +405,7 @@ BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
                    "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
                    "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file",
-                   "bool-weight", "bool-centers", "v9-file")
+                   "bool-weight", "bool-centers", "v9-file", "v10-file", "decoder-field")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -416,6 +416,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     v4, invalid_config = json.loads(text), json.loads(text)
     nan_norm, zero_scale = json.loads(text), json.loads(text)
     bool_weight, bool_centers = json.loads(text), json.loads(text)
+    with_decoder = json.loads(text)
     del no_phi["model"]["phi"]
     no_norm["normalization"] = None
     int_encoder["model"]["phi"] = 5
@@ -435,6 +436,9 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     # only the active mask may be a bool array; these would read as 0/1 floats
     bool_weight["model"]["phi"]["layers"][0]["weight"]["dtype"] = "bool"
     bool_centers["model"]["clusterer"]["centers"]["dtype"] = "bool"
+    # the DEC decoder is training state, which a model file no longer holds
+    clusterer = with_decoder["model"]["clusterer"]
+    clusterer["decoder"] = clusterer["encoder"]
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
@@ -454,6 +458,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "v7-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v7"),
             "v8-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v8"),
             "v9-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v9"),
+            "v10-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v10"),
+            "decoder-field": json.dumps(with_decoder),
             "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),

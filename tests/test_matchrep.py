@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gradcheck import finite_diff_check
 from organmatch import matchrep, numkit
 from organmatch.datamodel import IngestionError
 from organmatch.matchrep import (
@@ -35,7 +36,6 @@ from organmatch.matchrep import (
 from organmatch.numkit import (
     VAR_FLOOR,
     DimensionMismatchError,
-    finite_diff_check,
     init_dense_net,
     mlp_forward,
     rng_stream,
@@ -235,15 +235,13 @@ def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
                          pretrain_epochs=2, joint_epochs=2)
     enc = init_dense_net([d_o, h, h, 3], ["tanh", "tanh", "identity"],
                          rng_stream(seed, "t-enc"))
-    dec = init_dense_net([3, h, h, d_o], ["tanh", "tanh", "identity"],
-                         rng_stream(seed, "t-dec"))
     phi = init_dense_net([d_r, h, h, 3], ["tanh", "tanh", "identity"],
                          rng_stream(seed, "t-phi"))
     rng = rng_stream(seed, "t-heads")
     heads = [init_dense_net([3, h, h, 1], ["tanh", "tanh", "identity"], rng)
              for _ in range(k)]
     clusterer = DonorClusterer("dec", rng_stream(seed, "t-centers").normal(size=(k, 3)),
-                               encoder=enc, decoder=dec)
+                               encoder=enc)
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=500.0,
                                             outcome_scale=200.0)
     return MatchRepModel(name="matchrep", config=config,
@@ -302,14 +300,15 @@ def _set_params(params, values):
 
 
 def test_recon_loss_gradients_match_finite_differences():
-    model = _tiny_model()
-    c = model.clusterer
+    encoder = _tiny_model().clusterer.encoder
+    # the mirror of _tiny_model's [2, 6, 6, 3] encoder
+    decoder = init_dense_net([3, 6, 6, 2], ["tanh", "tanh", "identity"], rng_stream(7, "t-dec"))
     x = rng_stream(14, "recon-fd").normal(size=(12, 2))
-    live = c.encoder.parameters() + c.decoder.parameters()
+    live = encoder.parameters() + decoder.parameters()
 
     def fn(params):
         _set_params(live, params)
-        return recon_loss_and_grads(c.encoder, c.decoder, x)
+        return recon_loss_and_grads(encoder, decoder, x)
 
     report = finite_diff_check(fn, [p.copy() for p in live], tol=1e-4,
                                max_entries_per_block=12, rng=rng_stream(15, "recon-sub"))
@@ -412,21 +411,31 @@ def test_train_joint_skips_rep_loss_at_zero_beta():
     assert [row["L_Phi"] for row in log] == [0.0] * len(log)
 
 
+def _pretrained_autoencoders(monkeypatch) -> list:
+    """The (clusterer, decoder) of each ``pretrain_autoencoder`` call from
+    now on; refinement goes on training both in place."""
+    maps, real_pretrain = [], matchrep.pretrain_autoencoder
+
+    def pretrain(*args, **kwargs):
+        clusterer, decoder, losses = real_pretrain(*args, **kwargs)
+        maps.append((clusterer, decoder))
+        return clusterer, decoder, losses
+
+    monkeypatch.setattr(matchrep, "pretrain_autoencoder", pretrain)
+    return maps
+
+
 @pytest.mark.parametrize("batch_size", [32, 128])
 def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**{**SMALL, "batch_size": batch_size},
                          dec_min_epochs=3, dec_stop_tol=1.0)  # stops after epoch 2
     calls = {"L_DEC": 0, "encoder": 0}
-    maps, anchors, epochs = [], [], []
-    real_pretrain, real_dec = matchrep.pretrain_autoencoder, matchrep.dec_loss_and_grads
+    anchors, epochs = [], []
+    real_dec = matchrep.dec_loss_and_grads
     real_epochs, real_adam = matchrep._dec_epochs, matchrep.Adam
     real_forwards = {name: getattr(matchrep, name) for name in ("mlp_forward", "mlp_predict")}
-
-    def pretrain(*args, **kwargs):
-        clusterer, losses = real_pretrain(*args, **kwargs)
-        maps.append(clusterer)
-        return clusterer, losses
+    maps = _pretrained_autoencoders(monkeypatch)
 
     def dec(*args, **kwargs):
         calls["L_DEC"] += 1
@@ -434,7 +443,7 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
 
     def counting(name):
         def forward(net, batch):
-            calls["encoder"] += bool(maps) and net is maps[0].encoder
+            calls["encoder"] += bool(maps) and net is maps[0][0].encoder
             return real_forwards[name](net, batch)
         return forward
 
@@ -451,7 +460,6 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
             epochs.append((refined, dict(calls)))
             yield labels, l_dec, refined
 
-    monkeypatch.setattr(matchrep, "pretrain_autoencoder", pretrain)
     monkeypatch.setattr(matchrep, "dec_loss_and_grads", dec)
     for name in real_forwards:
         monkeypatch.setattr(matchrep, name, counting(name))
@@ -474,7 +482,7 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     assert calls["encoder"] == frozen_start["encoder"] + 1
     # refinement's reconstruction anchor trains the autoencoder in one buffer of its own
     assert len(anchors) == 1
-    for net in (model.clusterer.encoder, model.clusterer.decoder):
+    for net in (model.clusterer.encoder, maps[0][1]):
         assert all(np.shares_memory(p, anchors[0].buffer) for p in net.parameters())
 
     # the logged L_DEC of a frozen epoch is the per-batch evaluation it
@@ -496,23 +504,25 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
 def test_dec_refinement_anchor_divergence_names_dec_refinement():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    clusterer, _ = pretrain_autoencoder(donors, config)
-    clusterer.decoder.layers[-1].bias[:] = 1e200  # copied into the anchor's buffer
+    clusterer, decoder, _ = pretrain_autoencoder(donors, config)
+    decoder.layers[-1].bias[:] = 1e200  # copied into the anchor's buffer
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             numkit.TrainingDivergedError, match="^DEC refinement's reconstruction anchor loss"):
-        next(matchrep._dec_epochs(clusterer, donors, config, "matchrep/joint-batches"))
+        next(matchrep._dec_epochs(clusterer, decoder, donors, config, "matchrep/joint-batches"))
 
 
-def test_recipients_never_reach_the_donor_map():
+def test_recipients_never_reach_the_donor_map(monkeypatch):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**SMALL)
     order = rng_stream(1, "shuffle-recipients").permutation(len(outcomes))
+    maps = _pretrained_autoencoders(monkeypatch)
     model, log = train_joint(recipients, donors, outcomes, config)
     other, other_log = train_joint(recipients[order], donors, outcomes[order], config)
-    for a, b in zip([*model.clusterer.encoder.parameters(), *model.clusterer.decoder.parameters(),
-                     model.clusterer.centers],
-                    [*other.clusterer.encoder.parameters(), *other.clusterer.decoder.parameters(),
-                     other.clusterer.centers]):
+    (clusterer, decoder), (other_clusterer, other_decoder) = maps
+    assert clusterer is model.clusterer and other_clusterer is other.clusterer
+    for a, b in zip([*clusterer.encoder.parameters(), *decoder.parameters(), clusterer.centers],
+                    [*other_clusterer.encoder.parameters(), *other_decoder.parameters(),
+                     other_clusterer.centers]):
         assert a.tobytes() == b.tobytes()
     np.testing.assert_array_equal(model.active, other.active)
     for key in ("L_DEC", "dec_active"):
@@ -637,8 +647,7 @@ def test_blocked_inference_equals_one_pass(rows):
     act = ["relu", "relu", "identity"]
     rng = rng_stream(seed, "one-pass", rows)
     encoder = init_dense_net([2, h, h, 8], act, rng)
-    decoder = init_dense_net([8, h, h, 2], act, rng)
-    clusterer = DonorClusterer("dec", rng.normal(size=(3, 8)), encoder=encoder, decoder=decoder)
+    clusterer = DonorClusterer("dec", rng.normal(size=(3, 8)), encoder=encoder)
     phi = init_dense_net([2, h, h, 8], act, rng)
     heads = [init_dense_net([8, h, h, 1], act, rng) for _ in range(3)]
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=700.0, outcome_scale=250.0)
@@ -670,14 +679,14 @@ def test_train_joint_prunes_tiny_cluster():
 
 def test_pretrain_autoencoder_reduces_reconstruction_error():
     _, donors, _ = _training_data()
-    _, losses = pretrain_autoencoder(donors, TrainConfig(**SMALL))
+    _, _, losses = pretrain_autoencoder(donors, TrainConfig(**SMALL))
     assert losses[-1] < losses[0]
 
 
 def test_init_centers_shape():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    clusterer, _ = pretrain_autoencoder(donors, config)
+    clusterer, _, _ = pretrain_autoencoder(donors, config)
     assert clusterer.kind == "dec" and clusterer.centers.shape == (2, 4)
     # the k-means centers of the encoded donors
     centers, _, _ = numkit.kmeans_fit(numkit.mlp_predict(clusterer.encoder, donors), config.k,

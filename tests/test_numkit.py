@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import finite_diff_check
 from organmatch.numkit import (
     ROW_BLOCK,
     Adam,
@@ -14,7 +15,6 @@ from organmatch.numkit import (
     Layer,
     TrainingDivergedError,
     adam_step,
-    finite_diff_check,
     gmm_em_fit,
     init_dense_net,
     kl_diag,
