@@ -14,21 +14,21 @@ held-out predictions and donor labels, the ``active`` mask and any
 training error. Then each tree builds the preset's donor stream (the seed
 is the stream seed) and runs all seven allocation policies on it with the
 joint model it trained; the stream's ``(step, donor)`` rows and the ledger
-CSV, the SHA-256 of ``repr(ledger)`` and ``summary()`` of every policy are
-compared byte for byte, so a reordered stream shows even where the ledgers
-do not change. The same is done at scale: each tree writes a 50,000-row
-preset (the bytes of both tables are compared), reads it back (every array
-read is compared),
-normalizes it with the joint model's statistics, runs the joint model's
-``predict_potential_batch`` and
-``donor_type_batch`` on all of it (the arrays are compared byte for byte,
+CSV, each of its columns, the SHA-256 of ``repr(ledger)`` and ``summary()``
+of every policy are compared byte for byte, so a reordered stream shows
+even where the ledgers do not change, and a dropped ledger column shows
+as one-sided while the others are still compared. The same is done at
+scale: each tree writes a 50,000-row preset (the bytes of both tables are
+compared), reads it back (every array read is compared), normalizes it
+with the joint model's statistics, runs the joint model's
+``predict_potential_batch`` and ``donor_type_batch`` on all of it (the arrays are compared byte for byte,
 as ties in the ledgers they drive can hide a changed bit) and simulates
 all seven policies on its stream, comparing the stream too. Last,
 ``organmatch eval`` scores the saved models on the preset written as CSV,
 and ``organmatch simulate`` runs every policy there with the saved joint
-model (the oracle scoring ``uf`` and ``bf``); the exit codes, the bytes of
-every table (each ledger and ``policy_table.csv`` included) and the cells
-of ``comparison.csv`` are compared:
+model (the oracle scoring ``uf`` and ``bf``); the exit codes, the bytes and
+each column of every table (each ledger and ``policy_table.csv`` included)
+and the cells of ``comparison.csv`` are compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
@@ -107,12 +107,32 @@ def _fit(name, matchrep, baselines, train, val, seed):
                    "labels": {"": model.donor_labels(val.donors)}}
 
 
+def _columns(table: str, text: bytes) -> dict:
+    """One array per column of the CSV ``text`` of ``table``, keyed
+    ``<table> <column>``: its cells' UTF-8 bytes, a line each. A column one
+    tree does not write is one-sided, and each other column is compared on
+    its own."""
+    header, *rows = csv.reader(io.StringIO(text.decode(), newline=""))
+    cells = list(zip(*rows)) or [()] * len(header)
+    return {f"{table} {column}": np.frombuffer("\n".join(values).encode(), dtype=np.uint8)
+            for column, values in zip(header, cells)}
+
+
+def _tables(paths) -> dict:
+    """The bytes of each table file, and the columns of each CSV one."""
+    tables = {path.name: path.read_bytes() for path in paths}
+    return {"tables": {name: np.frombuffer(text, dtype=np.uint8)
+                       for name, text in tables.items()},
+            "columns": {key: value for name, text in tables.items() if name.endswith(".csv")
+                        for key, value in _columns(name, text).items()}}
+
+
 def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
     """Run every policy on the preset's stream with the oracle scorer for
     ``uf``/``bf`` and the model for the ``matching-*`` policies; returns
-    the stream's donor arrivals and each policy's ledger CSV, the SHA-256 of
-    ``repr(ledger)`` (the rows a report builds) and ``repr(summary())`` as
-    arrays."""
+    the stream's donor arrivals and each policy's ledger CSV, its columns,
+    the SHA-256 of ``repr(ledger)`` (the rows a report builds) and
+    ``repr(summary())`` as arrays."""
     config = allocsim.SimConfig()
     stream = allocsim.build_stream(dataset, config, seed=seed)
     oracle = allocsim.oracle_mean_scorer(dataset, preset.outcome_means)
@@ -120,7 +140,7 @@ def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
               "guide": allocsim.model_guide(model, normed)}
     # (step, donor) rows in the form every tree's stream converts to
     parts = {"stream": {"": np.asarray(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2)},
-             "ledger": {}, "rows": {}, "summary": {}}
+             "ledger": {}, "columns": {}, "rows": {}, "summary": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for policy in allocsim.POLICIES:
             kwargs = ({"scorer": oracle} if policy in ("uf", "bf")
@@ -128,7 +148,9 @@ def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
             report = allocsim.run_policy(dataset, stream, policy, config, **kwargs)
             path = Path(tmp) / "ledger.csv"
             allocsim.write_ledger_csv(report, path)
-            parts["ledger"][policy] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+            text = path.read_bytes()
+            parts["ledger"][policy] = np.frombuffer(text, dtype=np.uint8)
+            parts["columns"].update(_columns(f"ledger_{policy}.csv", text))
             parts["rows"][policy] = np.array(
                 hashlib.sha256(repr(report.ledger).encode()).hexdigest())
             parts["summary"][policy] = np.array(repr(report.summary()))
@@ -182,9 +204,9 @@ def _cli(baselines, cli, datamodel, matchrep, preset, dataset, models, normaliza
     """``organmatch eval`` of the trained ``models`` on ``dataset``, both
     written into one directory with a ``gen`` manifest of the preset's
     outcome means, then ``organmatch simulate`` of every policy there with
-    the joint model's ``model.json``. Per command: the exit code and the
-    bytes of every table; for ``eval`` also each cell of ``comparison.csv``
-    keyed ``<model> <column>``."""
+    the joint model's ``model.json``. Per command: the exit code, the bytes
+    of every table and the columns of every CSV table; for ``eval`` also
+    each cell of ``comparison.csv`` keyed ``<model> <column>``."""
     with tempfile.TemporaryDirectory() as tmp:
         root, out, sim = Path(tmp), Path(tmp) / "eval", Path(tmp) / "simulate"
         datamodel.write_csv(dataset, root / "dataset.csv")
@@ -210,15 +232,11 @@ def _cli(baselines, cli, datamodel, matchrep, preset, dataset, models, normaliza
                   if path.exists()]
         rows = csv.DictReader(tables[0].read_text().splitlines()) if tables else []
         # simulate's manifest names the temporary directory, so only its tables are compared
-        return {"eval": {"exit": {"": np.array(code)},
-                         "tables": {path.name: np.frombuffer(path.read_bytes(), dtype=np.uint8)
-                                    for path in tables},
+        return {"eval": {"exit": {"": np.array(code)}, **_tables(tables),
                          "cells": {f"{row['model']} {column}": np.array(cell)
                                    for row in rows for column, cell in row.items()}},
                 "cli-simulate": {"exit": {"": np.array(sim_code)},
-                                 "tables": {path.name: np.frombuffer(path.read_bytes(),
-                                                                     dtype=np.uint8)
-                                            for path in sorted(sim.glob("*.csv"))}}}
+                                 **_tables(sorted(sim.glob("*.csv")))}}
 
 
 def emit(src: Path, seed: int, out: Path) -> None:

@@ -19,7 +19,8 @@ as 0.3, the closed form rounds once where repeated subtraction drifts.
 Realized post-transplant survival comes from the dataset's ground-truth
 potential of the (recipient, donor true type) pair, so all policies are
 compared under one outcome oracle. A report stores only the policy's
-decisions and reads survival and benefit from that oracle when asked.
+decisions; its summary, survival and benefit are read from them and that
+oracle when asked.
 
 Policies: ``real`` (replay the factual pairing), ``fcfs``, ``uf``
 (utility-first: max predicted survival), ``bf`` (benefit-first: max
@@ -108,42 +109,56 @@ class LedgerRow:
     """One ledger line, as ``SimReport.ledger`` builds it from the columns."""
 
     recipient_id: int
-    arrival: int
     fate: str  # "transplanted" | "dead" | "waiting"
     step_of_fate: int
     donor_id: int  # -1 if none
     realized_survival: float | None
     benefit: float | None
+    arrival = property(lambda self: self.recipient_id)  # recipient i arrived at step i
 
 
 LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRow))  # the ledger CSV's columns
 FATES = ("waiting", "dead", "transplanted")  # the codes of ``SimReport.fate``
+# The summary of a report, in the order of ``summary()`` and of policy_table.csv's columns.
+SUMMARY_FIELDS = ("policy", "n", "n_transplanted", "n_dead", "n_waiting", "death_rate",
+                  "avg_survival", "avg_benefit")
 
 
 @dataclass
 class SimReport:
-    """The scalar summary of one policy run and what the policy decided for
-    each recipient (recipient i arrived at step i). Survival and benefit
-    are not stored: ``outcomes`` reads them from the dataset's ground
-    truth, which the report references, not copies."""
+    """What one policy decided for each recipient (recipient i arrived at
+    step i), and the summary read from those decisions. Survival and
+    benefit are not stored: ``outcomes`` reads them from the dataset's
+    ground truth, which the report references, not copies."""
 
     policy: str
-    n: int
-    n_transplanted: int
-    n_dead: int
-    n_waiting: int
-    death_rate: float
-    avg_survival: float | None
-    avg_benefit: float | None
     fate: np.ndarray = field(repr=False)  # (n,) int8 index into FATES
     fate_step: np.ndarray = field(repr=False)  # (n,) int32 step of the fate, -1 while waiting
     assigned_donor: np.ndarray = field(repr=False)  # (n,) int32 donor row id or -1
     dataset: Dataset = field(repr=False)  # the ground-truth oracle the policy ran against
     days_per_step: float = field(repr=False)
 
+    # The summary, read from the decisions when asked: n and the counts are
+    # ints, death_rate is a float and the averages are floats, None when no
+    # one was transplanted.
+    n = property(lambda self: self.fate.size)
+    n_transplanted = property(lambda self: self._count("transplanted"))
+    n_dead = property(lambda self: self._count("dead"))
+    n_waiting = property(lambda self: self.n - self.n_transplanted - self.n_dead)
+    death_rate = property(lambda self: float(self.n_dead) / self.n)
+    avg_survival = property(lambda self: self._transplanted_mean(0))
+    avg_benefit = property(lambda self: self._transplanted_mean(1))
+
+    def _count(self, fate: str) -> int:
+        return int(np.count_nonzero(self.fate == FATES.index(fate)))
+
+    def _transplanted_mean(self, column: int) -> float | None:
+        transplanted = self.assigned_donor >= 0
+        return float(self.outcomes()[column][transplanted].mean()) if transplanted.any() else None
+
     def summary(self) -> dict:
-        """The scalar fields, the ones in the repr, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        """The ``SUMMARY_FIELDS``, each read from the decisions."""
+        return {name: getattr(self, name) for name in SUMMARY_FIELDS}
 
     def outcomes(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Realized survival and benefit of recipients ``lo`` to ``hi - 1``,
@@ -165,11 +180,10 @@ class SimReport:
     def ledger_columns(self, lo: int, hi: int) -> list:
         """The ``LEDGER_FIELDS`` columns of recipients ``lo`` to ``hi - 1``;
         survival and benefit are masked unless the recipient was transplanted."""
-        ids = np.arange(lo, hi)
         fate = self.fate[lo:hi]
         missing = fate != FATES.index("transplanted")
         realized, benefit = self.outcomes(lo, hi)
-        return [ids, ids, np.array(FATES, dtype=object)[fate], self.fate_step[lo:hi],
+        return [np.arange(lo, hi), np.array(FATES, dtype=object)[fate], self.fate_step[lo:hi],
                 self.assigned_donor[lo:hi], np.ma.masked_array(realized, missing),
                 np.ma.masked_array(benefit, missing)]
 
@@ -297,7 +311,7 @@ def check_policy(policy: str, scorer=None, guide: GuidedPolicy | None = None) ->
 
 def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimConfig,
                scorer=None, guide: GuidedPolicy | None = None) -> SimReport:
-    """Process the stream under one policy and aggregate the report. An unknown
+    """Process the stream under one policy and report its decisions. An unknown
     policy, or one without its scorer or guide, raises ConfigError at once."""
     if not dataset.has_ground_truth:
         raise ConfigError("simulation needs a ground-truth oracle dataset")
@@ -345,27 +359,9 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
     transplanted = assigned_donor >= 0
     dead = ~transplanted & (dies <= last_step)
     fate_step[dead] = dies[dead]
-    n_t, n_dead = int(transplanted.sum()), int(dead.sum())
-    report = SimReport(
-        policy=policy,
-        n=n,
-        n_transplanted=n_t,
-        n_dead=n_dead,
-        n_waiting=n - n_t - n_dead,
-        death_rate=float(n_dead) / n,
-        avg_survival=None,
-        avg_benefit=None,
-        fate=(dead + 2 * transplanted).astype(np.int8),
-        fate_step=fate_step,
-        assigned_donor=assigned_donor,
-        dataset=dataset,
-        days_per_step=d,
-    )
-    if n_t:
-        realized, benefit = report.outcomes()
-        report.avg_survival = float(realized[transplanted].mean())
-        report.avg_benefit = float(benefit[transplanted].mean())
-    return report
+    return SimReport(policy=policy, fate=(dead + 2 * transplanted).astype(np.int8),
+                     fate_step=fate_step, assigned_donor=assigned_donor, dataset=dataset,
+                     days_per_step=d)
 
 
 def assigned_true_types(dataset: Dataset, report: SimReport) -> np.ndarray:

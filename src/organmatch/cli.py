@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def _write_manifest(out: Path, command: str, config: dict, seed: int,
     return path
 
 
-def _write_records(path: Path, fields: list[str], records: list[dict]) -> None:
+def _write_records(path: Path, fields: Sequence[str], records: list[dict]) -> None:
     """A CSV table of the ``fields`` of each record, one row per record."""
     datamodel.write_table(path, fields, len(records), lambda lo, hi: [
         [record[name] for record in records[lo:hi]] for name in fields])
@@ -172,10 +173,8 @@ def cmd_train(args) -> int:
         matchrep.save_model(model, out / file, normalization=normalization.get(name))
         artifacts.append(out / file)
         if log is not None:
-            log_path = out / "training_log.csv"
-            fields = ["epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"]
-            _write_records(log_path, fields, log)
-            artifacts.append(log_path)
+            artifacts.append(out / "training_log.csv")
+            _write_records(artifacts[-1], matchrep.LOG_FIELDS, log)
 
     _write_manifest(out, "train", {
         "train": asdict(config),
@@ -220,14 +219,11 @@ def cmd_eval(args) -> int:
 
     out = _ensure_out(args.out)
     table_path = out / "comparison.csv"
-    fields = list(rows[0])  # the columns of metrics.comparison_row
-    _write_records(table_path, fields, rows)
-    report_path = out / "eval_reports.json"
-    report_path.write_text(json.dumps(rows, indent=2, sort_keys=True))
+    _write_records(table_path, list(rows[0]), rows)  # the columns of metrics.comparison_row
     _write_manifest(out, "eval", {
         "data": str(Path(args.data)), "models": str(models_dir),
         "split": args.split,
-    }, joint.config.seed, [table_path, report_path])
+    }, joint.config.seed, [table_path])
     print(f"evaluated {len(rows)} models on {len(subset)} records -> {table_path}")
     return EXIT_OK
 
@@ -288,9 +284,8 @@ def cmd_simulate(args) -> int:
         del report, types  # one report at a time: the next policy runs without it
 
     table_path = out / "policy_table.csv"
-    fields = ["policy", "n", "n_transplanted", "n_dead", "n_waiting",
-              "death_rate", "avg_survival", "avg_benefit", "flipped_vs_real"]
-    _write_records(table_path, fields, [rows[policy] for policy in policies])
+    _write_records(table_path, [*allocsim.SUMMARY_FIELDS, "flipped_vs_real"],
+                   [rows[policy] for policy in policies])
     artifacts.append(table_path)
     _write_manifest(out, "simulate", {
         "sim": asdict(sim_config), "policies": policies,

@@ -78,6 +78,8 @@ class Normalization:
 
 @dataclass
 class Dataset:
+    """Records whose features, outcomes and ground-truth survival are all finite."""
+
     recipients: np.ndarray  # (n, d_r)
     donors: np.ndarray  # (n, d_o)
     outcomes: np.ndarray  # (n,)
@@ -93,8 +95,10 @@ class Dataset:
         n = len(self.outcomes)
         if self.recipients.shape[0] != n or self.donors.shape[0] != n:
             raise IngestionError("feature blocks and outcomes disagree in length")
-        if not np.all(np.isfinite(self.outcomes)):
-            raise IngestionError("non-finite outcome")
+        for name in ("recipients", "donors", "outcomes", "true_potentials", "untreated_survival"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise IngestionError(f"a non-finite value in the dataset's {name}")
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -452,7 +456,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write features and outcome; the inverse of load_csv for finite, all-numeric data."""
+    """Write features and outcome; the inverse of load_csv."""
     header = ([f"r_{n}" for n in dataset.recipient_names]
               + [f"d_{n}" for n in dataset.donor_names] + ["outcome"])
     write_table(path, header, len(dataset), lambda lo, hi: [
@@ -509,8 +513,7 @@ def write_ground_truth_csv(dataset: Dataset, path) -> None:
     if not dataset.has_ground_truth:
         raise ValueError("dataset has no ground truth")
     k = dataset.true_potentials.shape[1]
-    header = (["true_recipient_type", "true_donor_type"]
-              + [f"potential_{j + 1}" for j in range(k)] + ["untreated_survival"])
+    header = [*_TYPE_COLUMNS, *(f"potential_{j + 1}" for j in range(k)), "untreated_survival"]
     write_table(path, header, len(dataset), lambda lo, hi: [
         dataset.true_recipient_type[lo:hi], dataset.true_donor_type[lo:hi],
         *dataset.true_potentials[lo:hi].T, dataset.untreated_survival[lo:hi]])

@@ -23,6 +23,7 @@ which ``fit_clusterer`` fits. Every cluster model is a ``MatchRepModel``.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -54,6 +55,8 @@ T_CLAMP = 1e-12
 # Exponent of the Student's t kernel of the DEC soft assignment (one degree
 # of freedom, Xie et al. 2016).
 DEC_EXPONENT = -0.5
+# The keys of each row of ``train_joint``'s log, the columns of training_log.csv.
+LOG_FIELDS = ("epoch", "L_f", "L_DEC", "L_Phi", "dec_active")
 
 
 class DeadClusterError(RuntimeError):
@@ -579,8 +582,9 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     """Autoencoder pretrain and center init, then the joint epochs: DEC alone
     refines the donor map (``_dec_epochs``) and hands each epoch's labels to
     ``fit_phi_heads``, which steps Phi and the heads over the same
-    minibatches. Returns (model, log), log holding one dict per joint epoch
-    with the epoch-mean loss terms.
+    minibatches. Returns (model, log), log holding one dict of the
+    ``LOG_FIELDS`` per joint epoch: the epoch-mean loss terms and whether
+    DEC refined the map.
     """
     clusterer, decoder, _ = pretrain_autoencoder(donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
@@ -595,10 +599,9 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     phi_log = fit_phi_heads(phi, predictor, phi_opt, recipients, outcomes, epoch_labels(),
                             config.beta, config, "matchrep/joint-batches")
     n = len(outcomes)
-    log = [{"epoch": epoch, "L_f": l_f / n, "L_DEC": l_dec / n, "L_Phi": l_rep / n,
-            "total": l_f / n + config.alpha * (l_dec / n) + config.beta * (l_rep / n),
-            "dec_active": refined}
+    log = [dict(zip(LOG_FIELDS, (epoch, l_f / n, l_dec / n, l_rep / n, refined)))
            for epoch, ((l_f, l_rep), (l_dec, refined)) in enumerate(zip(phi_log, dec_log))]
+    clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
     active = active_clusters(np.argmax(clusterer.scores(donors), axis=1), config)
     return MatchRepModel(name=JOINT, config=config, clusterer=clusterer, phi=phi,
                          predictor=predictor, active=active), log
@@ -616,6 +619,7 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorCluste
                                      "matchrep/dec-standalone-batches"):
         if not refined:
             break
+    clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
     return clusterer
 
 

@@ -108,14 +108,19 @@ def test_train_artifacts(models_dir):
     assert "model.json" in manifest["artifacts"]
 
 
-def test_training_log_totals_compose(models_dir):
-    rows = _read_csv(models_dir / "training_log.csv")
-    assert len(rows) == TRAIN_CONFIG["joint_epochs"]
+def test_training_log_is_the_log_of_train_joint(workdir, data_dir, models_dir):
+    # one row per joint epoch of the loss terms train_joint logs, and no sum of them
     config = matchrep.load_model(models_dir / "model.json").config
-    for row in rows:
-        expected = (float(row["L_f"]) + config.alpha * float(row["L_DEC"])
-                    + config.beta * float(row["L_Phi"]))
-        assert abs(float(row["total"]) - expected) < 1e-9 * max(1.0, abs(expected))
+    dataset = datamodel.load_csv(data_dir / "dataset.csv")
+    indices = datamodel.split(dataset, seed=config.seed)
+    train = datamodel.normalize_fit_transform(dataset, indices).subset(indices.train)
+    _, log = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
+    assert len(log) == TRAIN_CONFIG["joint_epochs"]
+    header = ["epoch", "L_f", "L_DEC", "L_Phi", "dec_active"]
+    with open(workdir / "log_reference.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *([row[name] for name in header] for row in log)])
+    assert ((models_dir / "training_log.csv").read_bytes()
+            == (workdir / "log_reference.csv").read_bytes())
 
 
 def test_train_byte_identical_across_runs(workdir, data_dir, models_dir):
@@ -353,10 +358,10 @@ def test_eval_best_prediction_skips_inactive_heads(workdir, data_dir, models_dir
     out = workdir / "eval_inactive"
     assert main(["eval", "--data", str(data_dir), "--models", str(edited),
                  "--split", "all", "--out", str(out)]) == EXIT_OK
-    row = json.loads((out / "eval_reports.json").read_text())[0]
+    row = _read_csv(out / "comparison.csv")[0]
     masked = np.where(model.active, preds, -np.inf).max(axis=1)
-    assert row["mean_best_prediction"] == float(np.mean(masked))
-    assert row["mean_best_prediction"] < float(np.mean(preds.max(axis=1)))
+    assert float(row["mean_best_prediction"]) == float(np.mean(masked))
+    assert float(row["mean_best_prediction"]) < float(np.mean(preds.max(axis=1)))
 
 
 def test_eval_baseline_best_prediction_skips_inactive_heads(workdir, data_dir, models_dir):
@@ -379,11 +384,11 @@ def test_eval_baseline_best_prediction_skips_inactive_heads(workdir, data_dir, m
     out = workdir / "eval_baselines_inactive"
     assert main(["eval", "--data", str(data_dir), "--models", str(edited),
                  "--split", "all", "--out", str(out)]) == EXIT_OK
-    row = json.loads((out / "eval_reports.json").read_text())[1]
+    row = _read_csv(out / "comparison.csv")[1]
     assert row["model"] == "kmeans/linear-per-head"
     masked = np.where(active, preds, -np.inf).max(axis=1)
-    assert row["mean_best_prediction"] == float(np.mean(masked))
-    assert row["mean_best_prediction"] < float(np.mean(preds.max(axis=1)))
+    assert float(row["mean_best_prediction"]) == float(np.mean(masked))
+    assert float(row["mean_best_prediction"]) < float(np.mean(preds.max(axis=1)))
 
 
 def test_eval_has_no_seed_option(workdir, data_dir, models_dir):
@@ -653,6 +658,25 @@ def test_simulate_byte_identical_across_runs(workdir, data_dir, models_dir):
         (first / "policy_table.csv").read_bytes()
     assert (again / "ledger_matching-uf.csv").read_bytes() == \
         (first / "ledger_matching-uf.csv").read_bytes()
+
+
+def test_each_manifest_lists_exactly_the_files_its_command_wrote(workdir, data_dir, models_dir):
+    evaluated, simulated = workdir / "listed_eval", workdir / "listed_sim"
+    assert main(["eval", "--data", str(data_dir), "--models", str(models_dir),
+                 "--out", str(evaluated)]) == EXIT_OK
+    assert main(["simulate", "--data", str(data_dir), "--model", str(models_dir / "model.json"),
+                 "--stream-seed", "0", "--out", str(simulated)]) == EXIT_OK
+    written = {}
+    for out in (data_dir, models_dir, evaluated, simulated):
+        manifest = json.loads((out / "manifest.json").read_text())
+        written[manifest["command"]] = {path.name for path in out.iterdir()} - {"manifest.json"}
+        assert set(manifest["artifacts"]) == written[manifest["command"]], manifest["command"]
+    assert written["gen"] == {"dataset.csv", "ground_truth.csv"}
+    assert written["eval"] == {"comparison.csv"}
+    assert written["simulate"] == {"policy_table.csv",
+                                   *(f"ledger_{policy}.csv" for policy in allocsim.POLICIES)}
+    assert written["train"] == {"model.json", "baseline_kmeans_linear-per-head.json",
+                                "pair_ridge.json", "pair_reg-tree.json", "training_log.csv"}
 
 
 def test_every_cli_table_is_the_bytes_csv_writer_writes(workdir, data_dir, models_dir,

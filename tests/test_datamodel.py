@@ -615,14 +615,16 @@ def _csv_writer_bytes(path, header, rows) -> bytes:
 
 
 def _edge_dataset(n: int) -> Dataset:
-    """``n`` records whose features cycle through NaN, infinities and -0.0,
-    with a feature named with a comma and a quote."""
+    """``n`` records whose features cycle through the finite ``EDGE_CELLS``
+    (-0.0 and a subnormal among them), with a feature named with a comma
+    and a quote."""
     rng = rng_stream(n, "edge-dataset")
+    finite = [cell for cell in EDGE_CELLS if np.isfinite(cell)]
     recipients, donors = rng.normal(size=(n, 2)), rng.normal(size=(n, 1))
-    recipients[::3, 0] = np.resize(EDGE_CELLS, len(recipients[::3]))
-    donors[1::2, 0] = np.resize(EDGE_CELLS[::-1], len(donors[1::2]))
+    recipients[::3, 0] = np.resize(finite, len(recipients[::3]))
+    donors[1::2, 0] = np.resize(finite[::-1], len(donors[1::2]))
     potentials = rng.uniform(100, 1000, size=(n, 3))
-    potentials[::5, 1] = np.nan
+    potentials[::5, 1] = -0.0
     return Dataset(recipients=recipients, donors=donors, outcomes=rng.uniform(100, 1000, size=n),
                    recipient_names=['age, "years"', "x1"], donor_names=["x0"],
                    true_potentials=potentials, untreated_survival=rng.uniform(0, 500, size=n),
@@ -640,6 +642,18 @@ def test_dataset_writers_write_the_bytes_of_csv_writer(tmp_path, n):
         reference(ds, tmp_path / "reference.csv")
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert (tmp_path / "dataset.csv").read_text().startswith('"r_age, ""years""",r_x1,d_x0,')
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["recipients", "donors", "outcomes", "true_potentials",
+                                  "untreated_survival"])
+def test_a_dataset_is_finite_by_construction(name, value):
+    # so that load_csv reads back every table write_csv writes
+    ds = _edge_dataset(7)
+    cells = getattr(ds, name).copy()
+    cells.flat[-1] = value
+    with pytest.raises(IngestionError, match=name):
+        dataclasses.replace(ds, **{name: cells})
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)

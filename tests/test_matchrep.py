@@ -396,11 +396,8 @@ def test_train_joint_runs_and_logs():
     recipients, donors, outcomes = _training_data()
     model, log = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     assert len(log) == 15
-    for key in ("epoch", "L_f", "L_DEC", "L_Phi", "total", "dec_active"):
-        assert key in log[0]
-    assert log[0]["total"] == pytest.approx(
-        log[0]["L_f"] + model.config.alpha * log[0]["L_DEC"]
-        + model.config.beta * log[0]["L_Phi"], rel=1e-9)
+    # the loss terms, and no sum of them: alpha is the DEC step size, not a loss weight
+    assert all(list(row) == ["epoch", "L_f", "L_DEC", "L_Phi", "dec_active"] for row in log)
     # factual loss should drop over training
     assert log[-1]["L_f"] < 0.8 * log[0]["L_f"]
 
@@ -409,6 +406,20 @@ def test_train_joint_skips_rep_loss_at_zero_beta():
     recipients, donors, outcomes = _training_data()
     _, log = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL, beta=0.0))
     assert [row["L_Phi"] for row in log] == [0.0] * len(log)
+
+
+def test_a_trained_dec_map_owns_its_parameters():
+    # refinement steps the encoder in one buffer with the decoder; the map
+    # that training returns holds its own parameters and no more
+    recipients, donors, outcomes = _training_data()
+    config = TrainConfig(**SMALL)
+    encoders = [train_joint(recipients, donors, outcomes, config)[0].clusterer.encoder,
+                matchrep.train_dec_standalone(donors, config).encoder]
+    for encoder in encoders:
+        params = encoder.parameters()
+        memory = {id(p if p.base is None else p.base): (p if p.base is None else p.base).size
+                  for p in params}
+        assert sum(memory.values()) == sum(p.size for p in params)
 
 
 def _pretrained_autoencoders(monkeypatch) -> list:
@@ -480,10 +491,13 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     assert frozen_start["encoder"] - last_refined["encoder"] == 1
     assert epochs[-1][1]["encoder"] == frozen_start["encoder"]
     assert calls["encoder"] == frozen_start["encoder"] + 1
-    # refinement's reconstruction anchor trains the autoencoder in one buffer of its own
+    # refinement's reconstruction anchor trains the autoencoder in one buffer
+    # of its own, which the model's encoder leaves once refinement is over
     assert len(anchors) == 1
-    for net in (model.clusterer.encoder, maps[0][1]):
-        assert all(np.shares_memory(p, anchors[0].buffer) for p in net.parameters())
+    encoder, decoder = model.clusterer.encoder.parameters(), maps[0][1].parameters()
+    assert anchors[0].buffer.size == sum(p.size for p in encoder + decoder)
+    assert all(np.shares_memory(p, anchors[0].buffer) for p in decoder)
+    assert not any(np.shares_memory(p, anchors[0].buffer) for p in encoder)
 
     # the logged L_DEC of a frozen epoch is the per-batch evaluation it
     # replaces, and the per-donor mean KL whatever the batch size
