@@ -139,13 +139,13 @@ class SimReport:
     days_per_step: float = field(repr=False)
 
     # The summary, read from the decisions when asked: n and the counts are
-    # ints, death_rate is a float and the averages are floats, None when no
-    # one was transplanted.
+    # ints, death_rate is a float, None when there is no recipient, and the
+    # averages are floats, None when no one was transplanted.
     n = property(lambda self: self.fate.size)
     n_transplanted = property(lambda self: self._count("transplanted"))
     n_dead = property(lambda self: self._count("dead"))
     n_waiting = property(lambda self: self.n - self.n_transplanted - self.n_dead)
-    death_rate = property(lambda self: float(self.n_dead) / self.n)
+    death_rate = property(lambda self: float(self.n_dead) / self.n if self.n else None)
     avg_survival = property(lambda self: self._transplanted_mean(0))
     avg_benefit = property(lambda self: self._transplanted_mean(1))
 

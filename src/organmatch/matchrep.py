@@ -55,6 +55,20 @@ T_CLAMP = 1e-12
 # Exponent of the Student's t kernel of the DEC soft assignment (one degree
 # of freedom, Xie et al. 2016).
 DEC_EXPONENT = -0.5
+# Donor-map refinement schedule. The DEC term is minimized with plain SGD
+# (step alpha) because Adam's per-parameter normalization erases the loss
+# scale and with it the self-training dynamics that let ambiguous clusters
+# merge. A reconstruction anchor (Adam) and a small embedding norm-decay keep
+# the SGD refinement from collapsing or rescaling the embedding; refinement
+# halts once hard assignments stabilize: after at least DEC_MIN_EPOCHS
+# epochs, at the first in which fewer than DEC_STOP_TOL of the labels change.
+EMBED_DECAY = 0.004
+DEC_MIN_EPOCHS = 5
+DEC_STOP_TOL = 0.005
+# A cluster must end training with at least this fraction of the donors to
+# stay active; DEC merging routinely leaves residual clusters holding a few
+# stragglers whose prediction head never saw meaningful data.
+MIN_CLUSTER_FRAC = 0.01
 # The keys of each row of ``train_joint``'s log, the columns of training_log.csv.
 LOG_FIELDS = ("epoch", "L_f", "L_DEC", "L_Phi", "dec_active")
 
@@ -81,19 +95,6 @@ class TrainConfig:
     embed_dim: int = 8  # donor embedding dimension
     hidden: int = 32
     min_cluster_count: int = 8
-    # A cluster must end training with at least this fraction of the donors
-    # to stay active; DEC merging routinely leaves residual clusters holding
-    # a few stragglers whose prediction head never saw meaningful data.
-    min_cluster_frac: float = 0.01
-    # Donor-map refinement schedule. The DEC term is minimized with plain SGD
-    # (step alpha) because Adam's per-parameter normalization erases the loss
-    # scale and with it the self-training dynamics that let ambiguous
-    # clusters merge. A reconstruction anchor (Adam) and a small embedding
-    # norm-decay keep the SGD refinement from collapsing or rescaling the
-    # embedding; refinement halts once hard assignments stabilize.
-    embed_decay: float = 0.004
-    dec_min_epochs: int = 5
-    dec_stop_tol: float = 0.005  # stop when < this fraction of labels change per epoch
     seed: int = 0
 
     def __post_init__(self):
@@ -101,16 +102,12 @@ class TrainConfig:
             raise ConfigError("k must be >= 2")
         if min(self.batch_size, self.hidden, self.rep_dim, self.embed_dim) < 1:
             raise ConfigError("batch_size, hidden, rep_dim and embed_dim must be >= 1")
-        if not all(0.0 <= v < np.inf for v in (self.alpha, self.beta, self.embed_decay)):
-            raise ConfigError("alpha, beta and embed_decay must be nonnegative and finite")
+        if not all(0.0 <= v < np.inf for v in (self.alpha, self.beta)):
+            raise ConfigError("alpha and beta must be nonnegative and finite")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        if min(self.pretrain_epochs, self.joint_epochs, self.dec_min_epochs) < 0:
-            raise ConfigError("pretrain_epochs, joint_epochs and dec_min_epochs must be >= 0")
-        if not 0.0 <= self.dec_stop_tol <= 1.0:
-            raise ConfigError("dec_stop_tol must be in [0, 1]")
-        if not 0.0 <= self.min_cluster_frac < 1.0:
-            raise ConfigError("min_cluster_frac must be in [0, 1)")
+        if min(self.pretrain_epochs, self.joint_epochs) < 0:
+            raise ConfigError("pretrain_epochs and joint_epochs must be >= 0")
 
 
 CLUSTERERS = ("kmeans", "em", "dec")
@@ -442,11 +439,11 @@ def dec_refine_loss_and_grads(encoder: DenseNet, centers: np.ndarray, x: np.ndar
 
 
 def pretrain_autoencoder(donors: np.ndarray,
-                         config: TrainConfig) -> tuple[DonorClusterer, DenseNet, list[float]]:
+                         config: TrainConfig) -> tuple[DonorClusterer, DenseNet]:
     """Reconstruction-MSE pretraining of the donor autoencoder with Adam,
     then k-means of the encoded donors for the K centers.
 
-    Returns the DEC clusterer, the decoder only ``_dec_epochs`` reads and the epoch losses."""
+    Returns the DEC clusterer and the decoder only ``_dec_epochs`` reads."""
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
@@ -457,18 +454,12 @@ def pretrain_autoencoder(donors: np.ndarray,
                              rng_stream(config.seed, "matchrep", "dec-init"))
     opt = Adam([encoder, decoder], config.learning_rate, "autoencoder")
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
-    n = donors.shape[0]
-    losses = []
     for _ in range(config.pretrain_epochs):
-        epoch_loss = 0.0
-        for idx in minibatches(n, config.batch_size, rng):
-            loss, grads = recon_loss_and_grads(encoder, decoder, donors[idx])
-            opt.step(loss, grads)
-            epoch_loss += loss * len(idx)
-        losses.append(epoch_loss / n)
+        for idx in minibatches(donors.shape[0], config.batch_size, rng):
+            opt.step(*recon_loss_and_grads(encoder, decoder, donors[idx]))
     centers, _, _ = kmeans_fit(mlp_predict(encoder, donors), config.k,
                                rng_stream(config.seed, "matchrep", "centers"))
-    return DonorClusterer("dec", centers, encoder=encoder), decoder, losses
+    return DonorClusterer("dec", centers, encoder=encoder), decoder
 
 
 def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray,
@@ -480,7 +471,7 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
 
     A refining epoch refreshes the target distribution, then per minibatch
     takes one Adam step of the reconstruction anchor and one SGD step on
-    L_DEC plus embedding norm-decay. Once fewer than ``dec_stop_tol`` of the
+    L_DEC plus embedding norm-decay. Once fewer than ``DEC_STOP_TOL`` of the
     labels change over an epoch the map is frozen, and the per-donor L_DEC
     terms of its own target are computed once, not per batch.
     """
@@ -504,7 +495,7 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
             x = donors[idx]
             anchor.step(*recon_loss_and_grads(clusterer.encoder, decoder, x))
             loss, grads = dec_refine_loss_and_grads(clusterer.encoder, clusterer.centers, x,
-                                                    p_full[idx], config.embed_decay, len(idx) / n)
+                                                    p_full[idx], EMBED_DECAY, len(idx) / n)
             if not np.isfinite(loss):
                 raise TrainingDivergedError("DEC loss diverged; try a lower alpha")
             for pm, g in zip(clusterer.encoder.parameters() + [clusterer.centers], grads):
@@ -516,7 +507,7 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
             soft = clusterer.scores(donors)
             new_labels = np.argmax(soft, axis=1)
             changed, labels = float(np.mean(new_labels != labels)), new_labels
-            refining = epoch + 1 < config.dec_min_epochs or changed >= config.dec_stop_tol
+            refining = epoch + 1 < DEC_MIN_EPOCHS or changed >= DEC_STOP_TOL
 
 
 def init_heads(width: int, n_heads: int, outcomes: np.ndarray, hidden: int,
@@ -570,10 +561,10 @@ def fit_phi_heads(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam
 
 def active_clusters(labels: np.ndarray, config: TrainConfig) -> np.ndarray:
     """The (K,) mask of the clusters that hold at least
-    ``max(min_cluster_count, min_cluster_frac * n)`` of the ``n`` training
+    ``max(min_cluster_count, MIN_CLUSTER_FRAC * n)`` of the ``n`` training
     donors' 0-based ``labels``; every cluster when none does."""
     counts = np.bincount(labels, minlength=config.k)
-    active = counts >= max(config.min_cluster_count, config.min_cluster_frac * len(labels))
+    active = counts >= max(config.min_cluster_count, MIN_CLUSTER_FRAC * len(labels))
     return active if active.any() else np.ones(config.k, dtype=bool)
 
 
@@ -586,7 +577,7 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     ``LOG_FIELDS`` per joint epoch: the epoch-mean loss terms and whether
     DEC refined the map.
     """
-    clusterer, decoder, _ = pretrain_autoencoder(donors, config)
+    clusterer, decoder = pretrain_autoencoder(donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
     dec_log = []  # (L_DEC, refined) of each epoch
 
@@ -614,7 +605,7 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorCluste
     Used by the decoupled ``dec`` baselines; follows the joint model's
     refinement schedule. Returns the trained ``dec`` DonorClusterer.
     """
-    clusterer, decoder, _ = pretrain_autoencoder(donors, config)
+    clusterer, decoder = pretrain_autoencoder(donors, config)
     for _, _, refined in _dec_epochs(clusterer, decoder, donors, config,
                                      "matchrep/dec-standalone-batches"):
         if not refined:
@@ -681,7 +672,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v11"
+MODEL_FORMAT = "organmatch-model-v12"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a model file may hold, by name; baselines adds the pair regressor's.
 MODEL_TYPES = {t.__name__: t for t in (Layer, DenseNet, TrainConfig, DonorClusterer,

@@ -284,6 +284,16 @@ def test_summary_fields_consistent():
     assert summary["policy"] == "fcfs"
 
 
+@pytest.mark.parametrize("policy", ["real", "fcfs"])
+def test_summary_of_no_recipients(policy):
+    ds = _oracle_dataset(n=0)
+    config = SimConfig()
+    report = run_policy(ds, build_stream(ds, config, seed=0), policy, config)
+    assert report.summary() == {"policy": policy, "n": 0, "n_transplanted": 0, "n_dead": 0,
+                                "n_waiting": 0, "death_rate": None, "avg_survival": None,
+                                "avg_benefit": None}
+
+
 def test_assigned_true_types():
     ds = _oracle_dataset(n=20, seed=3)
     config = SimConfig(donor_fraction=1.0, lag_window=0)

@@ -212,6 +212,11 @@ def test_train_bad_pair_kind_is_config_error(workdir, data_dir):
     ("train", "--config", {"target_update_interval": 1}),
     ("train", "--config", {"dec_exponent": -0.5}),
     ("train", "--config", {"dec_lr": 0.5}),  # folded into alpha
+    # the DEC schedule's tuning values, now matchrep constants
+    ("train", "--config", {"min_cluster_frac": 0.01}),
+    ("train", "--config", {"embed_decay": 0.004}),
+    ("train", "--config", {"dec_min_epochs": 5}),
+    ("train", "--config", {"dec_stop_tol": 0.005}),
 ])
 def test_config_with_unknown_field_is_config_error(workdir, data_dir, command, flag, body):
     path = workdir / "odd_config.json"
@@ -248,8 +253,7 @@ def test_train_invalid_config_value_is_config_error(workdir, data_dir, body):
 
 @pytest.mark.parametrize("body", [{"beta": float("nan")}, {"alpha": float("inf")},
                                   {"learning_rate": -1.0}, {"learning_rate": 0.0},
-                                  {"joint_epochs": -3}, {"pretrain_epochs": -1},
-                                  {"dec_min_epochs": -1}],
+                                  {"joint_epochs": -3}, {"pretrain_epochs": -1}],
                          ids=lambda body: "{}={}".format(*next(iter(body.items()))))
 def test_train_non_finite_or_out_of_range_config_is_config_error(workdir, data_dir, body,
                                                                  capsys):
@@ -410,7 +414,8 @@ BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "missing-head", "short-scale", "nan-weight", "infinite-outcome-scale",
                    "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
                    "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file",
-                   "bool-weight", "bool-centers", "v9-file", "v10-file", "decoder-field")
+                   "bool-weight", "bool-centers", "v9-file", "v10-file", "decoder-field",
+                   "v11-file", "embed-decay-field")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -421,7 +426,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     v4, invalid_config = json.loads(text), json.loads(text)
     nan_norm, zero_scale = json.loads(text), json.loads(text)
     bool_weight, bool_centers = json.loads(text), json.loads(text)
-    with_decoder = json.loads(text)
+    with_decoder, with_embed_decay = json.loads(text), json.loads(text)
     del no_phi["model"]["phi"]
     no_norm["normalization"] = None
     int_encoder["model"]["phi"] = 5
@@ -444,6 +449,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     # the DEC decoder is training state, which a model file no longer holds
     clusterer = with_decoder["model"]["clusterer"]
     clusterer["decoder"] = clusterer["encoder"]
+    # a v12 TrainConfig with a field of the v11 one, now a matchrep constant
+    with_embed_decay["model"]["config"]["embed_decay"] = 0.004
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
@@ -465,6 +472,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "v9-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v9"),
             "v10-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v10"),
             "decoder-field": json.dumps(with_decoder),
+            "v11-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v11"),
+            "embed-decay-field": json.dumps(with_embed_decay),
             "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),

@@ -428,9 +428,8 @@ def _pretrained_autoencoders(monkeypatch) -> list:
     maps, real_pretrain = [], matchrep.pretrain_autoencoder
 
     def pretrain(*args, **kwargs):
-        clusterer, decoder, losses = real_pretrain(*args, **kwargs)
-        maps.append((clusterer, decoder))
-        return clusterer, decoder, losses
+        maps.append(real_pretrain(*args, **kwargs))
+        return maps[-1]
 
     monkeypatch.setattr(matchrep, "pretrain_autoencoder", pretrain)
     return maps
@@ -439,8 +438,9 @@ def _pretrained_autoencoders(monkeypatch) -> list:
 @pytest.mark.parametrize("batch_size", [32, 128])
 def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     recipients, donors, outcomes = _training_data()
-    config = TrainConfig(**{**SMALL, "batch_size": batch_size},
-                         dec_min_epochs=3, dec_stop_tol=1.0)  # stops after epoch 2
+    config = TrainConfig(**{**SMALL, "batch_size": batch_size})
+    monkeypatch.setattr(matchrep, "DEC_MIN_EPOCHS", 3)  # with the next, stops after epoch 2
+    monkeypatch.setattr(matchrep, "DEC_STOP_TOL", 1.0)
     calls = {"L_DEC": 0, "encoder": 0}
     anchors, epochs = [], []
     real_dec = matchrep.dec_loss_and_grads
@@ -518,7 +518,7 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
 def test_dec_refinement_anchor_divergence_names_dec_refinement():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    clusterer, decoder, _ = pretrain_autoencoder(donors, config)
+    clusterer, decoder = pretrain_autoencoder(donors, config)
     decoder.layers[-1].bias[:] = 1e200  # copied into the anchor's buffer
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             numkit.TrainingDivergedError, match="^DEC refinement's reconstruction anchor loss"):
@@ -546,13 +546,14 @@ def test_recipients_never_reach_the_donor_map(monkeypatch):
 
 @pytest.mark.parametrize("counts, frac, want", [
     ([50, 3, 47], 0.01, [True, False, True]),  # below min_cluster_count (4)
-    ([90, 5, 5], 0.06, [True, False, False]),  # below min_cluster_frac * n (6)
+    ([90, 5, 5], 0.06, [True, False, False]),  # below MIN_CLUSTER_FRAC * n (6)
     ([0, 100, 0], 0.01, [False, True, False]),  # empty clusters
     ([2, 1, 1], 0.01, [True, True, True]),  # none passes: every cluster is active
 ])
-def test_active_clusters_threshold(counts, frac, want):
+def test_active_clusters_threshold(monkeypatch, counts, frac, want):
     labels = np.repeat(np.arange(3), counts)
-    config = TrainConfig(k=3, min_cluster_count=4, min_cluster_frac=frac)
+    config = TrainConfig(k=3, min_cluster_count=4)
+    monkeypatch.setattr(matchrep, "MIN_CLUSTER_FRAC", frac)
     active = matchrep.active_clusters(labels, config)
     assert active.dtype == bool
     np.testing.assert_array_equal(active, want)
@@ -682,9 +683,10 @@ def test_blocked_inference_equals_one_pass(rows):
     np.testing.assert_array_equal(got_labels, labels)
 
 
-def test_train_joint_prunes_tiny_cluster():
+def test_train_joint_prunes_tiny_cluster(monkeypatch):
     recipients, donors, outcomes = _training_data()
-    config = TrainConfig(**{**SMALL, "k": 3, "min_cluster_frac": 0.05})
+    config = TrainConfig(**{**SMALL, "k": 3})
+    monkeypatch.setattr(matchrep, "MIN_CLUSTER_FRAC", 0.05)
     model, _ = train_joint(recipients, donors, outcomes, config)
     if model.active is not None:
         labels, _ = donor_type_batch(model, donors)
@@ -693,14 +695,17 @@ def test_train_joint_prunes_tiny_cluster():
 
 def test_pretrain_autoencoder_reduces_reconstruction_error():
     _, donors, _ = _training_data()
-    _, _, losses = pretrain_autoencoder(donors, TrainConfig(**SMALL))
-    assert losses[-1] < losses[0]
+    config = TrainConfig(**SMALL)
+    pretrained, untrained = (pretrain_autoencoder(donors, replace(config, pretrain_epochs=e))
+                             for e in (config.pretrain_epochs, 0))
+    assert (recon_loss_and_grads(pretrained[0].encoder, pretrained[1], donors)[0]
+            < recon_loss_and_grads(untrained[0].encoder, untrained[1], donors)[0])
 
 
 def test_init_centers_shape():
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
-    clusterer, _, _ = pretrain_autoencoder(donors, config)
+    clusterer, _ = pretrain_autoencoder(donors, config)
     assert clusterer.kind == "dec" and clusterer.centers.shape == (2, 4)
     # the k-means centers of the encoded donors
     centers, _, _ = numkit.kmeans_fit(numkit.mlp_predict(clusterer.encoder, donors), config.k,
@@ -713,8 +718,6 @@ def test_config_validation():
         TrainConfig(k=1)
     with pytest.raises(ValueError):
         TrainConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(min_cluster_frac=1.0)
     TrainConfig()  # defaults are valid
 
 
