@@ -1,42 +1,40 @@
 """Check that two source trees write and read bit-identical tables, train
-bit-identical models and simulate byte-identical ledgers.
+bit-identical models and simulate byte-identical ledgers, calling each tree
+only through the contract the ``organmatch`` CLI uses:
+``baselines.fit_model``, ``predict_types``, ``matchrep.save_model`` and
+``allocsim.model_scorer_and_guide``. The other tree must be commit
+``d79e15e`` or later, where ``fit_model`` and ``predict_types`` arrived.
 
 Each tree writes the 5,000-row synthetic preset with ``write_csv`` and
 ``write_ground_truth_csv``; the bytes are compared, and so is every array
 that ``load_csv``, ``attach_ground_truth_csv`` and
-``normalize_fit_transform`` read back from them. Each tree then trains
-``matchrep.train_joint``, the ``kmeans/multihead-nn``,
+``normalize_fit_transform`` read back from them. Each tree then fits the
+joint model (``matchrep.JOINT``), the ``kmeans/multihead-nn``,
 ``kmeans/multihead-nn+rep``, ``kmeans/linear-per-head``,
 ``em/linear-per-head`` and ``dec/linear-per-head`` baselines and a pair
 regressor of every kind in ``baselines.PAIR_KINDS`` on the preset and
 compares, byte for byte, every parameter, every training-log value, the
-held-out predictions and donor labels, the ``active`` mask and any
-training error. Then each tree builds the preset's donor stream (the seed
-is the stream seed) and runs all seven allocation policies on it with the
-joint model it trained; the stream's ``(step, donor)`` rows and the ledger
-CSV, each of its columns, the SHA-256 of ``repr(ledger)`` and ``summary()``
-of every policy are compared byte for byte, so a reordered stream shows
-even where the ledgers do not change, and a dropped ledger column shows
-as one-sided while the others are still compared. The same is done at
-scale: each tree writes a 50,000-row preset (the bytes of both tables are
-compared), reads it back (every array read is compared), normalizes it
-with the joint model's statistics, runs the joint model's
-``predict_potential_batch`` and ``donor_type_batch`` on all of it (the arrays are compared byte for byte,
-as ties in the ledgers they drive can hide a changed bit) and simulates
-all seven policies on its stream, comparing the stream too. Last,
-``organmatch eval`` scores the saved models on the preset written as CSV,
-and ``organmatch simulate`` runs every policy there with the saved joint
-model (the oracle scoring ``uf`` and ``bf``); the exit codes, the bytes and
-each column of every table (each ledger and ``policy_table.csv`` included)
-and the cells of ``comparison.csv`` are compared:
+held-out predictions and donor labels and any training error. The same is
+done at scale: each tree writes a 50,000-row preset (the bytes of both
+tables are compared), reads it back (every array read is compared),
+normalizes it with the joint model's statistics, infers it with the joint
+model's ``predict_potentials`` and ``matchrep.donor_type_batch`` (the
+arrays are compared byte for byte, as ties in the ledgers they drive can
+hide a changed bit) and runs all seven allocation policies on its donor
+stream (the seed is the stream seed), the oracle scoring ``uf`` and
+``bf``; the stream's ``(step, donor)`` rows, each ledger CSV, each of its
+columns and each ``summary()`` are compared, so a reordered stream shows
+even where the ledgers do not change, and a dropped ledger column shows as
+one-sided while the others are still compared. Last, ``organmatch eval``
+scores the saved models on the preset written as CSV, and ``organmatch
+simulate`` runs every policy there with the saved joint model; the exit
+codes, the bytes and each column of every table (each ledger and
+``policy_table.csv`` included) and the cells of ``comparison.csv`` are
+compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
 Each tree runs in its own child process with BLAS pinned to one thread.
-Both children run this script's code, so the other tree must offer every
-library call it makes; each baseline is built with the keyword form
-``BaselineSpec(clusterer=..., predictor=..., with_rep=..., train=...)``,
-which every tree accepts.
 Prints one line per seed, model and part for the arrays both trees have,
 then the arrays present in only one tree (say, a config field one of them
 lacks) on lines of their own, and exits 1 if any array differs or is
@@ -48,7 +46,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -62,9 +59,9 @@ import numpy as np
 
 HERE = Path(__file__).resolve()
 THIS_SRC = HERE.parent.parent / "src"
-# trained before a pair regressor of each kind in baselines.PAIR_KINDS
-MODELS = ("joint", "kmeans/multihead-nn", "kmeans/multihead-nn+rep", "kmeans/linear-per-head",
-          "em/linear-per-head", "dec/linear-per-head")
+# fitted after the joint model and before a pair regressor of each kind in baselines.PAIR_KINDS
+BASELINES = ("kmeans/multihead-nn", "kmeans/multihead-nn+rep", "kmeans/linear-per-head",
+             "em/linear-per-head", "dec/linear-per-head")
 SCALE_N = 50_000  # rows of the preset that the at-scale stage writes, reads and simulates
 
 
@@ -82,29 +79,16 @@ def _leaves(obj, prefix):
         yield prefix, np.asarray(obj)
 
 
-def _fit(name, matchrep, baselines, train, val, seed):
-    """Train one model; returns (model, {part: {key: array}})."""
-    config = matchrep.TrainConfig(seed=seed)
-    if name == "joint":
-        model, log = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
-        return model, {"params": dict(_leaves(model, "model")),
-                       "log": {key: np.array([row[key] for row in log]) for key in log[0]},
-                       "preds": {"": matchrep.predict_potential_batch(model, val.recipients)},
-                       "labels": {"": matchrep.donor_type_batch(model, val.donors)[0]},
-                       "active": {"": np.asarray(model.active)}}
-    if name in baselines.PAIR_KINDS:
-        model = baselines.fit_pair_regressor(train.recipients, train.donors, train.outcomes,
-                                             name, config=config)
-        return model, {"params": dict(_leaves(model, "model")),
-                       "preds": {"": model.predict(np.hstack([val.recipients, val.donors]))}}
-    base, _, rep = name.partition("+")
-    clusterer, predictor = base.split("/")
-    spec = baselines.BaselineSpec(clusterer=clusterer, predictor=predictor,
-                                  with_rep=rep == "rep", train=config)
-    model = baselines.fit_cluster_predictor(train.recipients, train.donors, train.outcomes, spec)
-    return model, {"params": dict(_leaves(model, "model")),
-                   "preds": {"": model.predict_potentials(val.recipients)},
-                   "labels": {"": model.donor_labels(val.donors)}}
+def _fit(name, baselines, matchrep, train, val, seed):
+    """Fit one model; returns (model, {part: {key: array}})."""
+    model, log = baselines.fit_model(name, train, matchrep.TrainConfig(seed=seed))
+    preds, labels, _ = model.predict_types(val.recipients, val.donors)
+    parts = {"params": dict(_leaves(model, "model")), "preds": {"": preds}}
+    if log is not None:
+        parts["log"] = {key: np.array([row[key] for row in log]) for key in log[0]}
+    if name not in baselines.PAIR_KINDS:  # a pair regressor labels every donor 0
+        parts["labels"] = {"": labels}
+    return model, parts
 
 
 def _columns(table: str, text: bytes) -> dict:
@@ -119,42 +103,12 @@ def _columns(table: str, text: bytes) -> dict:
 
 
 def _tables(paths) -> dict:
-    """The bytes of each table file, and the columns of each CSV one."""
+    """The bytes and the columns of each CSV table file."""
     tables = {path.name: path.read_bytes() for path in paths}
     return {"tables": {name: np.frombuffer(text, dtype=np.uint8)
                        for name, text in tables.items()},
-            "columns": {key: value for name, text in tables.items() if name.endswith(".csv")
+            "columns": {key: value for name, text in tables.items()
                         for key, value in _columns(name, text).items()}}
-
-
-def _simulate(allocsim, preset, dataset, normed, model, seed) -> dict:
-    """Run every policy on the preset's stream with the oracle scorer for
-    ``uf``/``bf`` and the model for the ``matching-*`` policies; returns
-    the stream's donor arrivals and each policy's ledger CSV, its columns,
-    the SHA-256 of ``repr(ledger)`` (the rows a report builds) and
-    ``repr(summary())`` as arrays."""
-    config = allocsim.SimConfig()
-    stream = allocsim.build_stream(dataset, config, seed=seed)
-    oracle = allocsim.oracle_mean_scorer(dataset, preset.outcome_means)
-    guided = {"scorer": allocsim.model_scorer(model, normed),
-              "guide": allocsim.model_guide(model, normed)}
-    # (step, donor) rows in the form every tree's stream converts to
-    parts = {"stream": {"": np.asarray(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2)},
-             "ledger": {}, "columns": {}, "rows": {}, "summary": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        for policy in allocsim.POLICIES:
-            kwargs = ({"scorer": oracle} if policy in ("uf", "bf")
-                      else guided if policy.startswith("matching-") else {})
-            report = allocsim.run_policy(dataset, stream, policy, config, **kwargs)
-            path = Path(tmp) / "ledger.csv"
-            allocsim.write_ledger_csv(report, path)
-            text = path.read_bytes()
-            parts["ledger"][policy] = np.frombuffer(text, dtype=np.uint8)
-            parts["columns"].update(_columns(f"ledger_{policy}.csv", text))
-            parts["rows"][policy] = np.array(
-                hashlib.sha256(repr(report.ledger).encode()).hexdigest())
-            parts["summary"][policy] = np.array(repr(report.summary()))
-    return parts
 
 
 def _round_trip(datamodel, dataset):
@@ -186,27 +140,45 @@ def _tabular(datamodel, dataset, indices) -> dict:
 
 def _at_scale(allocsim, datamodel, matchrep, synthgen, model, normalization, seed) -> dict:
     """The 50,000-row preset written and read back, normalized with the
-    joint model's statistics and simulated under every policy: the bytes of
-    both tables, every array read back, the joint model's inference on
-    every row, and each policy's ledger and summary."""
+    joint model's statistics and simulated under every policy with the
+    oracle scorer for ``uf``/``bf`` and the model for the ``matching-*``
+    policies: the bytes of both tables, every array read back, the joint
+    model's inference on every row, the stream's donor arrivals and each
+    policy's ledger CSV, its columns and ``repr(summary())``."""
     preset = synthgen.paper_preset(n=SCALE_N, seed=seed)
     written, back = _round_trip(datamodel, synthgen.sample_dataset(preset))
     normed = datamodel.apply_normalization(back, normalization)
     labels, soft = matchrep.donor_type_batch(model, normed.donors)
+    config = allocsim.SimConfig()
+    stream = allocsim.build_stream(back, config, seed=seed)
+    oracle = allocsim.oracle_mean_scorer(back, preset.outcome_means)
+    scorer, guide = allocsim.model_scorer_and_guide(model, normed)
+    summaries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in allocsim.POLICIES:
+            kwargs = ({"scorer": oracle} if policy in ("uf", "bf")
+                      else {"scorer": scorer, "guide": guide} if policy.startswith("matching-")
+                      else {})
+            report = allocsim.run_policy(back, stream, policy, config, **kwargs)
+            allocsim.write_ledger_csv(report, Path(tmp) / f"ledger_{policy}.csv")
+            summaries[policy] = np.array(repr(report.summary()))
+        ledgers = _tables(sorted(Path(tmp).glob("*.csv")))
     return {"csv": written, "read": dict(_leaves(back, "read")),
-            "infer": {"preds": matchrep.predict_potential_batch(model, normed.recipients),
+            "infer": {"preds": model.predict_potentials(normed.recipients),
                       "labels": labels, "soft": soft},
-            **_simulate(allocsim, preset, back, normed, model, seed)}
+            # (step, donor) rows in the form every tree's stream converts to
+            "stream": {"": np.asarray(stream.donor_arrivals, dtype=np.int64).reshape(-1, 2)},
+            **ledgers, "summary": summaries}
 
 
 def _cli(baselines, cli, datamodel, matchrep, preset, dataset, models, normalization,
          seed) -> dict:
-    """``organmatch eval`` of the trained ``models`` on ``dataset``, both
+    """``organmatch eval`` of the fitted ``models`` on ``dataset``, both
     written into one directory with a ``gen`` manifest of the preset's
     outcome means, then ``organmatch simulate`` of every policy there with
-    the joint model's ``model.json``. Per command: the exit code, the bytes
-    of every table and the columns of every CSV table; for ``eval`` also
-    each cell of ``comparison.csv`` keyed ``<model> <column>``."""
+    the joint model's ``model.json``. Per command: the exit code and the
+    bytes and columns of every table; for ``eval`` also each cell of
+    ``comparison.csv`` keyed ``<model> <column>``."""
     with tempfile.TemporaryDirectory() as tmp:
         root, out, sim = Path(tmp), Path(tmp) / "eval", Path(tmp) / "simulate"
         datamodel.write_csv(dataset, root / "dataset.csv")
@@ -215,24 +187,21 @@ def _cli(baselines, cli, datamodel, matchrep, preset, dataset, models, normaliza
         (root / "manifest.json").write_text(json.dumps(
             {"command": "gen", "config": {"outcome_means": np.asarray(
                 preset.outcome_means, dtype=float).tolist()}}))
+        # the files `organmatch train` writes; only model.json carries the normalization
+        saved = {matchrep.JOINT: datamodel.normalization_to_dict(normalization)}
         for name, model in models.items():
-            if name == "joint":
-                matchrep.save_model(model, root / "model.json",
-                                    normalization=datamodel.normalization_to_dict(normalization))
-            elif name in baselines.PAIR_KINDS:
-                baselines.save_pair_regressor(model, root / f"pair_{name}.json")
-            else:
-                baselines.save_cluster_predictor(
-                    model, root / f"baseline_{name.replace('/', '_')}.json")
+            file = ("model.json" if name == matchrep.JOINT
+                    else f"pair_{name}.json" if name in baselines.PAIR_KINDS
+                    else f"baseline_{name.replace('/', '_')}.json")
+            matchrep.save_model(model, root / file, normalization=saved.get(name))
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["eval", "--data", tmp, "--models", tmp, "--out", str(out)])
             sim_code = cli.main(["simulate", "--data", tmp, "--model", str(root / "model.json"),
                                  "--stream-seed", str(seed), "--out", str(sim)])
-        tables = [path for path in (out / "comparison.csv", out / "eval_reports.json")
-                  if path.exists()]
-        rows = csv.DictReader(tables[0].read_text().splitlines()) if tables else []
-        # simulate's manifest names the temporary directory, so only its tables are compared
-        return {"eval": {"exit": {"": np.array(code)}, **_tables(tables),
+        comparison = out / "comparison.csv"
+        rows = csv.DictReader(comparison.read_text().splitlines()) if comparison.exists() else []
+        # the manifests name the temporary directory, so only the tables are compared
+        return {"eval": {"exit": {"": np.array(code)}, **_tables(sorted(out.glob("*.csv"))),
                          "cells": {f"{row['model']} {column}": np.array(cell)
                                    for row in rows for column, cell in row.items()}},
                 "cli-simulate": {"exit": {"": np.array(sim_code)},
@@ -240,7 +209,7 @@ def _cli(baselines, cli, datamodel, matchrep, preset, dataset, models, normaliza
 
 
 def emit(src: Path, seed: int, out: Path) -> None:
-    """Child process: write and read the preset's tables, train every model
+    """Child process: write and read the preset's tables, fit every model
     and simulate every policy with the ``organmatch`` of ``src`` and save
     every part as ``<model>|<part>|<key>`` arrays in ``out``."""
     sys.path.insert(0, str(src))
@@ -256,17 +225,16 @@ def emit(src: Path, seed: int, out: Path) -> None:
     train, val = normed.subset(indices.train), normed.subset(indices.validation)
     results = [("data", _tabular(datamodel, dataset, indices))]
     fitted = {}
-    for name in (*MODELS, *baselines.PAIR_KINDS):
+    for name in (matchrep.JOINT, *BASELINES, *baselines.PAIR_KINDS):
         try:
-            model, parts = _fit(name, matchrep, baselines, train, val, seed)
-            fitted[name] = model
+            fitted[name], parts = _fit(name, baselines, matchrep, train, val, seed)
         except (numkit.TrainingDivergedError, matchrep.DeadClusterError) as exc:
-            model, parts = None, {"error": {"": np.array(repr(exc))}}
+            parts = {"error": {"": np.array(repr(exc))}}
         results.append((name, parts))
-        if name == "joint" and model is not None:
-            results.append(("simulate", _simulate(allocsim, preset, dataset, normed, model, seed)))
-            results.append(("simulate-50k", _at_scale(allocsim, datamodel, matchrep, synthgen,
-                                                      model, normed.normalization, seed)))
+    if matchrep.JOINT in fitted:
+        results.append(("simulate-50k", _at_scale(allocsim, datamodel, matchrep, synthgen,
+                                                  fitted[matchrep.JOINT], normed.normalization,
+                                                  seed)))
     results.extend(_cli(baselines, cli, datamodel, matchrep, preset, dataset, fitted,
                         normed.normalization, seed).items())
     arrays = {f"{name}|{part}|{key}": value for name, parts in results

@@ -76,6 +76,8 @@ def _load_config(path_str: str | None, cls, **overrides):
                 raise TypeError(f"a JSON {type(values).__name__}, not an object")
             datamodel.check_field_kinds(cls, values)
         return cls(**{**values, **{k: v for k, v in overrides.items() if v is not None}})
+    except OSError as exc:
+        raise datamodel.ConfigError(f"unreadable config file {path_str}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise datamodel.ConfigError(f"malformed JSON in {path_str}: {exc}") from exc
     except TypeError as exc:
@@ -97,7 +99,7 @@ def _load_data_dir(data_dir: str) -> datamodel.Dataset:
 def _oracle_outcome_means(data_dir: str) -> np.ndarray | None:
     """The (M, K) true outcome means that the manifest of a ``gen`` data
     directory records, or None for data of another origin. An unreadable
-    manifest raises IngestionError."""
+    manifest, or a non-finite mean, raises IngestionError."""
     path = Path(data_dir) / "manifest.json"
     if not path.exists():
         return None
@@ -108,6 +110,8 @@ def _oracle_outcome_means(data_dir: str) -> np.ndarray | None:
         means = np.asarray(manifest["config"]["outcome_means"], dtype=float)
         if means.ndim != 2:
             raise ValueError(f"outcome_means has shape {means.shape}")
+        if not np.isfinite(means).all():
+            raise ValueError("outcome_means holds a non-finite value")
         return means
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise datamodel.IngestionError(f"unreadable data manifest {path}: {exc!r}") from exc

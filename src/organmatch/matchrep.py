@@ -106,8 +106,8 @@ class TrainConfig:
             raise ConfigError("alpha and beta must be nonnegative and finite")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        if min(self.pretrain_epochs, self.joint_epochs) < 0:
-            raise ConfigError("pretrain_epochs and joint_epochs must be >= 0")
+        if min(self.pretrain_epochs, self.joint_epochs, self.min_cluster_count) < 0:
+            raise ConfigError("pretrain_epochs, joint_epochs and min_cluster_count must be >= 0")
 
 
 CLUSTERERS = ("kmeans", "em", "dec")

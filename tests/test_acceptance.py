@@ -282,8 +282,7 @@ def test_criterion_6_allocation_policies(seed0_run, capfd):
     normed = seed0_run["normed"]
     model = seed0_run["model"]
     config = allocsim.SimConfig()
-    scorer = allocsim.model_scorer(model, normed)
-    guide = allocsim.model_guide(model, normed)
+    scorer, guide = allocsim.model_scorer_and_guide(model, normed)
     oracle = allocsim.oracle_mean_scorer(
         normed, synthgen.paper_preset().outcome_means)
 

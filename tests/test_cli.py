@@ -253,7 +253,8 @@ def test_train_invalid_config_value_is_config_error(workdir, data_dir, body):
 
 @pytest.mark.parametrize("body", [{"beta": float("nan")}, {"alpha": float("inf")},
                                   {"learning_rate": -1.0}, {"learning_rate": 0.0},
-                                  {"joint_epochs": -3}, {"pretrain_epochs": -1}],
+                                  {"joint_epochs": -3}, {"pretrain_epochs": -1},
+                                  {"min_cluster_count": -1}],
                          ids=lambda body: "{}={}".format(*next(iter(body.items()))))
 def test_train_non_finite_or_out_of_range_config_is_config_error(workdir, data_dir, body,
                                                                  capsys):
@@ -314,11 +315,19 @@ def test_train_unreadable_csv_is_data_error(workdir, data_dir, case, capsys):
     assert "dataset.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag", [("gen", "--config"), ("train", "--config"),
-                                           ("simulate", "--sim-config")])
-def test_non_utf8_config_is_config_error(workdir, data_dir, command, flag):
-    path = workdir / "non_utf8_config.json"
-    path.write_bytes(b'{"seed": 1\xff}')
+@pytest.mark.parametrize("command, flag, case", [
+    pytest.param(command, flag, case,
+                 id="-".join((command, flag) if case == "non-utf8" else (case, command, flag)))
+    for case in ("non-utf8", "missing", "directory")
+    for command, flag in (("gen", "--config"), ("train", "--config"),
+                          ("simulate", "--sim-config"))])
+def test_non_utf8_config_is_config_error(workdir, data_dir, command, flag, case):
+    # a config file that cannot be read is a config error too
+    path = workdir / f"{case}_config.json"
+    if case == "non-utf8":
+        path.write_bytes(b'{"seed": 1\xff}')
+    elif case == "directory":
+        path.mkdir(exist_ok=True)
     args = [command, flag, str(path), "--out", str(workdir / "x")]
     if command != "gen":
         args += ["--data", str(data_dir)]
@@ -820,9 +829,13 @@ def test_simulate_recipient_type_outside_outcome_means_is_data_error(workdir, da
     assert "row 7" in err and "true_recipient_type" in err
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"command": "gen"}'])
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"command": "gen"}', "nan-mean"])
 def test_simulate_malformed_data_manifest_is_data_error(workdir, data_dir, text):
     bad = shutil.copytree(data_dir, workdir / f"bad_manifest_{len(text)}")
+    if text == "nan-mean":  # the real manifest with one outcome mean not finite
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["config"]["outcome_means"][0][0] = float("nan")
+        text = json.dumps(manifest)
     (bad / "manifest.json").write_text(text)
     assert main(["simulate", "--data", str(bad), "--policies", "uf",
                  "--out", str(workdir / "x")]) == EXIT_DATA

@@ -118,8 +118,7 @@ def test_short_simulation_runs(trained, dataset):
     model, _, normed, _ = trained
     config = allocsim.SimConfig(donor_fraction=0.7)
     stream = allocsim.build_stream(dataset, config, seed=0)
-    scorer = allocsim.model_scorer(model, normed)
-    guide = allocsim.model_guide(model, normed)
+    scorer, guide = allocsim.model_scorer_and_guide(model, normed)
     fcfs = allocsim.run_policy(dataset, stream, "fcfs", config)
     guided = allocsim.run_policy(dataset, stream, "matching-uf", config,
                                  scorer=scorer, guide=guide)
