@@ -95,13 +95,21 @@ def build_stream(dataset: Dataset, config: SimConfig, seed: int) -> EventStream:
     return EventStream(donor_arrivals=np.column_stack((steps, donors))[order], n=n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GuidedPolicy:
     """Precomputed model guidance: learned type per donor row and predicted
-    best donor type per recipient row."""
+    best donor type per recipient row. ``prefers[t]``, built once here, is
+    the (n,) bool row of the recipients whose best type is ``t``, for every
+    type in either array; a donor type that no recipient prefers has an
+    all-False row."""
 
     donor_types: np.ndarray  # (n,)
     best_types: np.ndarray  # (n,)
+    prefers: np.ndarray = field(init=False, repr=False)  # (K, n) bool
+
+    def __post_init__(self):
+        k = max(np.max(self.donor_types, initial=-1), np.max(self.best_types, initial=-1)) + 1
+        object.__setattr__(self, "prefers", np.arange(k)[:, None] == self.best_types)
 
 
 @dataclass
@@ -206,7 +214,9 @@ def write_ledger_csv(report: SimReport, path) -> None:
 
 
 def oracle_mean_scorer(dataset: Dataset, outcome_means) -> "callable":
-    """True-potential-mean scorer: score(i, donor) = E[y | m_i, k_donor].
+    """True-potential-mean scorer: score(i, donor) = E[y | m_i, k_donor],
+    read from a (K, n) table of every recipient's mean with each donor type,
+    built once.
 
     A true type outside ``outcome_means``' (M, K) shape raises
     IngestionError naming its row."""
@@ -222,8 +232,10 @@ def oracle_mean_scorer(dataset: Dataset, outcome_means) -> "callable":
             raise IngestionError(f"row {bad[0]}, column {col!r}: type {types0[bad[0]] + 1} "
                                  f"is outside the {count} types of outcome_means")
 
+    table = means.T.take(m0, axis=1)  # (K, n), C-contiguous: each recipient's mean per donor type
+
     def score(recipient_ids: np.ndarray, donor_id: int) -> np.ndarray:
-        return means[m0[recipient_ids], k0[donor_id]]
+        return table[k0[donor_id]][recipient_ids]
 
     return score
 
@@ -232,15 +244,17 @@ def model_scorer_and_guide(model: "matchrep.MatchRepModel",
                            dataset: Dataset) -> tuple["callable", GuidedPolicy]:
     """The scorer and the guidance of a trained matching-representation
     model, from one inference: the potentials of every recipient row and the
-    learned type of every donor row."""
+    learned type of every donor row. The scorer reads a (K, n) table, the
+    potentials transposed so that one donor type's scores are one row."""
     pred = matchrep.predict_potential_batch(model, dataset.recipients)
-    donor_types, _ = matchrep.donor_type_batch(model, dataset.donors)
+    donor_types = matchrep.donor_type_batch(model, dataset.donors)[0]
+    guide = GuidedPolicy(donor_types=donor_types, best_types=matchrep.best_donor_types(model, pred))
+    table = np.ascontiguousarray(pred.T)
 
     def score(recipient_ids: np.ndarray, donor_id: int) -> np.ndarray:
-        return pred[recipient_ids, donor_types[donor_id]]
+        return table[donor_types[donor_id]][recipient_ids]
 
-    return score, GuidedPolicy(donor_types=donor_types,
-                               best_types=matchrep.best_donor_types(model, pred))
+    return score, guide
 
 
 def model_scorer(model: "matchrep.MatchRepModel", dataset: Dataset) -> "callable":
@@ -265,15 +279,16 @@ def policy_select(rule: str, waiting_ids: np.ndarray, donor_id: int, scorer=None
     ``waiting_ids`` is the current, nonempty waitlist in arrival order
     (recipient i arrived at step i), so a tie goes to the earliest arrival.
     With a ``guide`` the candidates are first restricted to the recipients
-    whose predicted best donor type is the donor's type, unless none is.
+    whose predicted best donor type is the donor's type, unless none is:
+    one gather of the guide's ``prefers`` row for that type.
     ``scorer(ids, donor_id)`` predicts survival with the donor, and ``bf``
     subtracts ``days_left(ids)``, the untreated survival the candidates have
     left. A NaN score never wins over a number.
     """
     if guide is not None:
-        match = guide.best_types[waiting_ids] == guide.donor_types[donor_id]
-        if match.any():
-            waiting_ids = waiting_ids[match]
+        matched = waiting_ids[guide.prefers[guide.donor_types[donor_id]][waiting_ids]]
+        if matched.size:
+            waiting_ids = matched
     if rule == "fcfs":
         return waiting_ids[0]
     scores = np.asarray(scorer(waiting_ids, donor_id), dtype=float)
@@ -342,6 +357,10 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
         ids = np.arange(n)  # recipient i arrives at step i
         waiting = ids[:0]  # in arrival order
         joined = 0
+        # bf's clock, built once: it reads the loop's current step when called
+        days_left = (lambda c: untreated[c] - (step - c) * d) if rule == "bf" else None
+        # One policy_select call per event, and one scorer call within it,
+        # though either could be inlined: perfbench counts both calls.
         for step, donor_id in zip(steps.tolist(), donors.tolist()):
             if step >= joined:
                 waiting = np.concatenate((waiting, ids[joined:step + 1]))
@@ -349,9 +368,7 @@ def run_policy(dataset: Dataset, stream: EventStream, policy: str, config: SimCo
             waiting = waiting[until[waiting] >= step]
             if not waiting.size:
                 continue
-            chosen = policy_select(
-                rule, waiting, donor_id, scorer, guide,
-                (lambda c: untreated[c] - (step - c) * d) if rule == "bf" else None)
+            chosen = policy_select(rule, waiting, donor_id, scorer, guide, days_left)
             until[chosen] = -1
             fate_step[chosen] = step
             assigned_donor[chosen] = donor_id

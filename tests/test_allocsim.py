@@ -525,6 +525,16 @@ def test_all_policies_run_with_model_guidance():
     ids, one_scorer, one_guide = np.arange(n), model_scorer(model, ds), model_guide(model, ds)
     assert (all(np.array_equal(one_scorer(ids, donor), scorer(ids, donor)) for donor in range(n))
             and all(map(np.array_equal, astuple(one_guide), astuple(guide))))
+    # the tables read what the model and the oracle give, computed here without them
+    potentials, donor_types = model.predict_potentials(ds.recipients), model.donor_labels(ds.donors)
+    assert all(np.array_equal(scorer(ids, donor), potentials[ids, donor_types[donor]])
+               for donor in range(n))
+    assert all(np.array_equal(row, guide.best_types == t) for t, row in enumerate(guide.prefers))
+    means = np.array([[500.0, 1000.0], [100.0, 800.0]])
+    oracle = oracle_mean_scorer(ds, means)
+    assert all(np.array_equal(oracle(ids, donor), means[ds.true_recipient_type[ids] - 1,
+                                                       ds.true_donor_type[donor] - 1])
+               for donor in range(n))
     config = SimConfig(donor_fraction=0.8)
     stream = build_stream(ds, config, seed=2)
     for policy in POLICIES:
@@ -561,7 +571,8 @@ def _simulations(draw):
         true_donor_type=donor_types,
     )
     scorer = oracle_mean_scorer(ds, rng.uniform(100, 1000, size=(2, k)))
-    guide = GuidedPolicy(donor_types=rng.integers(0, k, size=n),
+    # one donor type more than the best types: some donors no recipient prefers
+    guide = GuidedPolicy(donor_types=rng.integers(0, k + 1, size=n),
                          best_types=rng.integers(0, k, size=n))
     stream = build_stream(ds, config, seed=draw(st.integers(0, 2 ** 16)))
     return ds, stream, config, scorer, guide
@@ -705,7 +716,8 @@ def _clock_simulations(draw):
         true_donor_type=donor_types,
     )
     scorer = oracle_mean_scorer(ds, rng.uniform(100, 1000, size=(2, k)))
-    guide = GuidedPolicy(donor_types=rng.integers(0, k, size=n),
+    # one donor type more than the best types: some donors no recipient prefers
+    guide = GuidedPolicy(donor_types=rng.integers(0, k + 1, size=n),
                          best_types=rng.integers(0, k, size=n))
     stream = build_stream(ds, config, seed=draw(st.integers(0, 2 ** 16)))
     kind = draw(st.integers(0, 9))
