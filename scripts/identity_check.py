@@ -34,7 +34,8 @@ compared:
 
     python3 scripts/identity_check.py --ref ../parent/src --seeds 1 2 3 11
 
-Each tree runs in its own child process with BLAS pinned to one thread.
+Each tree runs in its own child process with BLAS pinned to one thread;
+the two children of a seed run at once.
 Prints one line per seed, model and part for the arrays both trees have,
 then the arrays present in only one tree (say, a config field one of them
 lacks) on lines of their own, and exits 1 if any array differs or is
@@ -242,14 +243,25 @@ def emit(src: Path, seed: int, out: Path) -> None:
     np.savez(out, **arrays)
 
 
-def _run_child(src: Path, seed: int, out: Path) -> dict:
+def _run_children(ref: Path, seed: int, tmp: Path) -> list[dict]:
+    """The arrays that this tree's child and the ``ref`` tree's child emit.
+    Both run at once, each with BLAS on one thread; a failed child raises
+    once both have ended."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     env.pop("PYTHONPATH", None)
-    subprocess.run([sys.executable, str(HERE), "--emit", str(src), "--seeds", str(seed),
-                    "--out", str(out)], check=True, env=env)
-    with np.load(out) as data:
-        return {key: data[key] for key in data.files}
+    outs = [tmp / f"this-{seed}.npz", tmp / f"ref-{seed}.npz"]
+    children = [subprocess.Popen([sys.executable, str(HERE), "--emit", str(src),
+                                  "--seeds", str(seed), "--out", str(out)], env=env)
+                for src, out in zip((THIS_SRC, ref), outs)]
+    failed = [child for child in children if child.wait()]
+    if failed:
+        raise subprocess.CalledProcessError(failed[0].returncode, failed[0].args)
+    arrays = []
+    for out in outs:
+        with np.load(out) as data:
+            arrays.append({key: data[key] for key in data.files})
+    return arrays
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -261,8 +273,7 @@ def compare(ref: Path, seeds: list[int]) -> tuple[int, int]:
     n_differ = n_one_sided = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            this = _run_child(THIS_SRC, seed, Path(tmp) / f"this-{seed}.npz")
-            other = _run_child(ref, seed, Path(tmp) / f"ref-{seed}.npz")
+            this, other = _run_children(ref, seed, Path(tmp))
             groups = sorted({key.rsplit("|", 1)[0] for key in this.keys() | other.keys()})
             for group in groups:
                 mine = {k.rsplit("|", 1)[1] for k in this if k.startswith(group + "|")}

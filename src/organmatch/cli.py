@@ -36,7 +36,12 @@ DEFAULT_BASELINES = ("kmeans/multihead-nn", "em/multihead-nn",
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read 1 MiB at a time so a large artifact is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(out: Path, command: str, config: dict, seed: int,
@@ -142,10 +147,14 @@ def cmd_gen(args) -> int:
 
 
 def _parse_names(raw: str | None, default=()) -> list[str]:
-    """The comma-separated names in ``raw``; ``default`` if it is None, none if blank."""
+    """The comma-separated names in ``raw``; ``default`` if it is None, none
+    if blank. A name listed twice raises ConfigError."""
     if raw is None:
         return list(default)
-    return [name.strip() for name in raw.split(",")] if raw.strip() else []
+    names = [name.strip() for name in raw.split(",")] if raw.strip() else []
+    if len(set(names)) < len(names):
+        raise datamodel.ConfigError(f"a name is listed twice in {raw!r}")
+    return names
 
 
 def cmd_train(args) -> int:
@@ -156,9 +165,6 @@ def cmd_train(args) -> int:
     for kind in pair_kinds:
         if kind not in baselines.PAIR_KINDS:
             raise datamodel.ConfigError(f"pair regressor {kind!r} not in {baselines.PAIR_KINDS}")
-    names = baseline_names + pair_kinds
-    if len(set(names)) < len(names):
-        raise datamodel.ConfigError(f"a baseline or pair regressor is listed twice in {names}")
     files = {matchrep.JOINT: "model.json",
              **{name: f"baseline_{name.replace('/', '_')}.json" for name in baseline_names},
              **{kind: f"pair_{kind}.json" for kind in pair_kinds}}
@@ -237,36 +243,25 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_scorers(args, dataset: datamodel.Dataset):
-    """Returns (plain_scorer, model_scorer, guide) for the requested policies."""
-    model_sc = guide = None
-    if args.model:
-        model, norm = matchrep.load_model_and_normalization(args.model)
-        model.check_input_widths(args.model, dataset.d_r, dataset.d_o)
-        normed = datamodel.apply_normalization(dataset, norm)
-        model_sc, guide = allocsim.model_scorer_and_guide(model, normed)
-    plain_sc = None
-    outcome_means = _oracle_outcome_means(args.data)
-    if outcome_means is not None and dataset.true_recipient_type is not None:
-        plain_sc = allocsim.oracle_mean_scorer(dataset, outcome_means)
-    if plain_sc is None:
-        plain_sc = model_sc
-    return plain_sc, model_sc, guide
-
-
 def cmd_simulate(args) -> int:
     sim_config = _load_config(args.sim_config, allocsim.SimConfig)
-    policies = ([p.strip() for p in args.policies.split(",")]
-                if args.policies else list(allocsim.POLICIES))
+    policies = _parse_names(args.policies) or list(allocsim.POLICIES)
 
     dataset = _load_data_dir(args.data)
     if not dataset.has_ground_truth:
         raise datamodel.IngestionError("simulate needs ground_truth.csv next to dataset.csv")
-    plain_sc, model_sc, guide = _resolve_scorers(args, dataset)
-    scorers = {policy: model_sc if policy.startswith("matching-") else plain_sc
+    model_sc = guide = oracle = None
+    if args.model:
+        model, norm = matchrep.load_model_and_normalization(args.model)
+        model.check_input_widths(args.model, dataset.d_r, dataset.d_o)
+        model_sc, guide = allocsim.model_scorer_and_guide(
+            model, datamodel.apply_normalization(dataset, norm))
+    if {"uf", "bf"} & set(policies):
+        outcome_means = _oracle_outcome_means(args.data)
+        if outcome_means is not None and dataset.true_recipient_type is not None:
+            oracle = allocsim.oracle_mean_scorer(dataset, outcome_means)
+    scorers = {policy: oracle if oracle and policy in ("uf", "bf") else model_sc
                for policy in policies}
-    if len(scorers) < len(policies):
-        raise datamodel.ConfigError(f"a policy is listed twice in {args.policies!r}")
     for policy, scorer in scorers.items():
         allocsim.check_policy(policy, scorer, guide)
 

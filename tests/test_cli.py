@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 import weakref
@@ -738,6 +739,13 @@ def test_record_tables_are_the_bytes_csv_writer_writes(tmp_path, n):
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("size", [0, 3 * (1 << 20) + 17], ids=["empty", "several-chunks"])
+def test_manifest_hash_is_the_whole_file_sha256(tmp_path, size):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_simulate_unknown_policy_is_config_error(workdir, data_dir):
     assert main(["simulate", "--data", str(data_dir), "--policies", "greedy",
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
@@ -839,6 +847,21 @@ def test_simulate_malformed_data_manifest_is_data_error(workdir, data_dir, text)
     (bad / "manifest.json").write_text(text)
     assert main(["simulate", "--data", str(bad), "--policies", "uf",
                  "--out", str(workdir / "x")]) == EXIT_DATA
+
+
+def test_simulate_reads_the_data_manifest_only_for_uf_or_bf(workdir, data_dir, models_dir,
+                                                            monkeypatch):
+    # fcfs and matching-uf never read the oracle, so its broken manifest does not matter
+    bad = shutil.copytree(data_dir, workdir / "bad_manifest_unread")
+    (bad / "manifest.json").write_text("{not json")
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle scorer was built")
+
+    monkeypatch.setattr(allocsim, "oracle_mean_scorer", no_oracle)
+    assert main(["simulate", "--data", str(bad), "--model", str(models_dir / "model.json"),
+                 "--policies", "fcfs,matching-uf", "--stream-seed", "0",
+                 "--out", str(workdir / "sim_unread_manifest")]) == EXIT_OK
 
 
 def test_eval_on_data_of_another_width_is_data_error(workdir, models_dir):
