@@ -465,15 +465,17 @@ def pretrain_autoencoder(donors: np.ndarray,
 def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray,
                 config: TrainConfig, batches: str):
     """The one refinement schedule of a DEC clusterer and its pretrained
-    ``decoder``: ``joint_epochs`` epochs over minibatches of the ``donors``
-    from the stream ``batches``. Yields per epoch the (n,) label each donor
-    had in its minibatch, the epoch's summed L_DEC and whether it refined.
+    ``decoder``: ``joint_epochs`` epochs, refining then frozen. Yields per
+    epoch the (n,) label each donor had in its minibatch, the epoch's summed
+    L_DEC and whether it refined.
 
-    A refining epoch refreshes the target distribution, then per minibatch
-    takes one Adam step of the reconstruction anchor and one SGD step on
-    L_DEC plus embedding norm-decay. Once fewer than ``DEC_STOP_TOL`` of the
-    labels change over an epoch the map is frozen, and the per-donor L_DEC
-    terms of its own target are computed once, not per batch.
+    A refining epoch (none when ``alpha == 0``) refreshes the target, then
+    per minibatch of the ``donors`` from the stream ``batches`` takes one
+    Adam step of the reconstruction anchor and one SGD step on L_DEC plus
+    embedding norm-decay. Refinement ends at the stop test (``DEC_MIN_EPOCHS``,
+    ``DEC_STOP_TOL``) or after ``joint_epochs``; the encoder then leaves the
+    anchor's shared buffer, and every frozen epoch yields the same labels
+    and the one L_DEC of the map against its own target.
     """
     anchor = Adam([clusterer.encoder, decoder], config.learning_rate,
                   "DEC refinement's reconstruction anchor")
@@ -481,17 +483,10 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
     n = len(donors)
     soft = clusterer.scores(donors)  # of the current map, so reused until it moves
     labels = np.argmax(soft, axis=1)
-    refining, frozen_terms = config.alpha > 0.0, None
-    for epoch in range(config.joint_epochs):
-        l_dec, batch_labels = 0.0, labels
-        if refining:
-            p_full, batch_labels = target_distribution(soft), np.empty_like(labels)
-        elif frozen_terms is None:
-            frozen_terms = _dec_terms(target_distribution(soft), np.maximum(soft, T_CLAMP))
+    refined = 0
+    while config.alpha > 0.0 and refined < config.joint_epochs:
+        l_dec, p_full, batch_labels = 0.0, target_distribution(soft), np.empty_like(labels)
         for idx in minibatches(n, config.batch_size, rng):
-            if not refining:
-                l_dec += float(np.sum(frozen_terms[idx]))
-                continue
             x = donors[idx]
             anchor.step(*recon_loss_and_grads(clusterer.encoder, decoder, x))
             loss, grads = dec_refine_loss_and_grads(clusterer.encoder, clusterer.centers, x,
@@ -502,12 +497,17 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
                 pm -= config.alpha * g
             l_dec += loss
             batch_labels[idx] = np.argmax(clusterer.scores(x), axis=1)
-        yield batch_labels, l_dec, refining
-        if refining:
-            soft = clusterer.scores(donors)
-            new_labels = np.argmax(soft, axis=1)
-            changed, labels = float(np.mean(new_labels != labels)), new_labels
-            refining = epoch + 1 < DEC_MIN_EPOCHS or changed >= DEC_STOP_TOL
+        yield batch_labels, l_dec, True
+        refined += 1
+        soft = clusterer.scores(donors)
+        new_labels = np.argmax(soft, axis=1)
+        changed, labels = float(np.mean(new_labels != labels)), new_labels
+        if refined >= DEC_MIN_EPOCHS and changed < DEC_STOP_TOL:
+            break
+    clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
+    l_dec = float(np.sum(_dec_terms(target_distribution(soft), np.maximum(soft, T_CLAMP))))
+    for _ in range(refined, config.joint_epochs):
+        yield labels, l_dec, False
 
 
 def init_heads(width: int, n_heads: int, outcomes: np.ndarray, hidden: int,
@@ -592,7 +592,6 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     n = len(outcomes)
     log = [dict(zip(LOG_FIELDS, (epoch, l_f / n, l_dec / n, l_rep / n, refined)))
            for epoch, ((l_f, l_rep), (l_dec, refined)) in enumerate(zip(phi_log, dec_log))]
-    clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
     active = active_clusters(np.argmax(clusterer.scores(donors), axis=1), config)
     return MatchRepModel(name=JOINT, config=config, clusterer=clusterer, phi=phi,
                          predictor=predictor, active=active), log
@@ -610,7 +609,6 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorCluste
                                      "matchrep/dec-standalone-batches"):
         if not refined:
             break
-    clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
     return clusterer
 
 

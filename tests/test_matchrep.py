@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradcheck import finite_diff_check
-from organmatch import matchrep, numkit
+from organmatch import datamodel, matchrep, numkit, synthgen
 from organmatch.datamodel import IngestionError
 from organmatch.matchrep import (
     DeadClusterError,
@@ -499,8 +499,9 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     assert all(np.shares_memory(p, anchors[0].buffer) for p in decoder)
     assert not any(np.shares_memory(p, anchors[0].buffer) for p in encoder)
 
-    # the logged L_DEC of a frozen epoch is the per-batch evaluation it
-    # replaces, and the per-donor mean KL whatever the batch size
+    # the logged L_DEC of a frozen epoch is one value, the per-batch
+    # evaluation it replaces and the per-donor mean KL whatever the batch size
+    assert len({row["L_DEC"] for row in log[3:]}) == 1
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     batches = [list(numkit.minibatches(n, config.batch_size, rng)) for _ in log]
     enc, centers = model.clusterer.encoder, model.clusterer.centers
@@ -542,6 +543,39 @@ def test_recipients_never_reach_the_donor_map(monkeypatch):
     for key in ("L_DEC", "dec_active"):
         assert [row[key] for row in log] == [row[key] for row in other_log]
     assert [row["L_f"] for row in log] != [row["L_f"] for row in other_log]
+
+
+def _preset_training_split(seed: int):
+    """The preset's normalized training split, as the acceptance fixtures make it."""
+    dataset = synthgen.sample_dataset(synthgen.paper_preset(n=5000, seed=seed))
+    indices = datamodel.split(dataset, seed=seed)
+    return datamodel.normalize_fit_transform(dataset, indices).subset(indices.train)
+
+
+_ITEM_6 = "ROADMAP item 6: the DEC schedule is not seed-robust; "
+
+
+@pytest.mark.parametrize("seed, kind", [
+    pytest.param(8, "joint", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=_ITEM_6 + "seed 8's map collapses to one active cluster")),
+    pytest.param(11, "joint", marks=pytest.mark.xfail(
+        strict=True, raises=numkit.TrainingDivergedError,
+        reason=_ITEM_6 + "seed 11's reconstruction anchor diverges")),
+    pytest.param(7, "dec", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the dec/linear-per-head seed-7 FOUND: the standalone DEC map puts "
+               "every training donor in one cluster")),
+])
+def test_preset_donor_maps_keep_two_clusters(seed, kind):
+    train = _preset_training_split(seed)
+    config = TrainConfig(seed=seed)
+    if kind == "joint":
+        model, _ = train_joint(train.recipients, train.donors, train.outcomes, config)
+        assert model.active.sum() >= 2
+    else:
+        clusterer = matchrep.fit_clusterer(train.donors, "dec", config)
+        assert np.unique(np.argmax(clusterer.scores(train.donors), axis=1)).size >= 2
 
 
 @pytest.mark.parametrize("counts, frac, want", [
