@@ -310,10 +310,10 @@ def fit_pair_regressor(recipients: np.ndarray, donors: np.ndarray, outcomes: np.
         return PairRegressor(kind=kind, tree=tree)
     if kind == "reg-nn":  # one head over the pairs, the only donor type of a Phi-less model
         config = config or TrainConfig()
-        predictor = matchrep.init_heads(pairs.shape[1], 1, outcomes, config.hidden,
+        predictor = matchrep.init_heads(pairs.shape[1], 1, outcomes,
                                         rng_stream(config.seed, "baselines", "regnn-init"))
         labels = np.zeros(len(outcomes), dtype=int)
-        matchrep.fit_phi_heads(None, predictor, Adam(predictor.heads, config.learning_rate,
+        matchrep.fit_phi_heads(None, predictor, Adam(predictor.heads, matchrep.LEARNING_RATE,
                                                      "reg-nn"), pairs, outcomes,
                                itertools.repeat(labels, config.joint_epochs), 0.0, config,
                                "baselines/regnn-batches")

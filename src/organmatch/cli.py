@@ -148,10 +148,12 @@ def cmd_gen(args) -> int:
 
 def _parse_names(raw: str | None, default=()) -> list[str]:
     """The comma-separated names in ``raw``; ``default`` if it is None, none
-    if blank. A name listed twice raises ConfigError."""
+    if blank. An empty entry or a name listed twice raises ConfigError."""
     if raw is None:
         return list(default)
     names = [name.strip() for name in raw.split(",")] if raw.strip() else []
+    if "" in names:
+        raise datamodel.ConfigError(f"an entry is empty in {raw!r}")
     if len(set(names)) < len(names):
         raise datamodel.ConfigError(f"a name is listed twice in {raw!r}")
     return names

@@ -52,16 +52,24 @@ from .numkit import (
 
 JOINT = "matchrep"  # the joint model's name
 T_CLAMP = 1e-12
+# The networks' sizes and steps. Code reads them when it runs, never as
+# default arguments, so a test can shrink the networks by setting them.
+LEARNING_RATE = 1e-3  # of every Adam that trains
+HIDDEN = 32  # the width of each hidden layer of every network
+REP_DIM = 8  # d', the output dimension of Phi
+EMBED_DIM = 8  # the donor embedding dimension
+MIN_CLUSTER_COUNT = 8  # the members a cluster needs to enter L_Phi and to stay active
 # Exponent of the Student's t kernel of the DEC soft assignment (one degree
 # of freedom, Xie et al. 2016).
 DEC_EXPONENT = -0.5
 # Donor-map refinement schedule. The DEC term is minimized with plain SGD
-# (step alpha) because Adam's per-parameter normalization erases the loss
+# (step DEC_STEP) because Adam's per-parameter normalization erases the loss
 # scale and with it the self-training dynamics that let ambiguous clusters
 # merge. A reconstruction anchor (Adam) and a small embedding norm-decay keep
 # the SGD refinement from collapsing or rescaling the embedding; refinement
 # halts once hard assignments stabilize: after at least DEC_MIN_EPOCHS
 # epochs, at the first in which fewer than DEC_STOP_TOL of the labels change.
+DEC_STEP = 0.1  # the paper's alpha
 EMBED_DECAY = 0.004
 DEC_MIN_EPOCHS = 5
 DEC_STOP_TOL = 0.005
@@ -70,7 +78,7 @@ DEC_STOP_TOL = 0.005
 # stragglers whose prediction head never saw meaningful data.
 MIN_CLUSTER_FRAC = 0.01
 # The keys of each row of ``train_joint``'s log, the columns of training_log.csv.
-LOG_FIELDS = ("epoch", "L_f", "L_DEC", "L_Phi", "dec_active")
+LOG_FIELDS = ("epoch", "L_f", "L_DEC", "L_Phi", "dec_active", "label_churn", "cluster_counts")
 
 
 class DeadClusterError(RuntimeError):
@@ -82,32 +90,24 @@ class DeadClusterError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     k: int = 3
-    alpha: float = 0.1
     # L_f is in squared-day units (~1e4 on the synthetic preset) while the
     # rep-loss KL is O(1); beta's default puts the two gradients on a
     # comparable footing so the invariance term actually binds.
     beta: float = 100.0
-    learning_rate: float = 1e-3
     batch_size: int = 128
     pretrain_epochs: int = 50
     joint_epochs: int = 200
-    rep_dim: int = 8  # d', output dimension of Phi
-    embed_dim: int = 8  # donor embedding dimension
-    hidden: int = 32
-    min_cluster_count: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError("k must be >= 2")
-        if min(self.batch_size, self.hidden, self.rep_dim, self.embed_dim) < 1:
-            raise ConfigError("batch_size, hidden, rep_dim and embed_dim must be >= 1")
-        if not all(0.0 <= v < np.inf for v in (self.alpha, self.beta)):
-            raise ConfigError("alpha and beta must be nonnegative and finite")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if min(self.pretrain_epochs, self.joint_epochs, self.min_cluster_count) < 0:
-            raise ConfigError("pretrain_epochs, joint_epochs and min_cluster_count must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if not 0.0 <= self.beta < np.inf:
+            raise ConfigError("beta must be nonnegative and finite")
+        if min(self.pretrain_epochs, self.joint_epochs) < 0:
+            raise ConfigError("pretrain_epochs and joint_epochs must be >= 0")
 
 
 CLUSTERERS = ("kmeans", "em", "dec")
@@ -310,7 +310,7 @@ def _moments(x: np.ndarray):
 
 
 def rep_loss_and_grads(xprime: np.ndarray, labels: np.ndarray, k: int,
-                       min_cluster_count: int = 8):
+                       min_cluster_count: int):
     """Sum over clusters of the diagonal-Gaussian KL(cluster || marginal) of
     the encoded recipients, the marginal being the whole batch.
 
@@ -386,9 +386,9 @@ def factual_loss_and_grads(predictor: MultiHeadPredictor, xprime: np.ndarray,
 
 def phi_heads_loss_and_grads(phi: DenseNet | None, predictor: MultiHeadPredictor,
                              recipients: np.ndarray, outcomes: np.ndarray,
-                             labels: np.ndarray, beta: float, k: int,
-                             min_cluster_count: int = 8):
-    """L_f + beta*L_Phi for fixed 0-based donor-type labels.
+                             labels: np.ndarray, beta: float, k: int):
+    """L_f + beta*L_Phi for fixed 0-based donor-type labels, L_Phi over the
+    clusters of at least ``MIN_CLUSTER_COUNT`` rows.
 
     The heads read Phi's output of the rows ``recipients``, or the rows
     themselves when ``phi`` is None (as ``predict_heads`` does). The L_Phi
@@ -400,7 +400,7 @@ def phi_heads_loss_and_grads(phi: DenseNet | None, predictor: MultiHeadPredictor
     l_f, head_grads, d_xprime = factual_loss_and_grads(predictor, xprime, outcomes, labels)
     l_rep = 0.0
     if beta != 0.0:
-        l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, k, min_cluster_count)
+        l_rep, d_xp_rep, _ = rep_loss_and_grads(xprime, labels, k, MIN_CLUSTER_COUNT)
         d_xprime = d_xprime + beta * d_xp_rep
     grads = [] if phi is None else mlp_backward(phi, cache, d_xprime)[0]
     for hg in head_grads:
@@ -447,12 +447,11 @@ def pretrain_autoencoder(donors: np.ndarray,
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
-    h, e = config.hidden, config.embed_dim
-    encoder = init_dense_net([d_o, h, h, e], ["relu", "relu", "identity"],
+    encoder = init_dense_net([d_o, HIDDEN, HIDDEN, EMBED_DIM], ["relu", "relu", "identity"],
                              rng_stream(config.seed, "matchrep", "enc-init"))
-    decoder = init_dense_net([e, h, h, d_o], ["relu", "relu", "identity"],
+    decoder = init_dense_net([EMBED_DIM, HIDDEN, HIDDEN, d_o], ["relu", "relu", "identity"],
                              rng_stream(config.seed, "matchrep", "dec-init"))
-    opt = Adam([encoder, decoder], config.learning_rate, "autoencoder")
+    opt = Adam([encoder, decoder], LEARNING_RATE, "autoencoder")
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
     for _ in range(config.pretrain_epochs):
         for idx in minibatches(donors.shape[0], config.batch_size, rng):
@@ -467,24 +466,27 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
     """The one refinement schedule of a DEC clusterer and its pretrained
     ``decoder``: ``joint_epochs`` epochs, refining then frozen. Yields per
     epoch the (n,) label each donor had in its minibatch, the epoch's summed
-    L_DEC and whether it refined.
+    L_DEC, whether it refined, the share of donors whose full-pass label the
+    epoch changed (its label churn) and the (K,) donor count of each
+    full-pass label.
 
-    A refining epoch (none when ``alpha == 0``) refreshes the target, then
-    per minibatch of the ``donors`` from the stream ``batches`` takes one
-    Adam step of the reconstruction anchor and one SGD step on L_DEC plus
-    embedding norm-decay. Refinement ends at the stop test (``DEC_MIN_EPOCHS``,
-    ``DEC_STOP_TOL``) or after ``joint_epochs``; the encoder then leaves the
-    anchor's shared buffer, and every frozen epoch yields the same labels
-    and the one L_DEC of the map against its own target.
+    A refining epoch refreshes the target, then per minibatch of the
+    ``donors`` from the stream ``batches`` takes one Adam step of the
+    reconstruction anchor and one SGD step on L_DEC plus embedding
+    norm-decay, then labels every donor in one full pass. Refinement ends at
+    the stop test (``DEC_MIN_EPOCHS``, ``DEC_STOP_TOL`` on the churn) or
+    after ``joint_epochs``; the encoder then leaves the anchor's shared
+    buffer, and every frozen epoch yields the same labels, the one L_DEC of
+    the map against its own target, churn 0.0 and the same counts.
     """
-    anchor = Adam([clusterer.encoder, decoder], config.learning_rate,
+    anchor = Adam([clusterer.encoder, decoder], LEARNING_RATE,
                   "DEC refinement's reconstruction anchor")
     rng = rng_stream(config.seed, batches)
     n = len(donors)
     soft = clusterer.scores(donors)  # of the current map, so reused until it moves
     labels = np.argmax(soft, axis=1)
     refined = 0
-    while config.alpha > 0.0 and refined < config.joint_epochs:
+    while refined < config.joint_epochs:
         l_dec, p_full, batch_labels = 0.0, target_distribution(soft), np.empty_like(labels)
         for idx in minibatches(n, config.batch_size, rng):
             x = donors[idx]
@@ -492,30 +494,32 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
             loss, grads = dec_refine_loss_and_grads(clusterer.encoder, clusterer.centers, x,
                                                     p_full[idx], EMBED_DECAY, len(idx) / n)
             if not np.isfinite(loss):
-                raise TrainingDivergedError("DEC loss diverged; try a lower alpha")
+                raise TrainingDivergedError("DEC loss diverged; try a lower DEC_STEP")
             for pm, g in zip(clusterer.encoder.parameters() + [clusterer.centers], grads):
-                pm -= config.alpha * g
+                pm -= DEC_STEP * g
             l_dec += loss
             batch_labels[idx] = np.argmax(clusterer.scores(x), axis=1)
-        yield batch_labels, l_dec, True
         refined += 1
+        # the Phi epoch run at the yield never touches the map, so this pass may precede it
         soft = clusterer.scores(donors)
         new_labels = np.argmax(soft, axis=1)
-        changed, labels = float(np.mean(new_labels != labels)), new_labels
-        if refined >= DEC_MIN_EPOCHS and changed < DEC_STOP_TOL:
+        churn, labels = float(np.mean(new_labels != labels)), new_labels
+        yield batch_labels, l_dec, True, churn, np.bincount(labels, minlength=config.k)
+        if refined >= DEC_MIN_EPOCHS and churn < DEC_STOP_TOL:
             break
     clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
     l_dec = float(np.sum(_dec_terms(target_distribution(soft), np.maximum(soft, T_CLAMP))))
+    counts = np.bincount(labels, minlength=config.k)
     for _ in range(refined, config.joint_epochs):
-        yield labels, l_dec, False
+        yield labels, l_dec, False, 0.0, counts
 
 
-def init_heads(width: int, n_heads: int, outcomes: np.ndarray, hidden: int,
+def init_heads(width: int, n_heads: int, outcomes: np.ndarray,
                rng: np.random.Generator) -> MultiHeadPredictor:
-    """``n_heads`` Glorot-initialised ``[width, hidden, hidden, 1]`` heads,
+    """``n_heads`` Glorot-initialised ``[width, HIDDEN, HIDDEN, 1]`` heads,
     drawn from ``rng`` in turn, predicting in units of the ``outcomes``'
     mean and standard deviation (at least one day)."""
-    heads = [init_dense_net([width, hidden, hidden, 1], ["relu", "relu", "identity"], rng)
+    heads = [init_dense_net([width, HIDDEN, HIDDEN, 1], ["relu", "relu", "identity"], rng)
              for _ in range(n_heads)]
     return MultiHeadPredictor(heads=heads, outcome_mean=float(outcomes.mean()),
                               outcome_scale=float(max(outcomes.std(), 1.0)))
@@ -529,12 +533,11 @@ def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
     ``namespace`` names the RNG streams (``phi-init``/``heads-init``), so each
     caller keeps draws of its own.
     """
-    phi = init_dense_net([d_r, config.hidden, config.hidden, config.rep_dim],
-                         ["relu", "relu", "identity"],
+    phi = init_dense_net([d_r, HIDDEN, HIDDEN, REP_DIM], ["relu", "relu", "identity"],
                          rng_stream(config.seed, namespace, "phi-init"))
-    predictor = init_heads(config.rep_dim, config.k, outcomes, config.hidden,
+    predictor = init_heads(REP_DIM, config.k, outcomes,
                            rng_stream(config.seed, namespace, "heads-init"))
-    return phi, predictor, Adam([phi, *predictor.heads], config.learning_rate, "Phi/heads")
+    return phi, predictor, Adam([phi, *predictor.heads], LEARNING_RATE, "Phi/heads")
 
 
 def fit_phi_heads(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam,
@@ -550,8 +553,7 @@ def fit_phi_heads(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam
         l_f_sum = l_rep_sum = 0.0
         for idx in minibatches(len(outcomes), config.batch_size, rng):
             l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, x[idx], outcomes[idx],
-                                                         labels[idx], beta, config.k,
-                                                         config.min_cluster_count)
+                                                         labels[idx], beta, config.k)
             opt.step(l_f + beta * l_rep, grads)
             l_f_sum += l_f * len(idx)
             l_rep_sum += l_rep * len(idx)
@@ -561,10 +563,10 @@ def fit_phi_heads(phi: DenseNet | None, predictor: MultiHeadPredictor, opt: Adam
 
 def active_clusters(labels: np.ndarray, config: TrainConfig) -> np.ndarray:
     """The (K,) mask of the clusters that hold at least
-    ``max(min_cluster_count, MIN_CLUSTER_FRAC * n)`` of the ``n`` training
+    ``max(MIN_CLUSTER_COUNT, MIN_CLUSTER_FRAC * n)`` of the ``n`` training
     donors' 0-based ``labels``; every cluster when none does."""
     counts = np.bincount(labels, minlength=config.k)
-    active = counts >= max(config.min_cluster_count, MIN_CLUSTER_FRAC * len(labels))
+    active = counts >= max(MIN_CLUSTER_COUNT, MIN_CLUSTER_FRAC * len(labels))
     return active if active.any() else np.ones(config.k, dtype=bool)
 
 
@@ -574,24 +576,26 @@ def train_joint(recipients: np.ndarray, donors: np.ndarray, outcomes: np.ndarray
     refines the donor map (``_dec_epochs``) and hands each epoch's labels to
     ``fit_phi_heads``, which steps Phi and the heads over the same
     minibatches. Returns (model, log), log holding one dict of the
-    ``LOG_FIELDS`` per joint epoch: the epoch-mean loss terms and whether
-    DEC refined the map.
+    ``LOG_FIELDS`` per joint epoch: the epoch-mean loss terms, whether DEC
+    refined the map, its label churn and its cluster counts joined by ";".
     """
     clusterer, decoder = pretrain_autoencoder(donors, config)
     phi, predictor, phi_opt = init_phi_heads(recipients.shape[1], outcomes, config, "matchrep")
-    dec_log = []  # (L_DEC, refined) of each epoch
+    dec_log = []  # (L_DEC, refined, churn, counts) of each epoch
 
     def epoch_labels():
-        for labels, l_dec, refined in _dec_epochs(clusterer, decoder, donors, config,
-                                                  "matchrep/joint-batches"):
-            dec_log.append((l_dec, refined))
+        for labels, *dec in _dec_epochs(clusterer, decoder, donors, config,
+                                        "matchrep/joint-batches"):
+            dec_log.append(dec)
             yield labels
 
     phi_log = fit_phi_heads(phi, predictor, phi_opt, recipients, outcomes, epoch_labels(),
                             config.beta, config, "matchrep/joint-batches")
     n = len(outcomes)
-    log = [dict(zip(LOG_FIELDS, (epoch, l_f / n, l_dec / n, l_rep / n, refined)))
-           for epoch, ((l_f, l_rep), (l_dec, refined)) in enumerate(zip(phi_log, dec_log))]
+    log = [dict(zip(LOG_FIELDS, (epoch, l_f / n, l_dec / n, l_rep / n, refined, churn,
+                                 ";".join(map(str, counts)))))
+           for epoch, ((l_f, l_rep), (l_dec, refined, churn, counts))
+           in enumerate(zip(phi_log, dec_log))]
     active = active_clusters(np.argmax(clusterer.scores(donors), axis=1), config)
     return MatchRepModel(name=JOINT, config=config, clusterer=clusterer, phi=phi,
                          predictor=predictor, active=active), log
@@ -605,8 +609,8 @@ def train_dec_standalone(donors: np.ndarray, config: TrainConfig) -> DonorCluste
     refinement schedule. Returns the trained ``dec`` DonorClusterer.
     """
     clusterer, decoder = pretrain_autoencoder(donors, config)
-    for _, _, refined in _dec_epochs(clusterer, decoder, donors, config,
-                                     "matchrep/dec-standalone-batches"):
+    for _, _, refined, _, _ in _dec_epochs(clusterer, decoder, donors, config,
+                                           "matchrep/dec-standalone-batches"):
         if not refined:
             break
     return clusterer
@@ -670,7 +674,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v12"
+MODEL_FORMAT = "organmatch-model-v13"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a model file may hold, by name; baselines adds the pair regressor's.
 MODEL_TYPES = {t.__name__: t for t in (Layer, DenseNet, TrainConfig, DonorClusterer,

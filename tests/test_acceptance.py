@@ -360,12 +360,13 @@ def test_criterion_7_factual_error(seeded_runs, capfd):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_reproducibility(tmp_path, capfd):
+def test_criterion_8_reproducibility(tmp_path, capfd, monkeypatch):
+    for name, value in (("HIDDEN", 16), ("REP_DIM", 6), ("EMBED_DIM", 6),
+                        ("MIN_CLUSTER_COUNT", 4)):
+        monkeypatch.setattr(matchrep, name, value)
     train_config = tmp_path / "train.json"
     train_config.write_text(json.dumps({
-        "k": 3, "hidden": 16, "rep_dim": 6, "embed_dim": 6,
-        "pretrain_epochs": 10, "joint_epochs": 20, "batch_size": 64,
-        "min_cluster_count": 4, "seed": 0,
+        "k": 3, "pretrain_epochs": 10, "joint_epochs": 20, "batch_size": 64, "seed": 0,
     }))
 
     def pipeline(tag: str) -> dict[str, bytes]:

@@ -510,16 +510,15 @@ def test_no_donor_arrival_leaves_every_recipient_waiting():
         assert [row.fate for row in report.ledger] == ["waiting"] * 12
 
 
-def test_all_policies_run_with_model_guidance():
+def test_all_policies_run_with_model_guidance(small_nets):
     from organmatch.matchrep import TrainConfig, train_joint
 
     rng = rng_stream(11, "sim-model")
     n = 120
     ds = _oracle_dataset(n=n, seed=6)
     model, _ = train_joint(ds.recipients, ds.donors, ds.outcomes,
-                           TrainConfig(k=2, hidden=8, rep_dim=4, embed_dim=4,
-                                       pretrain_epochs=5, joint_epochs=10,
-                                       batch_size=32, min_cluster_count=4))
+                           TrainConfig(k=2, pretrain_epochs=5, joint_epochs=10,
+                                       batch_size=32))
     scorer, guide = model_scorer_and_guide(model, ds)
     # the one-call wrappers, which the benchmark still calls, score and guide the same
     ids, one_scorer, one_guide = np.arange(n), model_scorer(model, ds), model_guide(model, ds)

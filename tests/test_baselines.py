@@ -2,12 +2,14 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netsize import SMALL_NETS, matchrep_constants
 from organmatch import matchrep, metrics, numkit
 from organmatch.baselines import (
     PAIR_KINDS,
@@ -44,8 +46,8 @@ def _two_mode_data(n=160, seed=0):
     return recipients, donors, outcomes, mode
 
 
-SMALL = TrainConfig(k=2, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
-                    joint_epochs=15, batch_size=32, min_cluster_count=4)
+# trained with the SMALL_NETS networks (the small_nets fixture)
+SMALL = TrainConfig(k=2, pretrain_epochs=8, joint_epochs=15, batch_size=32)
 
 
 def _assert_widths_checked(model, path, d_r, d_o, wrong):
@@ -89,7 +91,7 @@ def test_spec_from_name_rejects_malformed_and_linear_rep_names(name):
 
 
 @pytest.mark.parametrize("kind", CLUSTERERS)
-def test_clusterers_separate_two_modes(kind):
+def test_clusterers_separate_two_modes(small_nets, kind):
     recipients, donors, outcomes, mode = _two_mode_data()
     spec = BaselineSpec(clusterer=kind, predictor="linear-per-head", train=SMALL)
     model = fit_cluster_predictor(recipients, donors, outcomes, spec)
@@ -199,11 +201,10 @@ def test_clusterer_refuses_fields_of_another_kind_or_width(case):
 
 
 @pytest.mark.parametrize("predictor", PREDICTORS)
-def test_cluster_predictor_learns_mode_offset(predictor):
+def test_cluster_predictor_learns_mode_offset(small_nets, predictor):
     recipients, donors, outcomes, mode = _two_mode_data()
     train = SMALL if predictor == "linear-per-head" else \
-        TrainConfig(k=2, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
-                    joint_epochs=80, batch_size=32, min_cluster_count=4)
+        replace(SMALL, joint_epochs=80)
     spec = BaselineSpec(clusterer="kmeans", predictor=predictor, train=train)
     model = fit_cluster_predictor(recipients, donors, outcomes, spec)
     labels = model.donor_labels(donors)
@@ -214,7 +215,7 @@ def test_cluster_predictor_learns_mode_offset(predictor):
     assert mse < 0.2 * base  # clearly better than predicting the mean
 
 
-def test_linear_per_head_is_exact_on_noiseless_linear_data():
+def test_linear_per_head_is_exact_on_noiseless_linear_data(small_nets):
     rng = rng_stream(1, "exact")
     recipients = rng.normal(size=(100, 2))
     donors = np.concatenate([rng.normal(-3, 0.2, size=(50, 1)),
@@ -229,7 +230,7 @@ def test_linear_per_head_is_exact_on_noiseless_linear_data():
     np.testing.assert_allclose(factual, outcomes, atol=0.5)
 
 
-def test_with_rep_changes_nn_predictions():
+def test_with_rep_changes_nn_predictions(small_nets):
     recipients, donors, outcomes, _ = _two_mode_data()
     base = BaselineSpec(clusterer="kmeans", predictor="multihead-nn",
                         with_rep=False, train=SMALL)
@@ -241,7 +242,7 @@ def test_with_rep_changes_nn_predictions():
                            b.predict_potentials(recipients))
 
 
-def test_nn_heads_evaluate_rep_loss_only_with_rep(monkeypatch):
+def test_nn_heads_evaluate_rep_loss_only_with_rep(small_nets, monkeypatch):
     recipients, donors, outcomes, _ = _two_mode_data()
     calls = []
     rep_loss = matchrep.rep_loss_and_grads
@@ -261,14 +262,13 @@ def test_nn_heads_evaluate_rep_loss_only_with_rep(monkeypatch):
     assert counts[0] == 0 and counts[1] > 0
 
 
-def test_cluster_predictor_masks_a_cluster_below_the_size_threshold():
+def test_cluster_predictor_masks_a_cluster_below_the_size_threshold(small_nets):
     # two far outliers take the third k-means cluster; its head is fit on
-    # 2 donors, below min_cluster_count, so it is no donor's type and no
+    # 2 donors, below MIN_CLUSTER_COUNT, so it is no donor's type and no
     # row's best type
     recipients, donors, outcomes, _ = _two_mode_data()
     donors[:2] = [[40.0, 40.0], [41.0, 40.0]]
-    train = TrainConfig(k=3, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=8,
-                        joint_epochs=15, batch_size=32, min_cluster_count=4)
+    train = replace(SMALL, k=3)
     spec = BaselineSpec(clusterer="kmeans", predictor="linear-per-head", train=train)
     model = fit_cluster_predictor(recipients, donors, outcomes, spec)
     labels = np.argmax(model.clusterer.scores(donors), axis=1)  # the training labels
@@ -304,7 +304,7 @@ def test_a_linear_head_predicts_x_at_w_plus_b_bit_for_bit(rows):
     assert preds[:, 1].tobytes() == np.full(rows, float(outcomes.mean())).tobytes()
 
 
-def test_cluster_predictor_deterministic():
+def test_cluster_predictor_deterministic(small_nets):
     recipients, donors, outcomes, _ = _two_mode_data()
     spec = BaselineSpec(clusterer="em", predictor="multihead-nn", train=SMALL)
     a = fit_cluster_predictor(recipients, donors, outcomes, spec)
@@ -314,7 +314,7 @@ def test_cluster_predictor_deterministic():
 
 
 @pytest.mark.parametrize("kind", ["kmeans", "em"])
-def test_cluster_predictor_round_trip(tmp_path, kind):
+def test_cluster_predictor_round_trip(small_nets, tmp_path, kind):
     recipients, donors, outcomes, _ = _two_mode_data()
     for predictor in PREDICTORS:
         spec = BaselineSpec(clusterer=kind, predictor=predictor, train=SMALL)
@@ -329,7 +329,7 @@ def test_cluster_predictor_round_trip(tmp_path, kind):
         _assert_widths_checked(again, path, 3, 2, wrong=[(4, 2), (3, 1)])
 
 
-def test_em_baseline_round_trip_keeps_its_arrays_bit_for_bit(tmp_path):
+def test_em_baseline_round_trip_keeps_its_arrays_bit_for_bit(small_nets, tmp_path):
     recipients, donors, outcomes, _ = _two_mode_data()
     spec = BaselineSpec(clusterer="em", predictor="linear-per-head", train=SMALL)
     model = fit_cluster_predictor(recipients, donors, outcomes, spec)
@@ -340,7 +340,7 @@ def test_em_baseline_round_trip_keeps_its_arrays_bit_for_bit(tmp_path):
         assert saved.shape == loaded.shape and saved.tobytes() == loaded.tobytes()
 
 
-def test_dec_cluster_predictor_round_trip(tmp_path):
+def test_dec_cluster_predictor_round_trip(small_nets, tmp_path):
     recipients, donors, outcomes, _ = _two_mode_data(n=120)
     for predictor, with_rep in (("linear-per-head", False), ("multihead-nn", True)):
         spec = BaselineSpec(clusterer="dec", predictor=predictor, with_rep=with_rep,
@@ -426,9 +426,10 @@ def test_reg_nn_beats_mean_predictor():
 
 
 @pytest.mark.parametrize("hidden", [8, 32])
-def test_reg_nn_is_built_at_the_config_width(hidden):
+def test_reg_nn_is_built_at_the_config_width(monkeypatch, hidden):
+    monkeypatch.setattr(matchrep, "HIDDEN", hidden)
     recipients, donors, outcomes, _ = _linear_pairs(n=60)
-    config = TrainConfig(hidden=hidden, joint_epochs=1)
+    config = TrainConfig(joint_epochs=1)
     model = fit_pair_regressor(recipients, donors, outcomes, "reg-nn", config=config)
     assert [layer.weight.shape for layer in model.predictor.heads[0].layers] == [
         (5, hidden), (hidden, hidden), (hidden, 1)]
@@ -482,10 +483,10 @@ CLUSTER_SPECS = ("kmeans/multihead-nn", "em/multihead-nn", "kmeans/linear-per-he
 def test_every_model_kind_predicts_alike_after_save_and_load(kind, seed, n, k, with_rep):
     recipients, donors, outcomes, _ = _two_mode_data(n=n, seed=seed)
     new_r, new_o, _, _ = _two_mode_data(n=50, seed=seed + 1)
-    config = TrainConfig(k=k, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=2,
-                         joint_epochs=2, batch_size=32, min_cluster_count=4, seed=seed)
+    config = TrainConfig(k=k, pretrain_epochs=2, joint_epochs=2, batch_size=32, seed=seed)
     name = f"{kind}+rep" if with_rep and kind.endswith("/multihead-nn") else kind
-    model, _ = fit_model(name, _dataset(recipients, donors, outcomes), config)
+    with matchrep_constants(**SMALL_NETS):
+        model, _ = fit_model(name, _dataset(recipients, donors, outcomes), config)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "model.json"), Path(tmp, "again.json")
         matchrep.save_model(model, first)
@@ -523,14 +524,13 @@ def _float_arrays(node, path="model"):
 
 
 @pytest.mark.parametrize("kind", (matchrep.JOINT,) + CLUSTER_SPECS + ("kmeans/multihead-nn+rep",))
-def test_a_model_file_holds_only_what_inference_reads(tmp_path, kind):
+def test_a_model_file_holds_only_what_inference_reads(small_nets, tmp_path, kind):
     """Adding 1.0 to any one float array of a saved cluster model changes
     ``predict_types``' predictions or labels, so no training state is saved."""
     rng = rng_stream(5, "inference-state")
     recipients, donors = rng.normal(size=(300, 3)), rng.normal(size=(300, 2))
     outcomes = 300.0 + 80.0 * recipients[:, 0] + 50.0 * donors[:, 0] + rng.normal(0, 5, size=300)
-    config = TrainConfig(k=3, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=2,
-                         joint_epochs=2, batch_size=32, min_cluster_count=4, seed=5)
+    config = TrainConfig(k=3, pretrain_epochs=2, joint_epochs=2, batch_size=32, seed=5)
     model, _ = fit_model(kind, _dataset(recipients, donors, outcomes), config)
     assert model.active.sum() >= 2  # so that the labels can move
     path, edited = tmp_path / "model.json", tmp_path / "edited.json"

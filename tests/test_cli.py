@@ -11,14 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netsize import SMALL_NETS, matchrep_constants
 from organmatch import allocsim, baselines, cli, datamodel, matchrep, numkit, synthgen
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
-TRAIN_CONFIG = {
-    "k": 3, "hidden": 8, "rep_dim": 4, "embed_dim": 4,
-    "pretrain_epochs": 5, "joint_epochs": 8, "batch_size": 32,
-    "min_cluster_count": 4, "seed": 0,
-}
+# every model this module trains has the SMALL_NETS networks
+TRAIN_CONFIG = {"k": 3, "pretrain_epochs": 5, "joint_epochs": 8, "batch_size": 32, "seed": 0}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_nets_throughout():
+    with matchrep_constants(**SMALL_NETS):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +121,7 @@ def test_training_log_is_the_log_of_train_joint(workdir, data_dir, models_dir):
     train = datamodel.normalize_fit_transform(dataset, indices).subset(indices.train)
     _, log = matchrep.train_joint(train.recipients, train.donors, train.outcomes, config)
     assert len(log) == TRAIN_CONFIG["joint_epochs"]
-    header = ["epoch", "L_f", "L_DEC", "L_Phi", "dec_active"]
+    header = ["epoch", "L_f", "L_DEC", "L_Phi", "dec_active", "label_churn", "cluster_counts"]
     with open(workdir / "log_reference.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *([row[name] for name in header] for row in log)])
     assert ((models_dir / "training_log.csv").read_bytes()
@@ -167,7 +171,7 @@ def test_train_malformed_or_linear_rep_baseline_is_config_error(workdir, data_di
 
 
 CONFIG_CLASSES = [(synthgen.SyntheticConfig, {"match_table": [[0.5, 0.5, 0.5], [0.1, 0.7, 0.2]]}),
-                  (matchrep.TrainConfig, {"alpha": -1.0}),
+                  (matchrep.TrainConfig, {"beta": -1.0}),
                   (allocsim.SimConfig, {"donor_fraction": 1.5}),
                   (baselines.BaselineSpec, {"clusterer": "spectral"})]
 
@@ -212,12 +216,19 @@ def test_train_bad_pair_kind_is_config_error(workdir, data_dir):
     ("train", "--config", {"kl_direction": "conditional-to-marginal"}),
     ("train", "--config", {"target_update_interval": 1}),
     ("train", "--config", {"dec_exponent": -0.5}),
-    ("train", "--config", {"dec_lr": 0.5}),  # folded into alpha
+    ("train", "--config", {"dec_lr": 0.5}),  # folded into alpha, now DEC_STEP
     # the DEC schedule's tuning values, now matchrep constants
     ("train", "--config", {"min_cluster_frac": 0.01}),
     ("train", "--config", {"embed_decay": 0.004}),
     ("train", "--config", {"dec_min_epochs": 5}),
     ("train", "--config", {"dec_stop_tol": 0.005}),
+    # the network sizes and steps, now matchrep constants
+    ("train", "--config", {"learning_rate": 1e-3}),
+    ("train", "--config", {"alpha": 0.1}),
+    ("train", "--config", {"hidden": 32}),
+    ("train", "--config", {"rep_dim": 8}),
+    ("train", "--config", {"embed_dim": 8}),
+    ("train", "--config", {"min_cluster_count": 8}),
 ])
 def test_config_with_unknown_field_is_config_error(workdir, data_dir, command, flag, body):
     path = workdir / "odd_config.json"
@@ -259,7 +270,8 @@ def test_train_invalid_config_value_is_config_error(workdir, data_dir, body):
                          ids=lambda body: "{}={}".format(*next(iter(body.items()))))
 def test_train_non_finite_or_out_of_range_config_is_config_error(workdir, data_dir, body,
                                                                  capsys):
-    # json writes NaN and Infinity, and reads them back
+    # json writes NaN and Infinity, and reads them back; alpha, learning_rate
+    # and min_cluster_count are no config fields, so those are refused by name
     path = workdir / "out_of_range_config.json"
     path.write_text(json.dumps({**TRAIN_CONFIG, "pretrain_epochs": 1, "joint_epochs": 1, **body}))
     out = workdir / "out_of_range"
@@ -283,6 +295,21 @@ def test_train_name_listed_twice_is_config_error(workdir, data_dir, baselines, p
                  "--baselines", baselines, "--pair-regressors", pair_regressors,
                  "--out", str(out)]) == EXIT_CONFIG
     assert "listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, names", [
+    ("train", "--baselines", ","),
+    ("train", "--pair-regressors", "ridge,"),
+    ("simulate", "--policies", ","),
+    ("simulate", "--policies", "fcfs,,real"),
+])
+def test_empty_name_entry_is_config_error(workdir, data_dir, command, flag, names, capsys):
+    out = workdir / "empty_entry"
+    assert main([command, "--data", str(data_dir), flag, names,
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "an entry is empty" in err and "listed twice" not in err
     assert not out.exists()
 
 
@@ -425,7 +452,7 @@ BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
                    "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file",
                    "bool-weight", "bool-centers", "v9-file", "v10-file", "decoder-field",
-                   "v11-file", "embed-decay-field")
+                   "v11-file", "embed-decay-field", "v12-file", "hidden-field")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -437,6 +464,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     nan_norm, zero_scale = json.loads(text), json.loads(text)
     bool_weight, bool_centers = json.loads(text), json.loads(text)
     with_decoder, with_embed_decay = json.loads(text), json.loads(text)
+    with_hidden = json.loads(text)
     del no_phi["model"]["phi"]
     no_norm["normalization"] = None
     int_encoder["model"]["phi"] = 5
@@ -459,8 +487,10 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
     # the DEC decoder is training state, which a model file no longer holds
     clusterer = with_decoder["model"]["clusterer"]
     clusterer["decoder"] = clusterer["encoder"]
-    # a v12 TrainConfig with a field of the v11 one, now a matchrep constant
+    # a TrainConfig with a field of the v11 one, now a matchrep constant
     with_embed_decay["model"]["config"]["embed_decay"] = 0.004
+    # a v13 TrainConfig with a field of the v12 one, now a matchrep constant
+    with_hidden["model"]["config"]["hidden"] = 32
     return {"wrong-format": '{"format": "other"}',
             "previous-format": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v3"),
             "truncated": text[:len(text) // 2],
@@ -484,6 +514,8 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "decoder-field": json.dumps(with_decoder),
             "v11-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v11"),
             "embed-decay-field": json.dumps(with_embed_decay),
+            "v12-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v12"),
+            "hidden-field": json.dumps(with_hidden),
             "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),

@@ -22,14 +22,12 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netsize import SMALL_NETS, matchrep_constants
 from organmatch import allocsim, synthgen
 from organmatch.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
-TRAIN_CONFIG = {
-    "k": 3, "hidden": 8, "rep_dim": 4, "embed_dim": 4,
-    "pretrain_epochs": 5, "joint_epochs": 8, "batch_size": 32,
-    "min_cluster_count": 4, "seed": 0,
-}
+# trained with the SMALL_NETS networks
+TRAIN_CONFIG = {"k": 3, "pretrain_epochs": 5, "joint_epochs": 8, "batch_size": 32, "seed": 0}
 CELL_VALUES = ("text", "", "nan", "inf")
 JSON_VALUES = ("text", "", math.nan, math.inf)
 OUT_OF_RANGE_INTS = (999, -1)
@@ -46,9 +44,11 @@ def base(tmp_path_factory):
     assert main(["gen", "--n", "60", "--seed", "0", "--out", str(data)]) == EXIT_OK
     config = root / "train.json"
     config.write_text(json.dumps(TRAIN_CONFIG))
-    assert main(["train", "--data", str(data), "--config", str(config),
-                 "--baselines", "kmeans/linear-per-head", "--pair-regressors", "ridge,reg-tree",
-                 "--out", str(root / "models")]) == EXIT_OK
+    with matchrep_constants(**SMALL_NETS):
+        assert main(["train", "--data", str(data), "--config", str(config),
+                     "--baselines", "kmeans/linear-per-head",
+                     "--pair-regressors", "ridge,reg-tree",
+                     "--out", str(root / "models")]) == EXIT_OK
     (root / "sim.json").write_text(json.dumps(asdict(allocsim.SimConfig())))
     (root / "synth.json").write_text(json.dumps(asdict(synthgen.paper_preset())))
     return root

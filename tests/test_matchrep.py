@@ -231,8 +231,7 @@ def test_rep_loss_gradients_match_finite_differences():
 def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
     # tanh activations keep the loss smooth so finite differences are exact
     h = hidden
-    config = TrainConfig(k=k, rep_dim=3, embed_dim=3, hidden=h, seed=seed,
-                         pretrain_epochs=2, joint_epochs=2)
+    config = TrainConfig(k=k, seed=seed, pretrain_epochs=2, joint_epochs=2)
     enc = init_dense_net([d_o, h, h, 3], ["tanh", "tanh", "identity"],
                          rng_stream(seed, "t-enc"))
     phi = init_dense_net([d_r, h, h, 3], ["tanh", "tanh", "identity"],
@@ -349,7 +348,8 @@ def test_dec_refine_loss_is_the_batch_dec_loss():
 
 @pytest.mark.parametrize("beta, with_phi", [(0.0, True), (1.0, True), (0.0, False)],
                          ids=["0.0", "1.0", "phi-less"])
-def test_phi_heads_loss_gradients_match_finite_differences(beta, with_phi):
+def test_phi_heads_loss_gradients_match_finite_differences(monkeypatch, beta, with_phi):
+    monkeypatch.setattr(matchrep, "MIN_CLUSTER_COUNT", 2)
     model = _tiny_model()
     rng = rng_stream(10, "phi-heads-fd")
     recipients = rng.normal(size=(16, 3))
@@ -364,7 +364,7 @@ def test_phi_heads_loss_gradients_match_finite_differences(beta, with_phi):
     def fn(params):
         _set_params(live, params)
         l_f, l_rep, grads = phi_heads_loss_and_grads(phi, predictor, recipients, outcomes,
-                                                     labels, beta, k=k, min_cluster_count=2)
+                                                     labels, beta, k=k)
         assert (l_rep == 0.0) == (beta == 0.0)
         return l_f + beta * l_rep, grads
 
@@ -388,27 +388,45 @@ def _training_data(n=120, seed=20):
     return recipients, donors, outcomes
 
 
-SMALL = dict(k=2, hidden=8, rep_dim=4, embed_dim=4, pretrain_epochs=10,
-             joint_epochs=15, batch_size=32, min_cluster_count=4)
+# trained with the SMALL_NETS networks (the small_nets fixture)
+SMALL = dict(k=2, pretrain_epochs=10, joint_epochs=15, batch_size=32)
 
 
-def test_train_joint_runs_and_logs():
+def test_train_joint_runs_and_logs(small_nets):
     recipients, donors, outcomes = _training_data()
     model, log = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     assert len(log) == 15
     # the loss terms, and no sum of them: alpha is the DEC step size, not a loss weight
-    assert all(list(row) == ["epoch", "L_f", "L_DEC", "L_Phi", "dec_active"] for row in log)
+    assert all(list(row) == ["epoch", "L_f", "L_DEC", "L_Phi", "dec_active", "label_churn",
+                             "cluster_counts"] for row in log)
     # factual loss should drop over training
     assert log[-1]["L_f"] < 0.8 * log[0]["L_f"]
 
 
-def test_train_joint_skips_rep_loss_at_zero_beta():
+def test_train_joint_logs_label_churn_and_cluster_counts(small_nets):
+    recipients, donors, outcomes = _training_data()
+    config = TrainConfig(**SMALL)
+    model, log = train_joint(recipients, donors, outcomes, config)
+    refined = [row for row in log if row["dec_active"]]
+    assert matchrep.DEC_MIN_EPOCHS <= len(refined) < len(log)  # refinement stopped early
+    assert refined[-1]["label_churn"] < matchrep.DEC_STOP_TOL
+    for row in log:
+        counts = [int(count) for count in row["cluster_counts"].split(";")]
+        assert len(counts) == config.k and sum(counts) == len(donors)
+    # a frozen epoch changes no label; its counts are those of the final map
+    final = np.bincount(np.argmax(model.clusterer.scores(donors), axis=1), minlength=config.k)
+    assert {(row["label_churn"], row["cluster_counts"]) for row in log[len(refined):]} == {
+        (0.0, ";".join(map(str, final)))}
+    assert repr(train_joint(recipients, donors, outcomes, config)[1]) == repr(log)
+
+
+def test_train_joint_skips_rep_loss_at_zero_beta(small_nets):
     recipients, donors, outcomes = _training_data()
     _, log = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL, beta=0.0))
     assert [row["L_Phi"] for row in log] == [0.0] * len(log)
 
 
-def test_a_trained_dec_map_owns_its_parameters():
+def test_a_trained_dec_map_owns_its_parameters(small_nets):
     # refinement steps the encoder in one buffer with the decoder; the map
     # that training returns holds its own parameters and no more
     recipients, donors, outcomes = _training_data()
@@ -436,7 +454,7 @@ def _pretrained_autoencoders(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("batch_size", [32, 128])
-def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
+def test_train_joint_frozen_donor_map_is_computed_once(small_nets, monkeypatch, batch_size):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**{**SMALL, "batch_size": batch_size})
     monkeypatch.setattr(matchrep, "DEC_MIN_EPOCHS", 3)  # with the next, stops after epoch 2
@@ -466,10 +484,10 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
 
     def dec_epochs(*args):
         # the calls so far when each epoch's labels are handed over: the
-        # donor side of the epoch is done, its end-of-epoch check is not
-        for labels, l_dec, refined in real_epochs(*args):
+        # donor side of the epoch is done, its full-pass label check too
+        for labels, l_dec, refined, *rest in real_epochs(*args):
             epochs.append((refined, dict(calls)))
-            yield labels, l_dec, refined
+            yield labels, l_dec, refined, *rest
 
     monkeypatch.setattr(matchrep, "dec_loss_and_grads", dec)
     for name in real_forwards:
@@ -482,15 +500,14 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
     n, n_batches = len(outcomes), -(-len(outcomes) // config.batch_size)
     assert [row["dec_active"] for row in log] == [refined for refined, _ in epochs]
     assert [refined for refined, _ in epochs] == [True] * 3 + [False] * 12
-    last_refined, frozen_start = epochs[2][1], epochs[3][1]
+    last_refined = epochs[2][1]
     assert last_refined["L_DEC"] == 3 * n_batches
     assert epochs[-1][1]["L_DEC"] == last_refined["L_DEC"]
-    # the first frozen epoch encodes the donors only in the last refining
-    # epoch's label check, one pass, whose soft assignment it reuses; no
-    # frozen epoch encodes any batch, and the active mask is one more pass
-    assert frozen_start["encoder"] - last_refined["encoder"] == 1
-    assert epochs[-1][1]["encoder"] == frozen_start["encoder"]
-    assert calls["encoder"] == frozen_start["encoder"] + 1
+    # the frozen epochs reuse the soft assignment of the last refining
+    # epoch's label check; no frozen epoch encodes any donor, and the active
+    # mask is one more pass
+    assert epochs[-1][1]["encoder"] == last_refined["encoder"]
+    assert calls["encoder"] == last_refined["encoder"] + 1
     # refinement's reconstruction anchor trains the autoencoder in one buffer
     # of its own, which the model's encoder leaves once refinement is over
     assert len(anchors) == 1
@@ -516,7 +533,7 @@ def test_train_joint_frozen_donor_map_is_computed_once(monkeypatch, batch_size):
         assert row["L_DEC"] == pytest.approx(donor_mean, rel=1e-12)
 
 
-def test_dec_refinement_anchor_divergence_names_dec_refinement():
+def test_dec_refinement_anchor_divergence_names_dec_refinement(small_nets):
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
     clusterer, decoder = pretrain_autoencoder(donors, config)
@@ -526,7 +543,7 @@ def test_dec_refinement_anchor_divergence_names_dec_refinement():
         next(matchrep._dec_epochs(clusterer, decoder, donors, config, "matchrep/joint-batches"))
 
 
-def test_recipients_never_reach_the_donor_map(monkeypatch):
+def test_recipients_never_reach_the_donor_map(small_nets, monkeypatch):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**SMALL)
     order = rng_stream(1, "shuffle-recipients").permutation(len(outcomes))
@@ -579,21 +596,22 @@ def test_preset_donor_maps_keep_two_clusters(seed, kind):
 
 
 @pytest.mark.parametrize("counts, frac, want", [
-    ([50, 3, 47], 0.01, [True, False, True]),  # below min_cluster_count (4)
+    ([50, 3, 47], 0.01, [True, False, True]),  # below MIN_CLUSTER_COUNT (4)
     ([90, 5, 5], 0.06, [True, False, False]),  # below MIN_CLUSTER_FRAC * n (6)
     ([0, 100, 0], 0.01, [False, True, False]),  # empty clusters
     ([2, 1, 1], 0.01, [True, True, True]),  # none passes: every cluster is active
 ])
 def test_active_clusters_threshold(monkeypatch, counts, frac, want):
     labels = np.repeat(np.arange(3), counts)
-    config = TrainConfig(k=3, min_cluster_count=4)
+    config = TrainConfig(k=3)
+    monkeypatch.setattr(matchrep, "MIN_CLUSTER_COUNT", 4)
     monkeypatch.setattr(matchrep, "MIN_CLUSTER_FRAC", frac)
     active = matchrep.active_clusters(labels, config)
     assert active.dtype == bool
     np.testing.assert_array_equal(active, want)
 
 
-def test_train_joint_active_mask_is_the_rule_of_its_labels():
+def test_train_joint_active_mask_is_the_rule_of_its_labels(small_nets):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**SMALL)
     model, _ = train_joint(recipients, donors, outcomes, config)
@@ -631,7 +649,7 @@ def test_model_refuses_parts_that_do_not_fit_its_k(edit):
         MatchRepModel(**{**parts, **edit(model)})
 
 
-def test_train_joint_deterministic():
+def test_train_joint_deterministic(small_nets):
     recipients, donors, outcomes = _training_data()
     a, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     b, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
@@ -640,7 +658,7 @@ def test_train_joint_deterministic():
     np.testing.assert_array_equal(a.clusterer.centers, b.clusterer.centers)
 
 
-def test_donor_type_separates_two_modes():
+def test_donor_type_separates_two_modes(small_nets):
     recipients, donors, outcomes = _training_data()
     model, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     labels, t = donor_type_batch(model, donors)
@@ -717,7 +735,7 @@ def test_blocked_inference_equals_one_pass(rows):
     np.testing.assert_array_equal(got_labels, labels)
 
 
-def test_train_joint_prunes_tiny_cluster(monkeypatch):
+def test_train_joint_prunes_tiny_cluster(small_nets, monkeypatch):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**{**SMALL, "k": 3})
     monkeypatch.setattr(matchrep, "MIN_CLUSTER_FRAC", 0.05)
@@ -727,7 +745,7 @@ def test_train_joint_prunes_tiny_cluster(monkeypatch):
         assert set(labels.tolist()) <= set(np.nonzero(model.active)[0].tolist())
 
 
-def test_pretrain_autoencoder_reduces_reconstruction_error():
+def test_pretrain_autoencoder_reduces_reconstruction_error(small_nets):
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
     pretrained, untrained = (pretrain_autoencoder(donors, replace(config, pretrain_epochs=e))
@@ -736,7 +754,7 @@ def test_pretrain_autoencoder_reduces_reconstruction_error():
             < recon_loss_and_grads(untrained[0].encoder, untrained[1], donors)[0])
 
 
-def test_init_centers_shape():
+def test_init_centers_shape(small_nets):
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
     clusterer, _ = pretrain_autoencoder(donors, config)
@@ -751,11 +769,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(k=1)
     with pytest.raises(ValueError):
-        TrainConfig(alpha=-0.1)
+        TrainConfig(beta=-0.1)
     TrainConfig()  # defaults are valid
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip(small_nets, tmp_path):
     recipients, donors, outcomes = _training_data()
     model, _ = train_joint(recipients, donors, outcomes, TrainConfig(**SMALL))
     trained = [net.parameters() for net in (model.phi, *model.predictor.heads)]
@@ -816,7 +834,7 @@ def _null_active(doc):
 
 
 def _invalid_config_value(doc):
-    doc["model"]["config"]["alpha"] = -1.0
+    doc["model"]["config"]["beta"] = -1.0
 
 
 def _string_config_field(doc):

@@ -9,6 +9,7 @@ runs a short allocation simulation.
 import numpy as np
 import pytest
 
+from netsize import matchrep_constants
 from organmatch import allocsim, baselines, datamodel, matchrep, metrics, synthgen
 from organmatch.numkit import rng_stream
 
@@ -69,11 +70,11 @@ def trained(dataset):
     indices = datamodel.split(dataset, seed=0)
     normed = datamodel.normalize_fit_transform(dataset, indices)
     train = normed.subset(indices.train)
-    config = matchrep.TrainConfig(k=3, hidden=16, rep_dim=6, embed_dim=6,
-                                  pretrain_epochs=15, joint_epochs=60,
-                                  batch_size=64, min_cluster_count=4, seed=0)
-    model, log = matchrep.train_joint(train.recipients, train.donors,
-                                      train.outcomes, config)
+    config = matchrep.TrainConfig(k=3, pretrain_epochs=15, joint_epochs=60, batch_size=64,
+                                  seed=0)
+    with matchrep_constants(HIDDEN=16, REP_DIM=6, EMBED_DIM=6, MIN_CLUSTER_COUNT=4):
+        model, log = matchrep.train_joint(train.recipients, train.donors,
+                                          train.outcomes, config)
     return model, log, normed, indices
 
 
@@ -99,13 +100,14 @@ def test_evaluation_report_on_validation(trained):
     assert 0.0 <= score <= 1.0
 
 
-def test_baseline_comparison_runs(trained):
+def test_baseline_comparison_runs(trained, monkeypatch):
     model, _, normed, indices = trained
     train = normed.subset(indices.train)
     val = normed.subset(indices.validation)
     spec = baselines.BaselineSpec(
         clusterer="kmeans", predictor="linear-per-head",
-        train=matchrep.TrainConfig(k=3, min_cluster_count=4, seed=0))
+        train=matchrep.TrainConfig(k=3, seed=0))
+    monkeypatch.setattr(matchrep, "MIN_CLUSTER_COUNT", 4)
     base = baselines.fit_cluster_predictor(train.recipients, train.donors,
                                            train.outcomes, spec)
     preds = base.predict_potentials(val.recipients)
