@@ -98,9 +98,9 @@ def _ridge_solve(x: np.ndarray, y: np.ndarray, penalty: float):
 
 
 def _linear_predictor(fits) -> MultiHeadPredictor:
-    """The heads ``x @ w + b`` of the (w, b) ``fits``, each one identity Layer."""
+    """The heads ``x @ w + b`` of the (w, b) ``fits``, each one Layer."""
     return MultiHeadPredictor(
-        heads=[DenseNet([Layer(w.reshape(-1, 1), np.array([b]), "identity")]) for w, b in fits],
+        heads=[DenseNet([Layer(w.reshape(-1, 1), np.array([b]))]) for w, b in fits],
         outcome_mean=0.0, outcome_scale=1.0)
 
 

@@ -142,6 +142,8 @@ class DonorClusterer:
                              f"and its centers of shape {shape}")
         if em and np.any(self.variances < numkit.VAR_FLOOR * (1 - 1e-12)):
             raise ValueError("an EM variance is below the floor")
+        if em and np.any(self.weights <= 0.0):  # its log-density would be NaN or -inf
+            raise ValueError("an EM weight is not positive")
 
     @property
     def input_dim(self) -> int:
@@ -214,6 +216,8 @@ class MatchRepModel:
                 or self.active.shape != (k,)):
             raise DimensionMismatchError(
                 f"the clusterer, heads or active mask do not fit {k} donor types")
+        if not self.active.any():
+            raise ValueError("no cluster is active, so no donor can be typed")
 
     def predict_potentials(self, recipients: np.ndarray) -> np.ndarray:
         """(n, K) matrix of predicted survival days, one column per donor type."""
@@ -447,9 +451,9 @@ def pretrain_autoencoder(donors: np.ndarray,
     d_o = donors.shape[1]
     if len(np.unique(donors, axis=0)) < config.k:
         raise numkit.InsufficientDataError("need at least K distinct donors")
-    encoder = init_dense_net([d_o, HIDDEN, HIDDEN, EMBED_DIM], ["relu", "relu", "identity"],
+    encoder = init_dense_net([d_o, HIDDEN, HIDDEN, EMBED_DIM],
                              rng_stream(config.seed, "matchrep", "enc-init"))
-    decoder = init_dense_net([EMBED_DIM, HIDDEN, HIDDEN, d_o], ["relu", "relu", "identity"],
+    decoder = init_dense_net([EMBED_DIM, HIDDEN, HIDDEN, d_o],
                              rng_stream(config.seed, "matchrep", "dec-init"))
     opt = Adam([encoder, decoder], LEARNING_RATE, "autoencoder")
     rng = rng_stream(config.seed, "matchrep", "pretrain-batches")
@@ -519,8 +523,7 @@ def init_heads(width: int, n_heads: int, outcomes: np.ndarray,
     """``n_heads`` Glorot-initialised ``[width, HIDDEN, HIDDEN, 1]`` heads,
     drawn from ``rng`` in turn, predicting in units of the ``outcomes``'
     mean and standard deviation (at least one day)."""
-    heads = [init_dense_net([width, HIDDEN, HIDDEN, 1], ["relu", "relu", "identity"], rng)
-             for _ in range(n_heads)]
+    heads = [init_dense_net([width, HIDDEN, HIDDEN, 1], rng) for _ in range(n_heads)]
     return MultiHeadPredictor(heads=heads, outcome_mean=float(outcomes.mean()),
                               outcome_scale=float(max(outcomes.std(), 1.0)))
 
@@ -533,7 +536,7 @@ def init_phi_heads(d_r: int, outcomes: np.ndarray, config: TrainConfig,
     ``namespace`` names the RNG streams (``phi-init``/``heads-init``), so each
     caller keeps draws of its own.
     """
-    phi = init_dense_net([d_r, HIDDEN, HIDDEN, REP_DIM], ["relu", "relu", "identity"],
+    phi = init_dense_net([d_r, HIDDEN, HIDDEN, REP_DIM],
                          rng_stream(config.seed, namespace, "phi-init"))
     predictor = init_heads(REP_DIM, config.k, outcomes,
                            rng_stream(config.seed, namespace, "heads-init"))
@@ -674,7 +677,7 @@ def donor_type_batch(model: MatchRepModel, donors: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-MODEL_FORMAT = "organmatch-model-v13"
+MODEL_FORMAT = "organmatch-model-v14"
 _ARRAY_DTYPES = ("float64", "bool")
 # The dataclasses a model file may hold, by name; baselines adds the pair regressor's.
 MODEL_TYPES = {t.__name__: t for t in (Layer, DenseNet, TrainConfig, DonorClusterer,

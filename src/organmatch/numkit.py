@@ -78,29 +78,17 @@ def rng_stream(seed: int, *names) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Dense feed-forward networks
+# Dense feed-forward networks: ReLU on every layer but the last, which is
+# linear, so a one-layer net is a linear map
 # ---------------------------------------------------------------------------
-
-_ACTIVATIONS = ("relu", "tanh", "identity")
-
-
-def _act(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if name == "tanh":
-        return np.tanh(z, out=out)
-    return z
 
 
 @dataclass
 class Layer:
     weight: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray  # (fan_out,)
-    activation: str
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.weight.dtype != np.float64 or self.bias.dtype != np.float64:
             raise TypeError("a layer's weight and bias must be float64, "
                             f"not {self.weight.dtype} and {self.bias.dtype}")
@@ -130,36 +118,36 @@ class DenseNet:
         return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
 
-def init_dense_net(dims: list[int], activations: list[str], rng: np.random.Generator) -> DenseNet:
-    """Glorot-uniform initialisation: weights uniform in +-sqrt(6/(fan_in+fan_out))."""
-    if len(activations) != len(dims) - 1:
-        raise DimensionMismatchError("need one activation per layer")
+def init_dense_net(dims: list[int], rng: np.random.Generator) -> DenseNet:
+    """Glorot-uniform initialisation: weights uniform in +-sqrt(6/(fan_in+fan_out)),
+    biases zero."""
     layers = []
-    for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations):
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weight = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append(Layer(weight, np.zeros(fan_out), act))
+        layers.append(Layer(weight, np.zeros(fan_out)))
     return DenseNet(layers)
 
 
 def _forward(net: DenseNet, batch: np.ndarray, cache: list | None) -> np.ndarray:
-    """The one forward loop. With a ``cache`` list it appends each layer's
-    ``(a, z, a_next)``; without, the activation overwrites ``z``, so only the
-    current activation is kept. ``z = a @ W; z += b`` has the bits of
-    ``a @ W + b``."""
+    """The one forward loop: per layer ``z = a @ W; z += b``, which has the
+    bits of ``a @ W + b``, then ReLU in place but on the last layer. With a
+    ``cache`` list it appends each layer's input, then the output."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"batch has shape {batch.shape}, net expects (*, {net.input_dim})"
         )
     a = batch
-    for layer in net.layers:
-        z = a @ layer.weight
-        z += layer.bias
-        a_next = _act(layer.activation, z, out=None if cache is not None else z)
+    for i, layer in enumerate(net.layers):
         if cache is not None:
-            cache.append((a, z, a_next))
-        a = a_next
+            cache.append(a)
+        a = a @ layer.weight
+        a += layer.bias
+        if i < len(net.layers) - 1:
+            np.maximum(a, 0.0, out=a)
+    if cache is not None:
+        cache.append(a)
     return a
 
 
@@ -184,22 +172,20 @@ def mlp_backward(net: DenseNet, cache, upstream_grad: np.ndarray):
     ``net.parameters()``.
     """
     upstream_grad = np.asarray(upstream_grad, dtype=float)
-    if len(cache) != len(net.layers):
+    if len(cache) != len(net.layers) + 1:
         raise DimensionMismatchError("cache does not match net depth")
-    if upstream_grad.shape != cache[-1][2].shape:
+    if upstream_grad.shape != cache[-1].shape:
         raise DimensionMismatchError(
-            f"upstream grad shape {upstream_grad.shape} != output shape {cache[-1][2].shape}"
+            f"upstream grad shape {upstream_grad.shape} != output shape {cache[-1].shape}"
         )
     grads: list[np.ndarray] = []
     delta = upstream_grad
-    for layer, (a_in, z, a_out) in zip(reversed(net.layers), reversed(cache)):
-        if layer.activation == "relu":
-            delta = delta * (z > 0.0)
-        elif layer.activation == "tanh":
-            delta = delta * (1.0 - a_out * a_out)
+    for i in reversed(range(len(net.layers))):
         grads.append(delta.sum(axis=0))  # bias
-        grads.append(a_in.T @ delta)  # weight
-        delta = delta @ layer.weight.T
+        grads.append(cache[i].T @ delta)  # weight
+        delta = delta @ net.layers[i].weight.T
+        if i:  # back through the ReLU that gave this input: max(z, 0) > 0 exactly when z > 0
+            delta *= cache[i] > 0.0
     grads.reverse()
     return grads, delta
 

@@ -115,25 +115,21 @@ def test_criterion_1_kl_and_gradients(capfd):
         log_q = -0.5 * np.sum((x - mean_q) ** 2 / var_q + np.log(2 * np.pi * var_q), axis=1)
         max_gap = max(max_gap, abs(float(np.mean(log_p - log_q)) - analytic))
 
-    max_rel = 0.0
     fd_rng = rng_stream(1, "acceptance", "fd")
-    for activations in (["relu", "relu", "identity"], ["tanh", "tanh", "identity"]):
-        net = numkit.init_dense_net([5, 12, 12, 1], activations,
-                                    rng_stream(2, "acceptance", "net", activations[0]))
-        batch = fd_rng.normal(size=(16, 5))
-        target = fd_rng.normal(size=16)
+    net = numkit.init_dense_net([5, 12, 12, 1], rng_stream(2, "acceptance", "net", "relu"))
+    batch = fd_rng.normal(size=(16, 5))
+    target = fd_rng.normal(size=16)
 
-        def loss_and_grads(params, net=net, batch=batch, target=target):
-            for dst, src in zip(net.parameters(), params):
-                dst[:] = src
-            out, cache = numkit.mlp_forward(net, batch)
-            err = out[:, 0] - target
-            grads, _ = numkit.mlp_backward(net, cache, (2.0 / 16) * err[:, None])
-            return float(np.mean(err * err)), grads
+    def loss_and_grads(params):
+        for dst, src in zip(net.parameters(), params):
+            dst[:] = src
+        out, cache = numkit.mlp_forward(net, batch)
+        err = out[:, 0] - target
+        grads, _ = numkit.mlp_backward(net, cache, (2.0 / 16) * err[:, None])
+        return float(np.mean(err * err)), grads
 
-        report = finite_diff_check(
-            loss_and_grads, [p.copy() for p in net.parameters()], tol=1e-4)
-        max_rel = max(max_rel, report.max_rel_error)
+    max_rel = finite_diff_check(loss_and_grads, [p.copy() for p in net.parameters()],
+                                tol=1e-4).max_rel_error
 
     elapsed = time.time() - start
     ok = max_gap <= 1e-2 and max_rel <= 1e-4 and elapsed < 60.0

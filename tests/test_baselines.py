@@ -126,7 +126,7 @@ def _clusterer_of(kind, centers):
     if kind == "em":
         return DonorClusterer(kind=kind, centers=centers, weights=np.full(k, 1.0 / k),
                               variances=np.ones((k, d)))
-    identity = DenseNet([Layer(np.eye(d), np.zeros(d), "identity")])
+    identity = DenseNet([Layer(np.eye(d), np.zeros(d))])
     return DonorClusterer(kind=kind, centers=centers, encoder=identity)
 
 
@@ -160,16 +160,21 @@ def test_em_clusterer_checks_its_arrays_and_variance_floor():
 
 
 def _net(widths):
-    return DenseNet([Layer(np.zeros((a, b)), np.zeros(b), "identity")
-                     for a, b in zip(widths, widths[1:])])
+    return DenseNet([Layer(np.zeros((a, b)), np.zeros(b)) for a, b in zip(widths, widths[1:])])
 
 
-CLUSTERER_FIELDS = {  # case: (kind, fields); every one mixes kinds or misfits its centers
+# case: (kind, fields); every one mixes kinds, misfits its centers or cannot type a donor
+CLUSTERER_FIELDS = {
     "kmeans-with-encoder": ("kmeans", dict(encoder=_net([2, 2]))),
     "kmeans-with-weights": ("kmeans", dict(weights=np.full(3, 1 / 3))),
     "em-weights-length": ("em", dict(weights=np.full(2, 1 / 2), variances=np.ones((3, 2)))),
     "em-with-encoder": ("em", dict(weights=np.full(3, 1 / 3), variances=np.ones((3, 2)),
                                    encoder=_net([5, 2]))),
+    # a NaN log(weight) column, where argmax types every donor
+    "em-negative-weight": ("em", dict(weights=np.array([0.75, -0.25, 0.5]),
+                                      variances=np.ones((3, 2)))),
+    # every score -inf, so argmax types every donor 0
+    "em-zero-weights": ("em", dict(weights=np.zeros(3), variances=np.ones((3, 2)))),
     "dec-without-encoder": ("dec", {}),
     "dec-centers-width": ("dec", dict(encoder=_net([5, 4]))),
     "unknown-kind": ("spectral", {}),

@@ -263,6 +263,24 @@ def test_train_invalid_config_value_is_config_error(workdir, data_dir, body):
                  "--out", str(workdir / "x")]) == EXIT_CONFIG
 
 
+def test_train_beta_flag_wins_over_the_config_file(workdir, data_dir):
+    path = workdir / "beta_config.json"
+    path.write_text(json.dumps({**TRAIN_CONFIG, "beta": 5.0, "joint_epochs": 1}))
+    out = workdir / "beta_zero"
+    assert main(["train", "--data", str(data_dir), "--config", str(path), "--beta", "0",
+                 "--baselines", "", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train"]["beta"] == 0.0
+    assert matchrep.load_model(out / "model.json").config.beta == 0.0
+
+
+def test_train_negative_beta_flag_is_config_error(workdir, data_dir):
+    out = workdir / "beta_negative"
+    assert main(["train", "--data", str(data_dir), "--beta", "-1", "--baselines", "",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", [{"beta": float("nan")}, {"alpha": float("inf")},
                                   {"learning_rate": -1.0}, {"learning_rate": 0.0},
                                   {"joint_epochs": -3}, {"pretrain_epochs": -1},
@@ -383,6 +401,17 @@ def test_eval_comparison_table(workdir, data_dir, models_dir):
     assert 0.0 <= float(match["aodt"]) <= 1.0
 
 
+def test_eval_train_split_scores_the_training_rows(workdir, data_dir, models_dir):
+    out = workdir / "eval_train"
+    assert main(["eval", "--data", str(data_dir), "--models", str(models_dir),
+                 "--split", "train", "--out", str(out)]) == EXIT_OK
+    dataset = datamodel.load_csv(data_dir / "dataset.csv")
+    n_train = len(datamodel.split(dataset, seed=TRAIN_CONFIG["seed"]).train)
+    rows = _read_csv(out / "comparison.csv")
+    assert len(rows) == 4 and all(int(row["n"]) == n_train for row in rows)
+    assert n_train < len(dataset)
+
+
 def test_eval_best_prediction_skips_inactive_heads(workdir, data_dir, models_dir):
     # deactivate the head that holds most rows' maximum: the model never
     # assigns that donor type, so it is no row's best type
@@ -452,7 +481,7 @@ BAD_MODEL_FILES = ("wrong-format", "previous-format", "truncated", "no-phi",
                    "v4-file", "invalid-config", "v5-file", "v6-file", "v7-file", "v8-file",
                    "dec-centers-width", "nan-normalization", "zero-scale", "baseline-file",
                    "bool-weight", "bool-centers", "v9-file", "v10-file", "decoder-field",
-                   "v11-file", "embed-decay-field", "v12-file", "hidden-field")
+                   "v11-file", "embed-decay-field", "v12-file", "hidden-field", "v13-file")
 
 
 def _bad_model_file(models_dir: Path, case: str) -> str:
@@ -516,6 +545,7 @@ def _bad_model_file(models_dir: Path, case: str) -> str:
             "embed-decay-field": json.dumps(with_embed_decay),
             "v12-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v12"),
             "hidden-field": json.dumps(with_hidden),
+            "v13-file": text.replace(matchrep.MODEL_FORMAT, "organmatch-model-v13"),
             "dec-centers-width": json.dumps(narrow_centers),
             "nan-normalization": json.dumps(nan_norm),
             "zero-scale": json.dumps(zero_scale),

@@ -228,17 +228,22 @@ def test_rep_loss_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def _draw_biases(nets, rng):
+    """Nonzero biases: with zero ones, a row whose hidden units are all dead
+    puts a pre-activation at exactly 0, ReLU's kink, where a finite
+    difference does not read the one-sided gradient of backprop."""
+    for layer in [layer for net in nets for layer in net.layers]:
+        layer.bias[:] = rng.normal(scale=0.5, size=layer.bias.shape)
+
+
 def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
-    # tanh activations keep the loss smooth so finite differences are exact
     h = hidden
     config = TrainConfig(k=k, seed=seed, pretrain_epochs=2, joint_epochs=2)
-    enc = init_dense_net([d_o, h, h, 3], ["tanh", "tanh", "identity"],
-                         rng_stream(seed, "t-enc"))
-    phi = init_dense_net([d_r, h, h, 3], ["tanh", "tanh", "identity"],
-                         rng_stream(seed, "t-phi"))
+    enc = init_dense_net([d_o, h, h, 3], rng_stream(seed, "t-enc"))
+    phi = init_dense_net([d_r, h, h, 3], rng_stream(seed, "t-phi"))
     rng = rng_stream(seed, "t-heads")
-    heads = [init_dense_net([3, h, h, 1], ["tanh", "tanh", "identity"], rng)
-             for _ in range(k)]
+    heads = [init_dense_net([3, h, h, 1], rng) for _ in range(k)]
+    _draw_biases([enc, phi, *heads], rng_stream(seed, "t-biases"))
     clusterer = DonorClusterer("dec", rng_stream(seed, "t-centers").normal(size=(k, 3)),
                                encoder=enc)
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=500.0,
@@ -250,7 +255,7 @@ def _tiny_model(d_r=3, d_o=2, k=2, seed=7, hidden=6):
 
 def test_factual_loss_hand_value_linear_head():
     # single linear head y = 100 + 50 * x; two samples
-    head = init_dense_net([1, 1], ["identity"], rng_stream(0, "fh"))
+    head = init_dense_net([1, 1], rng_stream(0, "fh"))
     head.layers[0].weight[:] = 1.0
     head.layers[0].bias[:] = 0.0
     predictor = matchrep.MultiHeadPredictor(heads=[head], outcome_mean=100.0,
@@ -301,7 +306,8 @@ def _set_params(params, values):
 def test_recon_loss_gradients_match_finite_differences():
     encoder = _tiny_model().clusterer.encoder
     # the mirror of _tiny_model's [2, 6, 6, 3] encoder
-    decoder = init_dense_net([3, 6, 6, 2], ["tanh", "tanh", "identity"], rng_stream(7, "t-dec"))
+    decoder = init_dense_net([3, 6, 6, 2], rng_stream(7, "t-dec"))
+    _draw_biases([decoder], rng_stream(7, "t-dec-biases"))
     x = rng_stream(14, "recon-fd").normal(size=(12, 2))
     live = encoder.parameters() + decoder.parameters()
 
@@ -629,8 +635,7 @@ def test_model_needs_a_bool_mask():
 
 
 def _mixed_width_heads(model):
-    heads = [init_dense_net([width, 4, 1], ["tanh", "identity"], rng_stream(width, "mixed"))
-             for width in (3, 4)]
+    heads = [init_dense_net([width, 4, 1], rng_stream(width, "mixed")) for width in (3, 4)]
     return {"phi": None, "predictor": replace(model.predictor, heads=heads)}
 
 
@@ -711,12 +716,11 @@ def test_blocked_inference_equals_one_pass(rows):
     # shaped like the default TrainConfig on the preset's two recipient and
     # two donor features; cluster 1 inactive
     seed, h = 9, 32
-    act = ["relu", "relu", "identity"]
     rng = rng_stream(seed, "one-pass", rows)
-    encoder = init_dense_net([2, h, h, 8], act, rng)
+    encoder = init_dense_net([2, h, h, 8], rng)
     clusterer = DonorClusterer("dec", rng.normal(size=(3, 8)), encoder=encoder)
-    phi = init_dense_net([2, h, h, 8], act, rng)
-    heads = [init_dense_net([8, h, h, 1], act, rng) for _ in range(3)]
+    phi = init_dense_net([2, h, h, 8], rng)
+    heads = [init_dense_net([8, h, h, 1], rng) for _ in range(3)]
     predictor = matchrep.MultiHeadPredictor(heads=heads, outcome_mean=700.0, outcome_scale=250.0)
     model = MatchRepModel(name="matchrep", config=TrainConfig(k=3, seed=seed),
                           clusterer=clusterer, phi=phi, predictor=predictor,
@@ -814,7 +818,8 @@ def _object_dtype(doc):
 
 
 def _bad_activation(doc):
-    doc["model"]["phi"]["layers"][0]["activation"] = "softmax"
+    # every layer of a v13 file names its activation, a field a Layer no longer has
+    doc["model"]["phi"]["layers"][0]["activation"] = "relu"
 
 
 def _wrong_kind(doc):
@@ -841,10 +846,14 @@ def _string_config_field(doc):
     doc["model"]["config"]["k"] = "2"
 
 
+def _no_active_cluster(doc):
+    doc["model"]["active"]["array"] = [False, False]
+
+
 @pytest.mark.parametrize("corrupt", [_unknown_type, _missing_field, _extra_field,
                                      _object_dtype, _bad_activation, _wrong_kind,
                                      _int_encoder, _number_weight, _string_config_field,
-                                     _null_active, _invalid_config_value])
+                                     _null_active, _invalid_config_value, _no_active_cluster])
 def test_load_model_rejects_malformed_files(tmp_path, corrupt):
     model = _tiny_model()
     model.active = np.array([True, False])

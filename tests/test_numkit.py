@@ -52,7 +52,8 @@ def test_rng_stream_components_independent():
 
 
 def test_mlp_identity_layer_passes_input_through():
-    net = DenseNet([Layer(np.eye(3), np.zeros(3), "identity")])
+    # a one-layer net is linear, so negative outputs pass too
+    net = DenseNet([Layer(np.eye(3), np.zeros(3))])
     x = np.array([[1.0, -2.0, 0.5]])
     out, _ = mlp_forward(net, x)
     np.testing.assert_allclose(out, x)
@@ -62,52 +63,41 @@ def test_a_layer_holds_float64_weight_and_bias():
     for weight, bias in ((np.eye(2, dtype=bool), np.zeros(2)), (np.eye(2), np.zeros(2, dtype=int)),
                          (np.eye(2, dtype=np.float32), np.zeros(2))):
         with pytest.raises(TypeError):
-            Layer(weight, bias, "identity")
+            Layer(weight, bias)
 
 
 def test_mlp_relu_layer():
-    net = DenseNet([Layer(np.eye(2), np.zeros(2), "relu")])
+    # ReLU on the hidden layer, none on the linear output layer
+    net = DenseNet([Layer(np.eye(2), np.array([0.5, 0.0])), Layer(-np.eye(2), np.zeros(2))])
     out, _ = mlp_forward(net, np.array([[-1.0, 2.0]]))
-    np.testing.assert_allclose(out, [[0.0, 2.0]])
-
-
-def test_mlp_two_layer_tanh_hand_evaluated():
-    w1 = np.array([[0.5, -0.25], [0.1, 0.3]])
-    b1 = np.array([0.05, -0.1])
-    w2 = np.array([[1.0], [-2.0]])
-    b2 = np.array([0.2])
-    net = DenseNet([Layer(w1, b1, "tanh"), Layer(w2, b2, "identity")])
-    x = np.array([[0.3, -0.7]])
-    # straight-line hand evaluation of the composition
-    h = np.tanh(x @ w1 + b1)
-    expected = h @ w2 + b2
-    out, _ = mlp_forward(net, x)
-    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    np.testing.assert_array_equal(out, [[0.0, -2.0]])
 
 
 def test_mlp_dimension_mismatch_rejected():
-    net = DenseNet([Layer(np.eye(3), np.zeros(3), "identity")])
+    net = DenseNet([Layer(np.eye(3), np.zeros(3))])
     with pytest.raises(DimensionMismatchError):
         mlp_forward(net, np.zeros((2, 4)))
 
 
 def test_mlp_predict_is_the_forward_pass_without_a_cache():
     rng = rng_stream(5, "predict")
-    net = init_dense_net([5, 7, 7, 7, 2], ["relu", "tanh", "relu", "identity"], rng)
+    net = init_dense_net([5, 7, 7, 7, 2], rng)
+    for layer in net.layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
     x = rng.normal(size=(40, 5))
     x_before = x.copy()
-    reference = x  # out of place: z = a @ W + b, then the activation
-    for layer in net.layers:
-        z = reference @ layer.weight + layer.bias
-        reference = {"relu": np.maximum(z, 0.0), "tanh": np.tanh(z), "identity": z}[
-            layer.activation]
+    reference = [x]  # out of place: z = a @ W + b, then ReLU but on the last layer
+    for i, layer in enumerate(net.layers):
+        z = reference[-1] @ layer.weight + layer.bias
+        reference.append(np.maximum(z, 0.0) if i < len(net.layers) - 1 else z)
     out, cache = mlp_forward(net, x)
-    np.testing.assert_array_equal(out, reference)
-    np.testing.assert_array_equal(mlp_predict(net, x), reference)
+    np.testing.assert_array_equal(out, reference[-1])
+    np.testing.assert_array_equal(mlp_predict(net, x), reference[-1])
     np.testing.assert_array_equal(x, x_before)
-    # the training cache keeps each layer's pre-activation apart from its output
-    assert all(z is not a_out for (_, z, a_out), layer in zip(cache, net.layers)
-               if layer.activation != "identity")
+    # the training cache is each layer's input, then the output
+    assert len(cache) == len(net.layers) + 1 and cache[-1] is out
+    for got, want in zip(cache, reference):
+        np.testing.assert_array_equal(got, want)
     with pytest.raises(DimensionMismatchError):
         mlp_predict(net, np.zeros((2, 4)))
 
@@ -121,7 +111,7 @@ INFERENCE_NETS = {"phi-encoder": [2, 32, 32, 8], "head": [8, 32, 32, 1], "reg-nn
 @pytest.mark.parametrize("dims", INFERENCE_NETS.values(), ids=INFERENCE_NETS.keys())
 def test_mlp_predict_in_row_blocks_keeps_the_whole_batch_bits(dims, rows):
     rng = rng_stream(6, "blocks", rows)
-    net = init_dense_net(dims, ["relu", "relu", "identity"], rng)
+    net = init_dense_net(dims, rng)
     x = rng.normal(size=(rows, dims[0]))
     assert mlp_predict(net, x).tobytes() == mlp_forward(net, x)[0].tobytes()
 
@@ -144,7 +134,7 @@ def test_map_row_blocks_cuts_full_blocks_and_no_one_row_tail(rows):
 
 
 def test_backward_zero_upstream_gives_zero_grads():
-    net = init_dense_net([3, 4, 2], ["relu", "identity"], rng_stream(0, "t"))
+    net = init_dense_net([3, 4, 2], rng_stream(0, "t"))
     out, cache = mlp_forward(net, rng_stream(1, "t").normal(size=(5, 3)))
     grads, d_in = mlp_backward(net, cache, np.zeros_like(out))
     assert all(np.all(g == 0) for g in grads)
@@ -153,17 +143,16 @@ def test_backward_zero_upstream_gives_zero_grads():
 
 def test_backward_scalar_linear_case():
     # y = w * x with upstream gradient 1 at x = 3 -> dL/dw = 3
-    net = DenseNet([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
+    net = DenseNet([Layer(np.array([[2.0]]), np.zeros(1))])
     out, cache = mlp_forward(net, np.array([[3.0]]))
     grads, _ = mlp_backward(net, cache, np.ones_like(out))
     np.testing.assert_allclose(grads[0], [[3.0]])
     np.testing.assert_allclose(grads[1], [1.0])
 
 
-@pytest.mark.parametrize("acts", [["relu", "identity"], ["tanh", "tanh"]])
-def test_backward_matches_finite_differences(acts):
-    rng = rng_stream(3, "fd", acts[0])
-    net = init_dense_net([4, 5, 2], acts, rng)
+def test_backward_matches_finite_differences():
+    rng = rng_stream(3, "fd", "relu")
+    net = init_dense_net([4, 5, 2], rng)
     x = rng.normal(size=(6, 4))
     target = rng.normal(size=(6, 2))
 
@@ -179,19 +168,26 @@ def test_backward_matches_finite_differences(acts):
 
 
 def test_backward_matches_activation_mask_reference():
-    """mlp_backward against the chain rule with an explicit float mask per layer."""
+    """mlp_backward against the chain rule with an explicit float mask of
+    each hidden layer's pre-activation ``z > 0``."""
     rng = rng_stream(4, "backward-ref")
-    net = init_dense_net([5, 7, 7, 3], ["relu", "tanh", "identity"], rng)
-    out, cache = mlp_forward(net, rng.normal(size=(9, 5)))
+    net = init_dense_net([5, 7, 7, 3], rng)
+    for layer in net.layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
+    x = rng.normal(size=(9, 5))
+    out, cache = mlp_forward(net, x)
     upstream = rng.normal(size=out.shape)
+    inputs, pre = [x], []  # each layer's input and pre-activation, out of place
+    for layer in net.layers:
+        pre.append(inputs[-1] @ layer.weight + layer.bias)
+        inputs.append(np.maximum(pre[-1], 0.0))
     expected = []
     delta = upstream
-    for layer, (a_in, z, a_out) in zip(reversed(net.layers), reversed(cache)):
-        mask = {"relu": (z > 0.0).astype(float), "tanh": 1.0 - a_out * a_out,
-                "identity": np.ones_like(z)}[layer.activation]
-        delta = delta * mask
-        expected += [np.sum(delta, axis=0), a_in.T @ delta]
-        delta = delta @ layer.weight.T
+    for i in reversed(range(len(net.layers))):
+        if i < len(net.layers) - 1:
+            delta = delta * (pre[i] > 0.0).astype(float)
+        expected += [np.sum(delta, axis=0), inputs[i].T @ delta]
+        delta = delta @ net.layers[i].weight.T
     grads, d_in = mlp_backward(net, cache, upstream)
     for got, want in zip(grads, expected[::-1]):
         np.testing.assert_array_equal(got, want)
@@ -240,8 +236,7 @@ def test_adam_converges_on_quadratic():
 
 def _two_nets(seed):
     rng = rng_stream(seed, "flat")
-    return [init_dense_net([3, 4, 2], ["relu", "identity"], rng),
-            init_dense_net([2, 5, 1], ["tanh", "identity"], rng)]
+    return [init_dense_net([3, 4, 2], rng), init_dense_net([2, 5, 1], rng)]
 
 
 def test_adam_on_flat_buffer_matches_per_array_updates():
