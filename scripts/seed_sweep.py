@@ -6,7 +6,8 @@ Per seed, trains the joint model at each invariance weight beta and the
 and scores each on the held-out split with ``metrics.comparison_row``,
 ``organmatch eval``'s scorer, plus its number of active clusters, ARI
 against the coarsened generative types and, for the joint model, the
-held-out representation divergence.
+number of epochs in which DEC refined its donor map (``dec_refined``) and
+the held-out representation divergence.
 A fit that diverges or kills a cluster gives a row with its ``error`` and
 empty metric cells. Prints one CSV table to stdout:
 
@@ -25,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import adjusted_rand  # noqa: E402
 
 FIELDS = ["seed", "beta", "model", "eps_f", "eps_wmse", "aodt", "mean_best_prediction",
-          "n", "n_active", "ari_coarse", "rep_kl_heldout", "error"]
+          "n", "n_active", "dec_refined", "ari_coarse", "rep_kl_heldout", "error"]
 BASELINES = ("kmeans/multihead-nn", "em/multihead-nn")
 
 
@@ -33,13 +34,14 @@ def fit_and_score(name, config, train, val, normed, coarse) -> dict:
     """Train ``name`` (``matchrep`` or a baseline) with ``config`` on
     ``train`` and return its row on ``val``; ARI is taken over every donor
     of ``normed`` against the ``coarse`` truth."""
-    model, _ = baselines.fit_model(name, train, config)
+    model, log = baselines.fit_model(name, train, config)
     preds, labels, best = model.predict_types(val.recipients, val.donors)
     row = {**metrics.comparison_row(name, preds, labels, val.outcomes, val.true_potentials,
                                     val.true_donor_type, best),
            "n_active": int(model.active.sum()),
            "ari_coarse": adjusted_rand(model.donor_labels(normed.donors), coarse)}
     if name == matchrep.JOINT:
+        row["dec_refined"] = sum(epoch["dec_active"] for epoch in log)
         xprime = numkit.mlp_predict(model.phi, val.recipients)
         rep_kl, _, used = matchrep.rep_loss_and_grads(xprime, labels, config.k,
                                                       min_cluster_count=2)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import json
+import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -67,11 +68,11 @@ DEC_EXPONENT = -0.5
 # scale and with it the self-training dynamics that let ambiguous clusters
 # merge. A reconstruction anchor (Adam) and a small embedding norm-decay keep
 # the SGD refinement from collapsing or rescaling the embedding; refinement
-# halts once hard assignments stabilize: after at least DEC_MIN_EPOCHS
-# epochs, at the first in which fewer than DEC_STOP_TOL of the labels change.
+# halts at the first epoch in which fewer than DEC_STOP_TOL of the labels
+# change and at least two clusters stay active, and undoes an epoch that
+# diverges.
 DEC_STEP = 0.1  # the paper's alpha
 EMBED_DECAY = 0.004
-DEC_MIN_EPOCHS = 5
 DEC_STOP_TOL = 0.005
 # A cluster must end training with at least this fraction of the donors to
 # stay active; DEC merging routinely leaves residual clusters holding a few
@@ -477,11 +478,14 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
     A refining epoch refreshes the target, then per minibatch of the
     ``donors`` from the stream ``batches`` takes one Adam step of the
     reconstruction anchor and one SGD step on L_DEC plus embedding
-    norm-decay, then labels every donor in one full pass. Refinement ends at
-    the stop test (``DEC_MIN_EPOCHS``, ``DEC_STOP_TOL`` on the churn) or
-    after ``joint_epochs``; the encoder then leaves the anchor's shared
-    buffer, and every frozen epoch yields the same labels, the one L_DEC of
-    the map against its own target, churn 0.0 and the same counts.
+    norm-decay, then labels every donor in one full pass. Refinement ends
+    after the first epoch whose churn is below ``DEC_STOP_TOL`` and that
+    leaves at least two ``active_clusters``, or after ``joint_epochs``. A
+    refining epoch whose DEC or anchor loss diverges is undone (encoder,
+    decoder and centers back to its start, with a warning) and becomes the
+    first frozen epoch. The encoder then leaves the anchor's shared buffer,
+    and every frozen epoch yields the same labels, the one L_DEC of the map
+    against its own target, churn 0.0 and the same counts.
     """
     anchor = Adam([clusterer.encoder, decoder], LEARNING_RATE,
                   "DEC refinement's reconstruction anchor")
@@ -491,25 +495,34 @@ def _dec_epochs(clusterer: DonorClusterer, decoder: DenseNet, donors: np.ndarray
     labels = np.argmax(soft, axis=1)
     refined = 0
     while refined < config.joint_epochs:
+        start = anchor.buffer.copy(), clusterer.centers.copy()
         l_dec, p_full, batch_labels = 0.0, target_distribution(soft), np.empty_like(labels)
-        for idx in minibatches(n, config.batch_size, rng):
-            x = donors[idx]
-            anchor.step(*recon_loss_and_grads(clusterer.encoder, decoder, x))
-            loss, grads = dec_refine_loss_and_grads(clusterer.encoder, clusterer.centers, x,
-                                                    p_full[idx], EMBED_DECAY, len(idx) / n)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError("DEC loss diverged; try a lower DEC_STEP")
-            for pm, g in zip(clusterer.encoder.parameters() + [clusterer.centers], grads):
-                pm -= DEC_STEP * g
-            l_dec += loss
-            batch_labels[idx] = np.argmax(clusterer.scores(x), axis=1)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for idx in minibatches(n, config.batch_size, rng):
+                    x = donors[idx]
+                    anchor.step(*recon_loss_and_grads(clusterer.encoder, decoder, x))
+                    loss, grads = dec_refine_loss_and_grads(
+                        clusterer.encoder, clusterer.centers, x, p_full[idx], EMBED_DECAY,
+                        len(idx) / n)
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError("DEC loss diverged; try a lower DEC_STEP")
+                    for pm, g in zip(clusterer.encoder.parameters() + [clusterer.centers],
+                                     grads):
+                        pm -= DEC_STEP * g
+                    l_dec += loss
+                    batch_labels[idx] = np.argmax(clusterer.scores(x), axis=1)
+        except TrainingDivergedError as exc:
+            anchor.buffer[:], clusterer.centers[:] = start
+            warnings.warn(f"DEC refining epoch {refined} undone and refinement stopped: {exc}")
+            break
         refined += 1
         # the Phi epoch run at the yield never touches the map, so this pass may precede it
         soft = clusterer.scores(donors)
         new_labels = np.argmax(soft, axis=1)
         churn, labels = float(np.mean(new_labels != labels)), new_labels
         yield batch_labels, l_dec, True, churn, np.bincount(labels, minlength=config.k)
-        if refined >= DEC_MIN_EPOCHS and churn < DEC_STOP_TOL:
+        if churn < DEC_STOP_TOL and active_clusters(labels, config).sum() >= 2:
             break
     clusterer.encoder = copy.deepcopy(clusterer.encoder)  # off the anchor's shared buffer
     l_dec = float(np.sum(_dec_terms(target_distribution(soft), np.maximum(soft, T_CLAMP))))

@@ -414,8 +414,15 @@ def test_train_joint_logs_label_churn_and_cluster_counts(small_nets):
     config = TrainConfig(**SMALL)
     model, log = train_joint(recipients, donors, outcomes, config)
     refined = [row for row in log if row["dec_active"]]
-    assert matchrep.DEC_MIN_EPOCHS <= len(refined) < len(log)  # refinement stopped early
-    assert refined[-1]["label_churn"] < matchrep.DEC_STOP_TOL
+    assert 1 <= len(refined) < len(log)  # refinement stopped early
+
+    def stops(row):  # the stop rule: labels settled, and two clusters still active
+        counts = [int(count) for count in row["cluster_counts"].split(";")]
+        labels = np.repeat(np.arange(config.k), counts)
+        return (row["label_churn"] < matchrep.DEC_STOP_TOL
+                and matchrep.active_clusters(labels, config).sum() >= 2)
+
+    assert [stops(row) for row in refined] == [False] * (len(refined) - 1) + [True]
     for row in log:
         counts = [int(count) for count in row["cluster_counts"].split(";")]
         assert len(counts) == config.k and sum(counts) == len(donors)
@@ -463,8 +470,6 @@ def _pretrained_autoencoders(monkeypatch) -> list:
 def test_train_joint_frozen_donor_map_is_computed_once(small_nets, monkeypatch, batch_size):
     recipients, donors, outcomes = _training_data()
     config = TrainConfig(**{**SMALL, "batch_size": batch_size})
-    monkeypatch.setattr(matchrep, "DEC_MIN_EPOCHS", 3)  # with the next, stops after epoch 2
-    monkeypatch.setattr(matchrep, "DEC_STOP_TOL", 1.0)
     calls = {"L_DEC": 0, "encoder": 0}
     anchors, epochs = [], []
     real_dec = matchrep.dec_loss_and_grads
@@ -505,9 +510,11 @@ def test_train_joint_frozen_donor_map_is_computed_once(small_nets, monkeypatch, 
 
     n, n_batches = len(outcomes), -(-len(outcomes) // config.batch_size)
     assert [row["dec_active"] for row in log] == [refined for refined, _ in epochs]
-    assert [refined for refined, _ in epochs] == [True] * 3 + [False] * 12
-    last_refined = epochs[2][1]
-    assert last_refined["L_DEC"] == 3 * n_batches
+    r = sum(refined for refined, _ in epochs)  # the stop rule ends refinement early
+    assert 1 <= r < len(log)
+    assert [refined for refined, _ in epochs] == [True] * r + [False] * (len(log) - r)
+    last_refined = epochs[r - 1][1]
+    assert last_refined["L_DEC"] == r * n_batches
     assert epochs[-1][1]["L_DEC"] == last_refined["L_DEC"]
     # the frozen epochs reuse the soft assignment of the last refining
     # epoch's label check; no frozen epoch encodes any donor, and the active
@@ -524,14 +531,14 @@ def test_train_joint_frozen_donor_map_is_computed_once(small_nets, monkeypatch, 
 
     # the logged L_DEC of a frozen epoch is one value, the per-batch
     # evaluation it replaces and the per-donor mean KL whatever the batch size
-    assert len({row["L_DEC"] for row in log[3:]}) == 1
+    assert len({row["L_DEC"] for row in log[r:]}) == 1
     rng = rng_stream(config.seed, "matchrep", "joint-batches")
     batches = [list(numkit.minibatches(n, config.batch_size, rng)) for _ in log]
     enc, centers = model.clusterer.encoder, model.clusterer.centers
     t = soft_assign(mlp_forward(enc, donors)[0], centers)
     p_full = target_distribution(t)
     donor_mean = float(np.sum(matchrep._dec_terms(p_full, np.maximum(t, matchrep.T_CLAMP)))) / n
-    for row, epoch_batches in zip(log[3:], batches[3:]):
+    for row, epoch_batches in zip(log[r:], batches[r:]):
         expected = sum(dec_loss_and_grads(mlp_forward(enc, donors[idx])[0], centers,
                                           p_full[idx])[0]
                        for idx in epoch_batches) / n
@@ -539,14 +546,66 @@ def test_train_joint_frozen_donor_map_is_computed_once(small_nets, monkeypatch, 
         assert row["L_DEC"] == pytest.approx(donor_mean, rel=1e-12)
 
 
+def _map_state(clusterer, decoder) -> list[bytes]:
+    return [p.tobytes() for p in clusterer.encoder.parameters() + decoder.parameters()
+            + [clusterer.centers]]
+
+
 def test_dec_refinement_anchor_divergence_names_dec_refinement(small_nets):
+    # a diverged first refining epoch is undone: the map stays the pretrained one
     _, donors, _ = _training_data()
     config = TrainConfig(**SMALL)
     clusterer, decoder = pretrain_autoencoder(donors, config)
     decoder.layers[-1].bias[:] = 1e200  # copied into the anchor's buffer
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            numkit.TrainingDivergedError, match="^DEC refinement's reconstruction anchor loss"):
-        next(matchrep._dec_epochs(clusterer, decoder, donors, config, "matchrep/joint-batches"))
+    pretrained = _map_state(clusterer, decoder)
+    with pytest.warns(UserWarning, match="^DEC refining epoch 0 undone and refinement stopped: "
+                                         "DEC refinement's reconstruction anchor loss"):
+        epochs = list(matchrep._dec_epochs(clusterer, decoder, donors, config,
+                                           "matchrep/joint-batches"))
+    assert [refined for _, _, refined, _, _ in epochs] == [False] * config.joint_epochs
+    assert _map_state(clusterer, decoder) == pretrained
+    labels = np.argmax(clusterer.scores(donors), axis=1)
+    assert all(np.array_equal(epoch[0], labels) for epoch in epochs)
+
+
+def test_a_diverged_refining_epoch_restores_its_start_state(small_nets, monkeypatch):
+    _, donors, _ = _training_data()
+    config = TrainConfig(**SMALL)
+    n_batches = -(-len(donors) // config.batch_size)
+    monkeypatch.setattr(matchrep, "DEC_STOP_TOL", 0.0)  # refine until the divergence
+    real_loss, calls = matchrep.dec_refine_loss_and_grads, []
+
+    def nan_in_epoch_2(*args):  # epoch 2's second batch, after one full step of it
+        calls.append(None)
+        loss, grads = real_loss(*args)
+        return (np.nan if len(calls) == 2 * n_batches + 2 else loss), grads
+
+    monkeypatch.setattr(matchrep, "dec_refine_loss_and_grads", nan_in_epoch_2)
+    clusterer, decoder = pretrain_autoencoder(donors, config)
+    epochs = matchrep._dec_epochs(clusterer, decoder, donors, config, "matchrep/joint-batches")
+    refined = [next(epochs), next(epochs)]
+    start = _map_state(clusterer, decoder)
+    with pytest.warns(UserWarning, match="^DEC refining epoch 2 undone and refinement stopped: "
+                                         "DEC loss diverged"):
+        frozen = list(epochs)
+    assert [epoch[2] for epoch in refined + frozen] == [True] * 2 + [False] * 13
+    assert _map_state(clusterer, decoder) == start
+    assert len(calls) == 2 * n_batches + 2
+    labels = np.argmax(clusterer.scores(donors), axis=1)
+    assert all(np.array_equal(epoch[0], labels) and epoch[3] == 0.0 for epoch in frozen)
+
+
+def test_a_one_cluster_map_never_stops_refining(small_nets):
+    # every donor sits far nearer center 0 than center 1: the labels never
+    # change, and one active cluster is no stopping point
+    _, donors, _ = _training_data()
+    config = TrainConfig(**SMALL)
+    clusterer, decoder = pretrain_autoencoder(donors, config)
+    clusterer.centers[1] = 1e3
+    epochs = list(matchrep._dec_epochs(clusterer, decoder, donors, config,
+                                       "matchrep/joint-batches"))
+    assert [(refined, churn, list(counts)) for _, _, refined, churn, counts in epochs] == [
+        (True, 0.0, [len(donors), 0])] * config.joint_epochs
 
 
 def test_recipients_never_reach_the_donor_map(small_nets, monkeypatch):
@@ -575,20 +634,13 @@ def _preset_training_split(seed: int):
     return datamodel.normalize_fit_transform(dataset, indices).subset(indices.train)
 
 
-_ITEM_6 = "ROADMAP item 6: the DEC schedule is not seed-robust; "
-
-
 @pytest.mark.parametrize("seed, kind", [
-    pytest.param(8, "joint", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason=_ITEM_6 + "seed 8's map collapses to one active cluster")),
-    pytest.param(11, "joint", marks=pytest.mark.xfail(
-        strict=True, raises=numkit.TrainingDivergedError,
-        reason=_ITEM_6 + "seed 11's reconstruction anchor diverges")),
+    (8, "joint"),  # its map settles with two clusters after 4 refining epochs
+    (11, "joint"),  # its reconstruction anchor diverges in refining epoch 3, which is undone
     pytest.param(7, "dec", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="the dec/linear-per-head seed-7 FOUND: the standalone DEC map puts "
-               "every training donor in one cluster")),
+        reason="the dec/linear-per-head seed-7 FOUND: the standalone DEC map stays in "
+               "one cluster after all joint_epochs refining epochs")),
 ])
 def test_preset_donor_maps_keep_two_clusters(seed, kind):
     train = _preset_training_split(seed)

@@ -1,6 +1,6 @@
 """Smoke test of scripts/seed_sweep.py: its columns, its rows against
-``metrics.comparison_row`` and the model's active clusters, and the error
-row of a failed fit."""
+``metrics.comparison_row``, the model's active clusters and its refining
+epochs, and the error row of a failed fit."""
 
 import csv
 import importlib.util
@@ -37,7 +37,7 @@ def test_rows_are_comparison_rows(sweep, capsys, monkeypatch):
 
     def keep(*args):
         model, log = train_joint(*args)
-        trained[args[3].beta] = model
+        trained[args[3].beta] = model, log
         return model, log
 
     monkeypatch.setattr(matchrep, "train_joint", keep)
@@ -47,11 +47,12 @@ def test_rows_are_comparison_rows(sweep, capsys, monkeypatch):
         ("3", "", "kmeans/multihead-nn"), ("3", "", "em/multihead-nn")]
     assert all(r["error"] == "" and r["ari_coarse"] != "" for r in rows)
     assert [r["rep_kl_heldout"] == "" for r in rows] == [False, False, True, True]
+    assert [r["dec_refined"] == "" for r in rows] == [False, False, True, True]
 
     dataset = synthgen.sample_dataset(synthgen.paper_preset(n=400, seed=3))
     indices = datamodel.split(dataset, seed=3)
     val = datamodel.normalize_fit_transform(dataset, indices).subset(indices.validation)
-    model = trained[100.0]
+    model, log = trained[100.0]
     preds = matchrep.predict_potential_batch(model, val.recipients)
     expected = metrics.comparison_row(
         "matchrep", preds, matchrep.donor_type_batch(model, val.donors)[0], val.outcomes,
@@ -59,6 +60,7 @@ def test_rows_are_comparison_rows(sweep, capsys, monkeypatch):
     assert {key: rows[1][key] for key in expected} == {
         key: "" if value is None else str(value) for key, value in expected.items()}
     assert rows[1]["n_active"] == str(int(model.active.sum()))
+    assert rows[1]["dec_refined"] == str(sum(epoch["dec_active"] for epoch in log))
 
 
 def test_failed_fit_gives_an_error_row(sweep, capsys, monkeypatch):
